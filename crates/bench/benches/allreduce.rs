@@ -29,7 +29,8 @@ fn real_allreduce(c: &mut Criterion) {
                     b.iter(|| {
                         ThreadComm::run(ranks, |comm| {
                             let mut buf = vec![comm.rank() as f32; len];
-                            collectives::recursive_doubling_allreduce(comm, &mut buf);
+                            let arena = &mut msa_net::Arena::new();
+                            collectives::recursive_doubling_allreduce(comm, &mut buf, arena);
                             buf[0]
                         })
                     });
@@ -85,7 +86,8 @@ fn hierarchical(c: &mut Criterion) {
                 b.iter(|| {
                     ThreadComm::run(ranks, |comm| {
                         let mut buf = vec![comm.rank() as f32; 65_536];
-                        msa_net::hierarchical_allreduce(comm, &mut buf, k);
+                        let arena = &mut msa_net::Arena::new();
+                        msa_net::hierarchical_allreduce(comm, &mut buf, k, arena);
                         buf[0]
                     })
                 });

@@ -69,10 +69,11 @@ fn wire_row(collective: &'static str, ranks: usize, len: usize) -> WireRow {
     };
     let per_rank = ThreadComm::run(ranks, move |c| {
         let mut buf: Vec<f32> = (0..len).map(|i| (c.rank() * len + i) as f32).collect();
+        let arena = &mut Arena::new();
         match collective {
-            "ring_allreduce" => collectives::ring_allreduce(c, &mut buf),
-            "pipeline_allreduce" => collectives::pipeline_allreduce(c, &mut buf),
-            _ => collectives::recursive_doubling_allreduce(c, &mut buf),
+            "ring_allreduce" => collectives::ring_allreduce(c, &mut buf, arena),
+            "pipeline_allreduce" => collectives::pipeline_allreduce(c, &mut buf, arena),
+            _ => collectives::recursive_doubling_allreduce(c, &mut buf, arena),
         }
         let t = c.stats().map(|s| s.export().op(op)).unwrap_or_default();
         (t.msgs_sent, t.bytes_sent)
@@ -102,9 +103,9 @@ fn steady_state_allocs(ranks: usize, len: usize) -> u64 {
         let mut buf = vec![1.0f32; len];
         let mut arena = Arena::new();
         let mut round = |arena: &mut Arena| {
-            collectives::ring_allreduce_with(c, &mut buf, arena);
-            collectives::pipeline_allreduce_with(c, &mut buf, arena);
-            collectives::recursive_doubling_allreduce_with(c, &mut buf, arena);
+            collectives::ring_allreduce(c, &mut buf, arena);
+            collectives::pipeline_allreduce(c, &mut buf, arena);
+            collectives::recursive_doubling_allreduce(c, &mut buf, arena);
             collectives::dissemination_barrier(c);
         };
         for _ in 0..2 {
@@ -337,12 +338,12 @@ fn sweep_row(ranks: usize, bytes: usize, reps: usize) -> SweepRow {
     let times = ThreadComm::run(ranks, move |c| {
         let mut buf = vec![0.5f32; len];
         let mut arena = Arena::new();
-        let ring = min_ns(reps, || collectives::ring_allreduce_with(c, &mut buf, &mut arena));
+        let ring = min_ns(reps, || collectives::ring_allreduce(c, &mut buf, &mut arena));
         let pipe = min_ns(reps, || {
-            collectives::pipeline_allreduce_with(c, &mut buf, &mut arena)
+            collectives::pipeline_allreduce(c, &mut buf, &mut arena)
         });
         let rdb = min_ns(reps, || {
-            collectives::recursive_doubling_allreduce_with(c, &mut buf, &mut arena)
+            collectives::recursive_doubling_allreduce(c, &mut buf, &mut arena)
         });
         (ring, pipe, rdb)
     });

@@ -15,9 +15,12 @@
 //! from its last snapshot finishes with **bit-identical** parameters and
 //! per-epoch loss statistics to the run that was never killed.
 
+use crate::trainer::{EpochCursor, EpochStats};
 use msa_core::SimTime;
+use msa_net::Communicator;
 use msa_storage::CheckpointTarget;
 use nn::serialize::SnapshotError;
+use nn::{u64_to_words, words_to_u64};
 
 /// When and "where" the trainer checkpoints.
 ///
@@ -103,6 +106,42 @@ const MAGIC: &[u8; 4] = b"MSTP";
 const VERSION: u32 = 1;
 
 impl TrainerProgress {
+    /// Collective: gathers every rank's shuffle-RNG positions and partial
+    /// loss sum (as f32 bit-patterns — exact transport, same trick as the
+    /// sparse-allreduce index encoding) and assembles the record on
+    /// rank 0, the only rank that snapshots; other ranks get `None`.
+    pub(crate) fn gather<C: Communicator + ?Sized>(
+        comm: &C,
+        seed: u64,
+        steps_done: u64,
+        at: &EpochCursor,
+        history: &[EpochStats],
+    ) -> Option<TrainerProgress> {
+        let mut words = Vec::with_capacity(6);
+        for v in [at.rng_pos_start, at.rng_pos_now, at.loss_sum.to_bits()] {
+            words.extend_from_slice(&u64_to_words(v));
+        }
+        let gathered = comm.allgather(&words);
+        let column = |i: usize| -> Vec<u64> {
+            gathered
+                .iter()
+                .map(|w| words_to_u64([w[i], w[i + 1]]))
+                .collect()
+        };
+        (comm.rank() == 0).then(|| TrainerProgress {
+            workers: comm.size() as u32,
+            seed,
+            epoch: at.epoch as u64,
+            step_in_epoch: at.step_in_epoch as u64,
+            steps_done,
+            lr_bits: at.lr.to_bits(),
+            history: history.iter().map(|e| (e.mean_loss, e.lr)).collect(),
+            rng_pos_start: column(0),
+            rng_pos_now: column(2),
+            loss_sum_bits: column(4),
+        })
+    }
+
     /// Serialises the record into the v2 snapshot's meta section.
     pub fn encode(&self) -> Vec<u8> {
         let ranks = self.rng_pos_start.len();

@@ -26,8 +26,8 @@
 //! [`Trainer`]: crate::trainer::Trainer
 
 use crate::compress::{sparse_allreduce_mean, TopKCompressor};
-use msa_net::codec::bf16_allreduce_with;
-use msa_net::tune::{tuned_allreduce_with, DecisionTable};
+use msa_net::codec::bf16_allreduce;
+use msa_net::tune::{tuned_allreduce, DecisionTable};
 use msa_net::{collectives, Arena, Communicator, GradCodec, PointToPoint};
 use nn::Layer;
 use std::sync::Arc;
@@ -69,8 +69,8 @@ impl ExchangeDispatch {
         scratch: &mut Arena,
     ) {
         match self {
-            ExchangeDispatch::Pipeline => collectives::pipeline_allreduce_with(c, seg, scratch),
-            ExchangeDispatch::Tuned(table) => tuned_allreduce_with(c, seg, scratch, table),
+            ExchangeDispatch::Pipeline => collectives::pipeline_allreduce(c, seg, scratch),
+            ExchangeDispatch::Tuned(table) => tuned_allreduce(c, seg, scratch, table),
         }
     }
 
@@ -107,7 +107,7 @@ impl ExchangeDispatch {
                 }
             }
             GradCodec::Bf16 => {
-                bf16_allreduce_with(c, seg, scratch);
+                bf16_allreduce(c, seg, scratch);
                 for x in seg.iter_mut() {
                     *x /= n;
                 }

@@ -64,11 +64,11 @@ use data::stream::{with_prefetch, BatchSource, BatchStream, SlabPool};
 use data::Dataset;
 use msa_core::SimTime;
 use msa_net::{
-    CollectiveAlgo, CommOptions, Communicator, FaultPlan, GradCodec, LinkParams, RankKilled,
-    ThreadComm,
+    CollectiveAlgo, CommOptions, Communicator, FaultPlan, GradCodec, LinkParams, PointToPoint as _,
+    RankKilled, ThreadComm,
 };
 use msa_obs::{key, MetricsRegistry, Recorder, VirtualClock};
-use nn::{serialize, u64_to_words, words_to_u64, Layer, Loss, Optimizer, Sequential};
+use nn::{serialize, Layer, Loss, Optimizer, Sequential};
 use std::sync::Arc;
 use std::time::Instant;
 use tensor::{Rng, Tensor};
@@ -450,13 +450,6 @@ impl Trainer {
         self
     }
 
-    /// [`Trainer::fault`] taking an `Option` (convenience for callers
-    /// that thread an optional plan through).
-    pub fn fault_opt(mut self, plan: Option<FaultPlan>) -> Self {
-        self.fault = plan;
-        self
-    }
-
     /// Restarts from a full training-state snapshot. The snapshot's
     /// worker count, seed and LR schedule point are validated bit-exactly
     /// against `cfg` when [`Trainer::run`] is called.
@@ -549,7 +542,7 @@ impl Trainer {
         self
     }
 
-    /// Runs the configured training job.
+    /// Runs the configured training job: one [`Rank`] per worker thread.
     ///
     /// Returns `Err` only when a [`Trainer::resume`] snapshot fails
     /// validation (wrong workers/seed/LR schedule, or not a trainer
@@ -566,26 +559,97 @@ impl Trainer {
         O: Fn(f32) -> Box<dyn Optimizer> + Sync,
         L: Loss + Sync,
     {
+        let cfg = &self.cfg;
         let resume = match &self.snapshot {
-            Some(snap) => Some(decode_resume(&self.cfg, &model_fn, snap)?),
+            Some(snap) => Some(self.decode_resume(&model_fn, snap)?),
             None => None,
         };
-        Ok(run_engine(
-            &self.cfg,
-            dataset,
-            &model_fn,
-            &opt_fn,
-            &loss,
-            self.fault,
-            resume.as_ref(),
-            &self.cost,
-            self.fusion,
-            &self.dispatch,
-            self.codec,
-            self.prefetch,
-            self.tag.as_deref(),
-            self.recorder.as_deref(),
-        ))
+        let resume = resume.as_ref();
+        let start_epoch = resume.map_or(0, |r| r.progress.epoch as usize);
+        assert!(cfg.workers >= 1);
+        assert!(cfg.epochs >= 1);
+        let start = Instant::now();
+
+        let mut opts = CommOptions::new().link(self.cost.link);
+        opts.fault = self.fault;
+        let results = ThreadComm::run_with(cfg.workers, &opts, |comm| {
+            // `model_fn` gives every rank the identical init; each rank
+            // trains on its own shard, like Horovod's sampler.
+            let model = model_fn(cfg.seed);
+            let opt = opt_fn(effective_lr(cfg, start_epoch));
+            let mut rank = Rank::new(self, comm, model, opt, &loss, resume);
+            let shard = dataset.shard(comm.rank(), comm.size());
+            let killed = (start_epoch..cfg.epochs)
+                .try_for_each(|epoch| rank.epoch(epoch, &shard))
+                .err();
+            rank.finish(killed)
+        });
+
+        let wall_secs = start.elapsed().as_secs_f64();
+        // Merge per-rank registries in rank order: all msa-obs values are
+        // order-independent under merge, but a fixed order keeps even the
+        // pathological cases (duplicate gauge keys) deterministic.
+        if let Some(rec) = &self.recorder {
+            for run in &results {
+                rec.merge_snapshot(&run.metrics.snapshot());
+            }
+        }
+        // lint: allow(unwrap) -- ThreadComm::run returns one result per rank and workers >= 1
+        let rank0 = results.into_iter().next().expect("at least one rank");
+        let mut outcome = rank0.outcome;
+        if let TrainOutcome::Completed(report) = &mut outcome {
+            report.wall_secs = wall_secs;
+        }
+        Ok(outcome)
+    }
+
+    /// Decodes and validates a resume snapshot against the config: the
+    /// worker count, seed and LR schedule point must match bit-exactly,
+    /// or the replayed steps would diverge from the original run. (The
+    /// RNG stream positions are re-checked per rank once the shuffle is
+    /// re-drawn.)
+    fn decode_resume<M>(
+        &self,
+        model_fn: &M,
+        snapshot: &[u8],
+    ) -> Result<ResumeState, CheckpointError>
+    where
+        M: Fn(u64) -> Sequential,
+    {
+        let cfg = &self.cfg;
+        let mut model = model_fn(cfg.seed);
+        let (opt_state, meta) = serialize::load_training(&mut model, snapshot)?;
+        let progress = TrainerProgress::decode(&meta)?;
+        let mismatch = |what, snapshot: u64, config: u64| {
+            Err(CheckpointError::ConfigMismatch {
+                what,
+                snapshot,
+                config,
+            })
+        };
+        if progress.workers as usize != cfg.workers {
+            return mismatch("workers", progress.workers as u64, cfg.workers as u64);
+        }
+        if progress.seed != cfg.seed {
+            return mismatch("seed", progress.seed, cfg.seed);
+        }
+        if progress.epoch as usize >= cfg.epochs {
+            return mismatch("epochs", progress.epoch, cfg.epochs as u64);
+        }
+        let lr = effective_lr(cfg, progress.epoch as usize);
+        if lr.to_bits() != progress.lr_bits {
+            return mismatch(
+                "effective lr bits",
+                progress.lr_bits as u64,
+                lr.to_bits() as u64,
+            );
+        }
+        Ok(ResumeState {
+            params: model.values_vec(),
+            state: model.state(),
+            opt_state,
+            progress,
+        })
     }
 }
 
@@ -597,644 +661,528 @@ struct ResumeState {
     progress: TrainerProgress,
 }
 
-/// Decodes and validates a resume snapshot against `cfg`: the worker
-/// count, seed and LR schedule point must match bit-exactly, or the
-/// replayed steps would diverge from the original run. (The RNG stream
-/// positions are re-checked per rank once the shuffle is re-drawn.)
-fn decode_resume<M>(
-    cfg: &TrainConfig,
-    model_fn: &M,
-    snapshot: &[u8],
-) -> Result<ResumeState, CheckpointError>
-where
-    M: Fn(u64) -> Sequential,
-{
-    let mut model = model_fn(cfg.seed);
-    let (opt_state, meta) = serialize::load_training(&mut model, snapshot)?;
-    let progress = TrainerProgress::decode(&meta)?;
-    if progress.workers as usize != cfg.workers {
-        return Err(CheckpointError::ConfigMismatch {
-            what: "workers",
-            snapshot: progress.workers as u64,
-            config: cfg.workers as u64,
-        });
-    }
-    if progress.seed != cfg.seed {
-        return Err(CheckpointError::ConfigMismatch {
-            what: "seed",
-            snapshot: progress.seed,
-            config: cfg.seed,
-        });
-    }
-    if progress.epoch as usize >= cfg.epochs {
-        return Err(CheckpointError::ConfigMismatch {
-            what: "epochs",
-            snapshot: progress.epoch,
-            config: cfg.epochs as u64,
-        });
-    }
-    let lr = effective_lr(cfg, progress.epoch as usize);
-    if lr.to_bits() != progress.lr_bits {
-        return Err(CheckpointError::ConfigMismatch {
-            what: "effective lr bits",
-            snapshot: progress.lr_bits as u64,
-            config: lr.to_bits() as u64,
-        });
-    }
-    Ok(ResumeState {
-        params: model.values_vec(),
-        state: model.state(),
-        opt_state,
-        progress,
-    })
-}
-
 /// What one rank hands back: the training outcome plus its local
 /// metrics registry (populated even when the rank was killed).
 struct RankRun {
-    outcome: Result<TrainReport, (RankKilled, Option<Vec<u8>>)>,
+    outcome: TrainOutcome,
     metrics: MetricsRegistry,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_engine<M, O, L>(
-    cfg: &TrainConfig,
-    dataset: &Dataset,
-    model_fn: &M,
-    opt_fn: &O,
-    loss: &L,
-    fault: Option<FaultPlan>,
-    resume: Option<&ResumeState>,
-    cost: &StepCost,
-    fusion: FusionConfig,
-    dispatch: &ExchangeDispatch,
-    codec: GradCodec,
-    prefetch: usize,
-    tag: Option<&str>,
-    recorder: Option<&MetricsRegistry>,
-) -> TrainOutcome
-where
-    M: Fn(u64) -> Sequential + Sync,
-    O: Fn(f32) -> Box<dyn Optimizer> + Sync,
-    L: Loss + Sync,
-{
-    assert!(cfg.workers >= 1);
-    assert!(cfg.epochs >= 1);
-    let start = Instant::now();
-
-    let opts = CommOptions::new().fault_opt(fault).link(cost.link);
-    let results = ThreadComm::run_with(cfg.workers, &opts, |comm| {
-        train_rank(
-            comm, cfg, dataset, model_fn, opt_fn, loss, resume, cost, fusion, dispatch, codec,
-            prefetch, tag,
-        )
-    });
-
-    let wall_secs = start.elapsed().as_secs_f64();
-    // Merge per-rank registries in rank order: all msa-obs values are
-    // order-independent under merge, but a fixed order keeps even the
-    // pathological cases (duplicate gauge keys) deterministic.
-    let mut rank0 = None;
-    for (r, run) in results.into_iter().enumerate() {
-        if let Some(rec) = recorder {
-            rec.merge_snapshot(&run.metrics.snapshot());
-        }
-        if r == 0 {
-            rank0 = Some(run.outcome);
-        }
-    }
-    // lint: allow(unwrap) -- ThreadComm::run returns one result per rank and workers >= 1
-    let rank0 = rank0.expect("at least one rank");
-    match rank0 {
-        Ok(mut report) => {
-            report.wall_secs = wall_secs;
-            TrainOutcome::Completed(report)
-        }
-        Err((failure, snapshot)) => TrainOutcome::Interrupted { failure, snapshot },
-    }
+/// Where a rank stands inside the epoch in progress — together with the
+/// seed and the global step count, exactly what a [`TrainerProgress`]
+/// records per rank.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EpochCursor {
+    pub(crate) epoch: usize,
+    pub(crate) lr: f32,
+    /// Shuffle-RNG word position before / after this epoch's batch draw.
+    pub(crate) rng_pos_start: u64,
+    pub(crate) rng_pos_now: u64,
+    pub(crate) step_in_epoch: usize,
+    pub(crate) loss_sum: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn train_rank<M, O, L>(
-    comm: &ThreadComm,
-    cfg: &TrainConfig,
-    dataset: &Dataset,
-    model_fn: &M,
-    opt_fn: &O,
-    loss: &L,
-    resume: Option<&ResumeState>,
-    cost: &StepCost,
-    fusion_cfg: FusionConfig,
-    dispatch: &ExchangeDispatch,
-    codec: GradCodec,
-    prefetch: usize,
-    tag: Option<&str>,
-) -> RankRun
-where
-    M: Fn(u64) -> Sequential + Sync,
-    O: Fn(f32) -> Box<dyn Optimizer> + Sync,
-    L: Loss + Sync,
-{
-    use msa_net::PointToPoint as _;
-    let rank = comm.rank();
-    let size = comm.size();
-    let reg = MetricsRegistry::new();
-    let clock = VirtualClock::new();
-
-    // Identical init everywhere, then belt-and-braces broadcast from 0.
-    // On resume every rank loads the snapshot's weights instead, and the
-    // broadcast degenerates to an identity check.
-    let mut model = model_fn(cfg.seed);
-    if let Some(r) = resume {
-        model.set_values(&r.params);
-        model.set_state(&r.state);
-    }
-    let mut params = model.values_vec();
-    comm.broadcast(&mut params, 0);
-    let n_params = params.len();
-    model.set_values(&params);
-
-    let start_epoch = resume.map_or(0, |r| r.progress.epoch as usize);
-    let mut opt = opt_fn(effective_lr(cfg, start_epoch));
-    if let Some(r) = resume {
-        opt.load_state(&r.opt_state);
-    }
-    let shard = dataset.shard(rank, size);
-    let mut shuffle_rng = Rng::seed(cfg.seed ^ (0xD15C0 + rank as u64));
-    if let Some(r) = resume {
-        // Seek the shuffle stream to where the interrupted epoch drew its
-        // batches; the re-draw below then reproduces the same permutation.
-        shuffle_rng.set_word_pos(r.progress.rng_pos_start[rank]);
-    }
-
-    let mut epochs: Vec<EpochStats> = resume.map_or_else(Vec::new, |r| {
-        r.progress
-            .history
-            .iter()
-            .enumerate()
-            .map(|(epoch, &(mean_loss, lr))| EpochStats {
-                epoch,
-                mean_loss,
-                lr,
-            })
-            .collect()
-    });
-    let mut steps_per_rank = resume.map_or(0, |r| r.progress.steps_done as usize);
-    let mut checkpoints: Vec<CheckpointRecord> = Vec::new();
-    let mut latest_snapshot: Option<Vec<u8>> = None;
-    let mut totals = PhaseBreakdown::default();
-    let mut epoch_bds: Vec<EpochBreakdown> = Vec::new();
-    let mut steps_run: u64 = 0;
-    let mut allreduce_bytes: u64 = 0;
-
+/// Everything one rank carries from step to step. The [`Trainer`] is the
+/// read-only context; a step is the ordered list
+/// `stage → compute+exchange → apply → checkpoint` over this state
+/// ([`Rank::steps`]), priced on the virtual clock by [`Rank::price`].
+struct Rank<'a, L> {
+    t: &'a Trainer,
+    comm: &'a ThreadComm,
+    loss: &'a L,
+    /// Consumed by the first (re-entered) epoch.
+    resume: Option<&'a ResumeState>,
+    model: Sequential,
+    opt: Box<dyn Optimizer>,
+    shuffle_rng: Rng,
     // Persistent gradient-exchange state: the layer-aligned fusion
-    // buckets, the flat gradient staging buffer, and the collectives'
-    // scratch arena — all warm after the first step, so steady-state
-    // exchanges allocate nothing.
-    let mut fusion = FusionBuffer::new(
-        &model.layer_param_spans(),
-        n_params,
-        fusion_cfg.bucket_bytes,
-    );
-    let mut flat = vec![0.0f32; n_params];
-    let mut comm_arena = msa_net::Arena::new();
-    // Sparse codecs carry per-bucket error-feedback residuals (the
-    // residual is positional, so it must live with its bucket). Dense
-    // and bf16 need none. Slabs inside each compressor are warm after
-    // the first step, like the arena.
-    let mut compressors: Vec<TopKCompressor> = match codec {
-        GradCodec::SparseTopK { ratio } => fusion
-            .buckets()
-            .iter()
-            .map(|b| TopKCompressor::new(b.len(), ratio))
-            .collect(),
-        _ => Vec::new(),
-    };
-    // Batch-buffer slabs circulated by the prefetch ring; warm after the
-    // first epoch, so steady-state epochs assemble without allocating.
-    let mut slab_pool = SlabPool::new();
+    // buckets, the flat gradient staging buffer, the collectives' scratch
+    // arena, per-bucket error-feedback compressors (the residual is
+    // positional, so it lives with its bucket; dense and bf16 need none)
+    // and the prefetch ring's batch slabs — all warm after the first
+    // step / epoch, so steady state allocates nothing.
+    fusion: FusionBuffer,
+    flat: Vec<f32>,
+    arena: msa_net::Arena,
+    compressors: Vec<TopKCompressor>,
+    slabs: SlabPool,
+    // Modeled time.
+    clock: VirtualClock,
+    epoch_bd: PhaseBreakdown,
+    totals: PhaseBreakdown,
+    epoch_bds: Vec<EpochBreakdown>,
+    // Progress.
+    at: EpochCursor,
+    /// Global steps, including the pre-resume ones.
+    steps_done: usize,
+    /// Steps and modeled wire bytes of this run only.
+    steps_run: u64,
+    allreduce_bytes: u64,
+    epochs: Vec<EpochStats>,
+    checkpoints: Vec<CheckpointRecord>,
+    latest_snapshot: Option<Vec<u8>>,
+}
 
-    for epoch in start_epoch..cfg.epochs {
-        let lr = effective_lr(cfg, epoch);
-        opt.set_lr(lr);
-        let rng_pos_start = shuffle_rng.word_pos();
+impl<'a, L: Loss> Rank<'a, L> {
+    fn new(
+        t: &'a Trainer,
+        comm: &'a ThreadComm,
+        mut model: Sequential,
+        mut opt: Box<dyn Optimizer>,
+        loss: &'a L,
+        resume: Option<&'a ResumeState>,
+    ) -> Self {
+        let mut shuffle_rng = Rng::seed(t.cfg.seed ^ (0xD15C0 + comm.rank() as u64));
+        if let Some(r) = resume {
+            model.set_values(&r.params);
+            model.set_state(&r.state);
+            opt.load_state(&r.opt_state);
+            // Seek the shuffle stream to where the interrupted epoch drew
+            // its batches; the re-draw then reproduces the same permutation.
+            shuffle_rng.set_word_pos(r.progress.rng_pos_start[comm.rank()]);
+        }
+        // Belt-and-braces broadcast of rank 0's weights on top of the
+        // identical init; on resume every rank has loaded the snapshot's
+        // weights and it degenerates to an identity check.
+        let mut params = model.values_vec();
+        comm.broadcast(&mut params, 0);
+        model.set_values(&params);
+
+        let fusion = FusionBuffer::new(
+            &model.layer_param_spans(),
+            params.len(),
+            t.fusion.bucket_bytes,
+        );
+        let compressors = match t.codec {
+            GradCodec::SparseTopK { ratio } => fusion
+                .buckets()
+                .iter()
+                .map(|b| TopKCompressor::new(b.len(), ratio))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Rank {
+            t,
+            comm,
+            loss,
+            resume,
+            model,
+            opt,
+            shuffle_rng,
+            fusion,
+            // The broadcast buffer lives on as the gradient staging
+            // buffer: every step overwrites all of it before reading it.
+            flat: params,
+            arena: msa_net::Arena::new(),
+            compressors,
+            slabs: SlabPool::new(),
+            clock: VirtualClock::new(),
+            epoch_bd: PhaseBreakdown::default(),
+            totals: PhaseBreakdown::default(),
+            epoch_bds: Vec::new(),
+            at: EpochCursor::default(),
+            steps_done: resume.map_or(0, |r| r.progress.steps_done as usize),
+            steps_run: 0,
+            allreduce_bytes: 0,
+            epochs: resume.map_or_else(Vec::new, |r| {
+                r.progress
+                    .history
+                    .iter()
+                    .enumerate()
+                    .map(|(epoch, &(mean_loss, lr))| EpochStats {
+                        epoch,
+                        mean_loss,
+                        lr,
+                    })
+                    .collect()
+            }),
+            checkpoints: Vec::new(),
+            latest_snapshot: None,
+        }
+    }
+
+    /// Trains one epoch over `shard`; `Err` is the fault-abort path.
+    fn epoch(&mut self, epoch: usize, shard: &Dataset) -> Result<(), RankKilled> {
+        let t = self.t;
+        let lr = effective_lr(&t.cfg, epoch);
+        self.opt.set_lr(lr);
+        let rng_pos_start = self.shuffle_rng.word_pos();
         // Lazy batch stream: draws the epoch permutation up front (the
         // same single RNG consumption the retired eager path made, so
         // checkpointed RNG positions are unchanged) and assembles
         // mini-batches on demand — no epoch-wide materialization spike.
-        let mut stream = BatchStream::new(&shard, cfg.batch_per_worker, &mut shuffle_rng);
-        let rng_pos_now = shuffle_rng.word_pos();
+        let mut stream = BatchStream::new(shard, t.cfg.batch_per_worker, &mut self.shuffle_rng);
+        let rng_pos_now = self.shuffle_rng.word_pos();
         // Every rank must run the same number of steps per epoch or the
         // collectives deadlock; agree on the global minimum batch count.
         let min_steps = {
-            let all = comm.allgather(&[stream.num_batches() as f32]);
+            let all = self.comm.allgather(&[stream.num_batches() as f32]);
             all.iter().map(|v| v[0]).fold(f32::INFINITY, f32::min) as usize
         };
-
+        self.at = EpochCursor {
+            epoch,
+            lr,
+            rng_pos_start,
+            rng_pos_now,
+            step_in_epoch: 0,
+            loss_sum: 0.0,
+        };
         // First resumed epoch: re-enter mid-epoch — skip the steps the
         // snapshot already holds and restore the loss accumulator.
-        let (skip, mut loss_sum) = match resume {
-            Some(r) if epoch == start_epoch => {
-                assert_eq!(
-                    rng_pos_now, r.progress.rng_pos_now[rank],
-                    "rank {rank}: shuffle stream diverged on resume"
-                );
-                (
-                    r.progress.step_in_epoch as usize,
-                    f64::from_bits(r.progress.loss_sum_bits[rank]),
-                )
-            }
-            _ => (0, 0.0),
-        };
-        let mut step_in_epoch = skip;
-        let mut eb = PhaseBreakdown::default();
-
-        // The per-step body, written once over the [`BatchSource`] pull
-        // interface and run either inline (depth 0, the serial seed
-        // schedule) or against the prefetch ring. `Err` is the
-        // fault-abort path.
-        let mut epoch_body = |src: &mut dyn BatchSource| -> Result<(), RankKilled> {
-            // Resumed epochs re-enter mid-way: pull and recycle the
-            // already-trained batches without pricing anything (the
-            // retired eager path assembled them and priced nothing).
-            for _ in 0..skip.min(min_steps) {
-                if let Some(b) = src.next_batch() {
-                    src.recycle(b);
-                }
-            }
-            // Modeled ring pricing starts at the epoch's current clock;
-            // at depth 0 the pipe degenerates to the serial schedule.
-            let mut pipe = StagePipe::new(prefetch, clock.now_ps());
-
-            for _ in skip..min_steps {
-                // A dead rank makes the next collective impossible for
-                // every rank; the armed fault therefore aborts all of
-                // them here, at the same lock-step boundary.
-                comm.poll_fault(steps_per_rank as u64)?;
-                let Some((bx, by)) = src.next_batch() else { break };
-
-                // Phase 1: stage the mini-batch host→device. The full
-                // cost lands in `stage_ps`; the consumer only stalls for
-                // the share the modeled producer had not already
-                // assembled, and the hidden remainder is accounted in
-                // `stage_overlap_saved_ps` — keeping the partition
-                // invariant exact.
-                let batch_bytes =
-                    ((bx.data().len() + by.data().len()) * size_of::<f32>()) as u64;
-                let s_ps = msa_obs::simtime_to_ps(cost.stage_time(batch_bytes));
-                let stall = pipe.arrive(s_ps, clock.now_ps());
-                clock.advance_ps(stall);
-                pipe.popped(clock.now_ps());
-                eb.stage_ps += s_ps;
-                eb.stage_overlap_saved_ps += s_ps - stall;
-
-            // Phases 2+3: forward + backward, and the Horovod moment —
-            // average gradients across ranks. With overlap on, each
-            // fusion bucket's allreduce launches on a pool lane as soon
-            // as its layers finish backward; otherwise the exchange runs
-            // serialized after backward. Both paths reduce every bucket
-            // through the same [`ExchangeDispatch`], so fused and
-            // serialized schedules of one partition agree bit-for-bit;
-            // the default pipeline dispatch is additionally
-            // partition-invariant (bits never depend on `bucket_bytes`).
-            model.zero_grad();
-            let pred = model.forward(&bx, true);
-            let (l, grad) = loss.compute(&pred, &by);
-            let samples = bx.shape()[0];
-            if fusion_cfg.overlap && !fusion.buckets().is_empty() {
-                exchange_overlapped(
-                    comm,
-                    &mut model,
-                    &grad,
-                    &mut fusion,
-                    &mut flat,
-                    &mut comm_arena,
-                    dispatch,
-                    codec,
-                    &mut compressors,
-                );
-            } else {
-                model.backward(&grad);
-                nn::param::copy_grads_into(&model.params(), &mut flat);
-                for (bidx, b) in fusion.buckets().iter().enumerate().rev() {
-                    let seg = &mut flat[b.start..b.end];
-                    dispatch.reduce_bucket_codec(
-                        comm,
-                        seg,
-                        &mut comm_arena,
-                        codec,
-                        compressors.get_mut(bidx),
-                    );
-                }
-                model.set_grads(&flat);
-            }
-
-            // Price phase 2 …
-            let c_ps = clock.advance(cost.compute_time(n_params, samples));
-            eb.compute_ps += c_ps;
-
-            // … and phase 3: per-bucket α–β allreduce cost, overlapped
-            // against the backward tail when the overlap lane is on.
-            // Backward is 4 of the 6 modeled FLOPs/param, and it sweeps
-            // the flat gradient top-down, so the bucket starting at
-            // flat offset `a` is ready once (total − a)/total of the
-            // backward time has elapsed. Buckets flush back-to-front and
-            // serialize on the comm lane: finish_k = max(finish_{k−1},
-            // ready_k) + allreduce_k. The step's wall time advances by
-            // max(compute, finish_last) − compute; the hidden remainder
-            // is `overlap_saved_ps` (zero when serialized, where every
-            // ready_k = compute).
-            let t_bwd = c_ps * 2 / 3;
-            let total = n_params as u64;
-            let mut finish: u64 = 0;
-            let mut comm_ps: u64 = 0;
-            for b in fusion.buckets().iter().rev() {
-                // Price what actually crosses the wire: the codec's
-                // encoded byte count. For Dense32 this is exactly
-                // `len × 4` — the seed pricing, bit for bit.
-                let bytes = codec.wire_bytes(b.len()) as u64;
-                let a_ps = msa_obs::simtime_to_ps(cost.allreduce_time(size, bytes));
-                let ready = if fusion_cfg.overlap {
-                    c_ps - t_bwd
-                        + ((t_bwd as u128 * (total - b.start as u64) as u128) / total as u128)
-                            as u64
-                } else {
-                    c_ps
-                };
-                finish = finish.max(ready) + a_ps;
-                comm_ps += a_ps;
-                allreduce_bytes += bytes;
-            }
-            let extra = finish.saturating_sub(c_ps);
-            clock.advance_ps(extra);
-            eb.allreduce_ps += comm_ps;
-            eb.overlap_saved_ps += comm_ps - extra;
-
-            opt.step(&mut model.params_mut());
-            loss_sum += l as f64;
-            steps_per_rank += 1;
-            step_in_epoch += 1;
-            steps_run += 1;
-
-            if let Some(policy) = &cfg.checkpoint {
-                if (steps_per_rank as u64).is_multiple_of(policy.every_steps) {
-                    // Gather per-rank progress (RNG positions + partial
-                    // loss sums) as f32 bit-patterns — exact transport,
-                    // same trick as the sparse-allreduce index encoding.
-                    let mut words = Vec::with_capacity(6);
-                    words.extend_from_slice(&u64_to_words(rng_pos_start));
-                    words.extend_from_slice(&u64_to_words(rng_pos_now));
-                    words.extend_from_slice(&u64_to_words(loss_sum.to_bits()));
-                    let gathered = comm.allgather(&words);
-                    if rank == 0 {
-                        let progress = TrainerProgress {
-                            workers: size as u32,
-                            seed: cfg.seed,
-                            epoch: epoch as u64,
-                            step_in_epoch: step_in_epoch as u64,
-                            steps_done: steps_per_rank as u64,
-                            lr_bits: lr.to_bits(),
-                            history: epochs.iter().map(|e| (e.mean_loss, e.lr)).collect(),
-                            rng_pos_start: gathered
-                                .iter()
-                                .map(|w| words_to_u64([w[0], w[1]]))
-                                .collect(),
-                            rng_pos_now: gathered
-                                .iter()
-                                .map(|w| words_to_u64([w[2], w[3]]))
-                                .collect(),
-                            loss_sum_bits: gathered
-                                .iter()
-                                .map(|w| words_to_u64([w[4], w[5]]))
-                                .collect(),
-                        };
-                        let snap = serialize::save_with(&model, &opt.state(), &progress.encode());
-                        let record = CheckpointRecord {
-                            global_step: steps_per_rank as u64,
-                            epoch,
-                            bytes: snap.len() as u64,
-                            write_cost: policy.target.checkpoint_cost_bytes(snap.len() as u64),
-                        };
-                        // Phase 4: the snapshot write (rank 0 pays it).
-                        eb.checkpoint_ps += clock.advance(record.write_cost);
-                        checkpoints.push(record);
-                        latest_snapshot = Some(snap);
-                    }
-                }
-            }
-
-                // Hand the batch buffers back so the ring can reuse them
-                // (a no-op on the inline path).
-                src.recycle((bx, by));
-            }
-            Ok(())
-        };
-
-        let body = if prefetch == 0 {
-            epoch_body(&mut stream)
-        } else {
-            with_prefetch(&mut stream, prefetch, &mut slab_pool, |src| epoch_body(src))
-        };
-        if let Err(killed) = body {
-            totals.absorb(&eb);
-            record_rank_metrics(
-                &reg,
-                comm,
-                rank,
-                tag,
-                &totals,
-                &epoch_bds,
-                steps_run,
-                allreduce_bytes,
-                &epochs,
-                &checkpoints,
-                clock.now_ps(),
+        if let Some(r) = self.resume.take() {
+            let rank = self.comm.rank();
+            assert_eq!(
+                rng_pos_now, r.progress.rng_pos_now[rank],
+                "rank {rank}: shuffle stream diverged on resume"
             );
-            return RankRun {
-                outcome: Err((killed, latest_snapshot)),
-                metrics: reg,
-            };
+            self.at.step_in_epoch = r.progress.step_in_epoch as usize;
+            self.at.loss_sum = f64::from_bits(r.progress.loss_sum_bits[rank]);
         }
+        self.epoch_bd = PhaseBreakdown::default();
+
+        // The steps are written once over the [`BatchSource`] pull
+        // interface and run either inline (depth 0, the serial seed
+        // schedule) or against the prefetch ring, which circulates this
+        // rank's batch slabs.
+        let mut slabs = std::mem::take(&mut self.slabs);
+        let body = if t.prefetch == 0 {
+            self.steps(&mut stream, min_steps)
+        } else {
+            with_prefetch(&mut stream, t.prefetch, &mut slabs, |src| {
+                self.steps(src, min_steps)
+            })
+        };
+        self.slabs = slabs;
+        // A killed rank still reports the partial epoch's phases.
+        self.totals.absorb(&self.epoch_bd);
+        body?;
 
         // Average the epoch loss over ranks for reporting.
-        let mut stat = vec![(loss_sum / min_steps.max(1) as f64) as f32];
-        comm.allreduce_mean(&mut stat);
-        epochs.push(EpochStats {
+        let mut stat = vec![(self.at.loss_sum / min_steps.max(1) as f64) as f32];
+        self.comm.allreduce_mean(&mut stat);
+        self.epochs.push(EpochStats {
             epoch,
             mean_loss: stat[0],
             lr,
         });
-        totals.absorb(&eb);
-        epoch_bds.push(EpochBreakdown { epoch, phases: eb });
+        self.epoch_bds.push(EpochBreakdown {
+            epoch,
+            phases: self.epoch_bd,
+        });
+        Ok(())
     }
 
-    // Replicas must have stayed in lock-step: compare a parameter digest.
-    let digest: f32 = model.values_vec().iter().sum();
-    let all = comm.allgather(&[digest]);
-    for (r, d) in all.iter().enumerate() {
-        assert!(
-            (d[0] - digest).abs() <= 1e-3 * (1.0 + digest.abs()),
-            "rank {r} diverged: {} vs {}",
-            d[0],
-            digest
-        );
-    }
-
-    record_rank_metrics(
-        &reg,
-        comm,
-        rank,
-        tag,
-        &totals,
-        &epoch_bds,
-        steps_run,
-        allreduce_bytes,
-        &epochs,
-        &checkpoints,
-        clock.now_ps(),
-    );
-    RankRun {
-        outcome: Ok(TrainReport {
-            epochs,
-            wall_secs: 0.0, // stamped by the caller
-            final_params: model.values_vec(),
-            final_state: model.state(),
-            steps_per_rank,
-            checkpoints,
-            latest_snapshot,
-            sim_wall_ps: clock.now_ps(),
-            breakdown: totals,
-            epoch_breakdown: epoch_bds,
-        }),
-        metrics: reg,
-    }
-}
-
-/// Fused, overlapped gradient exchange — the executed half of the
-/// Horovod schedule. Backward runs on the caller lane; a dedicated
-/// thread-pool lane drains completed buckets and allreduces each
-/// (through `dispatch`) while later (earlier-layer) gradients are
-/// still being computed.
-///
-/// Deadlock-freedom: `rayon::join` always starts the first closure on
-/// the caller, so the backward producer runs even when the pool is
-/// saturated — the comm lane then executes afterwards on the caller and
-/// simply drains the unbounded channel serialized (correct, just without
-/// overlap). Cross-rank safety is the pipeline schedule's: msa-verify
-/// model-checks the bucketed schedule under `Bounded(1)` channels, and
-/// `ThreadComm`'s credit pools are `Bounded(2)`.
-#[allow(clippy::too_many_arguments)]
-fn exchange_overlapped(
-    comm: &ThreadComm,
-    model: &mut Sequential,
-    grad: &Tensor,
-    fusion: &mut FusionBuffer,
-    flat: &mut [f32],
-    scratch: &mut msa_net::Arena,
-    dispatch: &ExchangeDispatch,
-    codec: GradCodec,
-    compressors: &mut [TopKCompressor],
-) {
-    let nb = fusion.buckets().len();
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let mut done: Vec<Option<Vec<f32>>> = (0..nb).map(|_| None).collect();
-    rayon::join(
-        || {
-            model.backward_with(grad, |i, layer| {
-                if let Some(bidx) = fusion.pack_layer(i, layer) {
-                    // Unbounded channel: handing the bucket to the comm
-                    // lane never blocks the backward pass. A send error
-                    // is impossible while `rx` lives below.
-                    let _ = tx.send((bidx, fusion.take_slab(bidx)));
-                }
-            });
-            drop(tx);
-        },
-        || {
-            while let Ok((bidx, mut slab)) = rx.recv() {
-                dispatch.reduce_bucket_codec(
-                    comm,
-                    &mut slab,
-                    scratch,
-                    codec,
-                    compressors.get_mut(bidx),
-                );
-                done[bidx] = Some(slab);
+    /// The remaining steps (up to `min_steps`) of the current epoch:
+    /// stage → compute+exchange → apply → checkpoint, each step priced
+    /// once it has executed.
+    fn steps(&mut self, src: &mut dyn BatchSource, min_steps: usize) -> Result<(), RankKilled> {
+        let skip = self.at.step_in_epoch;
+        // Resumed epochs re-enter mid-way: pull and recycle the
+        // already-trained batches without pricing anything (the retired
+        // eager path assembled them and priced nothing).
+        for _ in 0..skip.min(min_steps) {
+            if let Some(b) = src.next_batch() {
+                src.recycle(b);
             }
-        },
-    );
-    for (bidx, slot) in done.into_iter().enumerate() {
-        // lint: allow(unwrap) -- backward_with visits every layer, so every bucket flushes
-        let slab = slot.expect("every bucket is exchanged");
-        let b = &fusion.buckets()[bidx];
-        flat[b.start..b.end].copy_from_slice(&slab);
-        fusion.return_slab(bidx, slab);
-    }
-    model.set_grads(flat);
-}
-
-/// Dumps one rank's phase totals, step counters and collective traffic
-/// into its local registry. Called on both the completed and the
-/// fault-interrupted exit path so killed runs still report.
-#[allow(clippy::too_many_arguments)]
-fn record_rank_metrics(
-    reg: &MetricsRegistry,
-    comm: &ThreadComm,
-    rank: usize,
-    tag: Option<&str>,
-    totals: &PhaseBreakdown,
-    epoch_bds: &[EpochBreakdown],
-    steps_run: u64,
-    allreduce_bytes: u64,
-    epochs: &[EpochStats],
-    checkpoints: &[CheckpointRecord],
-    sim_wall_ps: u64,
-) {
-    use msa_net::PointToPoint as _;
-    let rank_s = rank.to_string();
-    let mut labels: Vec<(&str, &str)> = vec![("rank", &rank_s)];
-    if let Some(t) = tag {
-        labels.push(("run", t));
-    }
-
-    for (phase, ps) in [
-        ("stage", totals.stage_ps),
-        ("compute", totals.compute_ps),
-        ("allreduce", totals.allreduce_ps),
-        ("checkpoint", totals.checkpoint_ps),
-    ] {
-        reg.time_ps(&key(&format!("trainer.phase.{phase}.time"), &labels), ps);
-    }
-    reg.add(&key("trainer.steps", &labels), steps_run);
-    reg.add(&key("trainer.allreduce.bytes", &labels), allreduce_bytes);
-    reg.time_ps(&key("trainer.overlap.saved", &labels), totals.overlap_saved_ps);
-    reg.time_ps(
-        &key("trainer.stage_overlap.saved", &labels),
-        totals.stage_overlap_saved_ps,
-    );
-    reg.time_ps(&key("trainer.sim_wall", &labels), sim_wall_ps);
-    if let Some(stats) = comm.stats() {
-        stats.export().record_into(reg, &labels);
-    }
-
-    // Epoch rollups come from rank 0 only — they are already averaged /
-    // global quantities, and one copy keeps the key space tidy.
-    if rank == 0 {
-        for eb in epoch_bds {
-            let epoch_s = eb.epoch.to_string();
-            let mut el = labels.clone();
-            el.push(("epoch", &epoch_s));
-            reg.time_ps(&key("trainer.epoch.time", &el), eb.phases.total_ps());
         }
-        for e in epochs {
-            let epoch_s = e.epoch.to_string();
-            let mut el = labels.clone();
-            el.push(("epoch", &epoch_s));
-            reg.gauge(&key("trainer.epoch.mean_loss", &el), f64::from(e.mean_loss));
+        // Modeled ring pricing starts at the epoch's current clock; at
+        // depth 0 the pipe degenerates to the serial schedule.
+        let mut pipe = StagePipe::new(self.t.prefetch, self.clock.now_ps());
+        for _ in skip..min_steps {
+            // A dead rank makes the next collective impossible for every
+            // rank; the armed fault therefore aborts all of them here, at
+            // the same lock-step boundary.
+            self.comm.poll_fault(self.steps_done as u64)?;
+            let Some((bx, by)) = src.next_batch() else {
+                break;
+            };
+            let l = self.compute_and_exchange(&bx, &by);
+            let batch_bytes = ((bx.data().len() + by.data().len()) * size_of::<f32>()) as u64;
+            self.price(&mut pipe, batch_bytes, bx.shape()[0]);
+            self.apply(l);
+            self.checkpoint();
+            // Hand the batch buffers back so the ring can reuse them (a
+            // no-op on the inline path).
+            src.recycle((bx, by));
         }
-        reg.add(&key("trainer.checkpoints", &labels), checkpoints.len() as u64);
-        let ckpt_bytes: u64 = checkpoints.iter().map(|c| c.bytes).sum();
-        reg.add(&key("trainer.checkpoint.bytes", &labels), ckpt_bytes);
+        Ok(())
+    }
+
+    /// Forward + backward, and the Horovod moment — average gradients
+    /// across ranks. With overlap on, each fusion bucket's allreduce
+    /// launches on a pool lane as soon as its layers finish backward;
+    /// otherwise the exchange runs serialized after backward. Both
+    /// schedules reduce every bucket through the same
+    /// [`ExchangeDispatch`], so fused and serialized runs of one
+    /// partition agree bit-for-bit; the default pipeline dispatch is
+    /// additionally partition-invariant (bits never depend on
+    /// `bucket_bytes`). Returns the local loss.
+    fn compute_and_exchange(&mut self, bx: &Tensor, by: &Tensor) -> f32 {
+        self.model.zero_grad();
+        let pred = self.model.forward(bx, true);
+        let (l, grad) = self.loss.compute(&pred, by);
+        if self.t.fusion.overlap && !self.fusion.buckets().is_empty() {
+            self.exchange_overlapped(&grad);
+        } else {
+            self.exchange_serialized(&grad);
+        }
+        self.model.set_grads(&self.flat);
+        l
+    }
+
+    /// The serialized schedule (the tests' and the benchmark replica's
+    /// reference): full backward, then every bucket back-to-front.
+    fn exchange_serialized(&mut self, grad: &Tensor) {
+        self.model.backward(grad);
+        nn::param::copy_grads_into(&self.model.params(), &mut self.flat);
+        for (bidx, b) in self.fusion.buckets().iter().enumerate().rev() {
+            self.t.dispatch.reduce_bucket_codec(
+                self.comm,
+                &mut self.flat[b.start..b.end],
+                &mut self.arena,
+                self.t.codec,
+                self.compressors.get_mut(bidx),
+            );
+        }
+    }
+
+    /// Fused, overlapped gradient exchange — the executed half of the
+    /// Horovod schedule. Backward runs on the caller lane; a dedicated
+    /// thread-pool lane drains completed buckets and allreduces each
+    /// while later (earlier-layer) gradients are still being computed.
+    ///
+    /// Deadlock-freedom: `rayon::join` always starts the first closure on
+    /// the caller, so the backward producer runs even when the pool is
+    /// saturated — the comm lane then executes afterwards on the caller
+    /// and simply drains the unbounded channel serialized (correct, just
+    /// without overlap). Cross-rank safety is the pipeline schedule's:
+    /// msa-verify model-checks the bucketed schedule under `Bounded(1)`
+    /// channels, and `ThreadComm`'s credit pools are `Bounded(2)`.
+    fn exchange_overlapped(&mut self, grad: &Tensor) {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let mut done: Vec<Option<Vec<f32>>> = self.fusion.buckets().iter().map(|_| None).collect();
+        rayon::join(
+            || {
+                self.model.backward_with(grad, |i, layer| {
+                    if let Some(bidx) = self.fusion.pack_layer(i, layer) {
+                        // Unbounded channel: handing the bucket to the
+                        // comm lane never blocks the backward pass. A send
+                        // error is impossible while `rx` lives below.
+                        let _ = tx.send((bidx, self.fusion.take_slab(bidx)));
+                    }
+                });
+                drop(tx);
+            },
+            || {
+                while let Ok((bidx, mut slab)) = rx.recv() {
+                    self.t.dispatch.reduce_bucket_codec(
+                        self.comm,
+                        &mut slab,
+                        &mut self.arena,
+                        self.t.codec,
+                        self.compressors.get_mut(bidx),
+                    );
+                    done[bidx] = Some(slab);
+                }
+            },
+        );
+        for (bidx, slot) in done.into_iter().enumerate() {
+            // lint: allow(unwrap) -- backward_with visits every layer, so every bucket flushes
+            let slab = slot.expect("every bucket is exchanged");
+            let b = &self.fusion.buckets()[bidx];
+            self.flat[b.start..b.end].copy_from_slice(&slab);
+            self.fusion.return_slab(bidx, slab);
+        }
+    }
+
+    /// Prices one executed step on the virtual clock. Every modeled
+    /// phase except the checkpoint write (priced in [`Rank::checkpoint`],
+    /// where its byte count is known) is charged here and nowhere else,
+    /// so this function alone keeps `breakdown.total_ps() == sim_wall_ps`.
+    ///
+    /// * **Stage.** The full host→device cost lands in `stage_ps`; the
+    ///   consumer only stalls for the share the modeled producer
+    ///   ([`StagePipe`]) had not already assembled, and the hidden
+    ///   remainder goes to `stage_overlap_saved_ps`.
+    /// * **Compute.** Forward + backward from the [`StepCost`] model.
+    /// * **Allreduce.** Per-bucket α–β cost of what actually crosses the
+    ///   wire (the codec's encoded byte count; `len × 4` for Dense32),
+    ///   overlapped against the backward tail when the overlap lane is
+    ///   on. Backward is 4 of the 6 modeled FLOPs/param and sweeps the
+    ///   flat gradient top-down, so the bucket starting at flat offset
+    ///   `a` is ready once (total − a)/total of the backward time has
+    ///   elapsed. Buckets flush back-to-front and serialize on the comm
+    ///   lane: finish_k = max(finish_{k−1}, ready_k) + allreduce_k. The
+    ///   wall clock advances by max(compute, finish_last) − compute; the
+    ///   hidden remainder is `overlap_saved_ps` (zero when serialized,
+    ///   where every ready_k = compute).
+    fn price(&mut self, pipe: &mut StagePipe, batch_bytes: u64, samples: usize) {
+        let (cost, clock, bd) = (&self.t.cost, &self.clock, &mut self.epoch_bd);
+        let s_ps = msa_obs::simtime_to_ps(cost.stage_time(batch_bytes));
+        let stall = pipe.arrive(s_ps, clock.now_ps());
+        clock.advance_ps(stall);
+        pipe.popped(clock.now_ps());
+        bd.stage_ps += s_ps;
+        bd.stage_overlap_saved_ps += s_ps - stall;
+
+        let c_ps = clock.advance(cost.compute_time(self.flat.len(), samples));
+        bd.compute_ps += c_ps;
+
+        let t_bwd = c_ps * 2 / 3;
+        let total = self.flat.len() as u64;
+        let mut finish: u64 = 0;
+        let mut comm_ps: u64 = 0;
+        for b in self.fusion.buckets().iter().rev() {
+            let bytes = self.t.codec.wire_bytes(b.len()) as u64;
+            let a_ps = msa_obs::simtime_to_ps(cost.allreduce_time(self.comm.size(), bytes));
+            let ready = if self.t.fusion.overlap {
+                c_ps - t_bwd
+                    + ((t_bwd as u128 * (total - b.start as u64) as u128) / total as u128) as u64
+            } else {
+                c_ps
+            };
+            finish = finish.max(ready) + a_ps;
+            comm_ps += a_ps;
+            self.allreduce_bytes += bytes;
+        }
+        let extra = finish.saturating_sub(c_ps);
+        clock.advance_ps(extra);
+        bd.allreduce_ps += comm_ps;
+        bd.overlap_saved_ps += comm_ps - extra;
+    }
+
+    /// The identical optimiser update on every rank.
+    fn apply(&mut self, loss: f32) {
+        self.opt.step(&mut self.model.params_mut());
+        self.at.loss_sum += loss as f64;
+        self.at.step_in_epoch += 1;
+        self.steps_done += 1;
+        self.steps_run += 1;
+    }
+
+    /// Every `every_steps` global steps all ranks gather their progress
+    /// and rank 0 snapshots the full training state, paying the write.
+    fn checkpoint(&mut self) {
+        let cfg = &self.t.cfg;
+        let Some(policy) = &cfg.checkpoint else {
+            return;
+        };
+        let global_step = self.steps_done as u64;
+        if !global_step.is_multiple_of(policy.every_steps) {
+            return;
+        }
+        let progress =
+            TrainerProgress::gather(self.comm, cfg.seed, global_step, &self.at, &self.epochs);
+        // Only rank 0 snapshots (and pays the write).
+        let Some(progress) = progress else { return };
+        let snap = serialize::save_with(&self.model, &self.opt.state(), &progress.encode());
+        let record = CheckpointRecord {
+            global_step,
+            epoch: self.at.epoch,
+            bytes: snap.len() as u64,
+            write_cost: policy.target.checkpoint_cost_bytes(snap.len() as u64),
+        };
+        self.epoch_bd.checkpoint_ps += self.clock.advance(record.write_cost);
+        self.checkpoints.push(record);
+        self.latest_snapshot = Some(snap);
+    }
+
+    /// The single exit of a rank, killed or completed: records its
+    /// metrics once and hands back the outcome.
+    fn finish(self, killed: Option<RankKilled>) -> RankRun {
+        if killed.is_none() {
+            // Replicas must have stayed in lock-step: compare a parameter
+            // digest (before the metrics, which count this traffic).
+            let digest: f32 = self.model.values_vec().iter().sum();
+            for (r, d) in self.comm.allgather(&[digest]).iter().enumerate() {
+                assert!(
+                    (d[0] - digest).abs() <= 1e-3 * (1.0 + digest.abs()),
+                    "rank {r} diverged: {} vs {}",
+                    d[0],
+                    digest
+                );
+            }
+        }
+        let metrics = self.metrics();
+        let snapshot = self.latest_snapshot;
+        let outcome = match killed {
+            Some(failure) => TrainOutcome::Interrupted { failure, snapshot },
+            None => TrainOutcome::Completed(TrainReport {
+                epochs: self.epochs,
+                wall_secs: 0.0, // stamped by the caller
+                final_params: self.model.values_vec(),
+                final_state: self.model.state(),
+                steps_per_rank: self.steps_done,
+                checkpoints: self.checkpoints,
+                latest_snapshot: snapshot,
+                sim_wall_ps: self.clock.now_ps(),
+                breakdown: self.totals,
+                epoch_breakdown: self.epoch_bds,
+            }),
+        };
+        RankRun { outcome, metrics }
+    }
+
+    /// This rank's phase totals, step counters and collective traffic as
+    /// a local registry.
+    fn metrics(&self) -> MetricsRegistry {
+        let reg = MetricsRegistry::new();
+        let rank_s = self.comm.rank().to_string();
+        let mut labels: Vec<(&str, &str)> = vec![("rank", &rank_s)];
+        if let Some(t) = &self.t.tag {
+            labels.push(("run", t));
+        }
+        let totals = &self.totals;
+
+        for (phase, ps) in [
+            ("stage", totals.stage_ps),
+            ("compute", totals.compute_ps),
+            ("allreduce", totals.allreduce_ps),
+            ("checkpoint", totals.checkpoint_ps),
+        ] {
+            reg.time_ps(&key(&format!("trainer.phase.{phase}.time"), &labels), ps);
+        }
+        reg.add(&key("trainer.steps", &labels), self.steps_run);
+        reg.add(
+            &key("trainer.allreduce.bytes", &labels),
+            self.allreduce_bytes,
+        );
+        reg.time_ps(
+            &key("trainer.overlap.saved", &labels),
+            totals.overlap_saved_ps,
+        );
+        reg.time_ps(
+            &key("trainer.stage_overlap.saved", &labels),
+            totals.stage_overlap_saved_ps,
+        );
+        reg.time_ps(&key("trainer.sim_wall", &labels), self.clock.now_ps());
+        if let Some(stats) = self.comm.stats() {
+            stats.export().record_into(&reg, &labels);
+        }
+
+        // Epoch rollups come from rank 0 only — they are already averaged /
+        // global quantities, and one copy keeps the key space tidy.
+        if self.comm.rank() == 0 {
+            for eb in &self.epoch_bds {
+                let epoch_s = eb.epoch.to_string();
+                let mut el = labels.clone();
+                el.push(("epoch", &epoch_s));
+                reg.time_ps(&key("trainer.epoch.time", &el), eb.phases.total_ps());
+            }
+            for e in &self.epochs {
+                let epoch_s = e.epoch.to_string();
+                let mut el = labels.clone();
+                el.push(("epoch", &epoch_s));
+                reg.gauge(&key("trainer.epoch.mean_loss", &el), f64::from(e.mean_loss));
+            }
+            reg.add(
+                &key("trainer.checkpoints", &labels),
+                self.checkpoints.len() as u64,
+            );
+            let ckpt_bytes: u64 = self.checkpoints.iter().map(|c| c.bytes).sum();
+            reg.add(&key("trainer.checkpoint.bytes", &labels), ckpt_bytes);
+        }
+        reg
     }
 }
 
@@ -1549,7 +1497,6 @@ mod tests {
             checkpoint: None,
         };
         let outcome = Trainer::new(cfg)
-            .fault_opt(None)
             .run(
                 &ds,
                 |s| mlp(s, 8, 4),

@@ -153,13 +153,7 @@ impl WirePair {
 /// The fold is element-wise, so like the dense pipeline it is invariant
 /// to how the gradient is partitioned into buckets — the property the
 /// fused exchange needs for bit-equality across bucket sizes.
-pub fn bf16_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
-    bf16_allreduce_with(c, buf, &mut Arena::new());
-}
-
-/// [`bf16_allreduce`] with a caller-owned scratch arena — zero-alloc in
-/// steady state on pooled transports.
-pub fn bf16_allreduce_with<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch: &mut Arena) {
+pub fn bf16_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch: &mut Arena) {
     let p = c.size();
     if buf.is_empty() {
         return;
@@ -256,7 +250,7 @@ mod tests {
         let g2 = grads.clone();
         let results = ThreadComm::run(p, move |comm| {
             let mut buf = g2[comm.rank()].clone();
-            bf16_allreduce(comm, &mut buf);
+            bf16_allreduce(comm, &mut buf, &mut Arena::new());
             let bytes = comm
                 .stats()
                 .unwrap()
@@ -294,7 +288,7 @@ mod tests {
             let g = grads.clone();
             ThreadComm::run(p, move |comm| {
                 let mut buf = g[comm.rank()].clone();
-                bf16_allreduce(comm, &mut buf);
+                bf16_allreduce(comm, &mut buf, &mut Arena::new());
                 buf
             })
         };
@@ -303,8 +297,8 @@ mod tests {
             let got = ThreadComm::run(p, move |comm| {
                 let mut buf = g[comm.rank()].clone();
                 let (a, b) = buf.split_at_mut(split);
-                bf16_allreduce(comm, a);
-                bf16_allreduce(comm, b);
+                bf16_allreduce(comm, a, &mut Arena::new());
+                bf16_allreduce(comm, b, &mut Arena::new());
                 buf
             });
             for r in 0..p {
@@ -326,7 +320,7 @@ mod tests {
         let p = 8;
         let results = ThreadComm::run(p, move |comm| {
             let mut buf = vec![1.0f32; 33];
-            bf16_allreduce(comm, &mut buf);
+            bf16_allreduce(comm, &mut buf, &mut Arena::new());
             buf
         });
         for buf in &results {

@@ -24,12 +24,12 @@
 //!
 //! The reductions run on the slice API ([`PointToPoint::send_from`] /
 //! [`PointToPoint::recv_into`]) with receive staging carved from a
-//! scratch [`Arena`]. Each collective has a `_with` variant taking a
-//! caller-owned arena — after one warm-up call the arena is sized and a
-//! steady-state collective performs **zero heap allocation** on pooled
-//! transports ([`crate::ThreadComm`]). The plain-named variants keep the
-//! seed signatures and open a fresh arena per call (one warm-up growth,
-//! still no per-ring-step churn).
+//! caller-owned scratch [`Arena`], the last argument of every reduction.
+//! After one warm-up call the arena is sized and a steady-state
+//! collective performs **zero heap allocation** on pooled transports
+//! ([`crate::ThreadComm`]). One-off callers pass `&mut Arena::new()`
+//! (one warm-up growth, no per-ring-step churn); the arena-free
+//! convenience is the [`crate::Communicator`] trait.
 //!
 //! Accumulation order is load-bearing: every reduce loop is the same
 //! element-wise left fold (`*dst += incoming`) over the same message
@@ -64,12 +64,6 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 /// allgather of the reduced chunks. Total bytes sent per rank:
 /// `2 (p−1)/p · n` — independent of `p` for large `n`, which is why
 /// Horovod scales to hundreds of GPUs.
-pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
-    ring_allreduce_with(c, buf, &mut Arena::new());
-}
-
-/// [`ring_allreduce`] with a caller-owned receive-staging arena —
-/// zero-alloc in steady state on pooled transports.
 ///
 /// When `parts > len`, `chunk_ranges` produces empty trailing ranges;
 /// both phases skip those chunks entirely instead of shipping zero-length
@@ -77,7 +71,7 @@ pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
 /// a rank's receive of chunk `i` pairs with its left neighbour's send of
 /// the *same* chunk index, so the skips agree on both ends of every
 /// channel and the schedule stays deadlock-free.
-pub fn ring_allreduce_with<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch: &mut Arena) {
+pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch: &mut Arena) {
     let p = c.size();
     if p == 1 || buf.is_empty() {
         return;
@@ -125,15 +119,9 @@ pub fn ring_allreduce_with<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scr
 /// Latency-optimal recursive-doubling allreduce (sum): ⌈log₂ p⌉ rounds of
 /// pairwise exchanges. Non-power-of-two sizes are handled by folding the
 /// `p − 2^⌊log₂ p⌋` extra ranks into partners before/after the core phase.
-pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
-    recursive_doubling_allreduce_with(c, buf, &mut Arena::new());
-}
-
-/// [`recursive_doubling_allreduce`] with a caller-owned receive-staging
-/// arena. The seed cloned the whole buffer (`buf.to_vec()`) once per
-/// round; the slice path stages the partner's buffer in the arena
-/// instead, so rounds allocate nothing in steady state.
-pub fn recursive_doubling_allreduce_with<C: PointToPoint + ?Sized>(
+/// The partner's buffer is staged in the arena, so rounds allocate nothing
+/// in steady state.
+pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(
     c: &C,
     buf: &mut [f32],
     scratch: &mut Arena,
@@ -195,13 +183,7 @@ pub fn recursive_doubling_allreduce_with<C: PointToPoint + ?Sized>(
 /// receive already posted (or next in program order on an idle rank), so
 /// it completes even under `Bounded(0)` channel capacity, unlike the
 /// eager ring.
-pub fn pipeline_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
-    pipeline_allreduce_with(c, buf, &mut Arena::new());
-}
-
-/// [`pipeline_allreduce`] with a caller-owned receive-staging arena —
-/// zero-alloc in steady state on pooled transports.
-pub fn pipeline_allreduce_with<C: PointToPoint + ?Sized>(
+pub fn pipeline_allreduce<C: PointToPoint + ?Sized>(
     c: &C,
     buf: &mut [f32],
     scratch: &mut Arena,
@@ -299,12 +281,7 @@ pub fn binomial_broadcast_into<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32],
 
 /// Binomial-tree sum-reduction to `root`. On return `root`'s `buf` holds
 /// the global sum; other ranks' buffers hold partial sums (unspecified).
-pub fn tree_reduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], root: usize) {
-    tree_reduce_with(c, buf, root, &mut Arena::new());
-}
-
-/// [`tree_reduce`] with a caller-owned receive-staging arena.
-pub fn tree_reduce_with<C: PointToPoint + ?Sized>(
+pub fn tree_reduce<C: PointToPoint + ?Sized>(
     c: &C,
     buf: &mut [f32],
     root: usize,

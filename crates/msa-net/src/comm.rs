@@ -7,6 +7,7 @@
 //! transport only has to implement `send`/`recv`.
 
 use crate::collectives;
+use crate::scratch::Arena;
 use crate::stats::CommStats;
 
 /// Minimal reliable, ordered, tagged point-to-point transport between
@@ -83,7 +84,7 @@ pub trait Communicator: PointToPoint {
     /// every rank holds the global sum. Uses the bandwidth-optimal ring
     /// algorithm (what Horovod uses for large tensors).
     fn allreduce_sum(&self, buf: &mut [f32]) {
-        collectives::ring_allreduce(self, buf);
+        collectives::ring_allreduce(self, buf, &mut Arena::new());
     }
 
     /// Allreduce then divide by `size()` — gradient averaging.
@@ -108,7 +109,7 @@ pub trait Communicator: PointToPoint {
 
     /// Reduce (sum) to `root`; other ranks' `buf` is left unspecified.
     fn reduce_sum(&self, buf: &mut [f32], root: usize) {
-        collectives::tree_reduce(self, buf, root);
+        collectives::tree_reduce(self, buf, root, &mut Arena::new());
     }
 
     /// Gathers each rank's `mine` into rank order on every rank.

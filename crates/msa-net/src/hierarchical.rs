@@ -10,6 +10,7 @@
 use crate::collectives;
 use crate::comm::PointToPoint;
 use crate::cost::LinkParams;
+use crate::scratch::Arena;
 use msa_core::SimTime;
 
 /// A view of a parent communicator restricted to a subset of ranks,
@@ -78,12 +79,14 @@ impl<C: PointToPoint + ?Sized> PointToPoint for GroupComm<'_, C> {
 /// `ranks_per_node`; each node reduces to its leader (lowest rank of the
 /// group), leaders ring-allreduce across nodes, then each leader
 /// broadcasts within its node. Result: every rank holds the global sum.
+/// Both reducing phases stage receives in the caller's `scratch` arena.
 ///
 /// `c.size()` must be divisible by `ranks_per_node`.
 pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
     c: &C,
     buf: &mut [f32],
     ranks_per_node: usize,
+    scratch: &mut Arena,
 ) {
     let p = c.size();
     assert!(ranks_per_node >= 1 && p.is_multiple_of(ranks_per_node),
@@ -97,7 +100,7 @@ pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
     let local = GroupComm::new(c, members);
 
     // Phase 1: reduce to the node leader (local rank 0).
-    collectives::tree_reduce(&local, buf, 0);
+    collectives::tree_reduce(&local, buf, 0, scratch);
 
     // Phase 2: leaders allreduce across nodes.
     let is_leader = local.rank() == 0;
@@ -106,7 +109,7 @@ pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
             .map(|n| n * ranks_per_node)
             .collect();
         let inter = GroupComm::new(c, leaders);
-        collectives::ring_allreduce(&inter, buf);
+        collectives::ring_allreduce(&inter, buf, scratch);
     }
 
     // Phase 3: broadcast back within the node. Every member knows the
@@ -156,7 +159,7 @@ mod tests {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> =
                     (0..13).map(|i| (c.rank() * 10 + i) as f32).collect();
-                hierarchical_allreduce(c, &mut buf, k);
+                hierarchical_allreduce(c, &mut buf, k, &mut Arena::new());
                 buf
             });
             let expected: Vec<f32> = (0..13)
@@ -177,7 +180,7 @@ mod tests {
             let g = GroupComm::new(c, members);
             assert_eq!(g.size(), 3);
             let mut buf = vec![c.rank() as f32];
-            collectives::ring_allreduce(&g, &mut buf);
+            collectives::ring_allreduce(&g, &mut buf, &mut Arena::new());
             buf[0]
         });
         // Group 0 = ranks 0+1+2 = 3; group 1 = 3+4+5 = 12.
@@ -191,7 +194,7 @@ mod tests {
         // one endpoint (without peers running) panics cleanly.
         let comms = ThreadComm::create(6);
         let mut buf = vec![0.0f32; 4];
-        hierarchical_allreduce(&comms[0], &mut buf, 4);
+        hierarchical_allreduce(&comms[0], &mut buf, 4, &mut Arena::new());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod thread_comm;
 pub mod tune;
 
 pub use barrier::SenseBarrier;
-pub use codec::{bf16_allreduce, bf16_allreduce_with, GradCodec, WirePair};
+pub use codec::{bf16_allreduce, GradCodec, WirePair};
 pub use scratch::Arena;
 pub use comm::{Communicator, PointToPoint};
 pub use hierarchical::{hierarchical_allreduce, hierarchical_cost, GroupComm};
@@ -34,4 +34,4 @@ pub use cost::{CollectiveAlgo, LinkParams, Topology};
 pub use fabric::{simulate as simulate_fabric, FatTree, Flow, FlowResult};
 pub use stats::{CollectiveOp, CommStats, CommStatsSnapshot, OpTotals};
 pub use thread_comm::{CommOptions, FaultPlan, RankKilled, ThreadComm};
-pub use tune::{tuned_allreduce, tuned_allreduce_with, DecisionTable, TuneGrid, TunedAlgo};
+pub use tune::{tuned_allreduce, DecisionTable, TuneGrid, TunedAlgo};

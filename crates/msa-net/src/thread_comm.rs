@@ -80,12 +80,6 @@ impl CommOptions {
         self
     }
 
-    /// Arms a fault only when `plan` is `Some` (migration convenience).
-    pub fn fault_opt(mut self, plan: Option<FaultPlan>) -> Self {
-        self.fault = plan;
-        self
-    }
-
     /// Sets the link model used to price recorded traffic.
     pub fn link(mut self, link: LinkParams) -> Self {
         self.link = Some(link);
@@ -496,7 +490,7 @@ mod tests {
         for p in [2usize, 3, 4, 5, 6, 8, 12] {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..17).map(|i| (c.rank() + i) as f32).collect();
-                collectives::recursive_doubling_allreduce(c, &mut buf);
+                collectives::recursive_doubling_allreduce(c, &mut buf, &mut crate::Arena::new());
                 buf
             });
             let expected: Vec<f32> = (0..17)
@@ -627,7 +621,7 @@ mod tests {
             c.poll_fault(3).is_err()
         });
         assert_eq!(out, vec![true, true]);
-        let comms = ThreadComm::create_with(2, &CommOptions::new().fault_opt(None));
+        let comms = ThreadComm::create_with(2, &CommOptions::new());
         assert_eq!(comms.len(), 2);
         assert!(comms[0].poll_fault(u64::MAX).is_ok());
     }
@@ -730,32 +724,42 @@ mod tests {
     #[test]
     fn slice_path_does_zero_steady_state_allocation() {
         use crate::scratch::Arena;
+        use crate::tune::TunedAlgo;
 
-        let out = ThreadComm::run(4, |c| {
-            let mut scratch = Arena::new();
-            let mut buf: Vec<f32> = (0..257).map(|i| (c.rank() + i) as f32).collect();
-            // Warm-up: grows the per-channel credits and the arena. Two
-            // rounds, because each channel cycles CREDITS_PER_CHANNEL = 2
-            // buffers FIFO — one round only grows the first credit.
-            for _ in 0..2 {
-                collectives::ring_allreduce_with(c, &mut buf, &mut scratch);
-                collectives::pipeline_allreduce_with(c, &mut buf, &mut scratch);
-                collectives::recursive_doubling_allreduce_with(c, &mut buf, &mut scratch);
-                c.barrier();
+        type Round = fn(&ThreadComm, &mut [f32], &mut Arena);
+        let flat: Round = |c, buf, scratch| {
+            collectives::ring_allreduce(c, buf, scratch);
+            collectives::pipeline_allreduce(c, buf, scratch);
+            collectives::recursive_doubling_allreduce(c, buf, scratch);
+        };
+        // The tuned path's two-level winner must stage in the caller's
+        // arena too, not in fresh ones it opens per call.
+        let hier: Round =
+            |c, buf, scratch| TunedAlgo::Hierarchical { ranks_per_node: 4 }.run(c, buf, scratch);
+        for (p, round) in [(4usize, flat), (8, hier)] {
+            let out = ThreadComm::run(p, |c| {
+                let mut scratch = Arena::new();
+                let mut buf: Vec<f32> = (0..257).map(|i| (c.rank() + i) as f32).collect();
+                // Warm-up: grows the per-channel credits and the arena. Two
+                // rounds, because each channel cycles CREDITS_PER_CHANNEL = 2
+                // buffers FIFO — one round only grows the first credit.
+                for _ in 0..2 {
+                    round(c, &mut buf, &mut scratch);
+                    c.barrier();
+                }
+                let warm = c.pool_allocs();
+                let grows = scratch.grows();
+                for _ in 0..10 {
+                    round(c, &mut buf, &mut scratch);
+                    c.barrier();
+                }
+                (grows, c.pool_allocs() - warm, scratch.grows() - grows)
+            });
+            for (rank, (warm_grows, pool_delta, arena_delta)) in out.into_iter().enumerate() {
+                assert!(warm_grows >= 1, "p={p} rank {rank}: caller's arena never used");
+                assert_eq!(pool_delta, 0, "p={p} rank {rank}: steady-state pool allocation");
+                assert_eq!(arena_delta, 0, "p={p} rank {rank}: steady-state arena growth");
             }
-            let warm = c.pool_allocs();
-            let grows = scratch.grows();
-            for _ in 0..10 {
-                collectives::ring_allreduce_with(c, &mut buf, &mut scratch);
-                collectives::pipeline_allreduce_with(c, &mut buf, &mut scratch);
-                collectives::recursive_doubling_allreduce_with(c, &mut buf, &mut scratch);
-                c.barrier();
-            }
-            (c.pool_allocs() - warm, scratch.grows() - grows)
-        });
-        for (rank, (pool_delta, arena_delta)) in out.into_iter().enumerate() {
-            assert_eq!(pool_delta, 0, "rank {rank}: steady-state pool allocation");
-            assert_eq!(arena_delta, 0, "rank {rank}: steady-state arena growth");
         }
     }
 
@@ -813,7 +817,7 @@ mod tests {
         for p in [2usize, 3, 5, 8] {
             let whole = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
-                collectives::pipeline_allreduce(c, &mut buf);
+                collectives::pipeline_allreduce(c, &mut buf, &mut crate::Arena::new());
                 buf
             });
             for split in [&[29usize][..], &[1, 28], &[7, 9, 13], &[4, 5, 6, 7, 7], &[1; 29]] {
@@ -823,7 +827,7 @@ mod tests {
                     let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
                     let mut off = 0;
                     for &sz in split {
-                        collectives::pipeline_allreduce_with(
+                        collectives::pipeline_allreduce(
                             c,
                             &mut buf[off..off + sz],
                             &mut scratch,

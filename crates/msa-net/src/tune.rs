@@ -25,7 +25,7 @@
 //! (`Bounded(2)` on the slice path) is not part of the measurement. That
 //! matches the α–β models it replaces and keeps the clock monotone.
 
-use crate::codec::{bf16_allreduce_with, sparse_k, GradCodec, WirePair};
+use crate::codec::{bf16_allreduce, sparse_k, GradCodec, WirePair};
 use crate::collectives;
 use crate::comm::PointToPoint;
 use crate::cost::{CollectiveAlgo, LinkParams, Topology};
@@ -129,13 +129,13 @@ impl TunedAlgo {
     /// [`DecisionTable::select`] never returns such a pick).
     pub fn run<C: PointToPoint + ?Sized>(self, c: &C, buf: &mut [f32], scratch: &mut Arena) {
         match self {
-            TunedAlgo::Ring => collectives::ring_allreduce_with(c, buf, scratch),
+            TunedAlgo::Ring => collectives::ring_allreduce(c, buf, scratch),
             TunedAlgo::RecursiveDoubling => {
-                collectives::recursive_doubling_allreduce_with(c, buf, scratch)
+                collectives::recursive_doubling_allreduce(c, buf, scratch)
             }
-            TunedAlgo::Pipeline => collectives::pipeline_allreduce_with(c, buf, scratch),
+            TunedAlgo::Pipeline => collectives::pipeline_allreduce(c, buf, scratch),
             TunedAlgo::Hierarchical { ranks_per_node } => {
-                hierarchical_allreduce(c, buf, ranks_per_node)
+                hierarchical_allreduce(c, buf, ranks_per_node, scratch)
             }
         }
     }
@@ -298,7 +298,7 @@ pub fn measure_codec(
         match codec {
             GradCodec::Dense32 => {
                 let mut buf = vec![1.0f32; len];
-                collectives::pipeline_allreduce_with(c, &mut buf, &mut scratch);
+                collectives::pipeline_allreduce(c, &mut buf, &mut scratch);
                 assert!(
                     buf.iter().all(|v| v.to_bits() == want.to_bits()),
                     "dense32 chain at p={ranks} produced a wrong sum"
@@ -306,7 +306,7 @@ pub fn measure_codec(
             }
             GradCodec::Bf16 => {
                 let mut buf = vec![1.0f32; len];
-                bf16_allreduce_with(c, &mut buf, &mut scratch);
+                bf16_allreduce(c, &mut buf, &mut scratch);
                 assert!(
                     buf.iter().all(|v| v.to_bits() == want.to_bits()),
                     "bf16 chain at p={ranks} produced a wrong sum"
@@ -809,16 +809,11 @@ impl DecisionTable {
 
 /// Allreduce (sum) dispatched through a measured [`DecisionTable`]:
 /// selects the nearest cell's winner for `(c.size(), byte length of
-/// buf)` and runs it. Fresh arena per call; use
-/// [`tuned_allreduce_with`] on hot paths.
-pub fn tuned_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], table: &DecisionTable) {
-    tuned_allreduce_with(c, buf, &mut Arena::new(), table);
-}
-
-/// [`tuned_allreduce`] with a caller-owned receive-staging arena —
-/// zero-alloc in steady state on pooled transports, like the `_with`
-/// collectives it dispatches to.
-pub fn tuned_allreduce_with<C: PointToPoint + ?Sized>(
+/// buf)` and runs it with receive staging in the caller's arena: in
+/// steady state no winner grows the arena or a pooled transport's
+/// buffers (the hierarchical schedule still builds its two small
+/// group-member lists per call).
+pub fn tuned_allreduce<C: PointToPoint + ?Sized>(
     c: &C,
     buf: &mut [f32],
     scratch: &mut Arena,
@@ -934,7 +929,7 @@ mod tests {
         for p in [1usize, 3, 5, 7] {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..37).map(|i| (c.rank() + i) as f32).collect();
-                tuned_allreduce(c, &mut buf, &table);
+                tuned_allreduce(c, &mut buf, &mut Arena::new(), &table);
                 buf
             });
             let expected: Vec<f32> = (0..37)

@@ -583,7 +583,7 @@ mod tests {
         let report = check_schedule(5, Capacity::Unbounded, |tc| {
             tc.mark("ring_allreduce");
             let mut buf = vec![1.0f32; 13];
-            collectives::ring_allreduce(tc, &mut buf);
+            collectives::ring_allreduce(tc, &mut buf, &mut msa_net::Arena::new());
         })
         .expect("ring allreduce must verify");
         assert_eq!(report.marks, vec!["ring_allreduce"]);
@@ -622,7 +622,7 @@ mod tests {
         // proves it.
         let err = check_schedule(3, Capacity::Bounded(0), |tc| {
             let mut buf = vec![1.0f32; 6];
-            collectives::ring_allreduce(tc, &mut buf);
+            collectives::ring_allreduce(tc, &mut buf, &mut msa_net::Arena::new());
         })
         .expect_err("rendezvous ring must deadlock");
         match err {
@@ -713,7 +713,7 @@ mod tests {
     fn single_rank_schedules_are_trivially_clean() {
         let report = check_schedule(1, Capacity::Bounded(0), |tc| {
             let mut buf = vec![1.0f32; 4];
-            collectives::ring_allreduce(tc, &mut buf);
+            collectives::ring_allreduce(tc, &mut buf, &mut msa_net::Arena::new());
             collectives::dissemination_barrier(tc);
         })
         .expect("p=1 has no communication");

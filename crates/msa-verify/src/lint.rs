@@ -12,7 +12,7 @@
 //! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/conv.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through caller-owned scratch buffers (`tensor::scratch`, `msa_net::Arena`, compressor/stream slabs) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{barrier,thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
-//! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`) must not reappear; the `Trainer` and `CommOptions` builders are the only surface |
+//! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`) and the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) must not reappear; the `Trainer` and `CommOptions` builders and the plain-named, arena-taking collectives are the only surface |
 //!
 //! Findings print as `file:line: rule — message` and the binary exits
 //! nonzero when any survive. A finding is suppressed by a same-line (or
@@ -74,16 +74,24 @@ pub struct Profile {
     pub removed_api: bool,
 }
 
-/// Entry points deleted when their builder replacements landed
-/// (`Trainer` for the distrib free functions, `CommOptions` for the
-/// ThreadComm fault constructors). The `removed-api` rule keeps them
-/// from reappearing anywhere, test code included.
-const REMOVED_APIS: [&str; 5] = [
+/// Entry points deleted when their replacements landed (`Trainer` for
+/// the distrib free functions, `CommOptions` for the ThreadComm fault
+/// constructors, the plain-named arena-taking collectives for their
+/// `_with` doubles). The `removed-api` rule keeps them from reappearing
+/// anywhere, test code included.
+const REMOVED_APIS: [&str; 12] = [
     "train_data_parallel",
     "train_data_parallel_faulted",
     "resume_from_snapshot",
     "create_with_fault",
     "run_with_fault",
+    "fault_opt",
+    "ring_allreduce_with",
+    "recursive_doubling_allreduce_with",
+    "pipeline_allreduce_with",
+    "tree_reduce_with",
+    "bf16_allreduce_with",
+    "tuned_allreduce_with",
 ];
 
 impl Profile {
@@ -820,8 +828,9 @@ pub fn lint_source(file: &str, source: &str, profile: &Profile) -> Vec<Finding> 
                             "removed-api",
                             format!(
                                 "`{needle}` was removed; use the `Trainer` builder \
-                                 (distrib) or `ThreadComm::{{create,run}}_with` + \
-                                 `CommOptions` (msa-net) instead"
+                                 (distrib), `ThreadComm::{{create,run}}_with` + \
+                                 `CommOptions`, or the plain-named collective with \
+                                 its arena argument (msa-net) instead"
                             ),
                         );
                     }
@@ -1114,8 +1123,21 @@ mod tests {
             rules("fn f() { comm.resume_from_snapshot(); }\n"),
             vec!["removed-api"]
         );
+        // The retired `Option` setters and `_with` collective doubles.
+        for call in [
+            "Trainer::new(cfg).fault_opt(None)",
+            "collectives::ring_allreduce_with(c, buf, arena)",
+            "collectives::recursive_doubling_allreduce_with(c, buf, arena)",
+            "collectives::pipeline_allreduce_with(c, buf, arena)",
+            "collectives::tree_reduce_with(c, buf, 0, arena)",
+            "msa_net::bf16_allreduce_with(c, buf, arena)",
+            "msa_net::tuned_allreduce_with(c, buf, arena, table)",
+        ] {
+            assert_eq!(rules(&format!("fn f() {{ {call}; }}\n")), vec!["removed-api"], "{call}");
+        }
         // Ident boundaries: supersets of a retired name never fire.
         assert!(rules("fn my_run_with_fault2() {}\n").is_empty());
+        assert!(rules("fn fault_options_route_through_comm_options() {}\n").is_empty());
         assert!(rules("fn f() { resume_from_snapshot_v2(); }\n").is_empty());
         // The builder replacements are the sanctioned surface.
         assert!(rules("fn f() { ThreadComm::run_with(4, &opts, g); }\n").is_empty());

@@ -10,7 +10,7 @@ use msa_net::collectives::{
     recursive_doubling_allreduce, ring_allgather, ring_allreduce, tree_reduce,
 };
 use msa_net::hierarchical::hierarchical_allreduce;
-use msa_net::PointToPoint;
+use msa_net::{Arena, PointToPoint};
 use msa_verify::{check_schedule, Capacity, CheckFailure, TraceComm, WaitKind};
 
 /// The paper-relevant rank counts: everything through 17 (covers all
@@ -28,11 +28,11 @@ type Schedule = fn(&TraceComm);
 const COLLECTIVES: &[(&str, Schedule)] = &[
     ("ring_allreduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        ring_allreduce(c, &mut buf);
+        ring_allreduce(c, &mut buf, &mut Arena::new());
     }),
     ("recursive_doubling_allreduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        recursive_doubling_allreduce(c, &mut buf);
+        recursive_doubling_allreduce(c, &mut buf, &mut Arena::new());
     }),
     ("binomial_broadcast", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
@@ -40,11 +40,11 @@ const COLLECTIVES: &[(&str, Schedule)] = &[
     }),
     ("tree_reduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        tree_reduce(c, &mut buf, 0);
+        tree_reduce(c, &mut buf, 0, &mut Arena::new());
     }),
     ("pipeline_allreduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        pipeline_allreduce(c, &mut buf);
+        pipeline_allreduce(c, &mut buf, &mut Arena::new());
     }),
     ("ring_allgather", |c| {
         let blocks = ring_allgather(c, &[c.rank() as f32; 3]);
@@ -108,7 +108,7 @@ fn composed_training_step_schedule_verifies() {
             dissemination_barrier(c);
             c.mark("allreduce");
             let mut grad = vec![0.5; LEN];
-            ring_allreduce(c, &mut grad);
+            ring_allreduce(c, &mut grad, &mut Arena::new());
             c.mark("broadcast");
             let mut params = vec![1.0; LEN];
             binomial_broadcast(c, &mut params, 0);
@@ -128,7 +128,7 @@ fn hierarchical_allreduce_verifies_for_every_node_grouping() {
             let report = check_schedule(p, Capacity::Bounded(1), |c| {
                 c.mark("hierarchical_allreduce");
                 let mut buf = vec![c.rank() as f32; LEN];
-                hierarchical_allreduce(c, &mut buf, rpn);
+                hierarchical_allreduce(c, &mut buf, rpn, &mut Arena::new());
             })
             .unwrap_or_else(|e| panic!("hierarchical p={p} rpn={rpn}: {e}"));
             assert_eq!(report.ranks, p);
@@ -155,7 +155,7 @@ fn bucketed_pipeline_schedule_verifies_for_all_bucket_counts() {
                 let mut flat = [c.rank() as f32; FLAT];
                 // Flush order: the highest bucket finishes backward first.
                 for r in chunk_ranges(FLAT, buckets).into_iter().rev() {
-                    pipeline_allreduce(c, &mut flat[r]);
+                    pipeline_allreduce(c, &mut flat[r], &mut Arena::new());
                 }
             })
             .unwrap_or_else(|e| panic!("bucketed pipeline p={p} buckets={buckets}: {e}"));
@@ -179,7 +179,7 @@ fn pipeline_allreduce_survives_rendezvous_semantics() {
     for &p in &[2usize, 3, 5, 8] {
         let report = check_schedule(p, Capacity::Bounded(0), |c| {
             let mut buf = vec![c.rank() as f32; LEN];
-            pipeline_allreduce(c, &mut buf);
+            pipeline_allreduce(c, &mut buf, &mut Arena::new());
         })
         .unwrap_or_else(|e| panic!("pipeline under rendezvous p={p}: {e}"));
         assert_eq!(report.ranks, p);
@@ -226,7 +226,7 @@ fn broken_recv_first_ring_is_reported_with_cycle() {
 fn ring_allreduce_deadlocks_under_rendezvous_semantics() {
     let result = check_schedule(4, Capacity::Bounded(0), |c| {
         let mut buf = vec![1.0; 8];
-        ring_allreduce(c, &mut buf);
+        ring_allreduce(c, &mut buf, &mut Arena::new());
     });
     match result {
         Err(CheckFailure::Deadlock(d)) => {

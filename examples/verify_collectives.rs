@@ -3,7 +3,7 @@
 //! deadlock report looks like for a deliberately broken schedule.
 
 use msa_suite::msa_net::collectives::{binomial_broadcast, dissemination_barrier, ring_allreduce};
-use msa_suite::msa_net::PointToPoint;
+use msa_suite::msa_net::{Arena, PointToPoint};
 use msa_verify::{check_schedule, Capacity, CheckFailure};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
             dissemination_barrier(c);
             c.mark("allreduce");
             let mut grad = vec![0.5; 13];
-            ring_allreduce(c, &mut grad);
+            ring_allreduce(c, &mut grad, &mut Arena::new());
             c.mark("broadcast");
             let mut params = vec![1.0; 13];
             binomial_broadcast(c, &mut params, 0);
@@ -41,7 +41,7 @@ fn main() {
     println!("\n== the same ring allreduce deadlocks under rendezvous (unbuffered) sends ==");
     match check_schedule(4, Capacity::Bounded(0), |c| {
         let mut buf = vec![1.0; 8];
-        ring_allreduce(c, &mut buf);
+        ring_allreduce(c, &mut buf, &mut Arena::new());
     }) {
         Err(CheckFailure::Deadlock(d)) => println!("caught: {d}"),
         other => panic!("expected a deadlock report, got {other:?}"),
