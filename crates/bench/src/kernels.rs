@@ -3,8 +3,10 @@
 //!
 //! Measures the blocked/packed compute kernels against the seed
 //! baselines they replaced, on the shapes the training hot path actually
-//! runs: square matmul at 64/256/512 and a Conv2d forward+backward
-//! step. Four variants per matmul shape:
+//! runs: square matmul at 64/256/512, the `A·Bᵀ` products of the conv,
+//! GRU and Dense backward passes (`nt` rows: register tile vs the seed
+//! row dots), and a Conv2d forward+backward step. Four variants per
+//! square matmul shape:
 //!
 //! * `new_pool_on` — blocked kernels over the persistent pool;
 //! * `new_pool_off` — same kernels inside `serial_scope` (pool bypassed);
@@ -38,6 +40,12 @@ pub(crate) fn bits_hash(data: &[f32]) -> u64 {
     data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
         (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// Same shape and the same f32 bit pattern in every element.
+fn bits_equal(x: &Tensor, y: &Tensor) -> bool {
+    let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
+    x.shape() == y.shape() && x.data().iter().zip(y.data()).all(same)
 }
 
 /// Minimum wall time of `reps` runs of `f`, in nanoseconds. The minimum
@@ -183,6 +191,27 @@ struct MatmulRow {
     ns_seed_spawn: f64,
 }
 
+/// One `matmul_nt` shape off the training hot path, `(m×k)·(n×k)ᵀ`.
+struct NtRow {
+    /// `<layer>_<m>x<k>x<n>`.
+    shape: String,
+    /// `2·m·k·n`.
+    flop: f64,
+    hash_nt: u64,
+    bit_equal_ref: bool,
+    bit_equal_pool_off: bool,
+    ns_new: f64,
+    ns_ref: f64,
+}
+
+/// The `A·Bᵀ` products backward passes spend their time in.
+const NT_SHAPES: [(&str, usize, usize, usize); 4] = [
+    ("conv_dw", 16, 256, 144),
+    ("conv_dw", 32, 64, 288),
+    ("gru", 240, 32, 32),
+    ("dense_dx", 4, 768, 2048),
+];
+
 struct ConvSection {
     hash_fwd: u64,
     hash_bwd: u64,
@@ -206,22 +235,10 @@ fn bench_matmul(n: usize, reps: usize) -> MatmulRow {
     let c_off = rayon::serial_scope(|| matmul(&a, &b));
     let c_tn = matmul_tn(&a, &b);
     let c_nt = matmul_nt(&a, &b);
-    let bit_equal_ref = c_new.data().iter().zip(c_ref.data()).all(|(x, y)| x.to_bits() == y.to_bits())
-        && c_tn
-            .data()
-            .iter()
-            .zip(reference::matmul_tn_ikj(&a, &b).data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && c_nt
-            .data()
-            .iter()
-            .zip(reference::matmul_nt_dot(&a, &b).data())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-    let bit_equal_pool_off = c_new
-        .data()
-        .iter()
-        .zip(c_off.data())
-        .all(|(x, y)| x.to_bits() == y.to_bits());
+    let bit_equal_ref = bits_equal(&c_new, &c_ref)
+        && bits_equal(&c_tn, &reference::matmul_tn_ikj(&a, &b))
+        && bits_equal(&c_nt, &reference::matmul_nt_dot(&a, &b));
+    let bit_equal_pool_off = bits_equal(&c_new, &c_off);
 
     MatmulRow {
         n,
@@ -236,6 +253,23 @@ fn bench_matmul(n: usize, reps: usize) -> MatmulRow {
         ns_seed_spawn: min_ns(reps, || {
             reference::matmul_ikj_spawn_per_call(&a, &b, POOL_THREADS)
         }),
+    }
+}
+
+fn bench_nt(&(layer, m, k, n): &(&str, usize, usize, usize), reps: usize) -> NtRow {
+    let mut rng = Rng::seed((m * 1_000_003 + k * 1_009 + n) as u64);
+    let a = rng.normal_tensor(&[m, k], 1.0);
+    let b = rng.normal_tensor(&[n, k], 1.0);
+    let c_new = matmul_nt(&a, &b);
+    NtRow {
+        shape: format!("{layer}_{m}x{k}x{n}"),
+        flop: 2.0 * (m * k * n) as f64,
+        hash_nt: bits_hash(c_new.data()),
+        bit_equal_ref: bits_equal(&c_new, &reference::matmul_nt_dot(&a, &b)),
+        bit_equal_pool_off: bits_equal(&c_new, &rayon::serial_scope(|| matmul_nt(&a, &b))),
+        // These run tens of microseconds: more reps than the big shapes.
+        ns_new: min_ns(reps * 8, || matmul_nt(&a, &b)),
+        ns_ref: min_ns(reps * 8, || reference::matmul_nt_dot(&a, &b)),
     }
 }
 
@@ -257,26 +291,8 @@ fn bench_conv(reps: usize) -> ConvSection {
     let y_off = rayon::serial_scope(|| conv.forward(&x, true));
     let dx_off = rayon::serial_scope(|| conv.backward(&g));
 
-    let bit_equal_seed = y_new
-        .data()
-        .iter()
-        .zip(y_seed.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits())
-        && dx_new
-            .data()
-            .iter()
-            .zip(dx_seed.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    let bit_equal_pool_off = y_new
-        .data()
-        .iter()
-        .zip(y_off.data())
-        .all(|(a, b)| a.to_bits() == b.to_bits())
-        && dx_new
-            .data()
-            .iter()
-            .zip(dx_off.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let bit_equal_seed = bits_equal(&y_new, &y_seed) && bits_equal(&dx_new, &dx_seed);
+    let bit_equal_pool_off = bits_equal(&y_new, &y_off) && bits_equal(&dx_new, &dx_off);
 
     // Warm-up happened above; steady-state steps must not grow scratch.
     let grows_warm = conv.scratch_grows();
@@ -300,7 +316,7 @@ fn bench_conv(reps: usize) -> ConvSection {
     }
 }
 
-fn counters_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
+fn counters_json(rows: &[MatmulRow], nt: &[NtRow], conv: &ConvSection) -> String {
     let mut s = String::from("{\n  \"pool_threads\": ");
     let _ = write!(s, "{}", rayon::current_num_threads());
     s.push_str(",\n  \"matmul\": [\n");
@@ -315,6 +331,18 @@ fn counters_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
             r.bit_equal_ref,
             r.bit_equal_pool_off,
             if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    s.push_str("  ],\n  \"nt\": [\n");
+    for (i, r) in nt.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "    {{\"shape\": \"{}\", \"hash_nt\": \"{:016x}\", \"bit_equal_ref\": {}, \"bit_equal_pool_off\": {}}}{}",
+            r.shape,
+            r.hash_nt,
+            r.bit_equal_ref,
+            r.bit_equal_pool_off,
+            if i + 1 < nt.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n  \"conv2d\": ");
@@ -333,7 +361,7 @@ fn counters_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
     s
 }
 
-fn timings_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
+fn timings_json(rows: &[MatmulRow], nt: &[NtRow], conv: &ConvSection) -> String {
     let mut s = String::from("{\n  \"matmul\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
@@ -347,6 +375,20 @@ fn timings_json(rows: &[MatmulRow], conv: &ConvSection) -> String {
             r.ns_seed_spawn / r.ns_new_pool_on,
             r.ns_ref_serial / r.ns_new_pool_off,
             if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    s.push_str("  ],\n  \"nt\": [\n");
+    for (i, r) in nt.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "    {{\"shape\": \"{}\", \"ns_new\": {:.0}, \"ns_ref\": {:.0}, \"gflops_new\": {:.1}, \"gflops_ref\": {:.1}, \"speedup_vs_ref\": {:.2}}}{}",
+            r.shape,
+            r.ns_new,
+            r.ns_ref,
+            r.flop / r.ns_new,
+            r.flop / r.ns_ref,
+            r.ns_ref / r.ns_new,
+            if i + 1 < nt.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n  \"conv2d\": ");
@@ -377,13 +419,14 @@ pub fn kernel_report(fast: bool) -> (String, String) {
     // and trims repetitions; the committed artifact uses the full sweep.
     let (sizes, reps): (&[usize], usize) = if fast { (&[64, 256], 2) } else { (&[64, 256, 512], 9) };
     let rows: Vec<MatmulRow> = sizes.iter().map(|&n| bench_matmul(n, reps)).collect();
+    let nt: Vec<NtRow> = NT_SHAPES.iter().map(|s| bench_nt(s, reps)).collect();
     let conv = bench_conv(reps);
 
-    let counters = counters_json(&rows, &conv);
+    let counters = counters_json(&rows, &nt, &conv);
     let mut full = String::from("{\n\"counters\": ");
     full.push_str(&counters);
     full.push_str(",\n\"timings\": ");
-    full.push_str(&timings_json(&rows, &conv));
+    full.push_str(&timings_json(&rows, &nt, &conv));
     full.push_str("\n}");
     (counters, full)
 }

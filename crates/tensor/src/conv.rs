@@ -7,6 +7,7 @@
 //! is the transposed product folded back with [`col2im`].
 
 use crate::Tensor;
+use std::ops::Range;
 
 /// Output spatial size for one axis.
 #[inline]
@@ -17,6 +18,17 @@ pub fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize 
         "kernel {kernel} larger than padded input {input}+2*{pad}"
     );
     (input + 2 * pad - kernel) / stride + 1
+}
+
+/// Output positions `o` along one axis whose tap `o·stride + k − pad`
+/// lands inside `0..input`; the rest of `0..out` sees zero padding. Empty
+/// (possibly `start > end`) when the tap never reaches the image.
+#[inline]
+fn valid_outputs(input: usize, out: usize, k: usize, stride: usize, pad: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    // o·stride + k − pad < input  ⇔  o < ⌈(input + pad − k) / stride⌉
+    let hi = (input + pad).saturating_sub(k).div_ceil(stride).min(out);
+    lo..hi
 }
 
 /// Unrolls one `(C, H, W)` image into a `(C·KH·KW) × (OH·OW)` column
@@ -65,26 +77,35 @@ pub fn im2col_into(
     let rows = c * kh * kw;
     let cols = oh * ow;
     assert_eq!(out.len(), rows * cols, "cols buffer length mismatch");
-    out.fill(0.0);
 
     for ch in 0..c {
         let img_c = &image[ch * h * w..(ch + 1) * h * w];
         for ky in 0..kh {
+            let ys = valid_outputs(h, oh, ky, stride, pad_h);
             for kx in 0..kw {
+                let xs = valid_outputs(w, ow, kx, stride, pad_w);
                 let row = (ch * kh + ky) * kw + kx;
                 let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // zero padding
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                if ys.is_empty() || xs.is_empty() {
+                    out_row.fill(0.0); // this tap only ever sees padding
+                    continue;
+                }
+                out_row[..ys.start * ow].fill(0.0);
+                out_row[ys.end * ow..].fill(0.0);
+                let ix0 = xs.start * stride + kx - pad_w;
+                for oy in ys.clone() {
+                    let iy = oy * stride + ky - pad_h;
+                    let src = &img_c[iy * w + ix0..(iy + 1) * w];
+                    let seg = &mut out_row[oy * ow..(oy + 1) * ow];
+                    seg[..xs.start].fill(0.0);
+                    seg[xs.end..].fill(0.0);
+                    let dst = &mut seg[xs.clone()];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
-                        out_row[oy * ow + ox] = img_c[iy * w + ix as usize];
                     }
                 }
             }
@@ -137,24 +158,33 @@ pub fn col2im_into(
     assert_eq!(img.len(), c * h * w, "image buffer length mismatch");
     img.fill(0.0);
 
+    // Loop order (ch, ky, kx) is part of the contract: an image pixel
+    // receives at most one term per (ky, kx), so this order *is* its
+    // accumulation chain.
     for ch in 0..c {
         let img_c = &mut img[ch * h * w..(ch + 1) * h * w];
         for ky in 0..kh {
+            let ys = valid_outputs(h, oh, ky, stride, pad_h);
             for kx in 0..kw {
+                let xs = valid_outputs(w, ow, kx, stride, pad_w);
+                if ys.is_empty() || xs.is_empty() {
+                    continue;
+                }
                 let row = (ch * kh + ky) * kw + kx;
                 let col_row = &data[row * ncols..(row + 1) * ncols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let ix0 = xs.start * stride + kx - pad_w;
+                for oy in ys.clone() {
+                    let iy = oy * stride + ky - pad_h;
+                    let dst = &mut img_c[iy * w + ix0..(iy + 1) * w];
+                    let src = &col_row[oy * ow + xs.start..oy * ow + xs.end];
+                    if stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d += v;
                         }
-                        img_c[iy * w + ix as usize] += col_row[oy * ow + ox];
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                            *d += v;
+                        }
                     }
                 }
             }
@@ -245,6 +275,167 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The seed's element-at-a-time lowering, kept as the oracle the
+    /// row-sliced [`im2col_into`] must match to the bit.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_elementwise(
+        image: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad_h: usize,
+        pad_w: usize,
+        out: &mut [f32],
+    ) {
+        let oh = out_dim(h, kh, stride, pad_h);
+        let ow = out_dim(w, kw, stride, pad_w);
+        let cols = oh * ow;
+        out.fill(0.0);
+
+        for ch in 0..c {
+            let img_c = &image[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    let out_row = &mut out[row * cols..(row + 1) * cols];
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad_h as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue; // zero padding
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad_w as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out_row[oy * ow + ox] = img_c[iy * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The seed's element-at-a-time fold, the oracle for [`col2im_into`].
+    #[allow(clippy::too_many_arguments)]
+    fn col2im_elementwise(
+        data: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad_h: usize,
+        pad_w: usize,
+        img: &mut [f32],
+    ) {
+        let oh = out_dim(h, kh, stride, pad_h);
+        let ow = out_dim(w, kw, stride, pad_w);
+        let ncols = oh * ow;
+        img.fill(0.0);
+
+        for ch in 0..c {
+            let img_c = &mut img[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = (ch * kh + ky) * kw + kx;
+                    let col_row = &data[row * ncols..(row + 1) * ncols];
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad_h as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad_w as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            img_c[iy * w + ix as usize] += col_row[oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Row-sliced lowering ≡ element-at-a-time lowering, to the bit, over
+    /// stride 1–3 × pad 0–2 × kernel 1/3/5 on non-square images, the
+    /// `Conv1d` geometry (`kh = 1`, pad on `w` only) and a kernel wider
+    /// than `w + pad` (some `kx` never reach the image).
+    #[test]
+    fn row_sliced_lowering_matches_elementwise_bit_exactly() {
+        let mut r = Rng::seed(13);
+        // (h, w, kh, kw, pad_h, pad_w)
+        let mut geoms = Vec::new();
+        for (h, w) in [(5, 8), (9, 4), (6, 6), (1, 7)] {
+            for k in [1, 3, 5] {
+                for pad in 0..=2 {
+                    geoms.push((h, w, k, k, pad, pad));
+                }
+            }
+        }
+        for kw in [1, 3, 5] {
+            for pad_w in 0..=2 {
+                geoms.push((1, 11, 1, kw, 0, pad_w)); // Conv1d
+            }
+        }
+        geoms.push((4, 2, 3, 5, 1, 2)); // kw > w + pad_w
+        geoms.push((2, 1, 5, 3, 2, 1)); // kh > h + pad_h
+        let mut checked = 0;
+        for (h, w, kh, kw, pad_h, pad_w) in geoms {
+            if h + 2 * pad_h < kh || w + 2 * pad_w < kw {
+                continue;
+            }
+            for stride in 1..=3 {
+                for c in [1, 3] {
+                    let ctx = format!("c={c} {h}x{w} k={kh}x{kw} s={stride} p={pad_h},{pad_w}");
+                    // Every output starts as garbage: unwritten slots show.
+                    let run = |f: Lowering, src: &[f32], len: usize| {
+                        let mut out = vec![f32::NAN; len];
+                        f(src, c, h, w, kh, kw, stride, pad_h, pad_w, &mut out);
+                        out
+                    };
+                    let oh = out_dim(h, kh, stride, pad_h);
+                    let ow = out_dim(w, kw, stride, pad_w);
+                    let image = r.normal_tensor(&[c * h * w], 1.0).into_vec();
+                    let dcols = r.normal_tensor(&[c * kh * kw * oh * ow], 1.0).into_vec();
+                    assert_bits(
+                        &run(im2col_into, &image, dcols.len()),
+                        &run(im2col_elementwise, &image, dcols.len()),
+                        &format!("im2col {ctx}"),
+                    );
+                    assert_bits(
+                        &run(col2im_into, &dcols, image.len()),
+                        &run(col2im_elementwise, &dcols, image.len()),
+                        &format!("col2im {ctx}"),
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 200, "grid collapsed to {checked} cases");
+    }
+
+    /// The shared signature of the lowerings and their oracles.
+    type Lowering = fn(&[f32], usize, usize, usize, usize, usize, usize, usize, usize, &mut [f32]);
+
+    fn assert_bits(got: &[f32], want: &[f32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{ctx}: element {i}: {g:?} vs {w:?}"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //!   path runs, preserving the seed's sparsity semantics bit for bit
 //!   (skipping a tap is *not* the same as adding `0.0·b` when the
 //!   accumulator is `-0.0` or `b` is non-finite).
+//! * **A·Bᵀ register tile**: `nt` walks both operands along `k`, so it
+//!   has no saxpy form; `block_nt` packs 16/8/4/1 rows of `A` tap-major
+//!   and keeps one accumulator *lane per output element*, four rows of
+//!   `B` at a time — SIMD across independent dots, each still the seed's
+//!   single ascending-`kk` chain from `-0.0`, with no zero-skip.
 //! * the `m == 1` row-vector case — every batch-1 Dense — parallelises
 //!   over column blocks instead of staying serial.
 //!
@@ -343,45 +348,107 @@ fn block_nn(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize, b
     }
 }
 
-/// Row-dot block for A·Bᵀ: `out_blk[r, j] = ⟨a_row, b_row_j⟩` with a
-/// single sequential accumulator per element — the seed's exact chain.
-/// Four columns are computed per pass with four *independent*
-/// accumulators (one per output element, exactly as the seed — only the
-/// instruction-level interleaving changes, never any chain), which hides
-/// the add-latency that serialises a lone running sum.
-fn block_nt(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize) {
-    let rows = out_blk.len() / n;
-    for r in 0..rows {
-        let a_row = &a_blk[r * k..(r + 1) * k];
-        let o_row = &mut out_blk[r * n..(r + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..j * k + k];
-            let b1 = &b[(j + 1) * k..(j + 1) * k + k];
-            let b2 = &b[(j + 2) * k..(j + 2) * k + k];
-            let b3 = &b[(j + 3) * k..(j + 3) * k + k];
-            // `f32::sum()` folds from -0.0 (the IEEE additive identity:
-            // x + -0.0 == x for every x, signed zeros included); the
-            // explicit accumulators must start there too to stay
-            // bit-identical to the seed chain.
-            let (mut s0, mut s1, mut s2, mut s3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
-            for (kk, &av) in a_row.iter().enumerate() {
-                s0 += av * b0[kk];
-                s1 += av * b1[kk];
-                s2 += av * b2[kk];
-                s3 += av * b3[kk];
+/// Tallest A·Bᵀ register tile; the shorter ones (8, 4, 1) take the rows
+/// a block has left over.
+const NT_MR: usize = 16;
+
+/// `NR` columns of one A·Bᵀ register tile: `out[l, j] = ⟨a_l, b_j⟩` for
+/// the `MR` rows packed in `panel` (`k×MR`, tap-major) and the `NR` rows
+/// of `b_rows`. Every output element owns one accumulator lane that
+/// starts at `-0.0` — what `f32::sum()` folds from, the IEEE additive
+/// identity (`x + -0.0 == x` for every `x`, signed zeros included) — and
+/// takes `+= a·b` in ascending `kk` with a separate mul and add: the
+/// seed's exact chain. The lanes of a SIMD register are *different*
+/// output elements, so vectorising over `l` reorders nothing.
+#[inline]
+fn nt_cols<const MR: usize, const NR: usize>(
+    panel: &[[f32; MR]],
+    b_rows: &[f32],
+    out_tile: &mut [f32],
+    n: usize,
+    j: usize,
+) {
+    let k = panel.len();
+    let b_j: [&[f32]; NR] = std::array::from_fn(|c| &b_rows[c * k..][..k]);
+    let mut acc = [[-0.0f32; MR]; NR];
+    for (kk, a_kk) in panel.iter().enumerate() {
+        for c in 0..NR {
+            let bv = b_j[c][kk];
+            for l in 0..MR {
+                acc[c][l] += a_kk[l] * bv;
             }
-            o_row[j] = s0;
-            o_row[j + 1] = s1;
-            o_row[j + 2] = s2;
-            o_row[j + 3] = s3;
-            j += 4;
-        }
-        for (jj, o) in o_row.iter_mut().enumerate().skip(j) {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            *o = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
         }
     }
+    for (c, acc_c) in acc.iter().enumerate() {
+        for (l, &v) in acc_c.iter().enumerate() {
+            out_tile[l * n + j + c] = v;
+        }
+    }
+}
+
+/// One `MR`-row register tile of A·Bᵀ: packs the `MR` rows of `a_tile`
+/// tap-major into `pack` (values are copied, not recombined), then walks
+/// the rows of `B` four at a time — four independent chains per lane
+/// hide the add latency that serialises a lone running sum — and singly
+/// for the last `n % 4`.
+fn nt_tile<const MR: usize>(
+    a_tile: &[f32],
+    b: &[f32],
+    out_tile: &mut [f32],
+    k: usize,
+    n: usize,
+    pack: &mut [f32],
+) {
+    let (panel, _) = pack[..k * MR].as_chunks_mut::<MR>();
+    for (kk, p) in panel.iter_mut().enumerate() {
+        for (l, v) in p.iter_mut().enumerate() {
+            *v = a_tile[l * k + kk];
+        }
+    }
+    let mut j = 0;
+    while j + 4 <= n {
+        nt_cols::<MR, 4>(panel, &b[j * k..(j + 4) * k], out_tile, n, j);
+        j += 4;
+    }
+    while j < n {
+        nt_cols::<MR, 1>(panel, &b[j * k..(j + 1) * k], out_tile, n, j);
+        j += 1;
+    }
+}
+
+/// Runs [`nt_tile`]`::<MR>` over the whole `MR`-row tiles at the head of
+/// a block (`a`: its rows of `A`, `out`: its rows of the result) and
+/// returns the rows left over.
+fn nt_tiles<'a, const MR: usize>(
+    a: &'a [f32],
+    b: &[f32],
+    out: &'a mut [f32],
+    k: usize,
+    n: usize,
+    pack: &mut [f32],
+) -> (&'a [f32], &'a mut [f32]) {
+    let whole = out.len() / (MR * n) * MR;
+    let (a_head, a_rest) = a.split_at(whole * k);
+    let (out_head, out_rest) = out.split_at_mut(whole * n);
+    let out_tiles = out_head.chunks_exact_mut(MR * n);
+    for (a_tile, out_tile) in a_head.chunks_exact(MR * k).zip(out_tiles) {
+        nt_tile::<MR>(a_tile, b, out_tile, k, n, pack);
+    }
+    (a_rest, out_rest)
+}
+
+/// A·Bᵀ for a contiguous block of output rows (`k > 0`): `out_blk[r, j]
+/// = ⟨a_row_r, b_row_j⟩`, rows walked in register tiles of sixteen, then
+/// eight, four and one. Bit-identical to [`reference::matmul_nt_dot`]
+/// (see [`nt_cols`]).
+fn block_nt(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize) {
+    let rows = out_blk.len() / n;
+    with_pack(k * rows.min(NT_MR), |pack| {
+        let (a, out) = nt_tiles::<NT_MR>(a_blk, b, out_blk, k, n, pack);
+        let (a, out) = nt_tiles::<8>(a, b, out, k, n, pack);
+        let (a, out) = nt_tiles::<4>(a, b, out, k, n, pack);
+        nt_tiles::<1>(a, b, out, k, n, pack);
+    });
 }
 
 /// Rows per parallel block: oversubscribe 4× the pool width so uneven
@@ -456,23 +523,26 @@ pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
     if m == 0 || n == 0 {
         return;
     }
+    if k == 0 {
+        // Empty dots: `f32::sum()` of nothing is `-0.0`.
+        out.fill(-0.0);
+        return;
+    }
     if m == 1 {
         if n * k >= PAR_THRESHOLD && n > 1 {
             let cb = cols_per_block(n);
-            out.par_chunks_mut(cb).enumerate().for_each(|(ci, oc)| {
-                let j0 = ci * cb;
-                for (jo, o) in oc.iter_mut().enumerate() {
-                    let j = j0 + jo;
-                    *o = a.iter().zip(&b[j * k..(j + 1) * k]).map(|(x, y)| x * y).sum();
-                }
-            });
+            out.par_chunks_mut(cb)
+                .zip(b.par_chunks(cb * k))
+                .for_each(|(oc, bc)| block_nt(a, bc, oc, k, oc.len()));
         } else {
             block_nt(a, b, out, k, n);
         }
         return;
     }
     if m * n >= PAR_THRESHOLD {
-        let rb = rows_per_block(m);
+        // Whole tiles per block: a block shorter than the tile would run
+        // on the narrow leftover tiles only.
+        let rb = rows_per_block(m).next_multiple_of(NT_MR);
         out.par_chunks_mut(rb * n)
             .zip(a.par_chunks(rb * k))
             .for_each(|(oc, ac)| block_nt(ac, b, oc, k, n));
@@ -482,11 +552,25 @@ pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
 }
 
 thread_local! {
-    /// Packing scratch for the Aᵀ panel of ad-hoc `matmul_tn` calls.
-    /// Thread-local so the buffer is reused across calls (allocation
-    /// traffic is bounded by the pool width, not the step count);
-    /// batch-reusable packing goes through [`PackedT`] instead.
-    static TN_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Packing scratch: the Aᵀ panel of ad-hoc `matmul_tn` calls and the
+    /// tap-major row tile of `block_nt`. Thread-local so the buffer is
+    /// reused across calls (allocation traffic is bounded by the pool
+    /// width, not the step count); batch-reusable packing goes through
+    /// [`PackedT`] instead.
+    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lends `f` the first `len` elements of this thread's [`PACK`] buffer
+/// (contents unspecified), growing it if needed. Not re-entrant: `f`
+/// must not reach another `with_pack` on the same thread.
+fn with_pack<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    PACK.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
 }
 
 /// Transposes `a` (`k×m`, row-major) into `at` (`m×k`).
@@ -524,12 +608,7 @@ pub fn gemm_tn_into(
         gemm_nn_into(1, k, n, a, b, out, bl);
         return;
     }
-    TN_PACK.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < m * k {
-            buf.resize(m * k, 0.0);
-        }
-        let at = &mut buf[..m * k];
+    with_pack(m * k, |at| {
         pack_transpose(k, m, a, at);
         gemm_nn_into(m, k, n, at, b, out, bl);
     });
@@ -924,6 +1003,59 @@ mod tests {
             let bt = sparse_tensor(&mut r, &[n, k]);
             let ctx = format!("nt {m}x{k}x{n}");
             assert_bits_equal(&matmul_nt(&a, &bt), &reference::matmul_nt_dot(&a, &bt), &ctx);
+        }
+    }
+
+    /// The A·Bᵀ register tile at every tile edge: `m` straddling the
+    /// 16/8/4/1 row tiles (240 also crosses the pool split), `n` the
+    /// four-column step, `k` from empty to deeper than a conv `dW`. `nt`
+    /// has no zero-skip, so non-finite values in *either* operand must
+    /// poison exactly the elements the seed's chain poisons (`0·inf` is
+    /// NaN, not skipped), and an empty dot is `-0.0`. Pool on ≡ pool off.
+    ///
+    /// Against the seed a NaN must meet a NaN, but not bit for bit: which
+    /// operand's sign and payload an add of two NaNs keeps is the
+    /// instruction's operand order, which the compiler is free to swap.
+    #[test]
+    fn nt_tile_edges_match_seed_bit_exactly() {
+        fn assert_bits_equal_nan_blind(a: &Tensor, b: &Tensor, ctx: &str) {
+            assert_eq!(a.shape(), b.shape(), "{ctx}: shape");
+            for (i, (&x, &y)) in a.data().iter().zip(b.data()).enumerate() {
+                let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+                assert!(same, "{ctx}: element {i}: {x:?} vs {y:?}");
+            }
+        }
+        const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        /// Overwrites a sparse, position-dependent subset with specials,
+        /// leaving most dots finite so a wrong chain still shows.
+        fn sprinkle(t: &mut Tensor, salt: usize) {
+            for (i, v) in t.data_mut().iter_mut().enumerate() {
+                let h = (i + salt).wrapping_mul(2_654_435_761) >> 7;
+                if h.is_multiple_of(61) {
+                    *v = SPECIALS[(h / 61) % SPECIALS.len()];
+                }
+            }
+        }
+        let mut r = Rng::seed(81);
+        for m in [3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 240] {
+            for n in [1, 3, 4, 5, 10, 23, 144] {
+                for k in [0, 1, 32, 37, 256] {
+                    let mut a = sparse_tensor(&mut r, &[m, k]);
+                    let mut b = sparse_tensor(&mut r, &[n, k]);
+                    for pass in ["finite", "specials"] {
+                        let ctx = format!("nt {m}x{k}x{n} {pass}");
+                        let got = matmul_nt(&a, &b);
+                        let want = reference::matmul_nt_dot(&a, &b);
+                        assert_bits_equal_nan_blind(&got, &want, &ctx);
+                        let off = rayon::serial_scope(|| matmul_nt(&a, &b));
+                        assert_bits_equal(&got, &off, &format!("{ctx} pool off"));
+                        let empty_dot = |v: &f32| v.to_bits() == (-0.0f32).to_bits();
+                        assert!(k > 0 || got.data().iter().all(empty_dot), "{ctx}");
+                        sprinkle(&mut a, m);
+                        sprinkle(&mut b, n + 1000);
+                    }
+                }
+            }
         }
     }
 
