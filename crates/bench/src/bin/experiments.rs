@@ -1,16 +1,6 @@
-//! CLI for the experiment harness.
-//!
-//! ```sh
-//! cargo run --release -p bench --bin experiments -- e3
-//! cargo run --release -p bench --bin experiments -- all
-//! cargo run --release -p bench --bin experiments -- obs BENCH_pr3.json
-//! cargo run --release -p bench --bin experiments -- kernels BENCH_pr4.json
-//! cargo run --release -p bench --bin experiments -- comm BENCH_pr5.json
-//! cargo run --release -p bench --bin experiments -- tune TUNE_pr7.table BENCH_pr7.json
-//! cargo run --release -p bench --bin experiments -- serve BENCH_pr8.json
-//! cargo run --release -p bench --bin experiments -- codec TUNE_pr9.table BENCH_pr9.json
-//! cargo run --release -p bench --bin experiments -- pipeline BENCH_pr10.json
-//! ```
+//! CLI for the experiment harness: `experiments e3`, `experiments all`,
+//! or one of the report subcommands in `SUBS` (and `obs`), e.g.
+//! `cargo run --release -p bench --bin experiments -- comm BENCH_pr5.json`.
 
 const USAGE: &str = "usage: experiments <e1..e14|all|obs|kernels|comm|tune|serve|codec|pipeline> [more ids… | output path]
   e1  Table I + system inventories
@@ -78,160 +68,130 @@ fn run_obs(path: &str) -> i32 {
     0
 }
 
-/// Runs the `kernels` subcommand. `--counters` selects the
-/// deterministic section only (for CI byte-comparison); otherwise the
-/// full report with timings goes to the given path (default
-/// `BENCH_pr4.json`). `MSA_BENCH_FAST=1` cuts timing repetitions.
-fn run_kernels(rest: &[String]) -> i32 {
-    let counters_only = rest.first().is_some_and(|a| a == "--counters");
-    let path_arg = if counters_only { rest.get(1) } else { rest.first() };
-    let default = if counters_only {
-        "BENCH_pr4_counters.json"
-    } else {
-        "BENCH_pr4.json"
-    };
-    let path = path_arg.map_or(default, String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (counters, full) = bench::kernels::kernel_report(fast);
-    let body = if counters_only { counters } else { full };
-    if let Err(e) = std::fs::write(path, &body) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote kernel report to {path}");
-    0
+/// One file-writing subcommand. `MSA_BENCH_FAST=1` shrinks every
+/// report's grids and repetitions.
+struct Sub {
+    name: &'static str,
+    /// What the status line calls each written file, and its default
+    /// path; positional arguments override the paths in order.
+    files: &'static [(&'static str, &'static str)],
+    /// Default path under a leading `--counters`, which selects the
+    /// deterministic section only (`None`: the flag does not apply).
+    counters: Option<&'static str>,
+    /// `(fast, counters_only)` → one body per file, and whether the
+    /// report's own contracts hold.
+    report: fn(bool, bool) -> (Vec<String>, bool),
+    /// Contract flags: a body containing any of these fails the run.
+    broken: &'static [&'static str],
+    /// What a broken contract is reported as (`…; see <path>`).
+    failure: &'static str,
 }
 
-/// Runs the `comm` subcommand (PR 5): deterministic collective wire
-/// counters + fused-vs-serialized bit-equality with `--counters`,
-/// otherwise the full report with the allreduce timing sweep (default
-/// `BENCH_pr5.json`). `MSA_BENCH_FAST=1` shrinks models and repetitions.
-fn run_comm(rest: &[String]) -> i32 {
-    let counters_only = rest.first().is_some_and(|a| a == "--counters");
-    let path_arg = if counters_only { rest.get(1) } else { rest.first() };
-    let default = if counters_only {
-        "BENCH_pr5_counters.json"
-    } else {
-        "BENCH_pr5.json"
-    };
-    let path = path_arg.map_or(default, String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (counters, full) = bench::comm::comm_report(fast);
-    let body = if counters_only { counters } else { full };
-    if let Err(e) = std::fs::write(path, &body) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote comm report to {path}");
-    0
+/// Adapts a `(counters, full)` report pair to [`Sub::report`].
+fn pick((counters, full): (String, String), counters_only: bool) -> (Vec<String>, bool) {
+    (vec![if counters_only { counters } else { full }], true)
 }
 
-/// Runs the `tune` subcommand (PR 7): executes the autotuner grid and
-/// writes the decision table (first path, default `TUNE_pr7.table`) and
-/// the grid report (second path, default `BENCH_pr7.json`). Both files
-/// are deterministic; `MSA_BENCH_FAST=1` swaps in the smoke grid.
-fn run_tune(rest: &[String]) -> i32 {
-    let table_path = rest.first().map_or("TUNE_pr7.table", String::as_str);
-    let json_path = rest.get(1).map_or("BENCH_pr7.json", String::as_str);
+const SUBS: &[Sub] = &[
+    Sub {
+        name: "kernels",
+        files: &[("kernel report", "BENCH_pr4.json")],
+        counters: Some("BENCH_pr4_counters.json"),
+        report: |fast, c| pick(bench::kernels::kernel_report(fast), c),
+        broken: &[],
+        failure: "",
+    },
+    Sub {
+        name: "comm",
+        files: &[("comm report", "BENCH_pr5.json")],
+        counters: Some("BENCH_pr5_counters.json"),
+        report: |fast, c| pick(bench::comm::comm_report(fast), c),
+        broken: &[],
+        failure: "",
+    },
+    Sub {
+        name: "tune",
+        files: &[
+            ("decision table", "TUNE_pr7.table"),
+            ("grid report", "BENCH_pr7.json"),
+        ],
+        counters: None,
+        report: |fast, _| {
+            let (table, json) = bench::tune::tune_report(fast);
+            (vec![table, json], true)
+        },
+        broken: &[],
+        failure: "",
+    },
+    Sub {
+        name: "serve",
+        files: &[("serving grid report", "BENCH_pr8.json")],
+        counters: None,
+        report: |fast, _| {
+            let (json, ok) = bench::serve::serve_report(fast);
+            (vec![json], ok)
+        },
+        broken: &[],
+        failure: "serving contract flags failed (empty histogram or broken tradeoff)",
+    },
+    Sub {
+        name: "codec",
+        files: &[
+            ("extended decision table", "TUNE_pr9.table"),
+            ("codec report", "BENCH_pr9.json"),
+        ],
+        counters: None,
+        report: |fast, _| {
+            let (table, json) = bench::codec::codec_report(fast);
+            (vec![table, json], true)
+        },
+        broken: &[],
+        failure: "",
+    },
+    Sub {
+        name: "pipeline",
+        files: &[("pipeline report", "BENCH_pr10.json")],
+        counters: Some("BENCH_pr10_counters.json"),
+        report: |fast, c| pick(bench::pipeline::pipeline_report(fast), c),
+        broken: &[
+            "\"bit_identical\": false",
+            "\"wall_invariant\": false",
+            "\"partition_invariant\": false",
+            "\"prefetch_bit_identical\": false",
+            "\"overlap_saves_time\": false",
+            "\"zero_steady_state_allocs\": false",
+            "\"input_bound_at_scale\": false",
+            "\"real_epoch_speedup_ge_1_2x\": false",
+        ],
+        failure: "pipeline contract flags failed",
+    },
+];
+
+/// Runs one [`Sub`]: writes every body, then fails on a broken contract.
+fn run_sub(sub: &Sub, rest: &[String]) -> i32 {
+    let counters_only = sub.counters.is_some() && rest.first().is_some_and(|a| a == "--counters");
+    let paths = &rest[usize::from(counters_only)..];
     let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (table, json) = bench::tune::tune_report(fast);
-    for (path, body) in [(table_path, &table), (json_path, &json)] {
-        if let Err(e) = std::fs::write(path, body) {
+    let (bodies, ok) = (sub.report)(fast, counters_only);
+    let (mut wrote, mut last) = (Vec::new(), "");
+    for (i, (body, (what, default))) in bodies.iter().zip(sub.files).enumerate() {
+        let default = sub.counters.filter(|_| counters_only).unwrap_or(default);
+        last = paths.get(i).map_or(default, String::as_str);
+        if let Err(e) = std::fs::write(last, body) {
             // lint: allow(print) -- CLI diagnostic on stderr
-            eprintln!("cannot write {path}: {e}");
+            eprintln!("cannot write {last}: {e}");
             return 1;
         }
+        wrote.push(format!("{what} to {last}"));
     }
-    // lint: allow(print) -- CLI status output
-    println!("wrote decision table to {table_path} and grid report to {json_path}");
-    0
-}
-
-/// Runs the `codec` subcommand (PR 9): measures the gradient wire
-/// codecs and writes the extended decision table (first path, default
-/// `TUNE_pr9.table`) and the codec report (second path, default
-/// `BENCH_pr9.json`). Both files are deterministic; `MSA_BENCH_FAST=1`
-/// shrinks the wire grid.
-fn run_codec(rest: &[String]) -> i32 {
-    let table_path = rest.first().map_or("TUNE_pr9.table", String::as_str);
-    let json_path = rest.get(1).map_or("BENCH_pr9.json", String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (table, json) = bench::codec::codec_report(fast);
-    for (path, body) in [(table_path, &table), (json_path, &json)] {
-        if let Err(e) = std::fs::write(path, body) {
-            // lint: allow(print) -- CLI diagnostic on stderr
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote extended decision table to {table_path} and codec report to {json_path}");
-    0
-}
-
-/// Runs the `pipeline` subcommand (PR 10): the overlapped input
-/// pipeline report. `--counters` writes the deterministic sections only
-/// (CI byte-compares two runs); otherwise the full report with the
-/// measured stage-bound epoch timing goes to the given path (default
-/// `BENCH_pr10.json`). `MSA_BENCH_FAST=1` shrinks the grids. Exits
-/// non-zero if any contract flag reads false.
-fn run_pipeline(rest: &[String]) -> i32 {
-    let counters_only = rest.first().is_some_and(|a| a == "--counters");
-    let path_arg = if counters_only { rest.get(1) } else { rest.first() };
-    let default = if counters_only {
-        "BENCH_pr10_counters.json"
-    } else {
-        "BENCH_pr10.json"
-    };
-    let path = path_arg.map_or(default, String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (counters, full) = bench::pipeline::pipeline_report(fast);
-    let body = if counters_only { counters } else { full };
-    if let Err(e) = std::fs::write(path, &body) {
+    let broken = |body: &String| sub.broken.iter().any(|flag| body.contains(flag));
+    if !ok || bodies.iter().any(broken) {
         // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    let broken = [
-        "\"bit_identical\": false",
-        "\"wall_invariant\": false",
-        "\"partition_invariant\": false",
-        "\"prefetch_bit_identical\": false",
-        "\"overlap_saves_time\": false",
-        "\"zero_steady_state_allocs\": false",
-        "\"input_bound_at_scale\": false",
-        "\"real_epoch_speedup_ge_1_2x\": false",
-    ];
-    if broken.iter().any(|f| body.contains(f)) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("pipeline contract flags failed; see {path}");
+        eprintln!("{}; see {last}", sub.failure);
         return 1;
     }
     // lint: allow(print) -- CLI status output
-    println!("wrote pipeline report to {path}");
-    0
-}
-
-fn run_serve(rest: &[String]) -> i32 {
-    let path = rest.first().map_or("BENCH_pr8.json", String::as_str);
-    let fast = std::env::var("MSA_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (json, ok) = bench::serve::serve_report(fast);
-    if let Err(e) = std::fs::write(path, &json) {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("cannot write {path}: {e}");
-        return 1;
-    }
-    if !ok {
-        // lint: allow(print) -- CLI diagnostic on stderr
-        eprintln!("serving contract flags failed (empty histogram or broken tradeoff); see {path}");
-        return 1;
-    }
-    // lint: allow(print) -- CLI status output
-    println!("wrote serving grid report to {path}");
+    println!("wrote {}", wrote.join(" and "));
     0
 }
 
@@ -246,23 +206,8 @@ fn main() {
         let path = args.get(1).map_or("BENCH_pr3.json", String::as_str);
         std::process::exit(run_obs(path));
     }
-    if args[0] == "kernels" {
-        std::process::exit(run_kernels(&args[1..]));
-    }
-    if args[0] == "comm" {
-        std::process::exit(run_comm(&args[1..]));
-    }
-    if args[0] == "serve" {
-        std::process::exit(run_serve(&args[1..]));
-    }
-    if args[0] == "tune" {
-        std::process::exit(run_tune(&args[1..]));
-    }
-    if args[0] == "codec" {
-        std::process::exit(run_codec(&args[1..]));
-    }
-    if args[0] == "pipeline" {
-        std::process::exit(run_pipeline(&args[1..]));
+    if let Some(sub) = SUBS.iter().find(|s| s.name == args[0]) {
+        std::process::exit(run_sub(sub, &args[1..]));
     }
     for id in &args {
         // lint: allow(print) -- CLI report output

@@ -5,8 +5,10 @@
 //! have finished backward. This module provides the deterministic core:
 //! [`FusionConfig`] (the fusion threshold + overlap switch, a [`Trainer`]
 //! option) and [`FusionBuffer`], which partitions the flat gradient into
-//! size-targeted, **layer-aligned** buckets with persistent per-bucket
-//! slabs — steady-state packing does zero heap allocation.
+//! size-targeted, **layer-aligned** buckets. It owns no memory: the
+//! buckets tile the caller's flat buffer, [`FusionBuffer::segments`]
+//! lends one `&mut [f32]` per bucket, and a finished bucket is reduced
+//! in place.
 //!
 //! Bucket boundary rules (documented in DESIGN.md §11):
 //! * buckets are contiguous ranges of the flat gradient, covering whole
@@ -62,12 +64,7 @@ impl ExchangeDispatch {
     }
 
     /// Allreduces one bucket segment through the configured path.
-    pub fn reduce_bucket<C: PointToPoint + ?Sized>(
-        &self,
-        c: &C,
-        seg: &mut [f32],
-        scratch: &mut Arena,
-    ) {
+    fn reduce_bucket<C: PointToPoint + ?Sized>(&self, c: &C, seg: &mut [f32], scratch: &mut Arena) {
         match self {
             ExchangeDispatch::Pipeline => collectives::pipeline_allreduce(c, seg, scratch),
             ExchangeDispatch::Tuned(table) => tuned_allreduce(c, seg, scratch, table),
@@ -76,10 +73,9 @@ impl ExchangeDispatch {
 
     /// Allreduce-**mean** of one bucket segment under a wire codec.
     ///
-    /// * [`GradCodec::Dense32`] — the configured dispatch
-    ///   ([`ExchangeDispatch::reduce_bucket`]) followed by the division
-    ///   by `size()`: exactly the seed sequence, bit-identical to the
-    ///   pre-codec trainer.
+    /// * [`GradCodec::Dense32`] — the configured dispatch followed by
+    ///   the division by `size()`: exactly the seed sequence,
+    ///   bit-identical to the pre-codec trainer.
     /// * [`GradCodec::Bf16`] — the bf16-wire pipeline chain (half the
     ///   wire bytes; partition-invariant like the dense chain, so
     ///   bit-equality across bucket sizes is preserved), then the same
@@ -129,9 +125,10 @@ pub struct FusionConfig {
     /// `None` — the default — keeps the seed behaviour: one
     /// whole-gradient exchange after backward completes.
     pub bucket_bytes: Option<usize>,
-    /// Run each bucket's allreduce concurrently with the remaining
-    /// backward pass (comm progress on a dedicated thread-pool lane) and
-    /// price the step as `max(compute_tail, comm)` per bucket.
+    /// Drain the queue of finished buckets beside the remaining backward
+    /// pass (on a thread-pool lane) instead of after it, and price the
+    /// step as `max(compute_tail, comm)` per bucket. Same reduce calls in
+    /// the same order either way.
     pub overlap: bool,
 }
 
@@ -158,7 +155,7 @@ impl FusionConfig {
 }
 
 /// One fusion bucket: a layer-aligned contiguous range of the flat
-/// gradient plus its persistent exchange slab.
+/// gradient.
 #[derive(Debug)]
 pub struct Bucket {
     /// Flat gradient range `[start, end)` this bucket covers.
@@ -168,9 +165,6 @@ pub struct Bucket {
     /// Backward visits layers in descending order, so the bucket's
     /// gradients are final right after this layer's backward.
     pub first_layer: usize,
-    /// Persistent exchange buffer of `end - start` floats; taken by
-    /// [`FusionBuffer::take_slab`] for the duration of the allreduce.
-    slab: Vec<f32>,
 }
 
 impl Bucket {
@@ -212,14 +206,12 @@ impl FusionBuffer {
             if start == end {
                 continue;
             }
-            let b = open.get_or_insert_with(|| Bucket {
+            let b = open.get_or_insert(Bucket {
                 start,
                 end: start,
                 first_layer: i,
-                slab: Vec::new(),
             });
             b.end = end;
-            b.first_layer = b.first_layer.min(i);
             bucket_of[i] = buckets.len();
             if (b.end - b.start) * size_of::<f32>() >= threshold {
                 // lint: allow(unwrap) -- `open` was just populated above
@@ -228,9 +220,6 @@ impl FusionBuffer {
         }
         if let Some(b) = open {
             buckets.push(b);
-        }
-        for b in &mut buckets {
-            b.slab = vec![0.0; b.end - b.start];
         }
         FusionBuffer {
             buckets,
@@ -244,32 +233,42 @@ impl FusionBuffer {
         &self.buckets
     }
 
-    /// Copies layer `i`'s parameter gradients into its bucket slab
-    /// (zero-allocation). Returns `Some(bucket_index)` when this layer
-    /// completes the bucket — backward order guarantees every other
-    /// layer of the bucket has already been packed.
-    pub fn pack_layer(&mut self, i: usize, layer: &dyn Layer) -> Option<usize> {
+    /// Splits `flat` into one segment per bucket, in bucket order. The
+    /// buckets tile the flat gradient, so the segments are disjoint and
+    /// cover it exactly.
+    pub fn segments<'a>(&self, flat: &'a mut [f32]) -> Vec<&'a mut [f32]> {
+        assert_eq!(flat.len(), self.spans.last().map_or(0, |s| s.1));
+        let mut rest = flat;
+        let cut = |b: &Bucket| {
+            let (seg, tail) = std::mem::take(&mut rest).split_at_mut(b.len());
+            rest = tail;
+            seg
+        };
+        self.buckets.iter().map(cut).collect()
+    }
+
+    /// Copies layer `i`'s parameter gradients into its place in `segs`
+    /// (from [`FusionBuffer::segments`]). When this layer completes its
+    /// bucket — backward order guarantees every other layer of the bucket
+    /// has already been packed — the bucket's index and segment are moved
+    /// out to the caller, ready to reduce.
+    pub fn pack_layer<'a>(
+        &self,
+        i: usize,
+        layer: &dyn Layer,
+        segs: &mut [&'a mut [f32]],
+    ) -> Option<(usize, &'a mut [f32])> {
         let (start, end) = self.spans[i];
         if start == end {
             return None;
         }
         let bidx = self.bucket_of[i];
-        let b = &mut self.buckets[bidx];
-        let off = start - b.start;
-        nn::param::copy_grads_into(&layer.params(), &mut b.slab[off..off + (end - start)]);
-        (i == b.first_layer).then_some(bidx)
-    }
-
-    /// Takes bucket `bidx`'s slab for the exchange (ownership moves to
-    /// the comm lane); pair with [`FusionBuffer::return_slab`].
-    pub fn take_slab(&mut self, bidx: usize) -> Vec<f32> {
-        std::mem::take(&mut self.buckets[bidx].slab)
-    }
-
-    /// Returns an exchanged slab to its bucket for reuse next step.
-    pub fn return_slab(&mut self, bidx: usize, slab: Vec<f32>) {
-        debug_assert_eq!(slab.len(), self.buckets[bidx].len());
-        self.buckets[bidx].slab = slab;
+        let b = &self.buckets[bidx];
+        nn::param::copy_grads_into(
+            &layer.params(),
+            &mut segs[bidx][start - b.start..end - b.start],
+        );
+        (i == b.first_layer).then(|| (bidx, std::mem::take(&mut segs[bidx])))
     }
 }
 
@@ -309,6 +308,13 @@ mod tests {
         for w in fb.buckets().windows(2) {
             assert_eq!(w[0].end, w[1].start);
         }
+        // The segments are exactly those tiles of a flat buffer.
+        let mut flat: Vec<f32> = (0..28).map(|i| i as f32).collect();
+        let segs = fb.segments(&mut flat);
+        assert_eq!(segs.len(), 3);
+        for (seg, b) in segs.iter().zip(fb.buckets()) {
+            assert_eq!((seg.len(), seg[0]), (b.len(), b.start as f32));
+        }
     }
 
     #[test]
@@ -323,5 +329,30 @@ mod tests {
     fn parameterless_model_has_no_buckets() {
         let fb = FusionBuffer::new(&[(0, 0), (0, 0)], 0, Some(1024));
         assert!(fb.buckets().is_empty());
+        assert!(fb.segments(&mut []).is_empty());
+    }
+
+    #[test]
+    fn packing_back_to_front_fills_flat_and_completes_buckets_in_descending_order() {
+        let mut rng = tensor::Rng::seed(3);
+        let mut model = nn::Sequential::new()
+            .push(nn::Dense::new(5, 4, &mut rng))
+            .push(nn::Relu::new())
+            .push(nn::Dense::new(4, 3, &mut rng))
+            .push(nn::Dense::new(3, 2, &mut rng));
+        let out = model.forward(&rng.normal_tensor(&[6, 5], 1.0), true);
+        // Layers of 24/0/15/8 floats, 64-byte threshold: 0 alone, 2+3 fuse.
+        let fb = FusionBuffer::new(&model.layer_param_spans(), model.param_count(), Some(64));
+        let mut flat = vec![f32::NAN; model.param_count()];
+        let mut segs = fb.segments(&mut flat);
+        let mut completed = Vec::new();
+        model.backward_with(&out, |i, layer| {
+            if let Some((bidx, seg)) = fb.pack_layer(i, layer, &mut segs) {
+                assert_eq!(seg.len(), fb.buckets()[bidx].len());
+                completed.push(bidx);
+            }
+        });
+        assert_eq!(completed, vec![1, 0]);
+        assert_eq!(flat, model.grads_vec());
     }
 }

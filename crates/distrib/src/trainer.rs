@@ -909,89 +909,62 @@ impl<'a, L: Loss> Rank<'a, L> {
     }
 
     /// Forward + backward, and the Horovod moment — average gradients
-    /// across ranks. With overlap on, each fusion bucket's allreduce
-    /// launches on a pool lane as soon as its layers finish backward;
-    /// otherwise the exchange runs serialized after backward. Both
-    /// schedules reduce every bucket through the same
-    /// [`ExchangeDispatch`], so fused and serialized runs of one
-    /// partition agree bit-for-bit; the default pipeline dispatch is
-    /// additionally partition-invariant (bits never depend on
-    /// `bucket_bytes`). Returns the local loss.
+    /// across ranks ([`Rank::exchange`]). Returns the local loss.
     fn compute_and_exchange(&mut self, bx: &Tensor, by: &Tensor) -> f32 {
         self.model.zero_grad();
         let pred = self.model.forward(bx, true);
         let (l, grad) = self.loss.compute(&pred, by);
-        if self.t.fusion.overlap && !self.fusion.buckets().is_empty() {
-            self.exchange_overlapped(&grad);
-        } else {
-            self.exchange_serialized(&grad);
-        }
+        self.exchange(&grad);
         self.model.set_grads(&self.flat);
         l
     }
 
-    /// The serialized schedule (the tests' and the benchmark replica's
-    /// reference): full backward, then every bucket back-to-front.
-    fn exchange_serialized(&mut self, grad: &Tensor) {
-        self.model.backward(grad);
-        nn::param::copy_grads_into(&self.model.params(), &mut self.flat);
-        for (bidx, b) in self.fusion.buckets().iter().enumerate().rev() {
-            self.t.dispatch.reduce_bucket_codec(
-                self.comm,
-                &mut self.flat[b.start..b.end],
-                &mut self.arena,
-                self.t.codec,
-                self.compressors.get_mut(bidx),
-            );
-        }
-    }
-
-    /// Fused, overlapped gradient exchange — the executed half of the
-    /// Horovod schedule. Backward runs on the caller lane; a dedicated
-    /// thread-pool lane drains completed buckets and allreduces each
-    /// while later (earlier-layer) gradients are still being computed.
+    /// Backward plus the gradient exchange, one schedule run two ways.
+    /// Backward packs each finished layer into its bucket's segment of
+    /// `flat` and queues the segment once complete; the reduce lane
+    /// drains the queue back-to-front through one [`ExchangeDispatch`]
+    /// call per bucket, in place. With `fusion.overlap` the two run side
+    /// by side on the pool, otherwise one after the other — the same
+    /// calls in the same order, so fused ≡ serialized bit-for-bit for any
+    /// partition; the default pipeline dispatch is additionally
+    /// partition-invariant (bits never depend on `bucket_bytes`).
     ///
     /// Deadlock-freedom: `rayon::join` always starts the first closure on
-    /// the caller, so the backward producer runs even when the pool is
-    /// saturated — the comm lane then executes afterwards on the caller
-    /// and simply drains the unbounded channel serialized (correct, just
-    /// without overlap). Cross-rank safety is the pipeline schedule's:
-    /// msa-verify model-checks the bucketed schedule under `Bounded(1)`
-    /// channels, and `ThreadComm`'s credit pools are `Bounded(2)`.
-    fn exchange_overlapped(&mut self, grad: &Tensor) {
+    /// the caller, so backward runs even when the pool is saturated — the
+    /// reduce lane then executes afterwards on the caller and drains the
+    /// unbounded queue serialized. Cross-rank safety is the pipeline
+    /// schedule's: msa-verify model-checks the bucketed schedule under
+    /// `Bounded(1)` channels, and `ThreadComm`'s credit pools are
+    /// `Bounded(2)`.
+    fn exchange(&mut self, grad: &Tensor) {
+        let mut segs = self.fusion.segments(&mut self.flat);
         let (tx, rx) = crossbeam::channel::unbounded();
-        let mut done: Vec<Option<Vec<f32>>> = self.fusion.buckets().iter().map(|_| None).collect();
-        rayon::join(
-            || {
-                self.model.backward_with(grad, |i, layer| {
-                    if let Some(bidx) = self.fusion.pack_layer(i, layer) {
-                        // Unbounded channel: handing the bucket to the
-                        // comm lane never blocks the backward pass. A send
-                        // error is impossible while `rx` lives below.
-                        let _ = tx.send((bidx, self.fusion.take_slab(bidx)));
-                    }
-                });
-                drop(tx);
-            },
-            || {
-                while let Ok((bidx, mut slab)) = rx.recv() {
-                    self.t.dispatch.reduce_bucket_codec(
-                        self.comm,
-                        &mut slab,
-                        &mut self.arena,
-                        self.t.codec,
-                        self.compressors.get_mut(bidx),
-                    );
-                    done[bidx] = Some(slab);
+        let backward = || {
+            self.model.backward_with(grad, |i, layer| {
+                if let Some(done) = self.fusion.pack_layer(i, layer, &mut segs) {
+                    // Unbounded queue: never blocks the backward pass. A
+                    // send error is impossible while `rx` lives below.
+                    let _ = tx.send(done);
                 }
-            },
-        );
-        for (bidx, slot) in done.into_iter().enumerate() {
-            // lint: allow(unwrap) -- backward_with visits every layer, so every bucket flushes
-            let slab = slot.expect("every bucket is exchanged");
-            let b = &self.fusion.buckets()[bidx];
-            self.flat[b.start..b.end].copy_from_slice(&slab);
-            self.fusion.return_slab(bidx, slab);
+            });
+            drop(tx);
+        };
+        let mut reduce = || {
+            while let Ok((bidx, seg)) = rx.recv() {
+                self.t.dispatch.reduce_bucket_codec(
+                    self.comm,
+                    seg,
+                    &mut self.arena,
+                    self.t.codec,
+                    self.compressors.get_mut(bidx),
+                );
+            }
+        };
+        if self.t.fusion.overlap {
+            rayon::join(backward, reduce);
+        } else {
+            backward();
+            reduce();
         }
     }
 

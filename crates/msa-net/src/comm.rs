@@ -66,10 +66,10 @@ pub trait PointToPoint {
     }
 
     /// The endpoint's traffic counters, when it keeps any. Transports
-    /// that do ([`crate::ThreadComm`]) call
-    /// [`CommStats::on_send`]/[`CommStats::on_recv`] themselves; the
-    /// collective defaults below use this hook only to open per-op
-    /// attribution scopes. Defaults to `None` (unobserved transport).
+    /// that do ([`crate::ThreadComm`]) call [`CommStats::on_send`] /
+    /// [`CommStats::on_recv_priced`] themselves; the collective defaults
+    /// below use this hook only to open per-op attribution scopes.
+    /// Defaults to `None` (unobserved transport).
     fn stats(&self) -> Option<&CommStats> {
         None
     }

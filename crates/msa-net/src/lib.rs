@@ -20,14 +20,15 @@ pub mod comm;
 pub mod cost;
 pub mod fabric;
 pub mod hierarchical;
-pub mod scratch;
 pub mod stats;
 pub mod thread_comm;
 pub mod tune;
 
 pub use barrier::SenseBarrier;
 pub use codec::{bf16_allreduce, GradCodec, WirePair};
-pub use scratch::Arena;
+/// The collectives stage receives in the kernels' scratch arena: one
+/// growable buffer per call chain, zero-filled frames, growth counted.
+pub use tensor::scratch::{self, Arena};
 pub use comm::{Communicator, PointToPoint};
 pub use hierarchical::{hierarchical_allreduce, hierarchical_cost, GroupComm};
 pub use cost::{CollectiveAlgo, LinkParams, Topology};

@@ -99,11 +99,11 @@ struct OpCounters {
 /// Per-endpoint traffic counters, attributed to the collective currently
 /// in scope.
 ///
-/// A transport calls [`CommStats::on_send`] / [`CommStats::on_recv`] from
-/// its `send`/`recv`; the collective default methods on
-/// [`crate::Communicator`] wrap themselves in [`CommStats::scope`] so the
-/// traffic lands in the right slot. Anything outside a scope counts as
-/// [`CollectiveOp::P2p`].
+/// A transport calls [`CommStats::on_send`] /
+/// [`CommStats::on_recv_priced`] from its `send`/`recv`; the collective
+/// default methods on [`crate::Communicator`] wrap themselves in
+/// [`CommStats::scope`] so the traffic lands in the right slot. Anything
+/// outside a scope counts as [`CollectiveOp::P2p`].
 #[derive(Debug)]
 pub struct CommStats {
     ops: [OpCounters; OP_COUNT],
@@ -147,15 +147,8 @@ impl CommStats {
     }
 
     /// Records one inbound message of `bytes` payload bytes, charging the
-    /// modeled α–β transfer time as wait and advancing this endpoint's
-    /// virtual clock by the same price from its current value.
-    pub fn on_recv(&self, bytes: usize) {
-        let now = self.vtime_ps.load(Ordering::Relaxed);
-        self.on_recv_priced(bytes, self.link, now);
-    }
-
-    /// Records one inbound message priced on an explicit per-peer `link`,
-    /// stamped with the *sender's* virtual send time.
+    /// modeled α–β transfer time on the per-peer `link` as wait, stamped
+    /// with the *sender's* virtual send time.
     ///
     /// This is the discrete-event half of the measured autotuner
     /// ([`crate::tune`]): the message is modeled as arriving at
@@ -296,19 +289,20 @@ mod tests {
 
     #[test]
     fn traffic_lands_in_the_scoped_slot() {
-        let stats = CommStats::new(LinkParams::extoll());
+        let link = LinkParams::extoll();
+        let stats = CommStats::new(link);
         stats.on_send(100);
         {
             let _g = stats.scope(CollectiveOp::Allreduce);
             stats.on_send(40);
-            stats.on_recv(40);
+            stats.on_recv_priced(40, link, 0);
             {
                 let _inner = stats.scope(CollectiveOp::Barrier);
                 stats.on_send(0);
             }
             stats.on_send(40);
         }
-        stats.on_recv(8);
+        stats.on_recv_priced(8, link, 0);
 
         let snap = stats.export();
         assert_eq!(snap.op(CollectiveOp::P2p).msgs_sent, 1);
@@ -324,7 +318,7 @@ mod tests {
     fn recv_wait_is_the_alpha_beta_price() {
         let link = LinkParams::extoll();
         let stats = CommStats::new(link);
-        stats.on_recv(1_000_000);
+        stats.on_recv_priced(1_000_000, link, 0);
         let want = msa_obs::simtime_to_ps(link.p2p(1e6));
         assert_eq!(stats.export().op(CollectiveOp::P2p).wait_ps, want);
     }
@@ -341,8 +335,8 @@ mod tests {
         // A stale message (older stamp) never rewinds the clock.
         stats.on_recv_priced(1024, link, 0);
         assert_eq!(stats.vtime_ps(), 5000 + cost);
-        // Plain on_recv advances from the current clock.
-        stats.on_recv(1024);
+        // A message sent "now" advances the clock by its price.
+        stats.on_recv_priced(1024, link, stats.vtime_ps());
         assert_eq!(stats.vtime_ps(), 5000 + 2 * cost);
     }
 

@@ -1,7 +1,9 @@
-//! A real in-process communicator: `n` endpoints joined by a full mesh of
-//! lock-free channels. One OS thread per rank plays the role of one GPU
-//! worker in the Horovod-style experiments; the collectives from
-//! [`crate::collectives`] then run *for real* over these channels.
+//! A real in-process communicator: `n` endpoints joined by two full
+//! meshes of lock-free channels — payloads, each carrying its sender's
+//! virtual send time, and the buffer credits flowing back. One OS thread
+//! per rank plays the role of one GPU worker in the Horovod-style
+//! experiments; the collectives from [`crate::collectives`] then run
+//! *for real* over these channels.
 
 use crate::comm::PointToPoint;
 use crate::cost::{LinkParams, Topology};
@@ -124,16 +126,9 @@ pub struct ThreadComm {
     rank: usize,
     size: usize,
     /// `senders[to]` feeds the (self → to) channel.
-    senders: Vec<Sender<Vec<f32>>>,
+    senders: Vec<Sender<Msg>>,
     /// `receivers[from]` drains the (from → self) channel.
-    receivers: Vec<Receiver<Vec<f32>>>,
-    /// `stamp_tx[to]` carries the sender's virtual send time, one stamp
-    /// per payload message in the same FIFO order, so every receive can
-    /// compute a deterministic modeled arrival time (see
-    /// [`CommStats::on_recv_priced`]).
-    stamp_tx: Vec<Sender<u64>>,
-    /// `stamp_rx[from]` pairs with `receivers[from]`.
-    stamp_rx: Vec<Receiver<u64>>,
+    receivers: Vec<Receiver<Msg>>,
     /// `pool_credits[to]` holds recycled buffers this endpoint may use
     /// for its next slice-path send to `to` (seeded with
     /// [`CREDITS_PER_CHANNEL`] empty buffers at construction; refilled by
@@ -154,6 +149,36 @@ pub struct ThreadComm {
     topo: Option<Topology>,
     /// Per-endpoint traffic counters (always on; relaxed atomics).
     stats: CommStats,
+}
+
+/// One message on the wire: the payload plus the sender's virtual clock
+/// at the send, so every receive can compute a deterministic modeled
+/// arrival time (see [`CommStats::on_recv_priced`]).
+#[derive(Debug)]
+struct Msg {
+    sent_at_ps: u64,
+    data: Vec<f32>,
+}
+
+/// One rank's ends of a channel mesh: its senders by destination and its
+/// receivers by source.
+type Ends<T> = (Vec<Sender<T>>, Vec<Receiver<T>>);
+
+/// `n × n` unbounded channels, handed out per rank. One row of channels
+/// per sender, the receiver ends transposed as they are built — no
+/// placeholder `Option`s.
+fn mesh<T>(n: usize) -> Vec<Ends<T>> {
+    let mut rx: Vec<Vec<Receiver<T>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let tx: Vec<Vec<Sender<T>>> = (0..n)
+        .map(|_| {
+            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+            for (j, r) in receivers.into_iter().enumerate() {
+                rx[j].push(r);
+            }
+            senders
+        })
+        .collect();
+    tx.into_iter().zip(rx).collect()
 }
 
 /// Send credits pre-seeded per directed channel. Blocking on a credit in
@@ -183,70 +208,34 @@ impl ThreadComm {
         }
         let fault = opts.fault;
         let link = opts.link_or_default();
-        // One row of channels per *sender* i, transposing the receiver
-        // ends as we go so that rank j ends up owning
-        // `receivers[from] = row[from][j]` — no placeholder `Option`s.
-        // The same mesh is built twice: once for payloads, once for the
-        // buffer-pool return path (row i of the pool mesh carries spent
-        // buffers from consumer i back to their senders as credits).
-        let mut tx_rows: Vec<Vec<Sender<Vec<f32>>>> = Vec::with_capacity(n);
-        let mut rx_cols: Vec<Vec<Receiver<Vec<f32>>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        let mut pool_tx_rows: Vec<Vec<Sender<Vec<f32>>>> = Vec::with_capacity(n);
-        let mut pool_rx_cols: Vec<Vec<Receiver<Vec<f32>>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        let mut stamp_tx_rows: Vec<Vec<Sender<u64>>> = Vec::with_capacity(n);
-        let mut stamp_rx_cols: Vec<Vec<Receiver<u64>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        for i in 0..n {
-            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-            tx_rows.push(senders);
-            for (j, r) in receivers.into_iter().enumerate() {
-                rx_cols[j].push(r);
-            }
-            // Stamp mesh: one u64 channel per directed pair, FIFO-paired
-            // with the payload channel above.
-            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-            stamp_tx_rows.push(senders);
-            for (j, r) in receivers.into_iter().enumerate() {
-                stamp_rx_cols[j].push(r);
-            }
-            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-            // Seed the credits: pool channel (i ⇒ j) feeds rank j's
-            // sends *to* i, so each cross pair starts with
-            // CREDITS_PER_CHANNEL empty (capacity-0, allocation-free)
-            // buffers ready to be grown on first use.
-            for (j, s) in senders.iter().enumerate() {
-                if j != i {
-                    for _ in 0..CREDITS_PER_CHANNEL {
-                        // Unbounded channel with both ends in hand: the
-                        // send cannot fail.
-                        let _ = s.send(Vec::new());
-                    }
+        // The same mesh twice: payloads, and the buffer-pool return path
+        // (row i of the pool mesh carries spent buffers from consumer i
+        // back to their senders as credits).
+        let payload = mesh::<Msg>(n);
+        let pool = mesh::<Vec<f32>>(n);
+        // Seed the credits: pool channel (i ⇒ j) feeds rank j's sends
+        // *to* i, so each cross pair starts with CREDITS_PER_CHANNEL
+        // empty (capacity-0, allocation-free) buffers ready to be grown
+        // on first use.
+        for (i, (row, _)) in pool.iter().enumerate() {
+            for (_, s) in row.iter().enumerate().filter(|&(j, _)| j != i) {
+                for _ in 0..CREDITS_PER_CHANNEL {
+                    // Unbounded channel with both ends in hand: the send
+                    // cannot fail.
+                    let _ = s.send(Vec::new());
                 }
             }
-            pool_tx_rows.push(senders);
-            for (j, r) in receivers.into_iter().enumerate() {
-                pool_rx_cols[j].push(r);
-            }
         }
-        tx_rows
+        payload
             .into_iter()
-            .zip(rx_cols)
-            .zip(pool_tx_rows.into_iter().zip(pool_rx_cols))
-            .zip(stamp_tx_rows.into_iter().zip(stamp_rx_cols))
+            .zip(pool)
             .enumerate()
             .map(
-                |(
-                    rank,
-                    (((senders, receivers), (pool_return, pool_credits)), (stamp_tx, stamp_rx)),
-                )| ThreadComm {
+                |(rank, ((senders, receivers), (pool_return, pool_credits)))| ThreadComm {
                     rank,
                     size: n,
                     senders,
                     receivers,
-                    stamp_tx,
-                    stamp_rx,
                     pool_credits,
                     pool_return,
                     pool_allocs: msa_sync::atomic::AtomicU64::new(0),
@@ -323,22 +312,6 @@ impl ThreadComm {
             _ => self.stats.link(),
         }
     }
-
-    /// Pushes the virtual send time for an outgoing message to `to`.
-    fn stamp_send(&self, to: usize) {
-        self.stamp_tx[to]
-            .send(self.stats.vtime_ps())
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
-    }
-
-    /// Pops the matching send stamp for an incoming message from `from`.
-    fn stamp_recv(&self, from: usize) -> u64 {
-        self.stamp_rx[from]
-            .recv()
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use")
-    }
 }
 
 impl PointToPoint for ThreadComm {
@@ -350,21 +323,23 @@ impl PointToPoint for ThreadComm {
         self.size
     }
 
+    /// Ships `data`, stamped with this endpoint's virtual clock.
     fn send(&self, to: usize, data: Vec<f32>) {
         assert!(to < self.size && to != self.rank, "invalid peer {to}");
         self.stats.on_send(data.len() * std::mem::size_of::<f32>());
-        self.stamp_send(to);
+        let sent_at_ps = self.stats.vtime_ps();
         // Unbounded channel: never blocks; peer death is a test bug.
         self.senders[to]
-            .send(data)
+            .send(Msg { sent_at_ps, data })
             // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
             .expect("peer endpoint dropped while communicator in use");
     }
 
+    /// Takes the next message, pricing its arrival on the link it
+    /// travelled.
     fn recv(&self, from: usize) -> Vec<f32> {
         assert!(from < self.size && from != self.rank, "invalid peer {from}");
-        let sent_at = self.stamp_recv(from);
-        let data = self
+        let Msg { sent_at_ps, data } = self
             .receivers[from]
             .recv()
             // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
@@ -372,7 +347,7 @@ impl PointToPoint for ThreadComm {
         self.stats.on_recv_priced(
             data.len() * std::mem::size_of::<f32>(),
             self.link_for(from),
-            sent_at,
+            sent_at_ps,
         );
         data
     }
@@ -393,33 +368,17 @@ impl PointToPoint for ThreadComm {
         }
         buf.clear();
         buf.extend_from_slice(data);
-        self.stats.on_send(std::mem::size_of_val(data));
-        self.stamp_send(to);
-        self.senders[to]
-            .send(buf)
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
+        self.send(to, buf);
     }
 
     fn recv_into(&self, from: usize, dst: &mut [f32]) {
-        assert!(from < self.size && from != self.rank, "invalid peer {from}");
-        let sent_at = self.stamp_recv(from);
-        let data = self
-            .receivers[from]
-            .recv()
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
+        let data = self.recv(from);
         assert_eq!(
             data.len(),
             dst.len(),
             "recv_into: message length mismatch from rank {from}"
         );
         dst.copy_from_slice(&data);
-        self.stats.on_recv_priced(
-            data.len() * std::mem::size_of::<f32>(),
-            self.link_for(from),
-            sent_at,
-        );
         // Recycle: the spent buffer goes back to its sender as a fresh
         // credit. Ignore a dropped peer here — by then the data channel
         // has already surfaced the failure.

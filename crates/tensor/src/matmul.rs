@@ -451,11 +451,17 @@ fn block_nt(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize) {
     });
 }
 
+/// Tallest row strip of [`block_nn`] (then 4, then 1).
+const NN_MR: usize = 8;
+
 /// Rows per parallel block: oversubscribe 4× the pool width so uneven
-/// sparsity self-balances through the atomic index.
-fn rows_per_block(m: usize) -> usize {
+/// sparsity self-balances through the atomic index, rounded up to whole
+/// `strip`-row register tiles — a block shorter than the tile would run
+/// on the narrow leftover tiles only. Blocks stay whole rows, so the
+/// split cannot move a bit.
+fn rows_per_block(m: usize, strip: usize) -> usize {
     let nblocks = (rayon::current_num_threads() * 4).clamp(1, m);
-    m.div_ceil(nblocks)
+    m.div_ceil(nblocks).next_multiple_of(strip)
 }
 
 /// Column-block width for the `m == 1` split.
@@ -489,23 +495,18 @@ pub fn gemm_nn_into(
     if m == 1 {
         if k * n >= PAR_THRESHOLD && n > 1 {
             let cb = cols_per_block(n);
-            out.par_chunks_mut(cb).enumerate().for_each(|(ci, o)| {
-                let j0 = ci * cb;
-                let (kc, _) = (bl.kc(), ());
-                let mut k0 = 0;
-                while k0 < k {
-                    let k1 = (k0 + kc).min(k);
-                    saxpy_panel(a, b, n, k0, k1, j0, o);
-                    k0 = k1;
-                }
-            });
+            // One row has no `B` panel to reuse, so no k-blocking: the
+            // taps run in one ascending pass per column block.
+            out.par_chunks_mut(cb)
+                .enumerate()
+                .for_each(|(ci, o)| saxpy_panel(a, b, n, 0, k, ci * cb, o));
         } else {
             block_nn(a, b, out, k, n, bl);
         }
         return;
     }
     if m * n >= PAR_THRESHOLD {
-        let rb = rows_per_block(m);
+        let rb = rows_per_block(m, NN_MR);
         out.par_chunks_mut(rb * n)
             .zip(a.par_chunks(rb * k))
             .for_each(|(oc, ac)| block_nn(ac, b, oc, k, n, bl));
@@ -540,9 +541,7 @@ pub fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
         return;
     }
     if m * n >= PAR_THRESHOLD {
-        // Whole tiles per block: a block shorter than the tile would run
-        // on the narrow leftover tiles only.
-        let rb = rows_per_block(m).next_multiple_of(NT_MR);
+        let rb = rows_per_block(m, NT_MR);
         out.par_chunks_mut(rb * n)
             .zip(a.par_chunks(rb * k))
             .for_each(|(oc, ac)| block_nt(ac, b, oc, k, n));
@@ -974,10 +973,16 @@ mod tests {
 
     /// The headline contract: blocked/unrolled kernels are bit-identical
     /// to the seed ikj kernels, at shapes that are not multiples of the
-    /// block sizes, at m∈{1,2}, at k=0, and with structural zeros (±0.0)
-    /// exercising the sparsity fast path.
+    /// block sizes, at m∈{1,2}, at k=0, at the short-and-wide Dense and
+    /// conv shapes whose pool split must keep whole row strips, and with
+    /// structural zeros (±0.0) exercising the sparsity fast path. Pool
+    /// on ≡ pool off.
     #[test]
     fn blocked_kernels_match_seed_bit_exactly() {
+        for (m, strip) in [(1, 8), (4, 8), (16, 8), (17, 16), (240, 16), (1000, 8)] {
+            let rb = rows_per_block(m, strip);
+            assert!(rb > 0 && rb.is_multiple_of(strip), "m={m}: {rb}-row blocks");
+        }
         let mut r = Rng::seed(77);
         for (m, k, n) in [
             (1, 1, 1),
@@ -990,15 +995,23 @@ mod tests {
             (33, 17, 65),
             (64, 64, 64),
             (70, 129, 131),
+            (4, 256, 2048),
+            (16, 144, 256),
+            (17, 90, 256),
+            (24, 32, 256),
         ] {
             let a = sparse_tensor(&mut r, &[m, k]);
             let b = sparse_tensor(&mut r, &[k, n]);
             let ctx = format!("nn {m}x{k}x{n}");
-            assert_bits_equal(&matmul(&a, &b), &reference::matmul_ikj(&a, &b), &ctx);
+            let got = matmul(&a, &b);
+            assert_bits_equal(&got, &reference::matmul_ikj(&a, &b), &ctx);
+            assert_bits_equal(&got, &rayon::serial_scope(|| matmul(&a, &b)), &ctx);
 
             let at = sparse_tensor(&mut r, &[k, m]);
             let ctx = format!("tn {k}x{m}x{n}");
-            assert_bits_equal(&matmul_tn(&at, &b), &reference::matmul_tn_ikj(&at, &b), &ctx);
+            let got = matmul_tn(&at, &b);
+            assert_bits_equal(&got, &reference::matmul_tn_ikj(&at, &b), &ctx);
+            assert_bits_equal(&got, &rayon::serial_scope(|| matmul_tn(&at, &b)), &ctx);
 
             let bt = sparse_tensor(&mut r, &[n, k]);
             let ctx = format!("nt {m}x{k}x{n}");
