@@ -65,10 +65,13 @@ fn gru_step(c: &mut Criterion) {
     group.bench_function("fwd_16x48x10_h32", |b| {
         b.iter(|| gru.forward(&x, true));
     });
-    let y = gru.forward(&x, true);
-    let g = rng.normal_tensor(y.shape(), 1.0);
-    group.bench_function("bwd_16x48x10_h32", |b| {
-        b.iter(|| gru.backward(&g));
+    // `backward` consumes what `forward` cached, so the pair is the unit.
+    let g = rng.normal_tensor(&[16, 48, 32], 1.0);
+    group.bench_function("fwd_bwd_16x48x10_h32", |b| {
+        b.iter(|| {
+            gru.forward(&x, true);
+            gru.backward(&g)
+        });
     });
     group.finish();
 }

@@ -2,6 +2,7 @@
 //! dropout.
 
 use crate::layer::Layer;
+use crate::recurrent::sigmoid;
 use tensor::{Rng, Tensor};
 
 /// Rectified linear unit.
@@ -104,7 +105,7 @@ impl Default for Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let out = input.map(sigmoid);
         self.out = Some(out.clone());
         out
     }

@@ -32,6 +32,7 @@ pub mod norm;
 pub mod optim;
 pub mod param;
 pub mod pool;
+mod recurrent;
 pub mod serialize;
 
 pub use activation::{Dropout, Relu, Sigmoid, Tanh};

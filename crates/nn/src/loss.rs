@@ -3,6 +3,7 @@
 //! data-parallel gradient *averaging* across workers reproduces the
 //! single-worker large-batch gradient exactly.
 
+use crate::recurrent::sigmoid;
 use tensor::Tensor;
 
 /// A loss over (prediction, target) pairs.
@@ -60,7 +61,7 @@ impl Loss for BceWithLogits {
             debug_assert!(y == 0.0 || y == 1.0, "targets must be 0/1");
             // loss = max(z,0) − z·y + ln(1 + e^{−|z|})
             loss += (z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln()) as f64;
-            let sigma = 1.0 / (1.0 + (-z).exp());
+            let sigma = sigmoid(z);
             *g = (sigma - y) / n;
         }
         ((loss / n as f64) as f32, grad)
