@@ -1,5 +1,6 @@
 //! E3/E6 micro-bench: the tensor kernels every training step leans on —
-//! parallel matmul, im2col convolution, GRU steps. The matmul sweep runs
+//! parallel matmul, im2col convolution, GRU steps, and the elementwise
+//! layers and optimiser around them. The matmul sweep runs
 //! every size both over the persistent pool (`pool_on`) and inside
 //! [`rayon::serial_scope`] (`pool_off`) so the scheduling overhead is
 //! separable from kernel throughput. `MSA_BENCH_FAST=1` (honoured by the
@@ -76,5 +77,58 @@ fn gru_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, matmul_kernels, conv_forward_backward, gru_step);
+/// The layers of a step that are not GEMMs, on the benchmark's shapes:
+/// `icu_gru_p1`'s dropout and `Dense(32→1)` head, the ResNet's first
+/// batch norm, and Adam over the wide MLP's 2.1 M parameters.
+fn streaming_layers(c: &mut Criterion) {
+    let mut rng = Rng::seed(4);
+    let mut group = c.benchmark_group("dropout");
+    let mut dropout = nn::Dropout::new(0.2, 1001);
+    let x = rng.normal_tensor(&[240, 48, 32], 1.0);
+    group.bench_function("fwd_240x48x32", |b| {
+        b.iter(|| dropout.forward(&x, true));
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("dense");
+    let mut dense = nn::Dense::new(32, 1, &mut rng);
+    let g = rng.normal_tensor(&[240, 48, 1], 1.0);
+    group.bench_function("fwd_bwd_11520x32x1", |b| {
+        b.iter(|| {
+            dense.forward(&x, true);
+            dense.backward(&g)
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("batchnorm");
+    let mut bn = nn::BatchNorm::new(16);
+    let x = rng.normal_tensor(&[32, 16, 16, 16], 1.0);
+    let g = rng.normal_tensor(&[32, 16, 16, 16], 1.0);
+    group.bench_function("fwd_bwd_32x16x16x16", |b| {
+        b.iter(|| {
+            bn.forward(&x, true);
+            bn.backward(&g)
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("adam");
+    group.sample_size(20);
+    let mut p = nn::Param::new(rng.normal_tensor(&[2_097_152], 1.0));
+    p.grad = rng.normal_tensor(&[2_097_152], 0.01);
+    let mut adam = nn::Adam::new(1e-3);
+    group.bench_function("step_2m", |b| {
+        b.iter(|| nn::Optimizer::step(&mut adam, &mut [&mut p]));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    matmul_kernels,
+    conv_forward_backward,
+    gru_step,
+    streaming_layers
+);
 criterion_main!(benches);

@@ -15,6 +15,11 @@
 //! * `seed_spawn` — the seed kernel scheduled the seed-shim way: fresh
 //!   scoped OS threads and per-batch index `Vec`s on every call.
 //!
+//! The counters also carry a `layers` section: output and gradient
+//! checksums of the layers that are not GEMMs (dropout, the `Dense(32→1)`
+//! head, batch norm, ReLU, Adam) on fixed inputs, each compared with the
+//! value recorded before PR 21 rewrote them as streaming passes.
+//!
 //! The report has two sections: `counters` is fully deterministic
 //! (kernel checksums, bit-equality flags, scratch-growth counts — CI
 //! runs the subcommand twice and byte-compares this section) and
@@ -225,6 +230,112 @@ struct ConvSection {
     ns_bwd_seed: f64,
 }
 
+/// One of the layers that are not GEMMs (PR 21), on fixed inputs.
+struct LayerRow {
+    layer: &'static str,
+    /// Outputs of two training passes and an eval pass (Adam: weights).
+    hash_out: u64,
+    /// Input gradients and the accumulated parameter gradients (Adam:
+    /// the optimiser state).
+    hash_grads: u64,
+    bit_equal_seed: bool,
+    bit_equal_pool_off: bool,
+}
+
+/// `(hash_out, hash_grads)` of each [`layer_rows`] case as commit
+/// `16c71cf` computed them, before those layers were rewritten as
+/// streaming passes: what `bit_equal_seed` compares against. The inputs
+/// come from `uniform_tensor` and the layers use no libm function, so
+/// the values do not depend on the machine.
+const SEED_LAYER_HASHES: [(u64, u64); 5] = [
+    (0xeeae_fe95_ac24_ffd9, 0xc356_40d0_cf57_e2ef),
+    (0x55b8_b5ec_b0de_bc7a, 0xd41a_a4a5_dfb6_626e),
+    (0xed97_a3d0_2cd7_0903, 0x5044_a29a_4df0_d019),
+    (0x5bd6_87e0_cded_09a3, 0x1f54_e0e6_9341_3169),
+    (0xcc35_841c_6a70_f1ef, 0xe558_2b1b_cc5c_47dc),
+];
+
+/// `U(-1, 1)` values with `0.0` in every seventh and `-0.0` in every
+/// eleventh place, for the zero-skipping kernels and `x.max(0.0)`.
+fn fixed_tensor(rng: &mut Rng, shape: &[usize]) -> Tensor {
+    let mut t = rng.uniform_tensor(shape, -1.0, 1.0);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        if i % 7 == 0 {
+            *v = 0.0;
+        } else if i % 11 == 0 {
+            *v = -0.0;
+        }
+    }
+    t
+}
+
+/// Two training passes of `layer` with no `zero_grad` between them, then
+/// an eval forward.
+fn layer_hashes(mut layer: impl Layer, in_shape: &[usize], out_shape: &[usize]) -> (u64, u64) {
+    let mut rng = Rng::seed(21);
+    for p in layer.params_mut() {
+        p.value = fixed_tensor(&mut rng, p.value.shape());
+    }
+    let (mut outs, mut grads) = (Vec::new(), Vec::new());
+    for _ in 0..2 {
+        let x = fixed_tensor(&mut rng, in_shape);
+        let g = fixed_tensor(&mut rng, out_shape);
+        outs.extend_from_slice(layer.forward(&x, true).data());
+        grads.extend_from_slice(layer.backward(&g).data());
+    }
+    for p in layer.params() {
+        grads.extend_from_slice(p.grad.data());
+    }
+    // An eval pass shows the state training left (batch-norm statistics).
+    let x = fixed_tensor(&mut rng, in_shape);
+    outs.extend_from_slice(layer.forward(&x, false).data());
+    (bits_hash(&outs), bits_hash(&grads))
+}
+
+/// Three Adam steps over one parameter of 300 000 scalars.
+fn adam_hashes() -> (u64, u64) {
+    let mut rng = Rng::seed(22);
+    let mut p = nn::Param::new(fixed_tensor(&mut rng, &[300_000]));
+    let mut adam = nn::Adam::new(1e-3);
+    for _ in 0..3 {
+        p.grad = fixed_tensor(&mut rng, &[300_000]);
+        nn::Optimizer::step(&mut adam, &mut [&mut p]);
+    }
+    let state = nn::Optimizer::state(&adam);
+    (bits_hash(p.value.data()), bits_hash(&state))
+}
+
+fn layer_rows() -> Vec<LayerRow> {
+    let seq: &[usize] = &[240, 48, 32];
+    let img: &[usize] = &[32, 16, 16, 16];
+    type Case<'a> = (&'static str, &'a dyn Fn() -> (u64, u64));
+    let dropout = || layer_hashes(nn::Dropout::new(0.2, 1001), seq, seq);
+    let dense = || layer_hashes(nn::Dense::new(32, 1, &mut Rng::seed(1)), seq, &[240, 48, 1]);
+    let batchnorm = || layer_hashes(nn::BatchNorm::new(16), img, img);
+    let relu = || layer_hashes(nn::Relu::new(), img, img);
+    let cases: [Case; 5] = [
+        ("dropout_240x48x32", &dropout),
+        ("dense_11520x32x1", &dense),
+        ("batchnorm_32x16x16x16", &batchnorm),
+        ("relu_32x16x16x16", &relu),
+        ("adam_300k", &adam_hashes),
+    ];
+    cases
+        .iter()
+        .zip(SEED_LAYER_HASHES)
+        .map(|(&(layer, run), seed)| {
+            let got = run();
+            LayerRow {
+                layer,
+                hash_out: got.0,
+                hash_grads: got.1,
+                bit_equal_seed: got == seed,
+                bit_equal_pool_off: rayon::serial_scope(run) == got,
+            }
+        })
+        .collect()
+}
+
 fn bench_matmul(n: usize, reps: usize) -> MatmulRow {
     let mut rng = Rng::seed(n as u64);
     let a = rng.normal_tensor(&[n, n], 1.0);
@@ -316,7 +427,12 @@ fn bench_conv(reps: usize) -> ConvSection {
     }
 }
 
-fn counters_json(rows: &[MatmulRow], nt: &[NtRow], conv: &ConvSection) -> String {
+fn counters_json(
+    rows: &[MatmulRow],
+    nt: &[NtRow],
+    conv: &ConvSection,
+    layers: &[LayerRow],
+) -> String {
     let mut s = String::from("{\n  \"pool_threads\": ");
     let _ = write!(s, "{}", rayon::current_num_threads());
     s.push_str(",\n  \"matmul\": [\n");
@@ -346,7 +462,7 @@ fn counters_json(rows: &[MatmulRow], nt: &[NtRow], conv: &ConvSection) -> String
         );
     }
     s.push_str("  ],\n  \"conv2d\": ");
-    let _ = writeln!(
+    let _ = write!(
         s,
         "{{\"hash_fwd\": \"{:016x}\", \"hash_bwd\": \"{:016x}\", \"bit_equal_seed\": {}, \"bit_equal_pool_off\": {}, \"scratch_grows\": [{}, {}], \"grows_stable\": {}}}",
         conv.hash_fwd,
@@ -357,7 +473,20 @@ fn counters_json(rows: &[MatmulRow], nt: &[NtRow], conv: &ConvSection) -> String
         conv.grows_warm.1,
         conv.grows_stable
     );
-    s.push('}');
+    s.push_str(",\n  \"layers\": [\n");
+    for (i, r) in layers.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "    {{\"layer\": \"{}\", \"hash_out\": \"{:016x}\", \"hash_grads\": \"{:016x}\", \"bit_equal_seed\": {}, \"bit_equal_pool_off\": {}}}{}",
+            r.layer,
+            r.hash_out,
+            r.hash_grads,
+            r.bit_equal_seed,
+            r.bit_equal_pool_off,
+            if i + 1 < layers.len() { "," } else { "" }
+        );
+    }
+    s.push_str("  ]\n}");
     s
 }
 
@@ -422,7 +551,7 @@ pub fn kernel_report(fast: bool) -> (String, String) {
     let nt: Vec<NtRow> = NT_SHAPES.iter().map(|s| bench_nt(s, reps)).collect();
     let conv = bench_conv(reps);
 
-    let counters = counters_json(&rows, &nt, &conv);
+    let counters = counters_json(&rows, &nt, &conv, &layer_rows());
     let mut full = String::from("{\n\"counters\": ");
     full.push_str(&counters);
     full.push_str(",\n\"timings\": ");

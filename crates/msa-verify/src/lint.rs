@@ -9,7 +9,7 @@
 //! | `float-eq`        | `ml`, `nn`, `tensor`      | no `==` / `!=` against float literals; numeric code compares with tolerances |
 //! | `pub-event-field` | `msa-core/src/event.rs`   | event structs keep fields private so invariants hold at construction |
 //! | `print`           | every crate               | no `println!`/`eprintln!` in non-test library code; observability goes through `msa-obs` recorders. CLI binaries justify each print with an allow |
-//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/conv.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through caller-owned scratch buffers (`tensor::scratch`, `msa_net::Arena`, compressor/stream slabs) |
+//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through caller-owned scratch buffers (`tensor::scratch`, `msa_net::Arena`, compressor/stream slabs) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{barrier,thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
 //! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`) and the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) must not reappear; the `Trainer` and `CommOptions` builders and the plain-named, arena-taking collectives are the only surface |
@@ -119,7 +119,15 @@ impl Profile {
             "tensor" => file
                 .file_name()
                 .is_some_and(|n| n == "matmul.rs" || n == "conv.rs" || n == "codec.rs"),
-            "nn" => file.file_name().is_some_and(|n| n == "conv.rs"),
+            // The elementwise layers and the optimiser run once per layer
+            // per step over whole activations: their masks, `x̂` and input
+            // copies are grow-only buffers on the layer.
+            "nn" => file.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
+                matches!(
+                    n,
+                    "conv.rs" | "activation.rs" | "norm.rs" | "dense.rs" | "optim.rs"
+                )
+            }),
             // The collectives are the gradient-exchange inner loop: a
             // per-round allocation there multiplies by rounds × steps.
             // Warm-up growth paths justify themselves with allows.
@@ -183,7 +191,9 @@ impl Profile {
             float_eq: false,
             pub_event_field: false,
             print: false,
-            alloc_in_kernel: false,
+            // The keystream behind every dropout mask: the bulk fill
+            // writes into the caller's buffer.
+            alloc_in_kernel: shim_name == "rand_chacha",
             ordering_audit: !is_sync_core,
             raw_sync: matches!(shim_name, "rayon" | "crossbeam"),
             removed_api: false,
@@ -1329,6 +1339,22 @@ mod tests {
         assert!(p.removed_api);
         let p = Profile::for_shim("rayon", Path::new("shims/rayon/src/lib.rs"));
         assert!(!p.removed_api);
+    }
+
+    /// The layers that are not GEMMs and the keystream shim are under the
+    /// allocation rule; their neighbours are not.
+    #[test]
+    fn alloc_mask_covers_the_streaming_layers() {
+        for file in ["activation.rs", "norm.rs", "dense.rs", "optim.rs"] {
+            let p = Profile::for_crate("nn", &Path::new("crates/nn/src").join(file));
+            assert!(p.alloc_in_kernel, "{file}");
+        }
+        let p = Profile::for_crate("nn", Path::new("crates/nn/src/layer.rs"));
+        assert!(!p.alloc_in_kernel);
+        let p = Profile::for_shim("rand_chacha", Path::new("shims/rand_chacha/src/lib.rs"));
+        assert!(p.alloc_in_kernel && !p.unwrap && !p.print);
+        let p = Profile::for_shim("rand", Path::new("shims/rand/src/lib.rs"));
+        assert!(!p.alloc_in_kernel);
     }
 
     #[test]

@@ -141,8 +141,13 @@ impl Sequential {
         grad_out: &Tensor,
         mut after_layer: impl FnMut(usize, &dyn Layer),
     ) -> Tensor {
-        let mut g = grad_out.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        let mut layers = self.layers.iter_mut().enumerate().rev();
+        let Some((i, last)) = layers.next() else {
+            return grad_out.clone();
+        };
+        let mut g = last.backward(grad_out);
+        after_layer(i, &**last);
+        for (i, layer) in layers {
             g = layer.backward(&g);
             after_layer(i, &**layer);
         }
@@ -158,19 +163,18 @@ impl Default for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, train);
+        for layer in rest {
             x = layer.forward(&x, train);
         }
         x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        self.backward_with(grad_out, |_, _| {})
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -289,15 +293,81 @@ impl Layer for Flatten {
         self.input_shape = input.shape().to_vec();
         let n = input.shape()[0];
         let rest: usize = input.shape()[1..].iter().product();
-        input.clone().reshape(&[n, rest])
+        Tensor::from_vec(input.data().to_vec(), &[n, rest])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone().reshape(&self.input_shape.clone())
+        Tensor::from_vec(grad_out.data().to_vec(), &self.input_shape)
     }
 
     fn name(&self) -> &'static str {
         "Flatten"
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    //! A rewritten layer against the implementation it replaced, which
+    //! its module keeps verbatim under `#[cfg(test)]` as a [`Layer`].
+
+    use super::*;
+    use crate::recurrent::testing::{assert_same, sprinkle, FLAVOURS};
+    use tensor::Rng;
+
+    /// Everything observable about `layer` over two training passes with
+    /// no `zero_grad` between them (so the order gradients accumulate in
+    /// shows) and then an eval forward: outputs, input gradients, every
+    /// parameter gradient and the non-trainable state (batch-norm
+    /// statistics, dropout's keystream position) after each.
+    fn trace(mut layer: impl Layer, io: &[(Tensor, Tensor)], kinds: usize) -> Vec<Tensor> {
+        let mut rng = Rng::seed(7);
+        for p in layer.params_mut() {
+            p.value = rng.normal_tensor(p.value.shape(), 1.0);
+            sprinkle(&mut p.value, 900, kinds.min(2), 5);
+        }
+        let mut seen = Vec::new();
+        let mut observe = |layer: &dyn Layer, out: Vec<Tensor>| {
+            seen.extend(out);
+            seen.extend(layer.params().iter().map(|p| p.grad.clone()));
+            seen.push(Tensor::from_vec(layer.state(), &[layer.state_len()]));
+        };
+        for (x, g) in io {
+            let y = layer.forward(x, true);
+            let dx = layer.backward(g);
+            observe(&layer, vec![y, dx]);
+        }
+        let y = layer.forward(&io[0].0, false);
+        observe(&layer, vec![y]);
+        seen
+    }
+
+    /// `new()` ≡ `oracle()` to the bit, and pool-on ≡ [`rayon::serial_scope`],
+    /// on every `(input shape, output shape)`: finite inputs, then `±0.0`
+    /// in about one element in five (what a zero-skipping kernel and
+    /// `x.max(0.0)` care about), then NaN and `±inf` in one in 401.
+    pub(crate) fn layer_matches_oracle<A: Layer, B: Layer>(
+        new: impl Fn() -> A,
+        oracle: impl Fn() -> B,
+        shapes: &[(&[usize], &[usize])],
+    ) {
+        let _ = rayon::init_with_threads(4);
+        let mut rng = Rng::seed(23);
+        for &(in_shape, out_shape) in shapes {
+            for (flavour, kinds, every) in FLAVOURS {
+                let io = [1, 2].map(|salt| {
+                    let mut x = rng.normal_tensor(in_shape, 1.0);
+                    let mut g = rng.normal_tensor(out_shape, 1.0);
+                    sprinkle(&mut x, salt, kinds, every);
+                    sprinkle(&mut g, salt + 500, kinds, every);
+                    (x, g)
+                });
+                let ctx = format!("{in_shape:?} {flavour}");
+                let got = trace(new(), &io, kinds);
+                assert_same(&got, &trace(oracle(), &io, kinds), &ctx);
+                let off = rayon::serial_scope(|| trace(new(), &io, kinds));
+                assert_same(&off, &got, &format!("{ctx} pool off"));
+            }
+        }
     }
 }
 

@@ -46,3 +46,7 @@ pub use norm::BatchNorm;
 pub use optim::{u64_to_words, words_to_u64, Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+
+/// Elements per pool block of a pass worth a pool stage (dropout's mask,
+/// Adam, batch norm's sums). A pass of at most one block runs inline.
+pub(crate) const STREAM_BLOCK: usize = 1 << 14;

@@ -185,6 +185,55 @@ mod tests {
         assert!(m.param_count() > gru.param_count());
     }
 
+    /// Killed-and-resumed ≡ uninterrupted for every builder here: train
+    /// three steps, snapshot (model values, layer state, optimiser),
+    /// train three more; a differently initialised model restored from
+    /// the snapshot and trained the same three steps must end on the same
+    /// bits. Layer state is what makes this hold for the models with
+    /// batch norm (running statistics) and dropout (keystream position).
+    #[test]
+    fn every_builder_resumes_bit_exactly() {
+        use crate::optim::{Adam, Optimizer};
+        use crate::serialize::{load_training, save_with};
+        type Builder = fn(&mut Rng) -> Sequential;
+        let builders: [(&str, Builder, &[usize]); 5] = [
+            ("resnet_mini", |r| resnet_mini(3, 4, 4, 2, r), &[2, 3, 8, 8]),
+            ("covidnet_lite", |r| covidnet_lite(1, 3, r), &[2, 1, 16, 16]),
+            ("gru_imputer", |r| gru_imputer(5, r), &[3, 7, 5]),
+            ("lstm_imputer", |r| lstm_imputer(5, r), &[3, 7, 5]),
+            ("cnn1d_imputer", |r| cnn1d_imputer(5, r), &[3, 5, 9]),
+        ];
+        for (name, build, in_shape) in builders {
+            let mut data = Rng::seed(99);
+            let batches: Vec<Tensor> = (0..6).map(|_| data.normal_tensor(in_shape, 1.0)).collect();
+            let train = |model: &mut Sequential, opt: &mut Adam, batches: &[Tensor]| {
+                for x in batches {
+                    // L = ½‖y‖², so ∂L/∂y = y.
+                    let y = model.forward(x, true);
+                    model.backward(&y);
+                    opt.step(&mut model.params_mut());
+                    model.zero_grad();
+                }
+            };
+            let (mut model, mut opt) = (build(&mut Rng::seed(1)), Adam::new(1e-2));
+            train(&mut model, &mut opt, &batches[..3]);
+            let snapshot = save_with(&model, &opt.state(), b"");
+            train(&mut model, &mut opt, &batches[3..]);
+
+            let (mut resumed, mut opt2) = (build(&mut Rng::seed(2)), Adam::new(1e-2));
+            let (opt_state, _) = load_training(&mut resumed, &snapshot).expect(name);
+            opt2.load_state(&opt_state);
+            train(&mut resumed, &mut opt2, &batches[3..]);
+
+            let bits = |m: &Sequential| -> Vec<u32> {
+                let all = [m.values_vec(), m.state()].concat();
+                all.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&resumed), bits(&model), "{name}: resumed run diverged");
+            assert_eq!(opt2.state(), opt.state(), "{name}: optimiser diverged");
+        }
+    }
+
     #[test]
     fn resnet_depth_scales_param_count() {
         let mut rng = Rng::seed(5);

@@ -6,6 +6,8 @@
 //! of [`crate::Sequential::params_mut`].
 
 use crate::param::Param;
+use crate::STREAM_BLOCK;
+use rayon::prelude::*;
 use tensor::Tensor;
 
 /// An optimiser updates parameters in place from their accumulated
@@ -167,6 +169,12 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba) with bias correction.
+///
+/// A step is one sweep per parameter, [`STREAM_BLOCK`] blocks over the
+/// pool: `m`, `v` and the weight are each read and written once. Elements
+/// are independent and go through the expressions of the three-sweep step
+/// this replaced (the `#[cfg(test)]` oracle below) in their order, so the
+/// result is `to_bits`-equal for any block size and pool width.
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -220,19 +228,21 @@ impl Optimizer for Adam {
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
 
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            m.zip_inplace(&p.grad, |mm, g| b1 * mm + (1.0 - b1) * g);
-            v.zip_inplace(&p.grad, |vv, g| b2 * vv + (1.0 - b2) * g * g);
-            for ((w, &mm), &vv) in p
-                .value
+            p.value
                 .data_mut()
-                .iter_mut()
-                .zip(m.data())
-                .zip(v.data())
-            {
-                let mhat = mm / bc1;
-                let vhat = vv / bc2;
-                *w -= lr * mhat / (vhat.sqrt() + eps);
-            }
+                .par_chunks_mut(STREAM_BLOCK)
+                .zip(m.data_mut().par_chunks_mut(STREAM_BLOCK))
+                .zip(v.data_mut().par_chunks_mut(STREAM_BLOCK))
+                .zip(p.grad.data().par_chunks(STREAM_BLOCK))
+                .for_each(|(((w, m), v), g)| {
+                    for (((w, mm), vv), &g) in w.iter_mut().zip(m).zip(v).zip(g) {
+                        *mm = b1 * *mm + (1.0 - b1) * g;
+                        *vv = b2 * *vv + (1.0 - b2) * g * g;
+                        let mhat = *mm / bc1;
+                        let vhat = *vv / bc2;
+                        *w -= lr * mhat / (vhat.sqrt() + eps);
+                    }
+                });
         }
     }
 
@@ -386,6 +396,76 @@ mod tests {
         }
         assert_eq!(p.value.data()[0], expected);
         assert!(opt.state().iter().all(|&v| v == 0.0), "velocity polluted");
+    }
+
+    /// The three-sweep Adam update this module shipped before the
+    /// one-sweep rewrite, verbatim.
+    fn seed_adam_step(opt: &mut Adam, params: &mut [&mut Param]) {
+        opt.t += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        let (b1, b2, eps, lr) = (opt.beta1, opt.beta2, opt.eps, opt.lr);
+
+        for ((p, m), v) in params.iter_mut().zip(&mut opt.m).zip(&mut opt.v) {
+            m.zip_inplace(&p.grad, |mm, g| b1 * mm + (1.0 - b1) * g);
+            v.zip_inplace(&p.grad, |vv, g| b2 * vv + (1.0 - b2) * g * g);
+            for ((w, &mm), &vv) in p.value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+                let mhat = mm / bc1;
+                let vhat = vv / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
+            }
+        }
+    }
+
+    /// Weights and optimiser state after each of four steps, to the bit:
+    /// one-sweep ≡ three-sweep and pool-on ≡ `serial_scope`, on parameter
+    /// sizes around one and two [`STREAM_BLOCK`]s, one element and empty,
+    /// with `±0.0` gradients and then NaN/`±inf` mixed in.
+    #[test]
+    fn adam_matches_the_three_sweep_step() {
+        use crate::recurrent::testing::{assert_same, sprinkle, FLAVOURS};
+        use tensor::Rng;
+        let _ = rayon::init_with_threads(4);
+        let sizes = [2 * STREAM_BLOCK + 17, STREAM_BLOCK, 300, 1, 0];
+        for (flavour, kinds, every) in FLAVOURS {
+            let run = |step: &dyn Fn(&mut Adam, &mut [&mut Param])| {
+                let mut rng = Rng::seed(31);
+                let mut params: Vec<Param> = sizes
+                    .iter()
+                    .map(|&n| Param::new(rng.normal_tensor(&[n], 1.0)))
+                    .collect();
+                let mut opt = Adam::new(0.01);
+                let mut seen = Vec::new();
+                for t in 0..4 {
+                    for p in &mut params {
+                        p.grad = rng.normal_tensor(p.value.shape(), 1.0);
+                        sprinkle(&mut p.grad, t, kinds, every);
+                    }
+                    step(&mut opt, &mut params.iter_mut().collect::<Vec<_>>());
+                    seen.extend(params.iter().map(|p| p.value.clone()));
+                    seen.push(Tensor::from_vec(opt.state(), &[opt.state().len()]));
+                }
+                seen
+            };
+            let new = |opt: &mut Adam, params: &mut [&mut Param]| opt.step(params);
+            let oracle = |opt: &mut Adam, params: &mut [&mut Param]| {
+                if opt.m.is_empty() {
+                    opt.m = params
+                        .iter()
+                        .map(|p| Tensor::zeros(p.value.shape()))
+                        .collect();
+                    opt.v = opt.m.clone();
+                }
+                seed_adam_step(opt, params);
+            };
+            let got = run(&new);
+            assert_same(&got, &run(&oracle), flavour);
+            assert_same(
+                &rayon::serial_scope(|| run(&new)),
+                &got,
+                &format!("{flavour} pool off"),
+            );
+        }
     }
 
     #[test]

@@ -392,9 +392,15 @@ pub(crate) mod testing {
 
     const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
 
+    /// Input flavours `(name, kinds, every)` for [`sprinkle`]: finite; zeros
+    /// dense enough to break up a kernel's 4-tap bundles; non-finite values
+    /// sparse enough that most rows stay finite.
+    pub(crate) const FLAVOURS: [(&str, usize, usize); 3] =
+        [("finite", 0, 1), ("zeros", 2, 5), ("specials", 5, 401)];
+
     /// Overwrites a position-dependent one in `every` elements of `t`
     /// with the first `kinds` of [`SPECIALS`] (2: signed zeros only).
-    fn sprinkle(t: &mut Tensor, salt: usize, kinds: usize, every: usize) {
+    pub(crate) fn sprinkle(t: &mut Tensor, salt: usize, kinds: usize, every: usize) {
         for (i, v) in t.data_mut().iter_mut().enumerate() {
             let h = (i + salt).wrapping_mul(2_654_435_761) >> 7;
             if kinds > 0 && h.is_multiple_of(every) {
@@ -406,7 +412,7 @@ pub(crate) mod testing {
     /// `to_bits` equality, except that a NaN need only meet a NaN: which
     /// operand's sign and payload an add of two NaNs keeps is the
     /// compiler's choice per kernel strip, as in `tensor::matmul`'s tests.
-    fn assert_same(got: &[Tensor], want: &[Tensor], ctx: &str) {
+    pub(crate) fn assert_same(got: &[Tensor], want: &[Tensor], ctx: &str) {
         assert_eq!(got.len(), want.len(), "{ctx}");
         for (k, (a, b)) in got.iter().zip(want).enumerate() {
             assert_eq!(a.shape(), b.shape(), "{ctx}: tensor {k} shape");
@@ -426,10 +432,7 @@ pub(crate) mod testing {
         let _ = rayon::init_with_threads(4);
         let mut rng = Rng::seed(19);
         for (n, t, f, h) in SHAPES {
-            // Zeros dense enough to break up the kernel's 4-tap bundles;
-            // non-finite values sparse enough that most rows stay finite.
-            for (flavour, kinds, every) in [("finite", 0, 1), ("zeros", 2, 5), ("specials", 5, 401)]
-            {
+            for (flavour, kinds, every) in FLAVOURS {
                 let io = [1, 2].map(|salt| {
                     let mut x = rng.normal_tensor(&[n, t, f], 1.0);
                     let mut g = rng.normal_tensor(&[n, t, h], 1.0);

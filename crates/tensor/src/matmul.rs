@@ -34,6 +34,13 @@
 //!   single ascending-`kk` chain from `-0.0`, with no zero-skip.
 //! * the `m == 1` row-vector case — every batch-1 Dense — parallelises
 //!   over column blocks instead of staying serial.
+//! * **one output column or one tap** (a `Dense(k→1)` head and its
+//!   backward products) has no panel to tile and skips the strips: `nn`
+//!   with `n == 1` is a running dot per row ([`dot_rows`]), `tn` with
+//!   `n == 1` advances all `m` chains a row of `A` at a time, unpacked
+//!   ([`tn_col`]), `nt` with `k == 1` is an outer product from `-0.0`.
+//!   Same chains, ascending `kk` from what `out` holds, the zero-skip a
+//!   branch-free select; which kernel runs depends on the shape alone.
 //!
 //! [`reference`] keeps the seed kernels verbatim as the bit-exactness
 //! oracle for tests and the baseline for `BENCH_pr4.json`.
@@ -264,10 +271,37 @@ fn saxpy_panel8(
     }
 }
 
+/// [`block_nn`] for a one-column `B` (`k > 0`): `out[r] += ⟨a_row_r, b⟩`, one
+/// ascending chain per row from `out[r]`, zero taps of `A` skipped by select.
+fn dot_rows(a_blk: &[f32], b: &[f32], out_blk: &mut [f32]) {
+    for (o, a_row) in out_blk.iter_mut().zip(a_blk.chunks_exact(b.len())) {
+        let mut acc = *o;
+        for (&a, &bv) in a_row.iter().zip(b) {
+            // lint: allow(float-eq) -- the seed's structural-zero skip, as a select
+            acc = if a != 0.0 { acc + a * bv } else { acc };
+        }
+        *o = acc;
+    }
+}
+
+/// `out += Aᵀ · b` for a one-column `B`: every lane `out[i]` is its own
+/// ascending-`kk` zero-skipping chain, `A` (`k×m`) walked row by row.
+fn tn_col(a: &[f32], b: &[f32], out: &mut [f32]) {
+    for (a_row, &bv) in a.chunks_exact(out.len()).zip(b) {
+        for (o, &a) in out.iter_mut().zip(a_row) {
+            // lint: allow(float-eq) -- the seed's structural-zero skip, as a select
+            *o = if a != 0.0 { *o + a * bv } else { *o };
+        }
+    }
+}
+
 /// Blocked `out_blk += A_blk · B` for a contiguous block of output rows.
 /// `a_blk` holds the matching rows of `A` (row-major, width `k`). Rows
 /// are walked in register tiles of eight, then four, then singly.
 fn block_nn(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize, bl: Blocking) {
+    if n == 1 {
+        return dot_rows(a_blk, b, out_blk);
+    }
     let rows = out_blk.len() / n;
     let (kc, nc) = (bl.kc(), bl.nc());
     let mut k0 = 0;
@@ -442,6 +476,15 @@ fn nt_tiles<'a, const MR: usize>(
 /// eight, four and one. Bit-identical to [`reference::matmul_nt_dot`]
 /// (see [`nt_cols`]).
 fn block_nt(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize) {
+    if k == 1 {
+        // One-tap dots: the outer product, each element `-0.0 + a·b`.
+        for (o_row, &a) in out_blk.chunks_exact_mut(n).zip(a_blk) {
+            for (o, &bv) in o_row.iter_mut().zip(b) {
+                *o = -0.0 + a * bv;
+            }
+        }
+        return;
+    }
     let rows = out_blk.len() / n;
     with_pack(k * rows.min(NT_MR), |pack| {
         let (a, out) = nt_tiles::<NT_MR>(a_blk, b, out_blk, k, n, pack);
@@ -586,7 +629,8 @@ fn pack_transpose(k: usize, m: usize, a: &[f32], at: &mut [f32]) {
 /// into `out`. For `m > 1` the transpose is materialised into a
 /// thread-local panel (values are copied, not recombined, so every
 /// element's accumulation chain is unchanged); `m == 1` is already
-/// contiguous and runs the nn kernel directly.
+/// contiguous and runs the nn kernel directly, and `n == 1` needs no
+/// transpose ([`tn_col`]).
 pub fn gemm_tn_into(
     k: usize,
     m: usize,
@@ -606,6 +650,9 @@ pub fn gemm_tn_into(
         // (k×1)ᵀ is the same bytes as (1×k).
         gemm_nn_into(1, k, n, a, b, out, bl);
         return;
+    }
+    if n == 1 {
+        return tn_col(a, b, out);
     }
     with_pack(m * k, |at| {
         pack_transpose(k, m, a, at);
@@ -1066,6 +1113,90 @@ mod tests {
                         assert!(k > 0 || got.data().iter().all(empty_dot), "{ctx}");
                         sprinkle(&mut a, m);
                         sprinkle(&mut b, n + 1000);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one-column and one-tap kernels against the seed: `nn` and `tn`
+    /// with `n == 1` (zero-skip: a `0·inf` tap is skipped, not NaN), `nt`
+    /// with `k == 1` (no skip: it is NaN), with `m` on both sides of the
+    /// pool's row split and `k` from one tap to deeper than a strip.
+    /// Signed zeros in a third of each operand, then NaN and `±inf`.
+    /// Pool on ≡ pool off, and the `_into` forms continue the chain from
+    /// what `out` already holds exactly as the general kernels do.
+    #[test]
+    fn one_column_and_one_tap_kernels_match_seed_bit_exactly() {
+        fn same(x: &[f32], y: &[f32], ctx: &str) {
+            assert_eq!(x.len(), y.len(), "{ctx}: length");
+            for (i, (&a, &b)) in x.iter().zip(y).enumerate() {
+                let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+                assert!(same, "{ctx}: element {i}: {a:?} vs {b:?}");
+            }
+        }
+        fn sprinkle(t: &mut Tensor, salt: usize) {
+            const SPECIALS: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            for (i, v) in t.data_mut().iter_mut().enumerate() {
+                let h = (i + salt).wrapping_mul(2_654_435_761) >> 7;
+                if h.is_multiple_of(61) {
+                    *v = SPECIALS[(h / 61) % SPECIALS.len()];
+                }
+            }
+        }
+        /// Both columns of the two-column `v`.
+        fn twice(v: &[f32]) -> Vec<f32> {
+            v.iter().flat_map(|&x| [x, x]).collect()
+        }
+        let bl = Blocking::default();
+        let mut r = Rng::seed(83);
+        for m in [1, 2, 7, 8, 9, 33, 4096, 5000, 11520] {
+            for k in [1, 2, 5, 32, 131] {
+                // `tn` reduces over its rows: keep `Aᵀ` small when `m` is not.
+                let (kt, mt) = (k.max(m.min(300)), m.min(300));
+                let mut a = sparse_tensor(&mut r, &[m, k]);
+                let mut col = sparse_tensor(&mut r, &[k, 1]);
+                let mut at = sparse_tensor(&mut r, &[kt, mt]);
+                let mut tall = sparse_tensor(&mut r, &[kt, 1]);
+                let mut a1 = sparse_tensor(&mut r, &[m, 1]);
+                let mut b1 = sparse_tensor(&mut r, &[k, 1]);
+                let start = sparse_tensor(&mut r, &[m]);
+                for pass in ["finite", "specials"] {
+                    let ctx = format!("{m}x{k} {pass}");
+                    let got = matmul(&a, &col);
+                    let want = reference::matmul_ikj(&a, &col);
+                    same(got.data(), want.data(), &format!("nn {ctx}"));
+                    let off = rayon::serial_scope(|| matmul(&a, &col));
+                    assert_bits_equal(&got, &off, &format!("nn {ctx} pool off"));
+
+                    let got = matmul_tn(&at, &tall);
+                    let want = reference::matmul_tn_ikj(&at, &tall);
+                    same(got.data(), want.data(), &format!("tn {ctx}"));
+
+                    let got = matmul_nt(&a1, &b1);
+                    let want = reference::matmul_nt_dot(&a1, &b1);
+                    same(got.data(), want.data(), &format!("nt {ctx}"));
+                    let off = rayon::serial_scope(|| matmul_nt(&a1, &b1));
+                    assert_bits_equal(&got, &off, &format!("nt {ctx} pool off"));
+
+                    // `out +=`: against the product with `col` as both of
+                    // two columns, which takes the strips.
+                    let mut one = start.data().to_vec();
+                    gemm_nn_into(m, k, 1, a.data(), col.data(), &mut one, bl);
+                    let mut two = twice(start.data());
+                    gemm_nn_into(m, k, 2, a.data(), &twice(col.data()), &mut two, bl);
+                    same(&twice(&one), &two, &format!("nn into {ctx}"));
+                    let mut one = start.data()[..mt].to_vec();
+                    gemm_tn_into(kt, mt, 1, at.data(), tall.data(), &mut one, bl);
+                    let mut two = twice(&start.data()[..mt]);
+                    gemm_tn_into(kt, mt, 2, at.data(), &twice(tall.data()), &mut two, bl);
+                    same(&twice(&one), &two, &format!("tn into {ctx}"));
+
+                    for (salt, t) in [&mut a, &mut col, &mut at, &mut tall, &mut a1, &mut b1]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        sprinkle(t, salt);
                     }
                 }
             }

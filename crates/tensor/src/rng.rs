@@ -10,6 +10,7 @@ use rand::{Rng as _, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A seedable RNG wrapper for tensor generation.
+#[derive(Clone)]
 pub struct Rng {
     inner: ChaCha8Rng,
 }
@@ -64,6 +65,25 @@ impl Rng {
     /// Bernoulli with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.inner.gen_bool(p.clamp(0.0, 1.0))
+    }
+
+    /// `out[i] = self.chance(p)` for every `i` in order, from bulk
+    /// keystream: a draw is two words, low word first, and is
+    /// `(u64 >> 11) · 2⁻⁵³ < p` as in `gen_bool`. Exactly two words is what
+    /// lets a caller fill disjoint ranges from clones seeked to
+    /// `word_pos + 2·first_index`.
+    pub fn fill_chance(&mut self, p: f64, out: &mut [bool]) {
+        const DRAWS: usize = 512; // per keystream request: 4 KiB of stack
+        let p = p.clamp(0.0, 1.0);
+        let mut words = [0u32; 2 * DRAWS];
+        for chunk in out.chunks_mut(DRAWS) {
+            let words = &mut words[..2 * chunk.len()];
+            self.inner.fill_u32(words);
+            for (o, w) in chunk.iter_mut().zip(words.chunks_exact(2)) {
+                let u = (u64::from(w[1]) << 32) | u64::from(w[0]);
+                *o = ((u >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) < p;
+            }
+        }
     }
 
     /// Tensor of i.i.d. `N(0, std²)` entries.
@@ -164,6 +184,35 @@ mod tests {
         assert_eq!(resumed.word_pos(), pos);
         assert_eq!(resumed.permutation(13), expected);
         assert_eq!(resumed.word_pos(), r.word_pos());
+    }
+
+    /// `fill_chance` ≡ repeated `chance`: same draws, same `word_pos`
+    /// and same next draw, from aligned and unaligned positions, for
+    /// lengths around the request size, at the clamped and exact edges
+    /// of `p`.
+    #[test]
+    fn fill_chance_matches_repeated_chance() {
+        for p in [-0.5, 0.0, 0.2, 0.5, 1.0, 1.5] {
+            for start in [0u64, 1, 7, 31] {
+                for len in [0usize, 1, 2, 511, 512, 513, 1500] {
+                    let mut bulk = Rng::seed(9);
+                    bulk.set_word_pos(start);
+                    let mut serial = bulk.clone();
+                    let mut got = vec![false; len];
+                    bulk.fill_chance(p, &mut got);
+                    let want: Vec<bool> = (0..len).map(|_| serial.chance(p)).collect();
+                    assert_eq!(got, want, "p {p} start {start} len {len}");
+                    assert_eq!(bulk.word_pos(), start + 2 * len as u64);
+                    assert_eq!(bulk.word_pos(), serial.word_pos());
+                    assert_eq!(bulk.chance(0.5), serial.chance(0.5));
+                }
+            }
+        }
+        let mut r = Rng::seed(10);
+        let mut draws = vec![false; 20_000];
+        r.fill_chance(0.2, &mut draws);
+        let hits = draws.iter().filter(|&&d| d).count();
+        assert!((3_700..4_300).contains(&hits), "{hits} of 20000 at p = 0.2");
     }
 
     #[test]
