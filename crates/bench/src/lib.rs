@@ -9,6 +9,7 @@ pub mod codec;
 pub mod comm;
 pub mod kernels;
 pub mod pipeline;
+pub mod report;
 pub mod serve;
 pub mod tune;
 
@@ -19,7 +20,8 @@ use data::bigearth::{self, spectral_features, BigEarthConfig};
 use data::cxr::{self, CxrConfig};
 use data::icu::{self, IcuConfig, SPO2};
 use distrib::{
-    evaluate_classifier, CheckpointPolicy, MlCampaign, ScalingModel, TrainConfig, Trainer,
+    evaluate_classifier, CheckpointPolicy, MlCampaign, ScalingModel, TrainConfig, TrainReport,
+    Trainer,
 };
 use hpda::tier::TierModel;
 use hpda::Pdata;
@@ -135,19 +137,14 @@ pub fn e3_scaling() -> String {
     for workers in [1usize, 2, 4, 8] {
         let tc = TrainConfig {
             workers,
-            epochs: 5,
             batch_per_worker: (32 / workers).max(1),
             base_lr: 5e-3,
-            lr_scaling: true,
-            warmup_epochs: 1,
             seed: 7,
-            checkpoint: None,
+            ..TrainConfig::default()
         };
-        let rep = Trainer::new(tc.clone())
-            .run(&train, model_fn, |lr| Box::new(Adam::new(lr)), SoftmaxCrossEntropy)
-            // lint: allow(unwrap) -- no resume snapshot supplied, decode cannot fail
-            .expect("no snapshot to validate")
-            .completed();
+        let rep = run_trainer(Trainer::new(tc.clone()), &train, model_fn, |lr| {
+            Box::new(Adam::new(lr))
+        });
         let acc = evaluate_classifier(model_fn, tc.seed, &rep, &test);
         let _ = writeln!(
             out,
@@ -375,16 +372,12 @@ pub fn e6_covidnet_generations() -> String {
         epochs: 8,
         batch_per_worker: 15,
         base_lr: 2e-3,
-        lr_scaling: true,
-        warmup_epochs: 1,
         seed: 3,
-        checkpoint: None,
+        ..TrainConfig::default()
     };
-    let rep = Trainer::new(tc.clone())
-        .run(&train, model_fn, |lr| Box::new(Adam::new(lr)), SoftmaxCrossEntropy)
-        // lint: allow(unwrap) -- no resume snapshot supplied, decode cannot fail
-        .expect("no snapshot to validate")
-        .completed();
+    let rep = run_trainer(Trainer::new(tc.clone()), &train, model_fn, |lr| {
+        Box::new(Adam::new(lr))
+    });
     let acc = evaluate_classifier(model_fn, tc.seed, &rep, &test);
     let _ = writeln!(
         out,
@@ -793,17 +786,56 @@ pub fn e14_interactive() -> String {
     out
 }
 
-fn obs_mlp(seed: u64) -> Sequential {
-    let mut rng = Rng::seed(seed);
-    Sequential::new()
-        .push(Dense::new(8, 16, &mut rng))
-        .push(Relu::new())
-        .push(Dense::new(16, 4, &mut rng))
+// ---------------------------------------------------------------------------
+// Fixtures shared by the report subcommands.
+// ---------------------------------------------------------------------------
+
+/// Pins the pool width every report runs at (the first caller wins), so
+/// partitions, and with them every checksum and counter, do not depend
+/// on the machine's core count.
+pub(crate) fn pin_pool() {
+    let _ = rayon::init_with_threads(4);
 }
 
-/// Tiny separable dataset for the observability runs (same construction
-/// as the trainer's toy problem; fully seed-determined).
-fn obs_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> data::Dataset {
+/// FNV-1a over `words`, in order: any change to any word changes it.
+pub(crate) fn fnv<W: Into<u64>>(words: impl IntoIterator<Item = W>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        (h ^ w.into()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// [`fnv`] over the exact f32 bit patterns.
+pub(crate) fn bits_hash(data: &[f32]) -> u64 {
+    fnv(data.iter().map(|v| v.to_bits()))
+}
+
+/// Same length and the same bit pattern in every element.
+pub(crate) fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// `base / improved` in thousandths.
+pub(crate) fn speedup_milli(base: u64, improved: u64) -> u64 {
+    base * 1000 / improved.max(1)
+}
+
+/// Minimum wall time of `reps` runs of `f`, in nanoseconds. The minimum
+/// is the noise-robust estimator here: scheduler preemption and
+/// frequency dips only ever make a run *slower*, so the fastest
+/// observation is the closest to the true cost.
+pub(crate) fn min_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Tiny separable dataset, fully seed-determined: feature `c` of a
+/// class-`c` sample is lifted by 2 above `N(0, 0.3²)` noise.
+pub(crate) fn toy_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> data::Dataset {
     let mut rng = Rng::seed(seed);
     let mut x = Vec::with_capacity(n * dim);
     let mut y = Vec::with_capacity(n);
@@ -820,6 +852,44 @@ fn obs_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> data::Dataset
     }
 }
 
+/// `dim → hidden → classes` with a ReLU between, weights from the seed.
+pub(crate) fn mlp(
+    dim: usize,
+    hidden: usize,
+    classes: usize,
+) -> impl Fn(u64) -> Sequential + Sync + Copy {
+    move |seed| {
+        let mut rng = Rng::seed(seed);
+        Sequential::new()
+            .push(Dense::new(dim, hidden, &mut rng))
+            .push(Relu::new())
+            .push(Dense::new(hidden, classes, &mut rng))
+    }
+}
+
+/// SGD with momentum 0.9.
+pub(crate) fn sgd(weight_decay: f32) -> impl Fn(f32) -> Box<dyn Optimizer> + Sync + Copy {
+    move |lr| Box::new(Sgd::new(lr, 0.9, weight_decay))
+}
+
+/// Runs `trainer` on `ds` to the last epoch under softmax cross-entropy.
+pub(crate) fn run_trainer<M, O>(
+    trainer: Trainer,
+    ds: &data::Dataset,
+    model: M,
+    opt: O,
+) -> TrainReport
+where
+    M: Fn(u64) -> Sequential + Sync,
+    O: Fn(f32) -> Box<dyn Optimizer> + Sync,
+{
+    trainer
+        .run(ds, model, opt, SoftmaxCrossEntropy)
+        // lint: allow(unwrap) -- no resume snapshot is armed, so run() cannot fail
+        .expect("no snapshot to validate")
+        .completed()
+}
+
 /// The PR-3 observability artifact (`BENCH_pr3.json`): one deterministic
 /// msa-obs registry covering
 ///
@@ -831,37 +901,27 @@ fn obs_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> data::Dataset
 /// * the NAM staging planner — WAN traffic and staging time per strategy.
 ///
 /// Everything is virtual-time priced and integer-accumulated, so two
-/// calls return **byte-identical** snapshots (asserted in CI by running
-/// the binary twice and comparing the files).
+/// calls return **byte-identical** snapshots.
 pub fn obs_report() -> msa_obs::Snapshot {
     use std::sync::Arc;
+    pin_pool();
     let reg = Arc::new(msa_obs::MetricsRegistry::new());
 
     // (a) Trainer: weak-scaling sweep with checkpoints armed.
-    let ds = obs_dataset(256, 8, 4, 97);
+    let ds = toy_dataset(256, 8, 4, 97);
     for workers in [1usize, 4, 8] {
         let tc = TrainConfig {
             workers,
             epochs: 2,
             batch_per_worker: 8,
-            base_lr: 0.05,
-            lr_scaling: true,
-            warmup_epochs: 1,
             seed: 97,
             checkpoint: Some(CheckpointPolicy::every(5)),
+            ..TrainConfig::default()
         };
-        Trainer::new(tc)
+        let trainer = Trainer::new(tc)
             .recorder(Arc::clone(&reg))
-            .tag(format!("p{workers}"))
-            .run(
-                &ds,
-                obs_mlp,
-                |lr| Box::new(Sgd::new(lr, 0.9, 0.0)),
-                SoftmaxCrossEntropy,
-            )
-            // lint: allow(unwrap) -- no resume snapshot supplied, decode cannot fail
-            .expect("no snapshot to validate")
-            .completed();
+            .tag(format!("p{workers}"));
+        run_trainer(trainer, &ds, mlp(8, 16, 4), sgd(0.0));
     }
 
     // (b) Scheduler: module utilization on a mixed DEEP trace.
