@@ -17,7 +17,7 @@
 
 use crate::trainer::{EpochCursor, EpochStats};
 use msa_core::SimTime;
-use msa_net::Communicator;
+use msa_net::{Communicator, GradCodec};
 use msa_storage::CheckpointTarget;
 use nn::serialize::SnapshotError;
 use nn::{u64_to_words, words_to_u64};
@@ -271,6 +271,10 @@ pub enum CheckpointError {
         snapshot: u64,
         config: u64,
     },
+    /// The run's codec keeps state the snapshot does not capture: top-k's
+    /// per-bucket error-feedback residual, so a resume would silently
+    /// diverge from the uninterrupted run.
+    UnresumableCodec(GradCodec),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -285,6 +289,11 @@ impl std::fmt::Display for CheckpointError {
             } => write!(
                 f,
                 "snapshot/config mismatch on {what}: snapshot has {snapshot}, config has {config}"
+            ),
+            CheckpointError::UnresumableCodec(codec) => write!(
+                f,
+                "cannot resume under codec {}: its error-feedback residual is not in the snapshot",
+                codec.name()
             ),
         }
     }

@@ -10,13 +10,48 @@
 //!   residual and **reusable wire slabs**: selection scratch, the
 //!   [`WirePair`] payload and the gather buffer all live on the
 //!   compressor, so a steady-state [`sparse_allreduce_mean`] performs
-//!   zero heap allocation (the PR 5 discipline; `msa-lint`'s
-//!   alloc-in-kernel rule covers this file);
+//!   zero heap allocation (`msa-lint`'s alloc-in-kernel rule covers this
+//!   file);
 //! * [`sparse_allreduce_mean`] — a real sparse gradient exchange over any
 //!   [`Communicator`] (equal-block allgather of [`WirePair`]s, since
 //!   sparse sums don't fit the dense ring);
 //! * a cost comparison hook: the communicated volume per step drops from
 //!   `4·n` bytes to `8·k`.
+//!
+//! # Selection
+//!
+//! [`top_k`] and the compressor share one routine, `select_top_k`, which
+//! costs about one streaming pass over the residual:
+//!
+//! 1. **Key.** An entry's magnitude key is its bit pattern with the sign
+//!    cleared, `x.to_bits() & 0x7FFF_FFFF`. IEEE total order on
+//!    non-negative floats is the integer order of their bits, so comparing
+//!    keys is exactly `x.abs().total_cmp(&y.abs())`: ±0.0 both key 0, and
+//!    every NaN keys above ±inf.
+//! 2. **Lower bound.** One post-feedback key per 64-entry block is
+//!    sampled (the same f32 add the main pass does, at a hashed offset in
+//!    the block), and the ⌈1.25·k/64⌉+8-th largest sample is the bound
+//!    `lo`. At 1 % about 1.3 % of the entries reach it.
+//! 3. **One fused pass** over 16-entry chunks adds the gradient into the
+//!    residual, takes the chunk's largest key and, only when that reaches
+//!    `lo`, appends the chunk's indices whose key is at least `lo`. The
+//!    candidates come out ascending.
+//! 4. **Fallback.** Fewer than `k` candidates makes every index a
+//!    candidate: slower, same answer.
+//! 5. **Exact select.** `select_nth_unstable` over the candidates under
+//!    the total order below, then the `k` winners are sorted ascending.
+//!
+//! Every entry left out keys below `lo`, and so below every candidate:
+//! with at least `k` candidates the top k are among them. The bound
+//! therefore changes only the speed, never the output.
+//!
+//! **Tie rule: equal magnitudes at the k-th place go to the lowest
+//! index.** Entries rank by key descending, then index ascending. The
+//! earlier selection ran introselect over the whole index permutation and
+//! kept whichever of several equal-magnitude entries it happened to leave
+//! in front, which nothing could pin. Real gradients do tie across the
+//! k-th place, so top-k training bits differ from that selection's in the
+//! steps where one does; the dense and bf16 codecs never reach this code.
 //!
 //! Wire format: each entry ships as a [`WirePair`] — two `f32` transport
 //! words holding the index bits and the value bits. Index words can
@@ -26,27 +61,132 @@
 
 use msa_net::{Communicator, WirePair};
 
+/// Entries per chunk of the fused pass: one chunk-max test skips a chunk
+/// without a candidate, which at 1 % is nearly every chunk.
+const CHUNK: usize = 16;
+/// The lower-bound sample takes one key per block of this many entries.
+const SAMPLE_STRIDE: usize = 64;
+
+/// Magnitude key: orders exactly as `x.abs().total_cmp`, NaN included.
+fn key(x: f32) -> u32 {
+    x.to_bits() & 0x7FFF_FFFF
+}
+
+/// The selection's total order as one integer: the key, then the
+/// complemented index, so a larger rank is a larger magnitude or an equal
+/// magnitude at a lower index.
+fn rank(x: f32, i: u32) -> u64 {
+    (u64::from(key(x)) << 32) | u64::from(!i)
+}
+
 /// Indices and values of the `k` largest-magnitude entries (indices
-/// ascending). Degenerate requests — `k == 0` or an empty gradient —
-/// yield an empty sparse vector rather than panicking: after clamping
-/// `k` to the gradient length there may be nothing to select, and
-/// `select_nth_unstable_by(k - 1, …)` must never see `k = 0` underflow.
+/// ascending; ties at the k-th place go to the lowest index). Degenerate
+/// requests — `k == 0` or an empty gradient — yield an empty sparse
+/// vector rather than panicking.
 pub fn top_k(grad: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
     let k = k.min(grad.len());
-    if k == 0 {
-        return (Vec::new(), Vec::new());
+    let mut idx = vec![0; grad.len()];
+    select_top_k(&mut grad.to_vec(), None, k, &mut Vec::new(), &mut idx);
+    idx.truncate(k);
+    let values = idx.iter().map(|&i| grad[i as usize]).collect();
+    (idx, values)
+}
+
+/// Leaves in `idx[..k]`, ascending, the `k ≤ n` entries of `values` that
+/// rank highest (see the module header); `idx` holds at least `n` slots.
+/// With `feed`, first adds it into `values` element-wise, in the same
+/// pass. `sample` needs room for `n/64` keys.
+///
+/// Returns whether the sampled bound admitted fewer than `k` candidates,
+/// so that the exact select ran over every index.
+fn select_top_k(
+    values: &mut [f32],
+    feed: Option<&[f32]>,
+    k: usize,
+    sample: &mut Vec<u32>,
+    idx: &mut [u32],
+) -> bool {
+    let n = values.len();
+    debug_assert!(k <= n && idx.len() >= n && feed.is_none_or(|g| g.len() == n));
+    let lo = lower_bound(values, feed, k, sample);
+    let (chunks, tail) = values.as_chunks_mut::<CHUNK>();
+    let mut c = 0;
+    for (j, chunk) in chunks.iter_mut().enumerate() {
+        let base = j * CHUNK;
+        if let Some(g) = feed {
+            add_into(chunk, &g[base..base + CHUNK]);
+        }
+        c = push_candidates(chunk, base, lo, idx, c);
     }
-    // Select by magnitude via partial sort of indices.
-    let mut idx: Vec<u32> = (0..grad.len() as u32).collect();
-    idx.select_nth_unstable_by(k - 1, |&a, &b| {
-        grad[b as usize]
-            .abs()
-            .total_cmp(&grad[a as usize].abs())
-    });
-    let mut chosen: Vec<u32> = idx[..k].to_vec();
-    chosen.sort_unstable();
-    let values = chosen.iter().map(|&i| grad[i as usize]).collect();
-    (chosen, values)
+    let base = n - tail.len();
+    if let Some(g) = feed {
+        add_into(tail, &g[base..]);
+    }
+    c = push_candidates(tail, base, lo, idx, c);
+
+    let fell_back = c < k;
+    if fell_back {
+        c = n;
+        idx[..n].iter_mut().zip(0..).for_each(|(slot, i)| *slot = i);
+    }
+    // `k == 0` admits no candidate, so here `k ≥ 1`.
+    if k < c {
+        let v = &*values;
+        idx[..c].select_nth_unstable_by(k - 1, |&a, &b| {
+            rank(v[b as usize], b).cmp(&rank(v[a as usize], a))
+        });
+        idx[..k].sort_unstable();
+    }
+    fell_back
+}
+
+/// The ⌈1.25·k/64⌉+8-th largest post-feedback key of one sample per
+/// 64-entry block: 0 (everything qualifies) when there are too few
+/// samples, and above every key when `k == 0`.
+fn lower_bound(values: &[f32], feed: Option<&[f32]>, k: usize, sample: &mut Vec<u32>) -> u32 {
+    if k == 0 {
+        return u32::MAX;
+    }
+    let m = (5 * k).div_ceil(4 * SAMPLE_STRIDE) + 8;
+    let at = (0..values.len() / SAMPLE_STRIDE).map(sample_index);
+    sample.clear();
+    match feed {
+        Some(g) => sample.extend(at.map(|i| key(values[i] + g[i]))),
+        None => sample.extend(at.map(|i| key(values[i]))),
+    }
+    if m > sample.len() {
+        return 0;
+    }
+    *sample.select_nth_unstable_by(m - 1, |a, b| b.cmp(a)).1
+}
+
+/// Where block `j` is sampled: at an offset given by the top six bits of
+/// a golden-ratio hash of `j`. A fixed offset would alias with a weight
+/// matrix whose rows are a multiple of 64 long, showing the sample the
+/// same few output units in every row; on the wide MLP's 2048×768 layer
+/// that left a quarter of the selections below `k` candidates.
+fn sample_index(j: usize) -> usize {
+    j * SAMPLE_STRIDE + ((j as u32).wrapping_mul(0x9E37_79B9) >> 26) as usize
+}
+
+fn add_into(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// Writes from `idx[c]` on the indices (offset by `base`) of `chunk`'s
+/// entries whose key is at least `lo`, and returns the new count. One max
+/// test usually rules the whole chunk out; past it the writes are
+/// unconditional, so no branch depends on a single entry.
+fn push_candidates(chunk: &[f32], base: usize, lo: u32, idx: &mut [u32], mut c: usize) -> usize {
+    if chunk.iter().fold(0, |m, &x| m.max(key(x))) >= lo {
+        for (i, &x) in (base..).zip(chunk) {
+            idx[c] = i as u32;
+            c += usize::from(key(x) >= lo);
+        }
+    }
+    c
 }
 
 /// Scatters a sparse gradient back to a dense vector of length `len`.
@@ -66,11 +206,11 @@ pub struct TopKCompressor {
     residual: Vec<f32>,
     /// Fraction of entries communicated per step (0 < ratio ≤ 1).
     ratio: f64,
-    /// Selection scratch: the 0..n index permutation `top_k` partially
-    /// sorts. Sized once at construction.
+    /// Lower-bound sample: one key per 64-entry block.
+    sample: Vec<u32>,
+    /// One slot per entry (the fallback needs them all): the selection
+    /// candidates, then the current step's winners ascending at the front.
     idx_scratch: Vec<u32>,
-    /// The selected indices of the current step, ascending.
-    chosen: Vec<u32>,
     /// The current step's wire payload: `2·k` [`WirePair`] words.
     payload: Vec<f32>,
     /// Gather buffer for every rank's payload (`p · 2k` words); grows on
@@ -85,14 +225,12 @@ impl TopKCompressor {
         let mut c = TopKCompressor {
             residual: vec![0.0; param_len],
             ratio,
-            idx_scratch: Vec::with_capacity(param_len),
-            chosen: Vec::new(),
+            sample: Vec::with_capacity(param_len / SAMPLE_STRIDE),
+            idx_scratch: vec![0; param_len],
             payload: Vec::new(),
             gathered: Vec::new(),
         };
-        let k = c.k().min(param_len);
-        c.chosen.reserve(k);
-        c.payload.reserve(2 * k);
+        c.payload.reserve(2 * c.k().min(param_len));
         c
     }
 
@@ -115,32 +253,23 @@ impl TopKCompressor {
     }
 
     /// Adds `grad` into the residual, selects the top-k by magnitude into
-    /// `chosen`/`payload` (zeroing those residual entries), using only
-    /// the pre-sized slabs — no heap allocation in steady state.
+    /// `idx_scratch`/`payload` (zeroing those residual entries), using
+    /// only the pre-sized slabs — no heap allocation in steady state.
     fn select_into_payload(&mut self, grad: &[f32]) {
         assert_eq!(grad.len(), self.residual.len(), "gradient length changed");
+        let k = self.k().min(grad.len());
         // Error feedback: what we failed to send last time rides along.
-        for (r, &g) in self.residual.iter_mut().zip(grad) {
-            *r += g;
-        }
-        let len = self.residual.len();
-        let k = self.k().min(len);
-        self.chosen.clear();
-        self.payload.clear();
-        if k == 0 {
-            return;
-        }
         let residual = &mut self.residual;
-        let idx = &mut self.idx_scratch;
-        idx.clear();
-        idx.extend(0..len as u32);
-        idx.select_nth_unstable_by(k - 1, |&a, &b| {
-            residual[b as usize].abs().total_cmp(&residual[a as usize].abs())
-        });
-        self.chosen.extend_from_slice(&idx[..k]);
-        self.chosen.sort_unstable();
+        select_top_k(
+            residual,
+            Some(grad),
+            k,
+            &mut self.sample,
+            &mut self.idx_scratch,
+        );
+        self.payload.clear();
         self.payload.resize(2 * k, 0.0);
-        for (slot, &i) in self.payload.chunks_exact_mut(2).zip(self.chosen.iter()) {
+        for (slot, &i) in self.payload.chunks_exact_mut(2).zip(&self.idx_scratch) {
             WirePair::new(i, residual[i as usize]).to_words(slot);
             residual[i as usize] = 0.0;
         }
@@ -154,12 +283,13 @@ impl TopKCompressor {
     /// on the internal slabs.
     pub fn compress(&mut self, grad: &[f32]) -> (Vec<u32>, Vec<f32>) {
         self.select_into_payload(grad);
-        let vals = self
-            .payload
+        self.payload
             .chunks_exact(2)
-            .map(|w| WirePair::from_words(w).value())
-            .collect();
-        (self.chosen.clone(), vals)
+            .map(|w| {
+                let pair = WirePair::from_words(w);
+                (pair.index, pair.value())
+            })
+            .unzip()
     }
 
     /// Bytes this rank ships per step (4-byte index + 4-byte value each).
@@ -230,14 +360,173 @@ mod tests {
 
     #[test]
     fn compressor_compress_matches_top_k_primitives() {
-        // The slab path must produce exactly what the primitive path
-        // produced before the rework.
-        let grad = [0.3f32, -2.5, 0.01, 4.0, -4.0, 0.7];
-        let mut c = TopKCompressor::new(grad.len(), 0.5);
-        let (idx, vals) = c.compress(&grad);
-        let (want_idx, want_vals) = top_k(&grad, 3);
-        assert_eq!(idx, want_idx);
-        assert_eq!(vals, want_vals);
+        // The slab path and the primitive agree, ties at the k-th place
+        // included (the second gradient ties four ways for three slots).
+        for grad in [
+            [0.3f32, -2.5, 0.01, 4.0, -4.0, 0.7],
+            [2.0, 0.5, -2.0, 2.0, -2.0, 1.0],
+        ] {
+            let mut c = TopKCompressor::new(grad.len(), 0.5);
+            let (idx, vals) = c.compress(&grad);
+            let (want_idx, want_vals) = top_k(&grad, 3);
+            assert_eq!(idx, want_idx);
+            assert_eq!(vals, want_vals);
+        }
+        assert_eq!(top_k(&[2.0, 0.5, -2.0, 2.0, -2.0, 1.0], 3).0, vec![0, 2, 3]);
+    }
+
+    /// The selection spelled out: a full sort by magnitude descending,
+    /// then index ascending, keeping the first `k`.
+    fn reference_top_k(v: &[f32], k: usize) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..v.len() as u32).collect();
+        idx.sort_by(|&a, &b| {
+            let (x, y) = (v[a as usize].abs(), v[b as usize].abs());
+            y.total_cmp(&x).then(a.cmp(&b))
+        });
+        idx.truncate(k.min(v.len()));
+        idx.sort_unstable();
+        idx
+    }
+
+    /// A compressor built on [`reference_top_k`]: returns the new
+    /// residual's winners and values.
+    fn reference_compress(residual: &mut [f32], grad: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
+        for (r, &g) in residual.iter_mut().zip(grad) {
+            *r += g;
+        }
+        let idx = reference_top_k(residual, k);
+        let vals = idx
+            .iter()
+            .map(|&i| std::mem::take(&mut residual[i as usize]))
+            .collect();
+        (idx, vals)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Test inputs by flavour: plain normals, signed zeros, NaN/±inf
+    /// sprinkles, subnormals, and long runs of equal magnitudes with
+    /// mixed signs.
+    fn flavoured(flavour: &str, len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = tensor::Rng::seed(seed);
+        (0..len)
+            .map(|_| {
+                let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+                match flavour {
+                    "normal" => rng.normal(),
+                    "zeros" if rng.chance(0.8) => sign * 0.0,
+                    "nan_inf" if rng.chance(0.02) => match rng.below(4) {
+                        0 => f32::NAN,
+                        1 => -f32::NAN,
+                        2 => f32::from_bits(0x7F80_0001 + rng.below(1 << 22) as u32),
+                        _ => sign * f32::INFINITY,
+                    },
+                    "subnormal" => sign * f32::from_bits(rng.below(0x7F_FFFF) as u32),
+                    "ties" => sign * (1 + rng.below(3)) as f32,
+                    _ => rng.normal() * 1e-3,
+                }
+            })
+            .collect()
+    }
+
+    const FLAVOURS: [&str; 5] = ["normal", "zeros", "nan_inf", "subnormal", "ties"];
+
+    #[test]
+    fn selection_matches_a_full_sort_on_every_flavour() {
+        for len in [0usize, 1, 15, 16, 17, 63, 64, 65, 1_000, 70_001] {
+            for ratio in [0.001, 0.01, 0.3, 1.0] {
+                for (f, flavour) in FLAVOURS.into_iter().enumerate() {
+                    let grad = flavoured(flavour, len, (len * 8 + f) as u64);
+                    let mut c = TopKCompressor::new(len, ratio);
+                    let k = c.k().min(len);
+                    let want = reference_top_k(&grad, k);
+                    let (idx, vals) = top_k(&grad, k);
+                    let label = format!("{flavour} len {len} ratio {ratio}");
+                    assert_eq!(idx, want, "top_k: {label}");
+                    let want_vals: Vec<f32> = want.iter().map(|&i| grad[i as usize]).collect();
+                    assert_eq!(bits(&vals), bits(&want_vals), "top_k values: {label}");
+
+                    let mut residual = vec![0.0; len];
+                    let (want, want_vals) = reference_compress(&mut residual, &grad, k);
+                    let (idx, vals) = c.compress(&grad);
+                    assert_eq!(idx, want, "compress: {label}");
+                    assert_eq!(bits(&vals), bits(&want_vals), "compress values: {label}");
+                }
+            }
+        }
+    }
+
+    /// The selector without feedback: whether it fell back, and the
+    /// winners.
+    fn select(values: &[f32], k: usize) -> (bool, Vec<u32>) {
+        let mut idx = vec![0; values.len()];
+        let fell_back = select_top_k(&mut values.to_vec(), None, k, &mut Vec::new(), &mut idx);
+        idx.truncate(k);
+        (fell_back, idx)
+    }
+
+    #[test]
+    fn sampled_bound_does_not_fall_back_on_a_plain_gradient() {
+        let values = flavoured("normal", 70_001, 3);
+        assert_eq!(select(&values, 701), (false, reference_top_k(&values, 701)));
+        // Rows of 768 whose every 64th column is large, as a weight
+        // gradient can be: a sample taken at fixed multiples of 64 would
+        // see only those columns and set the bound among them.
+        let mut values = flavoured("normal", 768 * 100, 4);
+        for (i, v) in values.iter_mut().enumerate() {
+            if i % 768 % 64 == 0 {
+                *v *= 100.0;
+            }
+        }
+        assert_eq!(select(&values, 768), (false, reference_top_k(&values, 768)));
+    }
+
+    #[test]
+    fn ties_at_the_kth_place_go_to_the_lowest_index() {
+        let (idx, vals) = top_k(&[3.0, -3.0, 1.0, 3.0], 2);
+        assert_eq!(idx, vec![0, 1]);
+        assert_eq!(vals, vec![3.0, -3.0]);
+        let (idx, _) = TopKCompressor::new(4, 0.5).compress(&[3.0, -3.0, 1.0, 3.0]);
+        assert_eq!(idx, vec![0, 1]);
+    }
+
+    #[test]
+    fn fallback_selects_exactly_when_the_bound_admits_too_few() {
+        // Large values only at the sampled indices: the bound lands among
+        // them, so few of the 200 large entries pass it, and k = 300
+        // forces the every-index select.
+        let n = 64 * 200;
+        let mut values = flavoured("small", n, 5);
+        for j in 0..200 {
+            values[sample_index(j)] = (100 + j) as f32 * if j % 2 == 0 { 1.0 } else { -1.0 };
+        }
+        assert_eq!(select(&values, 300), (true, reference_top_k(&values, 300)));
+        let (idx, _) = top_k(&values, 300);
+        assert_eq!(idx, reference_top_k(&values, 300));
+    }
+
+    #[test]
+    fn error_feedback_residual_matches_a_reference_compressor() {
+        // No NaN flavour: which payload `NaN + NaN` keeps is the
+        // compiler's choice of operand order, not the selection's.
+        for (f, flavour) in ["normal", "zeros", "subnormal", "ties"]
+            .into_iter()
+            .enumerate()
+        {
+            let n = 5_000;
+            let mut c = TopKCompressor::new(n, 0.01);
+            let mut residual = vec![0.0f32; n];
+            for step in 0..10u64 {
+                let grad = flavoured(flavour, n, 100 * f as u64 + step);
+                let (want, want_vals) = reference_compress(&mut residual, &grad, c.k());
+                let (idx, vals) = c.compress(&grad);
+                assert_eq!(idx, want, "{flavour} step {step}");
+                assert_eq!(bits(&vals), bits(&want_vals), "{flavour} step {step}");
+                assert_eq!(bits(&c.residual), bits(&residual), "{flavour} step {step}");
+            }
+        }
     }
 
     #[test]
@@ -296,32 +585,21 @@ mod tests {
             let mut c = TopKCompressor::new(dim, 0.1);
             let mut grad: Vec<f32> = (0..dim).map(|i| (i as f32).sin()).collect();
             sparse_allreduce_mean(comm, &mut grad, &mut c);
-            let fingerprints = (
-                c.idx_scratch.as_ptr(),
-                c.idx_scratch.capacity(),
-                c.chosen.as_ptr(),
-                c.chosen.capacity(),
-                c.payload.as_ptr(),
-                c.payload.capacity(),
-                c.gathered.as_ptr(),
-                c.gathered.capacity(),
-            );
+            let slabs = |c: &TopKCompressor| {
+                (
+                    (c.sample.as_ptr(), c.sample.capacity()),
+                    (c.idx_scratch.as_ptr(), c.idx_scratch.capacity()),
+                    (c.payload.as_ptr(), c.payload.capacity()),
+                    (c.gathered.as_ptr(), c.gathered.capacity()),
+                )
+            };
+            let fingerprints = slabs(&c);
             for s in 0..10 {
                 grad.iter_mut().enumerate().for_each(|(i, g)| {
                     *g = ((i + s) as f32).cos();
                 });
                 sparse_allreduce_mean(comm, &mut grad, &mut c);
-                let now = (
-                    c.idx_scratch.as_ptr(),
-                    c.idx_scratch.capacity(),
-                    c.chosen.as_ptr(),
-                    c.chosen.capacity(),
-                    c.payload.as_ptr(),
-                    c.payload.capacity(),
-                    c.gathered.as_ptr(),
-                    c.gathered.capacity(),
-                );
-                assert_eq!(now, fingerprints, "slab moved at step {s}");
+                assert_eq!(slabs(&c), fingerprints, "slab moved at step {s}");
             }
         });
     }
@@ -386,8 +664,7 @@ mod tests {
             // steps, so the *effective* step is staleness × lr; keep
             // lr small enough that it stays inside the stability region.
             for _ in 0..600 {
-                let mut grad: Vec<f32> =
-                    w.iter().zip(&target).map(|(wi, ti)| wi - ti).collect();
+                let mut grad: Vec<f32> = w.iter().zip(&target).map(|(wi, ti)| wi - ti).collect();
                 sparse_allreduce_mean(comm, &mut grad, &mut c);
                 for (wi, g) in w.iter_mut().zip(&grad) {
                     *wi -= 0.1 * g;

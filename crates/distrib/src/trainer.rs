@@ -55,7 +55,9 @@
 //! [`TrainOutcome::Interrupted`] carrying the last snapshot.
 //! [`Trainer::resume`] restarts from that snapshot and — by
 //! construction, asserted in `tests/checkpoint_resume.rs` — finishes
-//! **bit-identical** to the run that was never killed.
+//! **bit-identical** to the run that was never killed. Under the top-k
+//! codec it refuses with [`CheckpointError::UnresumableCodec`] instead:
+//! the error-feedback residual is not in the snapshot.
 
 use crate::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointRecord, TrainerProgress};
 use crate::compress::TopKCompressor;
@@ -546,7 +548,7 @@ impl Trainer {
     ///
     /// Returns `Err` only when a [`Trainer::resume`] snapshot fails
     /// validation (wrong workers/seed/LR schedule, or not a trainer
-    /// snapshot at all).
+    /// snapshot at all) or the codec cannot resume (top-k).
     pub fn run<M, O, L>(
         &self,
         dataset: &Dataset,
@@ -616,6 +618,9 @@ impl Trainer {
     where
         M: Fn(u64) -> Sequential,
     {
+        if let GradCodec::SparseTopK { .. } = self.codec {
+            return Err(CheckpointError::UnresumableCodec(self.codec));
+        }
         let cfg = &self.cfg;
         let mut model = model_fn(cfg.seed);
         let (opt_state, meta) = serialize::load_training(&mut model, snapshot)?;

@@ -7,7 +7,7 @@ use msa_suite::data::Dataset;
 use msa_suite::distrib::{
     CheckpointError, CheckpointPolicy, FusionConfig, TrainConfig, TrainOutcome, Trainer,
 };
-use msa_suite::msa_net::FaultPlan;
+use msa_suite::msa_net::{FaultPlan, GradCodec};
 use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
 use msa_suite::tensor::{Rng, Tensor};
 
@@ -245,4 +245,33 @@ fn corrupted_snapshot_is_rejected_not_resumed() {
         .run(&ds, mlp, opt, SoftmaxCrossEntropy)
         .expect_err("truncation must be detected");
     assert!(matches!(err, CheckpointError::Snapshot(_)), "got {err:?}");
+}
+
+#[test]
+fn resume_under_topk_is_refused_not_silently_wrong() {
+    // Top-k's per-bucket error-feedback residual is not in the snapshot,
+    // so a resume would diverge from the uninterrupted run. Writing the
+    // snapshot stays allowed (serving loads it); resuming from it is a
+    // typed error naming the codec.
+    let ds = toy_dataset(256, 31);
+    let codec = GradCodec::SparseTopK { ratio: 0.05 };
+    let outcome = Trainer::new(config())
+        .codec(codec)
+        .fault(FaultPlan {
+            rank: 1,
+            at_step: 7,
+        })
+        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
+        .expect("no snapshot to validate");
+    let TrainOutcome::Interrupted { snapshot, .. } = outcome else {
+        panic!("armed fault must interrupt the run");
+    };
+    let snapshot = snapshot.expect("top-k runs still write snapshots");
+    let err = Trainer::new(config())
+        .codec(codec)
+        .resume(&snapshot)
+        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
+        .expect_err("top-k resume must be refused");
+    assert_eq!(err, CheckpointError::UnresumableCodec(codec));
+    assert!(err.to_string().contains("topk0.05"), "{err}");
 }
