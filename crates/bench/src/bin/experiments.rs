@@ -39,8 +39,8 @@ const USAGE: &str = "usage: experiments <e1..e14|all|obs|kernels|comm|tune|serve
       projection and the measured stage-bound epoch speedup
       -> BENCH_pr10.json
 Report subcommands write to the given paths (or the default files),
---counters writes the deterministic section alone, and a report exits
-1 naming every contract flag that does not hold.";
+--counters (where listed) writes the deterministic section alone, and a
+report exits 1 naming every contract flag that does not hold.";
 
 /// One file-writing report subcommand.
 struct Sub {
@@ -115,10 +115,15 @@ const SUBS: &[Sub] = &[
 ];
 
 /// Runs one [`Sub`]: writes every body, then fails if a contract does
-/// not hold. `Ok` is the status line, `Err` the diagnostic.
-fn run_sub(sub: &Sub, rest: &[String]) -> Result<String, String> {
+/// not hold. `Ok` is the status line, `Err` the exit status and the
+/// diagnostic. A leading `--` argument the sub does not take is a usage
+/// error (status 2) and writes nothing.
+fn run_sub(sub: &Sub, rest: &[String]) -> Result<String, (i32, String)> {
     let counters_only = sub.counters.is_some() && rest.first().is_some_and(|a| a == "--counters");
     let paths = &rest[usize::from(counters_only)..];
+    if paths.first().is_some_and(|p| p.starts_with("--")) {
+        return Err((2, USAGE.to_string()));
+    }
     let report = (sub.report)();
     let bodies = match report.counters.filter(|_| counters_only) {
         Some(counters) => vec![counters],
@@ -128,7 +133,7 @@ fn run_sub(sub: &Sub, rest: &[String]) -> Result<String, String> {
     for (i, (body, (what, default))) in bodies.iter().zip(sub.files).enumerate() {
         let default = sub.counters.filter(|_| counters_only).unwrap_or(default);
         let path = paths.get(i).map_or(default, String::as_str);
-        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, body).map_err(|e| (1, format!("cannot write {path}: {e}")))?;
         wrote.push(format!("{what} to {path}"));
     }
     let wrote = format!("wrote {}", wrote.join(" and "));
@@ -141,9 +146,12 @@ fn run_sub(sub: &Sub, rest: &[String]) -> Result<String, String> {
     if broken.is_empty() {
         Ok(wrote)
     } else {
-        Err(format!(
-            "{wrote}, but these contracts do not hold: {}",
-            broken.join(", ")
+        Err((
+            1,
+            format!(
+                "{wrote}, but these contracts do not hold: {}",
+                broken.join(", ")
+            ),
         ))
     }
 }
@@ -159,10 +167,10 @@ fn main() {
         match run_sub(sub, &args[1..]) {
             // lint: allow(print) -- CLI status output
             Ok(status) => println!("{status}"),
-            Err(diagnostic) => {
+            Err((status, diagnostic)) => {
                 // lint: allow(print) -- CLI diagnostic on stderr
                 eprintln!("{diagnostic}");
-                std::process::exit(1);
+                std::process::exit(status);
             }
         }
         return;
@@ -179,28 +187,40 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// One file, `{}`, and one contract that does not hold.
+    const FAKE: Sub = Sub {
+        name: "fake",
+        files: &[("fake report", "unused.json")],
+        counters: None,
+        report: || Report {
+            bodies: vec!["{}".into()],
+            counters: None,
+            contracts: vec![("holds", true), ("bit_equal_ref", false)],
+        },
+    };
+
     #[test]
     fn a_false_contract_fails_the_run_after_writing_its_files() {
         let path =
             std::env::temp_dir().join(format!("experiments-contract-{}.json", std::process::id()));
-        let sub = Sub {
-            name: "fake",
-            files: &[("fake report", "unused.json")],
-            counters: None,
-            report: || Report {
-                bodies: vec!["{}".into()],
-                counters: None,
-                contracts: vec![("holds", true), ("bit_equal_ref", false)],
-            },
-        };
-        let got = run_sub(&sub, &[path.display().to_string()]);
+        let got = run_sub(&FAKE, &[path.display().to_string()]);
         let written = std::fs::read_to_string(&path);
         let _ = std::fs::remove_file(&path);
-        let diagnostic = got.expect_err("a false contract must fail the run");
+        let (status, diagnostic) = got.expect_err("a false contract must fail the run");
+        assert_eq!(status, 1);
         assert!(
             diagnostic.ends_with("do not hold: bit_equal_ref"),
             "{diagnostic}"
         );
         assert_eq!(written.expect("the body is written before the check"), "{}");
+    }
+
+    #[test]
+    fn a_flag_the_sub_does_not_take_is_a_usage_error_and_writes_nothing() {
+        let got = run_sub(&FAKE, &["--counters".into()]);
+        let written = std::path::Path::new("--counters").exists();
+        let _ = std::fs::remove_file("--counters");
+        assert_eq!(got, Err((2, USAGE.to_string())));
+        assert!(!written, "a file named --counters was written");
     }
 }

@@ -18,7 +18,10 @@
 //! The counters also carry a `layers` section: output and gradient
 //! checksums of the layers that are not GEMMs (dropout, the `Dense(32→1)`
 //! head, batch norm, ReLU, Adam) on fixed inputs, each compared with the
-//! value recorded before PR 21 rewrote them as streaming passes.
+//! value recorded before PR 21 rewrote them as streaming passes. The
+//! timings carry a `layers` section of their own: the wall time of those
+//! layers and of a GRU forward+backward on the benchmark's shapes, the
+//! repo's one set of per-layer micro timings.
 //!
 //! The report has two sections: `counters` is fully deterministic
 //! (kernel checksums, bit-equality flags, scratch-growth counts) and
@@ -230,20 +233,39 @@ fn adam_hashes() -> (u64, u64) {
     (bits_hash(p.value.data()), bits_hash(&state))
 }
 
+/// `icu_gru_p1`'s activations (sequences × steps × features), and what
+/// its `Dense(32→1)` head makes of them.
+const SEQ: [usize; 3] = [240, 48, 32];
+const HEAD: [usize; 3] = [240, 48, 1];
+/// The ResNet's first batch-norm input.
+const IMG: [usize; 4] = [32, 16, 16, 16];
+
+fn dropout() -> nn::Dropout {
+    nn::Dropout::new(0.2, 1001)
+}
+
+fn dense_head() -> nn::Dense {
+    nn::Dense::new(32, 1, &mut Rng::seed(1))
+}
+
+fn batchnorm() -> nn::BatchNorm {
+    nn::BatchNorm::new(16)
+}
+
 fn layer_rows(c: &mut Contracts) -> Vec<Obj> {
-    let seq: &[usize] = &[240, 48, 32];
-    let img: &[usize] = &[32, 16, 16, 16];
-    type Case<'a> = (&'static str, &'a dyn Fn() -> (u64, u64));
-    let dropout = || layer_hashes(nn::Dropout::new(0.2, 1001), seq, seq);
-    let dense = || layer_hashes(nn::Dense::new(32, 1, &mut Rng::seed(1)), seq, &[240, 48, 1]);
-    let batchnorm = || layer_hashes(nn::BatchNorm::new(16), img, img);
-    let relu = || layer_hashes(nn::Relu::new(), img, img);
+    type Case = (&'static str, fn() -> (u64, u64));
     let cases: [Case; 5] = [
-        ("dropout_240x48x32", &dropout),
-        ("dense_11520x32x1", &dense),
-        ("batchnorm_32x16x16x16", &batchnorm),
-        ("relu_32x16x16x16", &relu),
-        ("adam_300k", &adam_hashes),
+        ("dropout_240x48x32", || layer_hashes(dropout(), &SEQ, &SEQ)),
+        ("dense_11520x32x1", || {
+            layer_hashes(dense_head(), &SEQ, &HEAD)
+        }),
+        ("batchnorm_32x16x16x16", || {
+            layer_hashes(batchnorm(), &IMG, &IMG)
+        }),
+        ("relu_32x16x16x16", || {
+            layer_hashes(nn::Relu::new(), &IMG, &IMG)
+        }),
+        ("adam_300k", adam_hashes),
     ];
     cases
         .iter()
@@ -258,6 +280,49 @@ fn layer_rows(c: &mut Contracts) -> Vec<Obj> {
                 .flag(c, "bit_equal_pool_off", rayon::serial_scope(run) == got)
         })
         .collect()
+}
+
+/// Minimum wall time of a training forward then a backward of `layer`:
+/// backward consumes what forward cached, so the pair is the unit.
+fn fwd_bwd_ns(layer: &mut impl Layer, x: &Tensor, g: &Tensor) -> f64 {
+    min_ns(REPS, || {
+        layer.forward(x, true);
+        layer.backward(g)
+    })
+}
+
+/// Timings rows of the layers of a step that are not GEMMs, and of a GRU
+/// step, on the benchmark's shapes: `icu_gru_p1`'s dropout and
+/// `Dense(32→1)` head, the ResNet's first batch norm, Adam over the wide
+/// MLP's 2.1 M parameters, and a GRU(10→32) over 16 sequences of 48.
+fn layer_timings() -> Vec<Obj> {
+    let mut rng = Rng::seed(4);
+    let mut normal = |shape: &[usize]| rng.normal_tensor(shape, 1.0);
+    let (seq, head_g, img, img_g) = (normal(&SEQ), normal(&HEAD), normal(&IMG), normal(&IMG));
+    let (gru_x, gru_g) = (normal(&[16, 48, 10]), normal(&[16, 48, 32]));
+    let mut p = nn::Param::new(normal(&[2_097_152]));
+    p.grad = rng.normal_tensor(&[2_097_152], 0.01);
+    let mut gru = nn::Gru::new(10, 32, &mut rng);
+    let (mut d, mut adam) = (dropout(), nn::Adam::new(1e-3));
+    let dropout_ns = min_ns(REPS, || d.forward(&seq, true));
+    let dense_ns = fwd_bwd_ns(&mut dense_head(), &seq, &head_g);
+    let batchnorm_ns = fwd_bwd_ns(&mut batchnorm(), &img, &img_g);
+    let adam_ns = min_ns(REPS, || nn::Optimizer::step(&mut adam, &mut [&mut p]));
+    let gru_ns = fwd_bwd_ns(&mut gru, &gru_x, &gru_g);
+    [
+        ("dropout_fwd_240x48x32", dropout_ns),
+        ("dense_fwd_bwd_11520x32x1", dense_ns),
+        ("batchnorm_fwd_bwd_32x16x16x16", batchnorm_ns),
+        ("adam_step_2m", adam_ns),
+        ("gru_fwd_bwd_16x48x10_h32", gru_ns),
+    ]
+    .into_iter()
+    .map(|(layer, ns)| {
+        Obj::new()
+            .text("layer", layer)
+            .field("ns", format_args!("{ns:.0}"))
+    })
+    .collect()
 }
 
 /// One square size: `(counters row, timings row)`.
@@ -425,6 +490,7 @@ pub fn kernel_report() -> Report {
         .rows("matmul", matmul_t)
         .rows("nt", nt_t)
         .field("conv2d", conv_t)
+        .rows("layers", layer_timings())
         .doc();
     Report {
         bodies: vec![counters_and_timings(&counters, &timings)],
@@ -454,5 +520,28 @@ mod tests {
         assert!(!c1.contains("\"bit_equal_ref\": false"));
         assert!(c1.contains("\"bit_equal_seed\": true"));
         assert!(c1.contains("\"grows_stable\": true"));
+
+        // Every timed layer row ran and reads a finite, positive time.
+        let body = &a.bodies[0];
+        let timings = &body[body.find("\"timings\": ").expect("a timings section")..];
+        for layer in [
+            "dropout_fwd_240x48x32",
+            "dense_fwd_bwd_11520x32x1",
+            "batchnorm_fwd_bwd_32x16x16x16",
+            "adam_step_2m",
+            "gru_fwd_bwd_16x48x10_h32",
+        ] {
+            let key = format!("{{\"layer\": \"{layer}\", \"ns\": ");
+            let at = timings
+                .find(&key)
+                .unwrap_or_else(|| panic!("no {layer} row"))
+                + key.len();
+            let ns: f64 = timings[at..]
+                .split('}')
+                .next()
+                .and_then(|v| v.parse().ok())
+                .expect(layer);
+            assert!(ns.is_finite() && ns > 0.0, "{layer}: {ns} ns");
+        }
     }
 }

@@ -1,9 +1,11 @@
 //! Experiment harness: regenerates every quantitative artifact of the
-//! paper (see `DESIGN.md` §4 for the experiment index E1–E11 and
+//! paper (see `DESIGN.md` §4 for the experiment index E1–E14 and
 //! `EXPERIMENTS.md` for the paper-vs-measured record).
 //!
 //! Each function returns its report as a `String` so integration tests
 //! can assert on the numbers; the `experiments` binary prints them.
+//! Kernel timings have one home, the `timings` section of
+//! [`kernels::kernel_report`], all of them taken with `min_ns`.
 
 pub mod codec;
 pub mod comm;
@@ -42,7 +44,7 @@ use nn::{models, Adam, Dense, Layer, MaskedMae, Optimizer, Relu, Sequential, Sgd
 use qa::{train_ensemble, AnnealerSpec, QsvmConfig};
 use tensor::{Rng, Tensor};
 
-/// Runs one experiment by id (`"e1"`…`"e11"`) or `"all"`.
+/// Runs one experiment by id (`"e1"`…`"e14"`) or `"all"`.
 pub fn run(which: &str) -> String {
     match which {
         "e1" => e1_system_tables(),
@@ -953,6 +955,47 @@ pub fn obs_report() -> msa_obs::Snapshot {
 
 #[cfg(test)]
 mod tests {
+    use crate::report::Obj;
+
+    #[test]
+    fn bencher_measures_something() {
+        // Float sums do not reassociate, so the work cannot be folded away.
+        let ns = super::min_ns(3, || {
+            (0..std::hint::black_box(10_000u32))
+                .map(|i| f64::from(i).sqrt())
+                .sum::<f64>()
+        });
+        assert!(ns.is_finite() && ns > 0.0, "{ns}");
+    }
+
+    #[test]
+    fn group_api_chains() {
+        let doc = Obj::new()
+            .field("n", 3)
+            .text("name", "gru")
+            .rows(
+                "rows",
+                [
+                    Obj::new().field("a", 1).field("b", 2.5),
+                    Obj::new().text("c", "x"),
+                ],
+            )
+            .field("nested", Obj::new().field("d", true))
+            .doc();
+        let want = [
+            "{",
+            "  \"n\": 3,",
+            "  \"name\": \"gru\",",
+            "  \"rows\": [",
+            "    {\"a\": 1, \"b\": 2.5},",
+            "    {\"c\": \"x\"}",
+            "  ],",
+            "  \"nested\": {\"d\": true}",
+            "}",
+        ];
+        assert_eq!(doc, want.join("\n"));
+    }
+
     #[test]
     fn unknown_experiment_reports_gracefully() {
         let s = super::run("e99");

@@ -127,13 +127,12 @@ impl<S> EventEngine<S> {
         self.schedule(at, handler)
     }
 
-    /// Cancels a pending event. Returns false if it already ran (or was
-    /// already cancelled).
+    /// Cancels a still-queued event. Returns false if it already ran, was
+    /// already cancelled, or was never scheduled. Linear in the queue
+    /// length.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
+        let queued = self.queue.iter().any(|Reverse(ev)| ev.seq == id.0);
+        queued && self.cancelled.insert(id.0)
     }
 
     /// Runs one event if any; returns whether an event ran.
@@ -229,7 +228,7 @@ mod tests {
     #[test]
     fn cancellation_prevents_execution() {
         let mut eng: EventEngine<Vec<i32>> = EventEngine::new();
-        let _a = eng.schedule(SimTime::from_secs(1.0), |s, _| s.push(1));
+        let a = eng.schedule(SimTime::from_secs(1.0), |s, _| s.push(1));
         let b = eng.schedule(SimTime::from_secs(2.0), |s, _| s.push(2));
         assert!(eng.cancel(b));
         assert!(!eng.cancel(b), "double cancel reports false");
@@ -237,6 +236,8 @@ mod tests {
         let mut log = Vec::new();
         eng.run(&mut log);
         assert_eq!(log, vec![1]);
+        assert_eq!(eng.pending(), 0);
+        assert!(!eng.cancel(a), "an event that ran cannot be cancelled");
         assert_eq!(eng.pending(), 0);
     }
 
