@@ -1,4 +1,5 @@
-//! The committed BENCH/TUNE artifacts, regenerated in-process.
+//! The committed BENCH/TUNE artifacts and the analytic experiments'
+//! output, regenerated in-process.
 //!
 //! Every report is deterministic where it is pinned, so a fresh run must
 //! reproduce its committed file byte for byte (up to the file's
@@ -6,7 +7,8 @@
 //! failure names the file and its first differing line, or the contract.
 //! After a deliberate change, re-pin a file by running its subcommand
 //! (`cargo run --release -p bench --bin experiments -- <sub>`) and
-//! committing what it writes.
+//! committing what it writes; `EXPERIMENTS_analytic.txt` is the stdout
+//! of `experiments` run on [`ANALYTIC`].
 
 use std::path::Path;
 
@@ -15,6 +17,9 @@ use bench::{codec, comm, kernels, pipeline, serve, tune};
 
 /// A report, and its committed files, one per body, each with where its
 /// wall-clock part starts.
+/// The experiments with no wall-clock field, in the committed order.
+const ANALYTIC: [&str; 8] = ["e1", "e2", "e8", "e9", "e11", "e12", "e13", "e14"];
+
 type Case = (
     fn() -> Report,
     &'static [(&'static str, Option<&'static str>)],
@@ -119,4 +124,11 @@ fn committed_artifacts_regenerate_byte_for_byte() {
         flags_true("BENCH_pr5.json", name);
     }
     assert_eq!(flags_true("BENCH_pr5.json", comm::FULL_SIZE_FLAG), 1);
+}
+
+#[test]
+fn analytic_experiments_regenerate_byte_for_byte() {
+    // What `experiments` prints: each report, then an empty line.
+    let fresh: String = ANALYTIC.iter().map(|id| bench::run(id) + "\n").collect();
+    assert_same("EXPERIMENTS_analytic.txt", &fresh, None);
 }

@@ -21,8 +21,9 @@
 //! * [`module`] and [`system`] types to assemble modules into full systems,
 //!   with ready-made [`system::presets`] for the DEEP cluster and JUWELS;
 //! * an [`energy`] model (idle/peak power, energy-to-solution accounting);
-//! * [`simtime`] virtual time and an [`event`] discrete-event engine used
-//!   by the scheduler and the large-scale performance models;
+//! * [`simtime`] virtual time, an [`event`] discrete-event queue used by
+//!   the scheduler, and the [`rng`] generator behind every seeded random
+//!   process on the modeled clock;
 //! * [`workload`] classes and module-affinity scoring, mirroring the
 //!   paper's Fig. 2 placement of diverse application workloads.
 
@@ -31,6 +32,7 @@ pub mod event;
 pub mod hw;
 pub mod module;
 pub mod report;
+pub mod rng;
 pub mod simtime;
 pub mod system;
 pub mod workload;
@@ -39,6 +41,7 @@ pub use energy::{EnergyMeter, PowerModel};
 pub use event::{EventEngine, EventId};
 pub use hw::{CpuSpec, FpgaSpec, GpuSpec, MemoryKind, MemorySpec, NodeSpec, StorageSpec};
 pub use module::{Module, ModuleId, ModuleKind};
+pub use rng::XorShift;
 pub use simtime::SimTime;
 pub use system::{FederationLink, MsaSystem, SystemBuilder};
 pub use workload::{WorkloadClass, WorkloadProfile};

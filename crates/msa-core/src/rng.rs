@@ -1,0 +1,29 @@
+//! The xorshift64* generator behind the seeded random processes on the
+//! modeled clock: trace generation (`msa-sched`), open-loop arrivals
+//! (`msa-serve`) and failure injection (`msa-storage`). One definition
+//! keeps their streams the same construction, and those crates free of
+//! a rand dependency.
+
+/// xorshift64* state. It must be non-zero; every caller seeds with
+/// `seed | 1` after whatever scrambling of its own.
+#[derive(Debug, Clone)]
+pub struct XorShift(pub u64);
+
+impl XorShift {
+    /// The next 64-bit output.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// A uniform draw in `[0, 1)` from the output's top 53 bits.
+    #[inline]
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}

@@ -136,17 +136,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Adds an explicit federation link.
-    pub fn federate(mut self, a: usize, b: usize, bw_gbs: f64, latency_us: f64) -> Self {
-        self.federation.push(FederationLink {
-            a: ModuleId(a),
-            b: ModuleId(b),
-            bw_gbs,
-            latency_us,
-        });
-        self
-    }
-
     /// Connects every module pair with identical links.
     pub fn all_to_all_federation(mut self, bw_gbs: f64, latency_us: f64) -> Self {
         for i in 0..self.modules.len() {

@@ -28,11 +28,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Number of participating threads.
-    pub fn parties(&self) -> usize {
-        self.n
-    }
-
     /// Blocks until all `n` threads have called `wait`. Returns `true` on
     /// exactly one thread per generation (the last arriver), like
     /// `std::sync::Barrier`'s leader flag.

@@ -94,16 +94,6 @@ impl Topology {
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         a / self.ranks_per_node == b / self.ranks_per_node
     }
-
-    /// The link a message from `from` to `to` travels, given the fabric
-    /// link `inter` used between nodes.
-    pub fn link_between(&self, from: usize, to: usize, inter: LinkParams) -> LinkParams {
-        if self.same_node(from, to) {
-            self.intra
-        } else {
-            inter
-        }
-    }
 }
 
 /// Which allreduce algorithm to price.

@@ -92,30 +92,19 @@ impl TunedAlgo {
         }
     }
 
-    /// The flat cost-model twin, for the software algorithms.
-    pub fn software_model(self) -> Option<CollectiveAlgo> {
-        match self {
-            TunedAlgo::Ring => Some(CollectiveAlgo::Ring),
-            TunedAlgo::RecursiveDoubling => Some(CollectiveAlgo::RecursiveDoubling),
-            TunedAlgo::Pipeline => Some(CollectiveAlgo::Pipeline),
-            TunedAlgo::Hierarchical { .. } => None,
-        }
-    }
-
     /// Analytic α–β prediction for this algorithm on the given fabric
     /// and topology — what `distrib::perf` prices, then calibrates by
     /// the table's measured/modeled ratio.
     pub fn model_time(self, ranks: usize, bytes: f64, inter: LinkParams, topo: Topology) -> SimTime {
-        match self {
+        let flat = match self {
+            TunedAlgo::Ring => CollectiveAlgo::Ring,
+            TunedAlgo::RecursiveDoubling => CollectiveAlgo::RecursiveDoubling,
+            TunedAlgo::Pipeline => CollectiveAlgo::Pipeline,
             TunedAlgo::Hierarchical { ranks_per_node } => {
-                hierarchical_cost(ranks, ranks_per_node, bytes, topo.intra, inter)
+                return hierarchical_cost(ranks, ranks_per_node, bytes, topo.intra, inter);
             }
-            _ => match self.software_model() {
-                Some(algo) => algo.allreduce_time(ranks, bytes, inter),
-                // the hierarchical arm above is the only None
-                _ => unreachable!(),
-            },
-        }
+        };
+        flat.allreduce_time(ranks, bytes, inter)
     }
 
     /// [`TunedAlgo::model_time`] as integer picoseconds — the
@@ -206,40 +195,22 @@ pub fn measure(
     link: LinkParams,
     topo: Topology,
 ) -> Measurement {
-    assert!(ranks >= 1);
-    assert!(
-        bytes >= 4 && bytes.is_multiple_of(4),
-        "payload must be a whole number of f32s"
-    );
     assert!(algo.applicable(ranks), "{} cannot run at p={ranks}", algo.name());
-    let len = bytes / 4;
-    let opts = CommOptions::new().link(link).topo(topo);
-    let per_rank = ThreadComm::run_with(ranks, &opts, |c| {
-        let mut buf = vec![1.0f32; len];
-        let mut scratch = Arena::new();
-        algo.run(c, &mut buf, &mut scratch);
-        // Correctness is part of the measurement: an allreduce of all-ones
-        // must produce exactly `ranks` everywhere (whole-number sums are
-        // exact in f32 at every grid size).
-        let want = ranks as f32;
-        assert!(
-            buf.iter().all(|v| v.to_bits() == want.to_bits()),
-            "{} at p={ranks} produced a wrong sum",
-            algo.name()
-        );
-        // lint: allow(unwrap) -- ThreadComm endpoints always carry stats
-        let stats = c.stats().expect("ThreadComm always keeps stats");
-        let t = stats.export().total();
-        (t.msgs_sent, t.bytes_sent, stats.vtime_ps())
-    });
-    let msgs_total: u64 = per_rank.iter().map(|(m, _, _)| *m).sum();
-    let bytes_total: u64 = per_rank.iter().map(|(_, b, _)| *b).sum();
-    let measured_ps = per_rank.iter().map(|(_, _, v)| *v).max().unwrap_or(0);
-    assert!(
-        ranks == 1 || (msgs_total > 0 && measured_ps > 0),
-        "phantom-zero wire row: {} at p={ranks} recorded no traffic",
-        algo.name()
-    );
+    let (measured_ps, msgs_total, bytes_total) =
+        run_priced(ranks, bytes, link, topo, &algo.name(), |c, len| {
+            let mut buf = vec![1.0f32; len];
+            let mut scratch = Arena::new();
+            algo.run(c, &mut buf, &mut scratch);
+            // Correctness is part of the measurement: an allreduce of all-ones
+            // must produce exactly `ranks` everywhere (whole-number sums are
+            // exact in f32 at every grid size).
+            let want = ranks as f32;
+            assert!(
+                buf.iter().all(|v| v.to_bits() == want.to_bits()),
+                "{} at p={ranks} produced a wrong sum",
+                algo.name()
+            );
+        });
     Measurement {
         algo,
         measured_ps,
@@ -285,53 +256,78 @@ pub fn measure_codec(
     link: LinkParams,
     topo: Topology,
 ) -> CodecMeasurement {
+    let what = format!("codec {}", codec.name());
+    let (measured_ps, msgs_total, bytes_total) =
+        run_priced(ranks, bytes, link, topo, &what, |c, len| {
+            let mut scratch = Arena::new();
+            let want = ranks as f32;
+            match codec {
+                GradCodec::Dense32 => {
+                    let mut buf = vec![1.0f32; len];
+                    collectives::pipeline_allreduce(c, &mut buf, &mut scratch);
+                    assert!(
+                        buf.iter().all(|v| v.to_bits() == want.to_bits()),
+                        "dense32 chain at p={ranks} produced a wrong sum"
+                    );
+                }
+                GradCodec::Bf16 => {
+                    let mut buf = vec![1.0f32; len];
+                    bf16_allreduce(c, &mut buf, &mut scratch);
+                    assert!(
+                        buf.iter().all(|v| v.to_bits() == want.to_bits()),
+                        "bf16 chain at p={ranks} produced a wrong sum"
+                    );
+                }
+                GradCodec::SparseTopK { ratio } => {
+                    let k = sparse_k(len, ratio);
+                    let mut payload = vec![0.0f32; 2 * k];
+                    for i in 0..k {
+                        WirePair::new(i as u32, 1.0).to_words(&mut payload[2 * i..2 * i + 2]);
+                    }
+                    let mut all = vec![0.0f32; ranks * payload.len()];
+                    collectives::ring_allgather_into(c, &payload, &mut all);
+                    let mut buf = vec![0.0f32; len];
+                    for pair_words in all.chunks_exact(2) {
+                        let pair = WirePair::from_words(pair_words);
+                        buf[pair.index as usize] += pair.value();
+                    }
+                    assert!(
+                        buf[..k].iter().all(|v| v.to_bits() == want.to_bits())
+                            && buf[k..].iter().all(|v| *v == 0.0),
+                        "sparse exchange at p={ranks} produced a wrong sum"
+                    );
+                }
+            }
+        });
+    CodecMeasurement {
+        codec,
+        measured_ps,
+        msgs_total,
+        bytes_total,
+    }
+}
+
+/// Runs `body` with the payload length in f32s on every rank of a fresh
+/// communicator priced on `link` and `topo`, then reads the schedule
+/// back: the critical-path virtual time (max endpoint clock) and the
+/// messages and payload bytes summed over every rank. Panics on a
+/// phantom-zero wire row (no traffic at `ranks > 1`), naming `what` ran.
+fn run_priced(
+    ranks: usize,
+    bytes: usize,
+    link: LinkParams,
+    topo: Topology,
+    what: &str,
+    body: impl Fn(&ThreadComm, usize) + Sync,
+) -> (u64, u64, u64) {
     assert!(ranks >= 1);
     assert!(
         bytes >= 4 && bytes.is_multiple_of(4),
         "payload must be a whole number of f32s"
     );
-    let len = bytes / 4;
     let opts = CommOptions::new().link(link).topo(topo);
-    let per_rank = ThreadComm::run_with(ranks, &opts, move |c| {
-        let mut scratch = Arena::new();
-        let want = ranks as f32;
-        match codec {
-            GradCodec::Dense32 => {
-                let mut buf = vec![1.0f32; len];
-                collectives::pipeline_allreduce(c, &mut buf, &mut scratch);
-                assert!(
-                    buf.iter().all(|v| v.to_bits() == want.to_bits()),
-                    "dense32 chain at p={ranks} produced a wrong sum"
-                );
-            }
-            GradCodec::Bf16 => {
-                let mut buf = vec![1.0f32; len];
-                bf16_allreduce(c, &mut buf, &mut scratch);
-                assert!(
-                    buf.iter().all(|v| v.to_bits() == want.to_bits()),
-                    "bf16 chain at p={ranks} produced a wrong sum"
-                );
-            }
-            GradCodec::SparseTopK { ratio } => {
-                let k = sparse_k(len, ratio);
-                let mut payload = vec![0.0f32; 2 * k];
-                for i in 0..k {
-                    WirePair::new(i as u32, 1.0).to_words(&mut payload[2 * i..2 * i + 2]);
-                }
-                let mut all = vec![0.0f32; ranks * payload.len()];
-                collectives::ring_allgather_into(c, &payload, &mut all);
-                let mut buf = vec![0.0f32; len];
-                for pair_words in all.chunks_exact(2) {
-                    let pair = WirePair::from_words(pair_words);
-                    buf[pair.index as usize] += pair.value();
-                }
-                assert!(
-                    buf[..k].iter().all(|v| v.to_bits() == want.to_bits())
-                        && buf[k..].iter().all(|v| *v == 0.0),
-                    "sparse exchange at p={ranks} produced a wrong sum"
-                );
-            }
-        }
+    let per_rank = ThreadComm::run_with(ranks, &opts, |c| {
+        body(c, bytes / 4);
         // lint: allow(unwrap) -- ThreadComm endpoints always carry stats
         let stats = c.stats().expect("ThreadComm always keeps stats");
         let t = stats.export().total();
@@ -342,15 +338,9 @@ pub fn measure_codec(
     let measured_ps = per_rank.iter().map(|(_, _, v)| *v).max().unwrap_or(0);
     assert!(
         ranks == 1 || (msgs_total > 0 && measured_ps > 0),
-        "phantom-zero wire row: codec {} at p={ranks} recorded no traffic",
-        codec.name()
+        "phantom-zero wire row: {what} at p={ranks} recorded no traffic"
     );
-    CodecMeasurement {
-        codec,
-        measured_ps,
-        msgs_total,
-        bytes_total,
-    }
+    (measured_ps, msgs_total, bytes_total)
 }
 
 /// The fixed candidate list for one cell: the three software algorithms,
@@ -555,6 +545,24 @@ impl std::fmt::Display for TableParseError {
 
 impl std::error::Error for TableParseError {}
 
+/// How far a cell measured at (`at_ranks`, `at_bytes`) lies from a
+/// query at (`ranks`, `bytes`), compared lexicographically: the rank
+/// distance first, then the byte distance in log₂ space, then the
+/// absolute byte distance. All integer arithmetic.
+fn cell_distance(
+    at_ranks: usize,
+    at_bytes: usize,
+    ranks: usize,
+    bytes: usize,
+) -> (usize, u32, usize) {
+    let log2 = |v: usize| v.max(1).ilog2();
+    (
+        at_ranks.abs_diff(ranks),
+        log2(at_bytes).abs_diff(log2(bytes)),
+        at_bytes.abs_diff(bytes),
+    )
+}
+
 /// The persisted autotuner output: a sorted list of measured winners,
 /// plus the link/topology they were measured on, with a byte-stable
 /// text round trip ([`DecisionTable::to_table_string`] /
@@ -594,34 +602,15 @@ impl DecisionTable {
         self.codec_entries.push(entry);
     }
 
-    /// The nearest measured cell to (`ranks`, `bytes`): minimize the rank
-    /// distance first, then the byte distance in log₂ space, then the
-    /// absolute byte distance — all integer arithmetic, first entry wins
-    /// exact ties, so selection is deterministic and total.
+    /// The nearest measured cell to (`ranks`, `bytes`) by
+    /// [`cell_distance`]; the first entry wins exact ties, so selection
+    /// is deterministic and total.
     pub fn entry_for(&self, ranks: usize, bytes: usize) -> &TableEntry {
-        fn absdiff(a: usize, b: usize) -> u64 {
-            (a as u64).abs_diff(b as u64)
-        }
-        fn log2(v: usize) -> u32 {
-            v.max(1).ilog2()
-        }
-        let key = |e: &TableEntry| {
-            (
-                absdiff(e.ranks, ranks),
-                log2(e.bytes).abs_diff(log2(bytes)),
-                absdiff(e.bytes, bytes),
-            )
-        };
-        let mut best = &self.entries[0];
-        let mut best_key = key(best);
-        for e in &self.entries[1..] {
-            let k = key(e);
-            if k < best_key {
-                best = e;
-                best_key = k;
-            }
-        }
-        best
+        let key = |e: &TableEntry| cell_distance(e.ranks, e.bytes, ranks, bytes);
+        self.entries[1..].iter().fold(
+            &self.entries[0],
+            |best, e| if key(e) < key(best) { e } else { best },
+        )
     }
 
     /// The algorithm to dispatch for an allreduce of `bytes` over
@@ -652,35 +641,15 @@ impl DecisionTable {
     /// `codec` — what `distrib::perf` scales its comm prediction by when
     /// the trainer ships encoded gradients. `None` when the table holds
     /// no measurement for this codec (callers fall back to the analytic
-    /// wire-byte ratio). Nearest-cell metric matches [`entry_for`]
-    /// (rank distance, then log₂-byte, then byte distance; first entry
-    /// wins ties), restricted to entries of the same codec.
-    ///
-    /// [`entry_for`]: DecisionTable::entry_for
+    /// wire-byte ratio). Nearest cell by [`cell_distance`] among the
+    /// entries of the same codec, the first winning ties, as in
+    /// [`DecisionTable::entry_for`].
     pub fn codec_ratio(&self, ranks: usize, bytes: usize, codec: GradCodec) -> Option<f64> {
-        fn absdiff(a: usize, b: usize) -> u64 {
-            (a as u64).abs_diff(b as u64)
-        }
-        fn log2(v: usize) -> u32 {
-            v.max(1).ilog2()
-        }
-        let key = |e: &CodecEntry| {
-            (
-                absdiff(e.ranks, ranks),
-                log2(e.bytes).abs_diff(log2(bytes)),
-                absdiff(e.bytes, bytes),
-            )
-        };
-        let mut best: Option<&CodecEntry> = None;
-        for e in &self.codec_entries {
-            if e.codec != codec {
-                continue;
-            }
-            if best.is_none_or(|b| key(e) < key(b)) {
-                best = Some(e);
-            }
-        }
-        best.filter(|e| e.dense_ps > 0)
+        self.codec_entries
+            .iter()
+            .filter(|e| e.codec == codec)
+            .min_by_key(|e| cell_distance(e.ranks, e.bytes, ranks, bytes))
+            .filter(|e| e.dense_ps > 0)
             .map(|e| e.measured_ps as f64 / e.dense_ps as f64)
     }
 

@@ -14,7 +14,6 @@ use msa_core::module::ModuleKind;
 use msa_core::system::MsaSystem;
 use msa_core::{EventEngine, SimTime};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// One resource request of a co-allocated job.
 #[derive(Debug, Clone)]
@@ -52,27 +51,32 @@ pub struct CoallocReport {
     pub total_energy_kwh: f64,
 }
 
-struct Ctx {
-    jobs: Vec<CoallocJob>,
+/// What happens at an instant of the scheduling clock.
+enum Event {
+    /// Job `id` joins the queue.
+    Submit(usize),
+    /// Job `id` releases all its parts.
+    End(usize),
+}
+
+struct State<'a> {
+    jobs: &'a [CoallocJob],
     /// Module index per (job, part): resolved placement.
     placements: Vec<Vec<usize>>,
     /// Energy per job (all parts, 90% utilisation for the duration).
     energies: Vec<f64>,
-}
-
-struct State {
     free: Vec<usize>,
     queue: VecDeque<usize>,
     outcomes: Vec<Option<CoallocOutcome>>,
 }
 
-fn try_start(state: &mut State, eng: &mut EventEngine<State>, ctx: &Rc<Ctx>) {
+fn try_start(state: &mut State, eng: &mut EventEngine<Event>) {
     // Strict FCFS: only the queue head may start (atomicity keeps this
     // simple and starvation-free; backfill over vector resources is
     // future work).
     while let Some(&job_id) = state.queue.front() {
-        let placement = &ctx.placements[job_id];
-        let job = &ctx.jobs[job_id];
+        let placement = &state.placements[job_id];
+        let job = &state.jobs[job_id];
         let fits = placement
             .iter()
             .zip(&job.parts)
@@ -91,15 +95,9 @@ fn try_start(state: &mut State, eng: &mut EventEngine<State>, ctx: &Rc<Ctx>) {
             start: now,
             end,
             wait: now.saturating_sub(job.submit),
-            energy_j: ctx.energies[job_id],
+            energy_j: state.energies[job_id],
         });
-        let ctx2 = Rc::clone(ctx);
-        eng.schedule(end, move |st: &mut State, e| {
-            for (&m, part) in ctx2.placements[job_id].iter().zip(&ctx2.jobs[job_id].parts) {
-                st.free[m] += part.nodes;
-            }
-            try_start(st, e, &ctx2);
-        });
+        eng.schedule(end, Event::End(job_id));
     }
 }
 
@@ -144,26 +142,29 @@ pub fn schedule_coalloc(sys: &MsaSystem, jobs: &[CoallocJob]) -> CoallocReport {
         })
         .collect();
 
-    let ctx = Rc::new(Ctx {
-        jobs: jobs.to_vec(),
+    let mut state = State {
+        jobs,
         placements,
         energies,
-    });
-    let mut state = State {
         free: sys.modules.iter().map(|m| m.node_count).collect(),
         queue: VecDeque::new(),
         outcomes: vec![None; jobs.len()],
     };
-    let mut eng: EventEngine<State> = EventEngine::new();
-    for job in ctx.jobs.iter() {
-        let id = job.id;
-        let ctx2 = Rc::clone(&ctx);
-        eng.schedule(job.submit, move |st: &mut State, e| {
-            st.queue.push_back(id);
-            try_start(st, e, &ctx2);
-        });
+    let mut eng = EventEngine::new();
+    for job in jobs {
+        eng.schedule(job.submit, Event::Submit(job.id));
     }
-    eng.run(&mut state);
+    while let Some((_, ev)) = eng.pop() {
+        match ev {
+            Event::Submit(id) => state.queue.push_back(id),
+            Event::End(id) => {
+                for (&m, part) in state.placements[id].iter().zip(&jobs[id].parts) {
+                    state.free[m] += part.nodes;
+                }
+            }
+        }
+        try_start(&mut state, &mut eng);
+    }
 
     let outcomes: Vec<CoallocOutcome> = state
         .outcomes
@@ -275,6 +276,35 @@ mod tests {
         assert!(during_big.len() <= 1, "CM capacity violated: {during_big:?}");
         // Everyone completes.
         assert_eq!(rep.outcomes.len(), 4);
+    }
+
+    #[test]
+    fn workflow_submitted_at_a_release_instant_starts_then() {
+        // Job 0 holds the whole 16-node DAM until t = 100 s; a workflow
+        // and a second whole-DAM job both arrive at exactly t = 100 s.
+        let sys = presets::deep();
+        let whole_dam = |id, submit, duration| CoallocJob {
+            id,
+            parts: vec![PartRequest {
+                kind: ModuleKind::DataAnalytics,
+                nodes: 16,
+            }],
+            duration,
+            submit,
+        };
+        let jobs = vec![
+            whole_dam(0, SimTime::ZERO, secs(100.0)),
+            coupled_workflow(1, secs(100.0), secs(50.0)),
+            whole_dam(2, secs(100.0), secs(10.0)),
+        ];
+        let o = schedule_coalloc(&sys, &jobs).outcomes;
+        assert_eq!(
+            o[1].start,
+            secs(100.0),
+            "the workflow starts at the release"
+        );
+        assert_eq!(o[1].wait, SimTime::ZERO);
+        assert_eq!(o[2].start, o[1].end, "job 2 waits its FIFO turn behind it");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::job::JobSpec;
 use msa_core::workload::WorkloadClass;
-use msa_core::SimTime;
+use msa_core::{SimTime, XorShift};
 
 /// Trace shape.
 #[derive(Debug, Clone)]
@@ -30,29 +30,6 @@ impl Default for TraceConfig {
             seed: 2021,
             mix: [0.3, 0.2, 0.2, 0.2, 0.1],
         }
-    }
-}
-
-/// A tiny deterministic PRNG (xorshift64*), kept local so the crate does
-/// not need a rand dependency for trace generation.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
     }
 }
 
@@ -87,7 +64,7 @@ pub fn generate_trace(cfg: &TraceConfig) -> Vec<JobSpec> {
                 }
                 pick -= w;
             }
-            let nodes = 1 + rng.below(cfg.max_nodes);
+            let nodes = 1 + (rng.next_u64() % cfg.max_nodes as u64) as usize;
             JobSpec::scaled(id, class, nodes, SimTime::from_secs(t), cfg.scale)
         })
         .collect()

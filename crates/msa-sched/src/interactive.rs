@@ -162,21 +162,15 @@ pub fn compare_interactive(
         .expect("system needs a DAM")
         .id;
     let batch = generate_trace(batch_cfg);
-    let session_ids: std::collections::HashSet<usize> =
-        sessions.iter().map(|s| s.id).collect();
 
     // Scenario A: everything shares one queue and all modules.
     let mut all: Vec<JobSpec> = batch.clone();
     all.extend(sessions.to_vec());
-    // Re-id jobs densely (the scheduler indexes by id).
+    // Re-id jobs densely (the scheduler indexes by id); the sessions are
+    // the tail, ids from `n_batch` on.
     for (i, j) in all.iter_mut().enumerate() {
-        if session_ids.contains(&j.id) {
-            j.id = i; // remember which are sessions via position map below
-        } else {
-            j.id = i;
-        }
+        j.id = i;
     }
-    // Track which dense ids are sessions: the tail of the vec.
     let n_batch = batch.len();
     let shared = schedule(sys, &all, &MsaPlacement);
     let shared_report = summarize(&shared, n_batch);

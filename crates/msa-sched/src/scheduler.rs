@@ -15,7 +15,6 @@ use msa_core::system::MsaSystem;
 use msa_core::{EventEngine, SimTime};
 use msa_obs::{key, simtime_to_ps, Recorder};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Result of scheduling one trace.
 #[derive(Debug, Clone)]
@@ -78,21 +77,25 @@ impl ScheduleReport {
     }
 }
 
-struct Ctx {
-    sys: MsaSystem,
-    jobs: Vec<JobSpec>,
-    /// Pre-computed placement, runtime and energy per job.
-    placed: Vec<(ModuleId, SimTime, f64)>,
-}
-
-#[derive(Clone)]
+#[derive(Clone, Copy, PartialEq)]
 struct Running {
     end: SimTime,
     module: ModuleId,
     nodes: usize,
 }
 
-struct State {
+/// What happens at an instant of the scheduling clock.
+enum Event {
+    /// Job `id` joins the queue.
+    Submit(usize),
+    /// A running job frees its nodes.
+    End(Running),
+}
+
+struct State<'a> {
+    jobs: &'a [JobSpec],
+    /// Pre-computed placement, runtime and energy per job.
+    placed: Vec<(ModuleId, SimTime, f64)>,
     free: Vec<usize>,
     queue: VecDeque<usize>,
     running: Vec<Running>,
@@ -130,23 +133,23 @@ fn reservation_time(
     SimTime::from_secs(f64::MAX / 4.0)
 }
 
-fn try_schedule(state: &mut State, eng: &mut EventEngine<State>, ctx: &Rc<Ctx>) {
+fn try_schedule(state: &mut State, eng: &mut EventEngine<Event>) {
     let now = eng.now();
     // Reservation for the queue head.
     let head_res = state.queue.front().map(|&h| {
-        let (module, _, _) = ctx.placed[h];
+        let (module, _, _) = state.placed[h];
         let free = state.free[module.0];
         (
             module,
-            reservation_time(now, free, ctx.jobs[h].nodes, module, &state.running),
+            reservation_time(now, free, state.jobs[h].nodes, module, &state.running),
         )
     });
 
     let mut qi = 0;
     while qi < state.queue.len() {
         let job_id = state.queue[qi];
-        let (module, runtime, energy) = ctx.placed[job_id];
-        let nodes = ctx.jobs[job_id].nodes;
+        let (module, runtime, energy) = state.placed[job_id];
+        let nodes = state.jobs[job_id].nodes;
         let fits = state.free[module.0] >= nodes;
 
         let allowed = if qi == 0 {
@@ -168,9 +171,10 @@ fn try_schedule(state: &mut State, eng: &mut EventEngine<State>, ctx: &Rc<Ctx>) 
             state.queue.remove(qi);
             state.free[module.0] -= nodes;
             let end = now + runtime;
-            state.running.push(Running { end, module, nodes });
+            let run = Running { end, module, nodes };
+            state.running.push(run);
             state.busy_node_secs[module.0] += nodes as f64 * runtime.as_secs();
-            let submit = ctx.jobs[job_id].submit;
+            let submit = state.jobs[job_id].submit;
             state.outcomes[job_id] = Some(JobOutcome {
                 id: job_id,
                 module,
@@ -180,19 +184,7 @@ fn try_schedule(state: &mut State, eng: &mut EventEngine<State>, ctx: &Rc<Ctx>) 
                 wait: now.saturating_sub(submit),
                 energy_j: energy,
             });
-            let ctx2 = Rc::clone(ctx);
-            eng.schedule(end, move |st: &mut State, e| {
-                st.free[module.0] += nodes;
-                // Remove exactly one matching running record.
-                if let Some(pos) = st
-                    .running
-                    .iter()
-                    .position(|r| r.end == end && r.module == module && r.nodes == nodes)
-                {
-                    st.running.swap_remove(pos);
-                }
-                try_schedule(st, e, &ctx2);
-            });
+            eng.schedule(end, Event::End(run));
             // Restart the scan: head may have changed.
             qi = 0;
             continue;
@@ -215,29 +207,33 @@ pub fn schedule(sys: &MsaSystem, jobs: &[JobSpec], policy: &dyn Placement) -> Sc
         })
         .collect();
 
-    let ctx = Rc::new(Ctx {
-        sys: sys.clone(),
-        jobs: jobs.to_vec(),
-        placed,
-    });
     let mut state = State {
-        free: ctx.sys.modules.iter().map(|m| m.node_count).collect(),
+        jobs,
+        placed,
+        free: sys.modules.iter().map(|m| m.node_count).collect(),
         queue: VecDeque::new(),
         running: Vec::new(),
         outcomes: vec![None; jobs.len()],
-        busy_node_secs: vec![0.0; ctx.sys.modules.len()],
+        busy_node_secs: vec![0.0; sys.modules.len()],
         backfilled: 0,
     };
-    let mut eng: EventEngine<State> = EventEngine::new();
-    for job in ctx.jobs.iter() {
-        let id = job.id;
-        let ctx2 = Rc::clone(&ctx);
-        eng.schedule(job.submit, move |st: &mut State, e| {
-            st.queue.push_back(id);
-            try_schedule(st, e, &ctx2);
-        });
+    let mut eng = EventEngine::new();
+    for job in jobs {
+        eng.schedule(job.submit, Event::Submit(job.id));
     }
-    eng.run(&mut state);
+    while let Some((_, ev)) = eng.pop() {
+        match ev {
+            Event::Submit(id) => state.queue.push_back(id),
+            Event::End(run) => {
+                state.free[run.module.0] += run.nodes;
+                // Remove exactly one matching running record.
+                if let Some(pos) = state.running.iter().position(|r| *r == run) {
+                    state.running.swap_remove(pos);
+                }
+            }
+        }
+        try_schedule(&mut state, &mut eng);
+    }
 
     let outcomes: Vec<JobOutcome> = state
         .outcomes
@@ -256,7 +252,7 @@ pub fn schedule(sys: &MsaSystem, jobs: &[JobSpec], policy: &dyn Placement) -> Sc
         / outcomes.len().max(1) as f64;
     // Energy: job energy plus idle burn of unused nodes until makespan.
     let mut total_j: f64 = outcomes.iter().map(|o| o.energy_j).sum();
-    for (m, busy) in ctx.sys.modules.iter().zip(&state.busy_node_secs) {
+    for (m, busy) in sys.modules.iter().zip(&state.busy_node_secs) {
         let idle_node_secs = m.node_count as f64 * makespan.as_secs() - busy;
         let idle_w = PowerModel::for_node(&m.node).idle_w;
         total_j += idle_node_secs.max(0.0) * idle_w;
@@ -377,6 +373,24 @@ mod tests {
         assert!(o[2].start < o[1].start, "tiny job should backfill");
         assert_eq!(o[1].start, o[0].end, "head must start when j0 frees");
         assert!(rep.backfilled >= 1);
+    }
+
+    #[test]
+    fn submit_at_a_release_instant_starts_then() {
+        // j0 holds the whole 16-node DAM; j1 and j2 each want all of it
+        // and arrive at the very instant j0 ends.
+        let sys = presets::deep();
+        let first = vec![job(0, WorkloadClass::DataAnalytics, 16, 0.0)];
+        let release = schedule(&sys, &first, &MsaPlacement).outcomes[0].end;
+        let mut jobs = first;
+        for id in 1..3 {
+            jobs.push(job(id, WorkloadClass::DataAnalytics, 16, release.as_secs()));
+        }
+        let o = schedule(&sys, &jobs, &MsaPlacement).outcomes;
+        assert_eq!(o[0].end, release);
+        assert_eq!(o[1].start, release, "j1 starts at the release instant");
+        assert_eq!(o[1].wait, SimTime::ZERO);
+        assert_eq!(o[2].start, o[1].end, "j2 waits its FIFO turn behind j1");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   validating the analytic waste prediction and quantifying the NAM's
 //!   end-to-end benefit.
 
-use msa_core::SimTime;
+use msa_core::{SimTime, XorShift};
 
 /// Where checkpoints go.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,16 +126,8 @@ pub fn simulate_failures(
     seed: u64,
 ) -> FailureSimReport {
     assert!(interval.as_secs() > 0.0 && work.as_secs() > 0.0);
-    // xorshift64* for exponential draws.
-    let mut state = seed | 1;
-    let mut exp_draw = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let u = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
-            / (1u64 << 53) as f64;
-        -mtbf.as_secs() * (1.0 - u).max(1e-300).ln()
-    };
+    let mut rng = XorShift(seed | 1);
+    let mut exp_draw = move || -mtbf.as_secs() * (1.0 - rng.unit()).max(1e-300).ln();
 
     let mut wall = 0.0f64; // total elapsed
     let mut done = 0.0f64; // checkpointed useful work

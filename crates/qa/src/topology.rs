@@ -84,11 +84,6 @@ impl HardwareGraph {
         assert!(k_bits >= 1);
         self.max_clique / k_bits
     }
-
-    /// Embedding overhead factor: physical qubits per logical variable.
-    pub fn embedding_overhead(&self) -> f64 {
-        self.clique_chain_len as f64
-    }
 }
 
 #[cfg(test)]

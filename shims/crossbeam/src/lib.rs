@@ -114,14 +114,6 @@ pub mod channel {
                 };
             }
         }
-
-        /// Non-blocking receive; `None` when currently empty.
-        pub fn try_recv(&self) -> Option<T> {
-            match self.shared.queue.lock() {
-                Ok(mut q) => q.pop_front(),
-                Err(p) => p.into_inner().pop_front(),
-            }
-        }
     }
 
     impl<T> Clone for Sender<T> {
