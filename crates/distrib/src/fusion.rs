@@ -21,16 +21,18 @@
 //!
 //! Bit-exactness across bucket counts rests on the exchange being
 //! partition-invariant: the trainer reduces every bucket with
-//! `msa_net::collectives::pipeline_allreduce`, whose element-wise fold
-//! order depends only on rank order, never on how the flat gradient was
-//! cut (asserted in `pipeline_allreduce_is_partition_invariant`).
+//! `msa_net::collectives::pipeline_allreduce_mean`, the sum chain whose
+//! element-wise fold order depends only on rank order, never on how the
+//! flat gradient was cut, with the division by the rank count done
+//! inside the chain (asserted in `pipeline_allreduce_is_partition_invariant`
+//! and `pipeline_mean_is_the_sum_chain_then_division`).
 //!
 //! [`Trainer`]: crate::trainer::Trainer
 
 use crate::compress::{sparse_allreduce_mean, TopKCompressor};
 use msa_net::codec::bf16_allreduce;
 use msa_net::tune::{tuned_allreduce, DecisionTable};
-use msa_net::{collectives, Arena, Communicator, GradCodec, PointToPoint};
+use msa_net::{collectives, Arena, Communicator, GradCodec};
 use nn::Layer;
 use std::sync::Arc;
 
@@ -63,19 +65,14 @@ impl ExchangeDispatch {
         ExchangeDispatch::Tuned(Arc::new(table))
     }
 
-    /// Allreduces one bucket segment through the configured path.
-    fn reduce_bucket<C: PointToPoint + ?Sized>(&self, c: &C, seg: &mut [f32], scratch: &mut Arena) {
-        match self {
-            ExchangeDispatch::Pipeline => collectives::pipeline_allreduce(c, seg, scratch),
-            ExchangeDispatch::Tuned(table) => tuned_allreduce(c, seg, scratch, table),
-        }
-    }
-
     /// Allreduce-**mean** of one bucket segment under a wire codec.
     ///
     /// * [`GradCodec::Dense32`] — the configured dispatch followed by
     ///   the division by `size()`: exactly the seed sequence,
-    ///   bit-identical to the pre-codec trainer.
+    ///   bit-identical to the pre-codec trainer. Under
+    ///   [`ExchangeDispatch::Pipeline`] the division happens inside the
+    ///   chain ([`collectives::pipeline_allreduce_mean`]), as each final
+    ///   sum is written out — the same bits without a pass of its own.
     /// * [`GradCodec::Bf16`] — the bf16-wire pipeline chain (half the
     ///   wire bytes; partition-invariant like the dense chain, so
     ///   bit-equality across bucket sizes is preserved), then the same
@@ -94,26 +91,24 @@ impl ExchangeDispatch {
         codec: GradCodec,
         compressor: Option<&mut TopKCompressor>,
     ) {
-        let n = c.size() as f32;
-        match codec {
-            GradCodec::Dense32 => {
-                self.reduce_bucket(c, seg, scratch);
-                for x in seg.iter_mut() {
-                    *x /= n;
-                }
+        match (codec, self) {
+            (GradCodec::Dense32, ExchangeDispatch::Pipeline) => {
+                return collectives::pipeline_allreduce_mean(c, seg)
             }
-            GradCodec::Bf16 => {
-                bf16_allreduce(c, seg, scratch);
-                for x in seg.iter_mut() {
-                    *x /= n;
-                }
+            (GradCodec::Dense32, ExchangeDispatch::Tuned(table)) => {
+                tuned_allreduce(c, seg, scratch, table)
             }
-            GradCodec::SparseTopK { .. } => {
+            (GradCodec::Bf16, _) => bf16_allreduce(c, seg, scratch),
+            (GradCodec::SparseTopK { .. }, _) => {
                 let comp = compressor
                     // lint: allow(unwrap) -- the trainer builds one compressor per bucket whenever the sparse codec is selected
                     .expect("SparseTopK needs this bucket's error-feedback compressor");
-                sparse_allreduce_mean(c, seg, comp);
+                return sparse_allreduce_mean(c, seg, comp);
             }
+        }
+        let n = c.size() as f32;
+        for x in seg.iter_mut() {
+            *x /= n;
         }
     }
 }

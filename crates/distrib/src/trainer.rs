@@ -920,7 +920,6 @@ impl<'a, L: Loss> Rank<'a, L> {
         let pred = self.model.forward(bx, true);
         let (l, grad) = self.loss.compute(&pred, by);
         self.exchange(&grad);
-        self.model.set_grads(&self.flat);
         l
     }
 
@@ -1029,9 +1028,11 @@ impl<'a, L: Loss> Rank<'a, L> {
         bd.overlap_saved_ps += comm_ps - extra;
     }
 
-    /// The identical optimiser update on every rank.
+    /// The identical optimiser update on every rank, read straight from
+    /// the averaged `flat` gradient (the model's own gradient
+    /// accumulators still hold this rank's unreduced backward).
     fn apply(&mut self, loss: f32) {
-        self.opt.step(&mut self.model.params_mut());
+        self.opt.step_with_grads(&mut self.model.params_mut(), &self.flat);
         self.at.loss_sum += loss as f64;
         self.at.step_in_epoch += 1;
         self.steps_done += 1;
@@ -1053,7 +1054,10 @@ impl<'a, L: Loss> Rank<'a, L> {
             TrainerProgress::gather(self.comm, cfg.seed, global_step, &self.at, &self.epochs);
         // Only rank 0 snapshots (and pays the write).
         let Some(progress) = progress else { return };
-        let snap = serialize::save_with(&self.model, &self.opt.state(), &progress.encode());
+        // Encode into the previous snapshot's allocation: only the latest
+        // snapshot is kept, so the buffer is recycled write after write.
+        let mut snap = self.latest_snapshot.take().unwrap_or_default();
+        serialize::save_into(&mut snap, &self.model, &self.opt.state(), &progress.encode());
         let record = CheckpointRecord {
             global_step,
             epoch: self.at.epoch,
@@ -1425,7 +1429,7 @@ mod tests {
         assert!(report.breakdown.checkpoint_ps > 0);
         let snap = report.latest_snapshot.as_ref().unwrap();
         assert_eq!(snap.len() as u64, report.checkpoints.last().unwrap().bytes);
-        // The snapshot is a valid v2 container a fresh model can load.
+        // The snapshot is a valid v3 container a fresh model can load.
         let mut probe = mlp(cfg.seed, 8, 4);
         let (opt_state, meta) = serialize::load_training(&mut probe, snap).unwrap();
         assert!(!opt_state.is_empty(), "SGD momentum must be captured");

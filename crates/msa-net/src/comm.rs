@@ -19,16 +19,21 @@ use crate::stats::CommStats;
 ///   the required primitive every transport implements — it stays the
 ///   control-plane path for ragged payloads whose length the receiver
 ///   does not know (allgather blocks, broadcast from an uninformed rank);
-/// * the **slice path** (`send_from`/`recv_into`) copies through
-///   transport-owned recycled buffers and is the hot path: steady-state
-///   collectives over it perform zero heap allocation on transports with
-///   buffer pools ([`crate::ThreadComm`]).
+/// * the **slice path** is the hot path. Its primitives *lend* buffers:
+///   `send_with` lets the caller write the payload straight into a
+///   transport-owned buffer, and `recv_with` lends the arrived buffer to
+///   the caller before taking it back. A reduction therefore reads the
+///   incoming data and writes the outgoing message in one pass, with no
+///   staging copy. `send_from`/`recv_into` are the copying one-liners on
+///   top. Steady-state collectives over the slice path perform zero heap
+///   allocation on transports with buffer pools ([`crate::ThreadComm`]).
 ///
-/// The two paths must be matched *per message*: a `send_from` on one rank
-/// pairs with a `recv_into` on the peer, a `send` with a `recv`. Pooled
-/// transports recycle slice-path buffers through credit channels, so a
-/// mixed pairing leaks or double-returns a credit. Every collective in
-/// [`crate::collectives`] is internally consistent about this.
+/// The two paths must be matched *per message*: a `send_with` (or
+/// `send_from`) on one rank pairs with a `recv_with` (or `recv_into`) on
+/// the peer, a `send` with a `recv`. Pooled transports recycle slice-path
+/// buffers through credit channels, so a mixed pairing leaks or
+/// double-returns a credit. Every collective in [`crate::collectives`] is
+/// internally consistent about this.
 pub trait PointToPoint {
     /// This endpoint's rank in `0..size()`.
     fn rank(&self) -> usize;
@@ -43,26 +48,32 @@ pub trait PointToPoint {
     /// sender).
     fn recv(&self, from: usize) -> Vec<f32>;
 
-    /// Sends the contents of `data` to rank `to` without surrendering a
-    /// buffer. The default forwards to the `Vec` path (one allocation per
-    /// message); pooled transports override it to reuse per-peer recycled
-    /// buffers instead.
-    fn send_from(&self, to: usize, data: &[f32]) {
-        self.send(to, data.to_vec());
+    /// Sends a `len`-float message to rank `to` whose payload `fill`
+    /// writes in place. The default fills a fresh `Vec` (one allocation
+    /// per message); pooled transports lend a recycled buffer instead.
+    fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
+        let mut data = vec![0.0; len];
+        fill(&mut data);
+        self.send(to, data);
     }
 
-    /// Receives the next message from rank `from` into `dst` (blocking,
-    /// FIFO per sender). Panics if the incoming message length differs
-    /// from `dst.len()` — a collective-schedule bug, not a recoverable
-    /// condition. The default forwards to the `Vec` path.
+    /// Receives the next message from rank `from` (blocking, FIFO per
+    /// sender), lends it to `read` and returns what `read` returns.
+    /// Pooled transports recycle the buffer once `read` is done.
+    fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R {
+        read(&self.recv(from))
+    }
+
+    /// Sends a copy of `data` to rank `to` over the slice path.
+    fn send_from(&self, to: usize, data: &[f32]) {
+        self.send_with(to, data.len(), |buf| buf.copy_from_slice(data));
+    }
+
+    /// Receives the next message from rank `from` into `dst`. Panics if
+    /// the message length differs from `dst.len()` — a collective-schedule
+    /// bug, not a recoverable condition.
     fn recv_into(&self, from: usize, dst: &mut [f32]) {
-        let data = self.recv(from);
-        assert_eq!(
-            data.len(),
-            dst.len(),
-            "recv_into: message length mismatch from rank {from}"
-        );
-        dst.copy_from_slice(&data);
+        self.recv_with(from, |src| dst.copy_from_slice(src));
     }
 
     /// The endpoint's traffic counters, when it keeps any. Transports

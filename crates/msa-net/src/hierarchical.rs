@@ -59,12 +59,15 @@ impl<C: PointToPoint + ?Sized> PointToPoint for GroupComm<'_, C> {
         self.parent.recv(self.members[from])
     }
 
-    fn send_from(&self, to: usize, data: &[f32]) {
-        self.parent.send_from(self.members[to], data);
+    // The lending pair must forward too: the copying `send_from` /
+    // `recv_into` defaults run on it, and a pooled parent only returns a
+    // credit from its own `recv_with`.
+    fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
+        self.parent.send_with(self.members[to], len, fill);
     }
 
-    fn recv_into(&self, from: usize, dst: &mut [f32]) {
-        self.parent.recv_into(self.members[from], dst);
+    fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R {
+        self.parent.recv_with(self.members[from], read)
     }
 
     fn stats(&self) -> Option<&crate::stats::CommStats> {

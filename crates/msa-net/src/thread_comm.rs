@@ -132,7 +132,7 @@ pub struct ThreadComm {
     /// `pool_credits[to]` holds recycled buffers this endpoint may use
     /// for its next slice-path send to `to` (seeded with
     /// [`CREDITS_PER_CHANNEL`] empty buffers at construction; refilled by
-    /// the peer's `recv_into`).
+    /// the peer's `recv_with`).
     pool_credits: Vec<Receiver<Vec<f32>>>,
     /// `pool_return[from]` hands a consumed buffer back to the rank that
     /// sent it, as a fresh send credit.
@@ -153,10 +153,13 @@ pub struct ThreadComm {
 
 /// One message on the wire: the payload plus the sender's virtual clock
 /// at the send, so every receive can compute a deterministic modeled
-/// arrival time (see [`CommStats::on_recv_priced`]).
+/// arrival time (see [`CommStats::on_recv_priced`]). The payload is
+/// `data[..len]`: a recycled slice-path buffer keeps the length of the
+/// largest message it has carried, so reusing it never re-fills it.
 #[derive(Debug)]
 struct Msg {
     sent_at_ps: u64,
+    len: usize,
     data: Vec<f32>,
 }
 
@@ -182,7 +185,7 @@ fn mesh<T>(n: usize) -> Vec<Ends<T>> {
 }
 
 /// Send credits pre-seeded per directed channel. Blocking on a credit in
-/// `send_from` bounds the slice path to at most this many un-consumed
+/// `send_with` bounds the slice path to at most this many un-consumed
 /// messages in flight per channel — `Bounded(2)` semantics, strictly
 /// more permissive than the `Bounded(1)` capacity msa-verify proves
 /// sufficient for every collective schedule in this workspace.
@@ -303,6 +306,36 @@ impl ThreadComm {
         self.pool_allocs.load(msa_sync::atomic::Ordering::Relaxed)
     }
 
+    /// Ships `data[..len]` to `to`, stamped with this endpoint's virtual
+    /// clock.
+    fn ship(&self, to: usize, len: usize, data: Vec<f32>) {
+        assert!(to < self.size && to != self.rank, "invalid peer {to}");
+        self.stats.on_send(len * std::mem::size_of::<f32>());
+        let sent_at_ps = self.stats.vtime_ps();
+        // Unbounded channel: never blocks; peer death is a test bug.
+        self.senders[to]
+            .send(Msg { sent_at_ps, len, data })
+            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
+            .expect("peer endpoint dropped while communicator in use");
+    }
+
+    /// Takes the next message from `from`, pricing its arrival on the
+    /// link it travelled.
+    fn take(&self, from: usize) -> Msg {
+        assert!(from < self.size && from != self.rank, "invalid peer {from}");
+        let msg = self
+            .receivers[from]
+            .recv()
+            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
+            .expect("peer endpoint dropped while communicator in use");
+        self.stats.on_recv_priced(
+            msg.len * std::mem::size_of::<f32>(),
+            self.link_for(from),
+            msg.sent_at_ps,
+        );
+        msg
+    }
+
     /// The link a message to/from `peer` travels: the topology's
     /// intra-node link when both ranks share a node, the fabric link
     /// otherwise.
@@ -323,36 +356,18 @@ impl PointToPoint for ThreadComm {
         self.size
     }
 
-    /// Ships `data`, stamped with this endpoint's virtual clock.
     fn send(&self, to: usize, data: Vec<f32>) {
-        assert!(to < self.size && to != self.rank, "invalid peer {to}");
-        self.stats.on_send(data.len() * std::mem::size_of::<f32>());
-        let sent_at_ps = self.stats.vtime_ps();
-        // Unbounded channel: never blocks; peer death is a test bug.
-        self.senders[to]
-            .send(Msg { sent_at_ps, data })
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
+        self.ship(to, data.len(), data);
     }
 
-    /// Takes the next message, pricing its arrival on the link it
-    /// travelled.
     fn recv(&self, from: usize) -> Vec<f32> {
-        assert!(from < self.size && from != self.rank, "invalid peer {from}");
-        let Msg { sent_at_ps, data } = self
-            .receivers[from]
-            .recv()
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
-        self.stats.on_recv_priced(
-            data.len() * std::mem::size_of::<f32>(),
-            self.link_for(from),
-            sent_at_ps,
-        );
+        let Msg { len, mut data, .. } = self.take(from);
+        data.truncate(len);
         data
     }
 
-    fn send_from(&self, to: usize, data: &[f32]) {
+    /// Lends a recycled credit buffer to `fill`, then ships it.
+    fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
         assert!(to < self.size && to != self.rank, "invalid peer {to}");
         // Blocking on a credit is the flow control: at most
         // CREDITS_PER_CHANNEL un-consumed slice-path messages per
@@ -362,27 +377,28 @@ impl PointToPoint for ThreadComm {
             .recv()
             // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
             .expect("peer endpoint dropped while communicator in use");
-        if buf.capacity() < data.len() {
+        if buf.capacity() < len {
             self.pool_allocs
                 .fetch_add(1, msa_sync::atomic::Ordering::Relaxed);
         }
-        buf.clear();
-        buf.extend_from_slice(data);
-        self.send(to, buf);
+        // Only a credit's first message of a new largest size is
+        // zero-filled first; `fill` overwrites every element it is lent.
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        fill(&mut buf[..len]);
+        self.ship(to, len, buf);
     }
 
-    fn recv_into(&self, from: usize, dst: &mut [f32]) {
-        let data = self.recv(from);
-        assert_eq!(
-            data.len(),
-            dst.len(),
-            "recv_into: message length mismatch from rank {from}"
-        );
-        dst.copy_from_slice(&data);
-        // Recycle: the spent buffer goes back to its sender as a fresh
-        // credit. Ignore a dropped peer here — by then the data channel
-        // has already surfaced the failure.
+    /// Lends the arrived payload to `read`, then recycles the buffer: it
+    /// goes back to its sender as a fresh credit.
+    fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R {
+        let Msg { len, data, .. } = self.take(from);
+        let out = read(&data[..len]);
+        // Ignore a dropped peer here — by then the data channel has
+        // already surfaced the failure.
         let _ = self.pool_return[from].send(data);
+        out
     }
 
     fn stats(&self) -> Option<&CommStats> {
@@ -689,6 +705,7 @@ mod tests {
         let flat: Round = |c, buf, scratch| {
             collectives::ring_allreduce(c, buf, scratch);
             collectives::pipeline_allreduce(c, buf, scratch);
+            collectives::pipeline_allreduce_mean(c, buf);
             collectives::recursive_doubling_allreduce(c, buf, scratch);
         };
         // The tuned path's two-level winner must stage in the caller's
@@ -813,6 +830,62 @@ mod tests {
                         acc += v(r, i);
                     }
                     assert_eq!(got.to_bits(), acc.to_bits(), "p={p} elem={i}");
+                }
+            }
+        }
+    }
+
+    /// The trainer's averaging chain: `pipeline_allreduce_mean` on any
+    /// split ≡ the whole-buffer `pipeline_allreduce` then `/= p`, to the
+    /// bit — so it is partition-invariant too — over finite, ±0.0,
+    /// subnormal and NaN/±inf inputs. Where NaNs of different payloads
+    /// meet, a NaN need only meet a NaN: which operand's payload an add
+    /// keeps is not something Rust pins. At p = 1 it still divides.
+    #[test]
+    fn pipeline_mean_is_the_sum_chain_then_division() {
+        type Flavour = fn(usize, usize) -> f32;
+        let len = 29usize;
+        let flavours: [(&str, Flavour); 4] = [
+            ("finite", |r, i| (0.37 + r as f32 * 1.13) * (i as f32 - 11.5)),
+            ("zeros", |r, i| [0.0, -0.0, 1.5, -1.5][(r + 2 * i) % 4]),
+            ("subnormal", |r, i| {
+                let x = f32::from_bits(1 + (r * 131 + i * 7) as u32);
+                if (r + i) % 3 == 0 { -x } else { x }
+            }),
+            ("nan/inf", |r, i| match (r + i) % 5 {
+                0 => f32::from_bits(0x7fc0_0001 + r as u32),
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => -f32::from_bits(0x7fc0_0100 + r as u32),
+                _ => r as f32 - 0.25 * i as f32,
+            }),
+        ];
+        let bits = |v: &[f32]| {
+            let canon = |x: f32| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
+            v.iter().map(|&x| canon(x)).collect::<Vec<u32>>()
+        };
+        for (name, v) in flavours {
+            for p in [1usize, 2, 3, 5, 8] {
+                let want = ThreadComm::run(p, |c| {
+                    let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
+                    collectives::pipeline_allreduce(c, &mut buf, &mut crate::Arena::new());
+                    for x in &mut buf {
+                        *x /= p as f32;
+                    }
+                    bits(&buf)
+                });
+                for split in [&[29usize][..], &[1, 28], &[7, 9, 13], &[4, 5, 6, 7, 7], &[1; 29]] {
+                    let got = ThreadComm::run(p, |c| {
+                        let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
+                        let mut rest = &mut buf[..];
+                        for &sz in split {
+                            let (seg, tail) = rest.split_at_mut(sz);
+                            collectives::pipeline_allreduce_mean(c, seg);
+                            rest = tail;
+                        }
+                        bits(&buf)
+                    });
+                    assert_eq!(got, want, "{name} p={p} split={split:?}");
                 }
             }
         }

@@ -16,7 +16,7 @@
 //! * [`server`] — the one public entry point, a builder mirroring
 //!   `distrib::Trainer`:
 //!   `Server::new(cfg).model(…).placement(…).batching(…).admission(…)
-//!   .recorder(…).run(&load)`. Loads real MSNN v2 snapshots, prices
+//!   .recorder(…).run(&load)`. Loads real MSNN snapshots, prices
 //!   batches on the placed module's hardware, records per-request
 //!   latency into `msa-obs` histograms, and runs a capped number of
 //!   genuine forward passes on the rayon pool to prove the deployment.

@@ -3,7 +3,7 @@
 //! `Server::new(cfg).model(…).placement(…).batching(…).admission(…)
 //! .recorder(…).run(&load)` mirrors the `distrib::Trainer` builder: a
 //! config struct in, chained options, one `run` out. Each `.model()`
-//! call registers an endpoint — an MSNN v2 snapshot plus the
+//! call registers an endpoint — an MSNN snapshot plus the
 //! architecture to load it into — and the options that follow
 //! (`placement`, `batching`) attach to that endpoint, so multi-model
 //! deployments read top-to-bottom:
@@ -67,14 +67,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// One deployable model: a serialized MSNN v2 snapshot, the
+/// One deployable model: a serialized MSNN snapshot, the
 /// architecture to decode it into, and its cost profile.
 pub struct ModelSpec {
     /// Endpoint name; becomes the `model` label on every metric.
     pub name: String,
     /// Architecture the snapshot is loaded into (shapes must match).
     pub model: Sequential,
-    /// MSNN v2 snapshot bytes (from [`nn::serialize::save`]).
+    /// MSNN snapshot bytes (from [`nn::serialize::save`]).
     pub snapshot: Vec<u8>,
     /// Per-request input shape, without the batch dimension.
     pub input_shape: Vec<usize>,

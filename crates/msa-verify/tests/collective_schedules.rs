@@ -7,7 +7,7 @@
 
 use msa_net::collectives::{
     binomial_broadcast, chunk_ranges, dissemination_barrier, pipeline_allreduce,
-    recursive_doubling_allreduce, ring_allgather, ring_allreduce, tree_reduce,
+    pipeline_allreduce_mean, recursive_doubling_allreduce, ring_allgather, ring_allreduce, tree_reduce,
 };
 use msa_net::hierarchical::hierarchical_allreduce;
 use msa_net::{Arena, PointToPoint};
@@ -141,24 +141,30 @@ fn hierarchical_allreduce_verifies_for_every_node_grouping() {
 /// flush (back-to-front) order. Model-check that bucketed schedule for
 /// every bucket count against the paper's worker counts, under the
 /// single-slot buffering the runtime is proven to provide — no deadlock,
-/// matched message sizes, identical phase sequences on all ranks.
+/// matched message sizes, identical phase sequences on all ranks. Both
+/// the sum chain and the averaging chain the trainer runs are checked;
+/// the latter's last rank sends while it still holds the received buffer.
 #[test]
 fn bucketed_pipeline_schedule_verifies_for_all_bucket_counts() {
     const FUSED_RANKS: &[usize] = &[2, 3, 4, 5, 6, 7, 8, 9, 12, 16];
     // 29 scalars split into 1..=6 buckets covers ragged, singleton and
     // near-empty partitions (6 buckets of ~5 scalars).
     const FLAT: usize = 29;
-    for &p in FUSED_RANKS {
+    for (&p, mean) in FUSED_RANKS.iter().flat_map(|p| [(p, false), (p, true)]) {
         for buckets in 1..=6usize {
             let report = check_schedule(p, Capacity::Bounded(1), |c| {
                 c.mark("fused-exchange");
                 let mut flat = [c.rank() as f32; FLAT];
                 // Flush order: the highest bucket finishes backward first.
                 for r in chunk_ranges(FLAT, buckets).into_iter().rev() {
-                    pipeline_allreduce(c, &mut flat[r], &mut Arena::new());
+                    if mean {
+                        pipeline_allreduce_mean(c, &mut flat[r]);
+                    } else {
+                        pipeline_allreduce(c, &mut flat[r], &mut Arena::new());
+                    }
                 }
             })
-            .unwrap_or_else(|e| panic!("bucketed pipeline p={p} buckets={buckets}: {e}"));
+            .unwrap_or_else(|e| panic!("bucketed pipeline p={p} mean={mean} buckets={buckets}: {e}"));
             assert_eq!(report.ranks, p);
             assert_eq!(report.marks, vec!["fused-exchange".to_string()]);
             assert!(
@@ -177,12 +183,18 @@ fn bucketed_pipeline_schedule_verifies_for_all_bucket_counts() {
 #[test]
 fn pipeline_allreduce_survives_rendezvous_semantics() {
     for &p in &[2usize, 3, 5, 8] {
-        let report = check_schedule(p, Capacity::Bounded(0), |c| {
-            let mut buf = vec![c.rank() as f32; LEN];
-            pipeline_allreduce(c, &mut buf, &mut Arena::new());
-        })
-        .unwrap_or_else(|e| panic!("pipeline under rendezvous p={p}: {e}"));
-        assert_eq!(report.ranks, p);
+        for mean in [false, true] {
+            let report = check_schedule(p, Capacity::Bounded(0), |c| {
+                let mut buf = vec![c.rank() as f32; LEN];
+                if mean {
+                    pipeline_allreduce_mean(c, &mut buf);
+                } else {
+                    pipeline_allreduce(c, &mut buf, &mut Arena::new());
+                }
+            })
+            .unwrap_or_else(|e| panic!("pipeline under rendezvous p={p} mean={mean}: {e}"));
+            assert_eq!(report.ranks, p);
+        }
     }
 }
 

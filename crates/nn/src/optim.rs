@@ -16,6 +16,15 @@ pub trait Optimizer {
     /// Applies one update step to `params`.
     fn step(&mut self, params: &mut [&mut Param]);
 
+    /// [`Optimizer::step`] with the gradients read from the flat `grads`
+    /// (laid out as [`crate::param::grads_to_vec`]) instead of the
+    /// parameters' accumulators: by default it unpacks them first; Adam
+    /// reads them in place, with the same bits.
+    fn step_with_grads(&mut self, params: &mut [&mut Param], grads: &[f32]) {
+        crate::param::set_grads_from_vec(params, grads);
+        self.step(params);
+    }
+
     /// Current learning rate.
     fn lr(&self) -> f32;
 
@@ -57,14 +66,11 @@ pub fn words_to_u64(words: [f32; 2]) -> u64 {
     (words[0].to_bits() as u64) | ((words[1].to_bits() as u64) << 32)
 }
 
-/// Flattens a set of same-ordered tensors into one vector.
-fn flatten(tensors: &[Tensor]) -> Vec<f32> {
-    let total: usize = tensors.iter().map(|t| t.numel()).sum();
-    let mut out = Vec::with_capacity(total);
+/// Appends same-ordered tensors to `out`, each copied once.
+fn append_flat(out: &mut Vec<f32>, tensors: &[Tensor]) {
     for t in tensors {
         out.extend_from_slice(t.data());
     }
-    out
 }
 
 /// Scatters a flat vector back into same-ordered tensors; lengths must
@@ -152,7 +158,9 @@ impl Optimizer for Sgd {
         if self.velocity.is_empty() {
             return self.pending_state.clone().unwrap_or_default();
         }
-        flatten(&self.velocity)
+        let mut out = Vec::with_capacity(self.velocity.iter().map(Tensor::numel).sum());
+        append_flat(&mut out, &self.velocity);
+        out
     }
 
     fn load_state(&mut self, state: &[f32]) {
@@ -207,10 +215,10 @@ impl Adam {
             pending_state: None,
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    /// The one-sweep step. Parameter `i` reads its gradient from the next
+    /// `numel` scalars of `flat` when given, else from its own `grad`.
+    fn sweep(&mut self, params: &mut [&mut Param], flat: Option<&[f32]>) {
         if self.m.is_empty() {
             self.m = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
             self.v = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
@@ -222,18 +230,24 @@ impl Optimizer for Adam {
             }
         }
         assert_eq!(self.m.len(), params.len(), "param set changed");
+        let total: usize = params.iter().map(|p| p.numel()).sum();
+        assert!(flat.is_none_or(|f| f.len() == total), "flat gradient length mismatch");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
 
+        let mut off = 0;
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            let n = p.numel();
+            let g = flat.map_or(p.grad.data(), |f| &f[off..off + n]);
+            off += n;
             p.value
                 .data_mut()
                 .par_chunks_mut(STREAM_BLOCK)
                 .zip(m.data_mut().par_chunks_mut(STREAM_BLOCK))
                 .zip(v.data_mut().par_chunks_mut(STREAM_BLOCK))
-                .zip(p.grad.data().par_chunks(STREAM_BLOCK))
+                .zip(g.par_chunks(STREAM_BLOCK))
                 .for_each(|(((w, m), v), g)| {
                     for (((w, mm), vv), &g) in w.iter_mut().zip(m).zip(v).zip(g) {
                         *mm = b1 * *mm + (1.0 - b1) * g;
@@ -245,6 +259,16 @@ impl Optimizer for Adam {
                 });
         }
     }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, params: &mut [&mut Param]) {
+        self.sweep(params, None);
+    }
+
+    fn step_with_grads(&mut self, params: &mut [&mut Param], grads: &[f32]) {
+        self.sweep(params, Some(grads));
+    }
 
     fn lr(&self) -> f32 {
         self.lr
@@ -255,16 +279,16 @@ impl Optimizer for Adam {
     }
 
     fn state(&self) -> Vec<f32> {
-        // Layout: [t (2 bit-pattern words)] ++ m ++ v.
-        let mut out = u64_to_words(self.t).to_vec();
-        if self.m.is_empty() {
-            if let Some(pending) = &self.pending_state {
-                out.extend_from_slice(pending);
-            }
-        } else {
-            out.extend(flatten(&self.m));
-            out.extend(flatten(&self.v));
-        }
+        // Layout: [t (2 bit-pattern words)] ++ m ++ v. Before the first
+        // step `m`/`v` are empty and the restored moments are pending;
+        // after it nothing is pending.
+        let pending = self.pending_state.as_deref().unwrap_or_default();
+        let moments: usize = self.m.iter().chain(&self.v).map(Tensor::numel).sum();
+        let mut out = Vec::with_capacity(2 + pending.len() + moments);
+        out.extend_from_slice(&u64_to_words(self.t));
+        out.extend_from_slice(pending);
+        append_flat(&mut out, &self.m);
+        append_flat(&mut out, &self.v);
         out
     }
 
@@ -465,6 +489,57 @@ mod tests {
                 &got,
                 &format!("{flavour} pool off"),
             );
+        }
+    }
+
+    /// `step_with_grads` from a flat gradient ≡ `set_grads` + `step`,
+    /// over two steps: Adam through its own sweep (pool on and
+    /// `serial_scope`), with its accumulators poisoned so only the flat
+    /// gradient can be read; Sgd through the trait default.
+    #[test]
+    fn step_with_grads_matches_set_grads_then_step() {
+        use crate::param::set_grads_from_vec;
+        use crate::recurrent::testing::{assert_same, sprinkle, FLAVOURS};
+        use tensor::Rng;
+        let _ = rayon::init_with_threads(4);
+        let sizes = [2 * STREAM_BLOCK + 17, 300, 1, 0];
+        let total: usize = sizes.iter().sum();
+        type Make = fn() -> Box<dyn Optimizer>;
+        let makers: [(&str, Make); 2] = [
+            ("adam", || Box::new(Adam::new(0.01))),
+            ("sgd", || Box::new(Sgd::new(0.05, 0.9, 0.01))),
+        ];
+        for ((name, make), (flavour, kinds, every)) in
+            makers.iter().flat_map(|m| FLAVOURS.map(|f| (m, f)))
+        {
+            let run = |from_flat: bool| {
+                let mut rng = Rng::seed(41);
+                let mut params: Vec<Param> = sizes
+                    .iter()
+                    .map(|&n| Param::new(rng.normal_tensor(&[n], 1.0)))
+                    .collect();
+                let mut opt = make();
+                let mut seen = Vec::new();
+                for t in 0..2 {
+                    let mut flat = rng.normal_tensor(&[total], 1.0);
+                    sprinkle(&mut flat, t, kinds, every);
+                    let mut refs: Vec<&mut Param> = params.iter_mut().collect();
+                    if from_flat {
+                        refs.iter_mut().for_each(|p| p.grad.data_mut().fill(f32::NAN));
+                        opt.step_with_grads(&mut refs, flat.data());
+                    } else {
+                        set_grads_from_vec(&mut refs, flat.data());
+                        opt.step(&mut refs);
+                    }
+                    seen.extend(params.iter().map(|p| p.value.clone()));
+                    seen.push(Tensor::from_vec(opt.state(), &[opt.state().len()]));
+                }
+                seen
+            };
+            let want = run(false);
+            let ctx = format!("{name} {flavour}");
+            assert_same(&run(true), &want, &ctx);
+            assert_same(&rayon::serial_scope(|| run(true)), &want, &format!("{ctx} pool off"));
         }
     }
 

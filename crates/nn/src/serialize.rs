@@ -4,33 +4,39 @@
 //! the checkpoint/restart experiments and the "transfer the model to the
 //! inference module" workflow.
 //!
-//! Two on-disk versions share the `b"MSNN"` magic:
+//! Three on-disk versions share the `b"MSNN"` magic:
 //!
 //! * **v1** (legacy, read-only): `magic · u32 version · u64 param_len ·
 //!   u64 state_len · param_len×f32 · state_len×f32 · u64 checksum`.
 //!   Model weights and batch-norm stats only — restoring mid-training
 //!   from a v1 snapshot silently reset the optimiser, which is exactly
 //!   the bug v2 fixes.
-//! * **v2** (current): `magic · u32 version · u64 param_len ·
+//! * **v2** (read-only): `magic · u32 version · u64 param_len ·
 //!   u64 state_len · u64 opt_len · u64 meta_len · param_len×f32 ·
 //!   state_len×f32 · opt_len×f32 · meta_len bytes · u64 checksum`.
 //!   Adds an optimiser-state section ([`crate::Optimizer::state`]) and an
 //!   opaque metadata section for trainer progress (epoch, step, RNG
 //!   stream positions, LR schedule point — encoded by
-//!   `distrib::checkpoint`). [`load`] reads both versions; [`save`]
-//!   always writes v2.
+//!   `distrib::checkpoint`).
+//! * **v3** (current): the v2 layout byte for byte, same length, with a
+//!   word-wise checksum. [`save`], [`save_with`] and [`save_into`] write
+//!   v3; [`load`] reads all three.
 //!
-//! All integers little-endian; the trailing checksum (FNV-1a over every
-//! preceding byte) turns single-bit corruption anywhere into a typed
-//! [`SnapshotError`], never a panic.
+//! All integers little-endian. The trailing checksum covers every
+//! preceding byte: byte-serial FNV-1a in v1/v2; in v3 four FNV-1a lanes,
+//! lane *i* folding the *i*-th little-endian `u64` of every 32-byte
+//! block, then lanes 1–3 folded into lane 0 and the < 32-byte tail byte
+//! by byte. Four independent multiply chains run at memory speed. Every
+//! step is a bijection of the state, so single-bit corruption anywhere
+//! still becomes a typed [`SnapshotError`], never a panic.
 
 use crate::layer::{Layer as _, Sequential};
 
 const MAGIC: &[u8; 4] = b"MSNN";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Fixed header size of a v1 snapshot (magic + version + two lengths).
 const V1_HEADER: usize = 24;
-/// Fixed header size of a v2 snapshot (magic + version + four lengths).
+/// Fixed header size of a v2/v3 snapshot (magic + version + four lengths).
 const V2_HEADER: usize = 40;
 
 /// Serialisation errors.
@@ -76,18 +82,37 @@ fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], SnapshotErr
         .ok_or(SnapshotError::Truncated)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One FNV-1a step: fold `x` into `h`.
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// The v1/v2 checksum: byte-serial FNV-1a.
 fn checksum(bytes: &[u8]) -> u64 {
-    // FNV-1a, good enough for corruption detection.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv(h, b as u64))
+}
+
+/// The v3 checksum: four word lanes over 32-byte blocks, folded into
+/// lane 0, then the tail bytes (see the module doc).
+fn checksum_v3(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word); // chunks_exact(8) guarantees the length
+            *lane = fnv(*lane, u64::from_le_bytes(w));
+        }
     }
-    h
+    let h = lanes[1..].iter().fold(lanes[0], |h, &l| fnv(h, l));
+    blocks.remainder().iter().fold(h, |h, &b| fnv(h, b as u64))
 }
 
 /// Serialises the model's values + state (no optimiser/progress
-/// sections): a v2 snapshot with empty training sections.
+/// sections): a v3 snapshot with empty training sections.
 pub fn save(model: &Sequential) -> Vec<u8> {
     save_with(model, &[], &[])
 }
@@ -96,23 +121,34 @@ pub fn save(model: &Sequential) -> Vec<u8> {
 /// optimiser's flat state vector ([`crate::Optimizer::state`]) and an
 /// opaque `meta` blob (trainer progress, encoded by the caller).
 pub fn save_with(model: &Sequential, opt_state: &[f32], meta: &[u8]) -> Vec<u8> {
-    let values = model.values_vec();
-    let state = model.state();
-    let floats = values.len() + state.len() + opt_state.len();
-    let mut out = Vec::with_capacity(V2_HEADER + 4 * floats + meta.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(opt_state.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    for v in values.iter().chain(&state).chain(opt_state) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(meta);
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    let mut out = Vec::new();
+    save_into(&mut out, model, opt_state, meta);
     out
+}
+
+/// [`save_with`] into a reused buffer: `out` is resized and overwritten
+/// whatever it held, so a checkpoint loop handing back its previous
+/// snapshot allocates nothing once warm. Values encode straight from the
+/// model's parameters.
+pub fn save_into(out: &mut Vec<u8>, model: &Sequential, opt_state: &[f32], meta: &[u8]) {
+    let (params, state) = (model.params(), model.state());
+    let p_len: usize = params.iter().map(|p| p.numel()).sum();
+    let body = V2_HEADER + 4 * (p_len + state.len() + opt_state.len()) + meta.len();
+    out.resize(body + 8, 0);
+    out[..4].copy_from_slice(MAGIC);
+    out[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    for (i, n) in [p_len, state.len(), opt_state.len(), meta.len()].into_iter().enumerate() {
+        out[8 + 8 * i..16 + 8 * i].copy_from_slice(&(n as u64).to_le_bytes());
+    }
+    let mut at = V2_HEADER;
+    for xs in params.iter().map(|p| p.value.data()).chain([&state[..], opt_state]) {
+        let words = out[at..at + 4 * xs.len()].chunks_exact_mut(4);
+        words.zip(xs).for_each(|(w, x)| w.copy_from_slice(&x.to_le_bytes()));
+        at += 4 * xs.len();
+    }
+    out[at..body].copy_from_slice(meta);
+    let sum = checksum_v3(&out[..body]);
+    out[body..].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Parsed section bounds of a validated snapshot.
@@ -138,7 +174,7 @@ fn parse(bytes: &[u8]) -> Result<Sections, SnapshotError> {
     let version = u32::from_le_bytes(field(bytes, 4)?);
     let (header, opt_len, meta_len) = match version {
         1 => (V1_HEADER, 0usize, 0usize),
-        2 => (
+        2 | 3 => (
             V2_HEADER,
             u64::from_le_bytes(field(bytes, 24)?) as usize,
             u64::from_le_bytes(field(bytes, 32)?) as usize,
@@ -162,7 +198,8 @@ fn parse(bytes: &[u8]) -> Result<Sections, SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
     let stored = u64::from_le_bytes(field(bytes, body_end)?);
-    if checksum(&bytes[..body_end]) != stored {
+    let sum = if version >= 3 { checksum_v3 } else { checksum };
+    if sum(&bytes[..body_end]) != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(Sections {
@@ -188,8 +225,8 @@ fn floats_at(bytes: &[u8], at: usize, n: usize) -> Vec<f32> {
 }
 
 /// Restores values + state into `model` (which must have the same
-/// architecture the snapshot was taken from). Accepts v1 and v2
-/// snapshots; any training sections of a v2 snapshot are ignored — use
+/// architecture the snapshot was taken from). Accepts v1, v2 and v3
+/// snapshots; any training sections are ignored — use
 /// [`load_training`] to recover them.
 pub fn load(model: &mut Sequential, bytes: &[u8]) -> Result<(), SnapshotError> {
     let _ = restore_model(model, bytes)?;
@@ -197,7 +234,7 @@ pub fn load(model: &mut Sequential, bytes: &[u8]) -> Result<(), SnapshotError> {
 }
 
 /// Restores the model **and** returns the training sections
-/// `(optimizer_state, progress_meta)` of a v2 snapshot. A v1 (model-only)
+/// `(optimizer_state, progress_meta)` of a v2/v3 snapshot. A v1 (model-only)
 /// snapshot restores the model but yields
 /// [`SnapshotError::NotATrainingSnapshot`], since resuming training from
 /// it would silently reset the optimiser.
@@ -286,6 +323,42 @@ mod tests {
         out
     }
 
+    /// Hand-writes a v2 snapshot (the previous training format, with the
+    /// byte-serial checksum the reader must keep accepting).
+    fn save_v2(model: &Sequential, opt_state: &[f32], meta: &[u8]) -> Vec<u8> {
+        let values = model.values_vec();
+        let state = model.state();
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&2u32.to_le_bytes());
+        for len in [values.len(), state.len(), opt_state.len(), meta.len()] {
+            out.extend_from_slice(&(len as u64).to_le_bytes());
+        }
+        for v in values.iter().chain(&state).chain(opt_state) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(meta);
+        let sum = checksum(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// A model with trained batch-norm stats and the Adam state after
+    /// four steps.
+    fn trained(seed: u64) -> (Sequential, Adam) {
+        let mut rng = Rng::seed(seed);
+        let mut m = model(1);
+        let mut opt = Adam::new(1e-3);
+        for _ in 0..4 {
+            let x = rng.normal_tensor(&[6, 4], 1.0);
+            m.zero_grad();
+            let y = m.forward(&x, true);
+            m.backward(&y);
+            opt.step(&mut m.params_mut());
+        }
+        (m, opt)
+    }
+
     #[test]
     fn roundtrip_preserves_outputs_including_bn_state() {
         let mut rng = Rng::seed(9);
@@ -327,17 +400,40 @@ mod tests {
     }
 
     #[test]
+    fn v2_snapshots_still_load() {
+        let (m, opt) = trained(3);
+        let meta = b"epoch=3;step=17".to_vec();
+        let bytes = save_v2(&m, &opt.state(), &meta);
+        // Same layout and length as v3; only the version and checksum differ.
+        let v3 = save_with(&m, &opt.state(), &meta);
+        assert_eq!(bytes.len(), v3.len());
+        assert_eq!(bytes[8..bytes.len() - 8], v3[8..v3.len() - 8]);
+        let mut restored = model(9);
+        load(&mut restored, &bytes).unwrap();
+        assert_eq!(restored.values_vec(), m.values_vec());
+        let mut restored = model(9);
+        let (opt_state, meta_back) = load_training(&mut restored, &bytes).unwrap();
+        assert_eq!((opt_state, meta_back), (opt.state(), meta));
+        assert_eq!(restored.values_vec(), m.values_vec());
+        assert_eq!(restored.state(), m.state());
+    }
+
+    #[test]
+    fn save_into_a_dirty_larger_buffer_writes_save_with_bytes() {
+        let (m, opt) = trained(3);
+        let want = save_with(&m, &opt.state(), b"meta");
+        let mut buf = vec![0xA5u8; want.len() + 1000];
+        save_into(&mut buf, &m, &opt.state(), b"meta");
+        assert_eq!(buf, want);
+        // Shorter than the snapshot and dirty: grows, same bytes.
+        let mut buf = vec![0x5Au8; 17];
+        save_into(&mut buf, &m, &opt.state(), b"meta");
+        assert_eq!(buf, want);
+    }
+
+    #[test]
     fn training_sections_roundtrip() {
-        let mut rng = Rng::seed(3);
-        let mut m = model(1);
-        let mut opt = Adam::new(1e-3);
-        for _ in 0..4 {
-            let x = rng.normal_tensor(&[6, 4], 1.0);
-            m.zero_grad();
-            let y = m.forward(&x, true);
-            m.backward(&y);
-            opt.step(&mut m.params_mut());
-        }
+        let (m, opt) = trained(3);
         let meta = b"epoch=3;step=17".to_vec();
         let bytes = save_with(&m, &opt.state(), &meta);
         let mut restored = model(9);
@@ -368,12 +464,20 @@ mod tests {
             let mut target = model(1);
             load(&mut target, &b)
         };
+        // Every lane step is a bijection of the checksum state, so no
+        // single flip anywhere can go unnoticed.
+        for at in 0..clean.len() {
+            for bit in 0..8 {
+                assert!(flip(at, bit).is_err(), "flip of bit {bit} in byte {at} loaded");
+            }
+        }
         // Magic: any flipped bit breaks the tag before anything else.
         assert_eq!(flip(0, 0), Err(SnapshotError::BadMagic));
         assert_eq!(flip(3, 7), Err(SnapshotError::BadMagic));
-        // Version field: 2 ^ 1 = 3 and 2 ^ 4 = 6 are unknown versions.
-        assert_eq!(flip(4, 0), Err(SnapshotError::UnsupportedVersion(3)));
-        assert_eq!(flip(4, 2), Err(SnapshotError::UnsupportedVersion(6)));
+        // Version field: 3 ^ 1 = 2 parses as v2, whose byte-serial
+        // checksum disagrees; 3 ^ 4 = 7 is an unknown version.
+        assert_eq!(flip(4, 0), Err(SnapshotError::ChecksumMismatch));
+        assert_eq!(flip(4, 2), Err(SnapshotError::UnsupportedVersion(7)));
         // Length fields: the section sum no longer matches the byte count
         // (including high bits, which must not overflow the arithmetic).
         for at in [8usize, 16, 24, 32] {

@@ -22,7 +22,7 @@ use msa_suite::tensor::Rng;
 
 /// "Train here": produce a snapshot the serving tier will load. A real
 /// deployment would read the bytes `Trainer` checkpointed; the format
-/// is the same MSNN v2 either way.
+/// is the same MSNN v3 either way.
 fn snapshot_of(train_seed: u64, build: impl Fn(&mut Rng) -> msa_suite::nn::Sequential) -> Vec<u8> {
     let mut rng = Rng::seed(train_seed);
     serialize::save(&build(&mut rng))
