@@ -1,6 +1,6 @@
 //! PR-5 comm-pipeline report (`experiments comm` → `BENCH_pr5.json`).
 //!
-//! Measures the zero-allocation slice-path collectives and the fused,
+//! Measures the zero-allocation collectives and the fused,
 //! overlapped gradient exchange against the serialized seed schedule.
 //! Like the PR-4 kernel report, the output has two sections:
 //!
@@ -29,7 +29,7 @@
 
 use distrib::{FusionConfig, StepCost, TrainConfig, Trainer};
 use msa_net::collectives;
-use msa_net::{Arena, CollectiveOp, PointToPoint as _, ThreadComm};
+use msa_net::{CollectiveOp, PointToPoint as _, ThreadComm};
 use nn::{Dense, Relu, Sequential};
 use tensor::Rng;
 
@@ -66,11 +66,10 @@ fn wire_totals(collective: &'static str, ranks: usize, len: usize) -> (u64, u64)
     };
     let per_rank = ThreadComm::run(ranks, move |c| {
         let mut buf: Vec<f32> = (0..len).map(|i| (c.rank() * len + i) as f32).collect();
-        let arena = &mut Arena::new();
         match collective {
-            "ring_allreduce" => collectives::ring_allreduce(c, &mut buf, arena),
-            "pipeline_allreduce" => collectives::pipeline_allreduce(c, &mut buf, arena),
-            _ => collectives::recursive_doubling_allreduce(c, &mut buf, arena),
+            "ring_allreduce" => collectives::ring_allreduce(c, &mut buf),
+            "pipeline_allreduce" => collectives::pipeline_allreduce(c, &mut buf),
+            _ => collectives::recursive_doubling_allreduce(c, &mut buf),
         }
         let t = c.stats().map(|s| s.export().op(op)).unwrap_or_default();
         (t.msgs_sent, t.bytes_sent)
@@ -85,28 +84,29 @@ fn wire_totals(collective: &'static str, ranks: usize, len: usize) -> (u64, u64)
     (msgs, bytes)
 }
 
-/// Steady-state allocation probe: warm the per-peer buffer pools and the
-/// scratch arena (two rounds — the pool cycles two credits per channel),
-/// snapshot the growth counters, run five more full rounds and report
-/// the growth delta summed over ranks. The contract is **zero**.
+/// Steady-state allocation probe: warm the per-peer buffer pools (two
+/// rounds — the pool cycles two credits per channel), snapshot the
+/// growth counter, run five more full rounds and report the growth
+/// delta summed over ranks. The contract is **zero**.
 fn steady_state_allocs(ranks: usize, len: usize) -> u64 {
     let deltas = ThreadComm::run(ranks, move |c| {
         let mut buf = vec![1.0f32; len];
-        let mut arena = Arena::new();
-        let mut round = |arena: &mut Arena| {
-            collectives::ring_allreduce(c, &mut buf, arena);
-            collectives::pipeline_allreduce(c, &mut buf, arena);
-            collectives::recursive_doubling_allreduce(c, &mut buf, arena);
+        let mut round = || {
+            collectives::ring_allreduce(c, &mut buf);
+            collectives::pipeline_allreduce(c, &mut buf);
+            collectives::recursive_doubling_allreduce(c, &mut buf);
+            collectives::binomial_broadcast(c, &mut buf, 0);
+            collectives::ring_allgather(c, &buf[..c.rank() % 3 + 1]);
             collectives::dissemination_barrier(c);
         };
         for _ in 0..2 {
-            round(&mut arena);
+            round();
         }
-        let warm = c.pool_allocs() + arena.grows();
+        let warm = c.pool_allocs();
         for _ in 0..5 {
-            round(&mut arena);
+            round();
         }
-        c.pool_allocs() + arena.grows() - warm
+        c.pool_allocs() - warm
     });
     deltas.iter().sum()
 }
@@ -262,16 +262,9 @@ fn sweep_row(ranks: usize, bytes: usize, reps: usize) -> Obj {
     let len = bytes / size_of::<f32>();
     let times = ThreadComm::run(ranks, move |c| {
         let mut buf = vec![0.5f32; len];
-        let mut arena = Arena::new();
-        let ring = min_ns(reps, || {
-            collectives::ring_allreduce(c, &mut buf, &mut arena)
-        });
-        let pipe = min_ns(reps, || {
-            collectives::pipeline_allreduce(c, &mut buf, &mut arena)
-        });
-        let rdb = min_ns(reps, || {
-            collectives::recursive_doubling_allreduce(c, &mut buf, &mut arena)
-        });
+        let ring = min_ns(reps, || collectives::ring_allreduce(c, &mut buf));
+        let pipe = min_ns(reps, || collectives::pipeline_allreduce(c, &mut buf));
+        let rdb = min_ns(reps, || collectives::recursive_doubling_allreduce(c, &mut buf));
         (ring, pipe, rdb)
     });
     let (ring, pipe, rdb) = times[0];

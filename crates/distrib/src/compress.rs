@@ -318,7 +318,7 @@ pub fn sparse_allreduce_mean<C: Communicator + ?Sized>(
     compressor.select_into_payload(grad);
     // Equal-block exchange: `k()` depends only on (length, ratio), which
     // every rank shares, so the payload length is uniform and the flat
-    // slice-path allgather applies. Payload and gather buffer are the
+    // equal-block allgather applies. Payload and gather buffer are the
     // compressor's slabs — zero allocation per step once `gathered` has
     // seen this communicator size (`resize` to an unchanged length is
     // free).

@@ -76,7 +76,7 @@ impl ExchangeDispatch {
     /// * [`GradCodec::Bf16`] — the bf16-wire pipeline chain (half the
     ///   wire bytes; partition-invariant like the dense chain, so
     ///   bit-equality across bucket sizes is preserved), then the same
-    ///   division.
+    ///   division. `scratch` holds its decoded running sum.
     /// * [`GradCodec::SparseTopK`] — [`sparse_allreduce_mean`] with this
     ///   bucket's error-feedback `compressor` (required; the residual is
     ///   per-bucket state). The sparse path divides internally.
@@ -96,7 +96,7 @@ impl ExchangeDispatch {
                 return collectives::pipeline_allreduce_mean(c, seg)
             }
             (GradCodec::Dense32, ExchangeDispatch::Tuned(table)) => {
-                tuned_allreduce(c, seg, scratch, table)
+                tuned_allreduce(c, seg, table)
             }
             (GradCodec::Bf16, _) => bf16_allreduce(c, seg, scratch),
             (GradCodec::SparseTopK { .. }, _) => {

@@ -22,10 +22,11 @@
 //! are decoded, never operated on. [`WirePair`] makes that contract a
 //! type instead of a convention (see DESIGN.md §15).
 
+use crate::collectives::add_into;
 use crate::comm::PointToPoint;
 use crate::scratch::Arena;
 use crate::stats::CollectiveOp;
-use tensor::codec::{bf16_words, decode_bf16_into, encode_bf16_into};
+use tensor::codec::{bf16_to_f32, bf16_words, decode_bf16_into, encode_bf16_into, f32_to_bf16_rtne};
 
 /// Wire format for one exchanged gradient buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -153,52 +154,57 @@ impl WirePair {
 /// The fold is element-wise, so like the dense pipeline it is invariant
 /// to how the gradient is partitioned into buckets — the property the
 /// fused exchange needs for bit-equality across bucket sizes.
+///
+/// Each hop encodes into the lent send buffer and decodes from the lent
+/// receive buffer; only the decoded running sum (not a message) is
+/// staged, in a `scratch` frame, on ranks that fold.
 pub fn bf16_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch: &mut Arena) {
     let p = c.size();
     if buf.is_empty() {
         return;
     }
-    let rank = c.rank();
-    let ew = bf16_words(buf.len());
-    let mut frame = scratch.frame(ew + buf.len());
-    let enc = frame.take(ew);
     if p == 1 {
         // Degenerate chain: the "sum" still passes through the wire
         // format so p = 1 agrees with the p > 1 quantization semantics.
-        encode_bf16_into(buf, enc);
-        decode_bf16_into(enc, buf);
+        for x in buf.iter_mut() {
+            *x = bf16_to_f32(f32_to_bf16_rtne(*x));
+        }
         return;
     }
     let _scope = c.stats().map(|s| s.scope(CollectiveOp::Pipeline));
+    let (rank, ew) = (c.rank(), bf16_words(buf.len()));
 
     // Phase 1 — reduce chain 0 → 1 → … → p−1, re-encoding after each
     // fold so every hop ships `ew` packed words.
     if rank > 0 {
+        let mut frame = scratch.frame(buf.len());
         let dec = frame.take(buf.len());
-        c.recv_into(rank - 1, enc);
-        decode_bf16_into(enc, dec);
-        for (d, x) in buf.iter_mut().zip(dec.iter()) {
-            *d += *x;
+        c.recv_with(rank - 1, |enc| decode_bf16_into(enc, dec));
+        add_into(buf, dec);
+    }
+    if rank == p - 1 {
+        // The chain's end starts phase 2 and keeps what it sent.
+        c.send_with(rank - 1, ew, |enc| {
+            encode_bf16_into(buf, enc);
+            decode_bf16_into(enc, buf);
+        });
+        return;
+    }
+    c.send_with(rank + 1, ew, |enc| encode_bf16_into(buf, enc));
+    // Phase 2 — the finished encoded sum chains back down; every rank
+    // decodes the same final words → identical bits.
+    c.recv_with(rank + 1, |enc| {
+        if rank > 0 {
+            c.send_from(rank - 1, enc);
         }
-    }
-    encode_bf16_into(buf, enc);
-    if rank < p - 1 {
-        c.send_from(rank + 1, enc);
-        // Phase 2 — the finished encoded sum chains back down.
-        c.recv_into(rank + 1, enc);
-    }
-    if rank > 0 {
-        c.send_from(rank - 1, enc);
-    }
-    // Every rank decodes the same final words → identical bits.
-    decode_bf16_into(enc, buf);
+        decode_bf16_into(enc, buf);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::thread_comm::ThreadComm;
-    use tensor::codec::f32_to_bf16_rtne;
 
     #[test]
     fn codec_names_round_trip() {

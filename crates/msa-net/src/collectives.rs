@@ -17,30 +17,22 @@
 //! * [`binomial_broadcast`] / [`tree_reduce`] — log₂(p) tree collectives;
 //! * [`ring_allgather`] and the [`dissemination_barrier`].
 //!
-//! All functions must be called collectively by every rank; the
-//! point-to-point `send` is buffered so the send-then-receive schedules
-//! below cannot deadlock.
+//! All functions must be called collectively by every rank. The
+//! send-then-receive schedules below need one buffered message per
+//! channel: msa-verify proves every one of them deadlock-free under
+//! `Bounded(1)` channels, and [`crate::ThreadComm`] gives every message
+//! `Bounded(2)` (two send credits per channel).
 //!
-//! ## Zero-allocation slice path
-//!
-//! The reductions run on the slice API ([`PointToPoint::send_from`] /
-//! [`PointToPoint::recv_into`]) with receive staging carved from a
-//! caller-owned scratch [`Arena`], the last argument of every reduction.
-//! After one warm-up call the arena is sized and a steady-state
-//! collective performs **zero heap allocation** on pooled transports
-//! ([`crate::ThreadComm`]). One-off callers pass `&mut Arena::new()`
-//! (one warm-up growth, no per-ring-step churn); the arena-free
-//! convenience is the [`crate::Communicator`] trait. The pipeline chain
-//! stages nothing: it folds from the lent receive buffer straight into
-//! the lent send buffer, one pass per hop.
-//!
-//! Accumulation order is load-bearing: every reduce loop is the same
-//! element-wise left fold (`*dst += incoming`) over the same message
+//! Nothing is staged: each reduction folds inside
+//! [`PointToPoint::recv_with`], straight from the lent receive buffer
+//! (the pipeline chain also writes into the lent send buffer, one pass
+//! per hop), so steady-state collectives allocate nothing on pooled
+//! transports. Accumulation order is load-bearing: every fold is the
+//! element-wise `*dst += incoming` of [`add_into`] over the same message
 //! schedule as the seed, so results are `to_bits`-equal to the seed
 //! collectives.
 
 use crate::comm::PointToPoint;
-use crate::scratch::Arena;
 use crate::stats::CollectiveOp;
 
 /// Splits `len` elements into `parts` contiguous ranges as evenly as
@@ -74,7 +66,7 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 /// a rank's receive of chunk `i` pairs with its left neighbour's send of
 /// the *same* chunk index, so the skips agree on both ends of every
 /// channel and the schedule stays deadlock-free.
-pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch: &mut Arena) {
+pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
     let p = c.size();
     if p == 1 || buf.is_empty() {
         return;
@@ -84,9 +76,6 @@ pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch:
     let right = (rank + 1) % p;
     let left = (rank + p - 1) % p;
     let chunks = chunk_ranges(buf.len(), p);
-    let max_chunk = chunks.iter().map(std::ops::Range::len).max().unwrap_or(0);
-    let mut frame = scratch.frame(max_chunk);
-    let incoming = frame.take(max_chunk);
 
     // Reduce-scatter: in step s we send chunk (rank − s) and accumulate
     // chunk (rank − s − 1) arriving from the left.
@@ -98,11 +87,7 @@ pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch:
         }
         let dst = &mut buf[chunks[recv_idx].clone()];
         if !dst.is_empty() {
-            let inc = &mut incoming[..dst.len()];
-            c.recv_into(left, inc);
-            for (d, x) in dst.iter_mut().zip(inc.iter()) {
-                *d += *x;
-            }
+            c.recv_with(left, |x| add_into(dst, x));
         }
     }
 
@@ -122,13 +107,7 @@ pub fn ring_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], scratch:
 /// Latency-optimal recursive-doubling allreduce (sum): ⌈log₂ p⌉ rounds of
 /// pairwise exchanges. Non-power-of-two sizes are handled by folding the
 /// `p − 2^⌊log₂ p⌋` extra ranks into partners before/after the core phase.
-/// The partner's buffer is staged in the arena, so rounds allocate nothing
-/// in steady state.
-pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(
-    c: &C,
-    buf: &mut [f32],
-    scratch: &mut Arena,
-) {
+pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
     let p = c.size();
     if p == 1 || buf.is_empty() {
         return;
@@ -137,8 +116,6 @@ pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(
     let rank = c.rank();
     let p2 = p.next_power_of_two() / if p.is_power_of_two() { 1 } else { 2 };
     let rem = p - p2;
-    let mut frame = scratch.frame(buf.len());
-    let incoming = frame.take(buf.len());
 
     // Fold-in: ranks in [p2, p) send to (rank − p2) and sit out, then
     // receive the finished sum at the end.
@@ -148,20 +125,14 @@ pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(
         return;
     }
     if rank < rem {
-        c.recv_into(rank + p2, incoming);
-        for (d, x) in buf.iter_mut().zip(incoming.iter()) {
-            *d += *x;
-        }
+        c.recv_with(rank + p2, |x| add_into(buf, x));
     }
 
     let mut mask = 1;
     while mask < p2 {
         let partner = rank ^ mask;
         c.send_from(partner, buf);
-        c.recv_into(partner, incoming);
-        for (d, x) in buf.iter_mut().zip(incoming.iter()) {
-            *d += *x;
-        }
+        c.recv_with(partner, |x| add_into(buf, x));
         mask <<= 1;
     }
     if rank < rem {
@@ -182,18 +153,13 @@ pub fn recursive_doubling_allreduce<C: PointToPoint + ?Sized>(
 /// *rotates with the chunk index*, so bucket boundaries would change the
 /// bits). Despite the name it is a chain, not a pipeline: one message
 /// carries the whole buffer per hop, and each hop is one pass from the
-/// lent receive buffer into the lent send buffer. Nothing is staged, so
-/// `_scratch` goes unused; it keeps the shared reduction signature.
+/// lent receive buffer into the lent send buffer.
 ///
 /// The schedule is also rendezvous-safe: every send has a matching
 /// receive already posted (or next in program order on an idle rank), so
 /// it completes even under `Bounded(0)` channel capacity, unlike the
 /// eager ring.
-pub fn pipeline_allreduce<C: PointToPoint + ?Sized>(
-    c: &C,
-    buf: &mut [f32],
-    _scratch: &mut Arena,
-) {
+pub fn pipeline_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32]) {
     chain_allreduce(c, buf, |s| s);
 }
 
@@ -249,10 +215,20 @@ where
     }
 }
 
-// The loops that apply `out` take slices as parameters: their `noalias`
-// keeps its captures in registers, where a loop over closure-captured
-// slices reloads them every element (≈ 40 % slower on the 8 MiB
-// two-rank chain, measured on a two-core Xeon).
+// The fold loops take slices as parameters: their `noalias` keeps the
+// captures in registers, where a loop over closure-captured slices
+// reloads them every element (≈ 40 % slower on the 8 MiB two-rank
+// chain, measured on a two-core Xeon).
+
+/// `dst[i] += x[i]`, the one fold every reduction uses. Panics if the
+/// lengths differ — a collective-schedule bug, not a recoverable
+/// condition.
+pub(crate) fn add_into(dst: &mut [f32], x: &[f32]) {
+    assert_eq!(dst.len(), x.len(), "reduction message length mismatch");
+    for (d, &x) in dst.iter_mut().zip(x) {
+        *d += x;
+    }
+}
 
 /// `buf[i] = out(sum[i])`.
 fn write_out(buf: &mut [f32], sum: &[f32], out: impl Fn(f32) -> f32) {
@@ -271,56 +247,40 @@ fn forward_out(msg: &mut [f32], buf: &mut [f32], x: &[f32], fold: bool, out: imp
     }
 }
 
-/// Binomial-tree broadcast from `root`: ⌈log₂ p⌉ rounds.
-///
-/// This is the `Vec`-path variant for payloads whose length the
-/// receiving ranks do not know; see [`binomial_broadcast_into`] for the
-/// zero-alloc slice variant when every rank knows the length.
+/// Binomial-tree broadcast from `root`: ⌈log₂ p⌉ rounds. Non-root
+/// ranks need not know the length: their `buf` is replaced by the
+/// root's, reusing its capacity.
 pub fn binomial_broadcast<C: PointToPoint + ?Sized>(c: &C, buf: &mut Vec<f32>, root: usize) {
-    let p = c.size();
-    if p == 1 {
-        return;
-    }
-    let _scope = c.stats().map(|s| s.scope(CollectiveOp::Broadcast));
-    let rank = c.rank();
-    let vrank = (rank + p - root) % p;
-
-    let mut mask = 1usize;
-    while mask < p {
-        if vrank & mask != 0 {
-            let src = ((vrank - mask) + root) % p;
-            *buf = c.recv(src);
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    while mask > 0 {
-        let dst_v = vrank + mask;
-        if dst_v < p {
-            c.send((dst_v + root) % p, buf.clone());
-        }
-        mask >>= 1;
-    }
+    broadcast_tree(c, buf, root, |buf, m| {
+        buf.clear();
+        buf.extend_from_slice(m);
+    });
 }
 
-/// Binomial-tree broadcast from `root` over the slice path: same rounds
-/// as [`binomial_broadcast`], but in place — usable (and zero-alloc on
-/// pooled transports) whenever every rank already knows `buf.len()`.
+/// [`binomial_broadcast`] in place, when every rank already knows
+/// `buf.len()` (a length mismatch panics).
 pub fn binomial_broadcast_into<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], root: usize) {
+    broadcast_tree(c, buf, root, |buf, m| buf.copy_from_slice(m));
+}
+
+/// The binomial tree both broadcasts walk: `land` stores the message
+/// from the parent, then `buf` goes to each child.
+fn broadcast_tree<C, B>(c: &C, buf: &mut B, root: usize, land: impl FnOnce(&mut B, &[f32]))
+where
+    C: PointToPoint + ?Sized,
+    B: AsRef<[f32]> + ?Sized,
+{
     let p = c.size();
     if p == 1 {
         return;
     }
     let _scope = c.stats().map(|s| s.scope(CollectiveOp::Broadcast));
-    let rank = c.rank();
-    let vrank = (rank + p - root) % p;
+    let vrank = (c.rank() + p - root) % p;
 
     let mut mask = 1usize;
     while mask < p {
         if vrank & mask != 0 {
-            let src = ((vrank - mask) + root) % p;
-            c.recv_into(src, buf);
+            c.recv_with((vrank - mask + root) % p, |m| land(buf, m));
             break;
         }
         mask <<= 1;
@@ -329,7 +289,7 @@ pub fn binomial_broadcast_into<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32],
     while mask > 0 {
         let dst_v = vrank + mask;
         if dst_v < p {
-            c.send_from((dst_v + root) % p, buf);
+            c.send_from((dst_v + root) % p, buf.as_ref());
         }
         mask >>= 1;
     }
@@ -337,12 +297,7 @@ pub fn binomial_broadcast_into<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32],
 
 /// Binomial-tree sum-reduction to `root`. On return `root`'s `buf` holds
 /// the global sum; other ranks' buffers hold partial sums (unspecified).
-pub fn tree_reduce<C: PointToPoint + ?Sized>(
-    c: &C,
-    buf: &mut [f32],
-    root: usize,
-    scratch: &mut Arena,
-) {
+pub fn tree_reduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], root: usize) {
     let p = c.size();
     if p == 1 {
         return;
@@ -350,18 +305,13 @@ pub fn tree_reduce<C: PointToPoint + ?Sized>(
     let _scope = c.stats().map(|s| s.scope(CollectiveOp::Reduce));
     let rank = c.rank();
     let vrank = (rank + p - root) % p;
-    let mut frame = scratch.frame(buf.len());
-    let incoming = frame.take(buf.len());
 
     let mut mask = 1usize;
     while mask < p {
         if vrank & mask == 0 {
             let src_v = vrank | mask;
             if src_v < p {
-                c.recv_into((src_v + root) % p, incoming);
-                for (d, x) in buf.iter_mut().zip(incoming.iter()) {
-                    *d += *x;
-                }
+                c.recv_with((src_v + root) % p, |x| add_into(buf, x));
             }
         } else {
             let dst_v = vrank & !mask;
@@ -374,9 +324,8 @@ pub fn tree_reduce<C: PointToPoint + ?Sized>(
 
 /// Ring allgather: returns `result` where `result[r]` is rank `r`'s
 /// `mine` slice, identical on every rank. Blocks may be ragged (each
-/// rank's length may differ), which is why this variant stays on the
-/// `Vec` path; see [`ring_allgather_into`] for the equal-block slice
-/// variant.
+/// rank's length may differ); see [`ring_allgather_into`] for the
+/// equal-block variant into one flat buffer.
 pub fn ring_allgather<C: PointToPoint + ?Sized>(c: &C, mine: &[f32]) -> Vec<Vec<f32>> {
     let p = c.size();
     let rank = c.rank();
@@ -391,17 +340,17 @@ pub fn ring_allgather<C: PointToPoint + ?Sized>(c: &C, mine: &[f32]) -> Vec<Vec<
     for s in 0..p - 1 {
         let send_idx = (rank + p - s) % p;
         let recv_idx = (rank + p - s - 1) % p;
-        c.send(right, blocks[send_idx].clone());
-        blocks[recv_idx] = c.recv(left);
+        c.send_from(right, &blocks[send_idx]);
+        c.recv_with(left, |m| blocks[recv_idx].extend_from_slice(m));
     }
     blocks
 }
 
-/// Equal-block ring allgather over the slice path: `out.len()` must be
-/// `p × mine.len()` and every rank must pass the same block length. On
-/// return `out[r·len..(r+1)·len]` holds rank `r`'s block on every rank.
-/// The circulating blocks live directly in `out`, so the collective
-/// allocates nothing at all — not even scratch.
+/// Equal-block ring allgather: `out.len()` must be `p × mine.len()` and
+/// every rank must pass the same block length. On return
+/// `out[r·len..(r+1)·len]` holds rank `r`'s block on every rank. The
+/// circulating blocks live directly in `out`, so the collective
+/// allocates nothing.
 pub fn ring_allgather_into<C: PointToPoint + ?Sized>(c: &C, mine: &[f32], out: &mut [f32]) {
     let p = c.size();
     let rank = c.rank();
@@ -428,7 +377,7 @@ pub fn ring_allgather_into<C: PointToPoint + ?Sized>(c: &C, mine: &[f32], out: &
 
 /// Dissemination barrier: ⌈log₂ p⌉ rounds; in round k each rank signals
 /// `(rank + 2^k) mod p` and waits for `(rank − 2^k) mod p`. The signals
-/// are empty slice-path messages, so a barrier allocates nothing.
+/// are empty messages, so a barrier allocates nothing.
 pub fn dissemination_barrier<C: PointToPoint + ?Sized>(c: &C) {
     let p = c.size();
     if p == 1 {

@@ -1,39 +1,25 @@
 //! Communicator traits.
 //!
-//! [`PointToPoint`] is the minimal transport (tagged send/recv between
+//! [`PointToPoint`] is the minimal transport (ordered send/recv between
 //! ranks); [`Communicator`] adds the collectives every distributed ML
 //! algorithm in this workspace is written against. The algorithms in
 //! [`crate::collectives`] provide the default implementations, so a
-//! transport only has to implement `send`/`recv`.
+//! transport only has to implement `send_with`/`recv_with`.
 
 use crate::collectives;
-use crate::scratch::Arena;
 use crate::stats::CommStats;
 
-/// Minimal reliable, ordered, tagged point-to-point transport between
-/// `size()` ranks.
+/// Minimal reliable, ordered point-to-point transport between `size()`
+/// ranks.
 ///
-/// Two message paths share each channel:
-///
-/// * the **`Vec` path** (`send`/`recv`) transfers buffer ownership and is
-///   the required primitive every transport implements — it stays the
-///   control-plane path for ragged payloads whose length the receiver
-///   does not know (allgather blocks, broadcast from an uninformed rank);
-/// * the **slice path** is the hot path. Its primitives *lend* buffers:
-///   `send_with` lets the caller write the payload straight into a
-///   transport-owned buffer, and `recv_with` lends the arrived buffer to
-///   the caller before taking it back. A reduction therefore reads the
-///   incoming data and writes the outgoing message in one pass, with no
-///   staging copy. `send_from`/`recv_into` are the copying one-liners on
-///   top. Steady-state collectives over the slice path perform zero heap
-///   allocation on transports with buffer pools ([`crate::ThreadComm`]).
-///
-/// The two paths must be matched *per message*: a `send_with` (or
-/// `send_from`) on one rank pairs with a `recv_with` (or `recv_into`) on
-/// the peer, a `send` with a `recv`. Pooled transports recycle slice-path
-/// buffers through credit channels, so a mixed pairing leaks or
-/// double-returns a credit. Every collective in [`crate::collectives`] is
-/// internally consistent about this.
+/// Its one message path *lends* buffers: `send_with` lets the caller
+/// write the payload straight into a transport-owned buffer, and
+/// `recv_with` lends the arrived buffer to the caller before taking it
+/// back. A reduction therefore reads the incoming data and writes the
+/// outgoing message in one pass, with no staging copy. `send_from` /
+/// `recv_into` are the copying one-liners on top. Pooled transports
+/// ([`crate::ThreadComm`]) recycle every buffer, so steady-state
+/// collectives allocate nothing.
 pub trait PointToPoint {
     /// This endpoint's rank in `0..size()`.
     fn rank(&self) -> usize;
@@ -41,30 +27,15 @@ pub trait PointToPoint {
     /// Number of ranks in the communicator.
     fn size(&self) -> usize;
 
-    /// Sends `data` to rank `to`. Never blocks on the payload (buffered).
-    fn send(&self, to: usize, data: Vec<f32>);
-
-    /// Receives the next message from rank `from` (blocking, FIFO per
-    /// sender).
-    fn recv(&self, from: usize) -> Vec<f32>;
-
     /// Sends a `len`-float message to rank `to` whose payload `fill`
-    /// writes in place. The default fills a fresh `Vec` (one allocation
-    /// per message); pooled transports lend a recycled buffer instead.
-    fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
-        let mut data = vec![0.0; len];
-        fill(&mut data);
-        self.send(to, data);
-    }
+    /// writes in place (`fill` must write every element it is lent).
+    fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32]));
 
     /// Receives the next message from rank `from` (blocking, FIFO per
     /// sender), lends it to `read` and returns what `read` returns.
-    /// Pooled transports recycle the buffer once `read` is done.
-    fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R {
-        read(&self.recv(from))
-    }
+    fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R;
 
-    /// Sends a copy of `data` to rank `to` over the slice path.
+    /// Sends a copy of `data` to rank `to`.
     fn send_from(&self, to: usize, data: &[f32]) {
         self.send_with(to, data.len(), |buf| buf.copy_from_slice(data));
     }
@@ -95,7 +66,7 @@ pub trait Communicator: PointToPoint {
     /// every rank holds the global sum. Uses the bandwidth-optimal ring
     /// algorithm (what Horovod uses for large tensors).
     fn allreduce_sum(&self, buf: &mut [f32]) {
-        collectives::ring_allreduce(self, buf, &mut Arena::new());
+        collectives::ring_allreduce(self, buf);
     }
 
     /// Allreduce then divide by `size()` — gradient averaging.
@@ -112,18 +83,13 @@ pub trait Communicator: PointToPoint {
         collectives::binomial_broadcast(self, buf, root);
     }
 
-    /// Broadcast in place from `root` when every rank already knows the
-    /// length (binomial tree over the zero-alloc slice path).
-    fn broadcast_into(&self, buf: &mut [f32], root: usize) {
-        collectives::binomial_broadcast_into(self, buf, root);
-    }
-
     /// Reduce (sum) to `root`; other ranks' `buf` is left unspecified.
     fn reduce_sum(&self, buf: &mut [f32], root: usize) {
-        collectives::tree_reduce(self, buf, root, &mut Arena::new());
+        collectives::tree_reduce(self, buf, root);
     }
 
-    /// Gathers each rank's `mine` into rank order on every rank.
+    /// Gathers each rank's `mine` (lengths may differ) into rank order
+    /// on every rank.
     fn allgather(&self, mine: &[f32]) -> Vec<Vec<f32>> {
         collectives::ring_allgather(self, mine)
     }
@@ -157,10 +123,10 @@ impl PointToPoint for SelfComm {
     fn size(&self) -> usize {
         1
     }
-    fn send(&self, _to: usize, _data: Vec<f32>) {
+    fn send_with(&self, _to: usize, _len: usize, _fill: impl FnOnce(&mut [f32])) {
         panic!("SelfComm has no peers to send to");
     }
-    fn recv(&self, _from: usize) -> Vec<f32> {
+    fn recv_with<R>(&self, _from: usize, _read: impl FnOnce(&[f32]) -> R) -> R {
         panic!("SelfComm has no peers to receive from");
     }
 }
@@ -188,6 +154,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no peers")]
     fn selfcomm_send_panics() {
-        SelfComm.send(1, vec![]);
+        SelfComm.send_from(1, &[]);
     }
 }

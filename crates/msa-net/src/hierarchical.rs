@@ -6,11 +6,13 @@
 //! broadcast back over NVLink. This module provides both the **real**
 //! implementation over any [`PointToPoint`] transport (ranks grouped by
 //! node) and the α–β **cost model** used by the scaling experiments.
+//! The real one runs on [`GroupComm`] views that renumber a node's (or
+//! the leaders') ranks and forward the lending pair to the parent, so
+//! group traffic draws the parent's credits and lands in its stats.
 
 use crate::collectives;
 use crate::comm::PointToPoint;
 use crate::cost::LinkParams;
-use crate::scratch::Arena;
 use msa_core::SimTime;
 
 /// A view of a parent communicator restricted to a subset of ranks,
@@ -51,17 +53,6 @@ impl<C: PointToPoint + ?Sized> PointToPoint for GroupComm<'_, C> {
         self.members.len()
     }
 
-    fn send(&self, to: usize, data: Vec<f32>) {
-        self.parent.send(self.members[to], data);
-    }
-
-    fn recv(&self, from: usize) -> Vec<f32> {
-        self.parent.recv(self.members[from])
-    }
-
-    // The lending pair must forward too: the copying `send_from` /
-    // `recv_into` defaults run on it, and a pooled parent only returns a
-    // credit from its own `recv_with`.
     fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
         self.parent.send_with(self.members[to], len, fill);
     }
@@ -82,14 +73,12 @@ impl<C: PointToPoint + ?Sized> PointToPoint for GroupComm<'_, C> {
 /// `ranks_per_node`; each node reduces to its leader (lowest rank of the
 /// group), leaders ring-allreduce across nodes, then each leader
 /// broadcasts within its node. Result: every rank holds the global sum.
-/// Both reducing phases stage receives in the caller's `scratch` arena.
 ///
 /// `c.size()` must be divisible by `ranks_per_node`.
 pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
     c: &C,
     buf: &mut [f32],
     ranks_per_node: usize,
-    scratch: &mut Arena,
 ) {
     let p = c.size();
     assert!(ranks_per_node >= 1 && p.is_multiple_of(ranks_per_node),
@@ -103,7 +92,7 @@ pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
     let local = GroupComm::new(c, members);
 
     // Phase 1: reduce to the node leader (local rank 0).
-    collectives::tree_reduce(&local, buf, 0, scratch);
+    collectives::tree_reduce(&local, buf, 0);
 
     // Phase 2: leaders allreduce across nodes.
     let is_leader = local.rank() == 0;
@@ -112,11 +101,11 @@ pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
             .map(|n| n * ranks_per_node)
             .collect();
         let inter = GroupComm::new(c, leaders);
-        collectives::ring_allreduce(&inter, buf, scratch);
+        collectives::ring_allreduce(&inter, buf);
     }
 
-    // Phase 3: broadcast back within the node. Every member knows the
-    // length, so the in-place slice path applies — no `to_vec` round trip.
+    // Phase 3: broadcast back within the node, in place (every member
+    // knows the length).
     collectives::binomial_broadcast_into(&local, buf, 0);
 }
 
@@ -162,7 +151,7 @@ mod tests {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> =
                     (0..13).map(|i| (c.rank() * 10 + i) as f32).collect();
-                hierarchical_allreduce(c, &mut buf, k, &mut Arena::new());
+                hierarchical_allreduce(c, &mut buf, k);
                 buf
             });
             let expected: Vec<f32> = (0..13)
@@ -183,7 +172,7 @@ mod tests {
             let g = GroupComm::new(c, members);
             assert_eq!(g.size(), 3);
             let mut buf = vec![c.rank() as f32];
-            collectives::ring_allreduce(&g, &mut buf, &mut Arena::new());
+            collectives::ring_allreduce(&g, &mut buf);
             buf[0]
         });
         // Group 0 = ranks 0+1+2 = 3; group 1 = 3+4+5 = 12.
@@ -197,7 +186,7 @@ mod tests {
         // one endpoint (without peers running) panics cleanly.
         let comms = ThreadComm::create(6);
         let mut buf = vec![0.0f32; 4];
-        hierarchical_allreduce(&comms[0], &mut buf, 4, &mut Arena::new());
+        hierarchical_allreduce(&comms[0], &mut buf, 4);
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub mod tune;
 
 pub use barrier::SenseBarrier;
 pub use codec::{bf16_allreduce, GradCodec, WirePair};
-/// The collectives stage receives in the kernels' scratch arena: one
-/// growable buffer per call chain, zero-filled frames, growth counted.
+/// The kernels' scratch arena, kept for `bf16_allreduce` and
+/// `reduce_bucket_codec` (the decoded bf16 running sum is not a message).
 pub use tensor::scratch::{self, Arena};
 pub use comm::{Communicator, PointToPoint};
 pub use hierarchical::{hierarchical_allreduce, hierarchical_cost, GroupComm};

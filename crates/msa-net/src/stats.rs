@@ -100,9 +100,9 @@ struct OpCounters {
 /// in scope.
 ///
 /// A transport calls [`CommStats::on_send`] /
-/// [`CommStats::on_recv_priced`] from its `send`/`recv`; the collective
-/// default methods on [`crate::Communicator`] wrap themselves in
-/// [`CommStats::scope`] so the traffic lands in the right slot. Anything
+/// [`CommStats::on_recv_priced`] from its `send_with`/`recv_with`; the
+/// collective default methods on [`crate::Communicator`] wrap themselves
+/// in [`CommStats::scope`] so the traffic lands in the right slot. Anything
 /// outside a scope counts as [`CollectiveOp::P2p`].
 #[derive(Debug)]
 pub struct CommStats {

@@ -1,9 +1,12 @@
 //! A real in-process communicator: `n` endpoints joined by two full
 //! meshes of lock-free channels — payloads, each carrying its sender's
-//! virtual send time, and the buffer credits flowing back. One OS thread
-//! per rank plays the role of one GPU worker in the Horovod-style
-//! experiments; the collectives from [`crate::collectives`] then run
-//! *for real* over these channels.
+//! virtual send time, and the buffer credits flowing back. Every send
+//! draws one of a channel's two credits and every receive returns it, so
+//! each channel holds at most two messages (`Bounded(2)`) and buffers are
+//! recycled, never reallocated, once warm. One OS thread per rank plays
+//! the role of one GPU worker in the Horovod-style experiments; the
+//! collectives from [`crate::collectives`] then run *for real* over these
+//! channels.
 
 use crate::comm::PointToPoint;
 use crate::cost::{LinkParams, Topology};
@@ -130,14 +133,14 @@ pub struct ThreadComm {
     /// `receivers[from]` drains the (from → self) channel.
     receivers: Vec<Receiver<Msg>>,
     /// `pool_credits[to]` holds recycled buffers this endpoint may use
-    /// for its next slice-path send to `to` (seeded with
+    /// for its next send to `to` (seeded with
     /// [`CREDITS_PER_CHANNEL`] empty buffers at construction; refilled by
     /// the peer's `recv_with`).
     pool_credits: Vec<Receiver<Vec<f32>>>,
     /// `pool_return[from]` hands a consumed buffer back to the rank that
     /// sent it, as a fresh send credit.
     pool_return: Vec<Sender<Vec<f32>>>,
-    /// Times a slice-path send had to grow a pooled buffer (capacity
+    /// Times a send had to grow a pooled buffer (capacity
     /// smaller than the payload). Grows only while message sizes still
     /// grow — zero in steady state, and deterministic: credits cycle
     /// through each channel in FIFO order, so the count depends only on
@@ -154,8 +157,8 @@ pub struct ThreadComm {
 /// One message on the wire: the payload plus the sender's virtual clock
 /// at the send, so every receive can compute a deterministic modeled
 /// arrival time (see [`CommStats::on_recv_priced`]). The payload is
-/// `data[..len]`: a recycled slice-path buffer keeps the length of the
-/// largest message it has carried, so reusing it never re-fills it.
+/// `data[..len]`: a recycled buffer keeps the length of the largest
+/// message it has carried, so reusing it never re-fills it.
 #[derive(Debug)]
 struct Msg {
     sent_at_ps: u64,
@@ -184,11 +187,13 @@ fn mesh<T>(n: usize) -> Vec<Ends<T>> {
     tx.into_iter().zip(rx).collect()
 }
 
-/// Send credits pre-seeded per directed channel. Blocking on a credit in
-/// `send_with` bounds the slice path to at most this many un-consumed
-/// messages in flight per channel — `Bounded(2)` semantics, strictly
-/// more permissive than the `Bounded(1)` capacity msa-verify proves
-/// sufficient for every collective schedule in this workspace.
+/// Send credits pre-seeded per directed channel. Every message holds one
+/// from `send_with` until the peer's `recv_with` returns, so at most this
+/// many are queued or lent per channel — `Bounded(2)` semantics. No
+/// collective reads two lent messages of one channel at once, so one
+/// credit is always left for a queued message: at least the `Bounded(1)`
+/// capacity msa-verify proves sufficient for every collective schedule
+/// in this workspace.
 const CREDITS_PER_CHANNEL: usize = 2;
 
 impl ThreadComm {
@@ -286,7 +291,7 @@ impl ThreadComm {
     /// `Err(RankKilled)` on **every** rank once `step` reaches the plan's
     /// `at_step` — the synchronous-SGD failure model: one dead rank makes
     /// the next collective impossible for everyone, so all ranks abort at
-    /// the same deterministic point instead of deadlocking in `recv`.
+    /// the same deterministic point instead of deadlocking in a receive.
     pub fn poll_fault(&self, step: u64) -> Result<(), RankKilled> {
         match self.fault {
             Some(plan) if step >= plan.at_step => Err(RankKilled {
@@ -297,43 +302,13 @@ impl ThreadComm {
         }
     }
 
-    /// Number of pooled-buffer growths this endpoint's slice-path sends
-    /// have performed — the zero-steady-state-allocation counter. Warm-up
+    /// Number of pooled-buffer growths this endpoint's sends have
+    /// performed — the zero-steady-state-allocation counter. Warm-up
     /// grows each channel's credits up to the largest payload seen; after
     /// that, repeating the same collectives keeps this constant. The
     /// value is deterministic across runs (see the field doc).
     pub fn pool_allocs(&self) -> u64 {
         self.pool_allocs.load(msa_sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Ships `data[..len]` to `to`, stamped with this endpoint's virtual
-    /// clock.
-    fn ship(&self, to: usize, len: usize, data: Vec<f32>) {
-        assert!(to < self.size && to != self.rank, "invalid peer {to}");
-        self.stats.on_send(len * std::mem::size_of::<f32>());
-        let sent_at_ps = self.stats.vtime_ps();
-        // Unbounded channel: never blocks; peer death is a test bug.
-        self.senders[to]
-            .send(Msg { sent_at_ps, len, data })
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
-    }
-
-    /// Takes the next message from `from`, pricing its arrival on the
-    /// link it travelled.
-    fn take(&self, from: usize) -> Msg {
-        assert!(from < self.size && from != self.rank, "invalid peer {from}");
-        let msg = self
-            .receivers[from]
-            .recv()
-            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
-            .expect("peer endpoint dropped while communicator in use");
-        self.stats.on_recv_priced(
-            msg.len * std::mem::size_of::<f32>(),
-            self.link_for(from),
-            msg.sent_at_ps,
-        );
-        msg
     }
 
     /// The link a message to/from `peer` travels: the topology's
@@ -356,22 +331,13 @@ impl PointToPoint for ThreadComm {
         self.size
     }
 
-    fn send(&self, to: usize, data: Vec<f32>) {
-        self.ship(to, data.len(), data);
-    }
-
-    fn recv(&self, from: usize) -> Vec<f32> {
-        let Msg { len, mut data, .. } = self.take(from);
-        data.truncate(len);
-        data
-    }
-
-    /// Lends a recycled credit buffer to `fill`, then ships it.
+    /// Lends a recycled credit buffer to `fill`, then ships it stamped
+    /// with this endpoint's virtual clock.
     fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
         assert!(to < self.size && to != self.rank, "invalid peer {to}");
         // Blocking on a credit is the flow control: at most
-        // CREDITS_PER_CHANNEL un-consumed slice-path messages per
-        // channel, i.e. Bounded(2) semantics (see the constant's doc).
+        // CREDITS_PER_CHANNEL un-consumed messages per channel, i.e.
+        // Bounded(2) semantics (see the constant's doc).
         let mut buf = self
             .pool_credits[to]
             .recv()
@@ -387,13 +353,27 @@ impl PointToPoint for ThreadComm {
             buf.resize(len, 0.0);
         }
         fill(&mut buf[..len]);
-        self.ship(to, len, buf);
+        self.stats.on_send(len * std::mem::size_of::<f32>());
+        let sent_at_ps = self.stats.vtime_ps();
+        // Unbounded channel: never blocks (the credit is the bound).
+        self.senders[to]
+            .send(Msg { sent_at_ps, len, data: buf })
+            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
+            .expect("peer endpoint dropped while communicator in use");
     }
 
-    /// Lends the arrived payload to `read`, then recycles the buffer: it
-    /// goes back to its sender as a fresh credit.
+    /// Prices the arrival on the link it travelled, lends the payload to
+    /// `read`, then recycles the buffer: it goes back to its sender as a
+    /// fresh credit.
     fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R {
-        let Msg { len, data, .. } = self.take(from);
+        assert!(from < self.size && from != self.rank, "invalid peer {from}");
+        let Msg { sent_at_ps, len, data } = self
+            .receivers[from]
+            .recv()
+            // lint: allow(unwrap) -- a dropped peer is a harness bug, not a recoverable state
+            .expect("peer endpoint dropped while communicator in use");
+        self.stats
+            .on_recv_priced(len * std::mem::size_of::<f32>(), self.link_for(from), sent_at_ps);
         let out = read(&data[..len]);
         // Ignore a dropped peer here — by then the data channel has
         // already surfaced the failure.
@@ -417,11 +397,11 @@ mod tests {
         let out = ThreadComm::run(2, |c| {
             if c.rank() == 0 {
                 for i in 0..10 {
-                    c.send(1, vec![i as f32]);
+                    c.send_from(1, &[i as f32]);
                 }
                 Vec::new()
             } else {
-                (0..10).map(|_| c.recv(0)[0]).collect::<Vec<f32>>()
+                (0..10).map(|_| c.recv_with(0, |m| m[0])).collect::<Vec<f32>>()
             }
         });
         assert_eq!(out[1], (0..10).map(|i| i as f32).collect::<Vec<_>>());
@@ -465,7 +445,7 @@ mod tests {
         for p in [2usize, 3, 4, 5, 6, 8, 12] {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..17).map(|i| (c.rank() + i) as f32).collect();
-                collectives::recursive_doubling_allreduce(c, &mut buf, &mut crate::Arena::new());
+                collectives::recursive_doubling_allreduce(c, &mut buf);
                 buf
             });
             let expected: Vec<f32> = (0..17)
@@ -698,43 +678,39 @@ mod tests {
 
     #[test]
     fn slice_path_does_zero_steady_state_allocation() {
-        use crate::scratch::Arena;
         use crate::tune::TunedAlgo;
 
-        type Round = fn(&ThreadComm, &mut [f32], &mut Arena);
-        let flat: Round = |c, buf, scratch| {
-            collectives::ring_allreduce(c, buf, scratch);
-            collectives::pipeline_allreduce(c, buf, scratch);
+        type Round = fn(&ThreadComm, &mut Vec<f32>);
+        let flat: Round = |c, buf| {
+            collectives::ring_allreduce(c, buf);
+            collectives::pipeline_allreduce(c, buf);
             collectives::pipeline_allreduce_mean(c, buf);
-            collectives::recursive_doubling_allreduce(c, buf, scratch);
+            collectives::recursive_doubling_allreduce(c, buf);
+            // Into a warm `Vec`: non-root ranks reuse its capacity.
+            collectives::binomial_broadcast(c, buf, 1);
+            let ragged = collectives::ring_allgather(c, &buf[..c.rank() % 3 + 1]);
+            assert_eq!(ragged.len(), c.size());
         };
-        // The tuned path's two-level winner must stage in the caller's
-        // arena too, not in fresh ones it opens per call.
-        let hier: Round =
-            |c, buf, scratch| TunedAlgo::Hierarchical { ranks_per_node: 4 }.run(c, buf, scratch);
+        let hier: Round = |c, buf| TunedAlgo::Hierarchical { ranks_per_node: 4 }.run(c, buf);
         for (p, round) in [(4usize, flat), (8, hier)] {
             let out = ThreadComm::run(p, |c| {
-                let mut scratch = Arena::new();
                 let mut buf: Vec<f32> = (0..257).map(|i| (c.rank() + i) as f32).collect();
-                // Warm-up: grows the per-channel credits and the arena. Two
-                // rounds, because each channel cycles CREDITS_PER_CHANNEL = 2
-                // buffers FIFO — one round only grows the first credit.
+                // Warm-up grows the per-channel credits. Two rounds, because
+                // each channel cycles CREDITS_PER_CHANNEL = 2 buffers FIFO —
+                // one round only grows the first credit.
                 for _ in 0..2 {
-                    round(c, &mut buf, &mut scratch);
+                    round(c, &mut buf);
                     c.barrier();
                 }
                 let warm = c.pool_allocs();
-                let grows = scratch.grows();
                 for _ in 0..10 {
-                    round(c, &mut buf, &mut scratch);
+                    round(c, &mut buf);
                     c.barrier();
                 }
-                (grows, c.pool_allocs() - warm, scratch.grows() - grows)
+                c.pool_allocs() - warm
             });
-            for (rank, (warm_grows, pool_delta, arena_delta)) in out.into_iter().enumerate() {
-                assert!(warm_grows >= 1, "p={p} rank {rank}: caller's arena never used");
+            for (rank, pool_delta) in out.into_iter().enumerate() {
                 assert_eq!(pool_delta, 0, "p={p} rank {rank}: steady-state pool allocation");
-                assert_eq!(arena_delta, 0, "p={p} rank {rank}: steady-state arena growth");
             }
         }
     }
@@ -793,21 +769,16 @@ mod tests {
         for p in [2usize, 3, 5, 8] {
             let whole = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
-                collectives::pipeline_allreduce(c, &mut buf, &mut crate::Arena::new());
+                collectives::pipeline_allreduce(c, &mut buf);
                 buf
             });
             for split in [&[29usize][..], &[1, 28], &[7, 9, 13], &[4, 5, 6, 7, 7], &[1; 29]] {
                 assert_eq!(split.iter().sum::<usize>(), len);
                 let bucketed = ThreadComm::run(p, |c| {
-                    let mut scratch = crate::scratch::Arena::new();
                     let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
                     let mut off = 0;
                     for &sz in split {
-                        collectives::pipeline_allreduce(
-                            c,
-                            &mut buf[off..off + sz],
-                            &mut scratch,
-                        );
+                        collectives::pipeline_allreduce(c, &mut buf[off..off + sz]);
                         off += sz;
                     }
                     buf
@@ -868,7 +839,7 @@ mod tests {
             for p in [1usize, 2, 3, 5, 8] {
                 let want = ThreadComm::run(p, |c| {
                     let mut buf: Vec<f32> = (0..len).map(|i| v(c.rank(), i)).collect();
-                    collectives::pipeline_allreduce(c, &mut buf, &mut crate::Arena::new());
+                    collectives::pipeline_allreduce(c, &mut buf);
                     for x in &mut buf {
                         *x /= p as f32;
                     }
@@ -887,6 +858,76 @@ mod tests {
                     });
                     assert_eq!(got, want, "{name} p={p} split={split:?}");
                 }
+            }
+        }
+    }
+
+    /// Bit pins for the reductions that fold received messages: per-rank
+    /// FNV-1a digests of the output bits over finite, ±0.0, subnormal and
+    /// NaN/±inf inputs (NaN canonicalised: a NaN need only meet a NaN),
+    /// recorded before the folds were rewritten to read lent buffers.
+    #[test]
+    fn reduction_folds_keep_their_bits() {
+        use crate::hierarchical::hierarchical_allreduce;
+        type Run = fn(&ThreadComm, &mut [f32]);
+        let runs: [(&str, Run); 5] = [
+            ("ring", |c, b| collectives::ring_allreduce(c, b)),
+            ("rdb", |c, b| collectives::recursive_doubling_allreduce(c, b)),
+            ("tree", |c, b| collectives::tree_reduce(c, b, c.size() - 1)),
+            ("hier", |c, b| {
+                // Ranks per node: all of them when p is prime, else 2 at
+                // p = 6 and 4 at p = 8, where the leaders' ring runs too.
+                let rpn = [0, 1, 2, 3, 4, 5, 2, 7, 4][c.size()];
+                hierarchical_allreduce(c, b, rpn);
+            }),
+            ("bf16", |c, b| crate::bf16_allreduce(c, b, &mut crate::Arena::new())),
+        ];
+        let inputs: [fn(usize, usize) -> f32; 4] = [
+            |r, i| (0.37 + r as f32 * 1.13) * (i as f32 - 11.5),
+            |r, i| [0.0, -0.0, 1.5e-3, -1.5][(r + 2 * i) % 4],
+            |r, i| f32::from_bits(1 + (r * 131 + i * 7) as u32) * if (r + i) % 3 == 0 { -1.0 } else { 1.0 },
+            |r, i| match (r + i) % 5 {
+                0 => f32::from_bits(0x7fc0_0001 + r as u32),
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => -f32::from_bits(0x7fc0_0100 + r as u32),
+                _ => r as f32 - 0.25 * i as f32,
+            },
+        ];
+        // Allreduces leave the same bits on every rank: one digest per p.
+        // Tree reduce's non-root ranks keep partial sums: one per rank.
+        let pins: [[&[u64]; 5]; 5] = [
+            [&[0xc89958ecd3750b23], &[0x6b37a75eeeed21f5], &[0xed514d834ebe34cd], &[0x3d154b055d51c0b8], &[0xae4ef3e579e3039d]],
+            [&[0xc89958ecd3750b23], &[0xcc1e6f3bb4d76e13], &[0xfa1e53e19324644e], &[0xca2cf8b399da7358], &[0xf09b527311e91e75]],
+            [
+                &[0xc2e46b4f128a408f, 0xc89958ecd3750b23],
+                &[0xc2e46b4f128a408f, 0xbd5d338a1b4f72ed, 0xcc1e6f3bb4d76e13],
+                &[0xc2e46b4f128a408f, 0xca1dd42a51e05c65, 0xd785f257295578e7, 0xb9e5d641196050bb, 0x03959046825b828f],
+                &[0xc2e46b4f128a408f, 0xca1dd42a51e05c65, 0xd785f257295578e7, 0x676c055144d3474d, 0xd8fdc72d2d708690, 0x11e628019ee78748],
+                &[
+                    0xc2e46b4f128a408f, 0xca1dd42a51e05c65, 0xd785f257295578e7, 0xac789a8a7a60deb7,
+                    0xd8fdc72d2d708690, 0xf02cd885b905def3, 0x67a6df4e0cd531c6, 0x872b98b6522234e9,
+                ],
+            ],
+            [&[0xc89958ecd3750b23], &[0x8575fadedc899b65], &[0xaedc74c0b6fbb3c5], &[0xa0f1b57171cfb4f5], &[0xf09b527311e91e75]],
+            [&[0xb0c98013454158b5], &[0xba47cec6526758b5], &[0xf3a41ce9af4558b5], &[0x227c58b5fea458b5], &[0xe33dc99046a258b5]],
+        ];
+        for ((name, run), row) in runs.into_iter().zip(pins) {
+            for (p, pin) in [2usize, 3, 5, 6, 8].into_iter().zip(row) {
+                let got = ThreadComm::run(p, |c| {
+                    let mut h = 0xcbf2_9ce4_8422_2325u64;
+                    for v in inputs {
+                        let mut buf: Vec<f32> = (0..29).map(|i| v(c.rank(), i)).collect();
+                        run(c, &mut buf);
+                        for x in buf {
+                            let bits = if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
+                            h = (h ^ u64::from(bits)).wrapping_mul(0x100_0000_01b3);
+                        }
+                    }
+                    h
+                });
+                let want = if pin.len() == 1 { vec![pin[0]; p] } else { pin.to_vec() };
+                assert_eq!(got, want, "{name} p={p}: per-rank digests moved");
             }
         }
     }
@@ -918,7 +959,7 @@ mod tests {
                             *x = 42.0 + i as f32;
                         }
                     }
-                    c.broadcast_into(&mut buf, root);
+                    collectives::binomial_broadcast_into(c, &mut buf, root);
                     buf
                 });
                 let want: Vec<f32> = (0..6).map(|i| 42.0 + i as f32).collect();
@@ -933,7 +974,7 @@ mod tests {
     #[should_panic(expected = "invalid peer")]
     fn send_to_self_rejected() {
         let comms = ThreadComm::create(2);
-        comms[0].send(0, vec![]);
+        comms[0].send_from(0, &[]);
     }
 
     #[test]

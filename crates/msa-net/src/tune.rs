@@ -22,7 +22,7 @@
 //!
 //! One honesty note: the virtual clock prices links, not buffer limits —
 //! it assumes unbounded in-flight messages, so credit-pool back-pressure
-//! (`Bounded(2)` on the slice path) is not part of the measurement. That
+//! (`ThreadComm`'s `Bounded(2)`) is not part of the measurement. That
 //! matches the α–β models it replaces and keeps the clock monotone.
 
 use crate::codec::{bf16_allreduce, sparse_k, GradCodec, WirePair};
@@ -116,15 +116,13 @@ impl TunedAlgo {
     /// Runs this algorithm collectively on `c`. Panics if called at a
     /// size where [`TunedAlgo::applicable`] is false (the table's
     /// [`DecisionTable::select`] never returns such a pick).
-    pub fn run<C: PointToPoint + ?Sized>(self, c: &C, buf: &mut [f32], scratch: &mut Arena) {
+    pub fn run<C: PointToPoint + ?Sized>(self, c: &C, buf: &mut [f32]) {
         match self {
-            TunedAlgo::Ring => collectives::ring_allreduce(c, buf, scratch),
-            TunedAlgo::RecursiveDoubling => {
-                collectives::recursive_doubling_allreduce(c, buf, scratch)
-            }
-            TunedAlgo::Pipeline => collectives::pipeline_allreduce(c, buf, scratch),
+            TunedAlgo::Ring => collectives::ring_allreduce(c, buf),
+            TunedAlgo::RecursiveDoubling => collectives::recursive_doubling_allreduce(c, buf),
+            TunedAlgo::Pipeline => collectives::pipeline_allreduce(c, buf),
             TunedAlgo::Hierarchical { ranks_per_node } => {
-                hierarchical_allreduce(c, buf, ranks_per_node, scratch)
+                hierarchical_allreduce(c, buf, ranks_per_node)
             }
         }
     }
@@ -199,8 +197,7 @@ pub fn measure(
     let (measured_ps, msgs_total, bytes_total) =
         run_priced(ranks, bytes, link, topo, &algo.name(), |c, len| {
             let mut buf = vec![1.0f32; len];
-            let mut scratch = Arena::new();
-            algo.run(c, &mut buf, &mut scratch);
+            algo.run(c, &mut buf);
             // Correctness is part of the measurement: an allreduce of all-ones
             // must produce exactly `ranks` everywhere (whole-number sums are
             // exact in f32 at every grid size).
@@ -259,12 +256,11 @@ pub fn measure_codec(
     let what = format!("codec {}", codec.name());
     let (measured_ps, msgs_total, bytes_total) =
         run_priced(ranks, bytes, link, topo, &what, |c, len| {
-            let mut scratch = Arena::new();
             let want = ranks as f32;
             match codec {
                 GradCodec::Dense32 => {
                     let mut buf = vec![1.0f32; len];
-                    collectives::pipeline_allreduce(c, &mut buf, &mut scratch);
+                    collectives::pipeline_allreduce(c, &mut buf);
                     assert!(
                         buf.iter().all(|v| v.to_bits() == want.to_bits()),
                         "dense32 chain at p={ranks} produced a wrong sum"
@@ -272,7 +268,7 @@ pub fn measure_codec(
                 }
                 GradCodec::Bf16 => {
                     let mut buf = vec![1.0f32; len];
-                    bf16_allreduce(c, &mut buf, &mut scratch);
+                    bf16_allreduce(c, &mut buf, &mut Arena::new());
                     assert!(
                         buf.iter().all(|v| v.to_bits() == want.to_bits()),
                         "bf16 chain at p={ranks} produced a wrong sum"
@@ -778,22 +774,14 @@ impl DecisionTable {
 
 /// Allreduce (sum) dispatched through a measured [`DecisionTable`]:
 /// selects the nearest cell's winner for `(c.size(), byte length of
-/// buf)` and runs it with receive staging in the caller's arena: in
-/// steady state no winner grows the arena or a pooled transport's
-/// buffers (the hierarchical schedule still builds its two small
-/// group-member lists per call).
-pub fn tuned_allreduce<C: PointToPoint + ?Sized>(
-    c: &C,
-    buf: &mut [f32],
-    scratch: &mut Arena,
-    table: &DecisionTable,
-) {
+/// buf)` and runs it. In steady state no winner grows a pooled
+/// transport's buffers (the hierarchical schedule still builds its two
+/// small group-member lists per call).
+pub fn tuned_allreduce<C: PointToPoint + ?Sized>(c: &C, buf: &mut [f32], table: &DecisionTable) {
     if c.size() == 1 || buf.is_empty() {
         return;
     }
-    table
-        .select(c.size(), std::mem::size_of_val(buf))
-        .run(c, buf, scratch);
+    table.select(c.size(), std::mem::size_of_val(buf)).run(c, buf);
 }
 
 #[cfg(test)]
@@ -898,7 +886,7 @@ mod tests {
         for p in [1usize, 3, 5, 7] {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..37).map(|i| (c.rank() + i) as f32).collect();
-                tuned_allreduce(c, &mut buf, &mut Arena::new(), &table);
+                tuned_allreduce(c, &mut buf, &table);
                 buf
             });
             let expected: Vec<f32> = (0..37)

@@ -5,11 +5,10 @@
 //! production transport it runs the schedule against an instrumented
 //! channel model with a chosen per-channel buffer [`Capacity`]:
 //!
-//! * `Unbounded` — the eager-send model `ThreadComm` provides (send
-//!   never blocks);
+//! * `Unbounded` — the eager-send model (send never blocks);
 //! * `Bounded(k)` — sends block once `k` messages are in flight on one
 //!   (sender → receiver) channel, modelling an MPI implementation with a
-//!   finite eager buffer;
+//!   finite eager buffer (`ThreadComm` gives every channel `Bounded(2)`);
 //! * `Bounded(0)` — rendezvous semantics: a send completes only when the
 //!   receiver has posted the matching receive (MPI synchronous mode).
 //!
@@ -17,8 +16,8 @@
 //! a global wait-state tracker detects the moment no rank can make
 //! progress. The checker then reconstructs the wait-for cycle (or the
 //! dead chain ending at a terminated rank), aborts all ranks, and
-//! reports it via [`CheckFailure::Deadlock`] — turning the
-//! "send-then-receive schedules cannot deadlock" doc-comment claim in
+//! reports it via [`CheckFailure::Deadlock`] — turning the "one
+//! buffered message per channel suffices" doc-comment claim in
 //! `msa-net/src/collectives.rs` into an executable theorem checked by
 //! `crates/msa-verify/tests/collective_schedules.rs`.
 //!
@@ -46,7 +45,7 @@ const RANK_THREAD_PREFIX: &str = "msa-verify-rank-";
 /// Per-channel buffer model under which the schedule is replayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Capacity {
-    /// Eager sends with unlimited buffering (what `ThreadComm` provides).
+    /// Eager sends with unlimited buffering.
     Unbounded,
     /// At most `k` in-flight messages per (sender, receiver) channel;
     /// `Bounded(0)` means rendezvous (synchronous-send) semantics.
@@ -370,8 +369,12 @@ impl PointToPoint for TraceComm {
         self.size
     }
 
-    fn send(&self, to: usize, data: Vec<f32>) {
+    /// Payload values are irrelevant to schedule structure; only the
+    /// length is recorded. `fill` runs before the send blocks: it never
+    /// communicates, so where it runs does not change the schedule.
+    fn send_with(&self, to: usize, len: usize, fill: impl FnOnce(&mut [f32])) {
         assert!(to < self.size && to != self.rank, "invalid peer {to}");
+        fill(&mut vec![0.0; len]);
         let ch = self.rank * self.size + to;
         let mut st = self.net.lock();
         loop {
@@ -398,15 +401,18 @@ impl PointToPoint for TraceComm {
             st = self.net.wait_on(st);
         }
         st.wait[self.rank] = Wait::Running;
-        st.chans[ch].push_back(data.len());
+        st.chans[ch].push_back(len);
         let depth = st.chans[ch].len();
         st.peak_queue_depth = st.peak_queue_depth.max(depth);
         st.logs[self.rank].sends += 1;
-        st.logs[self.rank].floats += data.len() as u64;
+        st.logs[self.rank].floats += len as u64;
         self.net.ready.notify_all();
     }
 
-    fn recv(&self, from: usize) -> Vec<f32> {
+    /// Lends a zero payload of the recorded length (the collectives' own
+    /// size assertions run against it), with the net unlocked so `read`
+    /// may send.
+    fn recv_with<R>(&self, from: usize, read: impl FnOnce(&[f32]) -> R) -> R {
         assert!(from < self.size && from != self.rank, "invalid peer {from}");
         let ch = from * self.size + self.rank;
         let mut st = self.net.lock();
@@ -419,10 +425,8 @@ impl PointToPoint for TraceComm {
                 st.wait[self.rank] = Wait::Running;
                 st.logs[self.rank].recvs += 1;
                 self.net.ready.notify_all();
-                // Payload values are irrelevant to schedule structure;
-                // only the length matters (the collectives' own size
-                // assertions run against it).
-                return vec![0.0; len];
+                drop(st);
+                return read(&vec![0.0; len]);
             }
             st.wait[self.rank] = Wait::RecvFrom(from);
             // Registering as a receiver can *unblock a sender*: under
@@ -583,7 +587,7 @@ mod tests {
         let report = check_schedule(5, Capacity::Unbounded, |tc| {
             tc.mark("ring_allreduce");
             let mut buf = vec![1.0f32; 13];
-            collectives::ring_allreduce(tc, &mut buf, &mut msa_net::Arena::new());
+            collectives::ring_allreduce(tc, &mut buf);
         })
         .expect("ring allreduce must verify");
         assert_eq!(report.marks, vec!["ring_allreduce"]);
@@ -599,8 +603,7 @@ mod tests {
             let p = tc.size();
             let left = (tc.rank() + p - 1) % p;
             let right = (tc.rank() + 1) % p;
-            let incoming = tc.recv(left);
-            tc.send(right, incoming);
+            tc.recv_with(left, |m| tc.send_from(right, m));
         })
         .expect_err("recv-first ring must deadlock");
         match err {
@@ -622,7 +625,7 @@ mod tests {
         // proves it.
         let err = check_schedule(3, Capacity::Bounded(0), |tc| {
             let mut buf = vec![1.0f32; 6];
-            collectives::ring_allreduce(tc, &mut buf, &mut msa_net::Arena::new());
+            collectives::ring_allreduce(tc, &mut buf);
         })
         .expect_err("rendezvous ring must deadlock");
         match err {
@@ -643,11 +646,11 @@ mod tests {
         // there, the handoff was a lost wakeup and both sides hung.)
         let report = check_schedule(2, Capacity::Bounded(0), |tc| {
             if tc.rank() == 0 {
-                tc.send(1, vec![1.0, 2.0, 3.0]);
+                tc.send_from(1, &[1.0, 2.0, 3.0]);
             } else {
                 // Arrive demonstrably after the sender has parked.
                 std::thread::sleep(std::time::Duration::from_millis(50));
-                assert_eq!(tc.recv(0).len(), 3);
+                assert_eq!(tc.recv_with(0, <[f32]>::len), 3);
             }
         })
         .expect("rendezvous handoff must complete");
@@ -676,7 +679,7 @@ mod tests {
     fn unmatched_send_is_a_violation() {
         let err = check_schedule(2, Capacity::Unbounded, |tc| {
             if tc.rank() == 0 {
-                tc.send(1, vec![1.0, 2.0]);
+                tc.send_from(1, &[1.0, 2.0]);
             }
             // Rank 1 never receives.
         })
@@ -713,7 +716,7 @@ mod tests {
     fn single_rank_schedules_are_trivially_clean() {
         let report = check_schedule(1, Capacity::Bounded(0), |tc| {
             let mut buf = vec![1.0f32; 4];
-            collectives::ring_allreduce(tc, &mut buf, &mut msa_net::Arena::new());
+            collectives::ring_allreduce(tc, &mut buf);
             collectives::dissemination_barrier(tc);
         })
         .expect("p=1 has no communication");
@@ -726,13 +729,12 @@ mod tests {
             // A hand-rolled broken exchange: rank 0 sends 3 floats but
             // rank 1's schedule copies into a 5-element buffer.
             if tc.rank() == 0 {
-                tc.send(1, vec![0.0; 3]);
-                let _ = tc.recv(1);
+                tc.send_from(1, &[0.0; 3]);
+                tc.recv_with(1, |_| ());
             } else {
                 let mut buf = [0.0f32; 5];
-                let incoming = tc.recv(0);
-                buf.copy_from_slice(&incoming); // panics: 3 != 5
-                tc.send(0, buf.to_vec());
+                tc.recv_into(0, &mut buf); // panics: 3 != 5
+                tc.send_from(0, &buf);
             }
         })
         .expect_err("size mismatch must be caught");

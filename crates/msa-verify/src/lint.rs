@@ -9,10 +9,10 @@
 //! | `float-eq`        | `ml`, `nn`, `tensor`      | no `==` / `!=` against float literals; numeric code compares with tolerances |
 //! | `pub-event-field` | `msa-core/src/event.rs`   | event structs keep fields private so invariants hold at construction |
 //! | `print`           | every crate               | no `println!`/`eprintln!` in non-test library code; observability goes through `msa-obs` recorders. CLI binaries justify each print with an allow |
-//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through caller-owned scratch buffers (`tensor::scratch`, `msa_net::Arena`, compressor/stream slabs) |
+//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{barrier,thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
-//! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`) and the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) must not reappear; the `Trainer` and `CommOptions` builders and the plain-named, arena-taking collectives are the only surface |
+//! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`) and the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) must not reappear; the `Trainer` and `CommOptions` builders and the plain-named collectives are the only surface |
 //!
 //! Findings print as `file:line: rule — message` and the binary exits
 //! nonzero when any survive. A finding is suppressed by a same-line (or
@@ -76,8 +76,8 @@ pub struct Profile {
 
 /// Entry points deleted when their replacements landed (`Trainer` for
 /// the distrib free functions, `CommOptions` for the ThreadComm fault
-/// constructors, the plain-named arena-taking collectives for their
-/// `_with` doubles). The `removed-api` rule keeps them from reappearing
+/// constructors, the plain-named collectives for their `_with`
+/// doubles). The `removed-api` rule keeps them from reappearing
 /// anywhere, test code included.
 const REMOVED_APIS: [&str; 12] = [
     "train_data_parallel",
@@ -879,8 +879,8 @@ pub fn lint_source(file: &str, source: &str, profile: &Profile) -> Vec<Finding> 
                             "alloc-in-kernel",
                             format!(
                                 "`{needle}…` allocates inside a kernel loop; hoist it \
-                                 into a reusable scratch buffer (see `tensor::scratch`) \
-                                 or justify with an allow"
+                                 into a reusable buffer (a `tensor::scratch` frame, or \
+                                 one lent by `send_with`/`recv_with`) or justify with an allow"
                             ),
                         );
                     }

@@ -6,11 +6,12 @@
 //! offending wait cycle in the report.
 
 use msa_net::collectives::{
-    binomial_broadcast, chunk_ranges, dissemination_barrier, pipeline_allreduce,
-    pipeline_allreduce_mean, recursive_doubling_allreduce, ring_allgather, ring_allreduce, tree_reduce,
+    binomial_broadcast, binomial_broadcast_into, chunk_ranges, dissemination_barrier,
+    pipeline_allreduce, pipeline_allreduce_mean, recursive_doubling_allreduce, ring_allgather,
+    ring_allgather_into, ring_allreduce, tree_reduce,
 };
 use msa_net::hierarchical::hierarchical_allreduce;
-use msa_net::{Arena, PointToPoint};
+use msa_net::{bf16_allreduce, Arena, PointToPoint};
 use msa_verify::{check_schedule, Capacity, CheckFailure, TraceComm, WaitKind};
 
 /// The paper-relevant rank counts: everything through 17 (covers all
@@ -28,27 +29,46 @@ type Schedule = fn(&TraceComm);
 const COLLECTIVES: &[(&str, Schedule)] = &[
     ("ring_allreduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        ring_allreduce(c, &mut buf, &mut Arena::new());
+        ring_allreduce(c, &mut buf);
     }),
     ("recursive_doubling_allreduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        recursive_doubling_allreduce(c, &mut buf, &mut Arena::new());
+        recursive_doubling_allreduce(c, &mut buf);
     }),
     ("binomial_broadcast", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
         binomial_broadcast(c, &mut buf, 0);
     }),
+    ("binomial_broadcast_into", |c| {
+        let mut buf = vec![c.rank() as f32; LEN];
+        binomial_broadcast_into(c, &mut buf, c.size() - 1);
+    }),
     ("tree_reduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        tree_reduce(c, &mut buf, 0, &mut Arena::new());
+        tree_reduce(c, &mut buf, 0);
     }),
     ("pipeline_allreduce", |c| {
         let mut buf = vec![c.rank() as f32; LEN];
-        pipeline_allreduce(c, &mut buf, &mut Arena::new());
+        pipeline_allreduce(c, &mut buf);
+    }),
+    // Phase 2 sends while it still holds the lent receive buffer.
+    ("bf16_allreduce", |c| {
+        let mut buf = vec![c.rank() as f32; LEN];
+        bf16_allreduce(c, &mut buf, &mut Arena::new());
     }),
     ("ring_allgather", |c| {
         let blocks = ring_allgather(c, &[c.rank() as f32; 3]);
         assert_eq!(blocks.len(), c.size());
+    }),
+    ("ring_allgather_ragged", |c| {
+        let blocks = ring_allgather(c, &vec![c.rank() as f32; c.rank() % 3 + 1]);
+        for (r, b) in blocks.iter().enumerate() {
+            assert_eq!(b.len(), r % 3 + 1);
+        }
+    }),
+    ("ring_allgather_into", |c| {
+        let mut out = vec![0.0; 3 * c.size()];
+        ring_allgather_into(c, &[c.rank() as f32; 3], &mut out);
     }),
     ("dissemination_barrier", |c| {
         dissemination_barrier(c);
@@ -75,10 +95,10 @@ fn all_collectives_verify_under_eager_buffering() {
     }
 }
 
-/// The doc comment on `collectives.rs` claims the send-then-recv
-/// schedules are safe because sends are buffered. This pins down *how
-/// much* buffering is actually required: one in-flight message per
-/// channel suffices for every collective at every rank count.
+/// The doc comment on `collectives.rs` claims one buffered message per
+/// channel suffices for the send-then-recv schedules (`ThreadComm` gives
+/// every channel two). This proves it for every collective at every rank
+/// count.
 #[test]
 fn single_slot_channels_suffice_for_every_collective() {
     for &(name, run) in COLLECTIVES {
@@ -108,7 +128,7 @@ fn composed_training_step_schedule_verifies() {
             dissemination_barrier(c);
             c.mark("allreduce");
             let mut grad = vec![0.5; LEN];
-            ring_allreduce(c, &mut grad, &mut Arena::new());
+            ring_allreduce(c, &mut grad);
             c.mark("broadcast");
             let mut params = vec![1.0; LEN];
             binomial_broadcast(c, &mut params, 0);
@@ -128,7 +148,7 @@ fn hierarchical_allreduce_verifies_for_every_node_grouping() {
             let report = check_schedule(p, Capacity::Bounded(1), |c| {
                 c.mark("hierarchical_allreduce");
                 let mut buf = vec![c.rank() as f32; LEN];
-                hierarchical_allreduce(c, &mut buf, rpn, &mut Arena::new());
+                hierarchical_allreduce(c, &mut buf, rpn);
             })
             .unwrap_or_else(|e| panic!("hierarchical p={p} rpn={rpn}: {e}"));
             assert_eq!(report.ranks, p);
@@ -160,7 +180,7 @@ fn bucketed_pipeline_schedule_verifies_for_all_bucket_counts() {
                     if mean {
                         pipeline_allreduce_mean(c, &mut flat[r]);
                     } else {
-                        pipeline_allreduce(c, &mut flat[r], &mut Arena::new());
+                        pipeline_allreduce(c, &mut flat[r]);
                     }
                 }
             })
@@ -189,7 +209,7 @@ fn pipeline_allreduce_survives_rendezvous_semantics() {
                 if mean {
                     pipeline_allreduce_mean(c, &mut buf);
                 } else {
-                    pipeline_allreduce(c, &mut buf, &mut Arena::new());
+                    pipeline_allreduce(c, &mut buf);
                 }
             })
             .unwrap_or_else(|e| panic!("pipeline under rendezvous p={p} mean={mean}: {e}"));
@@ -207,8 +227,8 @@ fn broken_recv_first_ring_is_reported_with_cycle() {
     let result = check_schedule(p, Capacity::Unbounded, |c| {
         let left = (c.rank() + p - 1) % p;
         let right = (c.rank() + 1) % p;
-        let _ = c.recv(left);
-        c.send(right, vec![0.0; 4]);
+        c.recv_with(left, |_| ());
+        c.send_from(right, &[0.0; 4]);
     });
     match result {
         Err(CheckFailure::Deadlock(d)) => {
@@ -238,7 +258,7 @@ fn broken_recv_first_ring_is_reported_with_cycle() {
 fn ring_allreduce_deadlocks_under_rendezvous_semantics() {
     let result = check_schedule(4, Capacity::Bounded(0), |c| {
         let mut buf = vec![1.0; 8];
-        ring_allreduce(c, &mut buf, &mut Arena::new());
+        ring_allreduce(c, &mut buf);
     });
     match result {
         Err(CheckFailure::Deadlock(d)) => {

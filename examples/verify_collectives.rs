@@ -3,7 +3,7 @@
 //! deadlock report looks like for a deliberately broken schedule.
 
 use msa_suite::msa_net::collectives::{binomial_broadcast, dissemination_barrier, ring_allreduce};
-use msa_suite::msa_net::{Arena, PointToPoint};
+use msa_suite::msa_net::PointToPoint;
 use msa_verify::{check_schedule, Capacity, CheckFailure};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
             dissemination_barrier(c);
             c.mark("allreduce");
             let mut grad = vec![0.5; 13];
-            ring_allreduce(c, &mut grad, &mut Arena::new());
+            ring_allreduce(c, &mut grad);
             c.mark("broadcast");
             let mut params = vec![1.0; 13];
             binomial_broadcast(c, &mut params, 0);
@@ -31,8 +31,8 @@ fn main() {
     match check_schedule(p, Capacity::Unbounded, |c| {
         let left = (c.rank() + p - 1) % p;
         let right = (c.rank() + 1) % p;
-        let _ = c.recv(left);
-        c.send(right, vec![0.0; 4]);
+        c.recv_with(left, |_| ());
+        c.send_from(right, &[0.0; 4]);
     }) {
         Err(CheckFailure::Deadlock(d)) => println!("caught: {d}"),
         other => panic!("expected a deadlock report, got {other:?}"),
@@ -41,7 +41,7 @@ fn main() {
     println!("\n== the same ring allreduce deadlocks under rendezvous (unbuffered) sends ==");
     match check_schedule(4, Capacity::Bounded(0), |c| {
         let mut buf = vec![1.0; 8];
-        ring_allreduce(c, &mut buf, &mut Arena::new());
+        ring_allreduce(c, &mut buf);
     }) {
         Err(CheckFailure::Deadlock(d)) => println!("caught: {d}"),
         other => panic!("expected a deadlock report, got {other:?}"),

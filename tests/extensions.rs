@@ -10,7 +10,7 @@ use msa_suite::ml::{kmeans, KMeansConfig, StandardScaler};
 use msa_suite::msa_core::system::presets;
 use msa_suite::msa_core::SimTime;
 use msa_suite::msa_net::{
-    hierarchical_allreduce, Arena, Communicator, PointToPoint, ThreadComm,
+    hierarchical_allreduce, Communicator, PointToPoint, ThreadComm,
 };
 use msa_suite::msa_sched::coalloc::{coupled_workflow, schedule_coalloc};
 use msa_suite::nn::{models, serialize, Adam, BceWithLogits, Layer, Loss, Optimizer};
@@ -72,7 +72,7 @@ fn hierarchical_allreduce_works_as_gradient_sync() {
         let mut flat = grad.clone();
         comm.allreduce_mean(&mut flat);
         let mut hier = grad;
-        hierarchical_allreduce(comm, &mut hier, 4, &mut Arena::new());
+        hierarchical_allreduce(comm, &mut hier, 4);
         for h in hier.iter_mut() {
             *h /= 8.0;
         }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use msa_suite::data::Dataset;
 use msa_suite::distrib::{CheckpointPolicy, TrainConfig, Trainer};
 use msa_suite::msa_net::{
-    collectives, Arena, CollectiveOp, CommOptions, FaultPlan, PointToPoint, ThreadComm,
+    collectives, CollectiveOp, CommOptions, FaultPlan, PointToPoint, ThreadComm,
 };
 use msa_suite::msa_obs::MetricsRegistry;
 use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
@@ -157,7 +157,7 @@ fn ring_allreduce_traffic_matches_the_cost_model_inputs() {
     let payload = (n * std::mem::size_of::<f32>()) as u64;
     for p in [2usize, 7, 8] {
         let per_rank = measure(p, n, CollectiveOp::Allreduce, |c, buf| {
-            collectives::ring_allreduce(c, buf, &mut Arena::new())
+            collectives::ring_allreduce(c, buf)
         });
         for (rank, &(msgs, bytes)) in per_rank.iter().enumerate() {
             // 2(p−1) steps — the α (message count) input of the model.
@@ -183,7 +183,7 @@ fn recursive_doubling_traffic_matches_the_cost_model_inputs() {
     let payload = (n * std::mem::size_of::<f32>()) as u64;
     for p in [2usize, 7, 8] {
         let per_rank = measure(p, n, CollectiveOp::RecursiveDoubling, |c, buf| {
-            collectives::recursive_doubling_allreduce(c, buf, &mut Arena::new())
+            collectives::recursive_doubling_allreduce(c, buf)
         });
         let logp = (p as f64).log2().ceil() as u64;
         // The model charges ⌈log₂ p⌉ rounds of the full buffer; the

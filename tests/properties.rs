@@ -15,7 +15,7 @@ use msa_suite::msa_core::SimTime;
 use msa_suite::msa_net::collectives::{chunk_ranges, recursive_doubling_allreduce};
 use msa_suite::msa_net::fabric::{simulate as simulate_fabric, FatTree, Flow};
 use msa_suite::msa_net::{
-    Arena, CollectiveAlgo, Communicator as _, LinkParams, PointToPoint as _, ThreadComm,
+    CollectiveAlgo, Communicator as _, LinkParams, PointToPoint as _, ThreadComm,
 };
 use msa_suite::distrib::{FusionConfig, TrainConfig, Trainer};
 use msa_suite::nn::{
@@ -94,7 +94,7 @@ fn recursive_doubling_handles_non_power_of_two_ranks() {
             let results = ThreadComm::run(ranks, |c| {
                 let mut buf: Vec<f32> =
                     (0..len).map(|i| (c.rank() + 1) as f32 * (i + 1) as f32).collect();
-                recursive_doubling_allreduce(c, &mut buf, &mut Arena::new());
+                recursive_doubling_allreduce(c, &mut buf);
                 buf
             });
             let rank_sum: f32 = (1..=ranks).map(|r| r as f32).sum();

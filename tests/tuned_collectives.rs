@@ -20,7 +20,7 @@ use msa_suite::data::Dataset;
 use msa_suite::distrib::{ExchangeDispatch, FusionConfig, TrainConfig, Trainer};
 use msa_suite::msa_net::tune::{self, TunedAlgo};
 use msa_suite::msa_net::{
-    collectives, Arena, CollectiveOp, LinkParams, PointToPoint, ThreadComm, Topology, TuneGrid,
+    collectives, CollectiveOp, LinkParams, PointToPoint, ThreadComm, Topology, TuneGrid,
 };
 use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
 use msa_suite::tensor::{Rng, Tensor};
@@ -54,7 +54,7 @@ fn recursive_doubling_wire_totals_match_the_closed_form() {
         let rem = p - p2;
         let logp2 = p2.ilog2() as u64;
         let per_rank = wire_counts(p, len, CollectiveOp::RecursiveDoubling, |c, buf| {
-            collectives::recursive_doubling_allreduce(c, buf, &mut Arena::new())
+            collectives::recursive_doubling_allreduce(c, buf)
         });
         for (rank, &(msgs, bytes)) in per_rank.iter().enumerate() {
             let expect = if rank >= p2 {
