@@ -30,7 +30,6 @@ use distrib::{evaluate_classifier, FusionConfig, ScalingModel, TrainConfig, Trai
 use msa_core::hw::catalog;
 use msa_net::tune::{measure_codec, CodecEntry, TuneGrid};
 use msa_net::{DecisionTable, GradCodec, LinkParams, Topology};
-use msa_obs::simtime_to_ps;
 use nn::{models, Adam};
 use tensor::Rng;
 
@@ -107,12 +106,12 @@ fn trainer_row(ranks: usize) -> Obj {
 /// measured ratios in `table`.
 fn perf_row(table: &Arc<DecisionTable>, gpus: usize) -> Obj {
     let dense = ScalingModel::resnet50(catalog::v100(), table.inter()).tuned(Arc::clone(table));
-    let dense_ps = simtime_to_ps(dense.comm_time(gpus));
+    let dense_ps = dense.comm_time(gpus).as_ps();
     let row = Obj::new()
         .field("gpus", gpus)
         .field("dense_comm_ps", dense_ps);
     CODECS[1..].iter().fold(row, |row, &codec| {
-        let ps = simtime_to_ps(dense.clone().codec(codec).comm_time(gpus));
+        let ps = dense.clone().codec(codec).comm_time(gpus).as_ps();
         row.field(format_args!("{}_comm_ps", codec.name()), ps)
             .field(
                 format_args!("{}_speedup_milli", codec.name()),

@@ -41,7 +41,7 @@ use data::stream::{with_prefetch, BatchSource, BatchStream, SlabPool, DEFAULT_PR
 use distrib::{FusionConfig, ScalingModel, StageTerm, StepCost, TrainConfig, TrainReport, Trainer};
 use msa_core::hw::catalog;
 use msa_net::{GradCodec, LinkParams};
-use msa_obs::{simtime_to_ps, MetricsRegistry};
+use msa_obs::MetricsRegistry;
 use msa_storage::ParallelFs;
 use tensor::{Rng, Tensor};
 
@@ -236,16 +236,16 @@ fn scaling_row(gpus: usize) -> (Obj, bool) {
     let base = ScalingModel::resnet50(catalog::v100(), LinkParams::infiniband_edr());
     let overlapped = base.clone().stage(term);
     let serial = base.clone().stage(term.prefetch(false));
-    let prefetch_ps = simtime_to_ps(overlapped.step_time(gpus));
-    let serial_ps = simtime_to_ps(serial.step_time(gpus));
+    let prefetch_ps = overlapped.step_time(gpus).as_ps();
+    let serial_ps = serial.step_time(gpus).as_ps();
     let input_bound = overlapped.input_bound(gpus);
     let saved = serial_ps - prefetch_ps;
     let row = Obj::new()
         .field("gpus", gpus)
-        .field("base_step_ps", simtime_to_ps(base.step_time(gpus)))
+        .field("base_step_ps", base.step_time(gpus).as_ps())
         .field("prefetch_step_ps", prefetch_ps)
         .field("serial_step_ps", serial_ps)
-        .field("stage_ps", simtime_to_ps(overlapped.stage_time(gpus)))
+        .field("stage_ps", overlapped.stage_time(gpus).as_ps())
         .field("stage_overlap_saved_ps", saved)
         .field("input_bound", input_bound);
     (row, input_bound == (gpus >= 96) && (gpus < 96 || saved > 0))

@@ -114,11 +114,11 @@ fn perf_row(table: &Arc<DecisionTable>, gpus: usize) -> Obj {
         .text("algo", table.select(gpus, bytes).name())
         .field(
             "untuned_comm_ps",
-            msa_obs::simtime_to_ps(base.comm_time(gpus)),
+            base.comm_time(gpus).as_ps(),
         )
         .field(
             "tuned_comm_ps",
-            msa_obs::simtime_to_ps(tuned.comm_time(gpus)),
+            tuned.comm_time(gpus).as_ps(),
         )
         .field(
             "calibration_milli",

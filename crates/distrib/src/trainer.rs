@@ -218,11 +218,6 @@ impl PhaseBreakdown {
             - self.stage_overlap_saved_ps
     }
 
-    /// Sum of all phases as a [`SimTime`].
-    pub fn total(&self) -> SimTime {
-        msa_obs::ps_to_simtime(self.total_ps())
-    }
-
     fn absorb(&mut self, other: &PhaseBreakdown) {
         self.stage_ps += other.stage_ps;
         self.compute_ps += other.compute_ps;
@@ -323,7 +318,7 @@ pub struct TrainReport {
 impl TrainReport {
     /// Modeled duration of the run as a [`SimTime`].
     pub fn sim_wall(&self) -> SimTime {
-        msa_obs::ps_to_simtime(self.sim_wall_ps)
+        SimTime::from_ps(self.sim_wall_ps)
     }
 }
 
@@ -995,9 +990,9 @@ impl<'a, L: Loss> Rank<'a, L> {
     ///   where every ready_k = compute).
     fn price(&mut self, pipe: &mut StagePipe, batch_bytes: u64, samples: usize) {
         let (cost, clock, bd) = (&self.t.cost, &self.clock, &mut self.epoch_bd);
-        let s_ps = msa_obs::simtime_to_ps(cost.stage_time(batch_bytes));
+        let s_ps = cost.stage_time(batch_bytes).as_ps();
         let stall = pipe.arrive(s_ps, clock.now_ps());
-        clock.advance_ps(stall);
+        clock.advance(SimTime::from_ps(stall));
         pipe.popped(clock.now_ps());
         bd.stage_ps += s_ps;
         bd.stage_overlap_saved_ps += s_ps - stall;
@@ -1011,7 +1006,7 @@ impl<'a, L: Loss> Rank<'a, L> {
         let mut comm_ps: u64 = 0;
         for b in self.fusion.buckets().iter().rev() {
             let bytes = self.t.codec.wire_bytes(b.len()) as u64;
-            let a_ps = msa_obs::simtime_to_ps(cost.allreduce_time(self.comm.size(), bytes));
+            let a_ps = cost.allreduce_time(self.comm.size(), bytes).as_ps();
             let ready = if self.t.fusion.overlap {
                 c_ps - t_bwd
                     + ((t_bwd as u128 * (total - b.start as u64) as u128) / total as u128) as u64
@@ -1023,7 +1018,7 @@ impl<'a, L: Loss> Rank<'a, L> {
             self.allreduce_bytes += bytes;
         }
         let extra = finish.saturating_sub(c_ps);
-        clock.advance_ps(extra);
+        clock.advance(SimTime::from_ps(extra));
         bd.allreduce_ps += comm_ps;
         bd.overlap_saved_ps += comm_ps - extra;
     }

@@ -122,7 +122,7 @@ mod tests {
     fn meter_accumulates_and_converts() {
         let model = PowerModel::for_node(&catalog::deep_dam_node());
         let mut meter = EnergyMeter::new();
-        meter.record(&model, 16, 0.9, SimTime::from_hours(1.0));
+        meter.record(&model, 16, 0.9, SimTime::from_secs(3600.0));
         meter.add_joules(3.6e6);
         assert_eq!(meter.samples(), 2);
         assert!(meter.kwh() > 1.0);

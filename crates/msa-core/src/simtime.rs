@@ -1,29 +1,55 @@
 //! Virtual time for the discrete-event models.
 //!
-//! All analytic performance models in this workspace advance a virtual
-//! clock measured in seconds (`f64`). [`SimTime`] is a thin newtype that
-//! provides total ordering (NaN is forbidden by construction) so it can
-//! live in priority queues.
+//! Every analytic model in this workspace — cost models, schedulers,
+//! the serving queue, the trainer's phase breakdown and `msa-obs` —
+//! keeps time as one type, [`SimTime`]: an integer count of
+//! picoseconds. Integer addition is exact and associative, so a sum of
+//! spans is the same whatever order it is taken in, and per-phase totals
+//! add up to the wall total exactly. `u64` picoseconds reach ≈ 213 days
+//! of virtual time; [`SimTime::NEVER`] stands for "does not happen".
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-/// A point (or span) of virtual time, in seconds.
+/// Picoseconds per second, as f64 (exact: 1e12 < 2^53).
+const PS_PER_SEC: f64 = 1e12;
+
+/// A point (or span) of virtual time, in integer picoseconds.
 ///
-/// `SimTime` is totally ordered; constructing it from a non-finite float
-/// panics, which keeps `Ord` honest.
-#[derive(Clone, Copy, PartialEq, Default)]
-pub struct SimTime(f64);
+/// Seconds-valued constructors and `f64` scaling round to the nearest
+/// picosecond once; integer addition and subtraction are checked and
+/// panic on overflow or on a negative result.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct SimTime(u64);
 
 impl SimTime {
     /// Time zero.
-    pub const ZERO: SimTime = SimTime(0.0);
+    pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates a time point from seconds. Panics on NaN/inf.
+    /// An instant that never arrives: later than every reachable time.
+    pub const NEVER: SimTime = SimTime(u64::MAX);
+
+    /// Creates a time point from integer picoseconds.
+    pub const fn from_ps(ps: u64) -> Self {
+        SimTime(ps)
+    }
+
+    /// Rounds a picosecond value to the nearest integer. Panics on
+    /// NaN/inf, on negative values and on overflow.
+    fn round_ps(ps: f64) -> Self {
+        assert!(ps.is_finite(), "SimTime must be finite, got {ps}ps");
+        assert!(ps >= 0.0, "SimTime must be non-negative, got {ps}ps");
+        let ps = ps.round();
+        assert!(
+            ps < u64::MAX as f64,
+            "{ps}ps overflows the picosecond clock"
+        );
+        SimTime(ps as u64)
+    }
+
+    /// Creates a time point from seconds, rounded to the picosecond.
     pub fn from_secs(secs: f64) -> Self {
-        assert!(secs.is_finite(), "SimTime must be finite, got {secs}");
-        SimTime(secs)
+        Self::round_ps(secs * PS_PER_SEC)
     }
 
     /// Creates a time point from microseconds.
@@ -36,69 +62,34 @@ impl SimTime {
         Self::from_secs(ms * 1e-3)
     }
 
-    /// Creates a time point from hours.
-    pub fn from_hours(h: f64) -> Self {
-        Self::from_secs(h * 3600.0)
+    /// The value in integer picoseconds.
+    pub const fn as_ps(self) -> u64 {
+        self.0
     }
 
     /// The value in seconds.
     pub fn as_secs(self) -> f64 {
-        self.0
+        self.0 as f64 / PS_PER_SEC
     }
 
     /// The value in microseconds.
     pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
-    /// The value in hours.
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
-    }
-
-    /// Larger of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Smaller of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
+        self.0 as f64 / 1e6
     }
 
     /// Saturating subtraction: never goes below zero.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
-        SimTime((self.0 - other.0).max(0.0))
-    }
-}
-
-impl Eq for SimTime {}
-
-impl PartialOrd for SimTime {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for SimTime {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Finite-by-construction, so total_cmp agrees with the usual order.
-        self.0.total_cmp(&other.0)
+        SimTime(self.0.saturating_sub(other.0))
     }
 }
 
 impl Add for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime::from_secs(self.0 + rhs.0)
+        match self.0.checked_add(rhs.0) {
+            Some(ps) => SimTime(ps),
+            None => panic!("{self:?} + {rhs:?} overflows the picosecond clock"),
+        }
     }
 }
 
@@ -111,40 +102,43 @@ impl AddAssign for SimTime {
 impl Sub for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime::from_secs(self.0 - rhs.0)
+        match self.0.checked_sub(rhs.0) {
+            Some(ps) => SimTime(ps),
+            None => panic!("{self:?} - {rhs:?} is negative"),
+        }
     }
 }
 
 impl Mul<f64> for SimTime {
     type Output = SimTime;
     fn mul(self, rhs: f64) -> SimTime {
-        SimTime::from_secs(self.0 * rhs)
+        SimTime::round_ps(self.0 as f64 * rhs)
     }
 }
 
 impl Div<f64> for SimTime {
     type Output = SimTime;
     fn div(self, rhs: f64) -> SimTime {
-        SimTime::from_secs(self.0 / rhs)
+        SimTime::round_ps(self.0 as f64 / rhs)
     }
 }
 
 impl Div<SimTime> for SimTime {
     type Output = f64;
     fn div(self, rhs: SimTime) -> f64 {
-        self.0 / rhs.0
+        self.0 as f64 / rhs.0 as f64
     }
 }
 
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.0)
+        write!(f, "{:.6}s", self.as_secs())
     }
 }
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.0;
+        let s = self.as_secs();
         if s >= 3600.0 {
             write!(f, "{:.2}h", s / 3600.0)
         } else if s >= 1.0 {
@@ -170,6 +164,8 @@ mod tests {
         assert_eq!((a * 2.0).as_secs(), 3.0);
         assert_eq!((a / 3.0).as_secs(), 0.5);
         assert!((a / b - 3.0).abs() < 1e-12);
+        assert_eq!(SimTime::from_micros(1.0).as_ps(), 1_000_000);
+        assert_eq!(SimTime::from_ps(a.as_ps()), a);
     }
 
     #[test]
@@ -180,6 +176,7 @@ mod tests {
         v.sort();
         assert_eq!(v[0], SimTime::ZERO);
         assert_eq!(v[2].as_secs(), 3.0);
+        assert!(v[2] < SimTime::NEVER);
     }
 
     #[test]

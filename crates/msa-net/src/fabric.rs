@@ -203,7 +203,7 @@ pub fn simulate(tree: &FatTree, flows: &[Flow]) -> Vec<FlowResult> {
             }
         }
         if let Some(&(_, f)) = pending.peek() {
-            dt = dt.min((f.start - now).as_secs().max(0.0));
+            dt = dt.min((f.start - now).as_secs());
         }
         assert!(dt.is_finite(), "simulation stalled");
         now += SimTime::from_secs(dt);

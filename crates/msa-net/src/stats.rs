@@ -162,7 +162,7 @@ impl CommStats {
         let slot = self.slot();
         slot.msgs_recv.fetch_add(1, Ordering::Relaxed);
         slot.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
-        let cost = msa_obs::simtime_to_ps(link.p2p(bytes as f64));
+        let cost = link.p2p(bytes as f64).as_ps();
         slot.wait_ps.fetch_add(cost, Ordering::Relaxed);
         self.vtime_ps
             .fetch_max(sent_at_ps.saturating_add(cost), Ordering::Relaxed);
@@ -319,7 +319,7 @@ mod tests {
         let link = LinkParams::extoll();
         let stats = CommStats::new(link);
         stats.on_recv_priced(1_000_000, link, 0);
-        let want = msa_obs::simtime_to_ps(link.p2p(1e6));
+        let want = link.p2p(1e6).as_ps();
         assert_eq!(stats.export().op(CollectiveOp::P2p).wait_ps, want);
     }
 
@@ -328,7 +328,7 @@ mod tests {
         let link = LinkParams::extoll();
         let stats = CommStats::new(link);
         assert_eq!(stats.vtime_ps(), 0);
-        let cost = msa_obs::simtime_to_ps(link.p2p(1024.0));
+        let cost = link.p2p(1024.0).as_ps();
         // Message stamped "sent at 5000 ps" arrives at 5000 + cost.
         stats.on_recv_priced(1024, link, 5000);
         assert_eq!(stats.vtime_ps(), 5000 + cost);

@@ -621,7 +621,7 @@ mod tests {
             c.stats().map(|s| s.export())
         });
         // p=2 ring: 2 recvs of one 50-element (200-byte) chunk each.
-        let want = 2 * msa_obs::simtime_to_ps(link.p2p(200.0));
+        let want = 2 * link.p2p(200.0).as_ps();
         for snap in out {
             let snap = snap.expect("stats always present");
             assert_eq!(snap.op(CollectiveOp::Allreduce).wait_ps, want);
@@ -641,7 +641,7 @@ mod tests {
             c.allreduce_sum(&mut buf);
             c.stats().map(|s| s.vtime_ps()).unwrap_or(0)
         });
-        let want = 2 * msa_obs::simtime_to_ps(link.p2p(200.0));
+        let want = 2 * link.p2p(200.0).as_ps();
         assert_eq!(out, vec![want, want]);
     }
 
@@ -661,7 +661,7 @@ mod tests {
             let s = c.stats().expect("stats always on");
             (s.export().op(CollectiveOp::Allreduce).wait_ps, s.vtime_ps())
         });
-        let hop = msa_obs::simtime_to_ps(topo.intra.p2p(200.0));
+        let hop = topo.intra.p2p(200.0).as_ps();
         for (wait, vtime) in out {
             assert_eq!(wait, 2 * hop);
             assert_eq!(vtime, 2 * hop);
@@ -673,7 +673,7 @@ mod tests {
             c.allreduce_sum(&mut buf);
             c.stats().map(|s| s.vtime_ps()).unwrap_or(0)
         });
-        assert_eq!(out, vec![2 * msa_obs::simtime_to_ps(fabric.p2p(200.0)); 2]);
+        assert_eq!(out, vec![2 * fabric.p2p(200.0).as_ps(); 2]);
     }
 
     #[test]

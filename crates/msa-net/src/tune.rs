@@ -110,7 +110,7 @@ impl TunedAlgo {
     /// [`TunedAlgo::model_time`] as integer picoseconds — the
     /// `modeled_ps` column of the table, kept next to the measurement.
     pub fn modeled_ps(self, ranks: usize, bytes: usize, inter: LinkParams, topo: Topology) -> u64 {
-        msa_obs::simtime_to_ps(self.model_time(ranks, bytes as f64, inter, topo))
+        self.model_time(ranks, bytes as f64, inter, topo).as_ps()
     }
 
     /// Runs this algorithm collectively on `c`. Panics if called at a

@@ -13,9 +13,8 @@
 //! * **No wall clocks.** Durations come from the analytic cost models
 //!   ([`msa_core::SimTime`]) via a [`VirtualClock`], never from
 //!   `Instant::now()`.
-//! * **Integer time.** Internally all durations are `u64` picoseconds
-//!   ([`simtime_to_ps`]). f64 addition is non-associative, so summing
-//!   spans in different orders could flip the last ULP; u64 addition is
+//! * **Integer time.** [`SimTime`] is an integer picosecond count, and
+//!   time accumulators store that count as a `u64`. Integer addition is
 //!   exact and commutative, so per-phase totals equal the wall total
 //!   *exactly* and merge order cannot matter.
 //! * **Order-independent aggregation.** Counters add, times add,
@@ -42,27 +41,10 @@ use std::sync::Mutex;
 
 pub use msa_core::SimTime;
 
-/// Picoseconds per second, as f64 (exact: 1e12 < 2^53).
-const PS_PER_SEC: f64 = 1e12;
-
-/// Converts a non-negative [`SimTime`] span to integer picoseconds.
-///
-/// Panics on negative spans and on spans too long for a `u64` (≈ 213
-/// days of virtual time — far beyond any model in this workspace).
+/// The span in integer picoseconds: [`SimTime::as_ps`], kept under
+/// its old name for the host-clock benchmark's adapter.
 pub fn simtime_to_ps(t: SimTime) -> u64 {
-    let secs = t.as_secs();
-    assert!(secs >= 0.0, "durations must be non-negative, got {secs}");
-    let ps = (secs * PS_PER_SEC).round();
-    assert!(
-        ps <= u64::MAX as f64,
-        "duration {secs}s overflows the picosecond clock"
-    );
-    ps as u64
-}
-
-/// Converts integer picoseconds back to a [`SimTime`].
-pub fn ps_to_simtime(ps: u64) -> SimTime {
-    SimTime::from_secs(ps as f64 / PS_PER_SEC)
+    t.as_ps()
 }
 
 /// Builds a canonical metric key: `name{k1=v1,k2=v2}`, labels sorted by
@@ -106,11 +88,6 @@ pub trait Recorder: Send + Sync {
     fn time_ps(&self, key: &str, ps: u64);
     /// Observes one value in the fixed-bucket histogram at `key`.
     fn observe(&self, key: &str, value: f64);
-
-    /// Adds a [`SimTime`] span to the time accumulator at `key`.
-    fn time(&self, key: &str, span: SimTime) {
-        self.time_ps(key, simtime_to_ps(span));
-    }
 }
 
 /// Recorder that drops everything. The default when no observer is
@@ -564,7 +541,7 @@ impl Snapshot {
                     let _ = write!(
                         out,
                         ", \"type\": \"time\", \"ps\": {ps}, \"secs\": {}}}",
-                        ps_to_simtime(*ps).as_secs()
+                        SimTime::from_ps(*ps).as_secs()
                     );
                 }
                 MetricValue::Histogram {
@@ -640,14 +617,13 @@ fn json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A rank-local virtual clock in integer picoseconds.
-///
-/// Cost models hand out [`SimTime`] spans; the clock accumulates them as
-/// `u64` picoseconds so the order of accumulation cannot change the
-/// total. Deliberately `!Sync` (one clock per rank/thread).
+/// A rank-local virtual clock: the sum of the model-priced [`SimTime`]
+/// spans it has advanced by. Integer picoseconds, so the order of the
+/// spans cannot change the total. Deliberately `!Sync` (one clock per
+/// rank/thread).
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    now_ps: Cell<u64>,
+    now: Cell<SimTime>,
 }
 
 impl VirtualClock {
@@ -658,29 +634,18 @@ impl VirtualClock {
 
     /// Advances by a model-priced span; returns the span in picoseconds.
     pub fn advance(&self, dt: SimTime) -> u64 {
-        let ps = simtime_to_ps(dt);
-        self.advance_ps(ps);
-        ps
-    }
-
-    /// Advances by an exact number of picoseconds.
-    pub fn advance_ps(&self, ps: u64) {
-        self.now_ps.set(
-            self.now_ps
-                .get()
-                .checked_add(ps)
-                .expect("virtual clock overflow"), // lint: allow(unwrap) -- 2^64 ps ≈ 213 days of virtual time; unreachable by construction
-        );
+        self.now.set(self.now.get() + dt);
+        dt.as_ps()
     }
 
     /// Current virtual time in picoseconds.
     pub fn now_ps(&self) -> u64 {
-        self.now_ps.get()
+        self.now.get().as_ps()
     }
 
-    /// Current virtual time as a [`SimTime`].
+    /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        ps_to_simtime(self.now_ps.get())
+        self.now.get()
     }
 }
 
@@ -762,8 +727,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add("c", 2);
         reg.add("c", 3);
-        reg.time("t", SimTime::from_micros(1.5));
-        reg.time("t", SimTime::from_micros(2.5));
+        reg.time_ps("t", 1_500_000);
+        reg.time_ps("t", 2_500_000);
         let snap = reg.snapshot();
         assert_eq!(snap.get("c"), Some(&MetricValue::Counter(5)));
         assert_eq!(snap.get("t").and_then(MetricValue::as_time_ps), Some(4_000_000));
@@ -993,9 +958,9 @@ mod tests {
     fn simtime_ps_roundtrip() {
         for us in [0.0, 0.5, 1.0, 123.456, 1e9] {
             let t = SimTime::from_micros(us);
-            let ps = simtime_to_ps(t);
-            assert!((ps_to_simtime(ps).as_secs() - t.as_secs()).abs() < 1e-12);
+            assert_eq!(SimTime::from_ps(t.as_ps()), t);
+            assert!((t.as_secs() - us * 1e-6).abs() < 1e-12);
         }
-        assert_eq!(simtime_to_ps(SimTime::from_micros(1.0)), 1_000_000);
+        assert_eq!(SimTime::from_micros(1.0).as_ps(), 1_000_000);
     }
 }

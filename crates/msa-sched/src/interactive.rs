@@ -48,7 +48,7 @@ impl Placement for AvoidModule<'_> {
 /// latency) bounded no matter how far the offered load exceeds capacity.
 ///
 /// All arithmetic is deterministic: the prediction is a single f64
-/// multiply rounded to integer picoseconds, so two identical runs make
+/// division rounded to a [`SimTime`], so two identical runs make
 /// bit-identical admit/shed decisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
@@ -70,26 +70,21 @@ impl AdmissionPolicy {
         Self::new(SimTime::from_secs(10.0))
     }
 
-    /// Predicted wait, in integer picoseconds, for a request joining a
-    /// queue with `backlog` requests ahead of it, served at a sustained
-    /// `service_rate_rps` requests/second.
-    pub fn predicted_wait_ps(backlog: u64, service_rate_rps: f64) -> u64 {
+    /// Predicted wait for a request joining a queue with `backlog`
+    /// requests ahead of it, served at a sustained `service_rate_rps`
+    /// requests/second.
+    pub fn predicted_wait(backlog: u64, service_rate_rps: f64) -> SimTime {
         assert!(
             service_rate_rps > 0.0 && service_rate_rps.is_finite(),
             "service rate must be positive and finite, got {service_rate_rps}"
         );
-        (backlog as f64 / service_rate_rps * 1e12).round() as u64
-    }
-
-    /// The SLO as integer picoseconds (the unit admission compares in).
-    pub fn slo_ps(&self) -> u64 {
-        (self.slo.as_secs() * 1e12).round() as u64
+        SimTime::from_secs(backlog as f64 / service_rate_rps)
     }
 
     /// True when a request arriving behind `backlog` queued requests
     /// should be admitted.
     pub fn admit(&self, backlog: u64, service_rate_rps: f64) -> bool {
-        Self::predicted_wait_ps(backlog, service_rate_rps) <= self.slo_ps()
+        Self::predicted_wait(backlog, service_rate_rps) <= self.slo
     }
 
     /// Largest backlog the policy will still admit behind — the queue
@@ -99,7 +94,7 @@ impl AdmissionPolicy {
         let cap = exact.floor() as u64;
         // `floor` under-counts when slo·rate is exactly representable
         // (e.g. 10 s × 100 rps = 1000): check the boundary explicitly.
-        if Self::predicted_wait_ps(cap + 1, service_rate_rps) <= self.slo_ps() {
+        if self.admit(cap + 1, service_rate_rps) {
             cap + 1
         } else {
             cap
@@ -262,9 +257,9 @@ mod tests {
         // 100 rps, 10 s SLO: backlog 1000 predicts exactly 10 s — the
         // boundary is admitted; one more request is shed.
         let p = AdmissionPolicy::interactive();
-        assert_eq!(AdmissionPolicy::predicted_wait_ps(0, 100.0), 0);
+        assert_eq!(AdmissionPolicy::predicted_wait(0, 100.0), SimTime::ZERO);
         assert_eq!(
-            AdmissionPolicy::predicted_wait_ps(1000, 100.0),
+            AdmissionPolicy::predicted_wait(1000, 100.0).as_ps(),
             10_000_000_000_000
         );
         assert!(p.admit(0, 100.0));

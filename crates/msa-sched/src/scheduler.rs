@@ -13,7 +13,7 @@ use msa_core::energy::PowerModel;
 use msa_core::module::ModuleId;
 use msa_core::system::MsaSystem;
 use msa_core::{EventEngine, SimTime};
-use msa_obs::{key, simtime_to_ps, Recorder};
+use msa_obs::{key, Recorder};
 use std::collections::VecDeque;
 
 /// Result of scheduling one trace.
@@ -54,8 +54,8 @@ impl ScheduleReport {
     /// wait, job/backfill counts, energy, and per-module busy time and
     /// utilization (labelled with the module's short code).
     pub fn record_into(&self, rec: &dyn Recorder, sys: &MsaSystem, labels: &[(&str, &str)]) {
-        rec.time_ps(&key("sched.makespan", labels), simtime_to_ps(self.makespan));
-        rec.time_ps(&key("sched.mean_wait", labels), simtime_to_ps(self.mean_wait));
+        rec.time_ps(&key("sched.makespan", labels), self.makespan.as_ps());
+        rec.time_ps(&key("sched.mean_wait", labels), self.mean_wait.as_ps());
         rec.add(&key("sched.jobs", labels), self.outcomes.len() as u64);
         rec.add(&key("sched.backfilled", labels), self.backfilled as u64);
         rec.gauge(&key("sched.energy_kwh", labels), self.total_energy_kwh);
@@ -70,7 +70,7 @@ impl ScheduleReport {
             ml.push(("module", code));
             rec.time_ps(
                 &key("sched.module.busy", &ml),
-                simtime_to_ps(SimTime::from_secs(busy)),
+                SimTime::from_secs(busy).as_ps(),
             );
             rec.gauge(&key("sched.module.utilization", &ml), util);
         }
@@ -130,7 +130,7 @@ fn reservation_time(
         }
     }
     // Should not happen if the placement fits the module.
-    SimTime::from_secs(f64::MAX / 4.0)
+    SimTime::NEVER
 }
 
 fn try_schedule(state: &mut State, eng: &mut EventEngine<Event>) {
@@ -410,7 +410,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(
             snap.get("sched.makespan{trace=t}").and_then(|v| v.as_time_ps()),
-            Some(simtime_to_ps(rep.makespan))
+            Some(rep.makespan.as_ps())
         );
         assert_eq!(
             snap.get("sched.jobs{trace=t}").and_then(|v| v.as_counter()),

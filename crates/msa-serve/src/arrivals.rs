@@ -96,7 +96,7 @@ pub fn open_loop(load: &OfferedLoad) -> Vec<Arrival> {
             return out;
         }
         out.push(Arrival {
-            at_ps: (t * 1e12).round() as u64,
+            at_ps: SimTime::from_secs(t).as_ps(),
             user: rng.next_u64() % load.users,
         });
     }
@@ -124,10 +124,10 @@ mod tests {
         let n = arrivals.len() as f64;
         assert!((19_000.0..21_000.0).contains(&n), "got {n} arrivals");
         // Timestamps are non-decreasing and inside the horizon.
-        let horizon_ps = 20.0 * 1e12;
+        let horizon_ps = SimTime::from_secs(20.0).as_ps();
         let mut prev = 0u64;
         for a in &arrivals {
-            assert!(a.at_ps >= prev && (a.at_ps as f64) <= horizon_ps);
+            assert!(a.at_ps >= prev && a.at_ps <= horizon_ps);
             assert!(a.user < load.users);
             prev = a.at_ps;
         }

@@ -18,7 +18,6 @@
 
 use crate::arrivals::Arrival;
 use msa_core::SimTime;
-use msa_obs::simtime_to_ps;
 use msa_sched::AdmissionPolicy;
 use std::collections::VecDeque;
 
@@ -113,7 +112,7 @@ pub fn run_queue(
         Launch(u64),
     }
 
-    let delay_ps = simtime_to_ps(policy.max_delay);
+    let delay_ps = policy.max_delay.as_ps();
     let mut out = QueueOutcome::default();
     let mut queue: VecDeque<Arrival> = VecDeque::new();
     let mut pending = arrivals.iter().peekable();

@@ -30,7 +30,7 @@ use crate::arrivals::{open_loop, OfferedLoad};
 use crate::batching::{run_queue, BatchPolicy, QueueOutcome};
 use msa_core::module::ModuleKind;
 use msa_core::{MsaSystem, SimTime};
-use msa_obs::{key, simtime_to_ps, MetricsRegistry, Recorder, Snapshot};
+use msa_obs::{key, MetricsRegistry, Recorder, Snapshot};
 use msa_sched::AdmissionPolicy;
 use nn::layer::Sequential;
 use nn::serialize::{self, SnapshotError};
@@ -352,13 +352,13 @@ impl Server {
             // module node's peak DL throughput. `dl_tflops` is TFLOP/s,
             // i.e. 1e12 FLOP/s, so `flops / tflops` is already ps.
             let tflops = module.node.dl_tflops();
-            let overhead_ps = simtime_to_ps(ep.spec.launch_overhead);
+            let overhead_ps = ep.spec.launch_overhead.as_ps();
             let per_request_ps = (ep.spec.flops_per_request / tflops).round() as u64;
             let service_ps = |k: usize| overhead_ps + k as u64 * per_request_ps;
             // Admission prices waits against the best sustained rate
             // the policy allows: full batches, back to back.
             let k_max = ep.policy.max_batch;
-            let rate_rps = k_max as f64 / (service_ps(k_max) as f64 / 1e12);
+            let rate_rps = k_max as f64 / SimTime::from_ps(service_ps(k_max)).as_secs();
 
             let labels = metric_labels(&ep.spec.name, &self.tag);
             let latency_key = key("serve.request.latency", &labels);
@@ -375,7 +375,7 @@ impl Server {
                 rate_rps,
                 service_ps,
                 |latency_ps, _user| {
-                    registry.observe(&latency_key, latency_ps as f64 / 1e12);
+                    registry.observe(&latency_key, SimTime::from_ps(latency_ps).as_secs());
                 },
                 |batch| {
                     registry.observe(&batch_key, batch.size as f64);
@@ -453,7 +453,8 @@ impl Server {
                         p50_s: snapshot.quantile(&latency_key, 0.50).unwrap_or(0.0),
                         p99_s: snapshot.quantile(&latency_key, 0.99).unwrap_or(0.0),
                         throughput_rps: outcome.completed as f64 / duration_s,
-                        utilization: (outcome.busy_ps as f64 / 1e12 / duration_s).min(1.0),
+                        utilization: (SimTime::from_ps(outcome.busy_ps).as_secs() / duration_s)
+                            .min(1.0),
                         max_queue_depth: outcome.max_queue_depth,
                         executed_batches,
                         executed_requests,

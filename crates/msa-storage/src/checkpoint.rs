@@ -114,9 +114,10 @@ pub struct FailureSimReport {
 }
 
 /// Simulates `work` seconds of useful computation under exponential
-/// failures (mean `mtbf`), checkpointing every `interval` at cost `c`,
-/// restarting at cost `r` after every failure, losing all progress since
-/// the last completed checkpoint. Deterministic given `seed`.
+/// failures (mean `mtbf`; [`SimTime::NEVER`] means no failures),
+/// checkpointing every `interval` at cost `c`, restarting at cost `r`
+/// after every failure, losing all progress since the last completed
+/// checkpoint. Deterministic given `seed`.
 pub fn simulate_failures(
     work: SimTime,
     interval: SimTime,
@@ -127,7 +128,10 @@ pub fn simulate_failures(
 ) -> FailureSimReport {
     assert!(interval.as_secs() > 0.0 && work.as_secs() > 0.0);
     let mut rng = XorShift(seed | 1);
-    let mut exp_draw = move || -mtbf.as_secs() * (1.0 - rng.unit()).max(1e-300).ln();
+    let mut exp_draw = move || match mtbf {
+        SimTime::NEVER => f64::INFINITY,
+        _ => -mtbf.as_secs() * (1.0 - rng.unit()).max(1e-300).ln(),
+    };
 
     let mut wall = 0.0f64; // total elapsed
     let mut done = 0.0f64; // checkpointed useful work
@@ -236,13 +240,13 @@ mod tests {
 
     #[test]
     fn simulation_without_failures_pays_only_checkpoints() {
-        // Giant MTBF ⇒ no failures; overhead = checkpoint time only.
+        // No failure process; overhead = checkpoint time only.
         let rep = simulate_failures(
             secs(1000.0),
             secs(100.0),
             secs(10.0),
             secs(5.0),
-            secs(1e12),
+            SimTime::NEVER,
             42,
         );
         assert_eq!(rep.failures, 0);

@@ -7,7 +7,7 @@
 //! experiment E9.
 
 use msa_core::SimTime;
-use msa_obs::{key, simtime_to_ps, Recorder};
+use msa_obs::{key, Recorder};
 
 /// The external data source (e.g. the Copernicus/BigEarthNet archive or
 /// a B2DROP share): a single shared wide-area link.
@@ -164,7 +164,7 @@ impl StagingPlan {
         };
         let mut sl: Vec<(&str, &str)> = labels.to_vec();
         sl.push(("strategy", strategy));
-        rec.time_ps(&key("storage.staging.time", &sl), simtime_to_ps(self.time));
+        rec.time_ps(&key("storage.staging.time", &sl), self.time.as_ps());
         // WAN traffic in whole bytes: exact for any GiB-granular dataset,
         // and integer counters merge deterministically.
         let wan_bytes = (self.wan_traffic_gib * 1024.0 * 1024.0 * 1024.0).round() as u64;
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(
             snap.get("storage.staging.time{dataset=bigearth,strategy=nam}")
                 .and_then(|v| v.as_time_ps()),
-            Some(simtime_to_ps(shared.time))
+            Some(shared.time.as_ps())
         );
         assert_eq!(
             snap.get("storage.staging.plans{dataset=bigearth,strategy=nam}")

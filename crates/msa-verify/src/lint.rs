@@ -12,7 +12,7 @@
 //! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{barrier,thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
-//! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`) and the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) must not reappear; the `Trainer` and `CommOptions` builders and the plain-named collectives are the only surface |
+//! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`), the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) and the retired time converters (`ps_to_simtime`, `advance_ps`, `from_hours`, `as_hours`, `predicted_wait_ps`, `slo_ps`) must not reappear; each finding names its replacement |
 //!
 //! Findings print as `file:line: rule — message` and the binary exits
 //! nonzero when any survive. A finding is suppressed by a same-line (or
@@ -74,24 +74,29 @@ pub struct Profile {
     pub removed_api: bool,
 }
 
-/// Entry points deleted when their replacements landed (`Trainer` for
-/// the distrib free functions, `CommOptions` for the ThreadComm fault
-/// constructors, the plain-named collectives for their `_with`
-/// doubles). The `removed-api` rule keeps them from reappearing
+/// Entry points deleted when their replacements landed, each with what
+/// to call instead. The `removed-api` rule keeps them from reappearing
 /// anywhere, test code included.
-const REMOVED_APIS: [&str; 12] = [
-    "train_data_parallel",
-    "train_data_parallel_faulted",
-    "resume_from_snapshot",
-    "create_with_fault",
-    "run_with_fault",
-    "fault_opt",
-    "ring_allreduce_with",
-    "recursive_doubling_allreduce_with",
-    "pipeline_allreduce_with",
-    "tree_reduce_with",
-    "bf16_allreduce_with",
-    "tuned_allreduce_with",
+#[rustfmt::skip]
+const REMOVED_APIS: [(&str, &str); 18] = [
+    ("train_data_parallel", "the `Trainer` builder"),
+    ("train_data_parallel_faulted", "`Trainer::fault`"),
+    ("resume_from_snapshot", "`Trainer::resume`"),
+    ("create_with_fault", "`ThreadComm::create_with` + `CommOptions`"),
+    ("run_with_fault", "`ThreadComm::run_with` + `CommOptions`"),
+    ("fault_opt", "`Trainer::fault`"),
+    ("ring_allreduce_with", "`ring_allreduce`"),
+    ("recursive_doubling_allreduce_with", "`recursive_doubling_allreduce`"),
+    ("pipeline_allreduce_with", "`pipeline_allreduce`"),
+    ("tree_reduce_with", "`tree_reduce`"),
+    ("bf16_allreduce_with", "`bf16_allreduce`"),
+    ("tuned_allreduce_with", "`tuned_allreduce`"),
+    ("ps_to_simtime", "`SimTime::from_ps`"),
+    ("advance_ps", "`VirtualClock::advance`"),
+    ("from_hours", "`SimTime::from_secs`"),
+    ("as_hours", "`SimTime::as_secs`"),
+    ("predicted_wait_ps", "`AdmissionPolicy::predicted_wait`"),
+    ("slo_ps", "`AdmissionPolicy::slo`"),
 ];
 
 impl Profile {
@@ -818,7 +823,7 @@ pub fn lint_source(file: &str, source: &str, profile: &Profile) -> Vec<Finding> 
         // Applies in test regions too: nothing may keep a retired name
         // compiling, not even a test.
         if profile.removed_api {
-            for needle in REMOVED_APIS {
+            for (needle, replacement) in REMOVED_APIS {
                 for (pos, _) in line.match_indices(needle) {
                     // Ident-boundary guard on both sides, so
                     // `train_data_parallel` never fires inside
@@ -836,12 +841,7 @@ pub fn lint_source(file: &str, source: &str, profile: &Profile) -> Vec<Finding> 
                             &mut used_allows,
                             idx,
                             "removed-api",
-                            format!(
-                                "`{needle}` was removed; use the `Trainer` builder \
-                                 (distrib), `ThreadComm::{{create,run}}_with` + \
-                                 `CommOptions`, or the plain-named collective with \
-                                 its arena argument (msa-net) instead"
-                            ),
+                            format!("`{needle}` was removed; use {replacement} instead"),
                         );
                     }
                 }
@@ -1133,7 +1133,8 @@ mod tests {
             rules("fn f() { comm.resume_from_snapshot(); }\n"),
             vec!["removed-api"]
         );
-        // The retired `Option` setters and `_with` collective doubles.
+        // The retired `Option` setter, `_with` collective doubles and
+        // time converters.
         for call in [
             "Trainer::new(cfg).fault_opt(None)",
             "collectives::ring_allreduce_with(c, buf, arena)",
@@ -1142,6 +1143,10 @@ mod tests {
             "collectives::tree_reduce_with(c, buf, 0, arena)",
             "msa_net::bf16_allreduce_with(c, buf, arena)",
             "msa_net::tuned_allreduce_with(c, buf, arena, table)",
+            "msa_obs::ps_to_simtime(ps)",
+            "clock.advance_ps(ps)",
+            "SimTime::from_hours(1.0)",
+            "t.as_hours()",
         ] {
             assert_eq!(rules(&format!("fn f() {{ {call}; }}\n")), vec!["removed-api"], "{call}");
         }

@@ -246,6 +246,18 @@ fn removed_api_call_is_flagged() {
         "pub fn f(cfg: &distrib::TrainConfig) {\n    distrib::train_data_parallel(cfg);\n}\n",
     );
     assert!(stdout.contains("fixture.rs:2: removed-api"), "{stdout}");
+    // The finding names the replacement.
+    let stdout = findings_for(
+        "removedtime",
+        "pub fn f(ps: u64) -> SimTime {\n    msa_obs::ps_to_simtime(ps)\n}\n",
+    );
+    let hits: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("removed-api"))
+        .collect();
+    assert_eq!(hits.len(), 1, "{stdout}");
+    assert!(hits[0].contains("fixture.rs:2: removed-api"), "{stdout}");
+    assert!(hits[0].contains("SimTime::from_ps"), "{stdout}");
 }
 
 #[test]

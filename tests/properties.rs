@@ -180,10 +180,30 @@ fn simtime_ordering_is_consistent_with_secs() {
         let a = xs.f64_in(0.0, 1e6);
         let b = xs.f64_in(0.0, 1e6);
         let (ta, tb) = (SimTime::from_secs(a), SimTime::from_secs(b));
-        assert_eq!(ta < tb, a < b);
-        assert!((ta + tb).as_secs() == a + b);
-        assert!(ta.max(tb).as_secs() == a.max(b));
+        // Rounding to the picosecond is monotone and off by at most half
+        // a picosecond, plus the f64 rounding of a value this large.
+        assert!(a >= b || ta <= tb, "{a} < {b} but {ta:?} > {tb:?}");
+        for (t, x) in [(ta, a), (tb, b)] {
+            assert!(
+                (t.as_secs() - x).abs() <= 0.5e-12 + 2.0 * x * f64::EPSILON,
+                "{x}"
+            );
+        }
+        assert_eq!((ta + tb).as_ps(), ta.as_ps() + tb.as_ps());
+        assert_eq!(ta.max(tb).as_ps(), ta.as_ps().max(tb.as_ps()));
     }
+    // Integer addition is associative: any order sums to the same time.
+    let mut spans: Vec<SimTime> = (0..200)
+        .map(|_| SimTime::from_secs(xs.f64_in(0.0, 1.0)))
+        .collect();
+    let mut sums = Vec::new();
+    for _ in 0..3 {
+        for i in (1..spans.len()).rev() {
+            spans.swap(i, xs.below(i + 1));
+        }
+        sums.push(spans.iter().fold(SimTime::ZERO, |acc, &t| acc + t));
+    }
+    assert!(sums.iter().all(|&s| s == sums[0]), "{sums:?}");
 }
 
 #[test]
