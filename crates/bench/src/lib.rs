@@ -198,7 +198,7 @@ pub fn e3_scaling() -> String {
     out
 }
 
-/// E4 — parallel cascade SVM on CPUs (paper §III, [16]).
+/// E4 — parallel cascade SVM on CPUs (paper §III, \[16\]).
 pub fn e4_cascade_svm() -> String {
     let mut out = header("E4", "parallel cascade SVM (paper §III / [16])");
     // Small patches + heavy noise so the task is non-trivial (the point
@@ -417,7 +417,7 @@ pub fn e6_covidnet_generations() -> String {
     out
 }
 
-/// E7 — QSVM ensembles on the annealer (paper §III-C, [11]).
+/// E7 — QSVM ensembles on the annealer (paper §III-C, \[11\]).
 pub fn e7_qsvm() -> String {
     let mut out = header("E7", "quantum-annealer SVM ensembles (paper §III-C / [11])");
     let cfg = BigEarthConfig {
@@ -705,7 +705,7 @@ pub fn e12_modular_workflow() -> String {
     out
 }
 
-/// E13 — NAM-accelerated checkpoint/restart ([12], Schmidt).
+/// E13 — NAM-accelerated checkpoint/restart (\[12\], Schmidt).
 pub fn e13_checkpoint_restart() -> String {
     let mut out = header(
         "E13",
@@ -747,7 +747,7 @@ pub fn e13_checkpoint_restart() -> String {
 }
 
 /// E14 — interactive supercomputing: Jupyter sessions on a reserved DAM
-/// vs the shared batch queue ([3], both case studies' user-facing layer).
+/// vs the shared batch queue (\[3\], both case studies' user-facing layer).
 pub fn e14_interactive() -> String {
     let mut out = header(
         "E14",

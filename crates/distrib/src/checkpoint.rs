@@ -39,7 +39,7 @@ pub struct CheckpointPolicy {
 
 impl CheckpointPolicy {
     /// Checkpoint every `every_steps` steps to the NAM (the fast tier the
-    /// paper's reference [12] motivates).
+    /// paper's reference \[12\] motivates).
     pub fn every(every_steps: u64) -> Self {
         assert!(every_steps > 0, "checkpoint interval must be positive");
         CheckpointPolicy {

@@ -4,7 +4,8 @@
 //!
 //! * [`trainer`] — a **real** Horovod equivalent. `n` OS threads each own
 //!   a model replica and a data shard; every step they compute local
-//!   gradients and synchronise them with a genuine ring allreduce over
+//!   gradients and average them with a genuine allreduce (by default the
+//!   partition-invariant pipeline chain) over
 //!   [`msa_net::ThreadComm`] channels, then take identical optimiser
 //!   steps. Learning-rate linear scaling with warmup (the recipe the
 //!   128-GPU ResNet-50 studies rely on) is built in.

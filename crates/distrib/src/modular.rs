@@ -7,13 +7,10 @@
 //! model over the network federation, fan the inference sweep out on
 //! another module — versus doing everything on the training module.
 
+use crate::perf::{sustained_flops, BIGEARTH_SAMPLES, RESNET50_GRAD_BYTES, RESNET50_TRAIN_FLOPS};
 use msa_core::module::Module;
 use msa_core::system::FederationLink;
 use msa_core::SimTime;
-
-/// Sustained fraction of peak DL throughput (same calibration as
-/// [`crate::perf`]).
-const SUSTAINED_FRACTION: f64 = 0.15;
 
 /// An ML campaign: a training phase followed by a large inference/test
 /// sweep (e.g. classifying a continental archive with the new model).
@@ -34,21 +31,18 @@ impl MlCampaign {
     /// classify a 10-million-patch archive.
     pub fn resnet50_landcover() -> Self {
         MlCampaign {
-            train_flops: 20.0 * 269_695.0 * 11.7e9,
+            train_flops: 20.0 * BIGEARTH_SAMPLES as f64 * RESNET50_TRAIN_FLOPS,
             inference_samples: 10_000_000,
-            inference_flops_per_sample: 3.9e9,
-            model_bytes: 25.6e6 * 4.0,
+            inference_flops_per_sample: RESNET50_TRAIN_FLOPS / 3.0,
+            model_bytes: RESNET50_GRAD_BYTES,
         }
-    }
-
-    fn node_rate(module: &Module) -> f64 {
-        module.node.dl_tflops() * 1e12 * SUSTAINED_FRACTION
     }
 
     /// Training time on `nodes` nodes of `module` (data-parallel, ideal).
     pub fn train_time(&self, module: &Module, nodes: usize) -> SimTime {
         assert!(nodes >= 1 && nodes <= module.node_count);
-        SimTime::from_secs(self.train_flops / (Self::node_rate(module) * nodes as f64))
+        let rate = sustained_flops(module.node.dl_tflops()) * nodes as f64;
+        SimTime::from_secs(self.train_flops / rate)
     }
 
     /// Inference sweep time on `nodes` nodes of `module` (embarrassingly
@@ -56,12 +50,13 @@ impl MlCampaign {
     pub fn inference_time(&self, module: &Module, nodes: usize) -> SimTime {
         assert!(nodes >= 1 && nodes <= module.node_count);
         let flops = self.inference_samples as f64 * self.inference_flops_per_sample;
-        SimTime::from_secs(flops / (Self::node_rate(module) * nodes as f64))
+        let rate = sustained_flops(module.node.dl_tflops()) * nodes as f64;
+        SimTime::from_secs(flops / rate)
     }
 
     /// Model transfer time across a federation link.
     pub fn transfer_time(&self, link: &FederationLink) -> SimTime {
-        SimTime::from_secs(link.latency_us * 1e-6 + self.model_bytes / (link.bw_gbs * 1e9))
+        link.link.p2p(self.model_bytes)
     }
 
     /// Everything on the training module with `nodes` nodes.

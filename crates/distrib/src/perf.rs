@@ -5,8 +5,8 @@
 //! the hardware: per-step time is compute + gradient allreduce, composed
 //! from the GPU spec and the interconnect α–β model of `msa-net`.
 //!
-//! ResNet-50 constants: ~25.6 M parameters (≈102 MB of fp32 gradients),
-//! ~3.9 GFLOP per forward pass at 224², ≈3× that for forward+backward.
+//! The sustained fraction and the ResNet-50 constants below are also what
+//! [`crate::modular`] prices its campaigns with.
 
 use msa_core::hw::GpuSpec;
 use msa_core::SimTime;
@@ -19,6 +19,20 @@ use std::sync::Arc;
 /// matching published MLPerf-era numbers.
 const SUSTAINED_FRACTION: f64 = 0.15;
 
+/// FLOP/s a device of `peak_tflops` sustains on a training step.
+pub(crate) fn sustained_flops(peak_tflops: f64) -> f64 {
+    peak_tflops * 1e12 * SUSTAINED_FRACTION
+}
+
+/// ResNet-50 FLOPs per sample at 224²: ≈3.9 GFLOP forward, ≈3× that
+/// forward+backward.
+pub(crate) const RESNET50_TRAIN_FLOPS: f64 = 11.7e9;
+/// ResNet-50 fp32 gradients: ~25.6 M parameters (≈102 MB).
+pub(crate) const RESNET50_GRAD_BYTES: f64 = 25.6e6 * 4.0;
+/// BigEarthNet training-set size (≈270k 120×120 patches in the Sedona
+/// study).
+pub(crate) const BIGEARTH_SAMPLES: u64 = 269_695;
+
 /// Fraction of the compute time behind which Horovod's tensor-fusion
 /// pipeline can hide allreduce traffic (backprop overlaps communication).
 const OVERLAP_FRACTION: f64 = 0.3;
@@ -30,19 +44,17 @@ const OVERLAP_FRACTION: f64 = 0.3;
 /// The term is what turns the 96/128-GPU projections honest: compute and
 /// allreduce both shrink (or stay flat) per step as GPUs are added, but
 /// the staging source is *shared* — past the GPU count where
-/// `shared_bw_gbs / gpus` drops below the per-rank step demand, the
+/// the backend's fair share drops below the per-rank step demand, the
 /// input pipeline becomes the bottleneck and speedup saturates no matter
 /// how good the interconnect is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageTerm {
     /// Bytes each training sample stages from storage.
     pub bytes_per_sample: f64,
-    /// Aggregate bandwidth of the shared staging source in GB/s
-    /// (all OSTs of the parallel FS together).
-    pub shared_bw_gbs: f64,
-    /// Per-rank cap in GB/s: one client's striped read path — the most
-    /// a single rank can pull even with the backend to itself.
-    pub per_rank_cap_gbs: f64,
+    /// The shared staging source: its aggregate backend bandwidth is
+    /// divided among the ranks, each capped at one client's striped read
+    /// path.
+    pub fs: ParallelFs,
     /// Whether a depth-k prefetcher overlaps staging with the step
     /// (the PR-10 input pipeline). Overlapped staging hides behind
     /// compute+comm until it becomes the bottleneck; serial staging
@@ -51,22 +63,15 @@ pub struct StageTerm {
 }
 
 impl StageTerm {
-    /// Stage term backed by a [`ParallelFs`]: aggregate backend bandwidth
-    /// shared across ranks, each rank capped at one client's striped
-    /// read path. Prefetch defaults on (the shipped pipeline).
-    pub fn from_pfs(fs: &ParallelFs, bytes_per_sample: f64) -> Self {
+    /// BigEarthNet-style staging from `fs`: one 120×120 patch with 12
+    /// Sentinel-2 bands as fp32 is ≈0.69 MB on the wire. Prefetch
+    /// defaults on (the shipped pipeline).
+    pub fn bigearth_from_pfs(fs: &ParallelFs) -> Self {
         StageTerm {
-            bytes_per_sample,
-            shared_bw_gbs: fs.aggregate_bw_gbs(),
-            per_rank_cap_gbs: fs.single_client_bw_gbs(),
+            bytes_per_sample: 120.0 * 120.0 * 12.0 * 4.0,
+            fs: *fs,
             prefetch: true,
         }
-    }
-
-    /// BigEarthNet-style staging: one 120×120 patch with 12 Sentinel-2
-    /// bands as fp32 is ≈0.69 MB on the wire.
-    pub fn bigearth_from_pfs(fs: &ParallelFs) -> Self {
-        Self::from_pfs(fs, 120.0 * 120.0 * 12.0 * 4.0)
     }
 
     /// Toggles prefetch (builder style).
@@ -75,11 +80,10 @@ impl StageTerm {
         self
     }
 
-    /// Bandwidth one of `gpus` concurrently staging ranks sees: its fair
-    /// share of the backend, capped by its own client link.
+    /// Bandwidth one of `gpus` concurrently staging ranks sees (see
+    /// [`ParallelFs::per_client_bw_gbs`]).
     pub fn per_rank_bw_gbs(&self, gpus: usize) -> f64 {
-        assert!(gpus >= 1, "stage term needs at least one rank");
-        self.per_rank_cap_gbs.min(self.shared_bw_gbs / gpus as f64)
+        self.fs.per_client_bw_gbs(gpus)
     }
 }
 
@@ -96,11 +100,9 @@ pub struct ScalingModel {
     pub dataset_samples: u64,
     /// Per-GPU mini-batch (weak scaling, the Horovod convention).
     pub batch_per_gpu: u64,
-    /// Allreduce algorithm in use (when no decision table is attached).
-    pub algo: CollectiveAlgo,
     /// Measured autotuner table ([`msa_net::tune`]): when present, the
     /// comm model selects the table's per-(ranks, bytes) winner instead
-    /// of the fixed `algo`, and multiplies the analytic prediction by the
+    /// of the ring, and multiplies the analytic prediction by the
     /// nearest cell's measured/modeled calibration ratio — recalibrating
     /// the scaling curve against real executed traffic.
     pub tuning: Option<Arc<DecisionTable>>,
@@ -129,18 +131,15 @@ pub struct ScalingPoint {
 }
 
 impl ScalingModel {
-    /// ResNet-50 on BigEarthNet-scale data (≈270k 120×120 patches in the
-    /// Sedona study) for a given GPU generation.
+    /// ResNet-50 on BigEarthNet-scale data for a given GPU generation.
     pub fn resnet50(gpu: GpuSpec, link: LinkParams) -> Self {
         ScalingModel {
             gpu,
             link,
-            // 224² ResNet-50: ≈3.9 GFLOP fwd ⇒ ~11.7 GFLOP fwd+bwd.
-            flops_per_sample: 11.7e9,
-            grad_bytes: 25.6e6 * 4.0,
-            dataset_samples: 269_695,
+            flops_per_sample: RESNET50_TRAIN_FLOPS,
+            grad_bytes: RESNET50_GRAD_BYTES,
+            dataset_samples: BIGEARTH_SAMPLES,
             batch_per_gpu: 64,
-            algo: CollectiveAlgo::Ring,
             tuning: None,
             codec: GradCodec::Dense32,
             stage: None,
@@ -171,19 +170,17 @@ impl ScalingModel {
     /// Compute time of one local mini-batch on one GPU.
     pub fn compute_time(&self) -> SimTime {
         let flops = self.flops_per_sample * self.batch_per_gpu as f64;
-        SimTime::from_secs(
-            flops / (self.gpu.tensor_tflops * 1e12 * SUSTAINED_FRACTION),
-        )
+        SimTime::from_secs(flops / sustained_flops(self.gpu.tensor_tflops))
     }
 
     /// Communication time of the gradient allreduce over `gpus` ranks:
-    /// the fixed `algo`'s α–β prediction, or — with a decision table
-    /// attached — the measured winner's prediction on this model's link,
-    /// scaled by the table's measured/modeled calibration.
+    /// the ring's α–β prediction (Horovod's algorithm), or — with a
+    /// decision table attached — the measured winner's prediction on this
+    /// model's link, scaled by the table's measured/modeled calibration.
     pub fn comm_time(&self, gpus: usize) -> SimTime {
         let bytes = self.grad_bytes as usize;
         let dense = match &self.tuning {
-            None => self.algo.allreduce_time(gpus, self.grad_bytes, self.link),
+            None => CollectiveAlgo::Ring.allreduce_time(gpus, self.grad_bytes, self.link),
             Some(table) => {
                 let pick = table.select(gpus, bytes);
                 pick.model_time(gpus, self.grad_bytes, self.link, table.topo())
@@ -289,7 +286,7 @@ impl ScalingModel {
     /// the train FLOPs).
     pub fn inference_throughput(&self) -> f64 {
         let fwd = self.flops_per_sample / 3.0;
-        self.gpu.tensor_tflops * 1e12 * SUSTAINED_FRACTION / fwd
+        sustained_flops(self.gpu.tensor_tflops) / fwd
     }
 }
 

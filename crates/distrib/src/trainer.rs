@@ -2,9 +2,10 @@
 //!
 //! The execution model mirrors `horovodrun -np N`: every rank owns a full
 //! model replica and a shard of the training data; each step it computes
-//! gradients on its local mini-batch, all ranks average gradients with a
-//! ring allreduce, and each applies the identical optimiser update —
-//! so replicas never diverge (asserted in tests).
+//! gradients on its local mini-batch, all ranks average gradients with an
+//! allreduce (by default the partition-invariant pipeline chain; see
+//! [`ExchangeDispatch`]), and each applies the identical optimiser update
+//! — so replicas never diverge (asserted in tests).
 //!
 //! Large-batch hygiene follows Goyal et al. (the recipe Sedona et al.
 //! use on JUWELS): the learning rate is scaled linearly with the number
@@ -139,8 +140,6 @@ pub struct StepCost {
     /// Interconnect pricing the gradient allreduce; also handed to the
     /// communicator so per-message modeled wait uses the same link.
     pub link: LinkParams,
-    /// Collective algorithm priced for the gradient allreduce.
-    pub algo: CollectiveAlgo,
 }
 
 impl Default for StepCost {
@@ -150,7 +149,6 @@ impl Default for StepCost {
             gpu_tflops: 15.7, // V100 FP32 peak (JUWELS Booster GPU)
             stage_gbs: 12.5,  // PCIe gen3 ×16
             link: LinkParams::infiniband_edr(),
-            algo: CollectiveAlgo::Ring,
         }
     }
 }
@@ -170,12 +168,6 @@ impl StepCost {
     /// Host→device staging time for `bytes` of batch data.
     pub fn stage_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs(bytes as f64 / (self.stage_gbs * 1e9))
-    }
-
-    /// Gradient allreduce time across `ranks` endpoints under the
-    /// configured algorithm and link.
-    pub fn allreduce_time(&self, ranks: usize, bytes: u64) -> SimTime {
-        self.algo.allreduce_time(ranks, bytes as f64, self.link)
     }
 }
 
@@ -464,7 +456,7 @@ impl Trainer {
     }
 
     /// Overrides the analytic step-cost model (device throughput,
-    /// staging bandwidth, interconnect, collective algorithm).
+    /// staging bandwidth, interconnect).
     pub fn cost(mut self, cost: StepCost) -> Self {
         self.cost = cost;
         self
@@ -978,9 +970,9 @@ impl<'a, L: Loss> Rank<'a, L> {
     ///   remainder goes to `stage_overlap_saved_ps`.
     /// * **Compute.** Forward + backward from the [`StepCost`] model.
     /// * **Allreduce.** Per-bucket α–β cost of what actually crosses the
-    ///   wire (the codec's encoded byte count; `len × 4` for Dense32),
-    ///   overlapped against the backward tail when the overlap lane is
-    ///   on. Backward is 4 of the 6 modeled FLOPs/param and sweeps the
+    ///   wire (the codec's encoded byte count; `len × 4` for Dense32;
+    ///   nothing at p = 1), overlapped against the backward tail when the
+    ///   overlap lane is on. Backward is 4 of the 6 modeled FLOPs/param and sweeps the
     ///   flat gradient top-down, so the bucket starting at flat offset
     ///   `a` is ready once (total − a)/total of the backward time has
     ///   elapsed. Buckets flush back-to-front and serialize on the comm
@@ -988,6 +980,12 @@ impl<'a, L: Loss> Rank<'a, L> {
     ///   wall clock advances by max(compute, finish_last) − compute; the
     ///   hidden remainder is `overlap_saved_ps` (zero when serialized,
     ///   where every ready_k = compute).
+    ///
+    /// Priced ≠ executed: every bucket is priced as
+    /// [`CollectiveAlgo::Ring`], the paper's bandwidth-optimal Horovod
+    /// choice, whatever the dispatch actually ran (by default the
+    /// partition-invariant pipeline chain). Bits come from execution and
+    /// picoseconds from this model; the two are decoupled on purpose.
     fn price(&mut self, pipe: &mut StagePipe, batch_bytes: u64, samples: usize) {
         let (cost, clock, bd) = (&self.t.cost, &self.clock, &mut self.epoch_bd);
         let s_ps = cost.stage_time(batch_bytes).as_ps();
@@ -1002,11 +1000,13 @@ impl<'a, L: Loss> Rank<'a, L> {
 
         let t_bwd = c_ps * 2 / 3;
         let total = self.flat.len() as u64;
+        let p = self.comm.size();
         let mut finish: u64 = 0;
         let mut comm_ps: u64 = 0;
-        for b in self.fusion.buckets().iter().rev() {
+        // p = 1 sends nothing, so no bucket is priced or counted.
+        for b in self.fusion.buckets().iter().rev().filter(|_| p > 1) {
             let bytes = self.t.codec.wire_bytes(b.len()) as u64;
-            let a_ps = cost.allreduce_time(self.comm.size(), bytes).as_ps();
+            let a_ps = CollectiveAlgo::Ring.allreduce_time(p, bytes as f64, cost.link).as_ps();
             let ready = if self.t.fusion.overlap {
                 c_ps - t_bwd
                     + ((t_bwd as u128 * (total - b.start as u64) as u128) / total as u128) as u64
@@ -1637,60 +1637,62 @@ mod tests {
     #[test]
     fn recorder_collects_per_rank_phases_and_traffic() {
         let ds = toy_dataset(128, 8, 4, 31);
-        let cfg = TrainConfig {
-            workers: 2,
-            epochs: 2,
-            batch_per_worker: 16,
-            base_lr: 0.05,
-            lr_scaling: true,
-            warmup_epochs: 1,
-            seed: 31,
-            checkpoint: Some(CheckpointPolicy::every(3)),
-        };
-        let reg = Arc::new(MetricsRegistry::new());
-        let report = Trainer::new(cfg)
-            .recorder(Arc::clone(&reg))
-            .tag("t")
-            .run(
-                &ds,
-                |s| mlp(s, 8, 4),
-                |lr| Box::new(Sgd::new(lr, 0.9, 0.0)),
-                SoftmaxCrossEntropy,
-            )
-            .expect("no snapshot to validate")
-            .completed();
-        let snap = reg.snapshot();
-        // Rank 0's recorded phase totals match the report's breakdown.
-        assert_eq!(
-            snap.get("trainer.phase.compute.time{rank=0,run=t}")
-                .and_then(|v| v.as_time_ps()),
-            Some(report.breakdown.compute_ps)
-        );
-        assert_eq!(
-            snap.get("trainer.sim_wall{rank=0,run=t}").and_then(|v| v.as_time_ps()),
-            Some(report.sim_wall_ps)
-        );
-        // Both ranks report steps and allreduce traffic.
-        for rank in 0..2 {
+        // p = 1 sends nothing, so it must record no allreduce time or bytes.
+        for workers in [2, 1] {
+            let cfg = TrainConfig {
+                workers,
+                epochs: 2,
+                batch_per_worker: 16,
+                base_lr: 0.05,
+                lr_scaling: true,
+                warmup_epochs: 1,
+                seed: 31,
+                checkpoint: Some(CheckpointPolicy::every(3)),
+            };
+            let reg = Arc::new(MetricsRegistry::new());
+            let report = Trainer::new(cfg)
+                .recorder(Arc::clone(&reg))
+                .tag("t")
+                .run(
+                    &ds,
+                    |s| mlp(s, 8, 4),
+                    |lr| Box::new(Sgd::new(lr, 0.9, 0.0)),
+                    SoftmaxCrossEntropy,
+                )
+                .expect("no snapshot to validate")
+                .completed();
+            let snap = reg.snapshot();
+            // Rank 0's recorded phase totals match the report's breakdown.
             assert_eq!(
-                snap.get(&format!("trainer.steps{{rank={rank},run=t}}"))
-                    .and_then(|v| v.as_counter()),
-                Some(report.steps_per_rank as u64)
+                snap.get("trainer.phase.compute.time{rank=0,run=t}")
+                    .and_then(|v| v.as_time_ps()),
+                Some(report.breakdown.compute_ps)
             );
-            assert!(
-                snap.get(&format!("net.comm.bytes_sent{{op=pipeline,rank={rank},run=t}}"))
-                    .and_then(|v| v.as_counter())
-                    .unwrap_or(0)
-                    > 0,
-                "collective traffic must be attributed"
+            assert_eq!(
+                snap.get("trainer.sim_wall{rank=0,run=t}").and_then(|v| v.as_time_ps()),
+                Some(report.sim_wall_ps)
+            );
+            // Every rank reports steps; allreduce traffic exists iff p > 1.
+            for rank in 0..workers {
+                let counter = |key: String| snap.get(&key).and_then(|v| v.as_counter());
+                assert_eq!(
+                    counter(format!("trainer.steps{{rank={rank},run=t}}")),
+                    Some(report.steps_per_rank as u64)
+                );
+                let bytes = counter(format!("trainer.allreduce.bytes{{rank={rank},run=t}}"));
+                let sent = counter(format!("net.comm.bytes_sent{{op=pipeline,rank={rank},run=t}}"));
+                let (bytes, sent) = (bytes.unwrap_or(0), sent.unwrap_or(0));
+                assert_eq!(bytes > 0, workers > 1, "p={workers}: {bytes} priced bytes");
+                assert_eq!(sent > 0, workers > 1, "collective traffic must be attributed");
+            }
+            assert_eq!(report.breakdown.allreduce_ps > 0, workers > 1);
+            // Epoch rollups partition the virtual wall.
+            assert_eq!(snap.time_ps_with_prefix("trainer.epoch.time{"), report.sim_wall_ps);
+            assert_eq!(
+                snap.get("trainer.checkpoints{rank=0,run=t}").and_then(|v| v.as_counter()),
+                Some(report.checkpoints.len() as u64)
             );
         }
-        // Epoch rollups partition the virtual wall.
-        assert_eq!(snap.time_ps_with_prefix("trainer.epoch.time{"), report.sim_wall_ps);
-        assert_eq!(
-            snap.get("trainer.checkpoints{rank=0,run=t}").and_then(|v| v.as_counter()),
-            Some(report.checkpoints.len() as u64)
-        );
     }
 
     #[test]

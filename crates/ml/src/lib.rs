@@ -3,7 +3,7 @@
 //! The classical (non-deep) parallel ML toolkit of the reproduction:
 //!
 //! * [`svm`] — a kernel SVM trained with SMO, and the **parallel cascade
-//!   SVM** of the paper's remote-sensing study ([16], Cavallaro et al.):
+//!   SVM** of the paper's remote-sensing study (\[16\], Cavallaro et al.):
 //!   partitions train in parallel, only support vectors are merged up a
 //!   binary tree — the open-source MPI SVM package the paper describes,
 //!   rebuilt on rayon;

@@ -134,14 +134,19 @@ impl NodeSpec {
             + 150.0
     }
 
-    /// Peak DL (tensor-core) throughput of the node in TFLOP/s.
+    /// Single-precision CPU throughput in TFLOP/s: ≈ 2× the DP peak.
+    pub fn cpu_tflops(&self) -> f64 {
+        self.cpu.peak_gflops * self.sockets as f64 * 2.0 / 1000.0
+    }
+
+    /// Peak DL (tensor-core) throughput of the node in TFLOP/s; nodes
+    /// without GPUs fall back to [`NodeSpec::cpu_tflops`].
     pub fn dl_tflops(&self) -> f64 {
         let gpu: f64 = self.gpus.iter().map(|g| g.tensor_tflops).sum();
         if gpu > 0.0 {
             gpu
         } else {
-            // CPU fallback: single-precision ≈ 2× the DP peak.
-            self.cpu.peak_gflops * self.sockets as f64 * 2.0 / 1000.0
+            self.cpu_tflops()
         }
     }
 

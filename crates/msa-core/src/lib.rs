@@ -43,5 +43,5 @@ pub use hw::{CpuSpec, FpgaSpec, GpuSpec, MemoryKind, MemorySpec, NodeSpec, Stora
 pub use module::{Module, ModuleId, ModuleKind};
 pub use rng::XorShift;
 pub use simtime::SimTime;
-pub use system::{FederationLink, MsaSystem, SystemBuilder};
+pub use system::{FederationLink, LinkParams, MsaSystem, SystemBuilder};
 pub use workload::{WorkloadClass, WorkloadProfile};

@@ -83,15 +83,9 @@ impl WorkloadProfile {
     /// TFLOP/s: GPU-able fraction runs at the node's DL rate, the rest on
     /// the CPU.
     pub fn node_throughput_tflops(&self, module: &Module) -> f64 {
-        let cpu_tflops = module.node.cpu.peak_gflops * module.node.sockets as f64 * 2.0 / 1000.0;
-        let gpu_tflops: f64 = module.node.gpus.iter().map(|g| g.tensor_tflops).sum();
-        let dl_rate = if gpu_tflops > 0.0 {
-            gpu_tflops
-        } else {
-            cpu_tflops
-        };
         // Harmonic blend: time = dl_frac/dl_rate + (1-dl_frac)/cpu_rate.
-        let inv = self.dl_fraction / dl_rate + (1.0 - self.dl_fraction) / cpu_tflops;
+        let inv = self.dl_fraction / module.node.dl_tflops()
+            + (1.0 - self.dl_fraction) / module.node.cpu_tflops();
         // Codes never reach peak; 50% of peak is a generous sustained rate.
         0.5 / inv
     }

@@ -13,54 +13,7 @@
 
 use msa_core::SimTime;
 
-/// Link parameters for one interconnect.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkParams {
-    /// One-way small-message latency (α) in microseconds.
-    pub latency_us: f64,
-    /// Sustained bandwidth (β) in GB/s.
-    pub bw_gbs: f64,
-}
-
-impl LinkParams {
-    /// EDR InfiniBand (JUWELS cluster): 100 Gb/s, ~1 µs.
-    pub fn infiniband_edr() -> Self {
-        LinkParams {
-            latency_us: 1.0,
-            bw_gbs: 12.5,
-        }
-    }
-
-    /// HDR200 InfiniBand (JUWELS booster, 4 HCAs/node): 4 × 200 Gb/s.
-    pub fn infiniband_hdr200x4() -> Self {
-        LinkParams {
-            latency_us: 0.9,
-            bw_gbs: 100.0,
-        }
-    }
-
-    /// EXTOLL Tourmalet (DEEP federation).
-    pub fn extoll() -> Self {
-        LinkParams {
-            latency_us: 1.1,
-            bw_gbs: 12.5,
-        }
-    }
-
-    /// NVLink 3 between GPUs inside one node.
-    pub fn nvlink3() -> Self {
-        LinkParams {
-            latency_us: 0.3,
-            bw_gbs: 300.0,
-        }
-    }
-
-    /// Time for one point-to-point message of `bytes`.
-    pub fn p2p(&self, bytes: f64) -> SimTime {
-        assert!(bytes >= 0.0);
-        SimTime::from_secs(self.latency_us * 1e-6 + bytes / (self.bw_gbs * 1e9))
-    }
-}
+pub use msa_core::LinkParams;
 
 /// Node-level topology: ranks are packed into nodes of `ranks_per_node`
 /// consecutive ranks (the CM/ESB module layout — e.g. 4 GPUs per JUWELS

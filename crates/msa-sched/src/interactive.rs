@@ -1,6 +1,6 @@
 //! Interactive supercomputing (Jupyter) on the MSA.
 //!
-//! Both case studies lean on JupyterLab at JSC ([3], Goebbert et al.) so
+//! Both case studies lean on JupyterLab at JSC (\[3\], Goebbert et al.) so
 //! that "medical doctors, medical imaging experts, or neuroscientists"
 //! can use DEEP/JUWELS without touching job scripts. The operational
 //! question behind that experience: interactive kernels need *seconds*

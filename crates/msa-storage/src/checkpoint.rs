@@ -1,6 +1,6 @@
 //! Checkpoint/restart over the storage hierarchy.
 //!
-//! The NAM's original motivation ([12], Schmidt: *Accelerating
+//! The NAM's original motivation (\[12\], Schmidt: *Accelerating
 //! checkpoint/restart application performance in large-scale systems
 //! with network attached memory*) is that fabric-attached memory takes
 //! checkpoints far faster than the parallel FS. This module provides:
@@ -34,7 +34,7 @@ impl CheckpointTarget {
         }
     }
 
-    /// The NAM over the fabric (the [12] accelerator).
+    /// The NAM over the fabric (the \[12\] accelerator).
     pub fn nam() -> Self {
         CheckpointTarget {
             name: "NAM",

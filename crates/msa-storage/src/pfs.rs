@@ -5,7 +5,7 @@ use msa_core::SimTime;
 /// A parallel file system: `osts` object storage targets each delivering
 /// `ost_bw_gbs`, files striped with `stripe_count` ≤ osts, clients
 /// capped at `client_bw_gbs` each.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelFs {
     pub osts: usize,
     pub ost_bw_gbs: f64,
@@ -55,12 +55,16 @@ impl ParallelFs {
         SimTime::from_secs(self.mds_latency_us * 1e-6 + bytes / (self.single_client_bw_gbs() * 1e9))
     }
 
-    /// Time for `clients` to each read `bytes` concurrently: each client
-    /// is limited by its own link and by its fair share of the backend.
+    /// Bandwidth one of `clients` concurrent readers sees: its fair share
+    /// of the backend, capped by its own striped read path.
+    pub fn per_client_bw_gbs(&self, clients: usize) -> f64 {
+        assert!(clients >= 1, "a concurrent read needs at least one client");
+        self.single_client_bw_gbs().min(self.aggregate_bw_gbs() / clients as f64)
+    }
+
+    /// Time for `clients` to each read `bytes` concurrently.
     pub fn concurrent_read_time(&self, bytes: f64, clients: usize) -> SimTime {
-        assert!(clients >= 1);
-        let fair_share = self.aggregate_bw_gbs() / clients as f64;
-        let per_client = self.single_client_bw_gbs().min(fair_share);
+        let per_client = self.per_client_bw_gbs(clients);
         SimTime::from_secs(self.mds_latency_us * 1e-6 + bytes / (per_client * 1e9))
     }
 

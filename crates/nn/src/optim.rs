@@ -3,7 +3,7 @@
 //!
 //! Optimisers keep their state (velocities, moments) in flat per-param
 //! slots indexed by position, matching the deterministic parameter order
-//! of [`crate::Sequential::params_mut`].
+//! of [`crate::Layer::params_mut`].
 
 use crate::param::Param;
 use crate::STREAM_BLOCK;

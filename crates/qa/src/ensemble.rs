@@ -1,6 +1,6 @@
 //! Subsample ensembles of QSVMs under a device budget.
 //!
-//! The paper ([11]): quantum annealers are "still limited by having only
+//! The paper (\[11\]): quantum annealers are "still limited by having only
 //! binary classification or the requirement to sub-sample from large
 //! quantities of data and using ensemble methods". This module does
 //! exactly that: the device's qubit/coupler budget caps the per-member

@@ -1,7 +1,7 @@
 //! # qa
 //!
 //! The Quantum Module of the MSA, simulated. The paper's remote-sensing
-//! study ([11], Cavallaro et al.) trains **ensembles of SVMs on a D-Wave
+//! study (\[11\], Cavallaro et al.) trains **ensembles of SVMs on a D-Wave
 //! quantum annealer** (2000Q, later the 5000-qubit Advantage via JUNIQ /
 //! D-Wave Leap), limited to binary classification and sub-sampled
 //! training sets. The classical surrogate for a quantum annealer is
@@ -12,7 +12,7 @@
 //!
 //! * [`qubo`] — QUBO problems and annealer capacity specs (2000Q vs
 //!   Advantage);
-//! * [`anneal`] — parallel simulated-annealing sampler with incremental
+//! * [`anneal`](mod@anneal) — parallel simulated-annealing sampler with incremental
 //!   energy evaluation, plus exact brute force for testing;
 //! * [`qsvm`] — the Willsch et al. kernel-SVM-as-QUBO encoding;
 //! * [`ensemble`] — subsample ensembles that respect a device budget.

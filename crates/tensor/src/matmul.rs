@@ -42,7 +42,7 @@
 //!   Same chains, ascending `kk` from what `out` holds, the zero-skip a
 //!   branch-free select; which kernel runs depends on the shape alone.
 //!
-//! [`reference`] keeps the seed kernels verbatim as the bit-exactness
+//! [`reference`](mod@reference) keeps the seed kernels verbatim as the bit-exactness
 //! oracle for tests and the baseline for `BENCH_pr4.json`.
 
 use crate::{Tensor, PAR_THRESHOLD};

@@ -12,14 +12,22 @@
 //!    fused/serialized schedules agree at a fixed partition;
 //! 4. the **extended decision table round-trips**: `ccell` rows survive
 //!    `to_table_string` → `parse` byte-identically, while codec-free
-//!    tables serialize exactly as before (old artifacts stay stable).
+//!    tables serialize exactly as before (old artifacts stay stable);
+//! 5. the **transport's priced clock** charges each exchange the trainer
+//!    can run exactly its critical path of α–β hops.
 
 use std::sync::Arc;
 
 use msa_suite::data::Dataset;
-use msa_suite::distrib::{FusionConfig, TrainConfig, Trainer};
+use msa_suite::distrib::{
+    sparse_allreduce_mean, FusionConfig, TopKCompressor, TrainConfig, Trainer,
+};
+use msa_suite::msa_net::collectives::pipeline_allreduce_mean;
 use msa_suite::msa_net::tune::{measure_codec, CodecEntry, TuneGrid};
-use msa_suite::msa_net::{DecisionTable, GradCodec, LinkParams, Topology};
+use msa_suite::msa_net::{
+    bf16_allreduce, Arena, CollectiveAlgo, CommOptions, DecisionTable, GradCodec, LinkParams,
+    PointToPoint, ThreadComm, Topology,
+};
 use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
 use msa_suite::tensor::{Rng, Tensor};
 
@@ -198,4 +206,41 @@ fn extended_table_round_trips_and_codec_free_tables_stay_stable() {
         .expect("bf16 cell present");
     assert!(ratio > 0.0 && ratio < 1.0, "bf16 must beat dense here: {ratio}");
     let _ = Arc::new(parsed);
+}
+
+#[test]
+fn transport_clock_prices_each_exchange_by_its_critical_path() {
+    // The chain (dense and bf16) is p−1 reduce hops then p−1 broadcast
+    // hops of the whole wire buffer; the sparse exchange is a ring
+    // allgather of p−1 hops, each one rank's block. The latest endpoint's
+    // Lamport clock must land on exactly that many priced hops.
+    let link = LinkParams::infiniband_edr();
+    let len = 960;
+    let ratio = 0.01;
+    let opts = CommOptions::new().link(link);
+    let hops = |p: usize, bytes: usize| link.p2p(bytes as f64).as_ps() * p as u64;
+    for p in [2usize, 3, 4, 8] {
+        let max_vtime = |exchange: &(dyn Fn(&ThreadComm, &mut [f32]) + Sync)| {
+            let out = ThreadComm::run_with(p, &opts, |c| {
+                let mut buf: Vec<f32> = (0..len).map(|i| (i + c.rank()) as f32).collect();
+                exchange(c, &mut buf);
+                c.stats().map_or(0, |s| s.vtime_ps())
+            });
+            out.into_iter().max().unwrap_or(0)
+        };
+        let dense = max_vtime(&|c, buf| pipeline_allreduce_mean(c, buf));
+        assert_eq!(dense, hops(2 * (p - 1), GradCodec::Dense32.wire_bytes(len)), "dense p={p}");
+        let bf16 = max_vtime(&|c, buf| bf16_allreduce(c, buf, &mut Arena::new()));
+        assert_eq!(bf16, hops(2 * (p - 1), GradCodec::Bf16.wire_bytes(len)), "bf16 p={p}");
+        let sparse = max_vtime(&|c, buf| {
+            sparse_allreduce_mean(c, buf, &mut TopKCompressor::new(len, ratio))
+        });
+        let block = GradCodec::SparseTopK { ratio }.wire_bytes(len);
+        assert_eq!(sparse, hops(p - 1, block), "top-k p={p}");
+        // The chain's α–β formula rounds once, the clock once per hop.
+        let model = CollectiveAlgo::Pipeline
+            .allreduce_time(p, (len * 4) as f64, link)
+            .as_ps();
+        assert!(model.abs_diff(dense) <= 2 * (p as u64 - 1), "p={p}: {model} vs {dense}");
+    }
 }
