@@ -30,10 +30,11 @@ use distrib::{evaluate_classifier, FusionConfig, ScalingModel, TrainConfig, Trai
 use msa_core::hw::catalog;
 use msa_net::tune::{measure_codec, CodecEntry, TuneGrid};
 use msa_net::{DecisionTable, GradCodec, LinkParams, Topology};
+use msa_obs::json::{check, Contracts, Obj};
 use nn::{models, Adam};
 use tensor::Rng;
 
-use crate::report::{check, Contracts, Obj, Report};
+use crate::report::Report;
 use crate::{bits_hash, mlp, pin_pool, run_trainer, sgd, speedup_milli, toy_dataset};
 
 const KIB: usize = 1024;

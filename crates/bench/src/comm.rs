@@ -29,11 +29,13 @@
 
 use distrib::{FusionConfig, StepCost, TrainConfig, Trainer};
 use msa_net::collectives;
-use msa_net::{CollectiveOp, PointToPoint as _, ThreadComm};
+use msa_net::tune::{self, TunedAlgo};
+use msa_net::{LinkParams, PointToPoint as _, ThreadComm, Topology};
+use msa_obs::json::{check, Contracts, Obj};
 use nn::{Dense, Relu, Sequential};
 use tensor::Rng;
 
-use crate::report::{check, counters_and_timings, Contracts, Obj, Report};
+use crate::report::{counters_and_timings, Report};
 use crate::{
     bits_hash, min_ns, mlp, pin_pool, run_trainer, same_bits, sgd, speedup_milli, toy_dataset,
 };
@@ -47,41 +49,19 @@ pub const FULL_SIZE_FLAG: &str = "speedup_ge_1_3x";
 // Wire-traffic counters.
 // ---------------------------------------------------------------------------
 
-/// Runs one collective on `p` ranks and returns `(msgs, bytes)` summed
-/// over all ranks (per-rank numbers differ by position in the schedule;
-/// the sum is the deterministic cross-rank invariant).
-///
-/// Each collective scopes its traffic under its own [`CollectiveOp`], so
-/// the row must read the matching counter — PR 5 read `Allreduce` for
-/// every row, which made the recursive-doubling row a phantom zero (its
-/// traffic sat under `RecursiveDoubling`). A zero wire row at p > 1 is
-/// a measurement bug by definition, so it panics rather than lands in
-/// the report.
+/// Runs one collective on `p` ranks through [`tune::measure`] and
+/// returns `(msgs, bytes)` summed over all ranks: per-rank numbers differ
+/// by position in the schedule, the sum does not. `measure` panics on a
+/// zero wire row at p > 1, a measurement bug by definition.
 fn wire_totals(collective: &'static str, ranks: usize, len: usize) -> (u64, u64) {
-    let op = match collective {
-        "ring_allreduce" => CollectiveOp::Allreduce,
-        "pipeline_allreduce" => CollectiveOp::Pipeline,
-        "recursive_doubling_allreduce" => CollectiveOp::RecursiveDoubling,
+    let algo = match collective {
+        "ring_allreduce" => TunedAlgo::Ring,
+        "pipeline_allreduce" => TunedAlgo::Pipeline,
+        "recursive_doubling_allreduce" => TunedAlgo::RecursiveDoubling,
         other => panic!("unknown collective {other:?}"),
     };
-    let per_rank = ThreadComm::run(ranks, move |c| {
-        let mut buf: Vec<f32> = (0..len).map(|i| (c.rank() * len + i) as f32).collect();
-        match collective {
-            "ring_allreduce" => collectives::ring_allreduce(c, &mut buf),
-            "pipeline_allreduce" => collectives::pipeline_allreduce(c, &mut buf),
-            _ => collectives::recursive_doubling_allreduce(c, &mut buf),
-        }
-        let t = c.stats().map(|s| s.export().op(op)).unwrap_or_default();
-        (t.msgs_sent, t.bytes_sent)
-    });
-    let (msgs, bytes) = per_rank
-        .iter()
-        .fold((0, 0), |(m, b), &(mm, bb)| (m + mm, b + bb));
-    assert!(
-        ranks == 1 || msgs > 0,
-        "phantom-zero wire row: {collective} at p={ranks} recorded no traffic under {op:?}"
-    );
-    (msgs, bytes)
+    let m = tune::measure(algo, ranks, 4 * len, LinkParams::extoll(), Topology::esb(1));
+    (m.msgs_total, m.bytes_total)
 }
 
 /// Steady-state allocation probe: warm the per-peer buffer pools (two

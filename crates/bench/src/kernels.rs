@@ -28,13 +28,14 @@
 //! `timings` carries the wall-clock numbers and speedups, which
 //! naturally vary run to run.
 
+use msa_obs::json::{Contracts, Obj};
 use nn::Layer;
 use rayon::prelude::*;
 use tensor::conv::{col2im, im2col};
 use tensor::matmul::{matmul, matmul_nt, matmul_tn, reference};
 use tensor::{Rng, Tensor};
 
-use crate::report::{counters_and_timings, Contracts, Obj, Report};
+use crate::report::{counters_and_timings, Report};
 use crate::{bits_hash, min_ns, pin_pool, same_bits};
 
 /// Repetitions per timing; the `nt` shapes run tens of microseconds and

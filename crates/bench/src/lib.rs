@@ -799,16 +799,9 @@ pub(crate) fn pin_pool() {
     let _ = rayon::init_with_threads(4);
 }
 
-/// FNV-1a over `words`, in order: any change to any word changes it.
-pub(crate) fn fnv<W: Into<u64>>(words: impl IntoIterator<Item = W>) -> u64 {
-    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
-        (h ^ w.into()).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// [`fnv`] over the exact f32 bit patterns.
+/// FNV-1a over the exact f32 bit patterns.
 pub(crate) fn bits_hash(data: &[f32]) -> u64 {
-    fnv(data.iter().map(|v| v.to_bits()))
+    msa_core::fnv1a(data.iter().map(|v| v.to_bits()))
 }
 
 /// Same length and the same bit pattern in every element.
@@ -955,8 +948,6 @@ pub fn obs_report() -> msa_obs::Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::report::Obj;
-
     #[test]
     fn bencher_measures_something() {
         // Float sums do not reassociate, so the work cannot be folded away.
@@ -966,34 +957,6 @@ mod tests {
                 .sum::<f64>()
         });
         assert!(ns.is_finite() && ns > 0.0, "{ns}");
-    }
-
-    #[test]
-    fn group_api_chains() {
-        let doc = Obj::new()
-            .field("n", 3)
-            .text("name", "gru")
-            .rows(
-                "rows",
-                [
-                    Obj::new().field("a", 1).field("b", 2.5),
-                    Obj::new().text("c", "x"),
-                ],
-            )
-            .field("nested", Obj::new().field("d", true))
-            .doc();
-        let want = [
-            "{",
-            "  \"n\": 3,",
-            "  \"name\": \"gru\",",
-            "  \"rows\": [",
-            "    {\"a\": 1, \"b\": 2.5},",
-            "    {\"c\": \"x\"}",
-            "  ],",
-            "  \"nested\": {\"d\": true}",
-            "}",
-        ];
-        assert_eq!(doc, want.join("\n"));
     }
 
     #[test]

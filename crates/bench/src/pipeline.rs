@@ -39,17 +39,17 @@ use std::time::Instant;
 
 use data::stream::{with_prefetch, BatchSource, BatchStream, SlabPool, DEFAULT_PREFETCH_DEPTH};
 use distrib::{FusionConfig, ScalingModel, StageTerm, StepCost, TrainConfig, TrainReport, Trainer};
+use msa_core::fnv1a;
 use msa_core::hw::catalog;
 use msa_net::{GradCodec, LinkParams};
+use msa_obs::json::{Contracts, Obj};
 use msa_obs::MetricsRegistry;
 use msa_storage::ParallelFs;
 use tensor::{Rng, Tensor};
 
 use crate::codec::CODECS;
-use crate::report::{Contracts, Obj, Report};
-use crate::{
-    bits_hash, fnv, mlp, pin_pool, run_trainer, same_bits, sgd, speedup_milli, toy_dataset,
-};
+use crate::report::Report;
+use crate::{bits_hash, mlp, pin_pool, run_trainer, same_bits, sgd, speedup_milli, toy_dataset};
 
 /// The contract read off the wall clock, which a fresh run on a busy
 /// machine cannot vouch for: the committed artifact pins it.
@@ -143,7 +143,7 @@ fn identity_row(ranks: usize, codec: GradCodec, c: &mut Contracts) -> (Obj, bool
         .text("codec", codec.name())
         .hash("params_hash", bits_hash(&pre.final_params))
         .hash("losses_hash", losses_hash(&pre))
-        .hash("obs_hash", fnv(pre_obs))
+        .hash("obs_hash", fnv1a(pre_obs))
         .flag(c, "bit_identical", identical)
         .field("stage_overlap_saved_ps", saved)
         .flag(c, "wall_invariant", wall_invariant);

@@ -26,6 +26,7 @@
 use msa_core::module::ModuleKind;
 use msa_core::system::presets;
 use msa_core::SimTime;
+use msa_obs::json::{check, Contracts, Obj};
 use msa_sched::AdmissionPolicy;
 use msa_serve::{BatchPolicy, EndpointReport, ModelSpec, OfferedLoad, ServeConfig, Server};
 use nn::models;
@@ -33,7 +34,7 @@ use nn::serialize;
 use tensor::Rng;
 
 use crate::pin_pool;
-use crate::report::{check, Contracts, Obj, Report};
+use crate::report::Report;
 
 /// Offered-load sweep in requests/s (shared by every policy so the
 /// arrival streams are identical across policies at each level).

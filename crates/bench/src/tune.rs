@@ -25,8 +25,9 @@ use distrib::{ExchangeDispatch, FusionConfig, ScalingModel, TrainConfig, Trainer
 use msa_core::hw::catalog;
 use msa_net::tune::{Cell, TuneGrid};
 use msa_net::DecisionTable;
+use msa_obs::json::{Contracts, Obj};
 
-use crate::report::{Contracts, Obj, Report};
+use crate::report::Report;
 use crate::{bits_hash, mlp, pin_pool, run_trainer, same_bits, sgd, toy_dataset};
 
 /// Phantom-zero rows of a cell (none: `measure` panics on one first).

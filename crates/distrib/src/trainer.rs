@@ -920,13 +920,15 @@ impl<'a, L: Loss> Rank<'a, L> {
     /// partition; the default pipeline dispatch is additionally
     /// partition-invariant (bits never depend on `bucket_bytes`).
     ///
-    /// Deadlock-freedom: `rayon::join` always starts the first closure on
-    /// the caller, so backward runs even when the pool is saturated — the
-    /// reduce lane then executes afterwards on the caller and drains the
-    /// unbounded queue serialized. Cross-rank safety is the pipeline
-    /// schedule's: msa-verify model-checks the bucketed schedule under
-    /// `Bounded(1)` channels, and `ThreadComm`'s credit pools are
-    /// `Bounded(2)`.
+    /// Deadlock-freedom: the rayon shim's `join` is a two-block stage
+    /// whose atomic counter hands out block 0 (backward) before block 1
+    /// (reduce), whoever claims them, and the caller runs every block no
+    /// worker claimed. So backward has started before the reduce lane can
+    /// block on the queue; with no free worker both run on the caller in
+    /// that order, the reduce lane draining the unbounded queue
+    /// serialized. Cross-rank safety is the pipeline schedule's:
+    /// msa-verify model-checks the bucketed schedule under `Bounded(1)`
+    /// channels, and `ThreadComm`'s credit pools are `Bounded(2)`.
     fn exchange(&mut self, grad: &Tensor) {
         let mut segs = self.fusion.segments(&mut self.flat);
         let (tx, rx) = crossbeam::channel::unbounded();

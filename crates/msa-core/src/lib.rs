@@ -41,7 +41,7 @@ pub use energy::{EnergyMeter, PowerModel};
 pub use event::{EventEngine, EventId};
 pub use hw::{CpuSpec, FpgaSpec, GpuSpec, MemoryKind, MemorySpec, NodeSpec, StorageSpec};
 pub use module::{Module, ModuleId, ModuleKind};
-pub use rng::XorShift;
+pub use rng::{fnv1a, XorShift};
 pub use simtime::SimTime;
 pub use system::{FederationLink, LinkParams, MsaSystem, SystemBuilder};
 pub use workload::{WorkloadClass, WorkloadProfile};

@@ -1,8 +1,9 @@
 //! The xorshift64* generator behind the seeded random processes on the
 //! modeled clock: trace generation (`msa-sched`), open-loop arrivals
-//! (`msa-serve`) and failure injection (`msa-storage`). One definition
-//! keeps their streams the same construction, and those crates free of
-//! a rand dependency.
+//! (`msa-serve`) and failure injection (`msa-storage`), and the FNV-1a
+//! hash that folds names into seeds (`msa-serve`) and checksums bit
+//! patterns (`bench`). One definition keeps their streams the same
+//! construction, and those crates free of a rand dependency.
 
 /// xorshift64* state. It must be non-zero; every caller seeds with
 /// `seed | 1` after whatever scrambling of its own.
@@ -26,4 +27,12 @@ impl XorShift {
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
+}
+
+/// FNV-1a (64-bit) over `words`, in order: any change to any word
+/// changes it. Bytes (`s.bytes()`) give the textbook string hash.
+pub fn fnv1a(words: impl IntoIterator<Item = impl Into<u64>>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w.into()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

@@ -915,16 +915,15 @@ mod tests {
         for ((name, run), row) in runs.into_iter().zip(pins) {
             for (p, pin) in [2usize, 3, 5, 6, 8].into_iter().zip(row) {
                 let got = ThreadComm::run(p, |c| {
-                    let mut h = 0xcbf2_9ce4_8422_2325u64;
+                    let mut bits = Vec::new();
                     for v in inputs {
                         let mut buf: Vec<f32> = (0..29).map(|i| v(c.rank(), i)).collect();
                         run(c, &mut buf);
                         for x in buf {
-                            let bits = if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
-                            h = (h ^ u64::from(bits)).wrapping_mul(0x100_0000_01b3);
+                            bits.push(if x.is_nan() { f32::NAN } else { x }.to_bits());
                         }
                     }
-                    h
+                    msa_core::fnv1a(bits)
                 });
                 let want = if pin.len() == 1 { vec![pin[0]; p] } else { pin.to_vec() };
                 assert_eq!(got, want, "{name} p={p}: per-rank digests moved");

@@ -22,10 +22,10 @@
 //!   last-write-wins metric is the gauge, which callers must set from
 //!   deterministic state.
 //! * **Stable serialization.** [`MetricsRegistry::snapshot`] returns
-//!   entries sorted by canonical key; [`Snapshot::to_json`] is a
-//!   hand-rolled canonical encoder (sorted keys, shortest-roundtrip f64,
-//!   explicit bit patterns), so byte equality of two snapshot files is a
-//!   meaningful determinism check.
+//!   entries sorted by canonical key; [`Snapshot::to_json`] writes them
+//!   through the workspace's one JSON writer, [`json::Obj`] (sorted keys,
+//!   shortest-roundtrip f64, explicit bit patterns), so byte equality of
+//!   two snapshot files is a meaningful determinism check.
 //!
 //! ## Metric naming
 //!
@@ -33,13 +33,35 @@
 //! name — see [`key`]. Names are dot-separated, lowest-frequency prefix
 //! first: `net.comm.bytes_sent`, `phase.allreduce.time`,
 //! `trainer.epoch.mean_loss`, `sched.module.utilization`.
+//!
+//! ## Who records
+//!
+//! * `msa-net`: each `ThreadComm` endpoint's `CommStats` counts wire
+//!   traffic per collective (`net.comm.{msgs,bytes}_{sent,recv}{op=…}`)
+//!   and prices each receive on its α–β link (`net.comm.wait{op=…}`),
+//!   checked against `CollectiveAlgo` in `tests/observability.rs`.
+//! * `distrib::Trainer::recorder(reg)`: `trainer.phase.*{rank=…,run=…}`,
+//!   which partition the modeled wall exactly, and the merged comm stats.
+//! * `ScheduleReport::record_into` (makespan, waits, energy,
+//!   `sched.module.*`) and `StagingPlan::record_into` (staging time, WAN
+//!   bytes per strategy).
+//! * Fault paths too: a rank killed by a `FaultPlan` records its partial
+//!   phase totals before unwinding, so faulted+resumed runs sum to the
+//!   uninterrupted totals and snapshot bit-identically.
+//!
+//! `experiments obs` pins all of them in the committed `BENCH_pr3.json`;
+//! msa-lint's `print` rule keeps ad-hoc `println!` telemetry out of
+//! library code.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
+pub mod json;
+
 pub use msa_core::SimTime;
+
+use json::Obj;
 
 /// The span in integer picoseconds: [`SimTime::as_ps`], kept under
 /// its old name for the host-clock benchmark's adapter.
@@ -514,64 +536,42 @@ impl Snapshot {
             .sum()
     }
 
-    /// Canonical JSON encoding. Deterministic by construction: entries
-    /// are key-sorted, integers print exactly, and every float carries
-    /// its bit pattern alongside a shortest-roundtrip decimal rendering.
+    /// Canonical JSON encoding, one [`json::Obj`] row per entry: entries
+    /// key-sorted, integers exact, every float shortest-roundtrip (a
+    /// gauge beside its bit pattern).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + 96 * self.entries.len());
-        out.push_str("{\n  \"format\": \"msa-obs-v1\",\n  \"metrics\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"key\": ");
-            json_string(&mut out, &e.key);
+        let rows = self.entries.iter().map(|e| {
+            let row = Obj::new().text("key", &e.key);
             match &e.value {
-                MetricValue::Counter(n) => {
-                    let _ = write!(out, ", \"type\": \"counter\", \"value\": {n}}}");
-                }
-                MetricValue::Gauge(bits) => {
-                    let _ = write!(
-                        out,
-                        ", \"type\": \"gauge\", \"value\": {}, \"bits\": \"{bits:016x}\"}}",
-                        f64::from_bits(*bits)
-                    );
-                }
-                MetricValue::TimePs(ps) => {
-                    let _ = write!(
-                        out,
-                        ", \"type\": \"time\", \"ps\": {ps}, \"secs\": {}}}",
-                        SimTime::from_ps(*ps).as_secs()
-                    );
-                }
+                MetricValue::Counter(n) => row.text("type", "counter").field("value", n),
+                MetricValue::Gauge(bits) => row
+                    .text("type", "gauge")
+                    .field("value", f64::from_bits(*bits))
+                    .hash("bits", *bits),
+                MetricValue::TimePs(ps) => row
+                    .text("type", "time")
+                    .field("ps", ps)
+                    .field("secs", SimTime::from_ps(*ps).as_secs()),
                 MetricValue::Histogram {
                     count,
                     min_bits,
                     max_bits,
                     buckets,
                 } => {
-                    let _ = write!(out, ", \"type\": \"histogram\", \"count\": {count}");
+                    let mut row = row.text("type", "histogram").field("count", count);
                     if *count > 0 {
-                        let _ = write!(
-                            out,
-                            ", \"min\": {}, \"max\": {}",
-                            f64::from_bits(*min_bits),
-                            f64::from_bits(*max_bits)
-                        );
+                        row = row
+                            .field("min", f64::from_bits(*min_bits))
+                            .field("max", f64::from_bits(*max_bits));
                     }
-                    out.push_str(", \"buckets\": [");
-                    for (j, (idx, n)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "[{idx},{n}]");
-                    }
-                    out.push_str("]}");
+                    let buckets: Vec<String> =
+                        buckets.iter().map(|(i, n)| format!("[{i},{n}]")).collect();
+                    row.field("buckets", format_args!("[{}]", buckets.join(",")))
                 }
             }
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        });
+        let doc = Obj::new().text("format", "msa-obs-v1");
+        format!("{}\n", doc.rows("metrics", rows).doc())
     }
 
     /// The canonical JSON as bytes (what CI diffs between runs).
@@ -597,24 +597,6 @@ impl Snapshot {
                 .collect(),
         }
     }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A rank-local virtual clock: the sum of the model-priced [`SimTime`]
@@ -940,18 +922,59 @@ mod tests {
     }
 
     #[test]
+    fn group_api_chains() {
+        let row = Obj::new().field("a", 1).field("b", 2.5);
+        let doc = Obj::new()
+            .field("n", 3)
+            .text("name", "gru")
+            .rows("rows", [row, Obj::new().text("c", "x")])
+            .rows("none", [])
+            .field("nested", Obj::new().field("d", true))
+            .doc();
+        let want = r#"{
+  "n": 3,
+  "name": "gru",
+  "rows": [
+    {"a": 1, "b": 2.5},
+    {"c": "x"}
+  ],
+  "none": [
+  ],
+  "nested": {"d": true}
+}"#;
+        assert_eq!(doc, want);
+    }
+
+    #[test]
     fn json_is_stable_and_escaped() {
+        assert_eq!(
+            MetricsRegistry::new().snapshot().to_json(),
+            "{\n  \"format\": \"msa-obs-v1\",\n  \"metrics\": [\n  ]\n}\n"
+        );
         let reg = MetricsRegistry::new();
-        reg.add("a\"b", 1);
+        reg.add("c", 3);
         reg.gauge("g", 0.1);
-        reg.time_ps("t", 42);
-        let j1 = reg.snapshot().to_json();
-        let j2 = reg.snapshot().to_json();
-        assert_eq!(j1, j2);
-        assert!(j1.contains("\\\"")); // escaped quote
-        assert!(j1.contains("\"bits\": \"3fb999999999999a\"")); // 0.1 bit pattern
-        assert!(j1.contains("\"ps\": 42"));
-        assert!(j1.starts_with("{\n  \"format\": \"msa-obs-v1\""));
+        reg.time_ps("t", 1_500_000);
+        for v in [0.5, 3.0, 3.0] {
+            reg.observe("h", v);
+        }
+        reg.add("q\"b\\s\nn\u{1}x", 1);
+        // A histogram with no observations, as only a merge can make one.
+        let empty = Metric::Histogram(Box::new(Hist::new()));
+        reg.lock().insert("e".into(), empty);
+        let want = r#"{
+  "format": "msa-obs-v1",
+  "metrics": [
+    {"key": "c", "type": "counter", "value": 3},
+    {"key": "e", "type": "histogram", "count": 0, "buckets": []},
+    {"key": "g", "type": "gauge", "value": 0.1, "bits": "3fb999999999999a"},
+    {"key": "h", "type": "histogram", "count": 3, "min": 0.5, "max": 3, "buckets": [[12,1],[13,2]]},
+    {"key": "q\"b\\s\nn\u0001x", "type": "counter", "value": 1},
+    {"key": "t", "type": "time", "ps": 1500000, "secs": 0.0000015}
+  ]
+}
+"#;
+        assert_eq!(reg.snapshot().to_json(), want);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use crate::arrivals::{open_loop, OfferedLoad};
 use crate::batching::{run_queue, BatchPolicy, QueueOutcome};
 use msa_core::module::ModuleKind;
-use msa_core::{MsaSystem, SimTime};
+use msa_core::{fnv1a, MsaSystem, SimTime};
 use msa_obs::{key, MetricsRegistry, Recorder, Snapshot};
 use msa_sched::AdmissionPolicy;
 use nn::layer::Sequential;
@@ -364,7 +364,7 @@ impl Server {
             let latency_key = key("serve.request.latency", &labels);
             let batch_key = key("serve.batch.size", &labels);
 
-            let ep_load = load.clone().seed(load.seed ^ fnv64(&ep.spec.name));
+            let ep_load = load.clone().seed(load.seed ^ fnv1a(ep.spec.name.bytes()));
             let arrivals = open_loop(&ep_load);
             let cap = self.cfg.executed_batches;
             let mut plan: Vec<usize> = Vec::with_capacity(cap);
@@ -479,7 +479,7 @@ fn execute_batches(
     plan: &[usize],
     seed: u64,
 ) -> Result<(u64, u64), ServeError> {
-    let mut rng = Rng::seed(seed ^ fnv64(&spec.name) ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = Rng::seed(seed ^ fnv1a(spec.name.bytes()) ^ 0x9e37_79b9_7f4a_7c15);
     let mut batches = 0u64;
     let mut requests = 0u64;
     for &k in plan {
@@ -507,16 +507,6 @@ fn metric_labels<'a>(model: &'a str, tag: &'a str) -> Vec<(&'a str, &'a str)> {
     } else {
         vec![("model", model), ("run", tag)]
     }
-}
-
-/// FNV-1a, used to fold endpoint names into per-endpoint seeds.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
