@@ -29,8 +29,8 @@
 
 use distrib::{FusionConfig, StepCost, TrainConfig, Trainer};
 use msa_net::collectives;
-use msa_net::tune::{self, TunedAlgo};
-use msa_net::{LinkParams, PointToPoint as _, ThreadComm, Topology};
+use msa_net::tune;
+use msa_net::{CollectiveAlgo, LinkParams, PointToPoint as _, ThreadComm, Topology};
 use msa_obs::json::{check, Contracts, Obj};
 use nn::{Dense, Relu, Sequential};
 use tensor::Rng;
@@ -49,17 +49,16 @@ pub const FULL_SIZE_FLAG: &str = "speedup_ge_1_3x";
 // Wire-traffic counters.
 // ---------------------------------------------------------------------------
 
-/// Runs one collective on `p` ranks through [`tune::measure`] and
-/// returns `(msgs, bytes)` summed over all ranks: per-rank numbers differ
-/// by position in the schedule, the sum does not. `measure` panics on a
+/// Runs one collective, an algorithm's [`CollectiveAlgo::name`] plus
+/// `_allreduce`, on `p` ranks through [`tune::measure`] and returns
+/// `(msgs, bytes)` summed over all ranks: per-rank numbers differ by
+/// position in the schedule, the sum does not. `measure` panics on a
 /// zero wire row at p > 1, a measurement bug by definition.
 fn wire_totals(collective: &'static str, ranks: usize, len: usize) -> (u64, u64) {
-    let algo = match collective {
-        "ring_allreduce" => TunedAlgo::Ring,
-        "pipeline_allreduce" => TunedAlgo::Pipeline,
-        "recursive_doubling_allreduce" => TunedAlgo::RecursiveDoubling,
-        other => panic!("unknown collective {other:?}"),
-    };
+    let algo = collective
+        .strip_suffix("_allreduce")
+        .and_then(CollectiveAlgo::parse)
+        .unwrap_or_else(|| panic!("unknown collective {collective:?}"));
     let m = tune::measure(algo, ranks, 4 * len, LinkParams::extoll(), Topology::esb(1));
     (m.msgs_total, m.bytes_total)
 }

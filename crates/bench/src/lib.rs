@@ -492,37 +492,26 @@ pub fn e8_gce_collectives() -> String {
     );
     for &p in &[8usize, 32, 128, 512] {
         for &bytes in &[4.0e3, 1.0e6, 1.0e8] {
-            // `all()` is [software…, GceOffload]: the software prefix
-            // feeds the "best software" baseline, the last entry is GCE.
-            let times: Vec<f64> = CollectiveAlgo::all()
-                .iter()
+            // The software columns, hierarchical last, feed the "best
+            // software" baseline the GCE is compared against.
+            let hier = CollectiveAlgo::Hierarchical { ranks_per_node: 4 };
+            let sw: Vec<f64> = CollectiveAlgo::software()
+                .into_iter()
+                .chain([hier])
                 .map(|a| a.allreduce_time(p, bytes, link).as_micros())
                 .collect();
-            let n_sw = CollectiveAlgo::software().len();
-            let gce = times[n_sw];
-            let hier = msa_net::hierarchical_cost(
-                p,
-                4,
-                bytes,
-                LinkParams::nvlink3(),
-                link,
-            )
-            .as_micros();
-            let best_sw = times[..n_sw]
-                .iter()
-                .cloned()
-                .chain(std::iter::once(hier))
-                .fold(f64::INFINITY, f64::min);
+            let gce = CollectiveAlgo::GceOffload.allreduce_time(p, bytes, link).as_micros();
+            let best_sw = sw.iter().cloned().fold(f64::INFINITY, f64::min);
             let _ = writeln!(
                 out,
                 "{:>8} {:>10} {:>10.1}us {:>10.1}us {:>10.1}us {:>10.1}us {:>10.1}us {:>10.1}us {:>8.2}x",
                 p,
                 bytes as u64,
-                times[0],
-                times[1],
-                times[2],
-                times[3],
-                hier,
+                sw[0],
+                sw[1],
+                sw[2],
+                sw[3],
+                sw[4],
                 gce,
                 best_sw / gce
             );

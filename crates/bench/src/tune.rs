@@ -6,7 +6,7 @@
 //! 128-rank points — and emits two artifacts:
 //!
 //! * `TUNE_pr7.table` — the distilled [`DecisionTable`] in the
-//!   byte-stable `msa-tune-v1` format (DESIGN.md §13);
+//!   byte-stable `msa-tune-v1` format (see [`msa_net::tune`]);
 //! * `BENCH_pr7.json` — every cell with every candidate's corrected
 //!   wire counters (`msgs_total`/`bytes_total`, never the phantom zeros
 //!   PR 5 shipped: `msa_net::tune::measure` panics on one) and

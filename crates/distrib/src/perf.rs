@@ -175,15 +175,15 @@ impl ScalingModel {
 
     /// Communication time of the gradient allreduce over `gpus` ranks:
     /// the ring's α–β prediction (Horovod's algorithm), or — with a
-    /// decision table attached — the measured winner's prediction on this
-    /// model's link, scaled by the table's measured/modeled calibration.
+    /// decision table attached — the table's pick priced on this model's
+    /// link, scaled by the table's measured/modeled calibration.
     pub fn comm_time(&self, gpus: usize) -> SimTime {
         let bytes = self.grad_bytes as usize;
         let dense = match &self.tuning {
             None => CollectiveAlgo::Ring.allreduce_time(gpus, self.grad_bytes, self.link),
             Some(table) => {
                 let pick = table.select(gpus, bytes);
-                pick.model_time(gpus, self.grad_bytes, self.link, table.topo())
+                pick.allreduce_time(gpus, self.grad_bytes, self.link)
                     * table.calibration(gpus, bytes)
             }
         };
@@ -379,17 +379,17 @@ mod tests {
                     measured_ps=500000 modeled_ps=1000000\n";
         let table = DecisionTable::parse(text).expect("synthetic table parses");
         let m = v100_model().tuned(Arc::new(table.clone()));
-        let want = msa_net::tune::TunedAlgo::Hierarchical { ranks_per_node: 4 }.model_time(
+        let want = CollectiveAlgo::Hierarchical { ranks_per_node: 4 }.allreduce_time(
             96,
             m.grad_bytes,
             m.link,
-            table.topo(),
         ) * 0.5;
         assert_eq!(m.comm_time(96), want);
         assert!(m.comm_time(96) < v100_model().comm_time(96));
         // At a size the hierarchical pick cannot run, the recorded
-        // software fallback is priced instead.
-        let fallback = CollectiveAlgo::Ring.allreduce_time(97, m.grad_bytes, m.link) * 0.5;
+        // fallback is priced instead — uncalibrated, since the table
+        // holds no measurement of it.
+        let fallback = CollectiveAlgo::Ring.allreduce_time(97, m.grad_bytes, m.link);
         assert_eq!(m.comm_time(97), fallback);
     }
 

@@ -3,17 +3,15 @@
 //! JUWELS nodes carry 4 GPUs joined by NVLink, with InfiniBand between
 //! nodes. Horovod exploits that: GPUs on one node reduce over NVLink,
 //! one *leader* per node joins an inter-node ring, and the result is
-//! broadcast back over NVLink. This module provides both the **real**
+//! broadcast back over NVLink. This module is the **real**
 //! implementation over any [`PointToPoint`] transport (ranks grouped by
-//! node) and the α–β **cost model** used by the scaling experiments.
-//! The real one runs on [`GroupComm`] views that renumber a node's (or
-//! the leaders') ranks and forward the lending pair to the parent, so
-//! group traffic draws the parent's credits and lands in its stats.
+//! node); its α–β price is [`crate::CollectiveAlgo::Hierarchical`]'s.
+//! It runs on [`GroupComm`] views that renumber a node's (or the
+//! leaders') ranks and forward the lending pair to the parent, so group
+//! traffic draws the parent's credits and lands in its stats.
 
 use crate::collectives;
 use crate::comm::PointToPoint;
-use crate::cost::LinkParams;
-use msa_core::SimTime;
 
 /// A view of a parent communicator restricted to a subset of ranks,
 /// with ranks renumbered `0..group.len()`. All members of the group must
@@ -109,40 +107,10 @@ pub fn hierarchical_allreduce<C: PointToPoint + ?Sized>(
     collectives::binomial_broadcast_into(&local, buf, 0);
 }
 
-/// α–β cost of the hierarchical allreduce with distinct intra-node
-/// (NVLink) and inter-node (fabric) links.
-pub fn hierarchical_cost(
-    total_ranks: usize,
-    ranks_per_node: usize,
-    bytes: f64,
-    intra: LinkParams,
-    inter: LinkParams,
-) -> SimTime {
-    assert!(ranks_per_node >= 1 && total_ranks.is_multiple_of(ranks_per_node));
-    if total_ranks <= 1 {
-        return SimTime::ZERO;
-    }
-    let logk = (ranks_per_node as f64).log2().ceil().max(0.0);
-    let alpha_i = intra.latency_us * 1e-6;
-    let beta_i = intra.bw_gbs * 1e9;
-    // Tree reduce + broadcast inside the node.
-    let local = 2.0 * logk * (alpha_i + bytes / beta_i);
-    // Ring across node leaders.
-    let nodes = total_ranks / ranks_per_node;
-    let inter_t = if nodes > 1 {
-        let alpha = inter.latency_us * 1e-6;
-        let beta = inter.bw_gbs * 1e9;
-        2.0 * (nodes as f64 - 1.0) * (alpha + bytes / nodes as f64 / beta)
-    } else {
-        0.0
-    };
-    SimTime::from_secs(local + inter_t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CollectiveAlgo;
+    use crate::cost::{CollectiveAlgo, LinkParams};
     use crate::thread_comm::ThreadComm;
 
     #[test]
@@ -196,31 +164,19 @@ mod tests {
         // plus cheap NVLink hops — a clear win for latency-bound sizes,
         // and near-parity for huge payloads (the ring is already
         // bandwidth-optimal).
+        let edr = LinkParams::infiniband_edr();
+        let hier4 = CollectiveAlgo::Hierarchical { ranks_per_node: 4 };
         let small = 1.0e5;
-        let flat_s =
-            CollectiveAlgo::Ring.allreduce_time(128, small, LinkParams::infiniband_edr());
-        let hier_s = hierarchical_cost(
-            128,
-            4,
-            small,
-            LinkParams::nvlink3(),
-            LinkParams::infiniband_edr(),
-        );
+        let flat_s = CollectiveAlgo::Ring.allreduce_time(128, small, edr);
+        let hier_s = hier4.allreduce_time(128, small, edr);
         assert!(
             hier_s.as_secs() < flat_s.as_secs() / 2.0,
             "hierarchical {hier_s} should clearly beat flat {flat_s} at 100 KB"
         );
 
         let big = 102.4e6; // ResNet-50 gradients
-        let flat_b =
-            CollectiveAlgo::Ring.allreduce_time(128, big, LinkParams::infiniband_edr());
-        let hier_b = hierarchical_cost(
-            128,
-            4,
-            big,
-            LinkParams::nvlink3(),
-            LinkParams::infiniband_edr(),
-        );
+        let flat_b = CollectiveAlgo::Ring.allreduce_time(128, big, edr);
+        let hier_b = hier4.allreduce_time(128, big, edr);
         assert!(
             hier_b.as_secs() < flat_b.as_secs() * 1.15,
             "hierarchical must stay near parity for large payloads: {hier_b} vs {flat_b}"
@@ -232,13 +188,8 @@ mod tests {
         let bytes = 1e6;
         let ring =
             CollectiveAlgo::Ring.allreduce_time(16, bytes, LinkParams::infiniband_edr());
-        let hier = hierarchical_cost(
-            16,
-            1,
-            bytes,
-            LinkParams::nvlink3(),
-            LinkParams::infiniband_edr(),
-        );
+        let hier = CollectiveAlgo::Hierarchical { ranks_per_node: 1 };
+        let hier = hier.allreduce_time(16, bytes, LinkParams::infiniband_edr());
         assert!((hier.as_secs() - ring.as_secs()).abs() < 1e-9);
     }
 }

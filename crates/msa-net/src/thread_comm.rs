@@ -1,12 +1,12 @@
 //! A real in-process communicator: `n` endpoints joined by two full
-//! meshes of lock-free channels — payloads, each carrying its sender's
-//! virtual send time, and the buffer credits flowing back. Every send
-//! draws one of a channel's two credits and every receive returns it, so
-//! each channel holds at most two messages (`Bounded(2)`) and buffers are
-//! recycled, never reallocated, once warm. One OS thread per rank plays
-//! the role of one GPU worker in the Horovod-style experiments; the
-//! collectives from [`crate::collectives`] then run *for real* over these
-//! channels.
+//! meshes of channels (the `crossbeam` shim's `Mutex<VecDeque>` plus a
+//! `Condvar`) — payloads, each carrying its sender's virtual send time,
+//! and the buffer credits flowing back. Every send draws one of a
+//! channel's two credits and every receive returns it, so each channel
+//! holds at most two messages (`Bounded(2)`) and buffers are recycled,
+//! never reallocated, once warm. One OS thread per rank plays the role of
+//! one GPU worker in the Horovod-style experiments; the collectives from
+//! [`crate::collectives`] then run *for real* over these channels.
 
 use crate::comm::PointToPoint;
 use crate::cost::{LinkParams, Topology};
@@ -68,7 +68,7 @@ pub struct CommOptions {
     /// [`LinkParams::extoll`] (the DEEP federation fabric).
     pub link: Option<LinkParams>,
     /// Node topology: when set, messages between ranks of the same node
-    /// are priced on the topology's intra-node link instead of `link`,
+    /// are priced on NVLink 3 ([`LinkParams::nvlink3`]) instead of `link`,
     /// in both the wait counters and the virtual-time measurement.
     pub topo: Option<Topology>,
 }
@@ -311,12 +311,11 @@ impl ThreadComm {
         self.pool_allocs.load(msa_sync::atomic::Ordering::Relaxed)
     }
 
-    /// The link a message to/from `peer` travels: the topology's
-    /// intra-node link when both ranks share a node, the fabric link
-    /// otherwise.
+    /// The link a message to/from `peer` travels: NVLink 3 when the
+    /// topology puts both ranks on one node, the fabric link otherwise.
     fn link_for(&self, peer: usize) -> LinkParams {
         match self.topo {
-            Some(t) if t.same_node(self.rank, peer) => t.intra,
+            Some(t) if t.same_node(self.rank, peer) => LinkParams::nvlink3(),
             _ => self.stats.link(),
         }
     }
@@ -653,15 +652,14 @@ mod tests {
         // Both ranks on one node: every hop must be priced on NVLink,
         // not the fabric, in both wait and vtime.
         let fabric = LinkParams::extoll();
-        let topo = Topology::esb(2);
-        let opts = CommOptions::new().link(fabric).topo(topo);
+        let opts = CommOptions::new().link(fabric).topo(Topology::esb(2));
         let out = ThreadComm::run_with(2, &opts, |c| {
             let mut buf = vec![1.0f32; 100];
             c.allreduce_sum(&mut buf);
             let s = c.stats().expect("stats always on");
             (s.export().op(CollectiveOp::Allreduce).wait_ps, s.vtime_ps())
         });
-        let hop = topo.intra.p2p(200.0).as_ps();
+        let hop = LinkParams::nvlink3().p2p(200.0).as_ps();
         for (wait, vtime) in out {
             assert_eq!(wait, 2 * hop);
             assert_eq!(vtime, 2 * hop);
@@ -678,7 +676,7 @@ mod tests {
 
     #[test]
     fn slice_path_does_zero_steady_state_allocation() {
-        use crate::tune::TunedAlgo;
+        use crate::cost::CollectiveAlgo;
 
         type Round = fn(&ThreadComm, &mut Vec<f32>);
         let flat: Round = |c, buf| {
@@ -691,7 +689,7 @@ mod tests {
             let ragged = collectives::ring_allgather(c, &buf[..c.rank() % 3 + 1]);
             assert_eq!(ragged.len(), c.size());
         };
-        let hier: Round = |c, buf| TunedAlgo::Hierarchical { ranks_per_node: 4 }.run(c, buf);
+        let hier: Round = |c, buf| CollectiveAlgo::Hierarchical { ranks_per_node: 4 }.run(c, buf);
         for (p, round) in [(4usize, flat), (8, hier)] {
             let out = ThreadComm::run(p, |c| {
                 let mut buf: Vec<f32> = (0..257).map(|i| (c.rank() + i) as f32).collect();

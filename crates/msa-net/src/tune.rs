@@ -1,138 +1,65 @@
 //! Measured collective autotuner (MPI "tuned collectives" style).
 //!
-//! The cost models in [`crate::cost`] predict; this module *measures*.
-//! Every allreduce algorithm the workspace implements — ring, recursive
-//! doubling, pipeline, hierarchical — is executed **for real** over a
-//! fresh [`ThreadComm`] for each (ranks, bytes) cell of a grid, and the
-//! schedule's completion time is read off the priced Lamport clock the
-//! transport maintains ([`crate::CommStats::vtime_ps`]): each message
-//! carries its sender's virtual send time, each receive advances the
-//! receiver to `max(now, sent_at + α + m/β)` on the link that hop
-//! actually travels (NVLink inside a node, fabric between nodes — see
-//! [`Topology`]). The maximum endpoint clock after the collective is the
-//! critical-path time of the schedule that really ran — a discrete-event
-//! measurement that is *deterministic*: it depends on the message
-//! schedule, never on host scheduling, so the same grid produces the
-//! same bytes twice.
+//! The α–β prices of [`CollectiveAlgo`] predict; this module *measures*.
+//! Every allreduce the workspace can run — ring, recursive doubling,
+//! pipeline, hierarchical — is executed **for real** over a fresh
+//! [`ThreadComm`] for each (ranks, bytes) cell of a grid, the winners are
+//! kept as a [`DecisionTable`], and [`tuned_allreduce`] (behind
+//! `distrib`'s `ExchangeDispatch::Tuned`) dispatches through it. A pick
+//! is a [`CollectiveAlgo`], so what runs is what `distrib::perf` prices.
 //!
-//! The winners are persisted as a [`DecisionTable`] (byte-stable text
-//! format `msa-tune-v1`, see DESIGN.md §13) and consulted per call by
-//! [`tuned_allreduce`], which is what `distrib`'s gradient exchange
-//! dispatches through.
+//! **The priced clock.** Host timing of thread collectives is noise, so
+//! a schedule's time is read off the transport's Lamport clock
+//! ([`crate::CommStats::vtime_ps`]): each message carries its sender's
+//! virtual send time, and each receive advances the receiver to
+//! `max(now, sent_at + α + m/β)` on the link the hop travels — NVLink 3
+//! inside a node, the fabric between nodes ([`Topology`]). The maximum
+//! endpoint clock is the critical path of the schedule that really ran,
+//! empty-chunk skips and non-power-of-two fold-ins included. A clock
+//! advances only at its own receives, by stamps that arrive inside the
+//! messages over per-pair FIFOs, so every value depends on program order
+//! alone: the same grid gives the same picoseconds on any machine. At
+//! evenly dividing chunks the measured ring equals its α–β price to the
+//! picosecond. The clock prices links, not buffer limits: credit-pool
+//! back-pressure (`ThreadComm`'s `Bounded(2)`) is not measured, so a
+//! schedule that would stall on credits can be under-priced.
 //!
-//! One honesty note: the virtual clock prices links, not buffer limits —
-//! it assumes unbounded in-flight messages, so credit-pool back-pressure
-//! (`ThreadComm`'s `Bounded(2)`) is not part of the measurement. That
-//! matches the α–β models it replaces and keeps the clock monotone.
+//! **The `msa-tune-v1` table.** [`TuneGrid::paper`] runs every candidate
+//! up to the paper's 96 and 128 ranks, and [`DecisionTable`] serializes
+//! the winners:
+//!
+//! ```text
+//! msa-tune-v1
+//! inter <latency_us> <bw_gbs>
+//! intra <ranks_per_node> 0.3 300
+//! cell ranks=R bytes=B algo=A fallback=F measured_ps=M modeled_ps=P
+//! ccell ranks=R bytes=B codec=C measured_ps=M dense_ps=D wire_bytes=W dense_bytes=E
+//! ```
+//!
+//! The `intra` link is fixed to NVLink 3 ([`LinkParams::nvlink3`]), the
+//! only intra-node link the repo models. Floats print shortest-round-trip
+//! and everything else is an integer, so parse and serialize are inverse
+//! byte for byte. `fallback` is the cell's fastest flat algorithm, run
+//! where the hierarchical winner cannot; `ccell` rows ([`measure_codec`])
+//! follow the cells. Lookup is nearest-cell in integer arithmetic with
+//! first-entry ties, so selection is total at any size. Selection depends
+//! only on a bucket's byte length, so tuned dispatch keeps the fused and
+//! serialized exchanges of one partition bit-identical.
+//! `ScalingModel::tuned` prices the pick on its own link times
+//! [`DecisionTable::calibration`].
 
 use crate::codec::{bf16_allreduce, sparse_k, GradCodec, WirePair};
 use crate::collectives;
 use crate::comm::PointToPoint;
 use crate::cost::{CollectiveAlgo, LinkParams, Topology};
-use crate::hierarchical::{hierarchical_allreduce, hierarchical_cost};
 use crate::scratch::Arena;
 use crate::thread_comm::{CommOptions, ThreadComm};
-use msa_core::SimTime;
-
-/// An algorithm the tuner can select — the software [`CollectiveAlgo`]s
-/// that have real implementations, plus the two-level hierarchical
-/// schedule (which the flat cost enum cannot express: it needs the
-/// node-group size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TunedAlgo {
-    /// Chunked ring ([`collectives::ring_allreduce`]).
-    Ring,
-    /// Recursive doubling with non-power-of-two fold-in.
-    RecursiveDoubling,
-    /// Partition-invariant pipeline chain.
-    Pipeline,
-    /// Two-level: intra-node reduce, leader ring, intra-node broadcast.
-    Hierarchical {
-        /// Node group size the schedule was measured with.
-        ranks_per_node: usize,
-    },
-}
-
-impl TunedAlgo {
-    /// Stable table/JSON name.
-    pub fn name(self) -> String {
-        match self {
-            TunedAlgo::Ring => "ring".to_string(),
-            TunedAlgo::RecursiveDoubling => "recursive_doubling".to_string(),
-            TunedAlgo::Pipeline => "pipeline".to_string(),
-            TunedAlgo::Hierarchical { ranks_per_node } => format!("hierarchical/{ranks_per_node}"),
-        }
-    }
-
-    /// Inverse of [`TunedAlgo::name`].
-    pub fn parse(s: &str) -> Option<TunedAlgo> {
-        match s {
-            "ring" => Some(TunedAlgo::Ring),
-            "recursive_doubling" => Some(TunedAlgo::RecursiveDoubling),
-            "pipeline" => Some(TunedAlgo::Pipeline),
-            _ => {
-                let k = s.strip_prefix("hierarchical/")?.parse().ok()?;
-                if k >= 1 {
-                    Some(TunedAlgo::Hierarchical { ranks_per_node: k })
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Whether this algorithm can run at `ranks` at all. The hierarchical
-    /// schedule needs `ranks` divisible into more than one full node.
-    pub fn applicable(self, ranks: usize) -> bool {
-        match self {
-            TunedAlgo::Hierarchical { ranks_per_node } => {
-                ranks > ranks_per_node && ranks.is_multiple_of(ranks_per_node)
-            }
-            _ => true,
-        }
-    }
-
-    /// Analytic α–β prediction for this algorithm on the given fabric
-    /// and topology — what `distrib::perf` prices, then calibrates by
-    /// the table's measured/modeled ratio.
-    pub fn model_time(self, ranks: usize, bytes: f64, inter: LinkParams, topo: Topology) -> SimTime {
-        let flat = match self {
-            TunedAlgo::Ring => CollectiveAlgo::Ring,
-            TunedAlgo::RecursiveDoubling => CollectiveAlgo::RecursiveDoubling,
-            TunedAlgo::Pipeline => CollectiveAlgo::Pipeline,
-            TunedAlgo::Hierarchical { ranks_per_node } => {
-                return hierarchical_cost(ranks, ranks_per_node, bytes, topo.intra, inter);
-            }
-        };
-        flat.allreduce_time(ranks, bytes, inter)
-    }
-
-    /// [`TunedAlgo::model_time`] as integer picoseconds — the
-    /// `modeled_ps` column of the table, kept next to the measurement.
-    pub fn modeled_ps(self, ranks: usize, bytes: usize, inter: LinkParams, topo: Topology) -> u64 {
-        self.model_time(ranks, bytes as f64, inter, topo).as_ps()
-    }
-
-    /// Runs this algorithm collectively on `c`. Panics if called at a
-    /// size where [`TunedAlgo::applicable`] is false (the table's
-    /// [`DecisionTable::select`] never returns such a pick).
-    pub fn run<C: PointToPoint + ?Sized>(self, c: &C, buf: &mut [f32]) {
-        match self {
-            TunedAlgo::Ring => collectives::ring_allreduce(c, buf),
-            TunedAlgo::RecursiveDoubling => collectives::recursive_doubling_allreduce(c, buf),
-            TunedAlgo::Pipeline => collectives::pipeline_allreduce(c, buf),
-            TunedAlgo::Hierarchical { ranks_per_node } => {
-                hierarchical_allreduce(c, buf, ranks_per_node)
-            }
-        }
-    }
-}
 
 /// One measured execution of one algorithm in one grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Measurement {
     /// The algorithm that ran.
-    pub algo: TunedAlgo,
+    pub algo: CollectiveAlgo,
     /// Critical-path virtual time of the executed schedule (max endpoint
     /// [`crate::CommStats::vtime_ps`] on a fresh communicator).
     pub measured_ps: u64,
@@ -164,30 +91,30 @@ impl Cell {
         &self.measurements[self.best]
     }
 
-    /// The fastest *software* (non-hierarchical) candidate — the fallback
+    /// The fastest flat (non-hierarchical) candidate — the fallback
     /// recorded in the table for sizes where the hierarchical pick cannot
     /// run.
     pub fn best_software(&self) -> &Measurement {
         let mut best: Option<&Measurement> = None;
         for m in &self.measurements {
-            if matches!(m.algo, TunedAlgo::Hierarchical { .. }) {
+            if matches!(m.algo, CollectiveAlgo::Hierarchical { .. }) {
                 continue;
             }
             if best.is_none_or(|b| m.measured_ps < b.measured_ps) {
                 best = Some(m);
             }
         }
-        // lint: allow(unwrap) -- cells always contain the three software candidates by construction
-        best.expect("cell has no software candidate")
+        // lint: allow(unwrap) -- cells always contain the three flat candidates by construction
+        best.expect("cell has no flat candidate")
     }
 }
 
 /// Executes `algo` for real at (`ranks`, `bytes`) and reads the priced
 /// clocks and wire counters back. Panics on a phantom-zero wire row
-/// (`msgs_total == 0` at `ranks > 1`) — the class of bug this PR fixes
-/// can never ship through the tuner.
+/// (`msgs_total == 0` at `ranks > 1`) or a wrong sum, so neither can ship
+/// through the tuner.
 pub fn measure(
-    algo: TunedAlgo,
+    algo: CollectiveAlgo,
     ranks: usize,
     bytes: usize,
     link: LinkParams,
@@ -198,20 +125,12 @@ pub fn measure(
         run_priced(ranks, bytes, link, topo, &algo.name(), |c, len| {
             let mut buf = vec![1.0f32; len];
             algo.run(c, &mut buf);
-            // Correctness is part of the measurement: an allreduce of all-ones
-            // must produce exactly `ranks` everywhere (whole-number sums are
-            // exact in f32 at every grid size).
-            let want = ranks as f32;
-            assert!(
-                buf.iter().all(|v| v.to_bits() == want.to_bits()),
-                "{} at p={ranks} produced a wrong sum",
-                algo.name()
-            );
+            assert_sum(&buf, ranks, &algo.name());
         });
     Measurement {
         algo,
         measured_ps,
-        modeled_ps: algo.modeled_ps(ranks, bytes, link, topo),
+        modeled_ps: algo.allreduce_time(ranks, bytes as f64, link).as_ps(),
         msgs_total,
         bytes_total,
     }
@@ -243,9 +162,8 @@ pub struct CodecMeasurement {
 /// `sparse_allreduce_mean` uses, shipping `2k` [`WirePair`] words per
 /// rank (a synthetic first-`k` selection: the wire schedule — and hence
 /// the priced time — depends only on `k`, never on *which* entries the
-/// compressor picked). Correctness is part of the measurement: all-ones
-/// inputs must reduce to exactly `ranks` (bf16-exact for integers up to
-/// 256, so bit-exact at every grid size up to p = 128).
+/// compressor picked). All-ones inputs must reduce to exactly `ranks`,
+/// as in [`measure`].
 pub fn measure_codec(
     codec: GradCodec,
     ranks: usize,
@@ -256,23 +174,16 @@ pub fn measure_codec(
     let what = format!("codec {}", codec.name());
     let (measured_ps, msgs_total, bytes_total) =
         run_priced(ranks, bytes, link, topo, &what, |c, len| {
-            let want = ranks as f32;
-            match codec {
+            let mut buf = vec![1.0f32; len];
+            // How many leading entries carry the sum; the rest stay zero.
+            let summed = match codec {
                 GradCodec::Dense32 => {
-                    let mut buf = vec![1.0f32; len];
                     collectives::pipeline_allreduce(c, &mut buf);
-                    assert!(
-                        buf.iter().all(|v| v.to_bits() == want.to_bits()),
-                        "dense32 chain at p={ranks} produced a wrong sum"
-                    );
+                    len
                 }
                 GradCodec::Bf16 => {
-                    let mut buf = vec![1.0f32; len];
                     bf16_allreduce(c, &mut buf, &mut Arena::new());
-                    assert!(
-                        buf.iter().all(|v| v.to_bits() == want.to_bits()),
-                        "bf16 chain at p={ranks} produced a wrong sum"
-                    );
+                    len
                 }
                 GradCodec::SparseTopK { ratio } => {
                     let k = sparse_k(len, ratio);
@@ -282,18 +193,16 @@ pub fn measure_codec(
                     }
                     let mut all = vec![0.0f32; ranks * payload.len()];
                     collectives::ring_allgather_into(c, &payload, &mut all);
-                    let mut buf = vec![0.0f32; len];
+                    buf.fill(0.0);
                     for pair_words in all.chunks_exact(2) {
                         let pair = WirePair::from_words(pair_words);
                         buf[pair.index as usize] += pair.value();
                     }
-                    assert!(
-                        buf[..k].iter().all(|v| v.to_bits() == want.to_bits())
-                            && buf[k..].iter().all(|v| *v == 0.0),
-                        "sparse exchange at p={ranks} produced a wrong sum"
-                    );
+                    k
                 }
-            }
+            };
+            assert_sum(&buf[..summed], ranks, &what);
+            assert!(buf[summed..].iter().all(|v| *v == 0.0), "{what} wrote past its top k");
         });
     CodecMeasurement {
         codec,
@@ -301,6 +210,17 @@ pub fn measure_codec(
         msgs_total,
         bytes_total,
     }
+}
+
+/// Correctness is part of a measurement: an allreduce of all-ones must
+/// leave exactly `ranks` in every element (whole numbers are exact in f32,
+/// and in bf16 up to 256, so at every grid size up to p = 128).
+fn assert_sum(buf: &[f32], ranks: usize, what: &str) {
+    let want = ranks as f32;
+    assert!(
+        buf.iter().all(|v| v.to_bits() == want.to_bits()),
+        "{what} at p={ranks} produced a wrong sum"
+    );
 }
 
 /// Runs `body` with the payload length in f32s on every rank of a fresh
@@ -339,21 +259,15 @@ fn run_priced(
     (measured_ps, msgs_total, bytes_total)
 }
 
-/// The fixed candidate list for one cell: the three software algorithms,
-/// plus the topology's hierarchical schedule where it can run.
-pub fn candidates(ranks: usize, topo: Topology) -> Vec<TunedAlgo> {
-    let mut list = vec![
-        TunedAlgo::Ring,
-        TunedAlgo::RecursiveDoubling,
-        TunedAlgo::Pipeline,
-    ];
-    let hier = TunedAlgo::Hierarchical {
+/// The fixed candidate list for one cell: the software algorithms that
+/// can run (ring, recursive doubling, pipeline), plus the topology's
+/// hierarchical schedule where it can run.
+pub fn candidates(ranks: usize, topo: Topology) -> Vec<CollectiveAlgo> {
+    let hier = CollectiveAlgo::Hierarchical {
         ranks_per_node: topo.ranks_per_node,
     };
-    if hier.applicable(ranks) {
-        list.push(hier);
-    }
-    list
+    let all = CollectiveAlgo::software().into_iter().chain([hier]);
+    all.filter(|algo| algo.applicable(ranks)).collect()
 }
 
 /// Measures every candidate in one (ranks, bytes) cell.
@@ -382,7 +296,7 @@ pub fn measure_cell(ranks: usize, bytes: usize, link: LinkParams, topo: Topology
 pub struct TuneGrid {
     /// Inter-node fabric link.
     pub link: LinkParams,
-    /// Node topology (group size + intra-node link).
+    /// Node topology (the node size; same-node hops travel NVLink 3).
     pub topo: Topology,
     /// The (ranks, bytes) cells, in measurement order.
     pub cells: Vec<(usize, usize)>,
@@ -485,10 +399,10 @@ pub struct TableEntry {
     /// Payload bytes the cell was measured at.
     pub bytes: usize,
     /// The measured-fastest algorithm.
-    pub algo: TunedAlgo,
-    /// The measured-fastest *software* algorithm — used when `algo` is
+    pub algo: CollectiveAlgo,
+    /// The measured-fastest flat algorithm — used when `algo` is
     /// hierarchical but the caller's size cannot run it.
-    pub fallback: TunedAlgo,
+    pub fallback: CollectiveAlgo,
     /// The winner's measured critical path.
     pub measured_ps: u64,
     /// The winner's α–β model prediction (calibration denominator).
@@ -559,6 +473,12 @@ fn cell_distance(
     )
 }
 
+/// The value of a `key=value` table field, parsed; `None` when the key
+/// is not `key` or the value does not parse.
+fn keyed<T: std::str::FromStr>(field: &str, key: &str) -> Option<T> {
+    field.strip_prefix(key)?.parse().ok()
+}
+
 /// The persisted autotuner output: a sorted list of measured winners,
 /// plus the link/topology they were measured on, with a byte-stable
 /// text round trip ([`DecisionTable::to_table_string`] /
@@ -575,11 +495,6 @@ impl DecisionTable {
     /// The fabric link the grid was measured on.
     pub fn inter(&self) -> LinkParams {
         self.inter
-    }
-
-    /// The topology the grid was measured on.
-    pub fn topo(&self) -> Topology {
-        self.topo
     }
 
     /// All entries, in grid order.
@@ -613,7 +528,7 @@ impl DecisionTable {
     /// `ranks`: the nearest cell's winner, demoted to its software
     /// fallback when the winner cannot run at this exact size (e.g. a
     /// hierarchical pick at a size not divisible into nodes).
-    pub fn select(&self, ranks: usize, bytes: usize) -> TunedAlgo {
+    pub fn select(&self, ranks: usize, bytes: usize) -> CollectiveAlgo {
         let e = self.entry_for(ranks, bytes);
         if e.algo.applicable(ranks) {
             e.algo
@@ -622,11 +537,13 @@ impl DecisionTable {
         }
     }
 
-    /// Measured/modeled ratio of the nearest cell — the factor
-    /// `distrib::perf` multiplies its analytic prediction by.
+    /// Measured/modeled ratio of the nearest cell's winner — the factor
+    /// `distrib::perf` multiplies its analytic prediction by. 1.0 when
+    /// [`DecisionTable::select`] demotes the winner to its fallback at
+    /// this size: the table holds no measurement of the fallback.
     pub fn calibration(&self, ranks: usize, bytes: usize) -> f64 {
         let e = self.entry_for(ranks, bytes);
-        if e.modeled_ps == 0 {
+        if e.modeled_ps == 0 || !e.algo.applicable(ranks) {
             1.0
         } else {
             e.measured_ps as f64 / e.modeled_ps as f64
@@ -659,9 +576,10 @@ impl DecisionTable {
             "inter {} {}\n",
             self.inter.latency_us, self.inter.bw_gbs
         ));
+        let nvlink = LinkParams::nvlink3();
         out.push_str(&format!(
             "intra {} {} {}\n",
-            self.topo.ranks_per_node, self.topo.intra.latency_us, self.topo.intra.bw_gbs
+            self.topo.ranks_per_node, nvlink.latency_us, nvlink.bw_gbs
         ));
         for e in &self.entries {
             out.push_str(&format!(
@@ -690,13 +608,16 @@ impl DecisionTable {
     }
 
     /// Parses the `msa-tune-v1` format; exact inverse of
-    /// [`DecisionTable::to_table_string`].
+    /// [`DecisionTable::to_table_string`]. Rejects, as
+    /// [`TableParseError::BadLine`], what could not be priced or run: an
+    /// `inter` latency or bandwidth that is not finite and positive, a
+    /// node size of zero, an `intra` link other than NVLink 3, and a
+    /// hierarchical `fallback`.
     pub fn parse(text: &str) -> Result<DecisionTable, TableParseError> {
         let mut lines = text.lines();
         if lines.next() != Some("msa-tune-v1") {
             return Err(TableParseError::BadHeader);
         }
-        let bad = |l: &str| TableParseError::BadLine(l.to_string());
         let mut inter = None;
         let mut topo = None;
         let mut entries = Vec::new();
@@ -705,58 +626,60 @@ impl DecisionTable {
             if line.is_empty() {
                 continue;
             }
+            let bad = || TableParseError::BadLine(line.to_string());
             let fields: Vec<&str> = line.split_whitespace().collect();
+            let link = |i: usize| -> Result<LinkParams, TableParseError> {
+                let positive = |s: &str| {
+                    s.parse::<f64>()
+                        .ok()
+                        .filter(|v| v.is_finite() && *v > 0.0)
+                        .ok_or_else(bad)
+                };
+                Ok(LinkParams {
+                    latency_us: positive(fields[i])?,
+                    bw_gbs: positive(fields[i + 1])?,
+                })
+            };
+            let algo = |i: usize, k: &str| {
+                let name = fields[i].strip_prefix(k).ok_or_else(bad)?;
+                CollectiveAlgo::parse(name).ok_or_else(bad)
+            };
             match fields.first().copied() {
-                Some("inter") if fields.len() == 3 => {
-                    inter = Some(LinkParams {
-                        latency_us: fields[1].parse().map_err(|_| bad(line))?,
-                        bw_gbs: fields[2].parse().map_err(|_| bad(line))?,
-                    });
-                }
+                Some("inter") if fields.len() == 3 => inter = Some(link(1)?),
                 Some("intra") if fields.len() == 4 => {
-                    topo = Some(Topology {
-                        ranks_per_node: fields[1].parse().map_err(|_| bad(line))?,
-                        intra: LinkParams {
-                            latency_us: fields[2].parse().map_err(|_| bad(line))?,
-                            bw_gbs: fields[3].parse().map_err(|_| bad(line))?,
-                        },
-                    });
+                    let k: usize = fields[1].parse().map_err(|_| bad())?;
+                    if k == 0 || link(2)? != LinkParams::nvlink3() {
+                        return Err(bad());
+                    }
+                    topo = Some(Topology::esb(k));
                 }
                 Some("cell") if fields.len() == 7 => {
-                    let get = |i: usize, k: &str| -> Result<&str, TableParseError> {
-                        fields[i].strip_prefix(k).ok_or_else(|| bad(line))
-                    };
-                    let ranks = get(1, "ranks=")?.parse().map_err(|_| bad(line))?;
-                    let bytes = get(2, "bytes=")?.parse().map_err(|_| bad(line))?;
-                    let algo = TunedAlgo::parse(get(3, "algo=")?).ok_or_else(|| bad(line))?;
-                    let fallback =
-                        TunedAlgo::parse(get(4, "fallback=")?).ok_or_else(|| bad(line))?;
-                    let measured_ps = get(5, "measured_ps=")?.parse().map_err(|_| bad(line))?;
-                    let modeled_ps = get(6, "modeled_ps=")?.parse().map_err(|_| bad(line))?;
+                    let fallback = algo(4, "fallback=")?;
+                    if matches!(fallback, CollectiveAlgo::Hierarchical { .. }) {
+                        return Err(bad());
+                    }
                     entries.push(TableEntry {
-                        ranks,
-                        bytes,
-                        algo,
+                        ranks: keyed(fields[1], "ranks=").ok_or_else(bad)?,
+                        bytes: keyed(fields[2], "bytes=").ok_or_else(bad)?,
+                        algo: algo(3, "algo=")?,
                         fallback,
-                        measured_ps,
-                        modeled_ps,
+                        measured_ps: keyed(fields[5], "measured_ps=").ok_or_else(bad)?,
+                        modeled_ps: keyed(fields[6], "modeled_ps=").ok_or_else(bad)?,
                     });
                 }
                 Some("ccell") if fields.len() == 8 => {
-                    let get = |i: usize, k: &str| -> Result<&str, TableParseError> {
-                        fields[i].strip_prefix(k).ok_or_else(|| bad(line))
-                    };
+                    let codec = fields[3].strip_prefix("codec=").ok_or_else(bad)?;
                     codec_entries.push(CodecEntry {
-                        ranks: get(1, "ranks=")?.parse().map_err(|_| bad(line))?,
-                        bytes: get(2, "bytes=")?.parse().map_err(|_| bad(line))?,
-                        codec: GradCodec::parse(get(3, "codec=")?).ok_or_else(|| bad(line))?,
-                        measured_ps: get(4, "measured_ps=")?.parse().map_err(|_| bad(line))?,
-                        dense_ps: get(5, "dense_ps=")?.parse().map_err(|_| bad(line))?,
-                        wire_bytes: get(6, "wire_bytes=")?.parse().map_err(|_| bad(line))?,
-                        dense_bytes: get(7, "dense_bytes=")?.parse().map_err(|_| bad(line))?,
+                        ranks: keyed(fields[1], "ranks=").ok_or_else(bad)?,
+                        bytes: keyed(fields[2], "bytes=").ok_or_else(bad)?,
+                        codec: GradCodec::parse(codec).ok_or_else(bad)?,
+                        measured_ps: keyed(fields[4], "measured_ps=").ok_or_else(bad)?,
+                        dense_ps: keyed(fields[5], "dense_ps=").ok_or_else(bad)?,
+                        wire_bytes: keyed(fields[6], "wire_bytes=").ok_or_else(bad)?,
+                        dense_bytes: keyed(fields[7], "dense_bytes=").ok_or_else(bad)?,
                     });
                 }
-                _ => return Err(bad(line)),
+                _ => return Err(bad()),
             }
         }
         match (inter, topo) {
@@ -792,18 +715,27 @@ mod tests {
         TuneGrid::smoke().run().table()
     }
 
+    fn ccell(ranks: usize, bytes: usize, codec: GradCodec, ps: [u64; 2], wire: [u64; 2]) -> CodecEntry {
+        let ([measured_ps, dense_ps], [wire_bytes, dense_bytes]) = (ps, wire);
+        CodecEntry { ranks, bytes, codec, measured_ps, dense_ps, wire_bytes, dense_bytes }
+    }
+
     #[test]
     fn names_round_trip() {
         for algo in [
-            TunedAlgo::Ring,
-            TunedAlgo::RecursiveDoubling,
-            TunedAlgo::Pipeline,
-            TunedAlgo::Hierarchical { ranks_per_node: 4 },
+            CollectiveAlgo::Ring,
+            CollectiveAlgo::RecursiveDoubling,
+            CollectiveAlgo::Pipeline,
+            CollectiveAlgo::Hierarchical { ranks_per_node: 4 },
         ] {
-            assert_eq!(TunedAlgo::parse(&algo.name()), Some(algo));
+            assert_eq!(CollectiveAlgo::parse(&algo.name()), Some(algo));
         }
-        assert_eq!(TunedAlgo::parse("hierarchical/0"), None);
-        assert_eq!(TunedAlgo::parse("gce"), None);
+        assert_eq!(CollectiveAlgo::parse("hierarchical/0"), None);
+        assert_eq!(CollectiveAlgo::parse("gce"), None);
+        // The price-only algorithms neither parse nor run.
+        for algo in [CollectiveAlgo::BinomialTree, CollectiveAlgo::GceOffload] {
+            assert!(CollectiveAlgo::parse(&algo.name()).is_none() && !algo.applicable(8));
+        }
     }
 
     #[test]
@@ -824,7 +756,7 @@ mod tests {
         // schedule is exactly the textbook one the model prices. The
         // Lamport clock must land on the model to the picosecond.
         let link = LinkParams::extoll();
-        let m = measure(TunedAlgo::Ring, 4, 4096, link, Topology::esb(1));
+        let m = measure(CollectiveAlgo::Ring, 4, 4096, link, Topology::esb(1));
         assert_eq!(m.measured_ps, m.modeled_ps);
     }
 
@@ -836,7 +768,7 @@ mod tests {
         for m in &cell.measurements {
             assert!(cell.winner().measured_ps <= m.measured_ps);
         }
-        assert_eq!(cell.winner().algo, TunedAlgo::RecursiveDoubling);
+        assert_eq!(cell.winner().algo, CollectiveAlgo::RecursiveDoubling);
     }
 
     #[test]
@@ -862,6 +794,72 @@ mod tests {
             DecisionTable::parse("msa-tune-v1\ninter 1.1 12.5\nintra 4 0.3 300\n"),
             Err(TableParseError::Empty)
         );
+        // Lines of the right shape that could not be priced or run: a link
+        // the α–β clock cannot price, a zero node size, another intra-node
+        // link, a price-only algorithm, a fallback that needs nodes.
+        let good = [
+            "inter 1.1 12.5",
+            "intra 4 0.3 300",
+            "cell ranks=8 bytes=8 algo=ring fallback=ring measured_ps=1 modeled_ps=1",
+        ];
+        for bad in [
+            "inter NaN 12.5",
+            "inter 1.1 inf",
+            "inter 0 12.5",
+            "inter -1.1 12.5",
+            "inter 1.1 0",
+            "inter 1.1 -12.5",
+            "intra 0 0.3 300",
+            "intra 4 0.3 600",
+            "cell ranks=8 bytes=8 algo=gce_offload fallback=ring measured_ps=1 modeled_ps=1",
+            "cell ranks=8 bytes=8 algo=binomial_tree fallback=ring measured_ps=1 modeled_ps=1",
+            "cell ranks=8 bytes=8 algo=ring fallback=hierarchical/2 measured_ps=1 modeled_ps=1",
+        ] {
+            let kind = |l: &str| l.split(' ').next().map(str::to_string);
+            let lines = good.map(|l| if kind(l) == kind(bad) { bad } else { l });
+            let text = format!("msa-tune-v1\n{}\n", lines.join("\n"));
+            let want = Err(TableParseError::BadLine(bad.to_string()));
+            assert_eq!(DecisionTable::parse(&text), want, "{bad}");
+        }
+    }
+
+    /// Both committed tables, truncated, with a byte overwritten or with
+    /// a digit changed (seeded, so a failure replays): `parse` returns
+    /// rather than panics, and every table it accepts answers `select`,
+    /// `calibration` and `codec_ratio` at the paper grid's cells and
+    /// prices its pick on its own fabric link.
+    #[test]
+    fn mutated_committed_tables_parse_totally_and_price() {
+        let tables = [include_str!("../../../TUNE_pr7.table"), include_str!("../../../TUNE_pr9.table")];
+        let codecs = [GradCodec::Bf16, GradCodec::SparseTopK { ratio: 0.01 }];
+        let mut rng = msa_core::XorShift(0x7475_6e65);
+        let mut below = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let (mut parsed, mut rejected) = (0, 0);
+        for round in 0..3000 {
+            let mut bytes = tables[round % 2].as_bytes().to_vec();
+            let n = bytes.len();
+            let digits: Vec<usize> = (0..n).filter(|&i| bytes[i].is_ascii_digit()).collect();
+            match round % 3 {
+                0 => bytes.truncate(below(n + 1)),
+                1 => bytes[below(n)] = below(256) as u8,
+                _ => bytes[digits[below(digits.len())]] = b"0123456789-.e"[below(13)],
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let Ok(table) = DecisionTable::parse(&text) else {
+                rejected += 1;
+                continue;
+            };
+            parsed += 1;
+            for &(ranks, bytes) in &TuneGrid::paper().cells {
+                let pick = table.select(ranks, bytes);
+                assert!(pick.applicable(ranks), "{text}\npicked {} at p={ranks}", pick.name());
+                pick.allreduce_time(ranks, bytes as f64, table.inter());
+                assert!(table.calibration(ranks, bytes).is_finite());
+                let ratio = |codec| table.codec_ratio(ranks, bytes, codec);
+                assert!(codecs.into_iter().all(|codec| ratio(codec).is_none_or(f64::is_finite)));
+            }
+        }
+        assert!(parsed > 500 && rejected > 500, "parsed {parsed}, rejected {rejected}");
     }
 
     #[test]
@@ -936,24 +934,10 @@ mod tests {
     fn extended_table_round_trips_byte_identically() {
         let mut table = smoke_table();
         let plain_text = table.to_table_string();
-        table.add_codec_entry(CodecEntry {
-            ranks: 8,
-            bytes: 64 * KIB,
-            codec: GradCodec::Bf16,
-            measured_ps: 500,
-            dense_ps: 1000,
-            wire_bytes: 32 * KIB as u64,
-            dense_bytes: 64 * KIB as u64,
-        });
-        table.add_codec_entry(CodecEntry {
-            ranks: 8,
-            bytes: 64 * KIB,
-            codec: GradCodec::SparseTopK { ratio: 0.01 },
-            measured_ps: 100,
-            dense_ps: 1000,
-            wire_bytes: 1344,
-            dense_bytes: 64 * KIB as u64,
-        });
+        let dense = 64 * KIB as u64;
+        table.add_codec_entry(ccell(8, 64 * KIB, GradCodec::Bf16, [500, 1000], [dense / 2, dense]));
+        let topk = GradCodec::SparseTopK { ratio: 0.01 };
+        table.add_codec_entry(ccell(8, 64 * KIB, topk, [100, 1000], [1344, dense]));
         let text = table.to_table_string();
         // ccell lines append after the cells: a codec-free table's bytes
         // are untouched (the committed TUNE_pr7.table stays cmp-stable).
@@ -970,24 +954,8 @@ mod tests {
     fn codec_ratio_selects_nearest_matching_cell() {
         let mut table = smoke_table();
         assert_eq!(table.codec_ratio(8, 64 * KIB, GradCodec::Bf16), None);
-        table.add_codec_entry(CodecEntry {
-            ranks: 8,
-            bytes: 64 * KIB,
-            codec: GradCodec::Bf16,
-            measured_ps: 600,
-            dense_ps: 1000,
-            wire_bytes: 1,
-            dense_bytes: 2,
-        });
-        table.add_codec_entry(CodecEntry {
-            ranks: 96,
-            bytes: 256 * KIB,
-            codec: GradCodec::Bf16,
-            measured_ps: 900,
-            dense_ps: 1000,
-            wire_bytes: 1,
-            dense_bytes: 2,
-        });
+        table.add_codec_entry(ccell(8, 64 * KIB, GradCodec::Bf16, [600, 1000], [1, 2]));
+        table.add_codec_entry(ccell(96, 256 * KIB, GradCodec::Bf16, [900, 1000], [1, 2]));
         assert_eq!(table.codec_ratio(8, 64 * KIB, GradCodec::Bf16), Some(0.6));
         // Off-grid sizes snap to the nearest measured codec cell.
         assert_eq!(table.codec_ratio(128, MIB, GradCodec::Bf16), Some(0.9));

@@ -78,7 +78,7 @@ pub struct Profile {
 /// to call instead. The `removed-api` rule keeps them from reappearing
 /// anywhere, test code included.
 #[rustfmt::skip]
-const REMOVED_APIS: [(&str, &str); 18] = [
+const REMOVED_APIS: [(&str, &str); 20] = [
     ("train_data_parallel", "the `Trainer` builder"),
     ("train_data_parallel_faulted", "`Trainer::fault`"),
     ("resume_from_snapshot", "`Trainer::resume`"),
@@ -97,6 +97,8 @@ const REMOVED_APIS: [(&str, &str); 18] = [
     ("as_hours", "`SimTime::as_secs`"),
     ("predicted_wait_ps", "`AdmissionPolicy::predicted_wait`"),
     ("slo_ps", "`AdmissionPolicy::slo`"),
+    ("TunedAlgo", "`CollectiveAlgo`"),
+    ("hierarchical_cost", "`CollectiveAlgo::Hierarchical { .. }.allreduce_time`"),
 ];
 
 impl Profile {
@@ -1147,6 +1149,8 @@ mod tests {
             "clock.advance_ps(ps)",
             "SimTime::from_hours(1.0)",
             "t.as_hours()",
+            "msa_net::tune::TunedAlgo::Ring.run(c, buf)",
+            "msa_net::hierarchical_cost(128, 4, 1e5, nvlink, edr)",
         ] {
             assert_eq!(rules(&format!("fn f() {{ {call}; }}\n")), vec!["removed-api"], "{call}");
         }

@@ -258,6 +258,10 @@ fn removed_api_call_is_flagged() {
     assert_eq!(hits.len(), 1, "{stdout}");
     assert!(hits[0].contains("fixture.rs:2: removed-api"), "{stdout}");
     assert!(hits[0].contains("SimTime::from_ps"), "{stdout}");
+    // A retired type name is found too, and names its replacement.
+    let stdout = findings_for("removedalgo", "pub fn f(\n    a: msa_net::TunedAlgo,\n) {}\n");
+    let hit = "fixture.rs:2: removed-api — `TunedAlgo` was removed; use `CollectiveAlgo` instead";
+    assert!(stdout.contains(hit), "{stdout}");
 }
 
 #[test]

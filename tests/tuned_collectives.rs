@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use msa_suite::data::Dataset;
 use msa_suite::distrib::{ExchangeDispatch, FusionConfig, TrainConfig, Trainer};
-use msa_suite::msa_net::tune::{self, TunedAlgo};
+use msa_suite::msa_net::tune;
 use msa_suite::msa_net::{
-    collectives, CollectiveOp, LinkParams, PointToPoint, ThreadComm, Topology, TuneGrid,
+    collectives, CollectiveAlgo, CollectiveOp, LinkParams, PointToPoint, ThreadComm, Topology,
+    TuneGrid,
 };
 use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
 use msa_suite::tensor::{Rng, Tensor};
@@ -188,7 +189,7 @@ fn a_96_rank_cell_executes_with_real_traffic_and_hierarchy_wins() {
             m.algo.name()
         );
     }
-    let ps = |algo: TunedAlgo| {
+    let ps = |algo: CollectiveAlgo| {
         cell.measurements
             .iter()
             .find(|m| m.algo == algo)
@@ -196,7 +197,7 @@ fn a_96_rank_cell_executes_with_real_traffic_and_hierarchy_wins() {
             .measured_ps
     };
     assert!(
-        ps(TunedAlgo::Hierarchical { ranks_per_node: 4 }) < ps(TunedAlgo::Ring),
+        ps(CollectiveAlgo::Hierarchical { ranks_per_node: 4 }) < ps(CollectiveAlgo::Ring),
         "topology-aware hierarchical should beat the flat ring at 96 ranks"
     );
 }
