@@ -4,16 +4,39 @@
 //! restart an interrupted training run: the optimiser's momentum/moment
 //! buffers, the shuffle-RNG stream position and the partially-accumulated
 //! epoch statistics all feed the next step. This module defines the
-//! trainer-side progress record that rides in the **meta section** of a
-//! version-2 `nn::serialize` snapshot, the policy that decides when
-//! rank 0 takes one, and the cost-model bridge into
-//! [`msa_storage::CheckpointTarget`] so a run reports what its snapshots
-//! would cost on the SSSM parallel FS vs the NAM.
+//! trainer-side progress record that rides in the **meta section** of an
+//! `nn::serialize` training snapshot (MSNN v3, layout in that module),
+//! the policy that decides when rank 0 takes one, and the cost-model
+//! bridge into [`msa_storage::CheckpointTarget`] so a run reports what
+//! its snapshots would cost on the SSSM parallel FS vs the NAM.
 //!
-//! The invariant the design serves (asserted end-to-end in
-//! `tests/checkpoint_resume.rs`): a run killed at step `s` and resumed
-//! from its last snapshot finishes with **bit-identical** parameters and
-//! per-epoch loss statistics to the run that was never killed.
+//! # The MSTP record
+//!
+//! ```text
+//! "MSTP" · u32 version=1 · u32 workers · u64 seed · u64 epoch
+//! · u64 step_in_epoch · u64 steps_done · u32 lr_bits
+//! · u32 history_len · history_len × (f32 mean_loss, f32 lr)
+//! · u32 ranks (= workers) · ranks × (u64 rng_pos_start, u64 rng_pos_now, u64 loss_sum_bits)
+//! ```
+//!
+//! All little-endian; [`TrainerProgress::decode`] makes any other input
+//! [`CheckpointError::BadProgress`]. The per-rank u64/f64 values reach
+//! rank 0 as f32 *bit patterns* through one allgather.
+//!
+//! # The resume contract
+//!
+//! A `msa_net::FaultPlan` fires on every rank at the same lock-step
+//! boundary, and the run returns the last snapshot. `Trainer::resume`
+//! checks, before any rank starts, the worker count, seed and LR-schedule
+//! point bit for bit, that the run's optimiser accepts the saved state,
+//! and that each rank's interrupted shuffle, re-drawn over its shard,
+//! ends at the recorded word position; each failure is a typed
+//! [`CheckpointError`]. The ranks then skip the completed steps and
+//! restore their partial loss sums, and the run finishes with
+//! **bit-identical** parameters, batch-norm state and per-epoch losses to
+//! the run never killed. Top-k refuses with
+//! [`CheckpointError::UnresumableCodec`]: its error-feedback residual is
+//! not in the snapshot.
 
 use crate::trainer::{EpochCursor, EpochStats};
 use msa_core::SimTime;
@@ -41,11 +64,7 @@ impl CheckpointPolicy {
     /// Checkpoint every `every_steps` steps to the NAM (the fast tier the
     /// paper's reference \[12\] motivates).
     pub fn every(every_steps: u64) -> Self {
-        assert!(every_steps > 0, "checkpoint interval must be positive");
-        CheckpointPolicy {
-            every_steps,
-            target: CheckpointTarget::nam(),
-        }
+        Self::every_on(every_steps, CheckpointTarget::nam())
     }
 
     /// Same interval, priced against the shared parallel FS.
@@ -71,11 +90,9 @@ pub struct CheckpointRecord {
     pub write_cost: SimTime,
 }
 
-/// Everything beyond weights the trainer needs to resume bit-exactly.
-///
-/// Serialised into the opaque meta section of a v2 MSNN snapshot; see
-/// `DESIGN.md` for the byte layout. Per-rank vectors are indexed by rank
-/// and gathered over the communicator at snapshot time.
+/// Everything beyond weights the trainer needs to resume bit-exactly:
+/// the MSTP record of the module doc. Per-rank vectors are indexed by
+/// rank and gathered over the communicator at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerProgress {
     /// Communicator size the snapshot was taken with.
@@ -173,7 +190,7 @@ impl TrainerProgress {
     /// Parses a meta section written by [`TrainerProgress::encode`].
     pub fn decode(bytes: &[u8]) -> Result<TrainerProgress, CheckpointError> {
         let mut c = Cursor { bytes, off: 0 };
-        if c.take(4)? != MAGIC {
+        if c.take()? != *MAGIC {
             return Err(CheckpointError::BadProgress("bad progress magic"));
         }
         let version = c.u32()?;
@@ -186,27 +203,21 @@ impl TrainerProgress {
         let step_in_epoch = c.u64()?;
         let steps_done = c.u64()?;
         let lr_bits = c.u32()?;
-        let hist_len = c.u32()? as usize;
-        let mut history = Vec::with_capacity(hist_len.min(1 << 16));
-        for _ in 0..hist_len {
-            let loss = f32::from_bits(c.u32()?);
-            let lr = f32::from_bits(c.u32()?);
-            history.push((loss, lr));
-        }
-        let ranks = c.u32()? as usize;
-        if ranks != workers as usize {
+        // Collecting a `Result` reserves nothing up front, so a forged
+        // count fails at the first missing byte, not in the allocator.
+        let history = (0..c.u32()?)
+            .map(|_| Ok((f32::from_bits(c.u32()?), f32::from_bits(c.u32()?))))
+            .collect::<Result<Vec<_>, CheckpointError>>()?;
+        let ranks = c.u32()?;
+        if ranks != workers {
             return Err(CheckpointError::BadProgress(
                 "per-rank section disagrees with worker count",
             ));
         }
-        let mut rng_pos_start = Vec::with_capacity(ranks.min(1 << 16));
-        let mut rng_pos_now = Vec::with_capacity(ranks.min(1 << 16));
-        let mut loss_sum_bits = Vec::with_capacity(ranks.min(1 << 16));
-        for _ in 0..ranks {
-            rng_pos_start.push(c.u64()?);
-            rng_pos_now.push(c.u64()?);
-            loss_sum_bits.push(c.u64()?);
-        }
+        let rows = (0..ranks)
+            .map(|_| Ok([c.u64()?, c.u64()?, c.u64()?]))
+            .collect::<Result<Vec<_>, CheckpointError>>()?;
+        let column = |i: usize| rows.iter().map(|row| row[i]).collect();
         if c.off != bytes.len() {
             return Err(CheckpointError::BadProgress("trailing bytes after progress"));
         }
@@ -218,9 +229,9 @@ impl TrainerProgress {
             steps_done,
             lr_bits,
             history,
-            rng_pos_start,
-            rng_pos_now,
-            loss_sum_bits,
+            rng_pos_start: column(0),
+            rng_pos_now: column(1),
+            loss_sum_bits: column(2),
         })
     }
 }
@@ -230,30 +241,21 @@ struct Cursor<'a> {
     off: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .off
-            .checked_add(n)
-            .ok_or(CheckpointError::BadProgress("progress record truncated"))?;
-        if end > self.bytes.len() {
-            return Err(CheckpointError::BadProgress("progress record truncated"));
-        }
-        let s = &self.bytes[self.off..end];
-        self.off = end;
-        Ok(s)
+impl Cursor<'_> {
+    /// The next `N` bytes, or the truncation error.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let next = self.bytes.get(self.off..).and_then(<[u8]>::first_chunk);
+        let next = *next.ok_or(CheckpointError::BadProgress("progress record truncated"))?;
+        self.off += N;
+        Ok(next)
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        // lint: allow(unwrap) -- take(4) guarantees exactly 4 bytes
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        self.take().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        // lint: allow(unwrap) -- take(8) guarantees exactly 8 bytes
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        self.take().map(u64::from_le_bytes)
     }
 }
 
@@ -386,6 +388,42 @@ mod tests {
             TrainerProgress::decode(&p.encode()),
             Err(CheckpointError::BadProgress(_))
         ));
+    }
+
+    /// The parser is total: seeded truncations and byte overwrites of an
+    /// encoded record never panic `decode`, and every input it accepts
+    /// re-encodes to the same bytes.
+    #[test]
+    fn mutated_progress_parses_totally_and_round_trips() {
+        let good = sample().encode();
+        let mut rng = msa_core::XorShift(0x4D53_5450); // "MSTP"
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            let mut bytes = good.clone();
+            let mut pick = |n: usize| rng.next_u64() as usize % n;
+            if case % 4 == 0 {
+                bytes.truncate(pick(good.len()));
+            }
+            for _ in 0..=pick(3) {
+                let at = pick(bytes.len().max(1));
+                // Small values hit the counts and fields as often as noise.
+                let byte = if case % 2 == 0 { pick(256) } else { pick(4) };
+                if let Some(b) = bytes.get_mut(at) {
+                    *b = byte as u8;
+                }
+            }
+            match TrainerProgress::decode(&bytes) {
+                Ok(p) => {
+                    assert_eq!(p.encode(), bytes, "case {case} re-encoded differently");
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted > 500 && rejected > 500,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 
     #[test]

@@ -26,10 +26,6 @@
 //!     .run(&dataset, model_fn, opt_fn, loss)?
 //! ```
 //!
-//! (The pre-PR-3 free functions `train_data_parallel`,
-//! `train_data_parallel_faulted` and `resume_from_snapshot` are gone;
-//! the `removed-api` lint keeps them from reappearing.)
-//!
 //! # Observability
 //!
 //! Every rank carries a [`msa_obs::VirtualClock`] in integer picoseconds
@@ -47,18 +43,14 @@
 //!
 //! With a [`CheckpointPolicy`] armed, rank 0 snapshots the *full*
 //! training state every N steps — weights, batch-norm state, optimiser
-//! buffers and a [`TrainerProgress`] record (RNG stream positions,
-//! partial epoch statistics, LR schedule point) — into a version-2
-//! `nn::serialize` snapshot. [`Trainer::fault`] arms a deterministic
-//! [`FaultPlan`] ("kill rank r at step s"): synchronous SGD is
-//! all-or-nothing, so one dead rank aborts every rank at the same
-//! lock-step boundary and the run returns
-//! [`TrainOutcome::Interrupted`] carrying the last snapshot.
-//! [`Trainer::resume`] restarts from that snapshot and — by
-//! construction, asserted in `tests/checkpoint_resume.rs` — finishes
-//! **bit-identical** to the run that was never killed. Under the top-k
-//! codec it refuses with [`CheckpointError::UnresumableCodec`] instead:
-//! the error-feedback residual is not in the snapshot.
+//! buffers and a [`TrainerProgress`] record. [`Trainer::fault`] arms a
+//! deterministic [`FaultPlan`] ("kill rank r at step s") and the run
+//! returns [`TrainOutcome::Interrupted`] carrying the last snapshot;
+//! [`Trainer::resume`] restarts from it under the contract stated in
+//! [`crate::checkpoint`]. That contract and the schedule equivalences
+//! are the cells of `tests/equivalence.rs`: `cargo test --test
+//! equivalence` runs a seeded sample, `cargo test --release --test
+//! equivalence -- --ignored` all of them.
 
 use crate::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointRecord, TrainerProgress};
 use crate::compress::TopKCompressor;
@@ -550,7 +542,7 @@ impl Trainer {
     {
         let cfg = &self.cfg;
         let resume = match &self.snapshot {
-            Some(snap) => Some(self.decode_resume(&model_fn, snap)?),
+            Some(snap) => Some(self.decode_resume(dataset, &model_fn, &opt_fn, snap)?),
             None => None,
         };
         let resume = resume.as_ref();
@@ -592,18 +584,19 @@ impl Trainer {
         Ok(outcome)
     }
 
-    /// Decodes and validates a resume snapshot against the config: the
-    /// worker count, seed and LR schedule point must match bit-exactly,
-    /// or the replayed steps would diverge from the original run. (The
-    /// RNG stream positions are re-checked per rank once the shuffle is
-    /// re-drawn.)
-    fn decode_resume<M>(
+    /// Decodes and validates a resume snapshot before any rank starts,
+    /// as the [`crate::checkpoint`] contract states: anything it rejects
+    /// would diverge from the original run or panic on a rank.
+    fn decode_resume<M, O>(
         &self,
+        dataset: &Dataset,
         model_fn: &M,
+        opt_fn: &O,
         snapshot: &[u8],
     ) -> Result<ResumeState, CheckpointError>
     where
         M: Fn(u64) -> Sequential,
+        O: Fn(f32) -> Box<dyn Optimizer>,
     {
         if let GradCodec::SparseTopK { .. } = self.codec {
             return Err(CheckpointError::UnresumableCodec(self.codec));
@@ -636,6 +629,15 @@ impl Trainer {
                 lr.to_bits() as u64,
             );
         }
+        opt_fn(lr).load_state(&model.params(), &opt_state)?;
+        for rank in 0..cfg.workers {
+            let mut rng = shuffle_rng(cfg.seed, rank);
+            rng.set_word_pos(progress.rng_pos_start[rank]);
+            let _ = rng.permutation(dataset.shard(rank, cfg.workers).len());
+            if rng.word_pos() != progress.rng_pos_now[rank] {
+                return mismatch("shuffle stream", progress.rng_pos_now[rank], rng.word_pos());
+            }
+        }
         Ok(ResumeState {
             params: model.values_vec(),
             state: model.state(),
@@ -643,6 +645,11 @@ impl Trainer {
             progress,
         })
     }
+}
+
+/// Rank `rank`'s shuffle stream: one seed per rank, mixed from the run's.
+fn shuffle_rng(seed: u64, rank: usize) -> Rng {
+    Rng::seed(seed ^ (0xD15C0 + rank as u64))
 }
 
 /// Decoded snapshot handed to every rank on resume.
@@ -724,11 +731,13 @@ impl<'a, L: Loss> Rank<'a, L> {
         loss: &'a L,
         resume: Option<&'a ResumeState>,
     ) -> Self {
-        let mut shuffle_rng = Rng::seed(t.cfg.seed ^ (0xD15C0 + comm.rank() as u64));
+        let mut shuffle_rng = shuffle_rng(t.cfg.seed, comm.rank());
         if let Some(r) = resume {
             model.set_values(&r.params);
             model.set_state(&r.state);
-            opt.load_state(&r.opt_state);
+            opt.load_state(&model.params(), &r.opt_state)
+                // lint: allow(unwrap) -- `Trainer::decode_resume` loaded this state into `opt_fn`'s optimiser before any rank started
+                .expect("optimiser state was validated");
             // Seek the shuffle stream to where the interrupted epoch drew
             // its batches; the re-draw then reproduces the same permutation.
             shuffle_rng.set_word_pos(r.progress.rng_pos_start[comm.rank()]);
@@ -822,13 +831,8 @@ impl<'a, L: Loss> Rank<'a, L> {
         // First resumed epoch: re-enter mid-epoch — skip the steps the
         // snapshot already holds and restore the loss accumulator.
         if let Some(r) = self.resume.take() {
-            let rank = self.comm.rank();
-            assert_eq!(
-                rng_pos_now, r.progress.rng_pos_now[rank],
-                "rank {rank}: shuffle stream diverged on resume"
-            );
             self.at.step_in_epoch = r.progress.step_in_epoch as usize;
-            self.at.loss_sum = f64::from_bits(r.progress.loss_sum_bits[rank]);
+            self.at.loss_sum = f64::from_bits(r.progress.loss_sum_bits[self.comm.rank()]);
         }
         self.epoch_bd = PhaseBreakdown::default();
 
@@ -1071,11 +1075,13 @@ impl<'a, L: Loss> Rank<'a, L> {
     fn finish(self, killed: Option<RankKilled>) -> RankRun {
         if killed.is_none() {
             // Replicas must have stayed in lock-step: compare a parameter
-            // digest (before the metrics, which count this traffic).
+            // digest (before the metrics, which count this traffic). Equal
+            // bits agree even when the run diverged to NaN.
             let digest: f32 = self.model.values_vec().iter().sum();
             for (r, d) in self.comm.allgather(&[digest]).iter().enumerate() {
                 assert!(
-                    (d[0] - digest).abs() <= 1e-3 * (1.0 + digest.abs()),
+                    d[0].to_bits() == digest.to_bits()
+                        || (d[0] - digest).abs() <= 1e-3 * (1.0 + digest.abs()),
                     "rank {r} diverged: {} vs {}",
                     d[0],
                     digest

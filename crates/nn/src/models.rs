@@ -222,7 +222,7 @@ mod tests {
 
             let (mut resumed, mut opt2) = (build(&mut Rng::seed(2)), Adam::new(1e-2));
             let (opt_state, _) = load_training(&mut resumed, &snapshot).expect(name);
-            opt2.load_state(&opt_state);
+            opt2.load_state(&resumed.params(), &opt_state).expect(name);
             train(&mut resumed, &mut opt2, &batches[3..]);
 
             let bits = |m: &Sequential| -> Vec<u32> {

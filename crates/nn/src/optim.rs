@@ -6,6 +6,7 @@
 //! of [`crate::Layer::params_mut`].
 
 use crate::param::Param;
+use crate::serialize::SnapshotError;
 use crate::STREAM_BLOCK;
 use rayon::prelude::*;
 use tensor::Tensor;
@@ -41,17 +42,22 @@ pub trait Optimizer {
         Vec::new()
     }
 
-    /// Restores state captured by [`Optimizer::state`]. Must be called
-    /// before the first [`Optimizer::step`]; buffers are re-attached to
-    /// parameter shapes lazily on that step (the optimiser does not know
-    /// the shapes until then). An empty slice resets to fresh state.
-    fn load_state(&mut self, state: &[f32]) {
-        assert!(
-            state.is_empty(),
-            "this optimiser keeps no state; cannot restore {} scalars",
-            state.len()
-        );
+    /// Restores state captured by [`Optimizer::state`], binding its
+    /// buffers to the shapes of `params` (the set later steps update). An
+    /// empty slice resets to fresh state; a length these parameters cannot
+    /// hold — another optimiser's state, or another model's — is
+    /// [`SnapshotError::ShapeMismatch`] and leaves `self` untouched.
+    fn load_state(&mut self, _params: &[&Param], state: &[f32]) -> Result<(), SnapshotError> {
+        check_len(&[0], state)
     }
+}
+
+/// `Ok` when `state` has one of the lengths in `lens`, the last being
+/// that of a full state.
+fn check_len(lens: &[usize], state: &[f32]) -> Result<(), SnapshotError> {
+    let (expected, found) = (lens[lens.len() - 1], state.len());
+    let mismatch = SnapshotError::ShapeMismatch { expected, found };
+    lens.contains(&found).then_some(()).ok_or(mismatch)
 }
 
 /// Packs a `u64` into two `f32` bit patterns (little-endian word order)
@@ -73,21 +79,18 @@ fn append_flat(out: &mut Vec<f32>, tensors: &[Tensor]) {
     }
 }
 
-/// Scatters a flat vector back into same-ordered tensors; lengths must
-/// match exactly (shapes come from the live parameter set).
-fn unflatten_into(tensors: &mut [Tensor], flat: &[f32]) {
-    let mut off = 0;
-    for t in tensors.iter_mut() {
-        let n = t.numel();
-        assert!(
-            off + n <= flat.len(),
-            "optimiser state too short: need {} more scalars",
-            off + n - flat.len()
-        );
-        t.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
+/// One tensor per parameter, shaped like it, from consecutive scalars of
+/// `flat`; none when `flat` is empty (the caller has checked its length).
+fn unflatten(params: &[&Param], mut flat: &[f32]) -> Vec<Tensor> {
+    if flat.is_empty() {
+        return Vec::new();
     }
-    assert_eq!(off, flat.len(), "optimiser state length mismatch");
+    let next = |p: &&Param| {
+        let (head, rest) = flat.split_at(p.numel());
+        flat = rest;
+        Tensor::from_vec(head.to_vec(), p.value.shape())
+    };
+    params.iter().map(next).collect()
 }
 
 /// Stochastic gradient descent with optional Nesterov-free momentum and
@@ -100,9 +103,6 @@ pub struct Sgd {
     momentum: f32,
     weight_decay: f32,
     velocity: Vec<Tensor>,
-    /// State restored by `load_state` before the buffer shapes are known;
-    /// applied lazily on the first `step`.
-    pending_state: Option<Vec<f32>>,
 }
 
 impl Sgd {
@@ -114,7 +114,6 @@ impl Sgd {
             momentum,
             weight_decay,
             velocity: Vec::new(),
-            pending_state: None,
         }
     }
 }
@@ -123,9 +122,6 @@ impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
         if self.velocity.is_empty() {
             self.velocity = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
-            if let Some(flat) = self.pending_state.take() {
-                unflatten_into(&mut self.velocity, &flat);
-            }
         }
         assert_eq!(self.velocity.len(), params.len(), "param set changed");
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
@@ -155,24 +151,15 @@ impl Optimizer for Sgd {
     }
 
     fn state(&self) -> Vec<f32> {
-        if self.velocity.is_empty() {
-            return self.pending_state.clone().unwrap_or_default();
-        }
         let mut out = Vec::with_capacity(self.velocity.iter().map(Tensor::numel).sum());
         append_flat(&mut out, &self.velocity);
         out
     }
 
-    fn load_state(&mut self, state: &[f32]) {
-        assert!(
-            self.velocity.is_empty(),
-            "load_state must precede the first step"
-        );
-        self.pending_state = if state.is_empty() {
-            None
-        } else {
-            Some(state.to_vec())
-        };
+    fn load_state(&mut self, params: &[&Param], state: &[f32]) -> Result<(), SnapshotError> {
+        check_len(&[0, params.iter().map(|p| p.numel()).sum()], state)?;
+        self.velocity = unflatten(params, state);
+        Ok(())
     }
 }
 
@@ -191,9 +178,6 @@ pub struct Adam {
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
-    /// Moments restored by `load_state` before the buffer shapes are
-    /// known (first half `m`, second half `v`); applied on first `step`.
-    pending_state: Option<Vec<f32>>,
 }
 
 impl Adam {
@@ -212,7 +196,6 @@ impl Adam {
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
-            pending_state: None,
         }
     }
 
@@ -222,12 +205,6 @@ impl Adam {
         if self.m.is_empty() {
             self.m = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
             self.v = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
-            if let Some(flat) = self.pending_state.take() {
-                assert_eq!(flat.len() % 2, 0, "Adam state must hold m and v halves");
-                let half = flat.len() / 2;
-                unflatten_into(&mut self.m, &flat[..half]);
-                unflatten_into(&mut self.v, &flat[half..]);
-            }
         }
         assert_eq!(self.m.len(), params.len(), "param set changed");
         let total: usize = params.iter().map(|p| p.numel()).sum();
@@ -279,33 +256,26 @@ impl Optimizer for Adam {
     }
 
     fn state(&self) -> Vec<f32> {
-        // Layout: [t (2 bit-pattern words)] ++ m ++ v. Before the first
-        // step `m`/`v` are empty and the restored moments are pending;
-        // after it nothing is pending.
-        let pending = self.pending_state.as_deref().unwrap_or_default();
+        // Layout: [t (2 bit-pattern words)] ++ m ++ v; `m`/`v` are empty
+        // until the first step or a load binds them.
         let moments: usize = self.m.iter().chain(&self.v).map(Tensor::numel).sum();
-        let mut out = Vec::with_capacity(2 + pending.len() + moments);
+        let mut out = Vec::with_capacity(2 + moments);
         out.extend_from_slice(&u64_to_words(self.t));
-        out.extend_from_slice(pending);
         append_flat(&mut out, &self.m);
         append_flat(&mut out, &self.v);
         out
     }
 
-    fn load_state(&mut self, state: &[f32]) {
-        assert!(self.m.is_empty(), "load_state must precede the first step");
-        if state.is_empty() {
-            self.t = 0;
-            self.pending_state = None;
-            return;
-        }
-        assert!(state.len() >= 2, "Adam state missing step counter");
-        self.t = words_to_u64([state[0], state[1]]);
-        self.pending_state = if state.len() > 2 {
-            Some(state[2..].to_vec())
-        } else {
-            None
-        };
+    fn load_state(&mut self, params: &[&Param], state: &[f32]) -> Result<(), SnapshotError> {
+        // Empty is a fresh optimiser; the step counter alone, one that
+        // never stepped.
+        let n: usize = params.iter().map(|p| p.numel()).sum();
+        check_len(&[0, 2, 2 + 2 * n], state)?;
+        self.t = state.get(..2).map_or(0, |w| words_to_u64([w[0], w[1]]));
+        let moments = state.get(2..).unwrap_or_default();
+        let (m, v) = moments.split_at(moments.len() / 2);
+        (self.m, self.v) = (unflatten(params, m), unflatten(params, v));
+        Ok(())
     }
 }
 
@@ -574,8 +544,8 @@ mod tests {
         let direct = p.value.data().to_vec();
 
         let mut resumed = make();
-        resumed.load_state(&snap_state);
         let mut q = Param::new(Tensor::from_vec(snap_w, &[3]));
+        resumed.load_state(&[&q], &snap_state).unwrap();
         for _ in 0..b {
             let vals: Vec<f32> = q.value.data().iter().map(|&w| grad_at(w)).collect();
             q.grad.data_mut().copy_from_slice(&vals);
@@ -603,7 +573,7 @@ mod tests {
         let opt = Adam::new(0.1);
         let s = opt.state();
         let mut opt2 = Adam::new(0.1);
-        opt2.load_state(&s);
+        opt2.load_state(&[], &s).unwrap();
         assert_eq!(opt2.state(), s);
         let sgd = Sgd::new(0.1, 0.9, 0.0);
         assert!(sgd.state().is_empty());

@@ -46,7 +46,8 @@ pub enum SnapshotError {
     UnsupportedVersion(u32),
     Truncated,
     ChecksumMismatch,
-    /// Snapshot shape does not match the target model.
+    /// A section's length does not match the target model, or (from
+    /// [`crate::Optimizer::load_state`]) the optimiser and model.
     ShapeMismatch { expected: usize, found: usize },
     /// The snapshot carries no optimiser/progress sections (a v1 model
     /// snapshot), so a training-state restore is impossible.
@@ -61,7 +62,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::ChecksumMismatch => write!(f, "checksum mismatch"),
             SnapshotError::ShapeMismatch { expected, found } => {
-                write!(f, "model expects {expected} scalars, snapshot has {found}")
+                write!(f, "expected {expected} scalars, snapshot has {found}")
             }
             SnapshotError::NotATrainingSnapshot => {
                 write!(f, "snapshot has no optimiser/progress sections (v1 model-only)")

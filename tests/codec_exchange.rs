@@ -2,114 +2,38 @@
 //!
 //! 1. the **default codec is the seed trainer** — `Trainer::new(cfg)`
 //!    with and without an explicit `.codec(GradCodec::Dense32)` produce
-//!    bit-identical parameters (the codec plumbing must not perturb the
+//!    bit-identical results (the codec plumbing must not perturb the
 //!    dense path by a single ULP);
 //! 2. the **bf16 exchange is partition-invariant** like the dense
 //!    pipeline: fused, serialized and overlapped schedules at several
 //!    bucket sizes all land on the same bits;
 //! 3. **sparse top-k trains** — error feedback accumulates what the
 //!    wire dropped, so the model still learns the toy problem — and its
-//!    fused/serialized schedules agree at a fixed partition;
+//!    overlapped/serialized schedules agree at a fixed partition;
 //! 4. the **extended decision table round-trips**: `ccell` rows survive
 //!    `to_table_string` → `parse` byte-identically, while codec-free
 //!    tables serialize exactly as before (old artifacts stay stable);
 //! 5. the **transport's priced clock** charges each exchange the trainer
 //!    can run exactly its critical path of α–β hops.
 
-use std::sync::Arc;
+mod common;
 
-use msa_suite::data::Dataset;
-use msa_suite::distrib::{
-    sparse_allreduce_mean, FusionConfig, TopKCompressor, TrainConfig, Trainer,
-};
+use common::*;
+use msa_suite::distrib::{sparse_allreduce_mean, TopKCompressor};
 use msa_suite::msa_net::collectives::pipeline_allreduce_mean;
 use msa_suite::msa_net::tune::{measure_codec, CodecEntry, TuneGrid};
 use msa_suite::msa_net::{
-    bf16_allreduce, Arena, CollectiveAlgo, CommOptions, DecisionTable, GradCodec, LinkParams,
-    PointToPoint, ThreadComm, Topology,
+    bf16_allreduce, Arena, CollectiveAlgo, CommOptions, LinkParams, PointToPoint, ThreadComm,
+    Topology,
 };
-use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
-use msa_suite::tensor::{Rng, Tensor};
-
-fn toy_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> Dataset {
-    let mut rng = Rng::seed(seed);
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
-fn mlp(seed: u64) -> Sequential {
-    let mut rng = Rng::seed(seed);
-    Sequential::new()
-        .push(Dense::new(8, 32, &mut rng))
-        .push(Relu::new())
-        .push(Dense::new(32, 4, &mut rng))
-}
-
-fn opt(lr: f32) -> Box<dyn Optimizer> {
-    Box::new(Sgd::new(lr, 0.9, 0.0))
-}
-
-fn train(codec: GradCodec, fusion: FusionConfig) -> Vec<f32> {
-    let ds = toy_dataset(256, 8, 4, 47);
-    let cfg = TrainConfig {
-        workers: 4,
-        epochs: 3,
-        batch_per_worker: 8,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 47,
-        checkpoint: None,
-    };
-    Trainer::new(cfg)
-        .fusion(fusion)
-        .codec(codec)
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
-        .expect("no snapshot to validate")
-        .completed()
-        .final_params
-}
-
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
 
 #[test]
 fn default_codec_is_bit_identical_to_explicit_dense() {
-    let implicit = {
-        let ds = toy_dataset(256, 8, 4, 47);
-        let cfg = TrainConfig {
-            workers: 4,
-            epochs: 3,
-            batch_per_worker: 8,
-            base_lr: 0.05,
-            lr_scaling: true,
-            warmup_epochs: 1,
-            seed: 47,
-            checkpoint: None,
-        };
-        Trainer::new(cfg)
-            .run(&ds, mlp, opt, SoftmaxCrossEntropy)
-            .expect("no snapshot to validate")
-            .completed()
-            .final_params
-    };
-    let explicit = train(GradCodec::Dense32, FusionConfig::unfused());
-    assert!(
-        bits_equal(&implicit, &explicit),
-        "explicit Dense32 perturbed the seed trainer"
-    );
+    // The reference run sets nothing; the cell sets `.codec(Dense32)`.
+    check(&Cell {
+        workers: 4,
+        ..base()
+    });
 }
 
 #[test]
@@ -117,55 +41,50 @@ fn bf16_training_is_partition_invariant_and_overlap_safe() {
     // The bf16 chain folds element-wise, so — like the dense pipeline —
     // its bits cannot depend on how the flat gradient is bucketed or on
     // whether the exchange overlaps backward.
-    let base = train(GradCodec::Bf16, FusionConfig::unfused());
-    for fusion in [
-        FusionConfig::fused(1024).overlap(false),
-        FusionConfig::fused(1024),
-        FusionConfig::fused(64),
-        FusionConfig::unfused().overlap(true),
-    ] {
-        let got = train(GradCodec::Bf16, fusion);
-        assert!(bits_equal(&base, &got), "{fusion:?}: bf16 bits diverged");
+    let bf16 = Cell {
+        workers: 4,
+        codec: GradCodec::Bf16,
+        ..base()
+    };
+    for fusion in fusions() {
+        check(&Cell { fusion, ..bf16 });
     }
     // And it genuinely quantises: the dense result differs.
-    let dense = train(GradCodec::Dense32, FusionConfig::unfused());
-    assert!(!bits_equal(&base, &dense), "bf16 cannot equal dense bit-for-bit");
+    let params = |c: Cell| c.run(&c.trainer()).expect("no snapshot").completed();
+    let dense = Cell {
+        codec: GradCodec::Dense32,
+        ..bf16
+    };
+    let (bf16, dense) = (params(bf16).final_params, params(dense).final_params);
+    assert_ne!(bf16, dense, "bf16 cannot equal dense bit-for-bit");
 }
 
 #[test]
 fn sparse_topk_learns_and_agrees_across_schedules_at_fixed_partition() {
     // Error feedback: what the wire drops this step rides the residual
     // into the next, so top-k training still converges on the toy task.
-    let ds = toy_dataset(256, 8, 4, 53);
-    let (train_ds, test) = ds.split(0.25);
+    let codec = GradCodec::SparseTopK { ratio: 0.05 };
+    let (train, test) = toy_dataset(256, 8, 4, 53).split(0.25);
     let cfg = TrainConfig {
-        workers: 2,
         epochs: 12,
         batch_per_worker: 16,
         base_lr: 0.1,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 53,
-        checkpoint: None,
+        ..config()
     };
-    let run = |fusion: FusionConfig| {
-        Trainer::new(cfg.clone())
-            .fusion(fusion)
-            .codec(GradCodec::SparseTopK { ratio: 0.05 })
-            .run(&train_ds, mlp, opt, SoftmaxCrossEntropy)
-            .expect("no snapshot to validate")
-            .completed()
-    };
-    let serial = run(FusionConfig::unfused());
-    let acc = msa_suite::distrib::evaluate_classifier(mlp, cfg.seed, &serial, &test);
+    let report = Trainer::new(cfg.clone())
+        .codec(codec)
+        .run(&train, mlp, sgd, SoftmaxCrossEntropy)
+        .expect("no snapshot to validate")
+        .completed();
+    let acc = msa_suite::distrib::evaluate_classifier(mlp, cfg.seed, &report, &test);
     assert!(acc > 0.8, "sparse top-k failed to learn: acc {acc}");
     // Same partition (one whole-gradient bucket), overlap on/off: the
     // per-bucket compressor sees the same segments in the same order.
-    let overlapped = run(FusionConfig::unfused().overlap(true));
-    assert!(
-        bits_equal(&serial.final_params, &overlapped.final_params),
-        "sparse overlap changed bits at a fixed partition"
-    );
+    check(&Cell {
+        codec,
+        fusion: FusionConfig::unfused().overlap(true),
+        ..base()
+    });
 }
 
 #[test]
@@ -205,7 +124,6 @@ fn extended_table_round_trips_and_codec_free_tables_stay_stable() {
         .codec_ratio(ranks, bytes, GradCodec::Bf16)
         .expect("bf16 cell present");
     assert!(ratio > 0.0 && ratio < 1.0, "bf16 must beat dense here: {ratio}");
-    let _ = Arc::new(parsed);
 }
 
 #[test]

@@ -8,47 +8,15 @@
 //!    serial depth-0 wall bit for bit;
 //! 2. **prefetch never touches the math** — every depth lands on the
 //!    same parameter bits and the same per-epoch mean losses as the
-//!    serial path, under every codec;
+//!    serial path, under every codec (cells of the equivalence matrix);
 //! 3. **depth composes with resume** — a run checkpointed under the
 //!    prefetcher and resumed at a different depth still reproduces the
 //!    uninterrupted parameters exactly.
 
-use msa_suite::data::Dataset;
-use msa_suite::distrib::{
-    CheckpointPolicy, FusionConfig, StepCost, TrainConfig, TrainOutcome, TrainReport, Trainer,
-};
-use msa_suite::msa_net::{FaultPlan, GradCodec};
-use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
-use msa_suite::tensor::{Rng, Tensor};
+mod common;
 
-fn toy_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> Dataset {
-    let mut rng = Rng::seed(seed);
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
-fn mlp(seed: u64) -> Sequential {
-    let mut rng = Rng::seed(seed);
-    Sequential::new()
-        .push(Dense::new(8, 32, &mut rng))
-        .push(Relu::new())
-        .push(Dense::new(32, 4, &mut rng))
-}
-
-fn opt(lr: f32) -> Box<dyn Optimizer> {
-    Box::new(Sgd::new(lr, 0.9, 0.0))
-}
+use common::*;
+use msa_suite::distrib::StepCost;
 
 /// A host where staging is a first-order cost, so the overlap term is
 /// large enough that any double-counting would blow the exact check.
@@ -59,47 +27,25 @@ fn stage_heavy() -> StepCost {
     }
 }
 
-fn train(codec: GradCodec, fusion: FusionConfig, depth: usize) -> TrainReport {
-    let ds = toy_dataset(128, 8, 4, 47);
-    let cfg = TrainConfig {
-        workers: 4,
-        epochs: 3,
-        batch_per_worker: 8,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 47,
-        checkpoint: None,
-    };
-    Trainer::new(cfg)
-        .fusion(fusion)
-        .codec(codec)
-        .cost(stage_heavy())
-        .prefetch(depth)
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
+/// `cell` trained on the stage-heavy host.
+fn train(cell: Cell) -> TrainReport {
+    cell.run(&cell.trainer().cost(stage_heavy()))
         .expect("no snapshot to validate")
         .completed()
 }
 
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn loss_bits(r: &TrainReport) -> Vec<u32> {
-    r.epochs.iter().map(|e| e.mean_loss.to_bits()).collect()
-}
-
 #[test]
 fn stage_overlap_partitions_wall_time_across_depths_fusion_and_codecs() {
-    let codecs = [
-        GradCodec::Dense32,
-        GradCodec::Bf16,
-        GradCodec::SparseTopK { ratio: 0.01 },
-    ];
-    let fusions = [FusionConfig::fused(1024), FusionConfig::unfused()];
-    for codec in codecs {
-        for fusion in &fusions {
-            let serial = train(codec, *fusion, 0);
+    for codec in CODECS {
+        for fusion in [FusionConfig::fused(1024), FusionConfig::unfused()] {
+            let at = |prefetch| Cell {
+                workers: 4,
+                codec,
+                fusion,
+                prefetch,
+                ..base()
+            };
+            let serial = train(at(0));
             assert_eq!(
                 serial.breakdown.total_ps(),
                 serial.sim_wall_ps,
@@ -110,9 +56,8 @@ fn stage_overlap_partitions_wall_time_across_depths_fusion_and_codecs() {
                 "serial schedule must not claim stage savings"
             );
             for depth in [1usize, 2, 4] {
-                let over = train(codec, *fusion, depth);
-                let label =
-                    format!("{codec:?} fused={} depth={depth}", fusion.bucket_bytes.is_some());
+                let over = train(at(depth));
+                let label = at(depth).to_string();
                 // The new term closes the partition exactly — no float
                 // slack anywhere on the integer clock.
                 assert_eq!(over.breakdown.total_ps(), over.sim_wall_ps, "{label}");
@@ -125,11 +70,7 @@ fn stage_overlap_partitions_wall_time_across_depths_fusion_and_codecs() {
                     "{label}"
                 );
                 // The schedule is pricing-only: identical math.
-                assert!(
-                    bits_equal(&over.final_params, &serial.final_params),
-                    "{label}: params drifted"
-                );
-                assert_eq!(loss_bits(&over), loss_bits(&serial), "{label}: losses drifted");
+                check(&at(depth));
             }
         }
     }
@@ -137,53 +78,27 @@ fn stage_overlap_partitions_wall_time_across_depths_fusion_and_codecs() {
 
 #[test]
 fn resume_composes_with_prefetch_across_depths() {
-    let ds = toy_dataset(128, 8, 4, 47);
-    let cfg = TrainConfig {
-        workers: 2,
-        epochs: 3,
-        batch_per_worker: 8,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 47,
-        checkpoint: Some(CheckpointPolicy::every(3)),
-    };
-    // Reference: uninterrupted, serial input path.
-    let reference = Trainer::new(cfg.clone())
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
-        .expect("no snapshot to validate")
-        .completed();
-    // Kill a prefetching run mid-epoch…
-    let outcome = Trainer::new(cfg.clone())
-        .prefetch(2)
-        .fault(FaultPlan { rank: 1, at_step: 7 })
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
-        .expect("no snapshot to validate");
-    let TrainOutcome::Interrupted { snapshot, .. } = outcome else {
-        panic!("armed fault must interrupt the run");
-    };
-    let snapshot = snapshot.expect("a checkpoint preceded the kill");
-    // …and resume it at a *different* depth: the checkpointed RNG
+    // Killed at depth 2, resumed at depth 4: the checkpointed RNG
     // position is the stream's only state, so the bits still match.
-    let resumed = Trainer::new(cfg)
-        .prefetch(4)
-        .resume(&snapshot)
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
-        .expect("snapshot matches the config");
-    let TrainOutcome::Completed(resumed) = resumed else {
-        panic!("resumed run has no fault armed");
-    };
-    assert!(bits_equal(&resumed.final_params, &reference.final_params));
-    assert_eq!(loss_bits(&resumed), loss_bits(&reference));
+    check(&Cell {
+        prefetch: 2,
+        fault: Fault::KillResume,
+        ..base()
+    });
 }
 
 #[test]
 fn deeper_rings_cannot_save_more_than_the_staged_time() {
-    let serial = train(GradCodec::Dense32, FusionConfig::fused(1024), 0);
+    let at = |prefetch| Cell {
+        workers: 4,
+        fusion: FusionConfig::fused(1024),
+        prefetch,
+        ..base()
+    };
+    let serial = train(at(0));
     let mut prev_saved = 0;
     for depth in [1usize, 2, 4] {
-        let over = train(GradCodec::Dense32, FusionConfig::fused(1024), depth);
-        let saved = over.breakdown.stage_overlap_saved_ps;
+        let saved = train(at(depth)).breakdown.stage_overlap_saved_ps;
         assert!(saved >= prev_saved, "saving must be monotone in depth");
         assert!(
             saved <= serial.breakdown.stage_ps,

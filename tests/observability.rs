@@ -11,66 +11,19 @@
 //!    `CollectiveAlgo` charges for, for both ring and recursive-doubling
 //!    allreduce, including non-power-of-two rank counts.
 
+mod common;
+
 use std::sync::Arc;
 
-use msa_suite::data::Dataset;
-use msa_suite::distrib::{CheckpointPolicy, TrainConfig, Trainer};
-use msa_suite::msa_net::{
-    collectives, CollectiveOp, CommOptions, FaultPlan, PointToPoint, ThreadComm,
-};
+use common::*;
+use msa_suite::msa_net::{collectives, CollectiveOp};
 use msa_suite::msa_obs::MetricsRegistry;
-use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
-use msa_suite::tensor::{Rng, Tensor};
-
-fn mlp(seed: u64) -> Sequential {
-    let mut rng = Rng::seed(seed);
-    Sequential::new()
-        .push(Dense::new(8, 24, &mut rng))
-        .push(Relu::new())
-        .push(Dense::new(24, 4, &mut rng))
-}
-
-fn opt(lr: f32) -> Box<dyn Optimizer> {
-    Box::new(Sgd::new(lr, 0.9, 1e-4))
-}
-
-fn toy_dataset(n: usize, seed: u64) -> Dataset {
-    let dim = 8;
-    let classes = 4;
-    let mut rng = Rng::seed(seed);
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
-fn config() -> TrainConfig {
-    TrainConfig {
-        workers: 2,
-        epochs: 4,
-        batch_per_worker: 16,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 9,
-        checkpoint: Some(CheckpointPolicy::every(3)),
-    }
-}
 
 /// One full faulted-and-resumed job with observability on: kill rank 1 at
 /// global step 7, resume from the step-6 snapshot, finish. Returns the
 /// canonical byte encoding of everything that was recorded.
 fn observed_faulted_run() -> Vec<u8> {
-    let ds = toy_dataset(256, 31);
+    let ds = dataset();
     let cfg = config();
     let rec = Arc::new(MetricsRegistry::new());
 
@@ -78,7 +31,7 @@ fn observed_faulted_run() -> Vec<u8> {
         .fault(FaultPlan { rank: 1, at_step: 7 })
         .recorder(Arc::clone(&rec))
         .tag("job")
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
+        .run(&ds, mlp, sgd, SoftmaxCrossEntropy)
         .expect("no resume snapshot to validate");
     let (failure, snapshot) = outcome.interrupted();
     assert_eq!(failure.at_step, 7);
@@ -88,7 +41,7 @@ fn observed_faulted_run() -> Vec<u8> {
         .resume(&snapshot)
         .recorder(Arc::clone(&rec))
         .tag("job")
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
+        .run(&ds, mlp, sgd, SoftmaxCrossEntropy)
         .expect("snapshot matches the config");
     let _ = resumed.completed();
 
@@ -108,9 +61,9 @@ fn identical_faulted_runs_produce_bit_identical_snapshots() {
 
 #[test]
 fn step_breakdown_sums_exactly_to_the_modeled_wall_time() {
-    let ds = toy_dataset(256, 31);
+    let ds = dataset();
     let rep = Trainer::new(config())
-        .run(&ds, mlp, opt, SoftmaxCrossEntropy)
+        .run(&ds, mlp, sgd, SoftmaxCrossEntropy)
         .expect("no resume snapshot to validate")
         .completed();
 
@@ -132,22 +85,6 @@ fn step_breakdown_sums_exactly_to_the_modeled_wall_time() {
     assert_eq!(epoch_sum, rep.sim_wall_ps);
 }
 
-/// Runs `algo_fn` collectively over `p` fresh ranks on an `n`-element
-/// buffer and returns each rank's `(msgs_sent, bytes_sent)` for `op`.
-fn measure<F>(p: usize, n: usize, op: CollectiveOp, algo_fn: F) -> Vec<(u64, u64)>
-where
-    F: Fn(&ThreadComm, &mut [f32]) + Sync,
-{
-    ThreadComm::run_with(p, &CommOptions::new(), |comm| {
-        let mut buf = vec![1.0f32; n];
-        algo_fn(comm, &mut buf);
-        // The reduction itself must still be correct while observed.
-        assert!(buf.iter().all(|&v| (v - p as f32).abs() < 1e-5));
-        let totals = comm.stats().expect("ThreadComm is observed").export().op(op);
-        (totals.msgs_sent, totals.bytes_sent)
-    })
-}
-
 #[test]
 fn ring_allreduce_traffic_matches_the_cost_model_inputs() {
     // 56 elements: divisible by 2, 7 and 8, so every chunk is exactly
@@ -156,7 +93,7 @@ fn ring_allreduce_traffic_matches_the_cost_model_inputs() {
     let n = 56usize;
     let payload = (n * std::mem::size_of::<f32>()) as u64;
     for p in [2usize, 7, 8] {
-        let per_rank = measure(p, n, CollectiveOp::Allreduce, |c, buf| {
+        let per_rank = wire_counts(p, n, CollectiveOp::Allreduce, |c, buf| {
             collectives::ring_allreduce(c, buf)
         });
         for (rank, &(msgs, bytes)) in per_rank.iter().enumerate() {
@@ -182,7 +119,7 @@ fn recursive_doubling_traffic_matches_the_cost_model_inputs() {
     let n = 56usize;
     let payload = (n * std::mem::size_of::<f32>()) as u64;
     for p in [2usize, 7, 8] {
-        let per_rank = measure(p, n, CollectiveOp::RecursiveDoubling, |c, buf| {
+        let per_rank = wire_counts(p, n, CollectiveOp::RecursiveDoubling, |c, buf| {
             collectives::recursive_doubling_allreduce(c, buf)
         });
         let logp = (p as f64).log2().ceil() as u64;
@@ -194,27 +131,11 @@ fn recursive_doubling_traffic_matches_the_cost_model_inputs() {
             logp * payload,
             "recursive doubling p={p}: critical-path bytes"
         );
-        if p.is_power_of_two() {
-            // Power of two: perfectly symmetric, every rank is critical.
-            for (rank, &(msgs, bytes)) in per_rank.iter().enumerate() {
-                assert_eq!(msgs, logp, "rd p={p} rank={rank} rounds");
-                assert_eq!(bytes, logp * payload, "rd p={p} rank={rank} bytes");
-            }
-        } else {
-            // p = 7 folds to p2 = 4 with rem = 3: ranks ≥ 4 fold in (one
-            // full-buffer send), ranks < 3 additionally fold back out.
-            let p2 = 4usize;
-            let rem = p - p2;
-            for (rank, &(_, bytes)) in per_rank.iter().enumerate() {
-                let expect = if rank >= p2 {
-                    payload
-                } else if rank < rem {
-                    (2 + 1) * payload
-                } else {
-                    2 * payload
-                };
-                assert_eq!(bytes, expect, "rd p={p} rank={rank} bytes");
-            }
+        // A power of two is symmetric, every rank critical; p = 7 folds
+        // ranks ≥ 4 into ranks < 3, which also fold back out.
+        for (rank, &(msgs, bytes)) in per_rank.iter().enumerate() {
+            assert_eq!(msgs, rdb_sends(p, rank), "rd p={p} rank={rank} rounds");
+            assert_eq!(bytes, msgs * payload, "rd p={p} rank={rank} bytes");
         }
     }
 }

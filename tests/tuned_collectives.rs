@@ -9,45 +9,24 @@
 //!    byte-identical decision tables — and every table entry is the
 //!    measured argmin of its cell;
 //! 3. tuned dispatch inside the trainer keeps the fused and serialized
-//!    exchanges of one bucket partition bit-identical;
+//!    exchanges of one bucket partition bit-identical (cells of the
+//!    equivalence matrix, dispatching through the committed
+//!    `TUNE_pr7.table`);
 //! 4. the paper-scale rank counts really execute: a 96-rank cell runs
 //!    every candidate with nonzero traffic, and the topology-aware
 //!    hierarchical schedule beats the flat ring there.
 
-use std::sync::Arc;
+mod common;
 
-use msa_suite::data::Dataset;
-use msa_suite::distrib::{ExchangeDispatch, FusionConfig, TrainConfig, Trainer};
+use common::*;
 use msa_suite::msa_net::tune;
 use msa_suite::msa_net::{
-    collectives, CollectiveAlgo, CollectiveOp, LinkParams, PointToPoint, ThreadComm, Topology,
-    TuneGrid,
+    collectives, CollectiveAlgo, CollectiveOp, LinkParams, Topology, TuneGrid,
 };
-use msa_suite::nn::{Dense, Optimizer, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
-use msa_suite::tensor::{Rng, Tensor};
-
-/// Per-rank (msgs_sent, bytes_sent) under `op` after one collective.
-fn wire_counts(
-    p: usize,
-    len: usize,
-    op: CollectiveOp,
-    run: impl Fn(&ThreadComm, &mut [f32]) + Sync,
-) -> Vec<(u64, u64)> {
-    ThreadComm::run(p, |c| {
-        let mut buf: Vec<f32> = (0..len).map(|i| (c.rank() * len + i) as f32).collect();
-        run(c, &mut buf);
-        let t = c.stats().expect("ThreadComm keeps stats").export().op(op);
-        (t.msgs_sent, t.bytes_sent)
-    })
-}
 
 #[test]
 fn recursive_doubling_wire_totals_match_the_closed_form() {
-    // Fold-in/fold-out recursive doubling at p ranks: the largest power
-    // of two p2 ≤ p runs the core exchange (log₂ p2 full-buffer sends
-    // per rank), the rem = p − p2 extra ranks fold into partners
-    // 0..rem (one send in, one send back out). Every message carries
-    // the whole buffer.
+    // Every message carries the whole buffer (see `rdb_sends`).
     let len = 64usize;
     let payload = (len * std::mem::size_of::<f32>()) as u64;
     for p in [3usize, 5, 6, 7, 12] {
@@ -58,13 +37,7 @@ fn recursive_doubling_wire_totals_match_the_closed_form() {
             collectives::recursive_doubling_allreduce(c, buf)
         });
         for (rank, &(msgs, bytes)) in per_rank.iter().enumerate() {
-            let expect = if rank >= p2 {
-                1
-            } else if rank < rem {
-                logp2 + 1
-            } else {
-                logp2
-            };
+            let expect = rdb_sends(p, rank);
             assert_eq!(msgs, expect, "rdb p={p} rank={rank} messages");
             assert_eq!(bytes, expect * payload, "rdb p={p} rank={rank} bytes");
         }
@@ -110,69 +83,22 @@ fn tuner_grid_is_deterministic_and_every_entry_is_the_measured_argmin() {
     }
 }
 
-fn toy_dataset(n: usize, dim: usize, classes: usize, seed: u64) -> Dataset {
-    let mut rng = Rng::seed(seed);
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let c = rng.below(classes);
-        let mut row: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.3).collect();
-        row[c] += 2.0;
-        x.extend(row);
-        y.push(c as f32);
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, dim]),
-        y: Tensor::from_vec(y, &[n]),
-    }
-}
-
 #[test]
 fn tuned_trainer_keeps_fused_and_serialized_exchanges_bit_identical() {
-    // Selection depends only on each bucket's byte length, so the fused
-    // and serialized paths of the same partition dispatch the same
-    // algorithm per bucket — the averaged gradients must agree bit for
-    // bit even though the winner varies across buckets.
-    let table = Arc::new(TuneGrid::smoke().run().table());
-    let (dim, classes) = (16usize, 4usize);
-    let ds = toy_dataset(32, dim, classes, 71);
-    let cfg = TrainConfig {
-        workers: 4,
-        epochs: 2,
-        batch_per_worker: 4,
-        base_lr: 0.05,
-        lr_scaling: true,
-        warmup_epochs: 1,
-        seed: 17,
-        checkpoint: None,
-    };
-    let model = move |seed: u64| {
-        let mut rng = Rng::seed(seed);
-        Sequential::new()
-            .push(Dense::new(dim, 32, &mut rng))
-            .push(Relu::new())
-            .push(Dense::new(32, classes, &mut rng))
-    };
-    let opt = |lr: f32| -> Box<dyn Optimizer> { Box::new(Sgd::new(lr, 0.9, 1e-4)) };
-    let run = |fusion: FusionConfig| {
-        Trainer::new(cfg.clone())
-            .fusion(fusion)
-            .dispatch(ExchangeDispatch::Tuned(Arc::clone(&table)))
-            .run(&ds, model, opt, SoftmaxCrossEntropy)
-            .expect("no snapshot to validate")
-            .completed()
-            .final_params
-    };
-    let serial = run(FusionConfig::unfused());
-    let fused = run(FusionConfig::fused(1024));
-    assert_eq!(serial.len(), fused.len());
-    assert!(
-        serial
-            .iter()
-            .zip(&fused)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "tuned dispatch broke fused ≡ serialized at a fixed partition"
-    );
+    // Selection depends only on each bucket's byte length, so the
+    // overlapped and serialized paths of the same partition dispatch the
+    // same algorithm per bucket and must agree bit for bit.
+    for fusion in [
+        FusionConfig::unfused().overlap(true),
+        FusionConfig::fused(1024),
+    ] {
+        check(&Cell {
+            workers: 4,
+            fusion,
+            dispatch: Dispatch::Tuned,
+            ..base()
+        });
+    }
 }
 
 #[test]
