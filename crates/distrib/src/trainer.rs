@@ -1158,7 +1158,12 @@ impl<'a, L: Loss> Rank<'a, L> {
                 let epoch_s = e.epoch.to_string();
                 let mut el = labels.clone();
                 el.push(("epoch", &epoch_s));
-                reg.gauge(&key("trainer.epoch.mean_loss", &el), f64::from(e.mean_loss));
+                // A gauge must be finite: a diverged epoch is counted instead.
+                if e.mean_loss.is_finite() {
+                    reg.gauge(&key("trainer.epoch.mean_loss", &el), f64::from(e.mean_loss));
+                } else {
+                    reg.add(&key("trainer.epoch.nonfinite_loss", &el), 1);
+                }
             }
             reg.add(
                 &key("trainer.checkpoints", &labels),

@@ -9,7 +9,7 @@
 //! | `float-eq`        | `ml`, `nn`, `tensor`      | no `==` / `!=` against float literals; numeric code compares with tolerances |
 //! | `pub-event-field` | `msa-core/src/event.rs`   | event structs keep fields private so invariants hold at construction |
 //! | `print`           | every crate               | no `println!`/`eprintln!` in non-test library code; observability goes through `msa-obs` recorders. CLI binaries justify each print with an allow |
-//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
+//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim,pool}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{barrier,thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
 //! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`), the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) and the retired time converters (`ps_to_simtime`, `advance_ps`, `from_hours`, `as_hours`, `predicted_wait_ps`, `slo_ps`) must not reappear; each finding names its replacement |
@@ -128,11 +128,13 @@ impl Profile {
                 .is_some_and(|n| n == "matmul.rs" || n == "conv.rs" || n == "codec.rs"),
             // The elementwise layers and the optimiser run once per layer
             // per step over whole activations: their masks, `x̂` and input
-            // copies are grow-only buffers on the layer.
+            // copies are grow-only buffers on the layer. The pools run as
+            // often, and allocate their outputs once per call, never per
+            // image.
             "nn" => file.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
                 matches!(
                     n,
-                    "conv.rs" | "activation.rs" | "norm.rs" | "dense.rs" | "optim.rs"
+                    "conv.rs" | "activation.rs" | "norm.rs" | "dense.rs" | "optim.rs" | "pool.rs"
                 )
             }),
             // The collectives are the gradient-exchange inner loop: a
@@ -1354,7 +1356,13 @@ mod tests {
     /// allocation rule; their neighbours are not.
     #[test]
     fn alloc_mask_covers_the_streaming_layers() {
-        for file in ["activation.rs", "norm.rs", "dense.rs", "optim.rs"] {
+        for file in [
+            "activation.rs",
+            "norm.rs",
+            "dense.rs",
+            "optim.rs",
+            "pool.rs",
+        ] {
             let p = Profile::for_crate("nn", &Path::new("crates/nn/src").join(file));
             assert!(p.alloc_in_kernel, "{file}");
         }

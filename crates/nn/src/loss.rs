@@ -30,7 +30,10 @@ impl Loss for SoftmaxCrossEntropy {
         for i in 0..n {
             let label = target.data()[i] as usize;
             assert!(label < k, "label {label} out of range for {k} classes");
-            let p = probs.at(&[i, label]).max(1e-12);
+            // Clamp away from 0 but let NaN through: `f32::max` would turn
+            // a diverged run's NaN into 1e-12 and report a finite loss.
+            let p = probs.at(&[i, label]);
+            let p = if p < 1e-12 { 1e-12 } else { p };
             loss -= (p as f64).ln();
             *grad.at_mut(&[i, label]) -= 1.0;
         }

@@ -35,25 +35,13 @@ impl Layer for MaxPool2d {
         let oh = out_dim(h, self.k, self.stride, 0);
         let ow = out_dim(w, self.k, self.stride, 0);
         let per_img = c * h * w;
-        let results: Vec<(Vec<f32>, Vec<usize>)> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                maxpool(
-                    &input.data()[i * per_img..(i + 1) * per_img],
-                    c,
-                    h,
-                    w,
-                    self.k,
-                    self.stride,
-                )
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n * c * oh * ow);
-        let mut args = Vec::with_capacity(n * c * oh * ow);
-        for (o, a) in results {
-            out.extend_from_slice(&o);
-            args.extend_from_slice(&a);
-        }
+        let per_out = c * oh * ow;
+        let mut out = vec![0.0f32; n * per_out];
+        let mut args = vec![0usize; n * per_out];
+        out.par_chunks_mut(per_out)
+            .zip(args.par_chunks_mut(per_out))
+            .zip(input.data().par_chunks(per_img))
+            .for_each(|((o, a), img)| maxpool(img, c, h, w, self.k, self.stride, o, a));
         self.cache = Some((args, input.shape().to_vec()));
         Tensor::from_vec(out, &[n, c, oh, ow])
     }
@@ -259,6 +247,30 @@ mod tests {
         assert_eq!(g.at(&[0, 0, 1, 3]), 2.0);
         assert_eq!(g.at(&[0, 0, 2, 0]), 3.0);
         assert_eq!(g.at(&[0, 0, 3, 3]), 4.0);
+        assert_eq!(g.sum(), 10.0);
+    }
+
+    /// A window holding nothing greater than −∞ (here −∞ and NaN in
+    /// channel 1) pools to −∞ and sends its gradient to its own first
+    /// pixel, not to pixel (0, 0) of channel 0.
+    #[test]
+    fn maxpool_empty_window_routes_gradient_to_its_own_first_pixel() {
+        let (ninf, nan) = (f32::NEG_INFINITY, f32::NAN);
+        #[rustfmt::skip]
+        let x = Tensor::from_vec(vec![
+            // channel 0: (0, 0) is not its window's maximum
+            0.0, 1.0, 2.0, 3.0,
+            4.0, 5.0, 6.0, 7.0,
+            // channel 1: the second window is all −∞ / NaN
+            1.0, 2.0, ninf, nan,
+            3.0, 4.0, nan, ninf,
+        ], &[1, 2, 2, 4]);
+        let mut p = MaxPool2d::new(2, 2);
+        let y = p.forward(&x, true);
+        assert_eq!(y.data(), &[5.0, 7.0, 4.0, ninf]);
+        let g = p.backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 1, 2]));
+        assert_eq!(g.at(&[0, 0, 0, 0]), 0.0);
+        assert_eq!(g.at(&[0, 1, 0, 2]), 4.0);
         assert_eq!(g.sum(), 10.0);
     }
 

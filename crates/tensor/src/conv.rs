@@ -192,8 +192,21 @@ pub fn col2im_into(
     }
 }
 
-/// 2×2 (or general) max-pool of one `(C, H, W)` image. Returns the pooled
-/// image and the flat argmax indices (into the input image) for backprop.
+/// Max-pool of one `(C, H, W)` image with a `k×k` window at `stride`
+/// and no padding, into caller-owned `out` and `arg` of length
+/// `c·oh·ow` (both fully overwritten; no allocation). `arg` receives the
+/// flat index into `image` of each output's maximum, for backprop.
+///
+/// Ties and NaN: a window's elements are visited in `(ky, kx)` order
+/// starting from −∞, and the first value strictly greater than the
+/// running maximum wins. So the earliest of tied maxima is chosen, NaN is
+/// never chosen, and a window holding nothing greater than −∞ (all −∞ or
+/// NaN) outputs −∞ with its argmax at the window's own first element.
+///
+/// The 2×2, stride-2 window every model uses runs a fixed-shape loop over
+/// row pairs; any other window walks the general `k×k` loop. Both apply
+/// the rule above, so they agree to the bit.
+#[allow(clippy::too_many_arguments)]
 pub fn maxpool(
     image: &[f32],
     c: usize,
@@ -201,30 +214,76 @@ pub fn maxpool(
     w: usize,
     k: usize,
     stride: usize,
-) -> (Vec<f32>, Vec<usize>) {
+    out: &mut [f32],
+    arg: &mut [usize],
+) {
+    assert_eq!(image.len(), c * h * w, "image length mismatch");
     let oh = out_dim(h, k, stride, 0);
     let ow = out_dim(w, k, stride, 0);
-    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-    let mut arg = vec![0usize; c * oh * ow];
+    assert_eq!(out.len(), c * oh * ow, "pooled buffer length mismatch");
+    assert_eq!(arg.len(), c * oh * ow, "argmax buffer length mismatch");
+    if k == 2 && stride == 2 {
+        maxpool_2x2(image, h, w, ow, out, arg);
+        return;
+    }
     for ch in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
-                let o = (ch * oh + oy) * ow + ox;
+                let first = (ch * h + oy * stride) * w + ox * stride;
+                let (mut m, mut at) = (f32::NEG_INFINITY, first);
                 for ky in 0..k {
-                    for kx in 0..k {
-                        let iy = oy * stride + ky;
-                        let ix = ox * stride + kx;
-                        let idx = (ch * h + iy) * w + ix;
-                        if image[idx] > out[o] {
-                            out[o] = image[idx];
-                            arg[o] = idx;
+                    let row = first + ky * w;
+                    for (idx, &v) in (row..).zip(&image[row..row + k]) {
+                        if v > m {
+                            (m, at) = (v, idx);
                         }
                     }
                 }
+                let o = (ch * oh + oy) * ow + ox;
+                (out[o], arg[o]) = (m, at);
             }
         }
     }
-    (out, arg)
+}
+
+/// [`maxpool`]'s fixed 2×2, stride-2 window: each output row reads one
+/// pair of input rows, two columns at a time.
+fn maxpool_2x2(image: &[f32], h: usize, w: usize, ow: usize, out: &mut [f32], arg: &mut [usize]) {
+    // Output row `r = ch·oh + oy` reads input rows 2·oy and 2·oy + 1 of
+    // channel `ch`; an odd trailing row or column is never read.
+    let oh = h / 2;
+    for (r, (o_row, a_row)) in out
+        .chunks_exact_mut(ow)
+        .zip(arg.chunks_exact_mut(ow))
+        .enumerate()
+    {
+        let top = (r / oh * h + r % oh * 2) * w;
+        let r0 = &image[top..top + 2 * ow];
+        let r1 = &image[top + w..top + w + 2 * ow];
+        for (x, (((o, a), p), q)) in o_row
+            .iter_mut()
+            .zip(a_row.iter_mut())
+            .zip(r0.chunks_exact(2))
+            .zip(r1.chunks_exact(2))
+            .enumerate()
+        {
+            // (ky, kx) order, offsets from the window's first element.
+            let (mut m, mut at) = (f32::NEG_INFINITY, 0);
+            if p[0] > m {
+                m = p[0];
+            }
+            if p[1] > m {
+                (m, at) = (p[1], 1);
+            }
+            if q[0] > m {
+                (m, at) = (q[0], w);
+            }
+            if q[1] > m {
+                (m, at) = (q[1], w + 1);
+            }
+            (*o, *a) = (m, top + 2 * x + at);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -491,6 +550,57 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
+    /// The general-window loop [`maxpool`] replaced, kept as its oracle:
+    /// outputs start at −∞ and every argmax at 0.
+    fn maxpool_reference(
+        image: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+    ) -> (Vec<f32>, Vec<usize>) {
+        let oh = out_dim(h, k, stride, 0);
+        let ow = out_dim(w, k, stride, 0);
+        let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
+        let mut arg = vec![0usize; c * oh * ow];
+        for ch in 0..c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let o = (ch * oh + oy) * ow + ox;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = oy * stride + ky;
+                            let ix = ox * stride + kx;
+                            let idx = (ch * h + iy) * w + ix;
+                            if image[idx] > out[o] {
+                                out[o] = image[idx];
+                                arg[o] = idx;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (out, arg)
+    }
+
+    /// [`maxpool`] into fresh garbage-filled buffers, so an unwritten
+    /// slot shows.
+    fn pool(
+        image: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+    ) -> (Vec<f32>, Vec<usize>) {
+        let len = c * out_dim(h, k, stride, 0) * out_dim(w, k, stride, 0);
+        let (mut out, mut arg) = (vec![f32::NAN; len], vec![usize::MAX; len]);
+        maxpool(image, c, h, w, k, stride, &mut out, &mut arg);
+        (out, arg)
+    }
+
     #[test]
     fn maxpool_picks_maxima_and_indices() {
         // 1 channel, 4x4
@@ -501,9 +611,68 @@ mod tests {
             0.0, 0.0, 9.0, 8.0,
             0.0, 7.0, 6.0, 9.5,
         ];
-        let (out, arg) = maxpool(&img, 1, 4, 4, 2, 2);
+        let (out, arg) = pool(&img, 1, 4, 4, 2, 2);
         assert_eq!(out, vec![4.0, 5.0, 7.0, 9.5]);
         assert_eq!(arg, vec![5, 2, 13, 15]);
+    }
+
+    /// [`maxpool`] ≡ the reference loop over random `(c, h, w, k, stride)`
+    /// with overlapping windows, odd sizes, ties, NaN and ±∞: bit-equal
+    /// outputs and equal argmax, except that a window with nothing
+    /// greater than −∞ now points at its own first element, not at 0.
+    #[test]
+    fn maxpool_matches_reference_loop() {
+        let mut r = Rng::seed(14);
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0,
+            -1.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut empty_windows = 0;
+        for case in 0..600 {
+            // Every third case is the 2×2, stride-2 window the models use.
+            let (k, stride) = if case % 3 == 0 {
+                (2, 2)
+            } else {
+                (1 + r.below(4), 1 + r.below(3))
+            };
+            let (c, h, w) = (1 + r.below(3), k + r.below(8), k + r.below(8));
+            // Mostly palette values (ties, NaN, ±∞), the rest normals; a
+            // few images are nothing but NaN and −∞.
+            let special = if case % 10 == 9 { 1.0 } else { 0.6 };
+            let image: Vec<f32> = (0..c * h * w)
+                .map(|_| match (r.chance(special), case % 10 == 9) {
+                    (true, true) => [f32::NAN, f32::NEG_INFINITY][r.below(2)],
+                    (true, false) => palette[r.below(palette.len())],
+                    (false, _) => r.normal(),
+                })
+                .collect();
+            let ctx = format!("case {case}: c={c} {h}x{w} k={k} s={stride}");
+            let (want, want_arg) = maxpool_reference(&image, c, h, w, k, stride);
+            let (got, got_arg) = pool(&image, c, h, w, k, stride);
+            assert_bits(&got, &want, &ctx);
+            let (oh, ow) = (out_dim(h, k, stride, 0), out_dim(w, k, stride, 0));
+            for (o, (&g, &a)) in got_arg.iter().zip(&want_arg).enumerate() {
+                let (ch, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+                let first = (ch * h + oy * stride) * w + ox * stride;
+                let expected = if want[o] > f32::NEG_INFINITY {
+                    a
+                } else {
+                    empty_windows += 1;
+                    first
+                };
+                assert_eq!(g, expected, "{ctx}: argmax of output {o}");
+            }
+        }
+        assert!(
+            empty_windows > 100,
+            "only {empty_windows} all-−∞/NaN windows"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! preserved under data-parallel scaling" claims to be testable.
 
 use crate::Tensor;
-use rand::{Rng as _, SeedableRng};
+use rand::{Rng as _, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A seedable RNG wrapper for tensor generation.
@@ -52,9 +52,7 @@ impl Rng {
 
     /// Standard normal via Box–Muller.
     pub fn normal(&mut self) -> f32 {
-        let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.inner.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        standard_normal(&mut self.inner)
     }
 
     /// Uniform integer in `[0, n)`.
@@ -86,10 +84,16 @@ impl Rng {
         }
     }
 
-    /// Tensor of i.i.d. `N(0, std²)` entries.
+    /// Tensor of i.i.d. `N(0, std²)` entries: the same values, and the
+    /// same generator state afterwards, as `n` calls of
+    /// `self.normal() * std`. Each value consumes 4 keystream words (a
+    /// 2-word draw for `u1`, then one for `u2`), plus 2 for each draw
+    /// rejected because it rounded onto the open bound 1.0. The words are
+    /// read in bulk through `fill_u32`.
     pub fn normal_tensor(&mut self, shape: &[usize], std: f32) -> Tensor {
         let n: usize = shape.iter().product();
-        let data = (0..n).map(|_| self.normal() * std).collect();
+        let mut words = Keystream::new(&mut self.inner, 4 * n);
+        let data = (0..n).map(|_| standard_normal(&mut words) * std).collect();
         Tensor::from_vec(data, shape)
     }
 
@@ -114,6 +118,52 @@ impl Rng {
             idx.swap(i, j);
         }
         idx
+    }
+}
+
+/// Box–Muller: one standard normal from two uniform draws.
+fn standard_normal<R: RngCore>(r: &mut R) -> f32 {
+    let u1: f32 = r.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = r.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// The generator's keystream read ahead through `fill_u32`, up to 4 KiB
+/// at a time. Its caller consumes at least the `at_least` words it was
+/// built with, and no read runs past them except one word at a time, so
+/// no word is read that is not consumed: the generator ends up where the
+/// same `next_u32` calls on it would have left it.
+struct Keystream<'a> {
+    inner: &'a mut ChaCha8Rng,
+    end: u64,
+    words: [u32; 1024],
+    at: usize,
+    len: usize,
+}
+
+impl<'a> Keystream<'a> {
+    fn new(inner: &'a mut ChaCha8Rng, at_least: usize) -> Self {
+        let end = inner.word_pos() + at_least as u64;
+        Keystream {
+            inner,
+            end,
+            words: [0; 1024],
+            at: 0,
+            len: 0,
+        }
+    }
+}
+
+impl RngCore for Keystream<'_> {
+    fn next_u32(&mut self) -> u32 {
+        if self.at == self.len {
+            let left = self.end.saturating_sub(self.inner.word_pos());
+            self.len = left.clamp(1, self.words.len() as u64) as usize;
+            self.inner.fill_u32(&mut self.words[..self.len]);
+            self.at = 0;
+        }
+        self.at += 1;
+        self.words[self.at - 1]
     }
 }
 
@@ -213,6 +263,53 @@ mod tests {
         r.fill_chance(0.2, &mut draws);
         let hits = draws.iter().filter(|&&d| d).count();
         assert!((3_700..4_300).contains(&hits), "{hits} of 20000 at p = 0.2");
+    }
+
+    /// `normal_tensor` ≡ repeated `normal() * std`: same bits, same
+    /// `word_pos` and same next draw, for lengths around the 1,024-word
+    /// (256-value) read-ahead, from aligned and unaligned positions, and
+    /// across the draw of seed 7 at word 14,851,854 that rounds onto 1.0
+    /// and is rejected.
+    #[test]
+    fn normal_tensor_matches_repeated_normal() {
+        const REJECTED: u64 = 14_851_854;
+        let mut r = Rng::seed(7);
+        r.set_word_pos(REJECTED);
+        let _ = r.normal();
+        assert_eq!(
+            r.word_pos(),
+            REJECTED + 6,
+            "the draw at {REJECTED} is no longer rejected"
+        );
+        let starts = [
+            0u64,
+            1,
+            7,
+            31,
+            REJECTED,
+            REJECTED - 1,
+            REJECTED - 2,
+            REJECTED - 3,
+        ];
+        for start in starts {
+            for len in [0usize, 1, 2, 255, 256, 257, 600] {
+                let mut bulk = Rng::seed(7);
+                bulk.set_word_pos(start);
+                let mut serial = bulk.clone();
+                let got = bulk.normal_tensor(&[len], 0.5);
+                let want: Vec<u32> = (0..len)
+                    .map(|_| (serial.normal() * 0.5).to_bits())
+                    .collect();
+                let got: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "start {start} len {len}");
+                assert_eq!(
+                    bulk.word_pos(),
+                    serial.word_pos(),
+                    "start {start} len {len}"
+                );
+                assert_eq!(bulk.normal().to_bits(), serial.normal().to_bits());
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 mod common;
 
 use common::*;
+use msa_suite::msa_obs::MetricsRegistry;
+use std::sync::Arc;
 
 #[test]
 fn killed_and_resumed_run_is_bit_identical_to_uninterrupted() {
@@ -118,17 +120,27 @@ fn resume_on_another_dataset_is_refused() {
 }
 
 /// Replicas that diverge together to NaN still agree bit for bit: the run
-/// completes and reports its non-finite parameters. (Its losses read
-/// −ln 1e-12: the softmax loss clamps a NaN probability.)
+/// completes and reports its non-finite parameters and a NaN loss, which
+/// the metrics count instead of gauging.
 #[test]
 fn diverged_run_returns_its_report() {
     let cfg = TrainConfig {
         base_lr: 1e30,
         ..config()
     };
+    let rec = Arc::new(MetricsRegistry::new());
     let report = Trainer::new(cfg)
+        .recorder(Arc::clone(&rec))
         .run(&dataset(), mlp, sgd, SoftmaxCrossEntropy)
         .expect("no snapshot to validate")
         .completed();
     assert!(report.final_params.iter().all(|w| !w.is_finite()));
+    let last = report.epochs.last().map(|e| e.mean_loss);
+    assert!(last.is_some_and(f32::is_nan), "last epoch loss {last:?}");
+    let snap = rec.snapshot();
+    let epoch = report.epochs.len() - 1;
+    let count = snap.get(&format!(
+        "trainer.epoch.nonfinite_loss{{epoch={epoch},rank=0}}"
+    ));
+    assert_eq!(count.and_then(|m| m.as_counter()), Some(1));
 }
