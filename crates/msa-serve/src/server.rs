@@ -16,15 +16,16 @@
 //!     .run(&load)
 //! ```
 //!
-//! The request path is a *request-level hybrid*: queueing, batching and
-//! latency come from the deterministic discrete-event engine in
-//! [`crate::batching`], priced against the placed module's DL
-//! throughput (`NodeSpec::dl_tflops`), while a capped number of real
-//! batches per endpoint run genuine `nn` forward passes on the rayon
-//! pool to prove the loaded snapshots actually serve. Real execution
-//! never feeds the metrics — every recorded latency derives from
-//! integer-picosecond event times — so serving artifacts stay
-//! byte-stable while still exercising real model code.
+//! The request path is a *request-level hybrid* (see the crate docs):
+//! queueing, batching and latency come from the deterministic
+//! discrete-event engine in [`crate::batching`], priced against the
+//! placed module's DL throughput (`NodeSpec::dl_tflops`), while a capped
+//! number of real batches per endpoint run genuine `nn` forward passes,
+//! one lane per pool thread over cloned replicas, to prove the loaded
+//! snapshots actually serve. Real execution never feeds the metrics —
+//! every recorded latency derives from integer-picosecond event times —
+//! so serving artifacts stay byte-stable while still exercising real
+//! model code.
 
 use crate::arrivals::{open_loop, OfferedLoad};
 use crate::batching::{run_queue, BatchPolicy, QueueOutcome};
@@ -32,12 +33,13 @@ use msa_core::module::ModuleKind;
 use msa_core::{fnv1a, MsaSystem, SimTime};
 use msa_obs::{key, MetricsRegistry, Recorder, Snapshot};
 use msa_sched::AdmissionPolicy;
+use msa_sync::atomic::{AtomicUsize, Ordering};
 use nn::layer::Sequential;
 use nn::serialize::{self, SnapshotError};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::Arc;
-use tensor::Rng;
+use tensor::{Rng, Tensor};
 
 /// Server-wide configuration.
 #[derive(Debug, Clone)]
@@ -143,11 +145,17 @@ pub enum ServeError {
         /// The decode failure.
         source: SnapshotError,
     },
+    /// The offered load cannot be generated: its rate is not positive
+    /// and finite, it has no users, or it lasts no time.
+    BadLoad(&'static str),
     /// A real forward pass returned a batch dimension that does not
-    /// match the launched batch.
+    /// match the launched batch. Names the endpoint's lowest failing
+    /// batch, whatever the lane count.
     BadOutput {
         /// Endpoint name.
         model: String,
+        /// Index of the batch in the endpoint's executed plan.
+        batch: usize,
         /// Shape the forward pass produced.
         got: Vec<usize>,
         /// Batch size that was launched.
@@ -165,13 +173,16 @@ impl fmt::Display for ServeError {
             ServeError::Snapshot { model, source } => {
                 write!(f, "endpoint {model}: snapshot rejected: {source}")
             }
+            ServeError::BadLoad(why) => write!(f, "offered load rejected: {why}"),
             ServeError::BadOutput {
                 model,
+                batch,
                 got,
                 want_batch,
             } => write!(
                 f,
-                "endpoint {model}: forward pass returned shape {got:?} for a batch of {want_batch}"
+                "endpoint {model}: batch {batch}: forward pass returned shape {got:?} \
+                 for a batch of {want_batch}"
             ),
         }
     }
@@ -324,9 +335,10 @@ impl Server {
     /// pure event engine, and service times are integer picoseconds
     /// priced from the placed module — two runs with the same inputs
     /// produce byte-identical snapshots. The capped real forward passes
-    /// run concurrently on the rayon pool *after* all metrics exist and
-    /// only validate the loaded models.
+    /// run on every pool thread *after* all metrics exist and only
+    /// validate the loaded models.
     pub fn run(mut self, load: &OfferedLoad) -> Result<ServeReport, ServeError> {
+        load.check().map_err(ServeError::BadLoad)?;
         if self.endpoints.is_empty() {
             return Err(ServeError::NoEndpoints);
         }
@@ -399,34 +411,37 @@ impl Server {
             exec_plans.push(plan);
         }
 
-        // Real execution: every endpoint's capped batch plan runs true
-        // forward passes concurrently on the rayon pool. Results are
-        // validated (batch dimension must survive the network) but
-        // never recorded as latency.
-        let exec_seed = load.seed;
-        let work: Vec<(&mut ModelSpec, &[usize])> = self
-            .endpoints
-            .iter_mut()
-            .map(|ep| &mut ep.spec)
-            .zip(exec_plans.iter().map(|p| p.as_slice()))
-            .collect();
-        let executed: Vec<Result<(u64, u64), ServeError>> = work
-            .into_par_iter()
-            .map(|(spec, plan)| execute_batches(spec, plan, exec_seed))
-            .collect();
-
-        let mut reports = Vec::with_capacity(self.endpoints.len());
-        for ((ep, exec), (outcome, n_arrivals, module_code)) in self
+        // Real execution: the capped batch plans run true forward passes
+        // on every pool thread. Results are validated (the batch
+        // dimension must survive the network) but never recorded as
+        // latency.
+        let work: Vec<Work<'_>> = self
             .endpoints
             .iter()
-            .zip(executed)
-            .zip(queue_outcomes.iter())
+            .zip(&exec_plans)
+            .map(|(ep, plan)| Work::new(&ep.spec, plan, load.seed))
+            .collect();
+        let models: Vec<&Sequential> = self.endpoints.iter().map(|ep| &ep.spec.model).collect();
+        let executed = execute(&work, &models, |_, _, _| {})?;
+
+        let mut reports = Vec::with_capacity(self.endpoints.len());
+        for ((ep, (executed_batches, executed_requests)), (outcome, n_arrivals, module_code)) in
+            self.endpoints
+                .iter()
+                .zip(executed)
+                .zip(queue_outcomes.iter())
         {
-            let (executed_batches, executed_requests) = exec?;
             let labels = metric_labels(&ep.spec.name, &self.tag);
             registry.add(&key("serve.exec.batches", &labels), executed_batches);
             registry.add(&key("serve.exec.requests", &labels), executed_requests);
-            reports.push((ep, outcome, *n_arrivals, module_code, executed_batches, executed_requests));
+            reports.push((
+                ep,
+                outcome,
+                *n_arrivals,
+                module_code,
+                executed_batches,
+                executed_requests,
+            ));
         }
 
         let snapshot = registry.snapshot();
@@ -473,32 +488,133 @@ impl Server {
     }
 }
 
-/// Runs the planned batches through the real network.
-fn execute_batches(
-    spec: &mut ModelSpec,
-    plan: &[usize],
-    seed: u64,
-) -> Result<(u64, u64), ServeError> {
-    let mut rng = Rng::seed(seed ^ fnv1a(spec.name.bytes()) ^ 0x9e37_79b9_7f4a_7c15);
-    let mut batches = 0u64;
-    let mut requests = 0u64;
-    for &k in plan {
-        let mut shape = Vec::with_capacity(1 + spec.input_shape.len());
-        shape.push(k);
-        shape.extend_from_slice(&spec.input_shape);
-        let input = rng.normal_tensor(&shape, 1.0);
-        let output = spec.model.predict(&input);
-        if output.shape().first().copied() != Some(k) {
+/// One endpoint's executed plan, shared by every lane.
+struct Work<'a> {
+    name: &'a str,
+    input_shape: &'a [usize],
+    /// Launched batch sizes, in launch order.
+    plan: &'a [usize],
+    /// Key of the endpoint's input streams: batch `i` draws its input
+    /// from [`Rng::keyed`]`(key, i)`, so any lane can draw it.
+    key: u64,
+    /// Next unclaimed batch of `plan`.
+    cursor: AtomicUsize,
+}
+
+impl<'a> Work<'a> {
+    fn new(spec: &'a ModelSpec, plan: &'a [usize], seed: u64) -> Self {
+        Work {
+            name: &spec.name,
+            input_shape: &spec.input_shape,
+            plan,
+            key: seed ^ fnv1a(spec.name.bytes()) ^ 0x9e37_79b9_7f4a_7c15,
+            cursor: AtomicUsize::new(0),
+        }
+    }
+
+    /// Batch `i`'s input: `plan[i]` requests of standard normals.
+    fn input(&self, i: usize) -> Tensor {
+        let mut shape = Vec::with_capacity(1 + self.input_shape.len());
+        shape.push(self.plan[i]);
+        shape.extend_from_slice(self.input_shape);
+        Rng::keyed(self.key, i as u64).normal_tensor(&shape, 1.0)
+    }
+
+    /// Claims the next batch, or `None` once the plan is drained.
+    fn claim(&self) -> Option<usize> {
+        // lint: allow(ordering-audit) -- the cursor only hands out indices; each lane's results return through the pool's join
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.plan.len()).then_some(i)
+    }
+}
+
+/// What one lane did on one endpoint.
+#[derive(Clone, Default)]
+struct Tally {
+    batches: u64,
+    requests: u64,
+    /// The batch that failed on this lane and the shape it returned; a
+    /// lane leaves an endpoint at its first failure.
+    failed: Option<(usize, Vec<usize>)>,
+}
+
+/// Runs every endpoint's plan on `rayon::current_num_threads()` lanes and
+/// returns each endpoint's `(executed batches, executed requests)`.
+///
+/// Each lane owns a clone of every endpoint's loaded model (the
+/// originals never run) and runs its forwards inline under
+/// [`rayon::serial_scope`]. Lane `l` drains endpoint `l mod E` first,
+/// then helps the others in registration order, claiming batches
+/// through the endpoint's cursor, so a lane grows the working memory of
+/// only the replicas it runs. `visit(endpoint, batch, output)` sees every
+/// output that passed the batch check.
+fn execute(
+    work: &[Work<'_>],
+    models: &[&Sequential],
+    visit: impl Fn(usize, usize, &Tensor) + Sync,
+) -> Result<Vec<(u64, u64)>, ServeError> {
+    let lanes = rayon::current_num_threads().max(1);
+    let replicas: Vec<Vec<Sequential>> = (0..lanes)
+        .map(|_| models.iter().map(|&m| m.clone()).collect())
+        .collect();
+    let tallies: Vec<Vec<Tally>> = replicas
+        .into_par_iter()
+        .enumerate()
+        .map(|(lane, mut replicas)| {
+            rayon::serial_scope(|| run_lane(lane, &mut replicas, work, &visit))
+        })
+        .collect();
+
+    let mut executed = Vec::with_capacity(work.len());
+    for (e, w) in work.iter().enumerate() {
+        let lanes = tallies.iter().map(|t| &t[e]);
+        if let Some((batch, got)) = lanes
+            .clone()
+            .filter_map(|t| t.failed.as_ref())
+            .min_by_key(|(batch, _)| *batch)
+        {
             return Err(ServeError::BadOutput {
-                model: spec.name.clone(),
-                got: output.shape().to_vec(),
-                want_batch: k,
+                model: w.name.to_string(),
+                batch: *batch,
+                got: got.clone(),
+                want_batch: w.plan[*batch],
             });
         }
-        batches += 1;
-        requests += k as u64;
+        executed.push(lanes.fold((0, 0), |(b, r), t| (b + t.batches, r + t.requests)));
     }
-    Ok((batches, requests))
+    Ok(executed)
+}
+
+/// One lane: endpoint `lane mod E` first, then the others in order.
+fn run_lane(
+    lane: usize,
+    replicas: &mut [Sequential],
+    work: &[Work<'_>],
+    visit: &(impl Fn(usize, usize, &Tensor) + Sync),
+) -> Vec<Tally> {
+    let mut tallies = vec![Tally::default(); work.len()];
+    let first = lane % work.len();
+    let order = std::iter::once(first).chain((0..work.len()).filter(|&e| e != first));
+    for e in order {
+        let w = &work[e];
+        let tally = &mut tallies[e];
+        while let Some(i) = w.claim() {
+            let k = w.plan[i];
+            let output = replicas[e].predict(&w.input(i));
+            if output.shape().first() != Some(&k) {
+                // Every batch below `i` is already claimed, so the
+                // lowest failing batch runs without the ones above it.
+                // lint: allow(ordering-audit) -- as in `claim`: indices only
+                w.cursor.fetch_max(w.plan.len(), Ordering::Relaxed);
+                tally.failed = Some((i, output.shape().to_vec()));
+                break;
+            }
+            visit(e, i, &output);
+            tally.batches += 1;
+            tally.requests += k as u64;
+        }
+    }
+    tallies
 }
 
 fn metric_labels<'a>(model: &'a str, tag: &'a str) -> Vec<(&'a str, &'a str)> {
@@ -538,6 +654,157 @@ mod tests {
 
     fn small_load() -> OfferedLoad {
         OfferedLoad::new(150.0, SimTime::from_secs(4.0)).users(50_000)
+    }
+
+    /// `spec` with its snapshot loaded, as `Server::run` loads it.
+    fn loaded(mut spec: ModelSpec) -> ModelSpec {
+        serialize::load(&mut spec.model, &spec.snapshot).unwrap();
+        spec
+    }
+
+    /// FNV-1a over the bits of `outputs`, in order.
+    fn digest<'a>(outputs: impl IntoIterator<Item = &'a Tensor>) -> u64 {
+        fnv1a(
+            outputs
+                .into_iter()
+                .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes())),
+        )
+    }
+
+    #[test]
+    fn lanes_serial_scope_and_a_plain_loop_give_equal_output_digests() {
+        let _ = rayon::init_with_threads(4);
+        let specs = [loaded(cnn_spec("covidnet")), loaded(gru_spec("gru"))];
+        // Uneven batch sizes, more batches than lanes, one plan longer.
+        let plans: [Vec<usize>; 2] = [
+            (0..37).map(|i| 1 + (i * 5) % 8).collect(),
+            (0..23).map(|i| 1 + (i * 7) % 32).collect(),
+        ];
+        let lanes = || {
+            let work: Vec<Work<'_>> = specs
+                .iter()
+                .zip(&plans)
+                .map(|(s, p)| Work::new(s, p, 3))
+                .collect();
+            let models: Vec<&Sequential> = specs.iter().map(|s| &s.model).collect();
+            let seen = std::sync::Mutex::new(std::collections::BTreeMap::new());
+            let counts = execute(&work, &models, |e, i, out: &Tensor| {
+                let fresh = seen.lock().unwrap().insert((e, i), out.clone()).is_none();
+                assert!(fresh, "batch {i} of endpoint {e} ran twice");
+            })
+            .unwrap();
+            let seen = seen.into_inner().unwrap();
+            let digests: Vec<u64> = (0..specs.len())
+                .map(|e| digest(seen.range((e, 0)..(e + 1, 0)).map(|(_, t)| t)))
+                .collect();
+            (counts, digests, seen.len())
+        };
+        let reference: Vec<u64> = specs
+            .iter()
+            .zip(&plans)
+            .enumerate()
+            .map(|(e, (spec, plan))| {
+                let mut model = if e == 0 { cnn_spec("x") } else { gru_spec("x") }.model;
+                serialize::load(&mut model, &spec.snapshot).unwrap();
+                let work = Work::new(spec, plan, 3);
+                let outputs: Vec<Tensor> = (0..plan.len())
+                    .map(|i| model.predict(&work.input(i)))
+                    .collect();
+                digest(&outputs)
+            })
+            .collect();
+
+        let (counts, pooled, n) = lanes();
+        assert_eq!(n, plans[0].len() + plans[1].len());
+        let want: Vec<(u64, u64)> = plans
+            .iter()
+            .map(|p| (p.len() as u64, p.iter().sum::<usize>() as u64))
+            .collect();
+        assert_eq!(counts, want);
+        assert_eq!(pooled, reference, "pool lanes against the plain loop");
+        let (_, serial, _) = rayon::serial_scope(lanes);
+        assert_eq!(serial, reference, "serial_scope against the plain loop");
+    }
+
+    /// Flattens away the batch dimension, which `Server::run` rejects.
+    #[derive(Clone)]
+    struct DropBatch;
+
+    impl nn::Layer for DropBatch {
+        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+            Tensor::from_vec(input.data().to_vec(), &[input.numel()])
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            grad_out.clone()
+        }
+
+        fn name(&self) -> &'static str {
+            "DropBatch"
+        }
+    }
+
+    #[test]
+    fn a_shape_breaking_model_is_reported_at_its_first_batch() {
+        let _ = rayon::init_with_threads(4);
+        let model = || Sequential::new().push(DropBatch);
+        // Enough executed batches that every lane claims some.
+        let cfg = ServeConfig {
+            executed_batches: 64,
+            ..ServeConfig::default()
+        };
+        let run = || {
+            Server::new(cfg.clone())
+                .model(cnn_spec("covidnet"))
+                .model(ModelSpec::new(
+                    "flat",
+                    model(),
+                    serialize::save(&model()),
+                    &[4],
+                ))
+                .batching(BatchPolicy::new(4, SimTime::from_millis(1.0)))
+                .run(&small_load())
+                .unwrap_err()
+        };
+        let errors = [run(), run(), rayon::serial_scope(run)];
+        for err in errors {
+            let ServeError::BadOutput {
+                model,
+                batch,
+                got,
+                want_batch,
+            } = &err
+            else {
+                panic!("expected BadOutput, got {err}");
+            };
+            assert_eq!((model.as_str(), *batch), ("flat", 0), "{err}");
+            assert_eq!(got, &[want_batch * 4], "{err}");
+        }
+    }
+
+    #[test]
+    fn loads_open_loop_cannot_generate_are_typed_errors() {
+        let bad = [
+            (OfferedLoad::new(0.0, SimTime::from_secs(1.0)), "rps"),
+            (OfferedLoad::new(-5.0, SimTime::from_secs(1.0)), "rps"),
+            (OfferedLoad::new(f64::NAN, SimTime::from_secs(1.0)), "rps"),
+            (
+                OfferedLoad::new(f64::INFINITY, SimTime::from_secs(1.0)),
+                "rps",
+            ),
+            (small_load().users(0), "users"),
+            (OfferedLoad::new(150.0, SimTime::ZERO), "duration"),
+        ];
+        for (load, field) in bad {
+            let err = Server::new(ServeConfig::default())
+                .model(gru_spec("gru"))
+                .run(&load)
+                .unwrap_err();
+            assert!(
+                matches!(err, ServeError::BadLoad(why) if why.starts_with(field)),
+                "{load:?}: {err}"
+            );
+        }
     }
 
     #[test]

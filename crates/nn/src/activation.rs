@@ -37,6 +37,7 @@ fn zip_mask(like: &Tensor, mask: &[bool], f: impl Fn(f32, bool) -> f32) -> Tenso
 }
 
 /// Rectified linear unit.
+#[derive(Clone)]
 pub struct Relu {
     /// `x > 0` per element of the last input; `None` before any forward.
     mask: Option<Vec<bool>>,
@@ -79,6 +80,7 @@ impl Layer for Relu {
 }
 
 /// Hyperbolic tangent activation.
+#[derive(Clone)]
 pub struct Tanh {
     out: Option<Tensor>,
 }
@@ -117,6 +119,7 @@ impl Layer for Tanh {
 }
 
 /// Logistic sigmoid activation.
+#[derive(Clone)]
 pub struct Sigmoid {
     out: Option<Tensor>,
 }
@@ -160,6 +163,7 @@ impl Layer for Sigmoid {
 ///
 /// The generator's keystream position is the layer's [`Layer::state`],
 /// so a restored model draws the masks the saved one would have.
+#[derive(Clone)]
 pub struct Dropout {
     p: f64,
     /// What a kept element is scaled by, `1/(1−p)`.
@@ -241,6 +245,7 @@ mod tests {
 
     /// The ReLU this module shipped before the one-pass rewrite, its
     /// `forward`/`backward` bodies verbatim.
+    #[derive(Clone)]
     struct SeedRelu {
         mask: Option<Vec<bool>>,
     }
@@ -273,6 +278,7 @@ mod tests {
     /// The dropout this module shipped before: one serial
     /// [`Rng::chance`] per element into an `f32` mask, bodies verbatim.
     /// `state` is new, so the harness can compare keystream positions.
+    #[derive(Clone)]
     struct SeedDropout {
         p: f64,
         rng: Rng,

@@ -13,12 +13,19 @@
 //! backward `dcols` product is packed once per backward call
 //! ([`PackedT`]) and reused across the whole batch.
 //!
+//! An eval forward (`train == false`) keeps no column cache: each
+//! image's columns go through a one-image buffer owned by the thread
+//! that lowers it, then the same GEMM runs, so its output is bit-equal
+//! to the training forward's while its working memory does not grow
+//! with the batch. A `backward` after it panics, as before any forward.
+//!
 //! Gradient accumulation over samples stays sequential and in sample
 //! order, so results are bit-identical regardless of pool size.
 
 use crate::layer::Layer;
 use crate::param::Param;
 use rayon::prelude::*;
+use std::cell::RefCell;
 use tensor::conv::{col2im_into, im2col_into, out_dim};
 use tensor::matmul::{gemm_nn_into, gemm_nt_into, Blocking, PackedT};
 use tensor::scratch::Arena;
@@ -26,6 +33,7 @@ use tensor::{Rng, Tensor};
 
 /// 2-D convolution over `(N, C, H, W)` inputs with `(F, C, KH, KW)`
 /// weights, stride and zero padding.
+#[derive(Clone)]
 pub struct Conv2d {
     w: Param,
     b: Param,
@@ -46,6 +54,7 @@ pub struct Conv2d {
 
 /// Shape bookkeeping from the last forward (the column data itself lives
 /// in the arena, not here).
+#[derive(Clone)]
 struct ConvCache {
     in_shape: Vec<usize>,
     oh: usize,
@@ -85,18 +94,61 @@ impl Conv2d {
     pub fn scratch_grows(&self) -> (u64, u64) {
         (self.cols_arena.grows(), self.bwd_arena.grows())
     }
+
+    /// The forward of both layers over the lowering `dims` of the batch
+    /// `cache` describes. Training keeps the batch's columns in
+    /// `cols_arena` and `cache` for backward; an eval forward lowers
+    /// through [`COLS`] and clears the cache.
+    fn forward_lowered(
+        &mut self,
+        input: &[f32],
+        dims: ForwardDims,
+        train: bool,
+        cache: ConvCache,
+    ) -> Vec<f32> {
+        let n = cache.in_shape[0];
+        let mut out = vec![0.0f32; n * dims.f * dims.ohow];
+        let cols_len = n * dims.c * dims.kh * dims.kw * dims.ohow;
+        let col_cache = train.then(|| self.cols_arena.frame(cols_len).take(cols_len));
+        let (w, b) = (self.w.value.data(), self.b.value.data());
+        conv_forward_into(input, w, b, dims, col_cache, &mut out);
+        self.cache = train.then_some(cache);
+        out
+    }
 }
 
-/// Shared forward over the im2col lowering: writes per-sample columns
-/// into `cols_all` chunks and `W·cols + b` into `out` chunks, parallel
-/// over the batch (sample kernels run serially inside the batch stage).
-#[allow(clippy::too_many_arguments)]
+thread_local! {
+    /// One image's im2col columns for eval forwards. Thread-local, as
+    /// `tensor::matmul`'s packing buffer is, so it is reused across
+    /// calls and its memory is bounded by the pool width, not the batch.
+    static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lends `f` the first `len` floats of this thread's [`COLS`] buffer
+/// (contents unspecified; im2col overwrites every element), growing it
+/// if needed. Not re-entrant: `f` must not lower another image.
+fn with_cols<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    COLS.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Shared forward over the im2col lowering: `W·cols + b` into `out`
+/// chunks, parallel over the batch (sample kernels run serially inside
+/// the batch stage). Each image's columns go into its chunk of
+/// `col_cache` when there is one (training: backward reads them), and
+/// into this thread's [`COLS`] buffer otherwise; the products are the
+/// same either way.
 fn conv_forward_into(
     input: &[f32],
     w_mat: &[f32],
     bias: &[f32],
     dims: ForwardDims,
-    cols_all: &mut [f32],
+    col_cache: Option<&mut [f32]>,
     out: &mut [f32],
 ) {
     let ForwardDims {
@@ -113,19 +165,23 @@ fn conv_forward_into(
     } = dims;
     let per_img = c * h * w;
     let ckk = c * kh * kw;
-    out.par_chunks_mut(f * ohow)
-        .zip(cols_all.par_chunks_mut(ckk * ohow))
-        .enumerate()
-        .for_each(|(i, (y, cols))| {
-            let img = &input[i * per_img..(i + 1) * per_img];
-            im2col_into(img, c, h, w, kh, kw, stride, pad_h, pad_w, cols);
-            gemm_nn_into(f, ckk, ohow, w_mat, cols, y, Blocking::default());
-            for (ff, &bf) in bias.iter().enumerate() {
-                for v in &mut y[ff * ohow..(ff + 1) * ohow] {
-                    *v += bf;
-                }
+    let image = |i: usize, cols: &mut [f32], y: &mut [f32]| {
+        let img = &input[i * per_img..(i + 1) * per_img];
+        im2col_into(img, c, h, w, kh, kw, stride, pad_h, pad_w, cols);
+        gemm_nn_into(f, ckk, ohow, w_mat, cols, y, Blocking::default());
+        for (ff, &bf) in bias.iter().enumerate() {
+            for v in &mut y[ff * ohow..(ff + 1) * ohow] {
+                *v += bf;
             }
-        });
+        }
+    };
+    let ys = out.par_chunks_mut(f * ohow).enumerate();
+    match col_cache {
+        Some(cache) => ys
+            .zip(cache.par_chunks_mut(ckk * ohow))
+            .for_each(|((i, y), cols)| image(i, cols, y)),
+        None => ys.for_each(|(i, y)| with_cols(ckk * ohow, |cols| image(i, cols, y))),
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -214,7 +270,7 @@ fn conv_backward(
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.ndim(), 4, "Conv2d expects (N, C, H, W)");
         let (n, c, h, w) = (
             input.shape()[0],
@@ -237,25 +293,12 @@ impl Layer for Conv2d {
             f: self.out_channels,
             ohow: oh * ow,
         };
-        let mut out = vec![0.0f32; n * self.out_channels * oh * ow];
-        {
-            let cols_len = n * c * self.kernel * self.kernel * oh * ow;
-            let mut frame = self.cols_arena.frame(cols_len);
-            let cols_all = frame.take(cols_len);
-            conv_forward_into(
-                input.data(),
-                self.w.value.data(),
-                self.b.value.data(),
-                dims,
-                cols_all,
-                &mut out,
-            );
-        }
-        self.cache = Some(ConvCache {
+        let cache = ConvCache {
             in_shape: input.shape().to_vec(),
             oh,
             ow,
-        });
+        };
+        let out = self.forward_lowered(input.data(), dims, train, cache);
         Tensor::from_vec(out, &[n, self.out_channels, oh, ow])
     }
 
@@ -319,6 +362,7 @@ impl Layer for Conv2d {
 
 /// 1-D convolution over `(N, C, L)` sequences: a thin adapter over the
 /// 2-D machinery with a 1×K kernel (the §IV-B "1D-CNN" imputer baseline).
+#[derive(Clone)]
 pub struct Conv1d {
     inner: Conv2d,
 }
@@ -359,30 +403,17 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.ndim(), 3, "Conv1d expects (N, C, L)");
         let (n, c, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         let dims = self.dims(c, l);
         let (f, ol) = (dims.f, dims.ohow);
-        let mut out = vec![0.0f32; n * f * ol];
-        {
-            let cols_len = n * c * self.inner.kernel * ol;
-            let mut frame = self.inner.cols_arena.frame(cols_len);
-            let cols_all = frame.take(cols_len);
-            conv_forward_into(
-                input.data(),
-                self.inner.w.value.data(),
-                self.inner.b.value.data(),
-                dims,
-                cols_all,
-                &mut out,
-            );
-        }
-        self.inner.cache = Some(ConvCache {
+        let cache = ConvCache {
             in_shape: vec![n, c, 1, l],
             oh: 1,
             ow: ol,
-        });
+        };
+        let out = self.inner.forward_lowered(input.data(), dims, train, cache);
         Tensor::from_vec(out, &[n, f, ol])
     }
 
@@ -515,6 +546,74 @@ mod tests {
             warm,
             "conv scratch arenas grew after warm-up (per-step allocation)"
         );
+    }
+
+    /// Every output element's bits, for `to_bits` comparisons.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn eval_forward_is_bit_equal_to_the_training_forward() {
+        let _ = rayon::init_with_threads(4);
+        let mut rng = Rng::seed(8);
+        // (c, f, kernel, stride, pad, h, w): odd sizes, strides that skip
+        // the last column, padding wider than the kernel reaches.
+        let geometries = [
+            (1, 4, 3, 1, 1, 7, 9),
+            (3, 5, 3, 2, 1, 9, 8),
+            (2, 3, 5, 3, 2, 11, 7),
+            (4, 2, 1, 1, 0, 5, 5),
+            (2, 6, 3, 2, 0, 6, 13),
+            (3, 2, 2, 1, 2, 3, 4),
+        ];
+        for (c, f, k, stride, pad, h, w) in geometries {
+            for n in [1, 3] {
+                let x = rng.normal_tensor(&[n, c, h, w], 1.0);
+                let seq = rng.normal_tensor(&[n, c, w], 1.0);
+                let conv2 = Conv2d::new(c, f, k, stride, pad, &mut rng);
+                let conv1 = Conv1d::new(c, f, k, stride, pad, &mut rng);
+                let run = || {
+                    let (mut a, mut b) = (conv2.clone(), conv1.clone());
+                    let eval = (a.forward(&x, false), b.forward(&seq, false));
+                    assert_eq!(a.scratch_grows(), (0, 0), "eval forward grew scratch");
+                    assert_eq!(b.inner.scratch_grows(), (0, 0), "eval forward grew scratch");
+                    let train = (a.forward(&x, true), b.forward(&seq, true));
+                    (eval, train)
+                };
+                let ctx = format!("c{c} f{f} k{k} s{stride} p{pad} {h}x{w} n{n}");
+                let ((e2, e1), (t2, t1)) = run();
+                assert_eq!(bits(&e2), bits(&t2), "Conv2d {ctx}");
+                assert_eq!(bits(&e1), bits(&t1), "Conv1d {ctx}");
+                let ((s2, s1), _) = rayon::serial_scope(run);
+                assert_eq!(bits(&s2), bits(&t2), "Conv2d {ctx} pool off");
+                assert_eq!(bits(&s1), bits(&t1), "Conv1d {ctx} pool off");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn conv2d_backward_after_an_eval_forward_panics() {
+        let mut rng = Rng::seed(9);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = rng.normal_tensor(&[2, 2, 5, 5], 1.0);
+        let g = Tensor::ones(&[2, 3, 5, 5]);
+        let _ = conv.forward(&x, true);
+        let _ = conv.backward(&g);
+        let _ = conv.forward(&x, false);
+        let _ = conv.backward(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn conv1d_backward_after_an_eval_forward_panics() {
+        let mut rng = Rng::seed(10);
+        let mut conv = Conv1d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = rng.normal_tensor(&[2, 2, 6], 1.0);
+        let _ = conv.forward(&x, true);
+        let _ = conv.forward(&x, false);
+        let _ = conv.backward(&Tensor::ones(&[2, 3, 6]));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use tensor::{Rng, Tensor};
 /// `(batch…, in) → (batch…, out)` by flattening all leading axes — this
 /// is what makes the GRU imputer's time-distributed output head work
 /// without a dedicated wrapper.
+#[derive(Clone)]
 pub struct Dense {
     w: Param,
     b: Param,
@@ -127,6 +128,7 @@ mod tests {
     /// tensor-level products, bodies verbatim except that the three
     /// products are the seed kernels of `tensor::matmul::reference`, so
     /// the oracle shares no kernel with the layer under test.
+    #[derive(Clone)]
     struct SeedDense {
         w: Param,
         b: Param,

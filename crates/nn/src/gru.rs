@@ -23,6 +23,7 @@ use tensor::{Rng, Tensor};
 ///
 /// `backward` consumes what `forward` cached: a second `backward`
 /// without a new `forward` panics with "backward before forward".
+#[derive(Clone)]
 pub struct Gru {
     // Input weights (F×H), recurrent weights (H×H), biases (H).
     wz: Param,

@@ -9,7 +9,12 @@ use tensor::Tensor;
 /// `forward` caches whatever the backward pass needs; `backward` consumes
 /// the upstream gradient, **accumulates** parameter gradients into its
 /// [`Param`]s and returns the gradient with respect to its input.
-pub trait Layer: Send {
+///
+/// Every layer is `Clone` (through [`LayerClone`], so a boxed stack
+/// clones too): a clone is an independent replica with the same
+/// parameters, state and scratch, which is how the serving tier runs one
+/// loaded model on several threads at once.
+pub trait Layer: Send + LayerClone {
     /// Forward pass. `train` toggles training-time behaviour
     /// (dropout masks, batch-norm statistics).
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
@@ -47,7 +52,28 @@ pub trait Layer: Send {
     }
 }
 
+/// Object-safe cloning for [`Layer`]: implemented for every
+/// `Layer + Clone`, it lets `Box<dyn Layer>` (and so [`Sequential`])
+/// implement `Clone`.
+pub trait LayerClone {
+    /// A boxed clone of `self`.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// A chain of layers applied in order.
+#[derive(Clone)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -208,6 +234,7 @@ impl Layer for Sequential {
 
 /// A residual block: `output = main(x) + x`. The inner stack must be
 /// shape-preserving (as in the identity blocks of ResNet-50).
+#[derive(Clone)]
 pub struct Residual {
     main: Sequential,
 }
@@ -264,6 +291,7 @@ impl Layer for Residual {
 
 /// Flattens `(N, …)` to `(N, prod(…))` and restores the shape on the way
 /// back.
+#[derive(Clone)]
 pub struct Flatten {
     input_shape: Vec<usize>,
 }
@@ -441,6 +469,35 @@ mod tests {
         assert_eq!(ga, gb);
         assert_eq!(a.grads_vec(), b.grads_vec());
         assert_eq!(order, vec![(2, "Dense"), (1, "ReLU"), (0, "Dense")]);
+    }
+
+    #[test]
+    fn a_cloned_model_predicts_bit_equal_and_trains_apart_from_its_source() {
+        use crate::optim::{Optimizer, Sgd};
+        let mut rng = Rng::seed(9);
+        let mut source = crate::models::covidnet_lite(1, 3, &mut rng);
+        let x = rng.normal_tensor(&[2, 1, 16, 16], 1.0);
+        // A training step first, so the clone also copies warm scratch
+        // and non-default batch-norm statistics.
+        let y = source.forward(&x, true);
+        source.backward(&Tensor::ones(y.shape()));
+        let (values, state) = (source.values_vec(), source.state());
+
+        let mut clone = source.clone();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&clone.predict(&x)), bits(&source.predict(&x)));
+
+        let mut opt = Sgd::new(0.1, 0.9, 0.0);
+        let y = clone.forward(&x, true);
+        clone.backward(&Tensor::ones(y.shape()));
+        opt.step(&mut clone.params_mut());
+        assert_ne!(clone.values_vec(), values, "the step moved the clone");
+        assert_eq!(source.values_vec(), values, "the step reached the source");
+        assert_eq!(
+            source.state(),
+            state,
+            "the clone's statistics reached the source"
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use tensor::{Rng, Tensor};
 ///
 /// `backward` consumes what `forward` cached: a second `backward`
 /// without a new `forward` panics with "backward before forward".
+#[derive(Clone)]
 pub struct Lstm {
     wi: Param,
     wf: Param,

@@ -30,6 +30,7 @@ use rayon::prelude::*;
 use tensor::Tensor;
 
 /// Batch normalisation over the channel axis (axis 1).
+#[derive(Clone)]
 pub struct BatchNorm {
     gamma: Param,
     beta: Param,
@@ -238,6 +239,7 @@ mod tests {
     /// The batch norm this module shipped before the plane-sliced
     /// rewrite: `for_channel`'s index closure and the `forward`/`backward`
     /// bodies verbatim.
+    #[derive(Clone)]
     struct SeedBatchNorm {
         gamma: Param,
         beta: Param,
@@ -248,6 +250,8 @@ mod tests {
         running_var: Vec<f32>,
         cache: Option<BnCache>,
     }
+
+    #[derive(Clone)]
 
     struct BnCache {
         xhat: Tensor,

@@ -6,6 +6,7 @@ use tensor::conv::{maxpool, out_dim};
 use tensor::Tensor;
 
 /// Max pooling over `(N, C, H, W)` with a square window.
+#[derive(Clone)]
 pub struct MaxPool2d {
     k: usize,
     stride: usize,
@@ -70,6 +71,7 @@ impl Layer for MaxPool2d {
 }
 
 /// Average pooling over `(N, C, H, W)` with a square window.
+#[derive(Clone)]
 pub struct AvgPool2d {
     k: usize,
     stride: usize,
@@ -158,6 +160,7 @@ impl Layer for AvgPool2d {
 }
 
 /// Global average pool: `(N, C, H, W) → (N, C)`.
+#[derive(Clone)]
 pub struct GlobalAvgPool2d {
     in_shape: Vec<usize>,
 }

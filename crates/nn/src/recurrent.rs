@@ -167,7 +167,7 @@ fn add(acc: &mut [f32], v: &[f32]) {
 const STRIP: usize = 8;
 
 /// A layer's slab and scratch.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Sweep {
     slab: Vec<f32>,
     scratch: Arena,

@@ -664,7 +664,7 @@ pub fn gemm_tn_into(
 /// — e.g. the conv weight matrix `Wᵀ` shared by every sample of a batch.
 /// Packing copies values without recombining them, so products through
 /// a `PackedT` are bit-identical to [`matmul_tn`] on the original.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PackedT {
     data: Vec<f32>,
     m: usize,

@@ -38,6 +38,15 @@ impl Rng {
         self.inner.set_word_pos(pos);
     }
 
+    /// Keystream `stream` of the key `seed` expands to: each `(seed,
+    /// stream)` pair is its own counter-mode sequence, so values keyed by
+    /// an index can be drawn in any order, on any thread.
+    pub fn keyed(seed: u64, stream: u64) -> Self {
+        let mut inner = ChaCha8Rng::seed_from_u64(seed);
+        inner.set_stream(stream);
+        Rng { inner }
+    }
+
     /// Derives an independent stream (e.g. one per data-parallel worker).
     pub fn fork(&mut self, stream: u64) -> Rng {
         let mut r = ChaCha8Rng::seed_from_u64(self.inner.gen::<u64>() ^ stream);
@@ -170,6 +179,17 @@ impl RngCore for Keystream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keyed_streams_are_independent_and_stream_zero_is_the_seed() {
+        let mut zero = Rng::keyed(9, 0);
+        let mut plain = Rng::seed(9);
+        assert_eq!(zero.normal().to_bits(), plain.normal().to_bits());
+        let a = Rng::keyed(9, 1).normal_tensor(&[64], 1.0);
+        assert_eq!(a, Rng::keyed(9, 1).normal_tensor(&[64], 1.0));
+        assert_ne!(a, Rng::keyed(9, 2).normal_tensor(&[64], 1.0));
+        assert_ne!(a, Rng::keyed(10, 1).normal_tensor(&[64], 1.0));
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -18,7 +18,8 @@
 //!   fresh-scratch semantics (im2col padding, gemm accumulators).
 
 /// A reusable `f32` workspace buffer with an allocation-growth counter.
-#[derive(Debug, Default)]
+/// A clone copies the buffer and the counter.
+#[derive(Debug, Default, Clone)]
 pub struct Arena {
     buf: Vec<f32>,
     grows: u64,

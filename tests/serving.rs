@@ -10,7 +10,10 @@
 //!    FIFO mirror, shed decisions included;
 //! 3. the builder must compose with the rest of the suite — snapshots
 //!    from `nn::serialize`, placement on `msa_core` preset modules,
-//!    admission from `msa_sched`, metrics into `msa_obs`.
+//!    admission from `msa_sched`, metrics into `msa_obs`;
+//! 4. real execution must not depend on the pool — every pool thread
+//!    runs a lane of forwards, and the reports and snapshot equal those
+//!    of a run under `rayon::serial_scope`.
 
 use std::sync::Arc;
 
@@ -152,4 +155,35 @@ fn external_recorder_sees_the_same_metrics_the_report_carries() {
         .quantile("serve.request.latency{model=covidnet}", 0.99)
         .expect("latency histogram must exist");
     assert!(p99 > 0.0);
+}
+
+#[test]
+fn pool_lanes_and_serial_scope_serve_equal_reports_and_snapshots() {
+    let _ = rayon::init_with_threads(4);
+    let load = OfferedLoad::new(300.0, SimTime::from_secs(2.0)).seed(11);
+    let run = || {
+        // Every launched batch runs a real forward, so each lane has work.
+        let cfg = ServeConfig {
+            executed_batches: 10_000,
+            ..ServeConfig::default()
+        };
+        Server::new(cfg)
+            .model(cnn_spec())
+            .placement(ModuleKind::Booster)
+            .batching(BatchPolicy::new(8, SimTime::from_millis(1.0)))
+            .model(gru_spec())
+            .placement(ModuleKind::DataAnalytics)
+            .batching(BatchPolicy::new(16, SimTime::from_millis(2.0)))
+            .admission(AdmissionPolicy::interactive())
+            .run(&load)
+            .expect("serving run failed")
+    };
+    let pooled = run();
+    let serial = rayon::serial_scope(run);
+    assert!(pooled
+        .endpoints
+        .iter()
+        .all(|e| e.executed_batches == e.batches && e.executed_requests == e.completed));
+    assert_eq!(pooled.endpoints, serial.endpoints);
+    assert_eq!(pooled.snapshot.to_bytes(), serial.snapshot.to_bytes());
 }
