@@ -1,9 +1,10 @@
 //! The xorshift64* generator behind the seeded random processes on the
 //! modeled clock: trace generation (`msa-sched`), open-loop arrivals
-//! (`msa-serve`) and failure injection (`msa-storage`), and the FNV-1a
-//! hash that folds names into seeds (`msa-serve`) and checksums bit
-//! patterns (`bench`). One definition keeps their streams the same
-//! construction, and those crates free of a rand dependency.
+//! (`msa-serve`) and failure injection (`msa-storage`); the SplitMix64
+//! step that scrambles seeds (arrivals, and the ChaCha8 key expansion
+//! of `tensor::Rng`); and the FNV-1a hash that folds names into seeds
+//! (`msa-serve`) and checksums bit patterns (`bench`). One definition
+//! each keeps their streams the same construction.
 
 /// xorshift64* state. It must be non-zero; every caller seeds with
 /// `seed | 1` after whatever scrambling of its own.
@@ -27,6 +28,18 @@ impl XorShift {
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
+}
+
+/// One SplitMix64 step: advances `state` by the golden-ratio increment
+/// and returns its mix. Consecutive calls give well-spread words even
+/// from seeds that differ in one bit.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// FNV-1a (64-bit) over `words`, in order: any change to any word

@@ -9,7 +9,7 @@
 //! | `float-eq`        | `ml`, `nn`, `tensor`      | no `==` / `!=` against float literals; numeric code compares with tolerances |
 //! | `pub-event-field` | `msa-core/src/event.rs`   | event structs keep fields private so invariants hold at construction |
 //! | `print`           | every crate               | no `println!`/`eprintln!` in non-test library code; observability goes through `msa-obs` recorders. CLI binaries justify each print with an allow |
-//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec}.rs`, `nn/src/{conv,activation,norm,dense,optim,pool}.rs`, `shims/rand_chacha/src/lib.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
+//! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec,rng}.rs`, `nn/src/{conv,activation,norm,dense,optim,pool}.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{barrier,thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
 //! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`), the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) and the retired time converters (`ps_to_simtime`, `advance_ps`, `from_hours`, `as_hours`, `predicted_wait_ps`, `slo_ps`) must not reappear; each finding names its replacement |
@@ -123,9 +123,13 @@ impl Profile {
         // The training hot path: every allocation inside a loop here is a
         // per-step heap hit that the scratch-buffer API exists to remove.
         let is_kernel_file = match crate_name {
+            // The GEMM and convolution kernels, the bf16 codec, and the
+            // keystream behind every Dropout mask, whose bulk fill
+            // writes into the caller's buffer.
             "tensor" => file
                 .file_name()
-                .is_some_and(|n| n == "matmul.rs" || n == "conv.rs" || n == "codec.rs"),
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| matches!(n, "matmul.rs" | "conv.rs" | "codec.rs" | "rng.rs")),
             // The elementwise layers and the optimiser run once per layer
             // per step over whole activations: their masks, `x̂` and input
             // copies are grow-only buffers on the layer. The pools run as
@@ -200,9 +204,7 @@ impl Profile {
             float_eq: false,
             pub_event_field: false,
             print: false,
-            // The keystream behind every dropout mask: the bulk fill
-            // writes into the caller's buffer.
-            alloc_in_kernel: shim_name == "rand_chacha",
+            alloc_in_kernel: false,
             ordering_audit: !is_sync_core,
             raw_sync: matches!(shim_name, "rayon" | "crossbeam"),
             removed_api: false,
@@ -1300,8 +1302,6 @@ mod tests {
         assert!(p.ordering_audit && p.raw_sync);
         let p = Profile::for_shim("crossbeam", Path::new("shims/crossbeam/src/lib.rs"));
         assert!(p.ordering_audit && p.raw_sync);
-        let p = Profile::for_shim("rand", Path::new("shims/rand/src/lib.rs"));
-        assert!(p.ordering_audit && !p.raw_sync);
         let p = Profile::for_crate("ml", Path::new("crates/ml/src/svm.rs"));
         assert!(p.float_eq && p.thread_spawn && p.print);
         assert!(!p.alloc_in_kernel);
@@ -1317,6 +1317,8 @@ mod tests {
         assert!(p.alloc_in_kernel);
         let p = Profile::for_crate("tensor", Path::new("crates/tensor/src/codec.rs"));
         assert!(p.alloc_in_kernel);
+        let p = Profile::for_crate("tensor", Path::new("crates/tensor/src/rng.rs"));
+        assert!(p.alloc_in_kernel && p.unwrap && p.print && p.float_eq && p.ordering_audit);
         let p = Profile::for_crate("tensor", Path::new("crates/tensor/src/lib.rs"));
         assert!(!p.alloc_in_kernel);
         let p = Profile::for_crate("nn", Path::new("crates/nn/src/conv.rs"));
@@ -1352,8 +1354,8 @@ mod tests {
         assert!(!p.removed_api);
     }
 
-    /// The layers that are not GEMMs and the keystream shim are under the
-    /// allocation rule; their neighbours are not.
+    /// The layers that are not GEMMs are under the allocation rule; their
+    /// neighbours and the shims are not.
     #[test]
     fn alloc_mask_covers_the_streaming_layers() {
         for file in [
@@ -1368,9 +1370,7 @@ mod tests {
         }
         let p = Profile::for_crate("nn", Path::new("crates/nn/src/layer.rs"));
         assert!(!p.alloc_in_kernel);
-        let p = Profile::for_shim("rand_chacha", Path::new("shims/rand_chacha/src/lib.rs"));
-        assert!(p.alloc_in_kernel && !p.unwrap && !p.print);
-        let p = Profile::for_shim("rand", Path::new("shims/rand/src/lib.rs"));
+        let p = Profile::for_shim("rayon", Path::new("shims/rayon/src/lib.rs"));
         assert!(!p.alloc_in_kernel);
     }
 

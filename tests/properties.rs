@@ -11,7 +11,7 @@
 use msa_suite::data;
 use msa_suite::distrib::compress::{densify, top_k};
 use msa_suite::hpda::Pdata;
-use msa_suite::msa_core::SimTime;
+use msa_suite::msa_core::{SimTime, XorShift};
 use msa_suite::msa_net::collectives::{chunk_ranges, recursive_doubling_allreduce};
 use msa_suite::msa_net::fabric::{simulate as simulate_fabric, FatTree, Flow};
 use msa_suite::msa_net::{
@@ -25,41 +25,36 @@ use msa_suite::qa::{anneal, brute_force, Qubo, SaParams};
 use msa_suite::tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use msa_suite::tensor::Tensor;
 
-/// Deterministic case generator (xorshift64*), the same construction the
-/// seed tests already used inline.
-struct Xs(u64);
+/// Deterministic case generator: `msa_core::XorShift` (xorshift64*)
+/// from a scrambled seed.
+fn cases(seed: u64) -> XorShift {
+    XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+}
 
-impl Xs {
-    fn new(seed: u64) -> Self {
-        Xs(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
+/// The draws the cases take from the generator.
+trait Draws {
     /// Uniform in `[0, n)`.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
+    fn below(&mut self, n: usize) -> usize;
     /// Uniform in `[lo, hi)`.
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + (hi - lo) * u
-    }
-
+    fn f64_in(&mut self, lo: f64, hi: f64) -> f64;
     fn f32_in(&mut self, lo: f32, hi: f32) -> f32 {
         self.f64_in(lo as f64, hi as f64) as f32
     }
 }
 
+impl Draws for XorShift {
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit()
+    }
+}
+
 #[test]
 fn ring_allreduce_equals_serial_sum() {
-    let mut xs = Xs::new(11);
+    let mut xs = cases(11);
     for ranks in 2usize..6 {
         for &len in &[0usize, 1, 7, 39] {
             let base = xs.f32_in(-100.0, 100.0);
@@ -161,7 +156,7 @@ fn allgather_preserves_every_rank_block() {
 #[test]
 fn collective_costs_are_monotone_in_message_size() {
     let link = LinkParams::infiniband_edr();
-    let mut xs = Xs::new(23);
+    let mut xs = cases(23);
     for _ in 0..24 {
         let p = 2 + xs.below(254);
         let bytes = xs.f64_in(1.0, 1e8);
@@ -175,7 +170,7 @@ fn collective_costs_are_monotone_in_message_size() {
 
 #[test]
 fn simtime_ordering_is_consistent_with_secs() {
-    let mut xs = Xs::new(31);
+    let mut xs = cases(31);
     for _ in 0..200 {
         let a = xs.f64_in(0.0, 1e6);
         let b = xs.f64_in(0.0, 1e6);
@@ -213,7 +208,7 @@ fn annealer_energy_reports_are_self_consistent() {
         // and SA on small problems must reach the brute-force optimum
         // given enough restarts.
         let mut q = Qubo::new(n);
-        let mut xs = Xs::new(seed);
+        let mut xs = cases(seed);
         for i in 0..n {
             q.add_linear(i, xs.f64_in(-0.5, 0.5));
             for j in (i + 1)..n {
@@ -231,7 +226,7 @@ fn annealer_energy_reports_are_self_consistent() {
 
 #[test]
 fn pdata_roundtrip_preserves_multiset() {
-    let mut xs = Xs::new(41);
+    let mut xs = cases(41);
     for &count in &[0usize, 1, 17, 180] {
         for parts in 1usize..9 {
             let items: Vec<i64> = (0..count).map(|_| xs.below(1000) as i64).collect();
@@ -251,7 +246,7 @@ fn pdata_roundtrip_preserves_multiset() {
 
 #[test]
 fn reduce_by_key_matches_hashmap() {
-    let mut xs = Xs::new(43);
+    let mut xs = cases(43);
     for &count in &[0usize, 9, 140] {
         for parts in 1usize..6 {
             let pairs: Vec<(u32, u64)> = (0..count)
@@ -272,7 +267,7 @@ fn reduce_by_key_matches_hashmap() {
 
 #[test]
 fn matmul_transpose_identities() {
-    let mut xs = Xs::new(47);
+    let mut xs = cases(47);
     for seed in 0u64..12 {
         let (m, k, n) = (1 + xs.below(7), 1 + xs.below(7), 1 + xs.below(7));
         let mut rng = msa_suite::tensor::Rng::seed(seed);
@@ -318,7 +313,7 @@ fn matmul_k_blocking_never_reassociates_the_sum() {
     // Widen the pool even on a 1-CPU runner so the parallel path is the
     // one under test (first caller wins; every kernel is width-invariant).
     rayon::init_with_threads(4);
-    let mut xs = Xs::new(61);
+    let mut xs = cases(61);
     for case in 0u64..10 {
         // Odd shapes straddle every tile boundary: 8/4-row register
         // tiles, 4-column nt chains, kc/nc panel edges. k = 0 is legal.
@@ -448,7 +443,7 @@ fn gradient_bucket_fusion_never_reassociates_the_sum() {
 
 #[test]
 fn softmax_rows_are_distributions() {
-    let mut xs = Xs::new(53);
+    let mut xs = cases(53);
     for seed in 0u64..12 {
         let (rows, cols) = (1 + xs.below(5), 1 + xs.below(7));
         let mut rng = msa_suite::tensor::Rng::seed(seed);
@@ -465,7 +460,7 @@ fn softmax_rows_are_distributions() {
 
 #[test]
 fn top_k_is_a_projection_preserving_largest_mass() {
-    let mut xs = Xs::new(59);
+    let mut xs = cases(59);
     for &n in &[1usize, 2, 13, 63] {
         for &k in &[1usize, 2, 5, 15] {
             let values: Vec<f32> = (0..n).map(|_| xs.f32_in(-100.0, 100.0)).collect();
@@ -498,7 +493,7 @@ fn fabric_flows_never_beat_line_rate_and_all_finish() {
     let tree = FatTree::full_bisection(4, 4, 10.0);
     let nodes = tree.nodes();
     for seed in 0u64..12 {
-        let mut xs = Xs::new(seed | 1);
+        let mut xs = cases(seed | 1);
         let n_flows = 1 + xs.below(11);
         let flows: Vec<Flow> = (0..n_flows)
             .filter_map(|_| {
