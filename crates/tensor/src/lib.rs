@@ -29,3 +29,28 @@ pub use tensor::Tensor;
 
 /// Minimum number of elements before kernels go parallel.
 pub(crate) const PAR_THRESHOLD: usize = 4096;
+
+#[cfg(test)]
+mod tests {
+    use super::Rng;
+
+    #[test]
+    fn ranges_respect_bounds() {
+        let mut r = Rng::seed(7);
+        for _ in 0..2000 {
+            let k = 3 + r.below(14);
+            assert!((3..17).contains(&k));
+            assert!(r.below(5) < 5);
+            assert_eq!(r.below(1), 0);
+            let f = r.uniform(-2.0, 3.0);
+            assert!((-2.0..3.0).contains(&f));
+        }
+    }
+
+    #[test]
+    fn gen_bool_extremes() {
+        let mut r = Rng::seed(1);
+        assert!(!(0..100).any(|_| r.chance(0.0)));
+        assert!((0..100).all(|_| r.chance(1.0)));
+    }
+}
