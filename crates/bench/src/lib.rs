@@ -956,11 +956,10 @@ mod tests {
 
     #[test]
     fn obs_report_is_nonempty_and_bit_identical() {
-        let a = super::obs_report();
-        let b = super::obs_report();
+        // Bit identity is `committed_artifacts_regenerate_byte_for_byte`'s
+        // comparison with `BENCH_pr3.json`.
+        let a = crate::artifacts::obs();
         assert!(!a.is_empty());
-        assert_eq!(a, b, "two obs runs must produce identical snapshots");
-        assert_eq!(a.to_json(), b.to_json());
         // The headline artifacts are present: trainer breakdown per p,
         // per-collective traffic, module utilization, staging bytes.
         for k in [
@@ -986,4 +985,176 @@ mod tests {
             assert!(s.len() > 200, "{id} output suspiciously short");
         }
     }
+}
+
+/// The committed BENCH/TUNE artifacts and the analytic experiments'
+/// output, regenerated in-process: each report is built once per test
+/// binary, and both the byte comparison below and its module's own test
+/// read that one build.
+///
+/// Every report is deterministic where it is pinned, so a fresh build
+/// must reproduce its committed file byte for byte (up to the file's
+/// wall-clock section). A failure names the file and its first
+/// differing line. After a deliberate change, re-pin a file by running
+/// its subcommand (`cargo run --release -p bench --bin experiments --
+/// <sub>`) and committing what it writes; `EXPERIMENTS_analytic.txt` is
+/// the stdout of `experiments` run on [`ANALYTIC`](artifacts::ANALYTIC).
+#[cfg(test)]
+pub(crate) mod artifacts {
+    use std::path::Path;
+    use std::sync::OnceLock;
+
+    use crate::report::Report;
+
+    /// The experiments with no wall-clock field, in the committed order.
+    pub(crate) const ANALYTIC: [&str; 8] = ["e1", "e2", "e8", "e9", "e11", "e12", "e13", "e14"];
+
+    pub(crate) fn obs() -> &'static msa_obs::Snapshot {
+        static BUILT: OnceLock<msa_obs::Snapshot> = OnceLock::new();
+        BUILT.get_or_init(crate::obs_report)
+    }
+
+    pub(crate) fn kernels() -> &'static Report {
+        static BUILT: OnceLock<Report> = OnceLock::new();
+        BUILT.get_or_init(crate::kernels::kernel_report)
+    }
+
+    pub(crate) fn tune() -> &'static Report {
+        static BUILT: OnceLock<Report> = OnceLock::new();
+        BUILT.get_or_init(crate::tune::tune_report)
+    }
+
+    pub(crate) fn serve() -> &'static Report {
+        static BUILT: OnceLock<Report> = OnceLock::new();
+        BUILT.get_or_init(crate::serve::serve_report)
+    }
+
+    pub(crate) fn codec() -> &'static Report {
+        static BUILT: OnceLock<Report> = OnceLock::new();
+        BUILT.get_or_init(crate::codec::codec_report)
+    }
+
+    pub(crate) fn pipeline() -> &'static Report {
+        static BUILT: OnceLock<Report> = OnceLock::new();
+        BUILT.get_or_init(crate::pipeline::pipeline_report)
+    }
+
+    /// The fast comm run: the full one is too big for a test.
+    pub(crate) fn comm_fast() -> &'static Report {
+        static BUILT: OnceLock<Report> = OnceLock::new();
+        BUILT.get_or_init(|| crate::comm::comm_report(true))
+    }
+
+    /// Every contract of `report` holds, except the wall-clock ones named
+    /// in `except`, which a loaded test machine cannot vouch for.
+    pub(crate) fn assert_contracts_hold(report: &Report, except: &[&str]) {
+        for (name, ok) in &report.contracts {
+            assert!(*ok || except.contains(name), "contract {name} is false");
+        }
+    }
+
+    fn committed(file: &str) -> String {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    }
+
+    /// `fresh` equals the committed `file` up to `wall_clock`, where the
+    /// file's measured part starts (`None`: the whole file).
+    pub(crate) fn assert_same(file: &str, fresh: &str, wall_clock: Option<&str>) {
+        let want = committed(file);
+        let upto = |text: &str| {
+            let end = wall_clock.map_or(Some(text.len()), |marker| text.find(marker));
+            text[..end.unwrap_or_else(|| panic!("{file}: no {wall_clock:?}"))].to_string()
+        };
+        let (want, fresh) = (upto(&want), upto(fresh));
+        let (w, f): (Vec<&str>, Vec<&str>) = (want.lines().collect(), fresh.lines().collect());
+        if let Some(i) = (0..w.len().max(f.len())).find(|&i| w.get(i) != f.get(i)) {
+            panic!(
+                "{file} line {}:\n  committed:   {}\n  regenerated: {}",
+                i + 1,
+                w.get(i).unwrap_or(&"<end of file>"),
+                f.get(i).unwrap_or(&"<end of file>")
+            );
+        }
+        assert_eq!(want, fresh, "{file}: the line endings differ");
+    }
+
+    /// Every `"name": ` flag in the committed `file` reads `true`;
+    /// returns how many there are.
+    pub(crate) fn flags_true(file: &str, name: &str) -> usize {
+        let (text, key) = (committed(file), format!("\"{name}\": "));
+        let values = text
+            .match_indices(&key)
+            .map(|(i, _)| &text[i + key.len()..]);
+        values
+            .map(|v| assert!(v.starts_with("true"), "{file}: contract {name} is false"))
+            .count()
+    }
+}
+
+/// Each report's committed files, one per body, each with where its
+/// wall-clock part starts; every contract flag in them reads `true`.
+#[test]
+fn committed_artifacts_regenerate_byte_for_byte() {
+    use artifacts::{assert_same, flags_true};
+
+    assert_same("BENCH_pr3.json", &artifacts::obs().to_json(), None);
+
+    type Case = (
+        fn() -> &'static report::Report,
+        &'static [(&'static str, Option<&'static str>)],
+    );
+    let cases: [Case; 5] = [
+        (
+            artifacts::kernels,
+            &[("BENCH_pr4.json", Some("\n\"timings\": "))],
+        ),
+        (
+            artifacts::tune,
+            &[("TUNE_pr7.table", None), ("BENCH_pr7.json", None)],
+        ),
+        (artifacts::serve, &[("BENCH_pr8.json", None)]),
+        (
+            artifacts::codec,
+            &[("TUNE_pr9.table", None), ("BENCH_pr9.json", None)],
+        ),
+        (
+            artifacts::pipeline,
+            &[("BENCH_pr10.json", Some("\n  \"real_timing\": "))],
+        ),
+    ];
+    for (report, files) in cases {
+        let report = report();
+        assert_eq!(report.bodies.len(), files.len());
+        for ((file, wall_clock), body) in files.iter().zip(&report.bodies) {
+            assert_same(file, body, *wall_clock);
+            // Every flag the file holds reads true, past the marker too.
+            for (name, _) in &report.contracts {
+                flags_true(file, name);
+            }
+        }
+    }
+    assert_eq!(flags_true("BENCH_pr10.json", pipeline::WALL_CLOCK_FLAG), 1);
+
+    // The fast comm run's wire and allocation sections are the full
+    // run's; the full-size contracts are read off the committed file.
+    let fast = artifacts::comm_fast();
+    assert_same("BENCH_pr5.json", &fast.bodies[0], Some("\n  \"train\": "));
+    for (name, _) in &fast.contracts {
+        flags_true("BENCH_pr5.json", name);
+    }
+    assert_eq!(flags_true("BENCH_pr5.json", comm::FULL_SIZE_FLAG), 1);
+}
+
+#[test]
+fn analytic_experiments_regenerate_byte_for_byte() {
+    // What `experiments` prints: each report, then an empty line.
+    let fresh: String = artifacts::ANALYTIC
+        .iter()
+        .map(|id| run(id) + "\n")
+        .collect();
+    artifacts::assert_same("EXPERIMENTS_analytic.txt", &fresh, None);
 }

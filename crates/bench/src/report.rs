@@ -22,12 +22,3 @@ pub struct Report {
 pub(crate) fn counters_and_timings(counters: &str, timings: &str) -> String {
     format!("{{\n\"counters\": {counters},\n\"timings\": {timings}\n}}")
 }
-
-/// Every contract of `report` holds, except the wall-clock ones named in
-/// `except`, which a loaded test machine cannot vouch for.
-#[cfg(test)]
-pub(crate) fn assert_contracts_hold(report: &Report, except: &[&str]) {
-    for (name, ok) in &report.contracts {
-        assert!(*ok || except.contains(name), "contract {name} is false");
-    }
-}

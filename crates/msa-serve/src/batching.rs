@@ -33,12 +33,29 @@ pub struct BatchPolicy {
 
 impl BatchPolicy {
     /// A policy that batches up to `max_batch` requests, holding a
-    /// partial batch at most `max_delay`.
+    /// partial batch at most `max_delay`. Panics on a policy that fails
+    /// [`BatchPolicy::check`].
     pub fn new(max_batch: usize, max_delay: SimTime) -> Self {
-        assert!(max_batch >= 1, "batch policy wants max_batch >= 1");
-        BatchPolicy {
+        let policy = BatchPolicy {
             max_batch,
             max_delay,
+        };
+        if let Err(why) = policy.check() {
+            panic!("batch policy rejected: {why}");
+        }
+        policy
+    }
+
+    /// Whether [`run_queue`] can serve under this policy: a batch must
+    /// hold at least one request, or the queue launches empty batches
+    /// forever. The fields are public, so a struct literal skips
+    /// [`BatchPolicy::new`]; `Server::run` returns the failure as
+    /// `ServeError::BadPolicy`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.max_batch == 0 {
+            Err("max_batch must be at least 1")
+        } else {
+            Ok(())
         }
     }
 
@@ -98,6 +115,8 @@ pub struct QueueOutcome {
 ///   only start a new one);
 /// * a **partial** batch whose delay expires at `t` yields to an
 ///   arrival at the same `t` (the arrival joins the batch).
+///
+/// Panics on a policy that fails [`BatchPolicy::check`].
 pub fn run_queue(
     arrivals: &[Arrival],
     policy: &BatchPolicy,
@@ -112,6 +131,9 @@ pub fn run_queue(
         Launch(u64),
     }
 
+    if let Err(why) = policy.check() {
+        panic!("batch policy rejected: {why}");
+    }
     let delay_ps = policy.max_delay.as_ps();
     let mut out = QueueOutcome::default();
     let mut queue: VecDeque<Arrival> = VecDeque::new();

@@ -54,7 +54,8 @@
 //!   expires at t admits the time-t arrival first. Those two rules make
 //!   `max_batch = 1` agree request for request (latencies, users, shed
 //!   decisions, launch schedule) with the independently written FIFO
-//!   mirror [`run_unbatched`].
+//!   mirror [`run_unbatched`]. A policy with `max_batch = 0`, which
+//!   would launch empty batches forever, is `ServeError::BadPolicy`.
 //! * **Admission** prices the queue with [`msa_sched::AdmissionPolicy`]:
 //!   predicted wait = backlog / sustained service rate, and a request
 //!   whose predicted wait exceeds the SLO is shed at arrival. That is

@@ -148,6 +148,13 @@ pub enum ServeError {
     /// The offered load cannot be generated: its rate is not positive
     /// and finite, it has no users, or it lasts no time.
     BadLoad(&'static str),
+    /// An endpoint's batch policy fails [`BatchPolicy::check`].
+    BadPolicy {
+        /// Endpoint name.
+        model: String,
+        /// The rule the policy breaks.
+        why: &'static str,
+    },
     /// A real forward pass returned a batch dimension that does not
     /// match the launched batch. Names the endpoint's lowest failing
     /// batch, whatever the lane count.
@@ -174,6 +181,9 @@ impl fmt::Display for ServeError {
                 write!(f, "endpoint {model}: snapshot rejected: {source}")
             }
             ServeError::BadLoad(why) => write!(f, "offered load rejected: {why}"),
+            ServeError::BadPolicy { model, why } => {
+                write!(f, "endpoint {model}: batch policy rejected: {why}")
+            }
             ServeError::BadOutput {
                 model,
                 batch,
@@ -348,6 +358,10 @@ impl Server {
         let mut exec_plans: Vec<Vec<usize>> = Vec::new();
 
         for ep in &mut self.endpoints {
+            ep.policy.check().map_err(|why| ServeError::BadPolicy {
+                model: ep.spec.name.clone(),
+                why,
+            })?;
             let module = self
                 .cfg
                 .system
@@ -805,6 +819,26 @@ mod tests {
                 "{load:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_zero_max_batch_policy_is_a_typed_error_naming_its_endpoint() {
+        // The public fields let a literal skip `BatchPolicy::new`'s check.
+        let empty = BatchPolicy {
+            max_batch: 0,
+            max_delay: SimTime::from_millis(1.0),
+        };
+        let err = Server::new(ServeConfig::default())
+            .model(gru_spec("gru"))
+            .model(cnn_spec("covidnet"))
+            .batching(empty)
+            .run(&OfferedLoad::new(10.0, SimTime::from_secs(1.0)))
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServeError::BadPolicy { model, why }
+                if model == "covidnet" && why.starts_with("max_batch")),
+            "{err}"
+        );
     }
 
     #[test]

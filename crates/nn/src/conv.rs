@@ -27,7 +27,7 @@ use crate::param::Param;
 use rayon::prelude::*;
 use std::cell::RefCell;
 use tensor::conv::{col2im_into, im2col_into, out_dim};
-use tensor::matmul::{gemm_nn_into, gemm_nt_into, Blocking, PackedT};
+use tensor::matmul::{gemm_nn_into, gemm_nt_into, PackedT};
 use tensor::scratch::Arena;
 use tensor::{Rng, Tensor};
 
@@ -168,7 +168,7 @@ fn conv_forward_into(
     let image = |i: usize, cols: &mut [f32], y: &mut [f32]| {
         let img = &input[i * per_img..(i + 1) * per_img];
         im2col_into(img, c, h, w, kh, kw, stride, pad_h, pad_w, cols);
-        gemm_nn_into(f, ckk, ohow, w_mat, cols, y, Blocking::default());
+        gemm_nn_into(f, ckk, ohow, w_mat, cols, y);
         for (ff, &bf) in bias.iter().enumerate() {
             for v in &mut y[ff * ohow..(ff + 1) * ohow] {
                 *v += bf;
@@ -250,7 +250,7 @@ fn conv_backward(
                 *d = g[ff * ohow..(ff + 1) * ohow].iter().sum();
             }
             // dcols = Wᵀ (CKK×F) · g (F×OHOW); dcols is frame-zeroed.
-            packed_w.gemm_into(g, ohow, dcols, Blocking::default());
+            packed_w.gemm_into(g, ohow, dcols);
             col2im_into(dcols, c, h, w, kh, kw, stride, pad_h, pad_w, dx);
         });
 

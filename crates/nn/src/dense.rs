@@ -11,7 +11,7 @@
 
 use crate::layer::Layer;
 use crate::param::Param;
-use tensor::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into, Blocking};
+use tensor::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into};
 use tensor::{Rng, Tensor};
 
 /// `y = x · W + b` with `W: (in, out)`, `b: (out)`.
@@ -69,9 +69,9 @@ impl Layer for Dense {
             "last axis must equal in_dim"
         );
         let (rows, k, n) = (rows_of(shape), self.in_dim, self.out_dim);
-        let (x, w, bl) = (input.data(), self.w.value.data(), Blocking::default());
+        let (x, w) = (input.data(), self.w.value.data());
         let mut y = vec![0.0f32; rows * n];
-        gemm_nn_into(rows, k, n, x, w, &mut y, bl);
+        gemm_nn_into(rows, k, n, x, w, &mut y);
         let mut y = Tensor::from_vec(y, &[rows, n]);
         y.add_row_broadcast(&self.b.value);
         self.cache_x.clear();
@@ -91,7 +91,7 @@ impl Layer for Dense {
 
         // dW = xᵀ · g ; db = column sums ; dx = g · Wᵀ
         let mut dw = vec![0.0f32; k * n];
-        gemm_tn_into(rows, k, n, &self.cache_x, g, &mut dw, Blocking::default());
+        gemm_tn_into(rows, k, n, &self.cache_x, g, &mut dw);
         self.w.grad.add_assign(&Tensor::from_vec(dw, &[k, n]));
         let mut db = vec![0.0f32; n];
         for row in g.chunks_exact(n.max(1)) {

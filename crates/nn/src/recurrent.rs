@@ -57,7 +57,7 @@
 use crate::layer::Layer;
 use crate::param::Param;
 use rayon::prelude::*;
-use tensor::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into, Blocking};
+use tensor::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into};
 use tensor::scratch::Arena;
 use tensor::Tensor;
 
@@ -135,9 +135,9 @@ pub(crate) fn gate(
     a: &mut [f32],
     act: impl Fn(f32) -> f32,
 ) {
-    let (h, bl) = (b.numel(), Blocking::default());
+    let h = b.numel();
     hu.fill(0.0);
-    gemm_nn_into(a.len() / h, h, h, src, u.value.data(), hu, bl);
+    gemm_nn_into(a.len() / h, h, h, src, u.value.data(), hu);
     for (a_row, hu_row) in a.chunks_exact_mut(h).zip(hu.chunks_exact(h)) {
         for ((a, &p), &bias) in a_row.iter_mut().zip(hu_row).zip(b.value.data()) {
             *a = act((*a + p) + bias);
@@ -255,8 +255,7 @@ pub(crate) fn forward<C: Cell>(cell: &mut C, input: &Tensor) -> Tensor {
             }
             for (g, xw) in fields.chunks_exact_mut(t * m).take(C::GATES).enumerate() {
                 xw.fill(0.0);
-                let bl = Blocking::default();
-                gemm_nn_into(t * rows, f, h, x, w[g].value.data(), xw, bl);
+                gemm_nn_into(t * rows, f, h, x, w[g].value.data(), xw);
             }
             for tt in 0..t {
                 shared.step(Step {
@@ -331,7 +330,7 @@ pub(crate) fn backward<C: Cell>(cell: &mut C, grad_out: &Tensor) -> Tensor {
         });
 
         // A staging row lays the gradients out as `params()` lists them.
-        let (slab, bl) = (&*slab, Blocking::default());
+        let slab = &*slab;
         let timesteps = staging.chunks_mut(staged).enumerate().collect();
         stage(timesteps, |(tt, st): (usize, &mut [f32])| {
             for r0 in (0..n).step_by(rb) {
@@ -344,8 +343,8 @@ pub(crate) fn backward<C: Cell>(cell: &mut C, grad_out: &Tensor) -> Tensor {
                     let (d, tail) = rest.split_at_mut(p.numel());
                     let g = k % C::GATES;
                     match k / C::GATES {
-                        0 => gemm_tn_into(rows, f, h, x_t, at(g), d, bl),
-                        1 => gemm_tn_into(rows, h, h, at(C::REC[g]), at(g), d, bl),
+                        0 => gemm_tn_into(rows, f, h, x_t, at(g), d),
+                        1 => gemm_tn_into(rows, h, h, at(C::REC[g]), at(g), d),
                         _ => at(g).chunks_exact(h).for_each(|row| add(d, row)),
                     }
                     rest = tail;

@@ -20,9 +20,9 @@
 //! would produce an infinity), which keeps every one of the 2^16 bf16
 //! bit patterns an exact encode∘decode fixed point — the exhaustive
 //! round-trip test below. Both kernels are elementwise, so results are
-//! independent of chunk size and pool width; the chunked entry points
-//! exist purely to bound fork-join overhead, mirroring the
-//! `Blocking`-parameter discipline of the matmul kernels.
+//! independent of how the pool splits them: a buffer of at least
+//! `PAR_THRESHOLD` values goes out in `PAR_THRESHOLD`-word chunks, which
+//! only bounds fork-join overhead.
 
 use crate::PAR_THRESHOLD;
 use rayon::prelude::*;
@@ -93,57 +93,46 @@ fn decode_scalar(src: &[f32], dst: &mut [f32]) {
 }
 
 /// Encodes `src` into `bf16_words(src.len())` packed words in `dst`,
-/// parallelising in `chunk_words`-sized blocks. Elementwise, so the
-/// result is `to_bits`-identical for every `chunk_words ≥ 1`.
-pub fn encode_bf16_chunked(src: &[f32], dst: &mut [f32], chunk_words: usize) {
+/// in parallel `PAR_THRESHOLD`-word chunks once `src` reaches
+/// `PAR_THRESHOLD` values. Elementwise, so every word is
+/// [`f32_to_bf16_rtne`] of its pair whatever the split.
+pub fn encode_bf16_into(src: &[f32], dst: &mut [f32]) {
     assert_eq!(
         dst.len(),
         bf16_words(src.len()),
         "encode_bf16: dst must hold ceil(src.len() / 2) packed words"
     );
-    assert!(chunk_words > 0, "encode_bf16: chunk_words must be positive");
     if src.len() < PAR_THRESHOLD {
         encode_scalar(src, dst);
         return;
     }
-    dst.par_chunks_mut(chunk_words)
+    dst.par_chunks_mut(PAR_THRESHOLD)
         .enumerate()
         .for_each(|(ci, d)| {
-            let start = ci * chunk_words * 2;
+            let start = ci * PAR_THRESHOLD * 2;
             let end = (start + d.len() * 2).min(src.len());
             encode_scalar(&src[start..end], d);
         });
 }
 
-/// Decodes packed words back into `dst` (the inverse of
-/// [`encode_bf16_chunked`] up to bf16 rounding); same chunk-invariance.
-pub fn decode_bf16_chunked(src: &[f32], dst: &mut [f32], chunk_words: usize) {
+/// Decodes packed words back into `dst`: the inverse of
+/// [`encode_bf16_into`] up to bf16 rounding, split the same way.
+pub fn decode_bf16_into(src: &[f32], dst: &mut [f32]) {
     assert_eq!(
         src.len(),
         bf16_words(dst.len()),
         "decode_bf16: src must hold ceil(dst.len() / 2) packed words"
     );
-    assert!(chunk_words > 0, "decode_bf16: chunk_words must be positive");
     if dst.len() < PAR_THRESHOLD {
         decode_scalar(src, dst);
         return;
     }
-    dst.par_chunks_mut(chunk_words * 2)
+    dst.par_chunks_mut(PAR_THRESHOLD * 2)
         .enumerate()
         .for_each(|(ci, d)| {
-            let start = ci * chunk_words;
+            let start = ci * PAR_THRESHOLD;
             decode_scalar(&src[start..start + bf16_words(d.len())], d);
         });
-}
-
-/// [`encode_bf16_chunked`] at the default chunk size.
-pub fn encode_bf16_into(src: &[f32], dst: &mut [f32]) {
-    encode_bf16_chunked(src, dst, PAR_THRESHOLD);
-}
-
-/// [`decode_bf16_chunked`] at the default chunk size.
-pub fn decode_bf16_into(src: &[f32], dst: &mut [f32]) {
-    decode_bf16_chunked(src, dst, PAR_THRESHOLD);
 }
 
 #[cfg(test)]
@@ -239,26 +228,30 @@ mod tests {
         }
     }
 
+    /// Lengths on both sides of every chunk edge the pool split can put
+    /// in a buffer, against the scalar rounding one value at a time.
     #[test]
     fn encode_is_invariant_across_chunk_widths() {
         let mut rng = Rng::seed(42);
-        for len in [5usize, 4096, 4097, 9000] {
+        let p = PAR_THRESHOLD;
+        for len in [5, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 4 * p + 3] {
             let src: Vec<f32> = (0..len).map(|_| rng.uniform(-4.0, 4.0)).collect();
-            let mut want = vec![0.0f32; bf16_words(len)];
-            encode_bf16_chunked(&src, &mut want, 1);
-            for chunk in [2usize, 3, 64, 1000, 4096, usize::MAX / 4] {
-                let mut got = vec![0.0f32; bf16_words(len)];
-                encode_bf16_chunked(&src, &mut got, chunk);
-                for (w, g) in want.iter().zip(got.iter()) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "len {len} chunk {chunk}");
-                }
-                let mut dec_want = vec![0.0f32; len];
-                let mut dec_got = vec![0.0f32; len];
-                decode_bf16_chunked(&want, &mut dec_want, 1);
-                decode_bf16_chunked(&got, &mut dec_got, chunk);
-                for (w, g) in dec_want.iter().zip(dec_got.iter()) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "len {len} chunk {chunk}");
-                }
+            let mut enc = vec![0.0f32; bf16_words(len)];
+            encode_bf16_into(&src, &mut enc);
+            let mut dec = vec![0.0f32; len];
+            decode_bf16_into(&enc, &mut dec);
+            for (i, (&x, &y)) in src.iter().zip(&dec).enumerate() {
+                let h = f32_to_bf16_rtne(x);
+                let half = (enc[i / 2].to_bits() >> (16 * (i % 2))) as u16;
+                assert_eq!(half, h, "len {len} element {i}");
+                assert_eq!(
+                    y.to_bits(),
+                    bf16_to_f32(h).to_bits(),
+                    "len {len} element {i}"
+                );
+            }
+            if len % 2 == 1 {
+                assert_eq!(enc[len / 2].to_bits() >> 16, 0, "len {len}: odd tail");
             }
         }
     }

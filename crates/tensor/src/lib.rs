@@ -22,7 +22,7 @@ pub mod shape_ops;
 pub mod tensor;
 
 pub use codec::{bf16_to_f32, bf16_words, decode_bf16_into, encode_bf16_into, f32_to_bf16_rtne};
-pub use matmul::{Blocking, PackedT};
+pub use matmul::PackedT;
 pub use rng::Rng;
 pub use scratch::{Arena, Frame};
 pub use tensor::Tensor;

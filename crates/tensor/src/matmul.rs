@@ -43,39 +43,22 @@
 //!   branch-free select; which kernel runs depends on the shape alone.
 //!
 //! [`reference`](mod@reference) keeps the seed kernels verbatim as the bit-exactness
-//! oracle for tests and the baseline for `BENCH_pr4.json`.
+//! oracle for tests and the baseline for `BENCH_pr4.json`. The blocking
+//! argument is checked on shapes one short of, on and one past the
+//! `KC`/`NC` edges, pool on and off, by `blocking_params_are_bit_invariant`
+//! here and `matmul_k_blocking_never_reassociates_the_sum` in
+//! `tests/properties.rs`.
 
 use crate::{Tensor, PAR_THRESHOLD};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
-/// Cache-blocking parameters. Public (and accepted by [`matmul_with`])
-/// so property tests can vary them and assert the result is invariant —
-/// the executable form of the in-order k-blocking argument above.
-#[derive(Debug, Clone, Copy)]
-pub struct Blocking {
-    /// k-block depth: rows of `B` per panel (processed in order).
-    pub kc: usize,
-    /// j-panel width: columns of `B` per panel.
-    pub nc: usize,
-}
-
-impl Default for Blocking {
-    fn default() -> Self {
-        // KC×NC panel of B = 128·512·4 B = 256 KiB: L2-resident across
-        // every row of an i-block on any recent core.
-        Blocking { kc: 128, nc: 512 }
-    }
-}
-
-impl Blocking {
-    fn kc(&self) -> usize {
-        self.kc.max(1)
-    }
-    fn nc(&self) -> usize {
-        self.nc.max(1)
-    }
-}
+/// k-block depth: rows of `B` per panel, processed in order.
+const KC: usize = 128;
+/// j-panel width: columns of `B` per panel. The `KC×NC` panel of `B` is
+/// 128·512·4 B = 256 KiB: L2-resident across every row of an i-block on
+/// any recent core.
+const NC: usize = 512;
 
 // ---------------------------------------------------------------------------
 // Inner kernels (serial building blocks).
@@ -298,19 +281,18 @@ fn tn_col(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// Blocked `out_blk += A_blk · B` for a contiguous block of output rows.
 /// `a_blk` holds the matching rows of `A` (row-major, width `k`). Rows
 /// are walked in register tiles of eight, then four, then singly.
-fn block_nn(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize, bl: Blocking) {
+fn block_nn(a_blk: &[f32], b: &[f32], out_blk: &mut [f32], k: usize, n: usize) {
     if n == 1 {
         return dot_rows(a_blk, b, out_blk);
     }
     let rows = out_blk.len() / n;
-    let (kc, nc) = (bl.kc(), bl.nc());
     let mut k0 = 0;
     while k0 < k {
         // In-order k-blocks: ascending kk per element across blocks.
-        let k1 = (k0 + kc).min(k);
+        let k1 = (k0 + KC).min(k);
         let mut j0 = 0;
         while j0 < n {
-            let j1 = (j0 + nc).min(n);
+            let j1 = (j0 + NC).min(n);
             let mut r = 0;
             while r + 8 <= rows {
                 let (q0, rest) = out_blk[r * n..(r + 8) * n].split_at_mut(n);
@@ -520,15 +502,7 @@ fn cols_per_block(n: usize) -> usize {
 /// `out += A · B` for row-major slices: `(m×k) · (k×n)` accumulated into
 /// `out` (length `m·n`; pass zeroed scratch for a plain product).
 /// Bit-identical to the seed ikj kernel for every element.
-pub fn gemm_nn_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    bl: Blocking,
-) {
+pub fn gemm_nn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "lhs length mismatch");
     assert_eq!(b.len(), k * n, "rhs length mismatch");
     assert_eq!(out.len(), m * n, "out length mismatch");
@@ -544,7 +518,7 @@ pub fn gemm_nn_into(
                 .enumerate()
                 .for_each(|(ci, o)| saxpy_panel(a, b, n, 0, k, ci * cb, o));
         } else {
-            block_nn(a, b, out, k, n, bl);
+            block_nn(a, b, out, k, n);
         }
         return;
     }
@@ -552,9 +526,9 @@ pub fn gemm_nn_into(
         let rb = rows_per_block(m, NN_MR);
         out.par_chunks_mut(rb * n)
             .zip(a.par_chunks(rb * k))
-            .for_each(|(oc, ac)| block_nn(ac, b, oc, k, n, bl));
+            .for_each(|(oc, ac)| block_nn(ac, b, oc, k, n));
     } else {
-        block_nn(a, b, out, k, n, bl);
+        block_nn(a, b, out, k, n);
     }
 }
 
@@ -631,15 +605,7 @@ fn pack_transpose(k: usize, m: usize, a: &[f32], at: &mut [f32]) {
 /// element's accumulation chain is unchanged); `m == 1` is already
 /// contiguous and runs the nn kernel directly, and `n == 1` needs no
 /// transpose ([`tn_col`]).
-pub fn gemm_tn_into(
-    k: usize,
-    m: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    bl: Blocking,
-) {
+pub fn gemm_tn_into(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), k * m, "lhs length mismatch");
     assert_eq!(b.len(), k * n, "rhs length mismatch");
     assert_eq!(out.len(), m * n, "out length mismatch");
@@ -648,7 +614,7 @@ pub fn gemm_tn_into(
     }
     if m == 1 {
         // (k×1)ᵀ is the same bytes as (1×k).
-        gemm_nn_into(1, k, n, a, b, out, bl);
+        gemm_nn_into(1, k, n, a, b, out);
         return;
     }
     if n == 1 {
@@ -656,7 +622,7 @@ pub fn gemm_tn_into(
     }
     with_pack(m * k, |at| {
         pack_transpose(k, m, a, at);
-        gemm_nn_into(m, k, n, at, b, out, bl);
+        gemm_nn_into(m, k, n, at, b, out);
     });
 }
 
@@ -695,16 +661,8 @@ impl PackedT {
     }
 
     /// `out += Aᵀ · B` with the packed operand: `(m×k) · (k×n)`.
-    pub fn gemm_into(&self, b: &[f32], n: usize, out: &mut [f32], bl: Blocking) {
-        gemm_nn_into(
-            self.m,
-            self.k,
-            n,
-            &self.data[..self.m * self.k],
-            b,
-            out,
-            bl,
-        );
+    pub fn gemm_into(&self, b: &[f32], n: usize, out: &mut [f32]) {
+        gemm_nn_into(self.m, self.k, n, &self.data[..self.m * self.k], b, out);
     }
 }
 
@@ -714,20 +672,13 @@ impl PackedT {
 
 /// `C = A · B` for 2-D tensors: `(m×k) · (k×n) → (m×n)`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_with(a, b, Blocking::default())
-}
-
-/// [`matmul`] with explicit blocking parameters. The result is invariant
-/// under `bl` — asserted by the property tests — because k-blocks are
-/// processed sequentially in order.
-pub fn matmul_with(a: &Tensor, b: &Tensor, bl: Blocking) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D");
     assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
     let mut out = vec![0.0f32; m * n];
-    gemm_nn_into(m, k, n, a.data(), b.data(), &mut out, bl);
+    gemm_nn_into(m, k, n, a.data(), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -740,7 +691,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
     let mut out = vec![0.0f32; m * n];
-    gemm_tn_into(k, m, n, a.data(), b.data(), &mut out, Blocking::default());
+    gemm_tn_into(k, m, n, a.data(), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -1148,7 +1099,6 @@ mod tests {
         fn twice(v: &[f32]) -> Vec<f32> {
             v.iter().flat_map(|&x| [x, x]).collect()
         }
-        let bl = Blocking::default();
         let mut r = Rng::seed(83);
         for m in [1, 2, 7, 8, 9, 33, 4096, 5000, 11520] {
             for k in [1, 2, 5, 32, 131] {
@@ -1182,14 +1132,14 @@ mod tests {
                     // `out +=`: against the product with `col` as both of
                     // two columns, which takes the strips.
                     let mut one = start.data().to_vec();
-                    gemm_nn_into(m, k, 1, a.data(), col.data(), &mut one, bl);
+                    gemm_nn_into(m, k, 1, a.data(), col.data(), &mut one);
                     let mut two = twice(start.data());
-                    gemm_nn_into(m, k, 2, a.data(), &twice(col.data()), &mut two, bl);
+                    gemm_nn_into(m, k, 2, a.data(), &twice(col.data()), &mut two);
                     same(&twice(&one), &two, &format!("nn into {ctx}"));
                     let mut one = start.data()[..mt].to_vec();
-                    gemm_tn_into(kt, mt, 1, at.data(), tall.data(), &mut one, bl);
+                    gemm_tn_into(kt, mt, 1, at.data(), tall.data(), &mut one);
                     let mut two = twice(&start.data()[..mt]);
-                    gemm_tn_into(kt, mt, 2, at.data(), &twice(tall.data()), &mut two, bl);
+                    gemm_tn_into(kt, mt, 2, at.data(), &twice(tall.data()), &mut two);
                     same(&twice(&one), &two, &format!("tn into {ctx}"));
 
                     for (salt, t) in [&mut a, &mut col, &mut at, &mut tall, &mut a1, &mut b1]
@@ -1203,19 +1153,23 @@ mod tests {
         }
     }
 
-    /// Blocking parameters must not change a single bit: k-blocks are
-    /// sequential and in order, so any (kc, nc) yields the same chains.
+    /// The k-blocks and j-panels must not change a single bit: shapes one
+    /// short of, on and one past the `KC` and `NC` edges (and two
+    /// k-blocks deep) equal the seed kernel, pool on and off.
     #[test]
     fn blocking_params_are_bit_invariant() {
         let mut r = Rng::seed(78);
-        let a = sparse_tensor(&mut r, &[37, 91]);
-        let b = sparse_tensor(&mut r, &[91, 53]);
-        let baseline = matmul_with(&a, &b, Blocking { kc: 1, nc: 1 });
-        for (kc, nc) in [(2, 3), (4, 16), (7, 19), (128, 512), (1000, 1000)] {
-            let c = matmul_with(&a, &b, Blocking { kc, nc });
-            assert_bits_equal(&c, &baseline, &format!("kc={kc} nc={nc}"));
+        for k in [KC - 1, KC, KC + 1, 2 * KC + 1] {
+            for n in [NC - 1, NC, NC + 1] {
+                let a = sparse_tensor(&mut r, &[9, k]);
+                let b = sparse_tensor(&mut r, &[k, n]);
+                let want = reference::matmul_ikj(&a, &b);
+                let ctx = format!("9x{k}x{n}");
+                assert_bits_equal(&matmul(&a, &b), &want, &ctx);
+                let off = rayon::serial_scope(|| matmul(&a, &b));
+                assert_bits_equal(&off, &want, &format!("{ctx} pool off"));
+            }
         }
-        assert_bits_equal(&baseline, &reference::matmul_ikj(&a, &b), "vs seed");
     }
 
     #[test]
@@ -1227,7 +1181,7 @@ mod tests {
             let mut p = PackedT::new();
             p.pack(&a);
             let mut out = vec![0.0f32; m * n];
-            p.gemm_into(b.data(), n, &mut out, Blocking::default());
+            p.gemm_into(b.data(), n, &mut out);
             let packed = Tensor::from_vec(out, &[m, n]);
             assert_bits_equal(&packed, &matmul_tn(&a, &b), &format!("packed {k}x{m}x{n}"));
         }

@@ -16,6 +16,12 @@
 //!   slices taken from it live only as long as the frame.
 //! * [`Frame::take`] returns zero-filled slices — callers may rely on
 //!   fresh-scratch semantics (im2col padding, gemm accumulators).
+//! * The *layer* owns its arenas (one per parallel sample lane); a kernel
+//!   only ever borrows a [`Frame`] and allocates nothing in its loops.
+//!   After warm-up `grows()` is constant across steps: `experiments
+//!   kernels` records that as `grows_stable`, and `msa-lint`'s
+//!   `alloc-in-kernel` rule enforces it statically for
+//!   `tensor/src/{matmul,conv}.rs` and `nn/src/conv.rs`.
 
 /// A reusable `f32` workspace buffer with an allocation-growth counter.
 /// A clone copies the buffer and the counter.

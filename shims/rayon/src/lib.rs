@@ -22,7 +22,11 @@
 //! (the "pool-off" switch determinism tests compare against),
 //! [`current_num_threads`] reports the partition width, and
 //! `MSA_POOL_THREADS` overrides `available_parallelism` (0/1 disables
-//! the pool).
+//! the pool). Inside [`serial_scope`] stages run in block order, but
+//! batch partitioning still uses [`current_num_threads`], so pool-off
+//! results are bit-identical to pool-on: that is what the kernels'
+//! bit-exactness tests compare, and why a report that records
+//! checksums pins the width first.
 
 mod batch;
 mod pool;

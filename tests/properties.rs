@@ -295,13 +295,14 @@ fn matmul_transpose_identities() {
 /// PR4 invariant: blocking never reassociates the sum. The cache-blocked
 /// matmul walks k-panels in ascending order and accumulates each output
 /// element in the seed's exact per-element order, so the panel split
-/// points are invisible in the bits — for *every* blocking parameter,
-/// with the thread pool on or off ([`rayon::serial_scope`]), the result
+/// points are invisible in the bits — on random odd shapes and on shapes
+/// either side of the 128-deep k-block and 512-wide j-panel edges, with
+/// the thread pool on or off ([`rayon::serial_scope`]), the result
 /// equals the seed's serial ikj/dot kernels under exact `to_bits`
 /// equality, not a tolerance.
 #[test]
 fn matmul_k_blocking_never_reassociates_the_sum() {
-    use msa_suite::tensor::matmul::{matmul_with, reference, Blocking};
+    use msa_suite::tensor::matmul::reference;
 
     fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
         assert_eq!(got.shape(), want.shape(), "{what}: shape mismatch");
@@ -330,13 +331,6 @@ fn matmul_k_blocking_never_reassociates_the_sum() {
             &want,
             &format!("{tag} pool-off"),
         );
-        for (kc, nc) in [(1, 1), (3, 5), (7, 64), (1024, 1024)] {
-            assert_bits_eq(
-                &matmul_with(&a, &b, Blocking { kc, nc }),
-                &want,
-                &format!("{tag} blocking kc={kc} nc={nc}"),
-            );
-        }
 
         let at = rng.normal_tensor(&[k, m], 1.0);
         assert_bits_eq(
@@ -350,6 +344,22 @@ fn matmul_k_blocking_never_reassociates_the_sum() {
             &reference::matmul_nt_dot(&a, &bt),
             &format!("{tag} nt"),
         );
+    }
+    // One short of, on and one past each panel edge, and two k-blocks deep.
+    for k in [127, 128, 129, 257] {
+        for n in [511, 512, 513] {
+            let mut rng = msa_suite::tensor::Rng::seed((k * n) as u64);
+            let a = rng.normal_tensor(&[9, k], 1.0);
+            let b = rng.normal_tensor(&[k, n], 1.0);
+            let tag = format!("edge (9x{k})·({k}x{n})");
+            let want = reference::matmul_ikj(&a, &b);
+            assert_bits_eq(&matmul(&a, &b), &want, &format!("{tag} pool-on"));
+            assert_bits_eq(
+                &rayon::serial_scope(|| matmul(&a, &b)),
+                &want,
+                &format!("{tag} pool-off"),
+            );
+        }
     }
 }
 
