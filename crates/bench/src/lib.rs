@@ -975,16 +975,6 @@ mod tests {
             assert!(a.get(k).is_some(), "missing key {k}");
         }
     }
-
-    #[test]
-    fn quick_experiments_render() {
-        // The cheap, purely-analytic ones run in unit-test time.
-        for id in ["e1", "e2", "e8", "e9"] {
-            let s = super::run(id);
-            assert!(s.contains("===="), "{id} should render a header");
-            assert!(s.len() > 200, "{id} output suspiciously short");
-        }
-    }
 }
 
 /// The committed BENCH/TUNE artifacts and the analytic experiments'

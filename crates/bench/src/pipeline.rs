@@ -26,11 +26,14 @@
 //!   per-step saving of prefetch-vs-serial staging is reported at
 //!   p ∈ {1, 4, 8, 96, 128}.
 //! * **Real timing** (full report only) — epoch wall-clock of the real
-//!   input pipeline on a stage-bound configuration (wide rows, ~41 MB
-//!   batches). Depth 0 re-allocates every batch (the seed's behavior);
-//!   depth 2 streams through recycled slabs. On this box the win is
-//!   allocator/page-fault traffic, not thread overlap (single core) —
-//!   the committed flag requires ≥ 1.2×.
+//!   input pipeline on a stage-bound configuration (192 rows of 160k
+//!   floats in 64-row, ~41 MB batches; the minimum of several epochs
+//!   after warm-up). Depth 0 re-allocates every batch (the seed's
+//!   behavior); depth 2 streams through recycled slabs. A 41 MB batch is
+//!   past glibc's mmap threshold, so depth 0 pays mmap/munmap and
+//!   zero-page faults on every batch: on a single core the win is that
+//!   allocator traffic, not thread overlap — the committed flag requires
+//!   ≥ 1.2×.
 //!
 //! The counters sections are byte-identical between runs.
 

@@ -184,40 +184,6 @@ pub fn imputation_task(
     }
 }
 
-/// GRU-D-style augmentation (Che et al., the paper's related work):
-/// appends per-feature **time-since-last-observation** channels to an
-/// imputation task's inputs, turning `(n, t, 2F)` into `(n, t, 3F)`.
-/// δ is measured in steps, capped and scaled to ~unit range; homeostasis
-/// makes stale observations less informative, which these channels let a
-/// recurrent model learn ("decay" toward the population mean).
-pub fn add_delta_channels(task: &ImputationTask) -> ImputationTask {
-    let shape = task.inputs.shape();
-    let (n, t, two_f) = (shape[0], shape[1], shape[2]);
-    assert_eq!(two_f, 2 * FEATURES, "expects value+indicator channels");
-    let mut inputs = Vec::with_capacity(n * t * 3 * FEATURES);
-    const CAP: f32 = 10.0;
-    for i in 0..n {
-        let mut since = [CAP; FEATURES]; // "never seen" saturates
-        for tt in 0..t {
-            let base = (i * t + tt) * two_f;
-            // values + indicators pass through
-            inputs.extend_from_slice(&task.inputs.data()[base..base + two_f]);
-            // delta channels reflect the state *before* this step's
-            // observation, then update.
-            for (f, s) in since.iter_mut().enumerate() {
-                inputs.push(*s / CAP);
-                let visible = task.inputs.data()[base + FEATURES + f] != 0.0;
-                *s = if visible { 0.0 } else { (*s + 1.0).min(CAP) };
-            }
-        }
-    }
-    ImputationTask {
-        inputs: tensor::Tensor::from_vec(inputs, &[n, t, 3 * FEATURES]),
-        targets: task.targets.clone(),
-        eval_mask: task.eval_mask.clone(),
-    }
-}
-
 /// Flattens a cohort into per-patient summary features for classical
 /// ARDS-prediction baselines: per-feature (mean, min, max, last).
 pub fn summary_features(cohort: &IcuCohort) -> Dataset {
@@ -336,41 +302,6 @@ mod tests {
                     assert_eq!(task.inputs.at(&[i, tt, SPO2]), 0.0);
                     assert_eq!(task.inputs.at(&[i, tt, FEATURES + SPO2]), 0.0);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_channels_track_staleness() {
-        let cfg = IcuConfig::default();
-        let c = generate(4, &cfg, 21);
-        let task = imputation_task(&c, SPO2, 0.2, 5);
-        let aug = add_delta_channels(&task);
-        assert_eq!(aug.inputs.shape(), &[4, 48, 3 * FEATURES]);
-        // Value/indicator channels are untouched.
-        for i in 0..4 {
-            for tt in 0..48 {
-                for ch in 0..2 * FEATURES {
-                    assert_eq!(
-                        aug.inputs.at(&[i, tt, ch]),
-                        task.inputs.at(&[i, tt, ch])
-                    );
-                }
-            }
-        }
-        // Delta semantics: saturated before any observation, reset to 0
-        // by an observation, then +1 step (scaled by 1/10, capped at 1).
-        for i in 0..4 {
-            let mut since = 10.0f32;
-            for tt in 0..48 {
-                let d = aug.inputs.at(&[i, tt, 2 * FEATURES + SPO2]);
-                let expected = since / 10.0;
-                assert!(
-                    (d - expected).abs() < 1e-6,
-                    "i={i} tt={tt}: {d} vs {expected}"
-                );
-                let visible = task.inputs.at(&[i, tt, FEATURES + SPO2]) != 0.0;
-                since = if visible { 0.0 } else { (since + 1.0).min(10.0) };
             }
         }
     }

@@ -4,18 +4,27 @@
 //! training hot path: it draws the epoch permutation up front (the same
 //! single [`Rng`] consumption as the eager path, so checkpointed RNG
 //! positions are unchanged) and then assembles one mini-batch at a time
-//! into slab-backed buffers. The assembled bits are identical to the
-//! eager path by construction — same permutation, same gather order,
-//! same shapes — which the tests below pin down.
+//! into slab-backed buffers (`rayon::join` runs the x- and y-gathers on
+//! two pool lanes; their outputs are disjoint, so order cannot matter).
+//! The assembled bits are identical to the eager path by construction —
+//! same permutation, same gather order, same shapes — which the tests
+//! below pin down. [`Dataset::batches`] survives as a thin `collect()`
+//! over the stream for tests; the trainer never materialises an epoch.
 //!
 //! [`with_prefetch`] runs the stream on a producer thread behind a
 //! bounded depth-`k` ring (one `msa-sync` mutex, two condvars; both
 //! notifies fire under the lock — the discipline the msa-race checker
-//! audits via `msa_race::models::prefetch`). The consumer hands finished
-//! batches back with [`PrefetchConsumer::recycle`], so after warm-up the
-//! ring circulates at most `depth + 2` slab pairs and steady-state
-//! epochs allocate nothing ([`SlabPool::allocs`] is the proof counter
-//! the `experiments pipeline` contract asserts on).
+//! audits via `msa_race::models::prefetch`, where the shipped protocol
+//! is clean and each deliberately broken variant — `done` or `stop` as
+//! an atomic outside the lock with an unlocked notify — is FOUND as a
+//! lost wakeup). The consumer hands finished batches back with
+//! [`PrefetchConsumer::recycle`], so the ring circulates at most
+//! `depth + 2` slab pairs (`depth` queued, one in flight, one held by
+//! the consumer). The pool is seeded to exactly that bound, capped by
+//! the epoch's batch count, before the producer starts, so the warm-up
+//! allocation count is deterministic and steady-state epochs allocate
+//! nothing ([`SlabPool::allocs`] is the proof counter the `experiments
+//! pipeline` contract asserts on).
 //!
 //! Ownership: the ring owns the producer thread for exactly the scope
 //! of the consumer closure (`std::thread::scope`); on early exit (e.g.
@@ -63,11 +72,6 @@ impl SlabPool {
     /// ring is warm.
     pub fn allocs(&self) -> u64 {
         self.allocs
-    }
-
-    /// Slab pairs currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
     }
 
     /// Takes a slab pair, allocating at the given full-batch capacities
@@ -455,7 +459,6 @@ mod tests {
         }
         // One slab pair circulated the whole epoch.
         assert_eq!(pool.allocs(), 1);
-        assert_eq!(pool.idle(), 1);
         // A second epoch allocates nothing.
         let mut rng = Rng::seed(12);
         let mut stream = BatchStream::new(&ds, 4, &mut rng);
@@ -528,8 +531,11 @@ mod tests {
         });
         let want = eager(&ds, 3, 5);
         assert_eq!(got, want[1].0.data()[0]);
-        // Whatever the producer assembled ahead was drained back.
-        assert!(pool.idle() >= 1);
+        // Whatever the producer assembled ahead was drained back: the
+        // next take reuses a parked slab instead of allocating.
+        let allocs = pool.allocs();
+        let _ = pool.take(0, 0);
+        assert_eq!(pool.allocs(), allocs);
     }
 
     #[test]

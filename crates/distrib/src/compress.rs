@@ -240,8 +240,8 @@ impl TopKCompressor {
     /// short gradient still ships one entry per step — error feedback
     /// needs a nonzero channel or the residual would grow forever. Two
     /// boundary consequences, pinned by regression tests:
-    /// * `bytes_per_step()` never reports below 8 bytes, however tiny
-    ///   the ratio;
+    /// * a rank ships at least one 8-byte (index, value) entry per step,
+    ///   however tiny the ratio;
     /// * for an *empty* parameter vector `k()` still reports the floor
     ///   of 1, but the actual selection (and the wire payload) is empty
     ///   — `k()` is the configured channel width, not the payload size.
@@ -290,17 +290,6 @@ impl TopKCompressor {
                 (pair.index, pair.value())
             })
             .unzip()
-    }
-
-    /// Bytes this rank ships per step (4-byte index + 4-byte value each).
-    /// Subject to the [`TopKCompressor::k`] floor: never below 8.
-    pub fn bytes_per_step(&self) -> usize {
-        self.k() * 8
-    }
-
-    /// Bytes a dense exchange would ship.
-    pub fn dense_bytes(&self) -> usize {
-        self.residual.len() * 4
     }
 }
 
@@ -607,9 +596,9 @@ mod tests {
     #[test]
     fn compression_cuts_communication_volume() {
         let c = TopKCompressor::new(25_600_000, 0.01); // ResNet-50 size, 1%
-        assert_eq!(c.dense_bytes(), 102_400_000);
-        assert_eq!(c.bytes_per_step(), 256_000 * 8);
-        assert!(c.bytes_per_step() < c.dense_bytes() / 49);
+        assert_eq!(c.k(), 256_000);
+        // 8 wire bytes per entry against 4 per dense value: a 50× cut.
+        assert_eq!(50 * 8 * c.k(), 4 * 25_600_000);
     }
 
     #[test]
@@ -618,16 +607,13 @@ mod tests {
         // entry (8 bytes), not zero.
         let c = TopKCompressor::new(10, 1e-9);
         assert_eq!(c.k(), 1);
-        assert_eq!(c.bytes_per_step(), 8);
         // A ratio that rounds up: ceil(3 · 0.5) = 2 entries.
         let c = TopKCompressor::new(3, 0.5);
         assert_eq!(c.k(), 2);
-        assert_eq!(c.bytes_per_step(), 16);
         // Empty parameter vector: k() reports the configured floor but
         // the selection — and therefore the wire payload — is empty.
         let mut c = TopKCompressor::new(0, 0.5);
         assert_eq!(c.k(), 1);
-        assert_eq!(c.bytes_per_step(), 8);
         let (idx, vals) = c.compress(&[]);
         assert!(idx.is_empty() && vals.is_empty());
     }

@@ -33,6 +33,6 @@ pub use fusion::{ExchangeDispatch, FusionBuffer, FusionConfig};
 pub use modular::{MlCampaign, WorkflowCost};
 pub use perf::{ScalingModel, ScalingPoint, StageTerm};
 pub use trainer::{
-    evaluate_classifier, evaluate_loss, EpochBreakdown, EpochStats, PhaseBreakdown, StepCost,
-    TrainConfig, TrainOutcome, TrainReport, Trainer,
+    evaluate_classifier, EpochBreakdown, EpochStats, PhaseBreakdown, StepCost, TrainConfig,
+    TrainOutcome, TrainReport, Trainer,
 };

@@ -46,7 +46,10 @@ const OVERLAP_FRACTION: f64 = 0.3;
 /// the staging source is *shared* — past the GPU count where
 /// the backend's fair share drops below the per-rank step demand, the
 /// input pipeline becomes the bottleneck and speedup saturates no matter
-/// how good the interconnect is.
+/// how good the interconnect is. With [`ParallelFs::deep_sssm`] (48 GB/s
+/// aggregate, 12.5 GB/s per client) and BigEarthNet-scale samples that
+/// crossing lies near p ≈ 90: the 96- and 128-GPU projections are
+/// input-bound, p ≤ 8 is not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageTerm {
     /// Bytes each training sample stages from storage.

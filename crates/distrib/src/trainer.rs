@@ -508,6 +508,13 @@ impl Trainer {
     ///
     /// Training results are bit-identical at every depth: the prefetcher
     /// changes *when* batches are assembled, never their bits or order.
+    /// The staging schedule (`StagePipe`, a discrete-event pipe) is
+    /// pricing only, so parameters, per-epoch losses and the obs snapshot
+    /// outside `trainer.stage_overlap.saved`, `trainer.sim_wall` and
+    /// `trainer.epoch.time` match at every depth, codec and fusion
+    /// config. Resume composes: a run killed at depth 2 and resumed at
+    /// depth 4 lands on the reference bits, because the checkpointed RNG
+    /// position is the stream's only state.
     /// `0` (the default) keeps the serial seed schedule — and the seed's
     /// modeled timings — exactly; [`data::stream::DEFAULT_PREFETCH_DEPTH`]
     /// (2) is the recommended double-buffering depth.
@@ -523,7 +530,7 @@ impl Trainer {
         self
     }
 
-    /// Runs the configured training job: one [`Rank`] per worker thread.
+    /// Runs the configured training job: one `Rank` per worker thread.
     ///
     /// Returns `Err` only when a [`Trainer::resume`] snapshot fails
     /// validation (wrong workers/seed/LR schedule, or not a trainer
@@ -1187,27 +1194,6 @@ where
     model.set_state(&report.final_state);
     let logits = model.predict(&test.x);
     data::accuracy(&logits, &test.y)
-}
-
-/// Mean loss of a trained regressor on given inputs/targets (used by the
-/// imputation study).
-pub fn evaluate_loss<M, L>(
-    model_fn: M,
-    seed: u64,
-    report: &TrainReport,
-    x: &Tensor,
-    y: &Tensor,
-    loss: &L,
-) -> f32
-where
-    M: Fn(u64) -> Sequential,
-    L: Loss,
-{
-    let mut model = model_fn(seed);
-    model.set_values(&report.final_params);
-    model.set_state(&report.final_state);
-    let pred = model.predict(x);
-    loss.compute(&pred, y).0
 }
 
 #[cfg(test)]

@@ -79,20 +79,6 @@ impl TierModel {
         }
         ws_gib / self.pass_time(ws_gib).as_secs()
     }
-
-    /// Time for an analytics job doing `passes` scans of `ws_gib`.
-    pub fn job_time(&self, ws_gib: f64, passes: u32) -> SimTime {
-        self.pass_time(ws_gib) * passes as f64
-    }
-
-    /// Fraction of the working set that fits in DRAM.
-    pub fn ram_fit(&self, ws_gib: f64) -> f64 {
-        if ws_gib == 0.0 {
-            1.0
-        } else {
-            (self.ddr_gib / ws_gib).min(1.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +98,6 @@ mod tests {
     fn in_ram_jobs_run_at_dram_speed() {
         let t = TierModel::from_node(&catalog::deep_dam_node());
         assert!((t.effective_bw(100.0) - t.ddr_bw_gbs).abs() < 1e-9);
-        assert_eq!(t.ram_fit(100.0), 1.0);
     }
 
     #[test]
@@ -133,20 +118,12 @@ mod tests {
         let dam = TierModel::from_node(&catalog::deep_dam_node());
         let cm = TierModel::from_node(&catalog::juwels_cluster_node());
         let ws = 500.0; // exceeds both nodes' DRAM? CM: 96 GiB, DAM: 384.
-        let t_dam = dam.job_time(ws, 10);
-        let t_cm = cm.job_time(ws, 10);
+        let t_dam = dam.pass_time(ws);
+        let t_cm = cm.pass_time(ws);
         assert!(
             t_dam < t_cm / 2.0,
             "DAM should be ≥2× faster: {t_dam} vs {t_cm}"
         );
-    }
-
-    #[test]
-    fn job_time_scales_with_passes() {
-        let t = TierModel::from_node(&catalog::deep_dam_node());
-        let one = t.job_time(200.0, 1);
-        let ten = t.job_time(200.0, 10);
-        assert!((ten.as_secs() - 10.0 * one.as_secs()).abs() < 1e-9);
     }
 
     #[test]

@@ -63,13 +63,6 @@ impl Node {
             }
         }
     }
-
-    fn depth(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
-        }
-    }
 }
 
 /// A trained random forest (majority vote over trees).
@@ -236,21 +229,18 @@ impl RandomForest {
             .count() as f64
             / xs.len().max(1) as f64
     }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Maximum tree depth actually realised.
-    pub fn max_depth(&self) -> usize {
-        self.trees.iter().map(Node::depth).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn depth(node: &Node) -> usize {
+        match node {
+            Node::Leaf { .. } => 0,
+            Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
+        }
+    }
 
     fn rings(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
         // Class 0: inner disc; class 1: annulus — not linearly separable.
@@ -299,7 +289,7 @@ mod tests {
             ..Default::default()
         };
         let rf = RandomForest::train(&xs, &ys, &cfg);
-        assert!(rf.max_depth() <= 3);
+        assert!(rf.trees.iter().all(|t| depth(t) <= 3));
     }
 
     #[test]
@@ -322,7 +312,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(big.n_trees(), 40);
+        assert_eq!(big.trees.len(), 40);
         assert!(big.accuracy(&tx, &ty) >= small.accuracy(&tx, &ty) - 0.02);
     }
 

@@ -230,11 +230,6 @@ impl Gbdt {
             .count();
         correct as f64 / xs.len().max(1) as f64
     }
-
-    /// Number of boosting rounds.
-    pub fn rounds(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 #[cfg(test)]
@@ -302,7 +297,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(long.rounds(), 60);
+        assert_eq!(long.trees.len(), 60);
         assert!(long.accuracy(&tx, &ty) >= short.accuracy(&tx, &ty) - 0.01);
     }
 

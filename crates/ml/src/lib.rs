@@ -25,7 +25,7 @@ pub mod svm;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use kmeans::{kmeans, KMeansConfig, KMeansModel};
-pub use metrics::{accuracy, confusion_matrix, macro_f1};
+pub use metrics::{accuracy, confusion_matrix};
 pub use multiclass::OneVsRestSvm;
 pub use preprocess::StandardScaler;
 pub use svm::{cascade_svm, CascadeReport, Kernel, Svm, SvmConfig};

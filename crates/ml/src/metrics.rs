@@ -25,44 +25,6 @@ pub fn accuracy(actual: &[usize], predicted: &[usize]) -> f64 {
         / actual.len() as f64
 }
 
-/// Macro-averaged F1 over all classes (classes absent from both actual
-/// and predicted are skipped).
-pub fn macro_f1(actual: &[usize], predicted: &[usize], classes: usize) -> f64 {
-    let m = confusion_matrix(actual, predicted, classes);
-    let mut f1s = Vec::new();
-    for (c, row) in m.iter().enumerate() {
-        let tp = row[c];
-        let fp: usize = m
-            .iter()
-            .enumerate()
-            .filter(|&(r, _)| r != c)
-            .map(|(_, other)| other[c])
-            .sum();
-        let fn_: usize = row
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| p != c)
-            .map(|(_, &v)| v)
-            .sum();
-        if tp + fp + fn_ == 0 {
-            continue;
-        }
-        let precision = tp as f64 / (tp + fp).max(1) as f64;
-        let recall = tp as f64 / (tp + fn_).max(1) as f64;
-        let f1 = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        f1s.push(f1);
-    }
-    if f1s.is_empty() {
-        0.0
-    } else {
-        f1s.iter().sum::<f64>() / f1s.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,21 +45,7 @@ mod tests {
         assert_eq!(accuracy(&[0, 1, 2], &[0, 1, 2]), 1.0);
         assert_eq!(accuracy(&[0, 1, 2], &[2, 1, 0]), 1.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn perfect_f1_is_one() {
-        let y = [0usize, 1, 2, 0, 1, 2];
-        assert!((macro_f1(&y, &y, 3) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f1_penalises_class_collapse() {
-        // Predicting everything as class 0 on balanced 2-class data.
-        let actual = [0usize, 0, 1, 1];
-        let pred = [0usize, 0, 0, 0];
-        let f1 = macro_f1(&actual, &pred, 2);
-        assert!(f1 < 0.5, "collapsed predictor should score badly: {f1}");
-        assert_eq!(accuracy(&actual, &pred), 0.5);
+        // A predictor collapsed onto one class of balanced data.
+        assert_eq!(accuracy(&[0, 0, 1, 1], &[0, 0, 0, 0]), 0.5);
     }
 }

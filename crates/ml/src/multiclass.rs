@@ -5,7 +5,7 @@
 //! classifier per class, predictions by maximum decision value. The `k`
 //! binary problems are independent, so they train in parallel.
 
-use crate::svm::{cascade_svm, Svm, SvmConfig};
+use crate::svm::{Svm, SvmConfig};
 use rayon::prelude::*;
 
 /// A one-vs-rest multiclass SVM.
@@ -37,35 +37,6 @@ impl OneVsRestSvm {
             })
             .collect();
         OneVsRestSvm { models }
-    }
-
-    /// Like [`OneVsRestSvm::train`], but each binary problem uses the
-    /// parallel cascade with `partitions` leaves (both levels of
-    /// parallelism compose on the rayon pool).
-    pub fn train_cascade(
-        xs: &[Vec<f32>],
-        labels: &[usize],
-        classes: usize,
-        partitions: usize,
-        cfg: &SvmConfig,
-    ) -> Self {
-        assert!(classes >= 2);
-        let models = (0..classes)
-            .into_par_iter()
-            .map(|c| {
-                let ys: Vec<f32> = labels
-                    .iter()
-                    .map(|&l| if l == c { 1.0 } else { -1.0 })
-                    .collect();
-                cascade_svm(xs, &ys, partitions, cfg).model
-            })
-            .collect();
-        OneVsRestSvm { models }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.models.len()
     }
 
     /// Predicted class = argmax of the per-class decision values.
@@ -127,23 +98,9 @@ mod tests {
             ..Default::default()
         };
         let model = OneVsRestSvm::train(&xs, &ys, 4, &cfg);
-        assert_eq!(model.classes(), 4);
+        assert_eq!(model.models.len(), 4);
         let acc = model.accuracy(&tx, &ty);
         assert!(acc > 0.9, "multiclass accuracy {acc}");
-    }
-
-    #[test]
-    fn cascade_variant_matches_plain_training() {
-        let (xs, ys) = ring_blobs(400, 3, 3);
-        let (tx, ty) = ring_blobs(150, 3, 4);
-        let cfg = SvmConfig {
-            kernel: Kernel::Rbf { gamma: 0.5 },
-            ..Default::default()
-        };
-        let plain = OneVsRestSvm::train(&xs, &ys, 3, &cfg);
-        let cascade = OneVsRestSvm::train_cascade(&xs, &ys, 3, 4, &cfg);
-        let (ap, ac) = (plain.accuracy(&tx, &ty), cascade.accuracy(&tx, &ty));
-        assert!(ac > ap - 0.06, "cascade OvR degraded: {ac} vs {ap}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The MSA's headline claim is that running each application part on an
 //! *exactly matching* module improves both time-to-solution and energy.
 //! [`PowerModel`] turns a node spec + utilisation into watts, and
-//! [`EnergyMeter`] integrates power over virtual time intervals.
+//! [`PowerModel::energy_j`] prices an interval of virtual time in joules.
 
 use crate::hw::NodeSpec;
 use crate::simtime::SimTime;
@@ -40,57 +40,9 @@ impl PowerModel {
     }
 }
 
-/// Accumulates energy over a simulation run.
-#[derive(Debug, Default, Clone)]
-pub struct EnergyMeter {
-    total_j: f64,
-    samples: usize,
-}
-
-impl EnergyMeter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an interval of `nodes` nodes at `utilization` under `model`.
-    pub fn record(&mut self, model: &PowerModel, nodes: usize, utilization: f64, dt: SimTime) {
-        self.total_j += model.energy_j(nodes, utilization, dt);
-        self.samples += 1;
-    }
-
-    /// Adds raw joules (for models that compute energy themselves).
-    pub fn add_joules(&mut self, j: f64) {
-        assert!(j >= 0.0, "energy cannot be negative");
-        self.total_j += j;
-        self.samples += 1;
-    }
-
-    /// Total accumulated energy in joules.
-    pub fn joules(&self) -> f64 {
-        self.total_j
-    }
-
-    /// Total accumulated energy in kilowatt-hours.
-    pub fn kwh(&self) -> f64 {
-        self.total_j / 3.6e6
-    }
-
-    /// Number of recorded intervals.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        self.total_j += other.total_j;
-        self.samples += other.samples;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hw::catalog;
 
     #[test]
     fn power_interpolates_idle_to_peak() {
@@ -116,25 +68,5 @@ mod tests {
         let e2 = m.energy_j(2, 1.0, SimTime::from_secs(10.0));
         assert_eq!(e1, 10_000.0);
         assert_eq!(e2, 2.0 * e1);
-    }
-
-    #[test]
-    fn meter_accumulates_and_converts() {
-        let model = PowerModel::for_node(&catalog::deep_dam_node());
-        let mut meter = EnergyMeter::new();
-        meter.record(&model, 16, 0.9, SimTime::from_secs(3600.0));
-        meter.add_joules(3.6e6);
-        assert_eq!(meter.samples(), 2);
-        assert!(meter.kwh() > 1.0);
-        let mut other = EnergyMeter::new();
-        other.add_joules(1.0);
-        meter.merge(&other);
-        assert_eq!(meter.samples(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative")]
-    fn negative_energy_rejected() {
-        EnergyMeter::new().add_joules(-1.0);
     }
 }

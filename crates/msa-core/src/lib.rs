@@ -37,8 +37,8 @@ pub mod simtime;
 pub mod system;
 pub mod workload;
 
-pub use energy::{EnergyMeter, PowerModel};
-pub use event::{EventEngine, EventId};
+pub use energy::PowerModel;
+pub use event::EventEngine;
 pub use hw::{CpuSpec, FpgaSpec, GpuSpec, MemoryKind, MemorySpec, NodeSpec, StorageSpec};
 pub use module::{Module, ModuleId, ModuleKind};
 pub use rng::{fnv1a, XorShift};

@@ -28,7 +28,7 @@
 //! (the pipeline chain also writes into the lent send buffer, one pass
 //! per hop), so steady-state collectives allocate nothing on pooled
 //! transports. Accumulation order is load-bearing: every fold is the
-//! element-wise `*dst += incoming` of [`add_into`] over the same message
+//! element-wise `*dst += incoming` of `add_into` over the same message
 //! schedule as the seed, so results are `to_bits`-equal to the seed
 //! collectives.
 

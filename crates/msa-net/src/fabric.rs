@@ -40,22 +40,6 @@ impl FatTree {
         }
     }
 
-    /// An oversubscribed variant (uplink = NIC × nodes / factor).
-    pub fn oversubscribed(
-        nodes_per_leaf: usize,
-        leaves: usize,
-        nic_bw_gbs: f64,
-        factor: f64,
-    ) -> Self {
-        assert!(factor >= 1.0);
-        FatTree {
-            nodes_per_leaf,
-            leaves,
-            nic_bw_gbs,
-            uplink_bw_gbs: nic_bw_gbs * nodes_per_leaf as f64 / factor,
-        }
-    }
-
     /// Total compute nodes.
     pub fn nodes(&self) -> usize {
         self.nodes_per_leaf * self.leaves
@@ -241,6 +225,14 @@ mod tests {
         FatTree::full_bisection(4, 4, 10.0) // 16 nodes, 10 GB/s NICs
     }
 
+    /// [`tree`] with 4:1 oversubscribed uplinks.
+    fn oversubscribed() -> FatTree {
+        FatTree {
+            uplink_bw_gbs: 10.0,
+            ..tree()
+        }
+    }
+
     fn flow(src: usize, dst: usize, gb: f64, start: f64) -> Flow {
         Flow {
             src,
@@ -300,7 +292,7 @@ mod tests {
         // 10 GB/s shared by 4 flows ⇒ 2.5 GB/s each.
         let flows: Vec<Flow> = (0..4).map(|i| flow(i, 4 + i, 10.0, 0.0)).collect();
         let full = simulate(&tree(), &flows);
-        let over = simulate(&FatTree::oversubscribed(4, 4, 10.0, 4.0), &flows);
+        let over = simulate(&oversubscribed(), &flows);
         for fr in &full {
             assert!((fr.finish.as_secs() - 1.0).abs() < 1e-6);
         }
@@ -314,7 +306,7 @@ mod tests {
         // Intra-leaf flows are unaffected by a saturated uplink.
         let mut flows: Vec<Flow> = (0..4).map(|i| flow(i, 4 + i, 50.0, 0.0)).collect();
         flows.push(flow(4, 5, 10.0, 0.0)); // wait, 4 and 5 are leaf-1 nodes
-        let over = FatTree::oversubscribed(4, 4, 10.0, 4.0);
+        let over = oversubscribed();
         let r = simulate(&over, &flows);
         // The intra-leaf flow (index 4) shares only its NICs... its dst 5
         // also receives a cross-leaf flow (1→5), so it shares the dst NIC.

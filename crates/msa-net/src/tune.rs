@@ -514,7 +514,7 @@ impl DecisionTable {
     }
 
     /// The nearest measured cell to (`ranks`, `bytes`) by
-    /// [`cell_distance`]; the first entry wins exact ties, so selection
+    /// `cell_distance`; the first entry wins exact ties, so selection
     /// is deterministic and total.
     pub fn entry_for(&self, ranks: usize, bytes: usize) -> &TableEntry {
         let key = |e: &TableEntry| cell_distance(e.ranks, e.bytes, ranks, bytes);
@@ -554,7 +554,7 @@ impl DecisionTable {
     /// `codec` — what `distrib::perf` scales its comm prediction by when
     /// the trainer ships encoded gradients. `None` when the table holds
     /// no measurement for this codec (callers fall back to the analytic
-    /// wire-byte ratio). Nearest cell by [`cell_distance`] among the
+    /// wire-byte ratio). Nearest cell by `cell_distance` among the
     /// entries of the same codec, the first winning ties, as in
     /// [`DecisionTable::entry_for`].
     pub fn codec_ratio(&self, ranks: usize, bytes: usize, codec: GradCodec) -> Option<f64> {

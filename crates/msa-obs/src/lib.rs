@@ -95,9 +95,8 @@ pub fn key(name: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
-/// Sink for measurements. Object-safe so instrumented code can hold a
-/// `&dyn Recorder` without caring whether it feeds a [`MetricsRegistry`]
-/// or a [`NullRecorder`].
+/// Sink for measurements, implemented by [`MetricsRegistry`].
+/// Object-safe, so instrumented code can hold a `&dyn Recorder`.
 ///
 /// All methods take `&self`; implementations must be thread-safe
 /// (`Send + Sync`) because ranks record concurrently.
@@ -110,18 +109,6 @@ pub trait Recorder: Send + Sync {
     fn time_ps(&self, key: &str, ps: u64);
     /// Observes one value in the fixed-bucket histogram at `key`.
     fn observe(&self, key: &str, value: f64);
-}
-
-/// Recorder that drops everything. The default when no observer is
-/// attached; instrumented code pays only a virtual call.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn add(&self, _key: &str, _delta: u64) {}
-    fn gauge(&self, _key: &str, _value: f64) {}
-    fn time_ps(&self, _key: &str, _ps: u64) {}
-    fn observe(&self, _key: &str, _value: f64) {}
 }
 
 /// Number of histogram buckets: decades from ≤1e-12 up to >1e12.
@@ -405,14 +392,6 @@ impl MetricValue {
     pub fn as_counter(&self) -> Option<u64> {
         match self {
             MetricValue::Counter(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Gauge value, if this is a gauge.
-    pub fn as_gauge(&self) -> Option<f64> {
-        match self {
-            MetricValue::Gauge(bits) => Some(f64::from_bits(*bits)),
             _ => None,
         }
     }
@@ -722,8 +701,8 @@ mod tests {
         reg.gauge("g", 1.5);
         reg.gauge("g", -2.25);
         assert_eq!(
-            reg.snapshot().get("g").and_then(MetricValue::as_gauge),
-            Some(-2.25)
+            reg.snapshot().get("g"),
+            Some(&MetricValue::Gauge((-2.25f64).to_bits()))
         );
     }
 

@@ -55,13 +55,6 @@ pub struct JobOutcome {
     pub energy_j: f64,
 }
 
-impl JobOutcome {
-    /// Runtime of the job.
-    pub fn runtime(&self) -> SimTime {
-        self.end - self.start
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,19 +66,5 @@ mod tests {
         assert!((job.profile.total_tflop - full.total_tflop / 100.0).abs() < 1e-9);
         assert!(job.profile.sync_steps >= 1);
         assert_eq!(job.nodes, 4);
-    }
-
-    #[test]
-    fn outcome_runtime() {
-        let o = JobOutcome {
-            id: 0,
-            module: ModuleId(0),
-            nodes: 1,
-            start: SimTime::from_secs(5.0),
-            end: SimTime::from_secs(12.0),
-            wait: SimTime::from_secs(5.0),
-            energy_j: 1.0,
-        };
-        assert_eq!(o.runtime().as_secs(), 7.0);
     }
 }

@@ -59,11 +59,6 @@ impl CheckpointTarget {
     pub fn checkpoint_cost_bytes(&self, bytes: u64) -> SimTime {
         self.checkpoint_cost(bytes_to_gib(bytes))
     }
-
-    /// Time to restore a checkpoint of `bytes` bytes.
-    pub fn restart_cost_bytes(&self, bytes: u64) -> SimTime {
-        self.restart_cost(bytes_to_gib(bytes))
-    }
 }
 
 /// Bytes → GiB, the unit the bandwidth model speaks.
@@ -326,9 +321,6 @@ mod tests {
         assert!(
             (t.checkpoint_cost_bytes(bytes).as_secs() - t.checkpoint_cost(gib).as_secs()).abs()
                 < 1e-9
-        );
-        assert!(
-            (t.restart_cost_bytes(bytes).as_secs() - t.restart_cost(gib).as_secs()).abs() < 1e-9
         );
         // A real (small) model snapshot costs what its size implies.
         let small = t.checkpoint_cost_bytes(1_048_576);

@@ -5,7 +5,7 @@
 //! The backward pass is the standard closed-form batch-norm gradient.
 //!
 //! Each pass is two sweeps over `(image, channel)` planes taken as
-//! slices of the `(N, C, S)` buffer: [`channel_sums`] reduces every
+//! slices of the `(N, C, S)` buffer: `channel_sums` reduces every
 //! channel to a pair of `f64` sums, channel groups over the pool; the
 //! elementwise sweep then appends the output plane by plane and, when
 //! training, writes `x̂` into a grow-only buffer for backward in the
@@ -16,8 +16,8 @@
 //! Outputs, gradients and running statistics are `to_bits`-equal to the
 //! index-closure layer this replaced (the `#[cfg(test)]` oracle below),
 //! for any pool width. *A channel's sums are one `f64` chain each*,
-//! ascending `(image, element)` from `0.0`; [`channel_sums`] advances
-//! [`SUM_CHANNELS`] channels' chains side by side to hide the add latency
+//! ascending `(image, element)` from `0.0`; `channel_sums` advances
+//! `SUM_CHANNELS` channels' chains side by side to hide the add latency
 //! that bounds a lone chain, and chains never meet. *The elementwise
 //! sweeps are spelled as before*: `(x − μ)·σ⁻¹`, then `γ·x̂ + β`;
 //! `γ·σ⁻¹·(dy − mean(dy) − x̂·mean(dy·x̂))`, left to right, so hoisting the

@@ -165,7 +165,7 @@ impl Optimizer for Sgd {
 
 /// Adam (Kingma & Ba) with bias correction.
 ///
-/// A step is one sweep per parameter, [`STREAM_BLOCK`] blocks over the
+/// A step is one sweep per parameter, `STREAM_BLOCK` blocks over the
 /// pool: `m`, `v` and the weight are each read and written once. Elements
 /// are independent and go through the expressions of the three-sweep step
 /// this replaced (the `#[cfg(test)]` oracle below) in their order, so the

@@ -4,40 +4,31 @@
 //! the checkpoint/restart experiments and the "transfer the model to the
 //! inference module" workflow.
 //!
-//! Three on-disk versions share the `b"MSNN"` magic:
-//!
-//! * **v1** (legacy, read-only): `magic · u32 version · u64 param_len ·
-//!   u64 state_len · param_len×f32 · state_len×f32 · u64 checksum`.
-//!   Model weights and batch-norm stats only — restoring mid-training
-//!   from a v1 snapshot silently reset the optimiser, which is exactly
-//!   the bug v2 fixes.
-//! * **v2** (read-only): `magic · u32 version · u64 param_len ·
-//!   u64 state_len · u64 opt_len · u64 meta_len · param_len×f32 ·
-//!   state_len×f32 · opt_len×f32 · meta_len bytes · u64 checksum`.
-//!   Adds an optimiser-state section ([`crate::Optimizer::state`]) and an
-//!   opaque metadata section for trainer progress (epoch, step, RNG
-//!   stream positions, LR schedule point — encoded by
-//!   `distrib::checkpoint`).
-//! * **v3** (current): the v2 layout byte for byte, same length, with a
-//!   word-wise checksum. [`save`], [`save_with`] and [`save_into`] write
-//!   v3; [`load`] reads all three.
+//! One on-disk format, version 3 under the `b"MSNN"` magic: `magic ·
+//! u32 version · u64 param_len · u64 state_len · u64 opt_len · u64
+//! meta_len · param_len×f32 · state_len×f32 · opt_len×f32 · meta_len
+//! bytes · u64 checksum`. The optimiser section holds
+//! [`crate::Optimizer::state`] and the opaque metadata section the
+//! trainer's progress (epoch, step, RNG stream positions, LR schedule
+//! point — encoded by `distrib::checkpoint`); a model-only snapshot
+//! ([`save`]) leaves both empty. [`save`], [`save_with`] and
+//! [`save_into`] write it; any other version reads as
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! All integers little-endian. The trailing checksum covers every
-//! preceding byte: byte-serial FNV-1a in v1/v2; in v3 four FNV-1a lanes,
-//! lane *i* folding the *i*-th little-endian `u64` of every 32-byte
-//! block, then lanes 1–3 folded into lane 0 and the < 32-byte tail byte
-//! by byte. Four independent multiply chains run at memory speed. Every
-//! step is a bijection of the state, so single-bit corruption anywhere
-//! still becomes a typed [`SnapshotError`], never a panic.
+//! preceding byte: four FNV-1a lanes, lane *i* folding the *i*-th
+//! little-endian `u64` of every 32-byte block, then lanes 1–3 folded into
+//! lane 0 and the < 32-byte tail byte by byte. Four independent multiply
+//! chains run at memory speed. Every step is a bijection of the state, so
+//! single-bit corruption anywhere still becomes a typed
+//! [`SnapshotError`], never a panic.
 
 use crate::layer::{Layer as _, Sequential};
 
 const MAGIC: &[u8; 4] = b"MSNN";
 const VERSION: u32 = 3;
-/// Fixed header size of a v1 snapshot (magic + version + two lengths).
-const V1_HEADER: usize = 24;
-/// Fixed header size of a v2/v3 snapshot (magic + version + four lengths).
-const V2_HEADER: usize = 40;
+/// Fixed header size (magic + version + four lengths).
+const HEADER: usize = 40;
 
 /// Serialisation errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +40,6 @@ pub enum SnapshotError {
     /// A section's length does not match the target model, or (from
     /// [`crate::Optimizer::load_state`]) the optimiser and model.
     ShapeMismatch { expected: usize, found: usize },
-    /// The snapshot carries no optimiser/progress sections (a v1 model
-    /// snapshot), so a training-state restore is impossible.
-    NotATrainingSnapshot,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -63,9 +51,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch => write!(f, "checksum mismatch"),
             SnapshotError::ShapeMismatch { expected, found } => {
                 write!(f, "expected {expected} scalars, snapshot has {found}")
-            }
-            SnapshotError::NotATrainingSnapshot => {
-                write!(f, "snapshot has no optimiser/progress sections (v1 model-only)")
             }
         }
     }
@@ -91,14 +76,9 @@ fn fnv(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// The v1/v2 checksum: byte-serial FNV-1a.
+/// The checksum: four word lanes over 32-byte blocks, folded into lane
+/// 0, then the tail bytes (see the module doc).
 fn checksum(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv(h, b as u64))
-}
-
-/// The v3 checksum: four word lanes over 32-byte blocks, folded into
-/// lane 0, then the tail bytes (see the module doc).
-fn checksum_v3(bytes: &[u8]) -> u64 {
     let mut lanes = [FNV_OFFSET; 4];
     let mut blocks = bytes.chunks_exact(32);
     for block in &mut blocks {
@@ -112,8 +92,8 @@ fn checksum_v3(bytes: &[u8]) -> u64 {
     blocks.remainder().iter().fold(h, |h, &b| fnv(h, b as u64))
 }
 
-/// Serialises the model's values + state (no optimiser/progress
-/// sections): a v3 snapshot with empty training sections.
+/// Serialises the model's values + state: a snapshot with empty
+/// optimiser and progress sections.
 pub fn save(model: &Sequential) -> Vec<u8> {
     save_with(model, &[], &[])
 }
@@ -134,33 +114,31 @@ pub fn save_with(model: &Sequential, opt_state: &[f32], meta: &[u8]) -> Vec<u8> 
 pub fn save_into(out: &mut Vec<u8>, model: &Sequential, opt_state: &[f32], meta: &[u8]) {
     let (params, state) = (model.params(), model.state());
     let p_len: usize = params.iter().map(|p| p.numel()).sum();
-    let body = V2_HEADER + 4 * (p_len + state.len() + opt_state.len()) + meta.len();
+    let body = HEADER + 4 * (p_len + state.len() + opt_state.len()) + meta.len();
     out.resize(body + 8, 0);
     out[..4].copy_from_slice(MAGIC);
     out[4..8].copy_from_slice(&VERSION.to_le_bytes());
     for (i, n) in [p_len, state.len(), opt_state.len(), meta.len()].into_iter().enumerate() {
         out[8 + 8 * i..16 + 8 * i].copy_from_slice(&(n as u64).to_le_bytes());
     }
-    let mut at = V2_HEADER;
+    let mut at = HEADER;
     for xs in params.iter().map(|p| p.value.data()).chain([&state[..], opt_state]) {
         let words = out[at..at + 4 * xs.len()].chunks_exact_mut(4);
         words.zip(xs).for_each(|(w, x)| w.copy_from_slice(&x.to_le_bytes()));
         at += 4 * xs.len();
     }
     out[at..body].copy_from_slice(meta);
-    let sum = checksum_v3(&out[..body]);
+    let sum = checksum(&out[..body]);
     out[body..].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Parsed section bounds of a validated snapshot.
+/// Section lengths of a validated snapshot; the float body starts at
+/// `HEADER`.
 struct Sections {
     p_len: usize,
     s_len: usize,
     opt_len: usize,
     meta_len: usize,
-    /// Byte offset where the float body starts.
-    body: usize,
-    version: u32,
 }
 
 /// Validates magic, version, lengths and checksum; returns the section
@@ -173,17 +151,14 @@ fn parse(bytes: &[u8]) -> Result<Sections, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = u32::from_le_bytes(field(bytes, 4)?);
-    let (header, opt_len, meta_len) = match version {
-        1 => (V1_HEADER, 0usize, 0usize),
-        2 | 3 => (
-            V2_HEADER,
-            u64::from_le_bytes(field(bytes, 24)?) as usize,
-            u64::from_le_bytes(field(bytes, 32)?) as usize,
-        ),
-        v => return Err(SnapshotError::UnsupportedVersion(v)),
+    if version != VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let len = |i: usize| {
+        let n = u64::from_le_bytes(field(bytes, 8 + 8 * i)?);
+        usize::try_from(n).map_err(|_| SnapshotError::Truncated)
     };
-    let p_len = u64::from_le_bytes(field(bytes, 8)?) as usize;
-    let s_len = u64::from_le_bytes(field(bytes, 16)?) as usize;
+    let (p_len, s_len, opt_len, meta_len) = (len(0)?, len(1)?, len(2)?, len(3)?);
     // Checked arithmetic: a corrupted length field must surface as
     // `Truncated`, not wrap around and alias a different layout.
     let floats = p_len
@@ -192,15 +167,14 @@ fn parse(bytes: &[u8]) -> Result<Sections, SnapshotError> {
         .ok_or(SnapshotError::Truncated)?;
     let body_end = floats
         .checked_mul(4)
-        .and_then(|n| n.checked_add(header))
+        .and_then(|n| n.checked_add(HEADER))
         .and_then(|n| n.checked_add(meta_len))
         .ok_or(SnapshotError::Truncated)?;
     if bytes.len() != body_end.checked_add(8).ok_or(SnapshotError::Truncated)? {
         return Err(SnapshotError::Truncated);
     }
     let stored = u64::from_le_bytes(field(bytes, body_end)?);
-    let sum = if version >= 3 { checksum_v3 } else { checksum };
-    if sum(&bytes[..body_end]) != stored {
+    if checksum(&bytes[..body_end]) != stored {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(Sections {
@@ -208,8 +182,6 @@ fn parse(bytes: &[u8]) -> Result<Sections, SnapshotError> {
         s_len,
         opt_len,
         meta_len,
-        body: header,
-        version,
     })
 }
 
@@ -226,28 +198,22 @@ fn floats_at(bytes: &[u8], at: usize, n: usize) -> Vec<f32> {
 }
 
 /// Restores values + state into `model` (which must have the same
-/// architecture the snapshot was taken from). Accepts v1, v2 and v3
-/// snapshots; any training sections are ignored — use
-/// [`load_training`] to recover them.
+/// architecture the snapshot was taken from). Any training sections are
+/// ignored — use [`load_training`] to recover them.
 pub fn load(model: &mut Sequential, bytes: &[u8]) -> Result<(), SnapshotError> {
     let _ = restore_model(model, bytes)?;
     Ok(())
 }
 
 /// Restores the model **and** returns the training sections
-/// `(optimizer_state, progress_meta)` of a v2/v3 snapshot. A v1 (model-only)
-/// snapshot restores the model but yields
-/// [`SnapshotError::NotATrainingSnapshot`], since resuming training from
-/// it would silently reset the optimiser.
+/// `(optimizer_state, progress_meta)`. A model-only snapshot yields two
+/// empty sections, which the trainer's progress decoder then refuses.
 pub fn load_training(
     model: &mut Sequential,
     bytes: &[u8],
 ) -> Result<(Vec<f32>, Vec<u8>), SnapshotError> {
     let sections = restore_model(model, bytes)?;
-    if sections.version < 2 {
-        return Err(SnapshotError::NotATrainingSnapshot);
-    }
-    let opt_at = sections.body + 4 * (sections.p_len + sections.s_len);
+    let opt_at = HEADER + 4 * (sections.p_len + sections.s_len);
     let opt_state = floats_at(bytes, opt_at, sections.opt_len);
     let meta_at = opt_at + 4 * sections.opt_len;
     let meta = bytes[meta_at..meta_at + sections.meta_len].to_vec();
@@ -269,22 +235,11 @@ fn restore_model(model: &mut Sequential, bytes: &[u8]) -> Result<Sections, Snaps
             found: sections.s_len,
         });
     }
-    let values = floats_at(bytes, sections.body, sections.p_len);
-    let state = floats_at(bytes, sections.body + 4 * sections.p_len, sections.s_len);
+    let values = floats_at(bytes, HEADER, sections.p_len);
+    let state = floats_at(bytes, HEADER + 4 * sections.p_len, sections.s_len);
     model.set_values(&values);
     model.set_state(&state);
     Ok(sections)
-}
-
-/// Saves to a file.
-pub fn save_file(model: &Sequential, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, save(model))
-}
-
-/// Loads from a file.
-pub fn load_file(model: &mut Sequential, path: &std::path::Path) -> std::io::Result<()> {
-    let bytes = std::fs::read(path)?;
-    load(model, &bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -304,44 +259,6 @@ mod tests {
             .push(BatchNorm::new(8))
             .push(Relu::new())
             .push(Dense::new(8, 2, &mut rng))
-    }
-
-    /// Hand-writes a v1 snapshot of `model` (the legacy format the
-    /// reader must keep accepting).
-    fn save_v1(model: &Sequential) -> Vec<u8> {
-        let values = model.values_vec();
-        let state = model.state();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-        for v in values.iter().chain(&state) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Hand-writes a v2 snapshot (the previous training format, with the
-    /// byte-serial checksum the reader must keep accepting).
-    fn save_v2(model: &Sequential, opt_state: &[f32], meta: &[u8]) -> Vec<u8> {
-        let values = model.values_vec();
-        let state = model.state();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&2u32.to_le_bytes());
-        for len in [values.len(), state.len(), opt_state.len(), meta.len()] {
-            out.extend_from_slice(&(len as u64).to_le_bytes());
-        }
-        for v in values.iter().chain(&state).chain(opt_state) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(meta);
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
     }
 
     /// A model with trained batch-norm stats and the Adam state after
@@ -377,46 +294,6 @@ mod tests {
         load(&mut restored, &bytes).unwrap();
         let y_after = restored.predict(&x);
         assert_eq!(y_before.data(), y_after.data());
-    }
-
-    #[test]
-    fn v1_snapshots_still_load() {
-        let mut rng = Rng::seed(9);
-        let mut m = model(1);
-        for _ in 0..3 {
-            let x = rng.normal_tensor(&[8, 4], 1.0);
-            let _ = m.forward(&x, true);
-        }
-        let bytes = save_v1(&m);
-        let mut restored = model(5);
-        load(&mut restored, &bytes).unwrap();
-        let x = rng.normal_tensor(&[2, 4], 1.0);
-        assert_eq!(m.predict(&x).data(), restored.predict(&x).data());
-        // ...but they are not training snapshots.
-        let mut target = model(6);
-        assert_eq!(
-            load_training(&mut target, &bytes),
-            Err(SnapshotError::NotATrainingSnapshot)
-        );
-    }
-
-    #[test]
-    fn v2_snapshots_still_load() {
-        let (m, opt) = trained(3);
-        let meta = b"epoch=3;step=17".to_vec();
-        let bytes = save_v2(&m, &opt.state(), &meta);
-        // Same layout and length as v3; only the version and checksum differ.
-        let v3 = save_with(&m, &opt.state(), &meta);
-        assert_eq!(bytes.len(), v3.len());
-        assert_eq!(bytes[8..bytes.len() - 8], v3[8..v3.len() - 8]);
-        let mut restored = model(9);
-        load(&mut restored, &bytes).unwrap();
-        assert_eq!(restored.values_vec(), m.values_vec());
-        let mut restored = model(9);
-        let (opt_state, meta_back) = load_training(&mut restored, &bytes).unwrap();
-        assert_eq!((opt_state, meta_back), (opt.state(), meta));
-        assert_eq!(restored.values_vec(), m.values_vec());
-        assert_eq!(restored.state(), m.state());
     }
 
     #[test]
@@ -475,9 +352,8 @@ mod tests {
         // Magic: any flipped bit breaks the tag before anything else.
         assert_eq!(flip(0, 0), Err(SnapshotError::BadMagic));
         assert_eq!(flip(3, 7), Err(SnapshotError::BadMagic));
-        // Version field: 3 ^ 1 = 2 parses as v2, whose byte-serial
-        // checksum disagrees; 3 ^ 4 = 7 is an unknown version.
-        assert_eq!(flip(4, 0), Err(SnapshotError::ChecksumMismatch));
+        // Version field: 3 ^ 1 = 2 and 3 ^ 4 = 7 are unknown versions.
+        assert_eq!(flip(4, 0), Err(SnapshotError::UnsupportedVersion(2)));
         assert_eq!(flip(4, 2), Err(SnapshotError::UnsupportedVersion(7)));
         // Length fields: the section sum no longer matches the byte count
         // (including high bits, which must not overflow the arithmetic).
@@ -488,15 +364,105 @@ mod tests {
             assert_eq!(flip(at + 7, 7), Err(SnapshotError::Truncated), "byte {at}+7");
         }
         // Payload (first float of the body) and trailing checksum.
-        assert_eq!(flip(V2_HEADER, 3), Err(SnapshotError::ChecksumMismatch));
+        assert_eq!(flip(HEADER, 3), Err(SnapshotError::ChecksumMismatch));
         let last = clean.len() - 1;
         assert_eq!(flip(last, 6), Err(SnapshotError::ChecksumMismatch));
     }
 
+    /// Rewrites the trailing checksum so a mutated snapshot gets past it.
+    fn reseal(bytes: &mut [u8]) {
+        let n = bytes.len() - 8;
+        let sum = checksum(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// The `i`-th header length (params, state, optimiser, meta).
+    fn len_of(bytes: &[u8], i: usize) -> u64 {
+        u64::from_le_bytes(field(bytes, 8 + 8 * i).unwrap())
+    }
+
+    fn set_len(bytes: &mut [u8], i: usize, v: u64) {
+        bytes[8 + 8 * i..16 + 8 * i].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn mutated_snapshots_parse_totally_and_round_trip() {
+        let (m, opt) = trained(3);
+        let good = save_with(&m, &opt.state(), b"epoch=1;step=4");
+        // Every cut is short of the length the header declares.
+        for len in 0..good.len() {
+            let cut = &good[..len];
+            assert_eq!(load(&mut model(1), cut), Err(SnapshotError::Truncated), "cut {len}");
+            assert_eq!(load_training(&mut model(1), cut), Err(SnapshotError::Truncated));
+        }
+        let mut rng = Rng::seed(0x4D53_4E4E); // "MSNN"
+        let mut counts = std::collections::BTreeMap::<String, usize>::new();
+        for case in 0..4000 {
+            let mut bytes = good.clone();
+            match case % 4 {
+                // A header that moves `d` floats between two of the
+                // float sections keeps the total, so it reaches the
+                // shape checks.
+                0 => {
+                    let (from, to, d) = (rng.below(3), rng.below(3), 1 + rng.below(3) as u64);
+                    let (f, t) = (len_of(&bytes, from), len_of(&bytes, to));
+                    if from != to && f >= d {
+                        set_len(&mut bytes, from, f - d);
+                        set_len(&mut bytes, to, t + d);
+                    }
+                }
+                // A length near an overflow boundary, or off by a
+                // multiple of 2^62 (which wraps to the same byte count).
+                1 => {
+                    let i = rng.below(4);
+                    let v = match rng.below(3) {
+                        0 => u64::MAX - rng.below(64) as u64,
+                        1 => len_of(&bytes, i).wrapping_add((1 + rng.below(3) as u64) << 62),
+                        _ => rng.below(1 << 12) as u64,
+                    };
+                    set_len(&mut bytes, i, v);
+                }
+                // One to three random bytes, in the header or anywhere.
+                _ => {
+                    let span = if case % 4 == 2 { HEADER } else { bytes.len() };
+                    for _ in 0..=rng.below(3) {
+                        let at = rng.below(span);
+                        bytes[at] = rng.below(256) as u8;
+                    }
+                }
+            }
+            reseal(&mut bytes);
+            let plain = load(&mut model(1), &bytes);
+            let mut target = model(1);
+            match load_training(&mut target, &bytes) {
+                Ok((opt_state, meta)) => {
+                    assert_eq!(plain, Ok(()), "case {case}: load and load_training disagree");
+                    let again = save_with(&target, &opt_state, &meta);
+                    assert_eq!(again, bytes, "case {case} re-encoded differently");
+                    *counts.entry("Ok".into()).or_default() += 1;
+                }
+                Err(e) => {
+                    assert_eq!(plain, Err(e), "case {case}: load and load_training disagree");
+                    let kind = format!("{e:?}");
+                    let kind = kind.split(['(', ' ']).next().unwrap_or_default().to_string();
+                    *counts.entry(kind).or_default() += 1;
+                }
+            }
+        }
+        // The re-seal lets every mutation past the checksum, to the
+        // version, length, overflow and shape checks behind it.
+        let count = |k: &str| counts.get(k).copied().unwrap_or(0);
+        assert_eq!(count("ChecksumMismatch"), 0, "{counts:?}");
+        for kind in ["Ok", "Truncated", "ShapeMismatch", "UnsupportedVersion", "BadMagic"] {
+            assert!(count(kind) > 20, "{kind}: {counts:?}");
+        }
+    }
+
     #[test]
     fn v2_training_snapshot_into_wrong_model_is_shape_mismatch() {
-        // A full training snapshot (with optimiser + meta sections)
-        // loaded into a smaller "v1-shaped" model must fail cleanly.
+        // A full training snapshot (with optimiser + meta sections, the
+        // layout version 2 introduced) loaded into a smaller model must
+        // fail cleanly.
         let mut m = model(1);
         let mut opt = Adam::new(1e-3);
         let x = Tensor::ones(&[2, 4]);
@@ -542,20 +508,5 @@ mod tests {
             load(&mut m, &bytes2[..bytes2.len() - 3]),
             Err(SnapshotError::Truncated)
         );
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("msa_suite_snapshot_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("model.msnn");
-        let m = model(1);
-        save_file(&m, &path).unwrap();
-        let mut restored = model(4);
-        load_file(&mut restored, &path).unwrap();
-        let x = Tensor::ones(&[1, 4]);
-        let mut m = m;
-        assert_eq!(m.predict(&x).data(), restored.predict(&x).data());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -57,11 +57,6 @@ impl Qubo {
         &self.linear
     }
 
-    /// Iterates `(i, j, v)` couplings with `i < j`.
-    pub fn couplings(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.quadratic.iter().map(|(&(i, j), &v)| (i, j, v))
-    }
-
     /// Energy of an assignment.
     pub fn energy(&self, x: &[u8]) -> f64 {
         assert_eq!(x.len(), self.n);

@@ -17,7 +17,6 @@ pub mod matmul;
 pub mod ops;
 pub mod rng;
 pub mod scratch;
-pub mod shape_ops;
 #[allow(clippy::module_inception)]
 pub mod tensor;
 

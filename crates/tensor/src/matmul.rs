@@ -36,9 +36,9 @@
 //!   over column blocks instead of staying serial.
 //! * **one output column or one tap** (a `Dense(k→1)` head and its
 //!   backward products) has no panel to tile and skips the strips: `nn`
-//!   with `n == 1` is a running dot per row ([`dot_rows`]), `tn` with
+//!   with `n == 1` is a running dot per row (`dot_rows`), `tn` with
 //!   `n == 1` advances all `m` chains a row of `A` at a time, unpacked
-//!   ([`tn_col`]), `nt` with `k == 1` is an outer product from `-0.0`.
+//!   (`tn_col`), `nt` with `k == 1` is an outer product from `-0.0`.
 //!   Same chains, ascending `kk` from what `out` holds, the zero-skip a
 //!   branch-free select; which kernel runs depends on the shape alone.
 //!
@@ -604,7 +604,7 @@ fn pack_transpose(k: usize, m: usize, a: &[f32], at: &mut [f32]) {
 /// thread-local panel (values are copied, not recombined, so every
 /// element's accumulation chain is unchanged); `m == 1` is already
 /// contiguous and runs the nn kernel directly, and `n == 1` needs no
-/// transpose ([`tn_col`]).
+/// transpose (`tn_col`).
 pub fn gemm_tn_into(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), k * m, "lhs length mismatch");
     assert_eq!(b.len(), k * n, "rhs length mismatch");
@@ -642,14 +642,8 @@ impl PackedT {
         PackedT::default()
     }
 
-    /// Packs `a` (`k×m`) as `Aᵀ` (`m×k`), reusing the existing buffer
-    /// when large enough.
-    pub fn pack(&mut self, a: &Tensor) {
-        assert_eq!(a.ndim(), 2, "PackedT packs 2-D operands");
-        self.pack_from(a.shape()[0], a.shape()[1], a.data());
-    }
-
-    /// [`PackedT::pack`] from a raw row-major `k×m` slice.
+    /// Packs the row-major `k×m` slice `a` as `Aᵀ` (`m×k`), reusing the
+    /// existing buffer when large enough.
     pub fn pack_from(&mut self, k: usize, m: usize, a: &[f32]) {
         assert_eq!(a.len(), k * m, "operand length mismatch");
         if self.data.len() < m * k {
@@ -705,36 +699,6 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     gemm_nt_into(m, k, n, a.data(), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
-}
-
-/// Matrix-vector product `y = A · x` for `(m×k) · (k)`.
-pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
-    assert_eq!(a.ndim(), 2);
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    assert_eq!(x.len(), k, "vector length must equal columns");
-    let a_data = a.data();
-    if m * k >= PAR_THRESHOLD {
-        (0..m)
-            .into_par_iter()
-            .map(|i| {
-                a_data[i * k..(i + 1) * k]
-                    .iter()
-                    .zip(x)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
-            .collect()
-    } else {
-        (0..m)
-            .map(|i| {
-                a_data[i * k..(i + 1) * k]
-                    .iter()
-                    .zip(x)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
-            .collect()
-    }
 }
 
 pub mod reference {
@@ -949,18 +913,6 @@ mod tests {
         let c = r.normal_tensor(&[9, 6], 1.0);
         let d = r.normal_tensor(&[5, 6], 1.0);
         assert_close(&matmul_nt(&c, &d), &matmul(&c, &d.transpose()), 1e-5);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut r = Rng::seed(5);
-        let a = r.normal_tensor(&[7, 4], 1.0);
-        let x = r.normal_tensor(&[4], 1.0);
-        let y = matvec(&a, x.data());
-        let y2 = matmul(&a, &x.clone().reshape(&[4, 1]));
-        for (u, v) in y.iter().zip(y2.data()) {
-            assert!((u - v).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -1179,7 +1131,7 @@ mod tests {
             let a = sparse_tensor(&mut r, &[k, m]);
             let b = sparse_tensor(&mut r, &[k, n]);
             let mut p = PackedT::new();
-            p.pack(&a);
+            p.pack_from(k, m, a.data());
             let mut out = vec![0.0f32; m * n];
             p.gemm_into(b.data(), n, &mut out);
             let packed = Tensor::from_vec(out, &[m, n]);

@@ -1,5 +1,5 @@
 //! Elementwise operations and reductions, parallelised with rayon above
-//! [`crate::PAR_THRESHOLD`] elements.
+//! `crate::PAR_THRESHOLD` elements.
 //!
 //! Parallel paths are written in *chunked* form — `par_chunks[_mut]` over
 //! contiguous blocks — rather than per-element `par_iter`, so a stage
@@ -226,19 +226,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Elementwise ReLU.
-    pub fn relu(&self) -> Tensor {
-        self.map(|x| x.max(0.0))
-    }
-
-    /// Global L2 clipping: scales the tensor so its norm is ≤ `max_norm`.
-    pub fn clip_norm(&mut self, max_norm: f32) {
-        let norm = self.sq_norm().sqrt();
-        if norm > max_norm && norm > 0.0 {
-            self.scale(max_norm / norm);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -331,23 +318,6 @@ mod tests {
     fn argmax_rows_picks_first_max() {
         let a = t2(&[0.0, 5.0, 5.0, 1.0, 0.0, -1.0], 2, 3);
         assert_eq!(a.argmax_rows(), vec![1, 0]);
-    }
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let a = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(a.relu().data(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn clip_norm_caps_but_preserves_direction() {
-        let mut a = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        a.clip_norm(1.0);
-        assert!((a.sq_norm().sqrt() - 1.0).abs() < 1e-6);
-        assert!((a.data()[0] / a.data()[1] - 0.75).abs() < 1e-6);
-        let mut b = Tensor::from_vec(vec![0.3, 0.4], &[2]);
-        b.clip_norm(1.0);
-        assert_eq!(b.data(), &[0.3, 0.4], "under-norm tensors unchanged");
     }
 
     #[test]

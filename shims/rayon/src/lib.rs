@@ -4,14 +4,14 @@
 //! re-implements the parallel-iterator surface the workspace consumes
 //! (`par_iter`, `into_par_iter`, `par_chunks[_mut]`, `map`, `filter`,
 //! `zip`, `fold`/`reduce`, `for_each`, `sum`, `collect`, `join`, …) on
-//! top of a persistent thread pool (see [`pool`]).
+//! top of a persistent thread pool (see `pool`).
 //!
 //! Unlike the seed shim there is no per-stage thread spawn and no
 //! per-batch item cloning: workers are spawned once and parked on a
 //! condvar, a stage splits into blocks claimed through an atomic index
 //! (work stealing by index splitting), and terminal operations move
 //! elements straight out of the input buffer into per-slot results (see
-//! [`batch`]). The semantics rayon guarantees are preserved —
+//! `batch`). The semantics rayon guarantees are preserved —
 //! order-preserving results, `Sync` closures, per-batch `fold`
 //! accumulators with the batch partition `⌈n/threads⌉`, and the
 //! fixed-256-block machine-independent `sum` tree.
