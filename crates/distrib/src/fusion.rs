@@ -7,25 +7,28 @@
 //! option) and [`FusionBuffer`], which partitions the flat gradient into
 //! size-targeted, **layer-aligned** buckets. It owns no memory: the
 //! buckets tile the caller's flat buffer, [`FusionBuffer::segments`]
-//! lends one `&mut [f32]` per bucket, and a finished bucket is reduced
-//! in place.
+//! lends one `&mut [f32]` per bucket, and a finished bucket is packed and
+//! reduced in place.
 //!
-//! Bucket boundary rules (documented in DESIGN.md §11):
+//! Bucket boundary rules:
 //! * buckets are contiguous ranges of the flat gradient, covering whole
 //!   top-level layers — a parameter tensor is never split;
 //! * a bucket closes once it holds ≥ `bucket_bytes` of gradient, so every
 //!   bucket except possibly the last meets the threshold;
 //! * backward runs back-to-front, so buckets become ready in descending
-//!   flat order; a bucket is complete right after the backward of its
-//!   lowest-indexed parameterised layer.
+//!   ("flush") order, the same on every rank; a bucket is complete right
+//!   after the backward of its lowest-indexed parameterised layer
+//!   ([`Bucket::first_layer`]).
 //!
-//! Bit-exactness across bucket counts rests on the exchange being
-//! partition-invariant: the trainer reduces every bucket with
-//! `msa_net::collectives::pipeline_allreduce_mean`, the sum chain whose
+//! Bit-exactness across bucket counts rests on the default exchange
+//! being partition-invariant: the trainer reduces every bucket with
+//! `msa_net::collectives::pipeline_reduce_scatter_mean`, whose
 //! element-wise fold order depends only on rank order, never on how the
-//! flat gradient was cut, with the division by the rank count done
-//! inside the chain (asserted in `pipeline_allreduce_is_partition_invariant`
-//! and `pipeline_mean_is_the_sum_chain_then_division`).
+//! flat gradient was cut, with the division by the rank count done in
+//! the last fold (see `msa_net::collectives::pipeline_allreduce`).
+//! `experiments comm` (`BENCH_pr5.json`) measures fusion: wire totals,
+//! steady-state allocations, parameter hashes per fusion threshold and
+//! the modeled overlap speedup of a ResNet-ratio workload.
 //!
 //! [`Trainer`]: crate::trainer::Trainer
 
@@ -38,9 +41,11 @@ use std::sync::Arc;
 
 /// Which allreduce each fusion bucket dispatches through.
 ///
-/// The default keeps the PR 5 contract: every bucket goes through
-/// `pipeline_allreduce`, whose fold order is partition-invariant, so the
-/// result is bit-identical for *every* `bucket_bytes`. `Tuned` trades
+/// The default keeps the PR 5 contract: every bucket goes through the
+/// pipeline chain, whose fold order is partition-invariant, so the result
+/// is bit-identical for *every* `bucket_bytes`; with the dense codec the
+/// trainer runs it as a reduce-scatter and steps each rank's shard
+/// (see [`crate::trainer`]). `Tuned` trades
 /// that cross-partition guarantee for measured speed: each bucket runs
 /// the decision table's winner for its (ranks, bytes). Selection depends
 /// only on the bucket's byte length, so the fused and serialized paths

@@ -4,11 +4,12 @@
 //!
 //! * [`trainer`] — a **real** Horovod equivalent. `n` OS threads each own
 //!   a model replica and a data shard; every step they compute local
-//!   gradients and average them with a genuine allreduce (by default the
-//!   partition-invariant pipeline chain) over
-//!   [`msa_net::ThreadComm`] channels, then take identical optimiser
-//!   steps. Learning-rate linear scaling with warmup (the recipe the
-//!   128-GPU ResNet-50 studies rely on) is built in.
+//!   gradients and average them over [`msa_net::ThreadComm`] channels.
+//!   By default each rank reduces and steps only its own shard of the
+//!   parameters and the updated shards are allgathered; other exchanges
+//!   allreduce the whole gradient and take identical optimiser steps.
+//!   Learning-rate linear scaling with warmup (the recipe the 128-GPU
+//!   ResNet-50 studies rely on) is built in.
 //! * [`checkpoint`] — full training-state snapshots (weights + optimiser
 //!   buffers + RNG/progress record in a v2 `nn::serialize` container),
 //!   the policy that takes them every N steps, and the cost bridge into

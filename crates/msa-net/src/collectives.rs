@@ -11,44 +11,46 @@
 //!   fold-in pre/post phase);
 //! * [`pipeline_allreduce`] (and [`pipeline_allreduce_mean`]) — a
 //!   rank-ordered reduce chain plus a return chain whose element-wise
-//!   fold order is *independent of how the buffer is partitioned*, the
-//!   property the fused gradient exchange needs for bit-equality across
-//!   bucket sizes (see DESIGN.md §11);
+//!   fold order is *independent of how the buffer is partitioned*, so a
+//!   bucketed gradient exchange has the bits of a whole-buffer one;
+//! * [`pipeline_reduce_scatter_mean`] — that chain ending at each
+//!   element's owner, and [`shard_gather`], which moves owned shards: the
+//!   sharded optimizer step's two collectives;
 //! * [`binomial_broadcast`] / [`tree_reduce`] — log₂(p) tree collectives;
 //! * [`ring_allgather`] and the [`dissemination_barrier`].
 //!
 //! All functions must be called collectively by every rank. The
 //! send-then-receive schedules below need one buffered message per
 //! channel: msa-verify proves every one of them deadlock-free under
-//! `Bounded(1)` channels, and [`crate::ThreadComm`] gives every message
-//! `Bounded(2)` (two send credits per channel).
+//! `Bounded(1)` channels, bucketed sequences included, and
+//! [`crate::ThreadComm`] gives every channel `Bounded(2)` (two send
+//! credits), so the proof covers the runtime with margin.
 //!
 //! Nothing is staged: each reduction folds inside
 //! [`PointToPoint::recv_with`], straight from the lent receive buffer
 //! (the pipeline chain also writes into the lent send buffer, one pass
 //! per hop), so steady-state collectives allocate nothing on pooled
-//! transports. Accumulation order is load-bearing: every fold is the
-//! element-wise `*dst += incoming` of `add_into` over the same message
-//! schedule as the seed, so results are `to_bits`-equal to the seed
-//! collectives.
+//! transports. Accumulation order is load-bearing: every fold is
+//! element-wise over the same message schedule as the seed, so results
+//! are `to_bits`-equal to the seed collectives.
 
 use crate::comm::PointToPoint;
 use crate::stats::CollectiveOp;
+use std::ops::Range;
 
 /// Splits `len` elements into `parts` contiguous ranges as evenly as
 /// possible (first `len % parts` ranges get one extra element).
-pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     assert!(parts > 0);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let sz = base + usize::from(i < extra);
-        out.push(start..start + sz);
-        start += sz;
-    }
-    out
+    (0..parts).map(|i| chunk_range(len, parts, i)).collect()
+}
+
+/// `chunk_ranges(len, parts)[i]`, without building the list.
+pub fn chunk_range(len: usize, parts: usize, i: usize) -> Range<usize> {
+    assert!(parts > 0);
+    let (base, extra) = (len / parts, len % parts);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
 }
 
 /// Bandwidth-optimal ring allreduce (sum). After the call every rank
@@ -202,16 +204,113 @@ where
     } else {
         c.recv_with(rank - 1, |run| {
             expect(run);
-            c.send_with(rank + 1, len, |msg| {
-                for ((m, &d), &x) in msg.iter_mut().zip(&*buf).zip(run) {
-                    *m = d + x;
-                }
-            });
+            c.send_with(rank + 1, len, |msg| add_to(msg, buf, run));
         });
         c.recv_with(rank + 1, |sum| {
             expect(sum);
             c.send_with(rank - 1, len, |msg| forward_out(msg, buf, sum, false, out));
         });
+    }
+}
+
+/// The averaging chain's reduce-scatter: on return the part of the window
+/// `buf` (`at..at + buf.len()` of `total` scalars, of which rank k owns
+/// `chunk_range(total, size(), k)`) that this rank owns holds what
+/// [`pipeline_allreduce_mean`] leaves there; the rest is scratch. The
+/// chain's up-phase runs over ranks 0…p−2 (`R_r = g_r + R_{r−1}`); then
+/// rank p−2 sends each owner its slice of `R_{p−2}`, rank p−1 its slice
+/// of `g_{p−1}`, and the owner writes `(g_{p−1} + R_{p−2}) / p`: the
+/// chain's operands in its order, so the bits match for every `p` and
+/// window. At p = 2 the ranks swap halves and fold in parallel. Ranks p−2
+/// and p−1 both send first, so this is not rendezvous-safe.
+pub fn pipeline_reduce_scatter_mean<C: PointToPoint + ?Sized>(
+    c: &C,
+    buf: &mut [f32],
+    at: usize,
+    total: usize,
+) {
+    let (p, len, n) = (c.size(), buf.len(), c.size() as f32);
+    if p == 1 || len == 0 {
+        return buf.iter_mut().for_each(|x| *x /= n);
+    }
+    let _scope = c.stats().map(|s| s.scope(CollectiveOp::Pipeline));
+    let (rank, tail, last) = (c.rank(), p - 2, p - 1);
+    // Rank k's share of this window, in window coordinates.
+    let owned = |k: usize| {
+        let r = chunk_range(total, p, k);
+        r.start.clamp(at, at + len) - at..r.end.clamp(at, at + len) - at
+    };
+    // Sends `buf[r]`, plus `run[r]` when folding.
+    let send = |to: usize, r: Range<usize>, buf: &[f32], run: Option<&[f32]>| {
+        if !r.is_empty() {
+            c.send_with(to, r.len(), |msg| match run {
+                Some(run) => add_to(msg, &buf[r.clone()], &run[r.clone()]),
+                None => msg.copy_from_slice(&buf[r.clone()]),
+            });
+        }
+    };
+    let mine = owned(rank);
+    if rank == last {
+        (0..last).for_each(|k| send(k, owned(k), buf, None));
+    } else {
+        let step = |buf: &mut [f32], run: Option<&[f32]>| {
+            if rank < tail {
+                return send(rank + 1, 0..len, buf, run);
+            }
+            (0..p).filter(|&k| k != tail).for_each(|k| send(k, owned(k), buf, run));
+            if let Some(run) = run {
+                add_into(&mut buf[mine.clone()], &run[mine.clone()]);
+            }
+        };
+        if rank == 0 {
+            step(buf, None);
+        } else {
+            c.recv_with(rank - 1, |run| {
+                assert_eq!(run.len(), len, "chain message length mismatch");
+                step(buf, Some(run));
+            });
+        }
+    }
+    let dst = &mut buf[mine];
+    if dst.is_empty() {
+        return;
+    }
+    if rank == last {
+        c.recv_with(tail, |run| zip_into(dst, run, |g, r| (g + r) / n));
+    } else {
+        if rank != tail {
+            c.recv_into(tail, dst);
+        }
+        c.recv_with(last, |g| zip_into(dst, g, |r, g| (g + r) / n));
+    }
+}
+
+/// Moves owned shards (rank k's is `chunk_range(total, size(), k)` of a
+/// flat buffer that `buf` may hold in pieces): `read` copies this rank's
+/// into a message, `write` stores rank k's. With no `root` every rank
+/// sends straight to every other, then receives: an allgather one hop
+/// deep, not rendezvous-safe. With a `root` only it receives: a gather.
+pub fn shard_gather<C: PointToPoint + ?Sized, B: ?Sized>(
+    c: &C,
+    root: Option<usize>,
+    total: usize,
+    buf: &mut B,
+    read: impl Fn(&B, Range<usize>, &mut [f32]),
+    mut write: impl FnMut(&mut B, Range<usize>, &[f32]),
+) {
+    let p = c.size();
+    if p == 1 {
+        return;
+    }
+    let _scope = c.stats().map(|s| s.scope(CollectiveOp::Allgather));
+    let (rank, gets) = (c.rank(), |k: usize| root.is_none_or(|r| r == k));
+    let shard = |k: usize| chunk_range(total, p, k);
+    let mine = shard(rank);
+    for to in (1..p).map(|s| (rank + s) % p).filter(|&k| gets(k) && !mine.is_empty()) {
+        c.send_with(to, mine.len(), |msg| read(buf, mine.clone(), msg));
+    }
+    for from in (1..p).map(|s| (rank + p - s) % p).filter(|&k| gets(rank) && !shard(k).is_empty()) {
+        c.recv_with(from, |msg| write(buf, shard(from), msg));
     }
 }
 
@@ -227,6 +326,21 @@ pub(crate) fn add_into(dst: &mut [f32], x: &[f32]) {
     assert_eq!(dst.len(), x.len(), "reduction message length mismatch");
     for (d, &x) in dst.iter_mut().zip(x) {
         *d += x;
+    }
+}
+
+/// `msg[i] = d[i] + x[i]`: one up-chain fold.
+fn add_to(msg: &mut [f32], d: &[f32], x: &[f32]) {
+    for ((m, &d), &x) in msg.iter_mut().zip(d).zip(x) {
+        *m = d + x;
+    }
+}
+
+/// `dst[i] = f(dst[i], x[i])`.
+fn zip_into(dst: &mut [f32], x: &[f32], f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(x.len(), dst.len(), "shard length mismatch");
+    for (d, &x) in dst.iter_mut().zip(x) {
+        *d = f(*d, x);
     }
 }
 

@@ -860,6 +860,62 @@ mod tests {
         }
     }
 
+    /// The sharded exchange: per bucket, `pipeline_reduce_scatter_mean`
+    /// leaves on each owner's range the bits `pipeline_allreduce_mean`
+    /// leaves there, at p = 1..=8, for `len < p` and for random bucket
+    /// cuts, over finite, ±0.0, subnormal and NaN/±inf inputs (a NaN need
+    /// only meet a NaN, as above). A `shard_gather` to every rank then leaves every
+    /// rank with the whole mean.
+    #[test]
+    fn owner_fold_mean_is_the_chain_mean_on_every_shard() {
+        let value = |flavour: usize, r: usize, i: usize| match (flavour, (r + i) % 5) {
+            (0, _) => (0.37 + r as f32 * 1.13) * (i as f32 - 11.5),
+            (1, k) => [0.0, -0.0, 1.5, -1.5, 0.0][k],
+            (2, k) => f32::from_bits(1 + (r * 131 + i * 7) as u32) * [1.0, -1.0][k % 2],
+            (_, 0) => f32::from_bits(0x7fc0_0001 + r as u32),
+            (_, 1) => f32::INFINITY,
+            (_, 2) => f32::NEG_INFINITY,
+            (_, k) => r as f32 - 0.25 * (i + k) as f32,
+        };
+        let canon = |x: f32| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
+        let mut rng = msa_core::XorShift(0x5AAD_0FF5);
+        let runs = (1..=8usize).flat_map(|p| [3, 29].map(|len| (p, len)));
+        for (p, len, flavour) in runs.flat_map(|(p, len)| (0..4).map(move |f| (p, len, f))) {
+            let want = ThreadComm::run(p, |c| {
+                let mut buf: Vec<f32> = (0..len).map(|i| value(flavour, c.rank(), i)).collect();
+                collectives::pipeline_allreduce_mean(c, &mut buf);
+                buf.iter().map(|&x| canon(x)).collect::<Vec<u32>>()
+            });
+            let mut cuts: Vec<usize> = (0..rng.next_u64() % 5)
+                .map(|_| rng.next_u64() as usize % (len + 1))
+                .collect();
+            cuts.extend([0, len]);
+            cuts.sort_unstable();
+            let got = ThreadComm::run(p, |c| {
+                let mut buf: Vec<f32> = (0..len).map(|i| value(flavour, c.rank(), i)).collect();
+                for w in cuts.windows(2).rev() {
+                    collectives::pipeline_reduce_scatter_mean(c, &mut buf[w[0]..w[1]], w[0], len);
+                }
+                let owned = collectives::chunk_range(len, p, c.rank());
+                let shard: Vec<u32> = buf[owned].iter().map(|&x| canon(x)).collect();
+                collectives::shard_gather(
+                    c,
+                    None,
+                    len,
+                    &mut buf[..],
+                    |b, r, msg| msg.copy_from_slice(&b[r]),
+                    |b, r, msg| b[r].copy_from_slice(msg),
+                );
+                (shard, buf.iter().map(|&x| canon(x)).collect::<Vec<u32>>())
+            });
+            for (rank, (shard, all)) in got.iter().enumerate() {
+                let ctx = format!("flavour {flavour} p={p} len={len} cuts={cuts:?} rank={rank}");
+                assert_eq!(shard[..], want[0][collectives::chunk_range(len, p, rank)], "{ctx}");
+                assert_eq!(all, &want[0], "{ctx}: after the allgather");
+            }
+        }
+    }
+
     /// Bit pins for the reductions that fold received messages: per-rank
     /// FNV-1a digests of the output bits over finite, ±0.0, subnormal and
     /// NaN/±inf inputs (NaN canonicalised: a NaN need only meet a NaN),

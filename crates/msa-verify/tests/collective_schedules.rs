@@ -7,8 +7,9 @@
 
 use msa_net::collectives::{
     binomial_broadcast, binomial_broadcast_into, chunk_ranges, dissemination_barrier,
-    pipeline_allreduce, pipeline_allreduce_mean, recursive_doubling_allreduce, ring_allgather,
-    ring_allgather_into, ring_allreduce, tree_reduce,
+    pipeline_allreduce, pipeline_allreduce_mean, pipeline_reduce_scatter_mean,
+    recursive_doubling_allreduce, ring_allgather, ring_allgather_into, ring_allreduce,
+    shard_gather, tree_reduce,
 };
 use msa_net::hierarchical::hierarchical_allreduce;
 use msa_net::{bf16_allreduce, Arena, PointToPoint};
@@ -56,6 +57,20 @@ const COLLECTIVES: &[(&str, Schedule)] = &[
         let mut buf = vec![c.rank() as f32; LEN];
         bf16_allreduce(c, &mut buf, &mut Arena::new());
     }),
+    // Owners receive two lent buffers at once; ranks p−2 and p−1 send
+    // first.
+    ("pipeline_reduce_scatter_mean", |c| {
+        let mut buf = vec![c.rank() as f32; LEN];
+        pipeline_reduce_scatter_mean(c, &mut buf, 0, LEN);
+    }),
+    ("shard_allgather", |c| {
+        let mut buf = [c.rank() as f32; LEN];
+        shard_gather(c, None, LEN, &mut buf[..], read_shard, write_shard);
+    }),
+    ("shard_gather", |c| {
+        let mut buf = [c.rank() as f32; LEN];
+        shard_gather(c, Some(0), LEN, &mut buf[..], read_shard, write_shard);
+    }),
     ("ring_allgather", |c| {
         let blocks = ring_allgather(c, &[c.rank() as f32; 3]);
         assert_eq!(blocks.len(), c.size());
@@ -74,6 +89,14 @@ const COLLECTIVES: &[(&str, Schedule)] = &[
         dissemination_barrier(c);
     }),
 ];
+
+fn read_shard(buf: &[f32], r: std::ops::Range<usize>, msg: &mut [f32]) {
+    msg.copy_from_slice(&buf[r]);
+}
+
+fn write_shard(buf: &mut [f32], r: std::ops::Range<usize>, msg: &[f32]) {
+    buf[r].copy_from_slice(msg);
+}
 
 #[test]
 fn all_collectives_verify_under_eager_buffering() {
@@ -187,6 +210,44 @@ fn bucketed_pipeline_schedule_verifies_for_all_bucket_counts() {
             .unwrap_or_else(|e| panic!("bucketed pipeline p={p} mean={mean} buckets={buckets}: {e}"));
             assert_eq!(report.ranks, p);
             assert_eq!(report.marks, vec!["fused-exchange".to_string()]);
+            assert!(
+                report.peak_queue_depth <= 1,
+                "p={p} buckets={buckets}: peak depth {}",
+                report.peak_queue_depth
+            );
+        }
+    }
+}
+
+/// The sharded dense step: the owner-fold reduce-scatter per bucket in
+/// flush order, the parameter allgather, then the checkpoint's gather of
+/// two moment shards to rank 0, for every bucket count at p = 2..=8
+/// under single-slot buffering. Buckets that hold none of an owner's
+/// range skip that owner on both ends.
+#[test]
+fn bucketed_sharded_step_verifies_for_all_bucket_counts() {
+    const FLAT: usize = 29;
+    for p in 2..=8usize {
+        for buckets in 1..=6usize {
+            let report = check_schedule(p, Capacity::Bounded(1), |c| {
+                c.mark("sharded-step");
+                let mut flat = [c.rank() as f32; FLAT];
+                for r in chunk_ranges(FLAT, buckets).into_iter().rev() {
+                    let at = r.start;
+                    pipeline_reduce_scatter_mean(c, &mut flat[r], at, FLAT);
+                }
+                shard_gather(c, None, FLAT, &mut flat[..], read_shard, write_shard);
+                let mut state = [0.0; 2 * FLAT];
+                for part in 0..2 {
+                    let (m, at) = (&flat, part * FLAT);
+                    let read = |_: &[f32], r: std::ops::Range<usize>, msg: &mut [f32]| {
+                        msg.copy_from_slice(&m[r]);
+                    };
+                    shard_gather(c, Some(0), FLAT, &mut state[at..at + FLAT], read, write_shard);
+                }
+            })
+            .unwrap_or_else(|e| panic!("sharded step p={p} buckets={buckets}: {e}"));
+            assert_eq!(report.marks, vec!["sharded-step".to_string()]);
             assert!(
                 report.peak_queue_depth <= 1,
                 "p={p} buckets={buckets}: peak depth {}",

@@ -1,36 +1,39 @@
 //! Optimisers: SGD with momentum/weight-decay and Adam (the paper's
 //! §IV-B setting: Adam, lr = 1e-4).
 //!
-//! Optimisers keep their state (velocities, moments) in flat per-param
-//! slots indexed by position, matching the deterministic parameter order
-//! of [`crate::Layer::params_mut`].
+//! Both updates are element-wise, so stepping each part of a split of
+//! the parameters' flat range gives the bits of one whole step: a
+//! data-parallel rank steps only its shard, and keeps state (velocity,
+//! moments) in flat buffers over that range alone.
 
-use crate::param::Param;
+use crate::param::{pieces, Param};
 use crate::serialize::SnapshotError;
 use crate::STREAM_BLOCK;
 use rayon::prelude::*;
-use tensor::Tensor;
+use std::ops::Range;
 
 /// An optimiser updates parameters in place from their accumulated
 /// gradients (and then the caller zeroes the gradients).
 pub trait Optimizer {
-    /// Applies one update step to `params`.
+    /// Applies one update step to every parameter in `params`.
     fn step(&mut self, params: &mut [&mut Param]);
 
-    /// [`Optimizer::step`] with the gradients read from the flat `grads`
-    /// (laid out as [`crate::param::grads_to_vec`]) instead of the
-    /// parameters' accumulators: by default it unpacks them first; Adam
-    /// reads them in place, with the same bits.
-    fn step_with_grads(&mut self, params: &mut [&mut Param], grads: &[f32]) {
-        crate::param::set_grads_from_vec(params, grads);
-        self.step(params);
-    }
+    /// Steps only the flat range `owned` of `params`, reading its
+    /// gradient from `grads` (`owned.len()` scalars) instead of the
+    /// parameters' accumulators. The state then covers `owned` alone:
+    /// fresh state is bound to it and loaded state narrowed to it.
+    fn step_with_grads(&mut self, params: &mut [&mut Param], owned: Range<usize>, grads: &[f32]);
 
     /// Current learning rate.
     fn lr(&self) -> f32;
 
     /// Overrides the learning rate (for warmup / scaling schedules).
     fn set_lr(&mut self, lr: f32);
+
+    /// The state of the range this optimiser steps, in
+    /// [`Optimizer::state`]'s layout: `(head words, one buffer per
+    /// element-wise state)`, with no buffers before a step or a load.
+    fn shard_state(&self) -> (Vec<f32>, Vec<&[f32]>);
 
     /// Serialises the optimiser's internal state (momentum buffers,
     /// moments, step counters) as a flat `f32` vector. Non-float fields
@@ -39,17 +42,16 @@ pub trait Optimizer {
     /// is bit-exact. An optimiser that has not stepped yet returns the
     /// state it would resume from (empty for a fresh instance).
     fn state(&self) -> Vec<f32> {
-        Vec::new()
+        let (head, parts) = self.shard_state();
+        head.iter().chain(parts.into_iter().flatten()).copied().collect()
     }
 
     /// Restores state captured by [`Optimizer::state`], binding its
-    /// buffers to the shapes of `params` (the set later steps update). An
+    /// buffers to all of `params` (the set later steps update). An
     /// empty slice resets to fresh state; a length these parameters cannot
     /// hold — another optimiser's state, or another model's — is
     /// [`SnapshotError::ShapeMismatch`] and leaves `self` untouched.
-    fn load_state(&mut self, _params: &[&Param], state: &[f32]) -> Result<(), SnapshotError> {
-        check_len(&[0], state)
-    }
+    fn load_state(&mut self, params: &[&Param], state: &[f32]) -> Result<(), SnapshotError>;
 }
 
 /// `Ok` when `state` has one of the lengths in `lens`, the last being
@@ -72,25 +74,59 @@ pub fn words_to_u64(words: [f32; 2]) -> u64 {
     (words[0].to_bits() as u64) | ((words[1].to_bits() as u64) << 32)
 }
 
-/// Appends same-ordered tensors to `out`, each copied once.
-fn append_flat(out: &mut Vec<f32>, tensors: &[Tensor]) {
-    for t in tensors {
-        out.extend_from_slice(t.data());
-    }
+/// `K` element-wise state buffers over one flat range of the parameters.
+#[derive(Debug, Default)]
+struct FlatState<const K: usize> {
+    bound: Option<(Range<usize>, [Vec<f32>; K])>,
 }
 
-/// One tensor per parameter, shaped like it, from consecutive scalars of
-/// `flat`; none when `flat` is empty (the caller has checked its length).
-fn unflatten(params: &[&Param], mut flat: &[f32]) -> Vec<Tensor> {
-    if flat.is_empty() {
-        return Vec::new();
+impl<const K: usize> FlatState<K> {
+    /// The buffers over `owned`: zeroed on first use, else narrowed to
+    /// `owned` from the range they hold.
+    fn bind(&mut self, owned: &Range<usize>) -> &mut [Vec<f32>; K] {
+        let fresh = || std::array::from_fn(|_| vec![0.0; owned.len()]);
+        let (range, bufs) = self.bound.get_or_insert_with(|| (owned.clone(), fresh()));
+        if range != owned {
+            assert!(range.start <= owned.start && owned.end <= range.end, "param set changed");
+            let part = owned.start - range.start..owned.end - range.start;
+            bufs.iter_mut().for_each(|b| *b = b[part.clone()].to_vec());
+            *range = owned.clone();
+        }
+        bufs
     }
-    let next = |p: &&Param| {
-        let (head, rest) = flat.split_at(p.numel());
-        flat = rest;
-        Tensor::from_vec(head.to_vec(), p.value.shape())
-    };
-    params.iter().map(next).collect()
+
+    fn parts(&self) -> Vec<&[f32]> {
+        self.bound.iter().flat_map(|(_, bufs)| bufs.iter().map(Vec::as_slice)).collect()
+    }
+
+    /// Binds `flat`, `K` equal buffers back to back, from 0 (none if empty).
+    fn load(&mut self, flat: &[f32]) {
+        let n = flat.len() / K;
+        let part = |k: usize| flat[k * n..(k + 1) * n].to_vec();
+        self.bound = (n > 0).then(|| (0..n, std::array::from_fn(part)));
+    }
+
+    /// Runs `f(w, g, state)` over the parts of `owned` that fall in one
+    /// parameter each: its values, their gradient (from `grads`, which
+    /// covers `owned`, else the parameter's accumulator) and the matching
+    /// slices of the state buffers, bound to `owned`.
+    fn sweep(
+        &mut self,
+        params: &mut [&mut Param],
+        owned: Range<usize>,
+        grads: Option<&[f32]>,
+        mut f: impl FnMut(&mut [f32], &[f32], [&mut [f32]; K]),
+    ) {
+        assert!(grads.is_none_or(|g| g.len() == owned.len()), "flat gradient length mismatch");
+        let (bufs, mut covered) = (self.bind(&owned), 0);
+        for (p, part, at) in pieces(params.iter_mut().map(|p| &mut **p), owned.clone()) {
+            let n = part.len();
+            let g = grads.map_or(&p.grad.data()[part.clone()], |g| &g[at..at + n]);
+            f(&mut p.value.data_mut()[part], g, bufs.each_mut().map(|b| &mut b[at..at + n]));
+            covered += n;
+        }
+        assert_eq!(covered, owned.len(), "owned range exceeds the parameters");
+    }
 }
 
 /// Stochastic gradient descent with optional Nesterov-free momentum and
@@ -102,7 +138,7 @@ pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    velocity: Vec<Tensor>,
+    velocity: FlatState<1>,
 }
 
 impl Sgd {
@@ -113,33 +149,44 @@ impl Sgd {
             lr,
             momentum,
             weight_decay,
-            velocity: Vec::new(),
+            velocity: FlatState::default(),
         }
+    }
+
+    fn sweep(&mut self, params: &mut [&mut Param], owned: Range<usize>, grads: Option<&[f32]>) {
+        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
+        // Decoupled decay: shrink the weights outside the momentum path,
+        // after the gradient step.
+        let shrink = 1.0 - lr * wd;
+        self.velocity.sweep(params, owned, grads, |w, g, [v]| {
+            w.par_chunks_mut(STREAM_BLOCK)
+                .zip(v.par_chunks_mut(STREAM_BLOCK))
+                .zip(g.par_chunks(STREAM_BLOCK))
+                .for_each(|((w, v), g)| {
+                    for ((w, v), &g) in w.iter_mut().zip(v).zip(g) {
+                        if mu > 0.0 {
+                            *v *= mu;
+                            *v += g;
+                            *w += -lr * *v;
+                        } else {
+                            *w -= lr * g;
+                        }
+                        if wd > 0.0 {
+                            *w *= shrink;
+                        }
+                    }
+                });
+        });
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "param set changed");
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            if self.momentum > 0.0 {
-                v.scale(self.momentum);
-                v.add_assign(&p.grad);
-                p.value.axpy(-self.lr, v);
-            } else {
-                let lr = self.lr;
-                p.value.zip_inplace(&p.grad, move |w, g| w - lr * g);
-            }
-            if self.weight_decay > 0.0 {
-                // Decoupled decay: shrink the weights outside the
-                // momentum path, after the gradient step.
-                let shrink = 1.0 - self.lr * self.weight_decay;
-                p.value.map_inplace(move |w| w * shrink);
-            }
-        }
+        self.sweep(params, 0..params.iter().map(|p| p.numel()).sum(), None);
+    }
+
+    fn step_with_grads(&mut self, params: &mut [&mut Param], owned: Range<usize>, grads: &[f32]) {
+        self.sweep(params, owned, Some(grads));
     }
 
     fn lr(&self) -> f32 {
@@ -150,34 +197,33 @@ impl Optimizer for Sgd {
         self.lr = lr;
     }
 
-    fn state(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.velocity.iter().map(Tensor::numel).sum());
-        append_flat(&mut out, &self.velocity);
-        out
+    fn shard_state(&self) -> (Vec<f32>, Vec<&[f32]>) {
+        (Vec::new(), self.velocity.parts())
     }
 
     fn load_state(&mut self, params: &[&Param], state: &[f32]) -> Result<(), SnapshotError> {
         check_len(&[0, params.iter().map(|p| p.numel()).sum()], state)?;
-        self.velocity = unflatten(params, state);
+        self.velocity.load(state);
         Ok(())
     }
+
 }
 
 /// Adam (Kingma & Ba) with bias correction.
 ///
-/// A step is one sweep per parameter, `STREAM_BLOCK` blocks over the
-/// pool: `m`, `v` and the weight are each read and written once. Elements
-/// are independent and go through the expressions of the three-sweep step
-/// this replaced (the `#[cfg(test)]` oracle below) in their order, so the
-/// result is `to_bits`-equal for any block size and pool width.
+/// A step is one sweep, `STREAM_BLOCK` blocks over the pool: `m`, `v` and
+/// the weight are each read and written once. Elements are independent
+/// and go through the expressions of the three-sweep step this replaced
+/// (the `#[cfg(test)]` oracle below) in their order, so the result is
+/// `to_bits`-equal for any block size, pool width and split into ranges.
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
     t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
+    /// `m` then `v`.
+    moments: FlatState<2>,
 }
 
 impl Adam {
@@ -194,36 +240,19 @@ impl Adam {
             beta2,
             eps,
             t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
+            moments: FlatState::default(),
         }
     }
 
-    /// The one-sweep step. Parameter `i` reads its gradient from the next
-    /// `numel` scalars of `flat` when given, else from its own `grad`.
-    fn sweep(&mut self, params: &mut [&mut Param], flat: Option<&[f32]>) {
-        if self.m.is_empty() {
-            self.m = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
-            self.v = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
-        }
-        assert_eq!(self.m.len(), params.len(), "param set changed");
-        let total: usize = params.iter().map(|p| p.numel()).sum();
-        assert!(flat.is_none_or(|f| f.len() == total), "flat gradient length mismatch");
+    fn sweep(&mut self, params: &mut [&mut Param], owned: Range<usize>, grads: Option<&[f32]>) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
-
-        let mut off = 0;
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            let n = p.numel();
-            let g = flat.map_or(p.grad.data(), |f| &f[off..off + n]);
-            off += n;
-            p.value
-                .data_mut()
-                .par_chunks_mut(STREAM_BLOCK)
-                .zip(m.data_mut().par_chunks_mut(STREAM_BLOCK))
-                .zip(v.data_mut().par_chunks_mut(STREAM_BLOCK))
+        self.moments.sweep(params, owned, grads, |w, g, [m, v]| {
+            w.par_chunks_mut(STREAM_BLOCK)
+                .zip(m.par_chunks_mut(STREAM_BLOCK))
+                .zip(v.par_chunks_mut(STREAM_BLOCK))
                 .zip(g.par_chunks(STREAM_BLOCK))
                 .for_each(|(((w, m), v), g)| {
                     for (((w, mm), vv), &g) in w.iter_mut().zip(m).zip(v).zip(g) {
@@ -234,17 +263,17 @@ impl Adam {
                         *w -= lr * mhat / (vhat.sqrt() + eps);
                     }
                 });
-        }
+        });
     }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
-        self.sweep(params, None);
+        self.sweep(params, 0..params.iter().map(|p| p.numel()).sum(), None);
     }
 
-    fn step_with_grads(&mut self, params: &mut [&mut Param], grads: &[f32]) {
-        self.sweep(params, Some(grads));
+    fn step_with_grads(&mut self, params: &mut [&mut Param], owned: Range<usize>, grads: &[f32]) {
+        self.sweep(params, owned, Some(grads));
     }
 
     fn lr(&self) -> f32 {
@@ -255,15 +284,9 @@ impl Optimizer for Adam {
         self.lr = lr;
     }
 
-    fn state(&self) -> Vec<f32> {
-        // Layout: [t (2 bit-pattern words)] ++ m ++ v; `m`/`v` are empty
-        // until the first step or a load binds them.
-        let moments: usize = self.m.iter().chain(&self.v).map(Tensor::numel).sum();
-        let mut out = Vec::with_capacity(2 + moments);
-        out.extend_from_slice(&u64_to_words(self.t));
-        append_flat(&mut out, &self.m);
-        append_flat(&mut out, &self.v);
-        out
+    fn shard_state(&self) -> (Vec<f32>, Vec<&[f32]>) {
+        // Layout: [t (2 bit-pattern words)] ++ m ++ v.
+        (u64_to_words(self.t).to_vec(), self.moments.parts())
     }
 
     fn load_state(&mut self, params: &[&Param], state: &[f32]) -> Result<(), SnapshotError> {
@@ -272,16 +295,16 @@ impl Optimizer for Adam {
         let n: usize = params.iter().map(|p| p.numel()).sum();
         check_len(&[0, 2, 2 + 2 * n], state)?;
         self.t = state.get(..2).map_or(0, |w| words_to_u64([w[0], w[1]]));
-        let moments = state.get(2..).unwrap_or_default();
-        let (m, v) = moments.split_at(moments.len() / 2);
-        (self.m, self.v) = (unflatten(params, m), unflatten(params, v));
+        self.moments.load(state.get(2..).unwrap_or_default());
         Ok(())
     }
+
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::Tensor;
 
     /// Minimise f(w) = (w − 3)² with the given optimiser; returns final w.
     fn minimise(opt: &mut dyn Optimizer, steps: usize) -> f32 {
@@ -393,14 +416,14 @@ mod tests {
     }
 
     /// The three-sweep Adam update this module shipped before the
-    /// one-sweep rewrite, verbatim.
-    fn seed_adam_step(opt: &mut Adam, params: &mut [&mut Param]) {
+    /// one-sweep rewrite, verbatim, over its per-tensor moments.
+    fn seed_adam_step(opt: &mut Adam, mv: &mut [(Tensor, Tensor)], params: &mut [&mut Param]) {
         opt.t += 1;
         let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
         let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
         let (b1, b2, eps, lr) = (opt.beta1, opt.beta2, opt.eps, opt.lr);
 
-        for ((p, m), v) in params.iter_mut().zip(&mut opt.m).zip(&mut opt.v) {
+        for (p, (m, v)) in params.iter_mut().zip(mv) {
             m.zip_inplace(&p.grad, |mm, g| b1 * mm + (1.0 - b1) * g);
             v.zip_inplace(&p.grad, |vv, g| b2 * vv + (1.0 - b2) * g * g);
             for ((w, &mm), &vv) in p.value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
@@ -422,95 +445,141 @@ mod tests {
         let _ = rayon::init_with_threads(4);
         let sizes = [2 * STREAM_BLOCK + 17, STREAM_BLOCK, 300, 1, 0];
         for (flavour, kinds, every) in FLAVOURS {
-            let run = |step: &dyn Fn(&mut Adam, &mut [&mut Param])| {
+            let run = |oracle: bool| {
                 let mut rng = Rng::seed(31);
                 let mut params: Vec<Param> = sizes
                     .iter()
                     .map(|&n| Param::new(rng.normal_tensor(&[n], 1.0)))
                     .collect();
                 let mut opt = Adam::new(0.01);
+                let zeros = |p: &Param| Tensor::zeros(p.value.shape());
+                let mut mv: Vec<_> = params.iter().map(|p| (zeros(p), zeros(p))).collect();
                 let mut seen = Vec::new();
                 for t in 0..4 {
                     for p in &mut params {
                         p.grad = rng.normal_tensor(p.value.shape(), 1.0);
                         sprinkle(&mut p.grad, t, kinds, every);
                     }
-                    step(&mut opt, &mut params.iter_mut().collect::<Vec<_>>());
+                    let mut refs: Vec<&mut Param> = params.iter_mut().collect();
+                    let state = if oracle {
+                        seed_adam_step(&mut opt, &mut mv, &mut refs);
+                        let (m, v): (Vec<_>, Vec<_>) = mv.iter().cloned().unzip();
+                        let flat = m.iter().chain(&v).flat_map(|t| t.data().to_vec());
+                        u64_to_words(opt.t).into_iter().chain(flat).collect()
+                    } else {
+                        opt.step(&mut refs);
+                        opt.state()
+                    };
                     seen.extend(params.iter().map(|p| p.value.clone()));
-                    seen.push(Tensor::from_vec(opt.state(), &[opt.state().len()]));
+                    seen.push(Tensor::from_vec(state.clone(), &[state.len()]));
                 }
                 seen
             };
-            let new = |opt: &mut Adam, params: &mut [&mut Param]| opt.step(params);
-            let oracle = |opt: &mut Adam, params: &mut [&mut Param]| {
-                if opt.m.is_empty() {
-                    opt.m = params
-                        .iter()
-                        .map(|p| Tensor::zeros(p.value.shape()))
-                        .collect();
-                    opt.v = opt.m.clone();
-                }
-                seed_adam_step(opt, params);
-            };
-            let got = run(&new);
-            assert_same(&got, &run(&oracle), flavour);
+            let got = run(false);
+            assert_same(&got, &run(true), flavour);
             assert_same(
-                &rayon::serial_scope(|| run(&new)),
+                &rayon::serial_scope(|| run(false)),
                 &got,
                 &format!("{flavour} pool off"),
             );
         }
     }
 
-    /// `step_with_grads` from a flat gradient ≡ `set_grads` + `step`,
-    /// over two steps: Adam through its own sweep (pool on and
-    /// `serial_scope`), with its accumulators poisoned so only the flat
-    /// gradient can be read; Sgd through the trait default.
+    /// Stepping the parts of a split of the parameters' flat range, each
+    /// with its own optimiser and its slice of a flat gradient, ≡ one
+    /// full `step` from the accumulators: weights after every step, and
+    /// the shards' state laid back together ≡ `state()`, to the bit. The
+    /// splits cut inside parameters and include empty parts; the shard
+    /// runs poison the accumulators so only the flat gradient can be
+    /// read. After two steps each shard reloads the full state and takes a
+    /// third step over its own range, as a resumed trainer rank does.
     #[test]
     fn step_with_grads_matches_set_grads_then_step() {
-        use crate::param::set_grads_from_vec;
         use crate::recurrent::testing::{assert_same, sprinkle, FLAVOURS};
         use tensor::Rng;
         let _ = rayon::init_with_threads(4);
-        let sizes = [2 * STREAM_BLOCK + 17, 300, 1, 0];
+        let sizes = [2 * STREAM_BLOCK + 17, 300, 1, 0, 40];
         let total: usize = sizes.iter().sum();
+        let cuts = |points: &[usize]| -> Vec<Range<usize>> {
+            let ends: Vec<usize> = points.iter().copied().chain([total]).collect();
+            let starts = [0].into_iter().chain(points.iter().copied());
+            starts.zip(ends).map(|(a, b)| a..b).collect()
+        };
+        let splits = [
+            cuts(&[]),
+            cuts(&[total / 2]),
+            cuts(&[5, 5, STREAM_BLOCK + 3, total - 40, total - 1]),
+            cuts(&[0, 2 * STREAM_BLOCK + 17, total]),
+        ];
         type Make = fn() -> Box<dyn Optimizer>;
-        let makers: [(&str, Make); 2] = [
+        let makers: [(&str, Make); 3] = [
             ("adam", || Box::new(Adam::new(0.01))),
             ("sgd", || Box::new(Sgd::new(0.05, 0.9, 0.01))),
+            ("plain sgd", || Box::new(Sgd::new(0.05, 0.0, 0.0))),
         ];
         for ((name, make), (flavour, kinds, every)) in
             makers.iter().flat_map(|m| FLAVOURS.map(|f| (m, f)))
         {
-            let run = |from_flat: bool| {
+            let run = |split: Option<&[Range<usize>]>| {
                 let mut rng = Rng::seed(41);
                 let mut params: Vec<Param> = sizes
                     .iter()
                     .map(|&n| Param::new(rng.normal_tensor(&[n], 1.0)))
                     .collect();
-                let mut opt = make();
+                let parts = split.map_or(1, <[_]>::len);
+                let mut opts: Vec<Box<dyn Optimizer>> = (0..parts).map(|_| make()).collect();
                 let mut seen = Vec::new();
-                for t in 0..2 {
+                for t in 0..3 {
                     let mut flat = rng.normal_tensor(&[total], 1.0);
                     sprinkle(&mut flat, t, kinds, every);
                     let mut refs: Vec<&mut Param> = params.iter_mut().collect();
-                    if from_flat {
-                        refs.iter_mut().for_each(|p| p.grad.data_mut().fill(f32::NAN));
-                        opt.step_with_grads(&mut refs, flat.data());
-                    } else {
-                        set_grads_from_vec(&mut refs, flat.data());
-                        opt.step(&mut refs);
+                    let Some(split) = split else {
+                        crate::param::set_grads_from_vec(&mut refs, flat.data());
+                        opts[0].step(&mut refs);
+                        seen.extend(params.iter().map(|p| p.value.clone()));
+                        let state = opts[0].state();
+                        seen.push(Tensor::from_vec(state.clone(), &[state.len()]));
+                        continue;
+                    };
+                    refs.iter_mut().for_each(|p| p.grad.data_mut().fill(f32::NAN));
+                    if t == 2 {
+                        let full = gathered(&opts, total);
+                        let values: Vec<&Param> = refs.iter().map(|p| &**p).collect();
+                        for opt in &mut opts {
+                            opt.load_state(&values, &full).unwrap();
+                        }
+                    }
+                    for (opt, r) in opts.iter_mut().zip(split) {
+                        opt.step_with_grads(&mut refs, r.clone(), &flat.data()[r.clone()]);
                     }
                     seen.extend(params.iter().map(|p| p.value.clone()));
-                    seen.push(Tensor::from_vec(opt.state(), &[opt.state().len()]));
+                    let state = gathered(&opts, total);
+                    seen.push(Tensor::from_vec(state.clone(), &[state.len()]));
                 }
                 seen
             };
-            let want = run(false);
-            let ctx = format!("{name} {flavour}");
-            assert_same(&run(true), &want, &ctx);
-            assert_same(&rayon::serial_scope(|| run(true)), &want, &format!("{ctx} pool off"));
+            let want = run(None);
+            for split in &splits {
+                let ctx = format!("{name} {flavour} {split:?}");
+                assert_same(&run(Some(split)), &want, &ctx);
+                let off = rayon::serial_scope(|| run(Some(split)));
+                assert_same(&off, &want, &format!("{ctx} pool off"));
+            }
         }
+    }
+
+    /// The shards' states laid back into one: the shared head, then each
+    /// element-wise buffer across the shards in range order.
+    fn gathered(opts: &[Box<dyn Optimizer>], total: usize) -> Vec<f32> {
+        let shards: Vec<_> = opts.iter().map(|o| o.shard_state()).collect();
+        let (head, parts) = &shards[0];
+        let mut out = head.clone();
+        for j in 0..parts.len() {
+            shards.iter().for_each(|s| out.extend_from_slice(s.1[j]));
+        }
+        assert!(shards.iter().all(|s| &s.0 == head), "heads differ");
+        assert_eq!(out.len(), head.len() + parts.len() * total);
+        out
     }
 
     #[test]

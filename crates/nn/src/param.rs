@@ -1,6 +1,7 @@
 //! Trainable parameters: a value tensor paired with its gradient
 //! accumulator.
 
+use std::ops::{Deref, Range};
 use tensor::Tensor;
 
 /// One trainable parameter of a layer.
@@ -66,15 +67,39 @@ pub fn copy_grads_into(params: &[&Param], out: &mut [f32]) {
 /// Writes a flat vector back into the parameter values. Length must match
 /// exactly.
 pub fn set_values_from_vec(params: &mut [&mut Param], flat: &[f32]) {
-    let mut off = 0;
-    for p in params.iter_mut() {
-        let n = p.numel();
-        p.value
-            .data_mut()
-            .copy_from_slice(&flat[off..off + n]);
-        off += n;
+    let total: usize = params.iter().map(|p| p.numel()).sum();
+    assert_eq!(total, flat.len(), "flat vector length mismatch");
+    write_values(params, 0..total, flat);
+}
+
+/// The parameters the flat range `at` touches, as `(param, part, offset)`:
+/// `part` is its share of that parameter, `offset` where it starts in `at`.
+pub fn pieces<P: Deref<Target = Param>>(
+    params: impl IntoIterator<Item = P>,
+    at: Range<usize>,
+) -> impl Iterator<Item = (P, Range<usize>, usize)> {
+    let mut next = 0;
+    params.into_iter().filter_map(move |p| {
+        let (s, e) = (next, next + p.numel());
+        next = e;
+        let (lo, hi) = (at.start.clamp(s, e), at.end.clamp(s, e));
+        (lo < hi).then(|| (p, lo - s..hi - s, lo - at.start))
+    })
+}
+
+/// Copies the values of the flat range `at` into `out`.
+pub fn read_values(params: &[&mut Param], at: Range<usize>, out: &mut [f32]) {
+    for (p, part, off) in pieces(params.iter().map(|p| &**p), at) {
+        out[off..off + part.len()].copy_from_slice(&p.value.data()[part]);
     }
-    assert_eq!(off, flat.len(), "flat vector length mismatch");
+}
+
+/// Writes `src` over the values of the flat range `at`.
+pub fn write_values(params: &mut [&mut Param], at: Range<usize>, src: &[f32]) {
+    for (p, part, off) in pieces(params.iter_mut().map(|p| &mut **p), at) {
+        let n = part.len();
+        p.value.data_mut()[part].copy_from_slice(&src[off..off + n]);
+    }
 }
 
 /// Writes a flat vector back into the parameter gradients.

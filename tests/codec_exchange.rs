@@ -14,13 +14,16 @@
 //!    `to_table_string` → `parse` byte-identically, while codec-free
 //!    tables serialize exactly as before (old artifacts stay stable);
 //! 5. the **transport's priced clock** charges each exchange the trainer
-//!    can run exactly its critical path of α–β hops.
+//!    can run exactly its critical path of α–β hops, the sharded dense
+//!    step's reduce-scatter and parameter allgather included.
 
 mod common;
 
 use common::*;
 use msa_suite::distrib::{sparse_allreduce_mean, TopKCompressor};
-use msa_suite::msa_net::collectives::pipeline_allreduce_mean;
+use msa_suite::msa_net::collectives::{
+    pipeline_allreduce_mean, pipeline_reduce_scatter_mean, shard_gather,
+};
 use msa_suite::msa_net::tune::{measure_codec, CodecEntry, TuneGrid};
 use msa_suite::msa_net::{
     bf16_allreduce, Arena, CollectiveAlgo, CommOptions, LinkParams, PointToPoint, ThreadComm,
@@ -160,5 +163,39 @@ fn transport_clock_prices_each_exchange_by_its_critical_path() {
             .allreduce_time(p, (len * 4) as f64, link)
             .as_ps();
         assert!(model.abs_diff(dense) <= 2 * (p as u64 - 1), "p={p}: {model} vs {dense}");
+    }
+}
+
+#[test]
+fn transport_clock_prices_the_sharded_exchange_by_its_critical_path() {
+    // The owner-fold reduce-scatter is p − 2 up-chain hops of the whole
+    // buffer, then one hop of one shard to its owner (rank p − 1 sends
+    // its slices at once, so they never wait on the chain). The parameter
+    // allgather adds one more shard hop: every rank sends straight to
+    // every other.
+    let link = LinkParams::infiniband_edr();
+    let len = 960;
+    let opts = CommOptions::new().link(link);
+    let hop = |floats: usize| link.p2p((floats * 4) as f64).as_ps();
+    for p in [2usize, 4] {
+        let clocks = ThreadComm::run_with(p, &opts, |c| {
+            let vtime = || c.stats().map_or(0, |s| s.vtime_ps());
+            let mut buf: Vec<f32> = (0..len).map(|i| (i + c.rank()) as f32).collect();
+            pipeline_reduce_scatter_mean(c, &mut buf, 0, len);
+            let scattered = vtime();
+            shard_gather(
+                c,
+                None,
+                len,
+                &mut buf[..],
+                |b, r, msg| msg.copy_from_slice(&b[r]),
+                |b, r, msg| b[r].copy_from_slice(msg),
+            );
+            (scattered, vtime())
+        });
+        let latest = |f: fn(&(u64, u64)) -> u64| clocks.iter().map(f).max().unwrap_or(0);
+        let chain = (p as u64 - 2) * hop(len);
+        assert_eq!(latest(|c| c.0), chain + hop(len / p), "reduce-scatter p={p}");
+        assert_eq!(latest(|c| c.1), chain + 2 * hop(len / p), "allgather p={p}");
     }
 }
