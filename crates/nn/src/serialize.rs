@@ -103,7 +103,7 @@ pub fn save(model: &Sequential) -> Vec<u8> {
 /// opaque `meta` blob (trainer progress, encoded by the caller).
 pub fn save_with(model: &Sequential, opt_state: &[f32], meta: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    save_into(&mut out, model, opt_state, meta);
+    save_into(&mut out, model, &[opt_state], meta);
     out
 }
 
@@ -111,18 +111,20 @@ pub fn save_with(model: &Sequential, opt_state: &[f32], meta: &[u8]) -> Vec<u8> 
 /// whatever it held, so a checkpoint loop handing back its previous
 /// snapshot allocates nothing once warm. Values encode straight from the
 /// model's parameters.
-pub fn save_into(out: &mut Vec<u8>, model: &Sequential, opt_state: &[f32], meta: &[u8]) {
+pub fn save_into(out: &mut Vec<u8>, model: &Sequential, opt_state: &[&[f32]], meta: &[u8]) {
     let (params, state) = (model.params(), model.state());
     let p_len: usize = params.iter().map(|p| p.numel()).sum();
-    let body = HEADER + 4 * (p_len + state.len() + opt_state.len()) + meta.len();
+    let o_len: usize = opt_state.iter().map(|s| s.len()).sum();
+    let body = HEADER + 4 * (p_len + state.len() + o_len) + meta.len();
     out.resize(body + 8, 0);
     out[..4].copy_from_slice(MAGIC);
     out[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    for (i, n) in [p_len, state.len(), opt_state.len(), meta.len()].into_iter().enumerate() {
+    for (i, n) in [p_len, state.len(), o_len, meta.len()].into_iter().enumerate() {
         out[8 + 8 * i..16 + 8 * i].copy_from_slice(&(n as u64).to_le_bytes());
     }
     let mut at = HEADER;
-    for xs in params.iter().map(|p| p.value.data()).chain([&state[..], opt_state]) {
+    let floats = params.iter().map(|p| p.value.data()).chain([&state[..]]);
+    for xs in floats.chain(opt_state.iter().copied()) {
         let words = out[at..at + 4 * xs.len()].chunks_exact_mut(4);
         words.zip(xs).for_each(|(w, x)| w.copy_from_slice(&x.to_le_bytes()));
         at += 4 * xs.len();
@@ -301,11 +303,11 @@ mod tests {
         let (m, opt) = trained(3);
         let want = save_with(&m, &opt.state(), b"meta");
         let mut buf = vec![0xA5u8; want.len() + 1000];
-        save_into(&mut buf, &m, &opt.state(), b"meta");
+        save_into(&mut buf, &m, &[&opt.state()], b"meta");
         assert_eq!(buf, want);
         // Shorter than the snapshot and dirty: grows, same bytes.
         let mut buf = vec![0x5Au8; 17];
-        save_into(&mut buf, &m, &opt.state(), b"meta");
+        save_into(&mut buf, &m, &[&opt.state()], b"meta");
         assert_eq!(buf, want);
     }
 
