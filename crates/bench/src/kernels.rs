@@ -215,7 +215,7 @@ fn layer_hashes(mut layer: impl Layer, in_shape: &[usize], out_shape: &[usize]) 
         grads.extend_from_slice(layer.backward(&g).data());
     }
     for p in layer.params() {
-        grads.extend_from_slice(p.grad.data());
+        grads.extend_from_slice(p.grad().data());
     }
     // An eval pass shows the state training left (batch-norm statistics).
     let x = fixed_tensor(&mut rng, in_shape);
@@ -229,7 +229,7 @@ fn adam_hashes() -> (u64, u64) {
     let mut p = nn::Param::new(fixed_tensor(&mut rng, &[300_000]));
     let mut adam = nn::Adam::new(1e-3);
     for _ in 0..3 {
-        p.grad = fixed_tensor(&mut rng, &[300_000]);
+        *p.grad_mut() = fixed_tensor(&mut rng, &[300_000]);
         nn::Optimizer::step(&mut adam, &mut [&mut p]);
     }
     let state = nn::Optimizer::state(&adam);
@@ -304,7 +304,7 @@ fn layer_timings() -> Vec<Obj> {
     let (seq, head_g, img, img_g) = (normal(&SEQ), normal(&HEAD), normal(&IMG), normal(&IMG));
     let (gru_x, gru_g) = (normal(&[16, 48, 10]), normal(&[16, 48, 32]));
     let mut p = nn::Param::new(normal(&[2_097_152]));
-    p.grad = rng.normal_tensor(&[2_097_152], 0.01);
+    *p.grad_mut() = rng.normal_tensor(&[2_097_152], 0.01);
     let mut gru = nn::Gru::new(10, 32, &mut rng);
     let (mut d, mut adam) = (dropout(), nn::Adam::new(1e-3));
     let dropout_ns = min_ns(REPS, || d.forward(&seq, true));

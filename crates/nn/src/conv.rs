@@ -341,8 +341,8 @@ impl Layer for Conv2d {
             dims,
             n,
             &mut self.bwd_arena,
-            self.w.grad.data_mut(),
-            self.b.grad.data_mut(),
+            self.w.grad_mut().data_mut(),
+            self.b.grad_mut().data_mut(),
         );
         Tensor::from_vec(dx_all, &in_shape)
     }
@@ -436,8 +436,8 @@ impl Layer for Conv1d {
             dims,
             n,
             &mut self.inner.bwd_arena,
-            self.inner.w.grad.data_mut(),
-            self.inner.b.grad.data_mut(),
+            self.inner.w.grad_mut().data_mut(),
+            self.inner.b.grad_mut().data_mut(),
         );
         Tensor::from_vec(dx_all, &[n, c, l])
     }
@@ -630,19 +630,19 @@ mod tests {
 
         let _ = conv.forward(&a, true);
         let _ = conv.backward(&g1);
-        let wa: Vec<f32> = conv.w.grad.data().to_vec();
+        let wa: Vec<f32> = conv.w.grad().data().to_vec();
         for p in conv.params_mut() {
-            p.grad.map_inplace(|_| 0.0);
+            p.grad_mut().map_inplace(|_| 0.0);
         }
         let _ = conv.forward(&b, true);
         let _ = conv.backward(&g1);
-        let wb: Vec<f32> = conv.w.grad.data().to_vec();
+        let wb: Vec<f32> = conv.w.grad().data().to_vec();
         for p in conv.params_mut() {
-            p.grad.map_inplace(|_| 0.0);
+            p.grad_mut().map_inplace(|_| 0.0);
         }
         let _ = conv.forward(&both, true);
         let _ = conv.backward(&g2);
-        for ((acc, x), y) in conv.w.grad.data().iter().zip(&wa).zip(&wb) {
+        for ((acc, x), y) in conv.w.grad().data().iter().zip(&wa).zip(&wb) {
             assert_eq!(acc.to_bits(), (x + y).to_bits());
         }
     }

@@ -8,6 +8,13 @@
 //! were the same entry points on a zeroed output, each product is still
 //! formed from zero on its own before it meets the bias or the
 //! accumulated gradient, and `db` is `sum_axis0`'s ascending-row sum.
+//!
+//! `dW` and `db` are formed through [`Param::accumulate`]: right after a
+//! `zero_grad` they are chains built straight in the zeroed accumulator,
+//! with no per-call temporary. A chain started at `+0.0` never ends on
+//! `−0.0`, so that is the bits of `0.0 + product` (the argument is in
+//! [`crate::param`]). A second backward without `zero_grad` forms its
+//! product in a zeroed temporary and adds it, as before.
 
 use crate::layer::Layer;
 use crate::param::Param;
@@ -56,7 +63,7 @@ impl Dense {
 
 /// Rows of a `(batch…, width)` shape flattened to `(rows, width)`.
 fn rows_of(shape: &[usize]) -> usize {
-    shape[..shape.len() - 1].iter().product::<usize>().max(1)
+    shape[..shape.len() - 1].iter().product()
 }
 
 impl Layer for Dense {
@@ -90,16 +97,14 @@ impl Layer for Dense {
         assert_eq!(g.len(), rows * n, "grad_out is not the output's size");
 
         // dW = xᵀ · g ; db = column sums ; dx = g · Wᵀ
-        let mut dw = vec![0.0f32; k * n];
-        gemm_tn_into(rows, k, n, &self.cache_x, g, &mut dw);
-        self.w.grad.add_assign(&Tensor::from_vec(dw, &[k, n]));
-        let mut db = vec![0.0f32; n];
-        for row in g.chunks_exact(n.max(1)) {
-            for (o, x) in db.iter_mut().zip(row) {
-                *o += x;
+        self.w.accumulate(|dw| gemm_tn_into(rows, k, n, &self.cache_x, g, dw));
+        self.b.accumulate(|db| {
+            for row in g.chunks_exact(n.max(1)) {
+                for (o, x) in db.iter_mut().zip(row) {
+                    *o += x;
+                }
             }
-        }
-        self.b.grad.add_assign(&Tensor::from_vec(db, &[n]));
+        });
         let mut dx = vec![0.0f32; rows * k];
         gemm_nt_into(rows, n, k, g, self.w.value.data(), &mut dx);
         Tensor::from_vec(dx, &self.cache_shape)
@@ -178,8 +183,8 @@ mod tests {
             let rows = x.shape()[0];
             let g2 = grad_out.clone().reshape(&[rows, self.out_dim]);
 
-            self.w.grad.add_assign(&matmul_tn_ikj(x, &g2));
-            self.b.grad.add_assign(&g2.sum_axis0());
+            self.w.grad_mut().add_assign(&matmul_tn_ikj(x, &g2));
+            self.b.grad_mut().add_assign(&g2.sum_axis0());
             let dx = matmul_nt_dot(&g2, &self.w.value);
             let mut in_shape = self.cache_lead.clone();
             in_shape.push(self.in_dim);
@@ -202,10 +207,13 @@ mod tests {
     /// `(lead shape, in, out)`: the GRU imputer's time-distributed head
     /// (one output column, so the dot, lane and outer-product kernels),
     /// the same across the pool's row split with an odd width, one-row
-    /// and one-element cases, a 1-D input, and ordinary `n > 1` layers.
+    /// and one-element cases, a 1-D input, ordinary `n > 1` layers, and
+    /// a batch-4 layer wider than one 512-column panel: the harness's
+    /// first pass forms its `dW` in the zeroed accumulator, the second in
+    /// the temporary.
     #[test]
     fn matches_the_layer_it_replaced() {
-        let cases: [(&[usize], usize, usize); 9] = [
+        let cases: [(&[usize], usize, usize); 10] = [
             (&[240, 48], 32, 1),
             (&[4099], 37, 1),
             (&[5], 130, 1),
@@ -215,6 +223,7 @@ mod tests {
             (&[], 6, 4),
             (&[33], 17, 9),
             (&[4100], 1, 3),
+            (&[4], 40, 1030),
         ];
         for (lead, k, n) in cases {
             let (x, y) = ([lead, &[k]].concat(), [lead, &[n]].concat());
@@ -245,11 +254,11 @@ mod tests {
         let g = Tensor::ones(&[5, 3]);
         let gx = d.backward(&g);
         assert_eq!(gx.shape(), &[5, 4]);
-        let gw1 = d.params()[0].grad.clone();
+        let gw1 = d.params()[0].grad().clone();
         // Accumulate: second backward doubles the gradient.
         let _ = d.forward(&x, true);
         let _ = d.backward(&g);
-        let gw2 = d.params()[0].grad.clone();
+        let gw2 = d.params()[0].grad().clone();
         for (a, b) in gw1.data().iter().zip(gw2.data()) {
             assert!((2.0 * a - b).abs() < 1e-5);
         }
@@ -263,7 +272,7 @@ mod tests {
         let _ = d.forward(&x, true);
         let g = Tensor::from_vec(vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0], &[4, 2]);
         let _ = d.backward(&g);
-        assert_eq!(d.params()[1].grad.data(), &[4.0, 8.0]);
+        assert_eq!(d.params()[1].grad().data(), &[4.0, 8.0]);
     }
 
     #[test]

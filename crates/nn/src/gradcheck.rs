@@ -53,7 +53,7 @@ pub fn check_layer(layer: &mut dyn Layer, x: &Tensor, eps: f32, seed: u64) -> Gr
     let analytic_param_grads: Vec<Vec<f32>> = layer
         .params()
         .iter()
-        .map(|p| p.grad.data().to_vec())
+        .map(|p| p.grad().data().to_vec())
         .collect();
 
     // Numerical parameter gradients.

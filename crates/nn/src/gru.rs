@@ -282,9 +282,9 @@ mod tests {
                 let mut rh = step.r.clone();
                 rh.mul_assign(&step.h_prev);
 
-                self.wh.grad.add_assign(&matmul_tn(&step.x, &da_h));
-                self.uh.grad.add_assign(&matmul_tn(&rh, &da_h));
-                self.bh.grad.add_assign(&da_h.sum_axis0());
+                self.wh.grad_mut().add_assign(&matmul_tn(&step.x, &da_h));
+                self.uh.grad_mut().add_assign(&matmul_tn(&rh, &da_h));
+                self.bh.grad_mut().add_assign(&da_h.sum_axis0());
 
                 // Through the r ⊙ h_prev product.
                 let drh = matmul_nt(&da_h, &self.uh.value);
@@ -300,12 +300,12 @@ mod tests {
                 let mut da_r = dr;
                 da_r.zip_inplace(&step.r, |g, r| g * r * (1.0 - r));
 
-                self.wz.grad.add_assign(&matmul_tn(&step.x, &da_z));
-                self.uz.grad.add_assign(&matmul_tn(&step.h_prev, &da_z));
-                self.bz.grad.add_assign(&da_z.sum_axis0());
-                self.wr.grad.add_assign(&matmul_tn(&step.x, &da_r));
-                self.ur.grad.add_assign(&matmul_tn(&step.h_prev, &da_r));
-                self.br.grad.add_assign(&da_r.sum_axis0());
+                self.wz.grad_mut().add_assign(&matmul_tn(&step.x, &da_z));
+                self.uz.grad_mut().add_assign(&matmul_tn(&step.h_prev, &da_z));
+                self.bz.grad_mut().add_assign(&da_z.sum_axis0());
+                self.wr.grad_mut().add_assign(&matmul_tn(&step.x, &da_r));
+                self.ur.grad_mut().add_assign(&matmul_tn(&step.h_prev, &da_r));
+                self.br.grad_mut().add_assign(&da_r.sum_axis0());
 
                 // Input gradient.
                 let mut dx = matmul_nt(&da_z, &self.wz.value);

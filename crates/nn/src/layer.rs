@@ -8,7 +8,10 @@ use tensor::Tensor;
 ///
 /// `forward` caches whatever the backward pass needs; `backward` consumes
 /// the upstream gradient, **accumulates** parameter gradients into its
-/// [`Param`]s and returns the gradient with respect to its input.
+/// [`Param`]s and returns the gradient with respect to its input. A
+/// product added whole goes through [`Param::accumulate`], which forms it
+/// straight in an accumulator that `zero_grad` left at `+0.0` and in a
+/// zeroed temporary otherwise, with equal bits either way.
 ///
 /// Every layer is `Clone` (through [`LayerClone`], so a boxed stack
 /// clones too): a clone is an independent replica with the same
@@ -350,7 +353,7 @@ pub(crate) mod testing {
         let mut seen = Vec::new();
         let mut observe = |layer: &dyn Layer, out: Vec<Tensor>| {
             seen.extend(out);
-            seen.extend(layer.params().iter().map(|p| p.grad.clone()));
+            seen.extend(layer.params().iter().map(|p| p.grad().clone()));
             seen.push(Tensor::from_vec(layer.state(), &[layer.state_len()]));
         };
         for (x, g) in io {

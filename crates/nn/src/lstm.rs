@@ -312,9 +312,9 @@ mod tests {
                     (&da_o, &mut self.wo, &mut self.uo, &mut self.bo),
                     (&da_g, &mut self.wg, &mut self.ug, &mut self.bg),
                 ] {
-                    w.grad.add_assign(&matmul_tn(&s.x, da));
-                    u.grad.add_assign(&matmul_tn(&s.h_prev, da));
-                    b.grad.add_assign(&da.sum_axis0());
+                    w.grad_mut().add_assign(&matmul_tn(&s.x, da));
+                    u.grad_mut().add_assign(&matmul_tn(&s.h_prev, da));
+                    b.grad_mut().add_assign(&da.sum_axis0());
                 }
 
                 // Input and recurrent gradients.

@@ -185,6 +185,33 @@ mod tests {
         assert!(m.param_count() > gru.param_count());
     }
 
+    type Builder = fn(&mut Rng) -> Sequential;
+
+    /// Every builder here, with a small training input shape.
+    const BUILDERS: [(&str, Builder, &[usize]); 5] = [
+        ("resnet_mini", |r| resnet_mini(3, 4, 4, 2, r), &[2, 3, 8, 8]),
+        ("covidnet_lite", |r| covidnet_lite(1, 3, r), &[2, 1, 16, 16]),
+        ("gru_imputer", |r| gru_imputer(5, r), &[3, 7, 5]),
+        ("lstm_imputer", |r| lstm_imputer(5, r), &[3, 7, 5]),
+        ("cnn1d_imputer", |r| cnn1d_imputer(5, r), &[3, 5, 9]),
+    ];
+
+    /// A batch of no samples goes forward and backward through every
+    /// builder, each pass keeping the shape a full batch has.
+    #[test]
+    fn every_builder_takes_an_empty_batch() {
+        for (name, build, in_shape) in BUILDERS {
+            let mut model = build(&mut Rng::seed(1));
+            let full = model.forward(&Tensor::zeros(in_shape), true);
+            let mut out_shape = full.shape().to_vec();
+            let empty = [&[0], &in_shape[1..]].concat();
+            out_shape[0] = 0;
+            let y = model.forward(&Tensor::zeros(&empty), true);
+            assert_eq!(y.shape(), &out_shape[..], "{name}");
+            assert_eq!(model.backward(&y).shape(), &empty[..], "{name}");
+        }
+    }
+
     /// Killed-and-resumed ≡ uninterrupted for every builder here: train
     /// three steps, snapshot (model values, layer state, optimiser),
     /// train three more; a differently initialised model restored from
@@ -195,15 +222,7 @@ mod tests {
     fn every_builder_resumes_bit_exactly() {
         use crate::optim::{Adam, Optimizer};
         use crate::serialize::{load_training, save_with};
-        type Builder = fn(&mut Rng) -> Sequential;
-        let builders: [(&str, Builder, &[usize]); 5] = [
-            ("resnet_mini", |r| resnet_mini(3, 4, 4, 2, r), &[2, 3, 8, 8]),
-            ("covidnet_lite", |r| covidnet_lite(1, 3, r), &[2, 1, 16, 16]),
-            ("gru_imputer", |r| gru_imputer(5, r), &[3, 7, 5]),
-            ("lstm_imputer", |r| lstm_imputer(5, r), &[3, 7, 5]),
-            ("cnn1d_imputer", |r| cnn1d_imputer(5, r), &[3, 5, 9]),
-        ];
-        for (name, build, in_shape) in builders {
+        for (name, build, in_shape) in BUILDERS {
             let mut data = Rng::seed(99);
             let batches: Vec<Tensor> = (0..6).map(|_| data.normal_tensor(in_shape, 1.0)).collect();
             let train = |model: &mut Sequential, opt: &mut Adam, batches: &[Tensor]| {

@@ -134,10 +134,13 @@ impl Layer for BatchNorm {
                     let (sum, sq) = sums[ch];
                     let mean = (sum / count as f64) as f32;
                     let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
-                    self.running_mean[ch] =
-                        (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                    self.running_var[ch] =
-                        (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+                    // An empty batch has no statistics to fold in.
+                    if n > 0 {
+                        self.running_mean[ch] =
+                            (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
+                        self.running_var[ch] =
+                            (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+                    }
                     (mean, var)
                 } else {
                     (self.running_mean[ch], self.running_var[ch])
@@ -183,8 +186,8 @@ impl Layer for BatchNorm {
         let coef: Vec<[f32; 3]> = (0..c)
             .map(|ch| {
                 let (dgamma, dbeta) = sums[ch];
-                self.gamma.grad.data_mut()[ch] += dgamma as f32;
-                self.beta.grad.data_mut()[ch] += dbeta as f32;
+                self.gamma.grad_mut().data_mut()[ch] += dgamma as f32;
+                self.beta.grad_mut().data_mut()[ch] += dbeta as f32;
                 let scale = self.gamma.value.data()[ch] * self.inv_std[ch];
                 [scale, dbeta as f32 / count, dgamma as f32 / count]
             })
@@ -238,7 +241,8 @@ mod tests {
 
     /// The batch norm this module shipped before the plane-sliced
     /// rewrite: `for_channel`'s index closure and the `forward`/`backward`
-    /// bodies verbatim.
+    /// bodies verbatim, except that an empty batch folds nothing into the
+    /// running statistics.
     #[derive(Clone)]
     struct SeedBatchNorm {
         gamma: Param,
@@ -309,10 +313,12 @@ mod tests {
                     });
                     let mean = (sum / count as f64) as f32;
                     let var = ((sq / count as f64) - (sum / count as f64).powi(2)).max(0.0) as f32;
-                    self.running_mean[ch] =
-                        (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                    self.running_var[ch] =
-                        (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+                    if n > 0 {
+                        self.running_mean[ch] =
+                            (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
+                        self.running_var[ch] =
+                            (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+                    }
                     (mean, var)
                 } else {
                     (self.running_mean[ch], self.running_var[ch])
@@ -360,8 +366,8 @@ mod tests {
                     dgamma += (grad_out.data()[idx] * cache.xhat.data()[idx]) as f64;
                     dbeta += grad_out.data()[idx] as f64;
                 });
-                self.gamma.grad.data_mut()[ch] += dgamma as f32;
-                self.beta.grad.data_mut()[ch] += dbeta as f32;
+                self.gamma.grad_mut().data_mut()[ch] += dgamma as f32;
+                self.beta.grad_mut().data_mut()[ch] += dbeta as f32;
 
                 let mean_dy = dbeta as f32 / count;
                 let mean_dyxhat = dgamma as f32 / count;
@@ -496,6 +502,21 @@ mod tests {
         let x = rng.normal_tensor(&[2, 4, 5, 5], 1.0);
         let y = bn.forward(&x, true);
         assert_eq!(y.shape(), x.shape());
+    }
+
+    #[test]
+    fn an_empty_training_batch_leaves_the_running_statistics() {
+        let mut bn = BatchNorm::new(3);
+        let mut rng = Rng::seed(6);
+        let _ = bn.forward(&rng.normal_tensor(&[5, 3, 2, 2], 2.0), true);
+        let before: Vec<u32> = bn.state().iter().map(|v| v.to_bits()).collect();
+        for shape in [&[0, 3][..], &[0, 3, 2, 2]] {
+            let y = bn.forward(&Tensor::zeros(shape), true);
+            assert_eq!(y.shape(), shape);
+            assert_eq!(bn.backward(&Tensor::zeros(shape)).shape(), shape);
+            let after: Vec<u32> = bn.state().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(after, before, "{shape:?}");
+        }
     }
 
     #[test]

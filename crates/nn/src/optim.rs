@@ -121,8 +121,9 @@ impl<const K: usize> FlatState<K> {
         let (bufs, mut covered) = (self.bind(&owned), 0);
         for (p, part, at) in pieces(params.iter_mut().map(|p| &mut **p), owned.clone()) {
             let n = part.len();
-            let g = grads.map_or(&p.grad.data()[part.clone()], |g| &g[at..at + n]);
-            f(&mut p.value.data_mut()[part], g, bufs.each_mut().map(|b| &mut b[at..at + n]));
+            let (w, grad) = p.value_and_grad();
+            let g = grads.map_or(&grad.data()[part.clone()], |g| &g[at..at + n]);
+            f(&mut w.data_mut()[part], g, bufs.each_mut().map(|b| &mut b[at..at + n]));
             covered += n;
         }
         assert_eq!(covered, owned.len(), "owned range exceeds the parameters");
@@ -311,7 +312,7 @@ mod tests {
         let mut p = Param::new(Tensor::zeros(&[1]));
         for _ in 0..steps {
             let w = p.value.data()[0];
-            p.grad.data_mut()[0] = 2.0 * (w - 3.0);
+            p.grad_mut().data_mut()[0] = 2.0 * (w - 3.0);
             opt.step(&mut [&mut p]);
             p.zero_grad();
         }
@@ -357,7 +358,7 @@ mod tests {
         opt.set_lr(0.0001);
         assert_eq!(opt.lr(), 0.0001);
         let mut p = Param::new(Tensor::zeros(&[1]));
-        p.grad.data_mut()[0] = 1.0;
+        p.grad_mut().data_mut()[0] = 1.0;
         opt.step(&mut [&mut p]);
         assert!((p.value.data()[0] + 0.0001).abs() < 1e-9);
     }
@@ -378,7 +379,7 @@ mod tests {
         let mut w_cpl = 2.0f32; // coupled-L2 reference
         let mut v_cpl = 0.0f32;
         for _ in 0..5 {
-            p.grad.data_mut()[0] = grad;
+            p.grad_mut().data_mut()[0] = grad;
             opt.step(&mut [&mut p]);
             p.zero_grad();
 
@@ -424,8 +425,8 @@ mod tests {
         let (b1, b2, eps, lr) = (opt.beta1, opt.beta2, opt.eps, opt.lr);
 
         for (p, (m, v)) in params.iter_mut().zip(mv) {
-            m.zip_inplace(&p.grad, |mm, g| b1 * mm + (1.0 - b1) * g);
-            v.zip_inplace(&p.grad, |vv, g| b2 * vv + (1.0 - b2) * g * g);
+            m.zip_inplace(p.grad(), |mm, g| b1 * mm + (1.0 - b1) * g);
+            v.zip_inplace(p.grad(), |vv, g| b2 * vv + (1.0 - b2) * g * g);
             for ((w, &mm), &vv) in p.value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let mhat = mm / bc1;
                 let vhat = vv / bc2;
@@ -457,8 +458,8 @@ mod tests {
                 let mut seen = Vec::new();
                 for t in 0..4 {
                     for p in &mut params {
-                        p.grad = rng.normal_tensor(p.value.shape(), 1.0);
-                        sprinkle(&mut p.grad, t, kinds, every);
+                        *p.grad_mut() = rng.normal_tensor(p.value.shape(), 1.0);
+                        sprinkle(p.grad_mut(), t, kinds, every);
                     }
                     let mut refs: Vec<&mut Param> = params.iter_mut().collect();
                     let state = if oracle {
@@ -541,7 +542,7 @@ mod tests {
                         seen.push(Tensor::from_vec(state.clone(), &[state.len()]));
                         continue;
                     };
-                    refs.iter_mut().for_each(|p| p.grad.data_mut().fill(f32::NAN));
+                    refs.iter_mut().for_each(|p| p.grad_mut().data_mut().fill(f32::NAN));
                     if t == 2 {
                         let full = gathered(&opts, total);
                         let values: Vec<&Param> = refs.iter().map(|p| &**p).collect();
@@ -598,7 +599,7 @@ mod tests {
         let mut p = Param::new(Tensor::full(&[3], 5.0));
         for _ in 0..a {
             let vals: Vec<f32> = p.value.data().iter().map(|&w| grad_at(w)).collect();
-            p.grad.data_mut().copy_from_slice(&vals);
+            p.grad_mut().data_mut().copy_from_slice(&vals);
             opt.step(&mut [&mut p]);
             p.zero_grad();
         }
@@ -606,7 +607,7 @@ mod tests {
         let snap_w = p.value.data().to_vec();
         for _ in 0..b {
             let vals: Vec<f32> = p.value.data().iter().map(|&w| grad_at(w)).collect();
-            p.grad.data_mut().copy_from_slice(&vals);
+            p.grad_mut().data_mut().copy_from_slice(&vals);
             opt.step(&mut [&mut p]);
             p.zero_grad();
         }
@@ -617,7 +618,7 @@ mod tests {
         resumed.load_state(&[&q], &snap_state).unwrap();
         for _ in 0..b {
             let vals: Vec<f32> = q.value.data().iter().map(|&w| grad_at(w)).collect();
-            q.grad.data_mut().copy_from_slice(&vals);
+            q.grad_mut().data_mut().copy_from_slice(&vals);
             resumed.step(&mut [&mut q]);
             q.zero_grad();
         }
@@ -654,7 +655,7 @@ mod tests {
         // constant gradient.
         let mut opt = Adam::new(0.01);
         let mut p = Param::new(Tensor::zeros(&[1]));
-        p.grad.data_mut()[0] = 1000.0;
+        p.grad_mut().data_mut()[0] = 1000.0;
         opt.step(&mut [&mut p]);
         assert!(p.value.data()[0].abs() <= 0.0101, "{}", p.value.data()[0]);
     }

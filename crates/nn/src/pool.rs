@@ -52,7 +52,7 @@ impl Layer for MaxPool2d {
         let (args, in_shape) = self.cache.as_ref().expect("backward before forward");
         let per_img: usize = in_shape[1..].iter().product();
         let n = in_shape[0];
-        let per_out = grad_out.numel() / n;
+        let per_out = grad_out.numel() / n.max(1);
         let mut dx = vec![0.0f32; in_shape.iter().product()];
         for i in 0..n {
             let g = &grad_out.data()[i * per_out..(i + 1) * per_out];

@@ -355,7 +355,7 @@ pub(crate) fn backward<C: Cell>(cell: &mut C, grad_out: &Tensor) -> Tensor {
             let mut rest = st;
             for p in cell.params_mut() {
                 let (d, tail) = rest.split_at(p.numel());
-                add(p.grad.data_mut(), d);
+                add(p.grad_mut().data_mut(), d);
                 rest = tail;
             }
         }
@@ -448,7 +448,7 @@ pub(crate) mod testing {
                     for (x, g) in &io {
                         let (y, dx) = pass(&mut layer, x, g);
                         seen.extend([y, dx]);
-                        seen.extend(layer.params().iter().map(|p| p.grad.clone()));
+                        seen.extend(layer.params().iter().map(|p| p.grad().clone()));
                     }
                     seen
                 };
