@@ -164,6 +164,10 @@ fn add(acc: &mut [f32], v: &[f32]) {
 }
 
 /// Tallest row strip of the `nn` GEMM kernel: blocks are whole strips.
+/// Only hidden widths other than 1, 8, 32 and 64 run the 8-row strips;
+/// those four (`icu_gru_p1`'s 32 among them) run `tensor::matmul`'s
+/// register-resident row kernel, for which the block height is only the
+/// pool split.
 const STRIP: usize = 8;
 
 /// A layer's slab and scratch.
