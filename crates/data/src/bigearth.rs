@@ -84,72 +84,8 @@ pub fn generate(n: usize, cfg: &BigEarthConfig, seed: u64) -> Dataset {
     }
 }
 
-/// Multi-label variant: real BigEarthNet patches carry *several* CORINE
-/// land-cover labels (a patch may contain forest and water and urban
-/// fabric). Each generated patch is composed of 1–3 class regions
-/// (vertical bands); `y` is a multi-hot `(n, classes)` tensor.
-pub fn generate_multilabel(n: usize, cfg: &BigEarthConfig, seed: u64) -> Dataset {
-    assert!(cfg.classes >= 2 && cfg.bands >= 1 && cfg.size >= 4);
-    let mut rng = Rng::seed(seed);
-    let mut sig_rng = Rng::seed(seed ^ 0x5157_ECA1);
-    let signatures: Vec<Vec<f32>> = (0..cfg.classes)
-        .map(|_| (0..cfg.bands).map(|_| sig_rng.uniform(-1.2, 1.2)).collect())
-        .collect();
-
-    let s = cfg.size;
-    let mut x = Vec::with_capacity(n * cfg.bands * s * s);
-    let mut y = vec![0.0f32; n * cfg.classes];
-    for item in 0..n {
-        // 1–3 distinct classes split the patch into vertical bands.
-        let k = 1 + rng.below(3.min(cfg.classes));
-        let mut present = Vec::with_capacity(k);
-        while present.len() < k {
-            let c = rng.below(cfg.classes);
-            if !present.contains(&c) {
-                present.push(c);
-            }
-        }
-        for &c in &present {
-            y[item * cfg.classes + c] = 1.0;
-        }
-        // Column ownership: equal-width bands.
-        let band_of = |xx: usize| present[(xx * present.len()) / s];
-        // The signature index order is [class][band] and the class varies
-        // per column, so there is no single band vector to iterate.
-        #[allow(clippy::needless_range_loop)]
-        for b in 0..cfg.bands {
-            for _yy in 0..s {
-                for xx in 0..s {
-                    let c = band_of(xx);
-                    x.push(signatures[c][b] + rng.normal() * cfg.noise);
-                }
-            }
-        }
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, cfg.bands, s, s]),
-        y: Tensor::from_vec(y, &[n, cfg.classes]),
-    }
-}
-
-/// Subset accuracy for multi-label predictions: a sample counts as
-/// correct when every label is on the right side of the 0-logit
-/// threshold.
-pub fn multilabel_subset_accuracy(logits: &Tensor, targets: &Tensor) -> f64 {
-    assert_eq!(logits.shape(), targets.shape());
-    let (n, k) = (logits.shape()[0], logits.shape()[1]);
-    let mut correct = 0;
-    for i in 0..n {
-        let ok = (0..k).all(|c| (logits.at(&[i, c]) > 0.0) == (targets.at(&[i, c]) == 1.0));
-        if ok {
-            correct += 1;
-        }
-    }
-    correct as f64 / n.max(1) as f64
-}
-
 /// Flattened per-pixel-mean features (`(n, bands)`) for the classical-ML
-/// experiments (SVM, forests): the spectral signature averaged over the
+/// experiments (SVM): the spectral signature averaged over the
 /// patch, which is exactly what pixel-based RS classifiers consume.
 pub fn spectral_features(ds: &Dataset) -> (Vec<Vec<f32>>, Vec<f32>) {
     let shape = ds.x.shape();
@@ -246,31 +182,6 @@ mod tests {
             seen[l as usize] = true;
         }
         assert!(seen.into_iter().all(|b| b));
-    }
-
-    #[test]
-    fn multilabel_shapes_and_hot_counts() {
-        let cfg = BigEarthConfig::default();
-        let ds = generate_multilabel(50, &cfg, 7);
-        assert_eq!(ds.x.shape(), &[50, 4, 16, 16]);
-        assert_eq!(ds.y.shape(), &[50, cfg.classes]);
-        let mut multi = 0;
-        for i in 0..50 {
-            let hot: f32 = (0..cfg.classes).map(|c| ds.y.at(&[i, c])).sum();
-            assert!((1.0..=3.0).contains(&hot), "label count {hot}");
-            if hot > 1.0 {
-                multi += 1;
-            }
-        }
-        assert!(multi > 10, "most patches should be multi-label: {multi}");
-    }
-
-    #[test]
-    fn subset_accuracy_thresholds_at_zero() {
-        let logits = Tensor::from_vec(vec![2.0, -2.0, 2.0, 2.0], &[2, 2]);
-        let targets = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[2, 2]);
-        let acc = multilabel_subset_accuracy(&logits, &targets);
-        assert!((acc - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! Berlin-definition-style ARDS label (P/F ratio < 300 mmHg sustained),
 //! and produces imputation tasks by masking observed values.
 
-use crate::Dataset;
 use tensor::{Rng, Tensor};
 
 /// Feature indices of the generated series.
@@ -184,29 +183,6 @@ pub fn imputation_task(
     }
 }
 
-/// Flattens a cohort into per-patient summary features for classical
-/// ARDS-prediction baselines: per-feature (mean, min, max, last).
-pub fn summary_features(cohort: &IcuCohort) -> Dataset {
-    let shape = cohort.truth.shape();
-    let (n, t) = (shape[0], shape[1]);
-    let mut x = Vec::with_capacity(n * FEATURES * 4);
-    for i in 0..n {
-        for f in 0..FEATURES {
-            let series: Vec<f32> = (0..t)
-                .map(|tt| cohort.truth.data()[(i * t + tt) * FEATURES + f])
-                .collect();
-            let mean = series.iter().sum::<f32>() / t as f32;
-            let min = series.iter().cloned().fold(f32::INFINITY, f32::min);
-            let max = series.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            x.extend([mean, min, max, series[t - 1]]);
-        }
-    }
-    Dataset {
-        x: Tensor::from_vec(x, &[n, FEATURES * 4]),
-        y: cohort.ards.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,13 +280,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn summary_features_shape() {
-        let c = generate(12, &IcuConfig::default(), 10);
-        let ds = summary_features(&c);
-        assert_eq!(ds.x.shape(), &[12, FEATURES * 4]);
-        assert_eq!(ds.y.numel(), 12);
     }
 }

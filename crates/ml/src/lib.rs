@@ -7,25 +7,10 @@
 //!   partitions train in parallel, only support vectors are merged up a
 //!   binary tree — the open-source MPI SVM package the paper describes,
 //!   rebuilt on rayon;
-//! * [`forest`] — a random forest (the Spark MLlib classifier the DAM
-//!   case study uses), trees trained in parallel;
-//! * [`autoencoder`] — dense autoencoder for non-linear RS data
-//!   compression (the Haut et al. cloud AE study);
-//! * [`metrics`] — confusion matrices, accuracy, macro-F1.
+//! * [`metrics`] — confusion matrices and accuracy.
 
-pub mod autoencoder;
-pub mod forest;
-pub mod gbdt;
-pub mod kmeans;
 pub mod metrics;
-pub mod multiclass;
-pub mod preprocess;
 pub mod svm;
 
-pub use forest::{RandomForest, RandomForestConfig};
-pub use gbdt::{Gbdt, GbdtConfig};
-pub use kmeans::{kmeans, KMeansConfig, KMeansModel};
 pub use metrics::{accuracy, confusion_matrix};
-pub use multiclass::OneVsRestSvm;
-pub use preprocess::StandardScaler;
 pub use svm::{cascade_svm, CascadeReport, Kernel, Svm, SvmConfig};

@@ -16,18 +16,15 @@
 //!   The same value runs the algorithm, so what [`tune`] measures and
 //!   picks is what the experiments price.
 
-pub mod barrier;
 pub mod codec;
 pub mod collectives;
 pub mod comm;
 pub mod cost;
-pub mod fabric;
 pub mod hierarchical;
 pub mod stats;
 pub mod thread_comm;
 pub mod tune;
 
-pub use barrier::SenseBarrier;
 pub use codec::{bf16_allreduce, GradCodec, WirePair};
 /// The kernels' scratch arena, kept for `bf16_allreduce` and
 /// `reduce_bucket_codec` (the decoded bf16 running sum is not a message).
@@ -35,7 +32,6 @@ pub use tensor::scratch::{self, Arena};
 pub use comm::{Communicator, PointToPoint};
 pub use hierarchical::{hierarchical_allreduce, GroupComm};
 pub use cost::{CollectiveAlgo, LinkParams, Topology};
-pub use fabric::{simulate as simulate_fabric, FatTree, Flow, FlowResult};
 pub use stats::{CollectiveOp, CommStats, CommStatsSnapshot, OpTotals};
 pub use thread_comm::{CommOptions, FaultPlan, RankKilled, ThreadComm};
 pub use tune::{tuned_allreduce, DecisionTable, TuneGrid};

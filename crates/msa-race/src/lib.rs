@@ -2,8 +2,8 @@
 //! detection for the workspace's hand-rolled concurrency primitives.
 //!
 //! The checker is loom-shaped: a model is an ordinary closure that
-//! spawns threads and uses the instrumented [`sync`] / [`thread`] /
-//! [`hint`] types; [`explore`] runs it under a cooperative scheduler
+//! spawns threads and uses the instrumented [`sync`] / [`thread`]
+//! types; [`explore`] runs it under a cooperative scheduler
 //! that serializes the threads and enumerates interleavings
 //! (depth-first with a preemption bound, or seeded random walks), one
 //! schedule per run. Every instrumented operation is a choice point.
@@ -14,9 +14,9 @@
 //!   spawn, and join edges; conflicting [`sync::RaceCell`] accesses not
 //!   ordered by it are reported with both access sites;
 //! * **lost wakeups / deadlocks** — when every live thread is blocked,
-//!   the blocked-on graph is classified into a lock/join cycle, a
+//!   the blocked-on graph is classified into a lock/join cycle or a
 //!   condvar wait that nobody will notify (including the
-//!   notify-fired-before-wait shape), or a livelock of pure spinners;
+//!   notify-fired-before-wait shape);
 //! * **panics** — assertion failures inside the model are reported with
 //!   the interleaving that caused them.
 //!
@@ -27,15 +27,14 @@
 //! `std::sync` unless built with `--cfg msa_check`.
 //!
 //! Models of the workspace's actual protocols (pool task lifecycle,
-//! sense-reversing barrier, channel + slab credit pool) live in
-//! [`models`], each parameterized so that both the shipped and the
-//! known-bad pre-fix configurations can be checked; the harness tests
-//! assert the shipped ones pass and the pre-fix ones are *found*.
+//! channel + slab credit pool, batch-prefetch ring) live in [`models`],
+//! each parameterized so that both the shipped and the known-bad pre-fix
+//! configurations can be checked; the harness tests assert the shipped
+//! ones pass and the pre-fix ones are *found*.
 
 mod clock;
 pub(crate) mod sched;
 
-pub mod hint;
 pub mod models;
 pub mod report;
 pub mod sync;

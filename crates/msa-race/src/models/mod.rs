@@ -2,9 +2,8 @@
 //!
 //! Each model is a faithful port of the protocol logic of a real
 //! primitive — the pool's claim/done/finish protocol
-//! (`shims/rayon/src/pool.rs`), the sense-reversing barrier
-//! (`crates/msa-net/src/barrier.rs`), the channel + credit-pool
-//! plumbing behind the slab collectives (`shims/crossbeam`,
+//! (`shims/rayon/src/pool.rs`), the channel + credit-pool plumbing
+//! behind the slab collectives (`shims/crossbeam`,
 //! `crates/msa-net/src/thread_comm.rs`), and the batch-prefetch ring
 //! (`crates/data/src/stream.rs`) — built on the instrumented
 //! [`crate::sync`] types and parameterized over the knobs whose values
@@ -13,7 +12,6 @@
 //! both in their shipped configuration (must pass) and in the known-bad
 //! pre-fix configuration (must be *found* — the regression direction).
 
-pub mod barrier;
 pub mod channel;
 pub mod pool;
 pub mod prefetch;

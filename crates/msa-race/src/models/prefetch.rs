@@ -1,3 +1,4 @@
+// lint: allow(unreached) -- a hand copy of `data::stream`'s ring; ROADMAP item 11 replaces it with the shipped ring under `--cfg msa_check`
 //! Model of the batch-prefetch ring (`crates/data/src/stream.rs`).
 //!
 //! The real ring is one mutex around `{queue, free, done, stop}` plus

@@ -65,9 +65,6 @@ pub enum FailureKind {
         /// before any thread was waiting).
         note: String,
     },
-    /// Every live thread is spinning (yield loops) with no store,
-    /// unlock or notify left anywhere to change what they observe.
-    Livelock { spinning: Vec<usize> },
     /// A model thread panicked (assertion failure inside the model).
     Panic { thread: usize, message: String },
     /// A single schedule exceeded `Options::max_steps` — almost always
@@ -95,11 +92,6 @@ impl fmt::Display for FailureKind {
             }
             FailureKind::LostWakeup { waiting, note } => {
                 write!(f, "lost wakeup: {} ({note})", waiting.join("; "))
-            }
-            FailureKind::Livelock { spinning } => {
-                write!(f, "livelock: spinning threads ")?;
-                let names: Vec<String> = spinning.iter().map(|t| format!("t{t}")).collect();
-                write!(f, "{}", names.join(", "))
             }
             FailureKind::Panic { thread, message } => {
                 write!(f, "model thread t{thread} panicked: {message}")

@@ -2,7 +2,7 @@
 //!
 //! Model threads are real OS threads, but only one ever runs at a time:
 //! every instrumented operation (lock, wait, notify, atomic access,
-//! `RaceCell` access, spawn, join, yield) is a *choice point* where the
+//! `RaceCell` access, spawn, join) is a *choice point* where the
 //! running thread parks and the scheduler picks who runs next. A whole
 //! execution is therefore summarized by the sequence of choice indices,
 //! which makes schedules exactly replayable and the search systematic.
@@ -20,14 +20,12 @@
 //!   race checks on every [`crate::sync::RaceCell`] access,
 //! * lost-wakeup detection: all threads blocked and at least one parked
 //!   on a condvar nobody can ever notify again,
-//! * wait-for-graph deadlock detection over mutex owners and joins,
-//!   with livelock detection for pure spin loops.
+//! * wait-for-graph deadlock detection over mutex owners and joins.
 //!
-//! Spin loops must route through `msa_race::hint::spin_loop` /
-//! `msa_race::thread::yield_now`: a yielding thread is parked until some
-//! other thread performs a store, RMW, unlock or notify (anything that
-//! could change what the spinner observes), which prunes the infinite
-//! stutter schedules a naive explorer would drown in.
+//! There is no spin support: a model that busy-waits on an atomic runs
+//! into `Options::max_steps` and is reported as
+//! [`FailureKind::DepthExceeded`]. No shipped code spins; every wait
+//! blocks on a condvar, a join or a channel.
 
 use crate::clock::VClock;
 use crate::report::{Access, Failure, FailureKind, Stats, TraceEvent};
@@ -116,21 +114,12 @@ enum Status {
     Runnable,
     Running,
     Blocked(Block),
-    /// Parked in a spin loop; re-enabled by any store/unlock/notify.
-    Yielded,
     Finished,
 }
 
 struct ThreadSt {
     status: Status,
     clock: VClock,
-    /// `State::write_seq` at the start of this thread's current op.
-    seen_seq: u64,
-    /// `State::write_seq` at the start of this thread's previous op.
-    /// A yield only parks the thread when no write happened since then
-    /// — a spinner that re-checks will observe something new, so
-    /// parking it would miss a wakeup that already fired.
-    prev_seen_seq: u64,
 }
 
 #[derive(Default)]
@@ -196,9 +185,6 @@ struct State {
     step: usize,
     max_steps: usize,
     trace: Vec<TraceEvent>,
-    /// Bumped on every observable write (store/RMW/unlock/notify/cell
-    /// write); spin-yield parking is gated on it.
-    write_seq: u64,
     objects: BTreeMap<u64, Obj>,
     labels: BTreeMap<u64, String>,
     failure: Option<FailureKind>,
@@ -290,7 +276,6 @@ impl Sched {
                 step: 0,
                 max_steps: opts.max_steps,
                 trace: Vec::new(),
-                write_seq: 0,
                 objects: BTreeMap::new(),
                 labels: BTreeMap::new(),
                 failure: None,
@@ -360,15 +345,7 @@ impl Sched {
         st.threads[tid].status = Status::Runnable;
         st.threads[tid].clock.tick(tid);
         self.schedule(&mut st);
-        let mut st = self.wait_running(st, tid);
-        // The op executes against the state as of now; remember what the
-        // previous op saw so `yield_op` can tell whether anything was
-        // written in between.
-        let seq = st.write_seq;
-        let t = &mut st.threads[tid];
-        t.prev_seen_seq = t.seen_seq;
-        t.seen_seq = seq;
-        st
+        self.wait_running(st, tid)
     }
 
     fn wait_running<'a>(
@@ -464,18 +441,6 @@ impl Sched {
         self.cv.notify_all();
     }
 
-    /// Wakes spinners: something observable changed.
-    /// Called at every observable write: wakes parked spinners and
-    /// advances the write sequence that gates future parking.
-    fn promote_yielded(st: &mut State) {
-        st.write_seq += 1;
-        for t in &mut st.threads {
-            if t.status == Status::Yielded {
-                t.status = Status::Runnable;
-            }
-        }
-    }
-
     /// Classifies an all-blocked state (no runnable, not all finished).
     fn classify(&self, st: &State) -> FailureKind {
         let n = st.threads.len();
@@ -504,7 +469,6 @@ impl Sched {
                     format!("t{i} waiting on condvar({})", Self::label_of(st, c))
                 }
                 Status::Blocked(Block::Join(t)) => format!("t{i} blocked joining t{t}"),
-                Status::Yielded => format!("t{i} spinning"),
                 _ => format!("t{i}"),
             }
         };
@@ -557,20 +521,12 @@ impl Sched {
                 note,
             };
         }
-        let blocked: Vec<String> = (0..n)
-            .filter(|&i| matches!(st.threads[i].status, Status::Blocked(_)))
-            .map(describe)
-            .collect();
-        if !blocked.is_empty() {
-            return FailureKind::Deadlock {
-                chain: blocked,
-                is_cycle: false,
-            };
-        }
-        FailureKind::Livelock {
-            spinning: (0..n)
-                .filter(|&i| st.threads[i].status == Status::Yielded)
+        FailureKind::Deadlock {
+            chain: (0..n)
+                .filter(|&i| matches!(st.threads[i].status, Status::Blocked(_)))
+                .map(describe)
                 .collect(),
+            is_cycle: false,
         }
     }
 
@@ -630,7 +586,6 @@ impl Sched {
                 t.status = Status::Runnable;
             }
         }
-        Self::promote_yielded(st);
     }
 
     pub(crate) fn condvar_wait(
@@ -700,7 +655,6 @@ impl Sched {
                 format!("{verb}({l}) wakes {}", names.join(", ")),
             );
         }
-        Self::promote_yielded(&mut st);
     }
 
     pub(crate) fn atomic_load(
@@ -752,7 +706,6 @@ impl Sched {
                 a.sync.clear();
             }
         }
-        Self::promote_yielded(&mut st);
         let l = Self::label_of(&st, id);
         self.note(&mut st, tid, format!("store({l}, {ord:?}) <- {v}"));
     }
@@ -788,7 +741,6 @@ impl Sched {
         }
         // A relaxed RMW neither clears nor contributes: it continues
         // the release sequence unchanged.
-        Self::promote_yielded(&mut st);
         let l = Self::label_of(&st, id);
         self.note(&mut st, tid, format!("rmw({l}, {ord:?}) {old} -> {new}"));
     }
@@ -884,25 +836,8 @@ impl Sched {
             c.reads = VClock::default();
         }
         write();
-        Self::promote_yielded(&mut st);
         let l = Self::label_of(&st, id);
         self.note(&mut st, tid, format!("write({l})"));
-    }
-
-    pub(crate) fn yield_op(&self, tid: Tid) {
-        let mut st = self.enter_op(tid);
-        // Only park when nothing was written since this thread's
-        // previous op: if something was, the spinner's next check can
-        // observe it, and parking here would sleep through a wakeup
-        // that already fired (the write precedes the yield).
-        if st.write_seq > st.threads[tid].prev_seen_seq {
-            self.note(&mut st, tid, "yield (reschedule)".to_string());
-            return;
-        }
-        self.note(&mut st, tid, "yield (spin)".to_string());
-        st.threads[tid].status = Status::Yielded;
-        self.schedule(&mut st);
-        let _st = self.wait_running(st, tid);
     }
 
     pub(crate) fn spawn_model<T: Send + 'static>(
@@ -919,8 +854,6 @@ impl Sched {
         st.threads.push(ThreadSt {
             status: Status::Runnable,
             clock,
-            seen_seq: 0,
-            prev_seen_seq: 0,
         });
         self.note(&mut st, parent, format!("spawn t{child}"));
         let result = Arc::new(Mutex::new(None));
@@ -1059,8 +992,6 @@ where
         st.threads.push(ThreadSt {
             status: Status::Runnable,
             clock,
-            seen_seq: 0,
-            prev_seen_seq: 0,
         });
         st.running = Some(0);
         st.prev = Some(0);

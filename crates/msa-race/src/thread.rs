@@ -1,8 +1,6 @@
 //! Model-thread spawning and joining. Inside [`crate::explore`] these
 //! register a new scheduler-controlled thread (spawn and join are
-//! happens-before edges); `yield_now` outside a model falls back to the
-//! real `std::thread::yield_now`, so facade-routed spin loops behave
-//! normally in uninstrumented runs.
+//! happens-before edges).
 
 use crate::sched::{self, Sched, Tid};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -52,16 +50,5 @@ impl<T> JoinHandle<T> {
             // so this is unreachable in practice; keep join total.
             None => panic!("model thread finished without a result"),
         }
-    }
-}
-
-/// A spin-loop yield: inside a model the thread parks until another
-/// thread performs an observable write (stutter pruning); outside it is
-/// the real `yield_now`.
-pub fn yield_now() {
-    if let Some(ctx) = sched::current() {
-        ctx.sched.yield_op(ctx.tid);
-    } else {
-        std::thread::yield_now();
     }
 }

@@ -1,4 +1,6 @@
-//! Checker harnesses over the workspace protocol models.
+//! Checker harnesses over the workspace protocol models, plus a
+//! publication litmus on the instrumented atomics (the checker's test of
+//! store/load ordering edges).
 //!
 //! Two directions, both load-bearing:
 //! * shipped configurations must explore **clean** (no failure);
@@ -9,14 +11,15 @@
 //! Exploration sizes are tuned for CI: small thread counts exhaustive
 //! under a preemption bound, larger ones as seeded random walks.
 
-use msa_race::models::barrier::{barrier_phases, BarrierOrderings};
 use msa_race::models::channel::{
     credit_pool, drop_last_sender_wakes_receiver, rendezvous_handoff,
 };
 use msa_race::models::pool::{nested_join, pool_protocol, PoolConfig};
 use msa_race::models::prefetch::{prefetch_ring, PrefetchKnobs};
-use msa_race::sync::atomic::Ordering;
-use msa_race::{explore, FailureKind, Options};
+use msa_race::sync::atomic::{AtomicUsize, Ordering};
+use msa_race::sync::RaceCell;
+use msa_race::{explore, thread, FailureKind, Options};
+use std::sync::Arc;
 
 fn assert_clean(opts: &Options, what: &str, f: impl Fn() + Send + Sync + 'static) {
     match explore(opts, f) {
@@ -107,52 +110,87 @@ fn nested_join_propagates_writes() {
     assert_clean(&Options::exhaustive(2), "nested fork/join", nested_join);
 }
 
-// --- barrier: sense reversal ----------------------------------------------
+// --- publication litmus: store/load ordering edges ------------------------
+
+/// How the writer publishes its cell write.
+#[derive(Clone, Copy)]
+enum Publish {
+    Store(Ordering),
+    FetchAdd(Ordering),
+}
+
+/// The writer sets a cell, then publishes through a flag; the reader
+/// loads the flag and reads the cell only if the flag is set. The read
+/// is ordered after the write exactly when the publish releases and the
+/// load acquires.
+fn publication(publish: Publish, load: Ordering) {
+    let cell = Arc::new(RaceCell::named(0u64, "litmus.cell"));
+    let flag = Arc::new(AtomicUsize::named(0, "litmus.flag"));
+    let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
+    let writer = thread::spawn(move || {
+        c.set(1);
+        match publish {
+            Publish::Store(ord) => f.store(1, ord),
+            Publish::FetchAdd(ord) => {
+                f.fetch_add(1, ord);
+            }
+        }
+    });
+    if flag.load(load) == 1 {
+        assert_eq!(cell.get(), 1, "a set flag publishes the write");
+    }
+    writer.join();
+}
+
+fn is_cell_race(k: &FailureKind) -> bool {
+    matches!(k, FailureKind::DataRace { object, .. } if object == "litmus.cell")
+}
 
 #[test]
-fn barrier_shipped_orderings_are_clean_p2() {
-    assert_clean(&Options::exhaustive(2), "barrier p=2, 2 phases", || {
-        barrier_phases(2, 2, BarrierOrderings::correct())
+fn publication_release_store_acquire_load_is_clean() {
+    assert_clean(&Options::exhaustive(2), "Release store, Acquire load", || {
+        publication(Publish::Store(Ordering::Release), Ordering::Acquire)
     });
 }
 
 #[test]
-fn barrier_shipped_orderings_are_clean_p3() {
-    assert_clean(&Options::exhaustive(1), "barrier p=3, 2 phases", || {
-        barrier_phases(3, 2, BarrierOrderings::correct())
+fn publication_acqrel_fetch_add_acquire_load_is_clean() {
+    assert_clean(&Options::exhaustive(2), "AcqRel fetch_add, Acquire load", || {
+        publication(Publish::FetchAdd(Ordering::AcqRel), Ordering::Acquire)
     });
 }
 
 #[test]
-fn barrier_shipped_orderings_are_clean_p4_random() {
-    assert_clean(
-        &Options::random(0x5eed_0002, 300),
-        "barrier p=4 (random)",
-        || barrier_phases(4, 1, BarrierOrderings::correct()),
+fn publication_relaxed_store_is_found() {
+    // A relaxed store carries no release: the reader that sees the flag
+    // acquires nothing, so its read of the cell races the write.
+    assert_found(
+        &Options::exhaustive(2),
+        "Relaxed store, Acquire load",
+        || publication(Publish::Store(Ordering::Relaxed), Ordering::Acquire),
+        is_cell_race,
     );
 }
 
 #[test]
-fn barrier_relaxed_flip_is_found() {
-    // sense.store(.., Relaxed): a waiter that sees the flip acquires
-    // nothing, so its post-barrier read of another thread's slot races.
+fn publication_relaxed_load_is_found() {
     assert_found(
         &Options::exhaustive(2),
-        "barrier with Relaxed sense flip",
-        || barrier_phases(2, 1, BarrierOrderings::relaxed_flip()),
-        |k| matches!(k, FailureKind::DataRace { object, .. } if object.contains("barrier.slot")),
+        "Release store, Relaxed load",
+        || publication(Publish::Store(Ordering::Release), Ordering::Relaxed),
+        is_cell_race,
     );
 }
 
 #[test]
-fn barrier_relaxed_arrive_is_found() {
-    // count.fetch_add(.., Relaxed): the leader's RMW joins nothing, so
-    // the leader's post-barrier read of a waiter's slot races.
+fn publication_relaxed_fetch_add_is_found() {
+    // The arrive shape: a relaxed RMW joins nothing into the flag's
+    // release sequence, so an acquiring reader still races the cell.
     assert_found(
         &Options::exhaustive(2),
-        "barrier with Relaxed arrive",
-        || barrier_phases(2, 1, BarrierOrderings::relaxed_arrive()),
-        |k| matches!(k, FailureKind::DataRace { object, .. } if object.contains("barrier.slot")),
+        "Relaxed fetch_add, Acquire load",
+        || publication(Publish::FetchAdd(Ordering::Relaxed), Ordering::Acquire),
+        is_cell_race,
     );
 }
 

@@ -2,9 +2,8 @@
 //!
 //! Only meaningful when the whole dependency graph is built with
 //! `RUSTFLAGS="--cfg msa_check"`: then the `msa-sync` facade routes
-//! `msa_net::SenseBarrier` and the crossbeam channel shim onto the
-//! instrumented types, and `explore` can drive their actual shipped
-//! code through interleavings. In a plain build this file is empty.
+//! the crossbeam channel shim onto the instrumented types, and `explore`
+//! can drive its actual shipped code through interleavings. In a plain build this file is empty.
 //!
 //! The pool (`shims/rayon`) is deliberately *not* driven here: it owns
 //! process-global state (the `POOL` OnceLock and long-lived workers),
@@ -12,35 +11,7 @@
 //! the faithful model in `msa_race::models::pool` instead.
 #![cfg(msa_check)]
 
-use msa_race::sync::RaceCell;
 use msa_race::{explore, thread, Options};
-use std::sync::Arc;
-
-#[test]
-fn real_sense_barrier_publishes_pre_barrier_writes() {
-    let result = explore(&Options::exhaustive(2), || {
-        let barrier = Arc::new(msa_net::SenseBarrier::new(2));
-        let cells: Arc<Vec<RaceCell<u64>>> = Arc::new(vec![
-            RaceCell::named(0, "real.slot"),
-            RaceCell::named(0, "real.slot"),
-        ]);
-        let b = Arc::clone(&barrier);
-        let c = Arc::clone(&cells);
-        let worker = thread::spawn(move || {
-            c[1].set(2);
-            b.wait();
-            c[0].get() + c[1].get()
-        });
-        cells[0].set(1);
-        barrier.wait();
-        let here = cells[0].get() + cells[1].get();
-        assert_eq!(here, 3, "both pre-barrier writes visible after wait");
-        assert_eq!(worker.join(), 3);
-    });
-    if let Err(failure) = result {
-        panic!("real SenseBarrier failed under the checker:\n{failure}");
-    }
-}
 
 #[test]
 fn real_channel_disconnect_wakes_receiver() {

@@ -16,7 +16,6 @@
 //! * [`compare`] — the E11 experiment: one trace, MSA vs monolithic,
 //!   makespan / wait / energy.
 
-pub mod coalloc;
 pub mod compare;
 pub mod generator;
 pub mod interactive;
@@ -24,7 +23,6 @@ pub mod job;
 pub mod policy;
 pub mod scheduler;
 
-pub use coalloc::{schedule_coalloc, CoallocJob, CoallocReport, PartRequest};
 pub use compare::{compare_architectures, ComparisonResult};
 pub use generator::{generate_trace, TraceConfig};
 pub use interactive::{

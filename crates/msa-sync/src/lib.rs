@@ -5,9 +5,9 @@
 //! std types — zero wrappers, zero overhead, and the facade-purity test
 //! in `tests/race_checker.rs` pins that down. Built with
 //! `RUSTFLAGS="--cfg msa_check"`, the same paths resolve to the
-//! instrumented types from `msa-race`, so the *real* pool, barrier, and
-//! channel code (not just models of it) can run under the interleaving
-//! checker. The instrumented types fall back to real std behavior when
+//! instrumented types from `msa-race`, so the *real* pool, channel and
+//! prefetch-ring code (not just models of it) can run under the
+//! interleaving checker. There are no spin hints: no shipped code spins. The instrumented types fall back to real std behavior when
 //! no model is active, so an `msa_check` build still runs its ordinary
 //! test suite correctly.
 //!
@@ -22,14 +22,6 @@ mod backend {
     pub mod atomic {
         pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
     }
-
-    pub mod hint {
-        pub use std::hint::spin_loop;
-    }
-
-    pub mod thread {
-        pub use std::thread::yield_now;
-    }
 }
 
 #[cfg(msa_check)]
@@ -39,14 +31,6 @@ mod backend {
 
     pub mod atomic {
         pub use msa_race::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-    }
-
-    pub mod hint {
-        pub use msa_race::hint::spin_loop;
-    }
-
-    pub mod thread {
-        pub use msa_race::thread::yield_now;
     }
 }
 

@@ -1,7 +1,8 @@
 //! Workspace lint gate: `cargo run -p msa-verify --bin msa-lint`.
 //!
 //! * No arguments: walks `crates/*/src/**.rs` of the enclosing workspace
-//!   with the per-crate rule matrix (see `msa_verify::lint`).
+//!   with the per-crate rule matrix (see `msa_verify::lint`), then runs
+//!   the workspace-wide `unreached` pass.
 //! * With path arguments: lints exactly those files/directories with the
 //!   strict profile (every rule on) — used by the fixture tests.
 //!

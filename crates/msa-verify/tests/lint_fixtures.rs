@@ -360,6 +360,222 @@ fn test_code_and_justified_allows_are_clean() {
     assert_eq!(out.status.code(), Some(0), "unexpected findings:\n{stdout}");
 }
 
+// --- unreached: module files that only tests name -------------------------
+
+/// A two-file crate `geo`: `lib.rs` declares and re-exports the module
+/// `survey`, which defines one type and one top-level fn.
+const GEO_LIB: &str = "pub mod survey;\npub use survey::{measure, Survey};\n";
+const GEO_SURVEY: &str = concat!(
+    "pub struct Survey;\n",
+    "pub fn measure() -> u32 {\n",
+    "    1\n",
+    "}\n",
+    "#[cfg(test)]\n",
+    "mod tests {\n",
+    "    #[test]\n",
+    "    fn t() {\n",
+    "        assert_eq!(super::measure(), 1);\n",
+    "    }\n",
+    "}\n",
+);
+
+/// Writes `files` (`(path under the root, source)`) as a workspace under a
+/// fresh fixture directory and runs msa-lint there with no arguments:
+/// `(exit code, stdout)`.
+fn lint_tree(name: &str, files: &[(&str, &str)]) -> (Option<i32>, String) {
+    let root = fixture_dir(name);
+    std::fs::create_dir_all(root.join("shims")).expect("create shims dir");
+    for (rel, source) in files {
+        let path = root.join(rel);
+        let dir = path.parent().expect("fixture file has a parent");
+        std::fs::create_dir_all(dir).expect("create fixture dir");
+        std::fs::write(&path, source).expect("write fixture");
+    }
+    let out = Command::new(lint_bin())
+        .current_dir(&root)
+        .output()
+        .expect("spawn msa-lint");
+    (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+fn assert_unreached(name: &str, files: &[(&str, &str)]) {
+    let (code, stdout) = lint_tree(name, files);
+    assert_eq!(code, Some(1), "{name}: expected findings:\n{stdout}");
+    assert!(
+        stdout.contains("crates/geo/src/survey.rs:1: unreached — module `geo::survey`"),
+        "{name}: survey not flagged:\n{stdout}"
+    );
+}
+
+fn assert_tree_clean(name: &str, files: &[(&str, &str)]) {
+    let (code, stdout) = lint_tree(name, files);
+    assert_eq!(code, Some(0), "{name}: unexpected findings:\n{stdout}");
+}
+
+#[test]
+fn unreached_module_named_only_by_tests_is_flagged() {
+    // An integration test of the crate and one of the workspace.
+    assert_unreached(
+        "unreached_tests_dir",
+        &[
+            ("crates/geo/src/lib.rs", GEO_LIB),
+            ("crates/geo/src/survey.rs", GEO_SURVEY),
+            (
+                "crates/geo/tests/survey.rs",
+                "use geo::survey::measure;\n#[test]\nfn t() {\n    assert_eq!(measure(), 1);\n}\n",
+            ),
+            (
+                "tests/it.rs",
+                "#[test]\nfn t() {\n    let _ = geo::Survey;\n}\n",
+            ),
+        ],
+    );
+    // Another file's `#[cfg(test)]` region, besides the module's own.
+    let lib = concat!(
+        "pub mod survey;\n",
+        "#[cfg(test)]\n",
+        "mod tests {\n",
+        "    use crate::survey::{measure, Survey};\n",
+        "    #[test]\n",
+        "    fn t() {\n",
+        "        let _ = Survey;\n",
+        "        assert_eq!(measure(), 1);\n",
+        "    }\n",
+        "}\n",
+    );
+    assert_unreached(
+        "unreached_cfg_test",
+        &[("crates/geo/src/lib.rs", lib), ("crates/geo/src/survey.rs", GEO_SURVEY)],
+    );
+}
+
+#[test]
+fn unreached_module_named_only_by_a_pub_use_is_flagged() {
+    let lib = "pub mod survey;\npub use survey::{\n    measure,\n    Survey,\n};\n";
+    assert_unreached(
+        "unreached_pub_use",
+        &[("crates/geo/src/lib.rs", lib), ("crates/geo/src/survey.rs", GEO_SURVEY)],
+    );
+}
+
+#[test]
+fn unreached_module_named_only_in_comments_strings_or_lookalikes_is_flagged() {
+    // A comment, a string, a method of the same name and another fn's
+    // definition of the same name name nothing.
+    let app = concat!(
+        "// geo::survey::measure() is the reference.\n",
+        "pub fn label() -> &'static str {\n",
+        "    \"geo::Survey\"\n",
+        "}\n",
+        "pub fn measure() -> u32 {\n",
+        "    2\n",
+        "}\n",
+        "pub fn probe(v: &[u32]) -> usize {\n",
+        "    v.iter().measure()\n",
+        "}\n",
+    );
+    assert_unreached(
+        "unreached_lookalikes",
+        &[
+            ("crates/geo/src/lib.rs", GEO_LIB),
+            ("crates/geo/src/survey.rs", GEO_SURVEY),
+            ("crates/app/src/lib.rs", app),
+        ],
+    );
+}
+
+#[test]
+fn module_reached_by_path_type_or_imported_fn_is_clean() {
+    let base = [
+        ("crates/geo/src/lib.rs", GEO_LIB),
+        ("crates/geo/src/survey.rs", GEO_SURVEY),
+    ];
+    let reachers: [(&str, &str); 3] = [
+        // A path from another crate's library code.
+        (
+            "crates/app/src/lib.rs",
+            "pub fn run() -> u32 {\n    geo::survey::measure()\n}\n",
+        ),
+        // A type name from another crate's library code.
+        (
+            "crates/app/src/lib.rs",
+            "use geo::Survey;\npub fn make() -> Survey {\n    Survey\n}\n",
+        ),
+        // An imported top-level fn from an example.
+        (
+            "examples/demo.rs",
+            "use geo::measure;\nfn main() {\n    let _ = measure();\n}\n",
+        ),
+    ];
+    for (i, reacher) in reachers.into_iter().enumerate() {
+        let mut files = base.to_vec();
+        files.push(reacher);
+        assert_tree_clean(&format!("reached_{i}"), &files);
+    }
+}
+
+#[test]
+fn justified_unreached_allow_suppresses_and_a_stale_one_is_reported() {
+    let allowed = format!("// lint: allow(unreached) -- kept for the next experiment\n{GEO_SURVEY}");
+    assert_tree_clean(
+        "unreached_allowed",
+        &[("crates/geo/src/lib.rs", GEO_LIB), ("crates/geo/src/survey.rs", &allowed)],
+    );
+    let (code, stdout) = lint_tree(
+        "unreached_stale_allow",
+        &[
+            ("crates/geo/src/lib.rs", GEO_LIB),
+            ("crates/geo/src/survey.rs", &allowed),
+            ("examples/demo.rs", "fn main() {\n    let _ = geo::measure();\n}\n"),
+        ],
+    );
+    assert_eq!(code, Some(1), "stale allow must be reported:\n{stdout}");
+    assert!(
+        stdout.contains("crates/geo/src/survey.rs:1: lint-allow — stale `lint: allow(unreached)`"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains(": unreached"), "{stdout}");
+}
+
+/// The shape this rule was written for: a flow simulator that the crate
+/// root declares and re-exports and that only an integration test calls.
+#[test]
+fn module_called_only_by_an_integration_test_fires() {
+    let lib = concat!(
+        "pub mod collectives;\n",
+        "pub mod fabric;\n",
+        "pub use fabric::{simulate as simulate_fabric, FatTree, Flow};\n",
+    );
+    let fabric = concat!(
+        "pub struct FatTree;\n",
+        "pub struct Flow;\n",
+        "pub fn simulate(_tree: &FatTree, flows: &[Flow]) -> usize {\n",
+        "    flows.len()\n",
+        "}\n",
+    );
+    let collectives = "pub fn ring() -> usize {\n    0\n}\n";
+    let (code, stdout) = lint_tree(
+        "unreached_parent_shape",
+        &[
+            ("crates/net/src/lib.rs", lib),
+            ("crates/net/src/fabric.rs", fabric),
+            ("crates/net/src/collectives.rs", collectives),
+            ("crates/bench/src/bin/experiments.rs", "fn main() {\n    let _ = net::collectives::ring();\n}\n"),
+            (
+                "tests/msa_infrastructure.rs",
+                "use net::fabric::{simulate as simulate_fabric, FatTree, Flow};\n#[test]\nfn t() {\n    assert_eq!(simulate_fabric(&FatTree, &[Flow]), 1);\n}\n",
+            ),
+        ],
+    );
+    assert_eq!(code, Some(1), "{stdout}");
+    assert_eq!(
+        stdout.lines().collect::<Vec<_>>(),
+        vec!["crates/net/src/fabric.rs:1: unreached — module `net::fabric` is named only by tests: \
+              no library code, binary, example or benchmark reaches it; delete it with its tests, \
+              or justify it on its first line"],
+    );
+}
+
 /// The acceptance criterion for the whole PR: run with no arguments from
 /// the workspace root, the linter walks `crates/*/src` and reports the
 /// workspace clean.

@@ -2,8 +2,7 @@
 //!
 //! Verifies hand-derived backward passes by comparing against central
 //! finite differences of the scalar functional `L = Σ forward(x) ⊙ G` for
-//! a fixed random co-tangent `G`. Used throughout the nn test-suite and
-//! exported so downstream crates can check their own composite models.
+//! a fixed random co-tangent `G`. Only `nn`'s unit tests use it.
 
 use crate::layer::Layer;
 use tensor::{Rng, Tensor};

@@ -11,7 +11,7 @@
 //! Provided layers: [`Dense`], [`Conv2d`], [`Conv1d`], [`BatchNorm`],
 //! [`Relu`], [`Dropout`], [`MaxPool2d`], [`GlobalAvgPool2d`], [`Gru`],
 //! residual blocks and [`Sequential`] composition. Losses: softmax
-//! cross-entropy, MSE, masked MAE. Optimizers: SGD(+momentum, weight
+//! cross-entropy and masked MAE. Optimizers: SGD(+momentum, weight
 //! decay) and Adam.
 //!
 //! [`models`] builds the three networks of the paper's case studies: a
@@ -22,7 +22,6 @@
 pub mod activation;
 pub mod conv;
 pub mod dense;
-pub mod gradcheck;
 pub mod gru;
 pub mod layer;
 pub mod loss;
@@ -40,7 +39,7 @@ pub use conv::{Conv1d, Conv2d};
 pub use dense::Dense;
 pub use gru::Gru;
 pub use layer::{Layer, Residual, Sequential};
-pub use loss::{BceWithLogits, Loss, MaskedMae, Mse, SoftmaxCrossEntropy};
+pub use loss::{Loss, MaskedMae, SoftmaxCrossEntropy};
 pub use lstm::Lstm;
 pub use norm::BatchNorm;
 pub use optim::{u64_to_words, words_to_u64, Adam, Optimizer, Sgd};
@@ -50,3 +49,6 @@ pub use pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
 /// Elements per pool block of a pass worth a pool stage (dropout's mask,
 /// Adam, batch norm's sums). A pass of at most one block runs inline.
 pub(crate) const STREAM_BLOCK: usize = 1 << 14;
+
+#[cfg(test)]
+mod gradcheck;

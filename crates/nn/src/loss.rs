@@ -3,7 +3,6 @@
 //! data-parallel gradient *averaging* across workers reproduces the
 //! single-worker large-batch gradient exactly.
 
-use crate::recurrent::sigmoid;
 use tensor::Tensor;
 
 /// A loss over (prediction, target) pairs.
@@ -39,51 +38,6 @@ impl Loss for SoftmaxCrossEntropy {
         }
         grad.scale(1.0 / n as f32);
         ((loss / n as f64) as f32, grad)
-    }
-}
-
-/// Binary cross-entropy over logits, element-wise — the multi-label
-/// loss BigEarthNet classification actually uses (each patch carries
-/// several CORINE land-cover labels). `target` holds 0/1 per class.
-/// Numerically stable log-sum-exp formulation.
-pub struct BceWithLogits;
-
-impl Loss for BceWithLogits {
-    fn compute(&self, pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-        assert_eq!(pred.shape(), target.shape(), "shape mismatch");
-        let n = pred.numel().max(1) as f32;
-        let mut loss = 0.0f64;
-        let mut grad = Tensor::zeros(pred.shape());
-        for ((&z, &y), g) in pred
-            .data()
-            .iter()
-            .zip(target.data())
-            .zip(grad.data_mut())
-        {
-            // lint: allow(float-eq) -- targets are exact 0/1 indicators by contract
-            debug_assert!(y == 0.0 || y == 1.0, "targets must be 0/1");
-            // loss = max(z,0) − z·y + ln(1 + e^{−|z|})
-            loss += (z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln()) as f64;
-            let sigma = sigmoid(z);
-            *g = (sigma - y) / n;
-        }
-        ((loss / n as f64) as f32, grad)
-    }
-}
-
-/// Mean squared error over all elements.
-pub struct Mse;
-
-impl Loss for Mse {
-    fn compute(&self, pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-        assert_eq!(pred.shape(), target.shape(), "shape mismatch");
-        let n = pred.numel().max(1) as f32;
-        let mut diff = pred.clone();
-        diff.sub_assign(target);
-        let loss = diff.sq_norm() / n;
-        let mut grad = diff;
-        grad.scale(2.0 / n);
-        (loss, grad)
     }
 }
 
@@ -178,58 +132,6 @@ mod tests {
                 grad.data()[idx]
             );
         }
-    }
-
-    #[test]
-    fn bce_perfect_and_uniform() {
-        // Confident correct logits → near-zero loss.
-        let pred = Tensor::from_vec(vec![20.0, -20.0], &[1, 2]);
-        let target = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
-        let (loss, grad) = BceWithLogits.compute(&pred, &target);
-        assert!(loss < 1e-6, "loss {loss}");
-        assert!(grad.data().iter().all(|g| g.abs() < 1e-6));
-        // Zero logits → ln 2 per element.
-        let (l2, _) = BceWithLogits.compute(&Tensor::zeros(&[4]), &Tensor::ones(&[4]));
-        assert!((l2 - std::f32::consts::LN_2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bce_grad_matches_numerical() {
-        let pred = Tensor::from_vec(vec![0.5, -1.2, 2.0, 0.0], &[4]);
-        let target = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[4]);
-        let (_, grad) = BceWithLogits.compute(&pred, &target);
-        let eps = 1e-3;
-        for i in 0..4 {
-            let mut p = pred.clone();
-            p.data_mut()[i] += eps;
-            let (lp, _) = BceWithLogits.compute(&p, &target);
-            p.data_mut()[i] -= 2.0 * eps;
-            let (lm, _) = BceWithLogits.compute(&p, &target);
-            let num = (lp - lm) / (2.0 * eps);
-            assert!(
-                (num - grad.data()[i]).abs() < 1e-3,
-                "i={i}: {num} vs {}",
-                grad.data()[i]
-            );
-        }
-    }
-
-    #[test]
-    fn bce_is_stable_for_extreme_logits() {
-        let pred = Tensor::from_vec(vec![1000.0, -1000.0], &[2]);
-        let target = Tensor::from_vec(vec![0.0, 1.0], &[2]);
-        let (loss, grad) = BceWithLogits.compute(&pred, &target);
-        assert!(loss.is_finite());
-        assert!(grad.data().iter().all(|g| g.is_finite()));
-    }
-
-    #[test]
-    fn mse_known_value_and_grad() {
-        let pred = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let target = Tensor::from_vec(vec![0.0, 0.0], &[2]);
-        let (loss, grad) = Mse.compute(&pred, &target);
-        assert!((loss - 2.5).abs() < 1e-6); // (1+4)/2
-        assert_eq!(grad.data(), &[1.0, 2.0]); // 2·diff/n
     }
 
     #[test]

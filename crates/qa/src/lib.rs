@@ -21,10 +21,8 @@ pub mod anneal;
 pub mod ensemble;
 pub mod qsvm;
 pub mod qubo;
-pub mod topology;
 
 pub use anneal::{anneal, brute_force, SaParams, Sample};
 pub use ensemble::{train_ensemble, QsvmEnsemble};
 pub use qsvm::{QsvmConfig, QsvmModel};
 pub use qubo::{AnnealerSpec, Qubo};
-pub use topology::HardwareGraph;

@@ -120,16 +120,6 @@ impl Tensor {
         }
     }
 
-    /// Squared L2 norm.
-    pub fn sq_norm(&self) -> f32 {
-        let data = self.data();
-        if data.len() >= PAR_THRESHOLD {
-            block_sum(data, |c| c.iter().map(|x| x * x).sum())
-        } else {
-            data.iter().map(|x| x * x).sum()
-        }
-    }
-
     /// Dot product of two equal-shaped tensors viewed flat.
     pub fn dot(&self, other: &Tensor) -> f32 {
         assert_eq!(self.numel(), other.numel(), "dot requires equal sizes");
@@ -264,8 +254,7 @@ mod tests {
         assert_eq!(a.sum(), -2.0);
         assert_eq!(a.mean(), -0.5);
         assert_eq!(a.max(), 3.0);
-        assert_eq!(a.sq_norm(), 1.0 + 4.0 + 9.0 + 16.0);
-        assert_eq!(a.dot(&a), a.sq_norm());
+        assert_eq!(a.dot(&a), 1.0 + 4.0 + 9.0 + 16.0);
     }
 
     #[test]

@@ -158,21 +158,6 @@ impl Tensor {
         shape[0] = end - start;
         Tensor::from_vec(self.data[start * inner..end * inner].to_vec(), &shape)
     }
-
-    /// Stacks tensors along a new leading batch axis; all inputs must
-    /// share a shape.
-    pub fn stack(items: &[Tensor]) -> Tensor {
-        assert!(!items.is_empty(), "cannot stack zero tensors");
-        let inner_shape = items[0].shape.clone();
-        let mut data = Vec::with_capacity(items.len() * items[0].numel());
-        for t in items {
-            assert_eq!(t.shape, inner_shape, "stack requires equal shapes");
-            data.extend_from_slice(&t.data);
-        }
-        let mut shape = vec![items.len()];
-        shape.extend_from_slice(&inner_shape);
-        Tensor::from_vec(data, &shape)
-    }
 }
 
 impl fmt::Debug for Tensor {
@@ -256,16 +241,6 @@ mod tests {
         let s = t.slice_batch(1, 3);
         assert_eq!(s.shape(), &[2, 3]);
         assert_eq!(s.data(), &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-    }
-
-    #[test]
-    fn stack_adds_batch_axis() {
-        let a = Tensor::full(&[2, 2], 1.0);
-        let b = Tensor::full(&[2, 2], 2.0);
-        let s = Tensor::stack(&[a, b]);
-        assert_eq!(s.shape(), &[2, 2, 2]);
-        assert_eq!(s.at(&[0, 0, 0]), 1.0);
-        assert_eq!(s.at(&[1, 1, 1]), 2.0);
     }
 
     #[test]

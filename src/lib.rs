@@ -42,7 +42,7 @@ mod tests {
         let _ = crate::tensor::Tensor::zeros(&[1]);
         let _ = crate::nn::Adam::new(1e-4);
         let _ = crate::distrib::TrainConfig::default();
-        let _ = crate::ml::RandomForestConfig::default();
+        let _ = crate::ml::SvmConfig::default();
         let _ = crate::qa::AnnealerSpec::dwave_advantage();
         let _ = crate::hpda::Pdata::from_vec(vec![1], 1);
         let _ = crate::data::bigearth::BigEarthConfig::default();

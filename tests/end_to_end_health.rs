@@ -1,12 +1,9 @@
 //! Integration: the health case studies — GRU imputation on ICU series
-//! (§IV-B), COVID-Net-style CXR screening (§IV-A), and a classical
-//! ARDS-prediction baseline on the same cohort (related work, Le et al.).
+//! (§IV-B) and COVID-Net-style CXR screening (§IV-A).
 
 use msa_suite::data::cxr::{self, CxrConfig};
 use msa_suite::data::icu::{self, IcuConfig, SPO2};
 use msa_suite::distrib::{evaluate_classifier, TrainConfig, Trainer};
-use msa_suite::ml::forest::{RandomForest, RandomForestConfig};
-use msa_suite::ml::gbdt::{Gbdt, GbdtConfig};
 use msa_suite::nn::{models, Adam, Layer, MaskedMae, Optimizer, SoftmaxCrossEntropy};
 use msa_suite::tensor::{Rng, Tensor};
 
@@ -81,39 +78,6 @@ fn covidnet_separates_three_classes_distributed() {
         .completed();
     let acc = evaluate_classifier(model_fn, tc.seed, &rep, &test);
     assert!(acc > 0.7, "CXR screening accuracy {acc} (chance 0.33)");
-}
-
-#[test]
-fn random_forest_predicts_ards_from_summaries() {
-    // Le et al. trained gradient-boosted trees on MIMIC-III for early
-    // ARDS prediction; our forest on summary features plays that role.
-    let cohort = icu::generate(300, &IcuConfig::default(), 13);
-    let ds = icu::summary_features(&cohort);
-    let (train, test) = ds.split(0.3);
-    let to_rows = |d: &msa_suite::data::Dataset| -> (Vec<Vec<f32>>, Vec<usize>) {
-        let n = d.len();
-        let xs = (0..n).map(|i| d.x.row(i).to_vec()).collect();
-        let ys = d.y.data().iter().map(|&v| v as usize).collect();
-        (xs, ys)
-    };
-    let (tx, ty) = to_rows(&train);
-    let (vx, vy) = to_rows(&test);
-    let rf = RandomForest::train(&tx, &ty, &RandomForestConfig::default());
-    let acc = rf.accuracy(&vx, &vy);
-    // The P/F-ratio trajectory makes ARDS detectable well above the
-    // base rate (70% negative class).
-    assert!(acc > 0.85, "ARDS prediction accuracy {acc}");
-
-    // The Le et al. model family: gradient-boosted trees on the same
-    // features must match or beat the forest.
-    let ty8: Vec<u8> = ty.iter().map(|&l| l as u8).collect();
-    let vy8: Vec<u8> = vy.iter().map(|&l| l as u8).collect();
-    let gb = Gbdt::train(&tx, &ty8, &GbdtConfig::default());
-    let gb_acc = gb.accuracy(&vx, &vy8);
-    assert!(
-        gb_acc > acc - 0.05,
-        "GBDT should be competitive with the forest: {gb_acc} vs {acc}"
-    );
 }
 
 #[test]

@@ -1,66 +1,14 @@
-//! Integration coverage for the extension features: multi-label
-//! BigEarthNet + BCE, cross-module co-allocation, interactive sessions,
-//! hierarchical allreduce inside a training step, model snapshots through
-//! the evaluation path, k-means on spectral features, and compressed
-//! gradient training.
+//! Integration coverage for the extension features: hierarchical
+//! allreduce inside a training step, model snapshots travelling between
+//! modules, and compressed gradient training.
 
-use msa_suite::data::bigearth::{self, multilabel_subset_accuracy, BigEarthConfig};
+use msa_suite::data::bigearth::{self, BigEarthConfig};
 use msa_suite::distrib::{sparse_allreduce_mean, TopKCompressor};
-use msa_suite::ml::{kmeans, KMeansConfig, StandardScaler};
-use msa_suite::msa_core::system::presets;
-use msa_suite::msa_core::SimTime;
 use msa_suite::msa_net::{
     hierarchical_allreduce, Communicator, PointToPoint, ThreadComm,
 };
-use msa_suite::msa_sched::coalloc::{coupled_workflow, schedule_coalloc};
-use msa_suite::nn::{models, serialize, Adam, BceWithLogits, Layer, Loss, Optimizer};
+use msa_suite::nn::{models, serialize, Adam, Layer, Loss, Optimizer};
 use msa_suite::tensor::Rng;
-
-#[test]
-fn multilabel_cnn_learns_with_bce() {
-    // Real BigEarthNet is multi-label; a CNN + BCE-with-logits must
-    // clear the trivial all-negative baseline by a wide margin.
-    let cfg = BigEarthConfig {
-        bands: 3,
-        size: 8,
-        classes: 4,
-        noise: 0.3,
-    };
-    let ds = bigearth::generate_multilabel(320, &cfg, 77);
-    let (train, test) = ds.split(0.25);
-
-    let mut rng = Rng::seed(5);
-    let mut model = models::resnet_mini(3, 4, 8, 1, &mut rng);
-    let mut opt = Adam::new(3e-3);
-    let mut shuffle = Rng::seed(6);
-    for _ in 0..20 {
-        for (bx, by) in train.batches(30, &mut shuffle) {
-            model.zero_grad();
-            let pred = model.forward(&bx, true);
-            let (_, grad) = BceWithLogits.compute(&pred, &by);
-            model.backward(&grad);
-            opt.step(&mut model.params_mut());
-        }
-    }
-    let logits = model.predict(&test.x);
-    let acc = multilabel_subset_accuracy(&logits, &test.y);
-    // Chance for exact subset match over 4 labels with 1–3 hot is tiny;
-    // the all-zeros predictor scores 0.
-    assert!(acc > 0.5, "multi-label subset accuracy {acc}");
-}
-
-#[test]
-fn coallocated_workflows_run_on_deep() {
-    let deep = presets::deep();
-    let jobs: Vec<_> = (0..4)
-        .map(|i| coupled_workflow(i, SimTime::from_secs(i as f64 * 10.0), SimTime::from_secs(60.0)))
-        .collect();
-    let rep = schedule_coalloc(&deep, &jobs);
-    assert_eq!(rep.outcomes.len(), 4);
-    assert!(rep.total_energy_kwh > 0.0);
-    // 4 workflows × 4 DAM nodes fill the 16-node DAM exactly ⇒ no waits.
-    assert!(rep.outcomes.iter().all(|o| o.wait == SimTime::ZERO));
-}
 
 #[test]
 fn hierarchical_allreduce_works_as_gradient_sync() {
@@ -118,50 +66,6 @@ fn snapshot_travels_between_modules() {
         trainer_side.predict(&x).data(),
         inference_side.predict(&x).data()
     );
-}
-
-#[test]
-fn kmeans_recovers_landcover_classes_unsupervised() {
-    let cfg = BigEarthConfig {
-        bands: 4,
-        size: 8,
-        classes: 3,
-        noise: 0.2,
-    };
-    let ds = bigearth::generate(300, &cfg, 44);
-    let (feats, labels) = bigearth::spectral_features(&ds);
-    let (_, scaled) = StandardScaler::fit_transform(&feats);
-    let model = kmeans(
-        &scaled,
-        &KMeansConfig {
-            k: 3,
-            seed: 9,
-            ..Default::default()
-        },
-    );
-    // Cluster purity vs the hidden class labels.
-    let mut purity_sum = 0.0;
-    let mut counted = 0.0;
-    for c in 0..3 {
-        let members: Vec<usize> = model
-            .assignments
-            .iter()
-            .zip(&labels)
-            .filter(|(&a, _)| a == c)
-            .map(|(_, &l)| l as usize)
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        let mut counts = [0usize; 3];
-        for &m in &members {
-            counts[m] += 1;
-        }
-        purity_sum += *counts.iter().max().unwrap() as f64;
-        counted += members.len() as f64;
-    }
-    let purity = purity_sum / counted;
-    assert!(purity > 0.9, "unsupervised cluster purity {purity}");
 }
 
 #[test]

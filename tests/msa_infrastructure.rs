@@ -1,12 +1,11 @@
-//! Integration: the MSA infrastructure crates working together —
-//! topology, affinity, scheduling, storage and the network cost models.
+//! Integration: the MSA infrastructure crates working together — system
+//! presets, affinity, scheduling, storage and the α–β collective cost
+//! model (GCE offload included).
 
 use msa_suite::msa_core::report::affinity_matrix;
 use msa_suite::msa_core::system::presets;
 use msa_suite::msa_core::workload::{WorkloadClass, WorkloadProfile};
 use msa_suite::msa_core::ModuleKind;
-use msa_suite::msa_core::SimTime;
-use msa_suite::msa_net::fabric::{simulate as simulate_fabric, FatTree, Flow};
 use msa_suite::msa_net::{CollectiveAlgo, LinkParams};
 use msa_suite::msa_sched::{compare_architectures, generate_trace, schedule, MsaPlacement, TraceConfig};
 use msa_suite::msa_storage::{ArchiveLink, Nam, StagingPlan};
@@ -78,49 +77,6 @@ fn nam_and_booster_profiles_compose_into_a_campaign() {
         shared.time,
         train_time
     );
-}
-
-#[test]
-fn competing_traffic_degrades_an_allreduce_ring_as_simulated() {
-    // The α–β ring model assumes an idle fabric; the flow simulator shows
-    // what a competing bulk transfer costs a neighbour exchange.
-    let tree = FatTree::full_bisection(4, 4, 12.5);
-    let n = tree.nodes();
-    let m = 102.4e6 / n as f64; // one ring-step chunk of ResNet-50 grads
-    let ring: Vec<Flow> = (0..n)
-        .map(|i| Flow {
-            src: i,
-            dst: (i + 1) % n,
-            bytes: m,
-            start: SimTime::ZERO,
-        })
-        .collect();
-    let quiet = simulate_fabric(&tree, &ring);
-    let quiet_t = quiet
-        .iter()
-        .map(|r| r.finish)
-        .fold(SimTime::ZERO, SimTime::max);
-
-    // Same exchange while node 1 receives a big staging transfer.
-    let mut busy = ring.clone();
-    busy.push(Flow {
-        src: 9,
-        dst: 1,
-        bytes: 5e9,
-        start: SimTime::ZERO,
-    });
-    let noisy = simulate_fabric(&tree, &busy);
-    let noisy_t = noisy[..n]
-        .iter()
-        .map(|r| r.finish)
-        .fold(SimTime::ZERO, SimTime::max);
-    assert!(
-        noisy_t > quiet_t * 1.5,
-        "congestion should slow the exchange: {noisy_t} vs {quiet_t}"
-    );
-    // And the quiet ring matches the analytic bandwidth term.
-    let expected = m / (12.5e9);
-    assert!((quiet_t.as_secs() - expected).abs() < 1e-6);
 }
 
 #[test]

@@ -13,7 +13,6 @@ use msa_suite::distrib::compress::{densify, top_k};
 use msa_suite::hpda::Pdata;
 use msa_suite::msa_core::{SimTime, XorShift};
 use msa_suite::msa_net::collectives::{chunk_ranges, recursive_doubling_allreduce};
-use msa_suite::msa_net::fabric::{simulate as simulate_fabric, FatTree, Flow};
 use msa_suite::msa_net::{
     CollectiveAlgo, Communicator as _, LinkParams, PointToPoint as _, ThreadComm,
 };
@@ -513,42 +512,6 @@ fn top_k_is_a_projection_preserving_largest_mass() {
             let (idx2, vals2) = top_k(&dense, k_eff);
             let d2 = densify(values.len(), &idx2, &vals2);
             assert_eq!(dense, d2);
-        }
-    }
-}
-
-#[test]
-fn fabric_flows_never_beat_line_rate_and_all_finish() {
-    let tree = FatTree::full_bisection(4, 4, 10.0);
-    let nodes = tree.nodes();
-    for seed in 0u64..12 {
-        let mut xs = cases(seed | 1);
-        let n_flows = 1 + xs.below(11);
-        let flows: Vec<Flow> = (0..n_flows)
-            .filter_map(|_| {
-                let src = xs.below(nodes);
-                let dst = xs.below(nodes);
-                if src == dst {
-                    return None;
-                }
-                Some(Flow {
-                    src,
-                    dst,
-                    bytes: 1e6 + xs.below(1000) as f64 * 1e6,
-                    start: SimTime::from_secs(xs.below(100) as f64 * 0.01),
-                })
-            })
-            .collect();
-        if flows.is_empty() {
-            continue;
-        }
-        let results = simulate_fabric(&tree, &flows);
-        assert_eq!(results.len(), flows.len());
-        for (f, r) in flows.iter().zip(&results) {
-            // Finish after start, and never faster than NIC line rate.
-            let min_dur = f.bytes / (10.0 * 1e9);
-            assert!(r.finish.as_secs() >= f.start.as_secs() + min_dur - 1e-9);
-            assert!(r.mean_gbs <= 10.0 + 1e-6);
         }
     }
 }

@@ -2,22 +2,23 @@
 //!
 //! A bounded, deterministic subset of the `msa-race` harnesses runs
 //! here so the top-level suite exercises the checker end to end: the
-//! shipped pool/barrier/channel protocols must explore clean, and the
-//! known pre-fix bugs — the pool's `Release` done-counter and the
-//! channel's unlocked disconnect notify — must still be *found*. The
-//! full matrix (more sizes, random walks, ordering mutations) lives in
-//! `crates/msa-race/tests/harnesses.rs`; this file keeps the CI cost of
+//! shipped pool/channel protocols must explore clean, and the known
+//! pre-fix bugs — the pool's `Release` done-counter and the channel's
+//! unlocked disconnect notify — and a Relaxed publication store must
+//! still be *found*. The full matrix (more sizes, random walks, ordering
+//! mutations) lives in `crates/msa-race/tests/harnesses.rs`; this file keeps the CI cost of
 //! the representative cases well under 30 seconds.
 //!
 //! The facade-purity tests pin down the other half of the contract: in
 //! a plain build (no `--cfg msa_check`) `msa_sync` must be a zero-cost
 //! re-export of `std::sync`, type-for-type.
 
-use msa_race::models::barrier::{barrier_phases, BarrierOrderings};
 use msa_race::models::channel::drop_last_sender_wakes_receiver;
 use msa_race::models::pool::{pool_protocol, PoolConfig};
-use msa_race::sync::atomic::Ordering;
-use msa_race::{explore, FailureKind, Options};
+use msa_race::sync::atomic::{AtomicUsize, Ordering};
+use msa_race::sync::RaceCell;
+use msa_race::{explore, thread, FailureKind, Options};
+use std::sync::Arc;
 
 fn assert_clean(opts: &Options, what: &str, f: impl Fn() + Send + Sync + 'static) {
     match explore(opts, f) {
@@ -61,26 +62,30 @@ fn prefix_pool_release_done_counter_is_found() {
 }
 
 #[test]
-fn shipped_sense_barrier_explores_clean() {
-    assert_clean(
-        &Options::exhaustive(2),
-        "sense barrier p=2, 2 phases",
-        || barrier_phases(2, 2, BarrierOrderings::correct()),
-    );
-}
-
-#[test]
-fn prefix_barrier_relaxed_flip_is_found() {
-    match explore(&Options::exhaustive(2), || {
-        barrier_phases(2, 1, BarrierOrderings::relaxed_flip())
-    }) {
+fn prefix_publication_relaxed_store_is_found() {
+    // The writer sets a cell and publishes with a Relaxed store; the
+    // reader that sees the flag acquires nothing, so its read races.
+    let model = || {
+        let cell = Arc::new(RaceCell::named(0u64, "litmus.cell"));
+        let flag = Arc::new(AtomicUsize::named(0, "litmus.flag"));
+        let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
+        let writer = thread::spawn(move || {
+            c.set(1);
+            f.store(1, Ordering::Relaxed);
+        });
+        if flag.load(Ordering::Acquire) == 1 {
+            assert_eq!(cell.get(), 1);
+        }
+        writer.join();
+    };
+    match explore(&Options::exhaustive(2), model) {
         Ok(stats) => panic!(
-            "checker lost the relaxed-flip barrier race ({} schedules clean)",
+            "checker lost the relaxed-store publication race ({} schedules clean)",
             stats.schedules
         ),
         Err(failure) => assert!(
             matches!(&failure.kind, FailureKind::DataRace { object, .. }
-                if object.contains("barrier.slot")),
+                if object == "litmus.cell"),
             "wrong failure kind:\n{failure}"
         ),
     }
