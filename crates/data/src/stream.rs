@@ -13,11 +13,11 @@
 //!
 //! [`with_prefetch`] runs the stream on a producer thread behind a
 //! bounded depth-`k` ring (one `msa-sync` mutex, two condvars; both
-//! notifies fire under the lock — the discipline the msa-race checker
-//! audits via `msa_race::models::prefetch`, where the shipped protocol
-//! is clean and each deliberately broken variant — `done` or `stop` as
-//! an atomic outside the lock with an unlocked notify — is FOUND as a
-//! lost wakeup). The consumer hands finished batches back with
+//! notifies fire under the lock). Under `--cfg msa_check` the msa-race
+//! checker explores this very function
+//! (`crates/msa-race/tests/real_primitives.rs`); a flag kept outside
+//! the lock with an unlocked notify is the lost-wakeup shape its
+//! litmus harnesses find. The consumer hands finished batches back with
 //! [`PrefetchConsumer::recycle`], so the ring circulates at most
 //! `depth + 2` slab pairs (`depth` queued, one in flight, one held by
 //! the consumer). The pool is seeded to exactly that bound, capped by
@@ -27,7 +27,7 @@
 //! pipeline` contract asserts on).
 //!
 //! Ownership: the ring owns the producer thread for exactly the scope
-//! of the consumer closure (`std::thread::scope`); on early exit (e.g.
+//! of the consumer closure (`msa_sync::thread::scope`); on early exit (e.g.
 //! a fault-injected training abort) the scope sets a stop flag under
 //! the lock, wakes the producer, and joins it before returning, so no
 //! batch assembly ever outlives the dataset borrow.
@@ -242,8 +242,7 @@ impl BatchSource for BatchStream<'_> {
 /// Shared state of the prefetch ring. All flags live *inside* the
 /// mutex: `done`/`stop` are checked under the same lock the condvars
 /// wait on, and every notify fires while the lock is held — the
-/// lost-wakeup discipline `msa_race::models::prefetch` verifies (its
-/// pre-fix knob moves `done` outside the lock and is FOUND).
+/// lost-wakeup discipline the checker explores under `--cfg msa_check`.
 struct RingState {
     queue: VecDeque<(Tensor, Tensor)>,
     free: Vec<(Vec<f32>, Vec<f32>)>,
@@ -341,7 +340,7 @@ pub fn with_prefetch<R>(
         not_full: Condvar::new(),
     };
 
-    let result = std::thread::scope(|s| {
+    let result = msa_sync::thread::scope(|s| {
         let producer = s.spawn(|| loop {
             let (mut bx, mut by) = {
                 let mut st = lock(&ring.state);

@@ -275,7 +275,7 @@ impl ThreadComm {
         F: Fn(&ThreadComm) -> R + Sync,
     {
         let comms = ThreadComm::create_with(n, opts);
-        std::thread::scope(|scope| {
+        msa_sync::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .iter()
                 .map(|c| scope.spawn(|| f(c)))

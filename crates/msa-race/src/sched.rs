@@ -190,7 +190,6 @@ struct State {
     failure: Option<FailureKind>,
     abort: bool,
     complete: bool,
-    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 pub(crate) struct Sched {
@@ -211,8 +210,13 @@ pub(crate) struct Ctx {
     pub(crate) tid: Tid,
 }
 
+/// The calling thread's model context. `None` while the thread unwinds
+/// through a torn-down run: the drops on its way out (a channel end, a
+/// lock) then act on the plain std values instead of re-entering a
+/// scheduler that would panic again mid-unwind.
 pub(crate) fn current() -> Option<Ctx> {
     CTX.with(|c| c.borrow().clone())
+        .filter(|ctx| !(std::thread::panicking() && lock(&ctx.sched.st).abort))
 }
 
 fn acquires(ord: std::sync::atomic::Ordering) -> bool {
@@ -281,7 +285,6 @@ impl Sched {
                 failure: None,
                 abort: false,
                 complete: false,
-                handles: Vec::new(),
             }),
             cv: Condvar::new(),
         }
@@ -840,15 +843,18 @@ impl Sched {
         self.note(&mut st, tid, format!("write({l})"));
     }
 
-    pub(crate) fn spawn_model<T: Send + 'static>(
+    /// A model thread on `scope`, forked from `parent` (the spawn edge:
+    /// the child starts from the parent's clock, the parent ticks). The
+    /// enclosing `std::thread::scope` joins its OS thread, which returns
+    /// `None` only when torn down.
+    pub(crate) fn spawn_scoped<'scope, T: Send + 'scope>(
         self: &Arc<Self>,
         parent: Tid,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> (Tid, Arc<Mutex<Option<T>>>) {
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        f: impl FnOnce() -> T + Send + 'scope,
+    ) -> (Tid, std::thread::ScopedJoinHandle<'scope, Option<T>>) {
         let mut st = self.enter_op(parent);
         let child = st.threads.len();
-        // Child inherits the parent's clock (spawn edge) plus its own
-        // first tick; the parent ticks so the fork is ordered.
         let mut clock = st.threads[parent].clock.clone();
         clock.tick(child);
         st.threads.push(ThreadSt {
@@ -856,30 +862,24 @@ impl Sched {
             clock,
         });
         self.note(&mut st, parent, format!("spawn t{child}"));
-        let result = Arc::new(Mutex::new(None));
-        let result2 = Arc::clone(&result);
         let sched = Arc::clone(self);
         let spawned = std::thread::Builder::new()
             .name(format!("msa-race-{child}"))
-            .spawn(move || {
-                sched.thread_main(child, move || {
-                    let v = f();
-                    *lock(&result2) = Some(v);
-                });
+            .spawn_scoped(scope, move || {
+                let mut out = None;
+                sched.thread_main(child, || out = Some(f()));
+                out
             });
         match spawned {
-            Ok(h) => st.handles.push(h),
-            Err(_) => {
-                self.fail(
-                    st,
-                    FailureKind::Panic {
-                        thread: parent,
-                        message: "could not spawn a model OS thread".to_string(),
-                    },
-                );
-            }
+            Ok(h) => (child, h),
+            Err(_) => self.fail(
+                st,
+                FailureKind::Panic {
+                    thread: parent,
+                    message: "could not spawn a model OS thread".to_string(),
+                },
+            ),
         }
-        (child, result)
     }
 
     pub(crate) fn join_model(&self, me: Tid, target: Tid) {
@@ -915,20 +915,26 @@ impl Sched {
             Ok(()) => self.finish(tid, false),
             Err(p) if p.is::<AbortToken>() => self.finish(tid, true),
             Err(p) => {
-                let msg = payload_message(p.as_ref());
-                let mut st = lock(&self.st);
-                if st.failure.is_none() {
-                    st.failure = Some(FailureKind::Panic {
-                        thread: tid,
-                        message: msg,
-                    });
-                }
-                st.abort = true;
-                st.threads[tid].status = Status::Finished;
-                self.cv.notify_all();
+                self.abort_on_panic(tid, p.as_ref());
+                lock(&self.st).threads[tid].status = Status::Finished;
             }
         }
         CTX.with(|c| *c.borrow_mut() = None);
+    }
+
+    /// Aborts the run for a panic unwinding out of `tid`'s model code,
+    /// recorded as the failure unless it is the teardown token. Every
+    /// parked thread then unwinds, so OS-level joins can complete.
+    pub(crate) fn abort_on_panic(&self, tid: Tid, payload: &(dyn std::any::Any + Send)) {
+        let mut st = lock(&self.st);
+        if st.failure.is_none() && !payload.is::<AbortToken>() {
+            st.failure = Some(FailureKind::Panic {
+                thread: tid,
+                message: payload_message(payload),
+            });
+        }
+        st.abort = true;
+        self.cv.notify_all();
     }
 
     fn finish(&self, tid: Tid, teardown: bool) {
@@ -1014,17 +1020,14 @@ where
             }
         }
     };
-    let handles = {
+    {
         let mut st = lock(&sched.st);
         while !st.complete && !st.abort {
             st = cv_wait(&sched.cv, st);
         }
-        std::mem::take(&mut st.handles)
-    };
-    let _ = root.join();
-    for h in handles {
-        let _ = h.join();
     }
+    // Every other model thread is scoped, so joining the root joins all.
+    let _ = root.join();
     let mut st = lock(&sched.st);
     RunOutcome {
         failure: st.failure.take(),
@@ -1167,16 +1170,19 @@ mod tests {
         assert!(!err.trace.is_empty(), "trace must capture the write");
     }
 
+    /// Two threads write one cell with nothing ordering them.
+    fn racing_writers(label: &'static str) {
+        let c = crate::sync::RaceCell::named(0u64, label);
+        crate::thread::scope(|s| {
+            s.spawn(|| c.set(1));
+            c.set(2);
+        });
+    }
+
     #[test]
     fn two_unsynchronized_writers_race() {
-        let err = explore(&Options::default(), || {
-            let c = std::sync::Arc::new(crate::sync::RaceCell::named(0u64, "shared"));
-            let c2 = std::sync::Arc::clone(&c);
-            let h = crate::thread::spawn(move || c2.set(1));
-            c.set(2);
-            h.join();
-        })
-        .expect_err("unsynchronized writes must race");
+        let err = explore(&Options::default(), || racing_writers("shared"))
+            .expect_err("unsynchronized writes must race");
         assert!(
             matches!(err.kind, FailureKind::DataRace { .. }),
             "wrong kind: {}",
@@ -1188,24 +1194,19 @@ mod tests {
     #[test]
     fn mutex_orders_accesses() {
         let stats = explore(&Options::default(), || {
-            let m = std::sync::Arc::new(crate::sync::Mutex::named(0u64, "m"));
-            let c = std::sync::Arc::new(crate::sync::RaceCell::named(0u64, "data"));
-            let (m2, c2) = (std::sync::Arc::clone(&m), std::sync::Arc::clone(&c));
-            let h = crate::thread::spawn(move || {
-                let mut g = m2.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                *g += 1;
-                if *g == 1 {
-                    c2.set(10);
-                }
-            });
-            {
-                let mut g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let m = crate::sync::Mutex::named(0u64, "m");
+            let c = crate::sync::RaceCell::named(0u64, "data");
+            let bump = || {
+                let mut g = m.lock().unwrap_or_else(PoisonError::into_inner);
                 *g += 1;
                 if *g == 1 {
                     c.set(10);
                 }
-            }
-            h.join();
+            };
+            crate::thread::scope(|s| {
+                s.spawn(bump);
+                bump();
+            });
         })
         .unwrap_or_else(|f| panic!("mutex-protected writes must not race: {f}"));
         assert!(stats.schedules > 1, "exploration must branch");
@@ -1214,18 +1215,16 @@ mod tests {
     #[test]
     fn lock_cycle_is_reported_as_deadlock() {
         let err = explore(&Options::default(), || {
-            let a = std::sync::Arc::new(crate::sync::Mutex::named((), "A"));
-            let b = std::sync::Arc::new(crate::sync::Mutex::named((), "B"));
-            let (a2, b2) = (std::sync::Arc::clone(&a), std::sync::Arc::clone(&b));
-            let h = crate::thread::spawn(move || {
-                let _ga = a2.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let _gb = b2.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let a = crate::sync::Mutex::named((), "A");
+            let b = crate::sync::Mutex::named((), "B");
+            let both = |x: &crate::sync::Mutex<()>, y: &crate::sync::Mutex<()>| {
+                let _gx = x.lock().unwrap_or_else(PoisonError::into_inner);
+                let _gy = y.lock().unwrap_or_else(PoisonError::into_inner);
+            };
+            crate::thread::scope(|s| {
+                s.spawn(|| both(&a, &b));
+                both(&b, &a);
             });
-            {
-                let _gb = b.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let _ga = a.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            h.join();
         })
         .expect_err("AB/BA locking must deadlock under some schedule");
         match &err.kind {
@@ -1242,7 +1241,7 @@ mod tests {
         let err = explore(&Options::default(), || {
             let m = crate::sync::Mutex::named(false, "flag");
             let cv = crate::sync::Condvar::named("never");
-            let g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let g = m.lock().unwrap_or_else(PoisonError::into_inner);
             // Nobody will ever notify: immediately diagnosed once all
             // threads are blocked.
             let _g = cv.wait(g);
@@ -1258,13 +1257,7 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let model = || {
-            let c = std::sync::Arc::new(crate::sync::RaceCell::named(0u64, "x"));
-            let c2 = std::sync::Arc::clone(&c);
-            let h = crate::thread::spawn(move || c2.set(1));
-            c.set(2);
-            h.join();
-        };
+        let model = || racing_writers("x");
         let a = explore(&Options::default(), model).expect_err("races");
         let b = explore(&Options::default(), model).expect_err("races");
         assert_eq!(a.schedule, b.schedule);
@@ -1274,13 +1267,7 @@ mod tests {
 
     #[test]
     fn random_mode_is_seed_deterministic() {
-        let model = || {
-            let c = std::sync::Arc::new(crate::sync::RaceCell::named(0u64, "x"));
-            let c2 = std::sync::Arc::clone(&c);
-            let h = crate::thread::spawn(move || c2.set(1));
-            c.set(2);
-            h.join();
-        };
+        let model = || racing_writers("x");
         let a = explore(&Options::random(42, 50), model).expect_err("races");
         let b = explore(&Options::random(42, 50), model).expect_err("races");
         assert_eq!(a.schedules_explored, b.schedules_explored);

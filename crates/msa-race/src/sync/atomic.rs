@@ -11,7 +11,7 @@
 //!
 //! `SeqCst` is modeled as `AcqRel`/`Acquire`/`Release`: its extra total
 //! order is not tracked, which only makes the checker *stricter* about
-//! code that silently relies on it (see DESIGN.md §12).
+//! code that silently relies on it.
 
 use super::ObjId;
 use crate::sched;

@@ -1,32 +1,23 @@
-//! Checker harnesses over the workspace protocol models, plus a
-//! publication litmus on the instrumented atomics (the checker's test of
-//! store/load ordering edges).
+//! Checker litmus models: minimal shapes of the failure classes the
+//! checker must find, each beside its fixed twin. They run in every
+//! plain build; the shipped pool, credit ring and prefetch ring are
+//! explored for real under `--cfg msa_check` (`real_primitives.rs` and
+//! the pool's own `race` tests).
 //!
 //! Two directions, both load-bearing:
-//! * shipped configurations must explore **clean** (no failure);
-//! * known-bad pre-fix configurations must be **found** — these are the
-//!   regression tests for the checker itself. If a "found" test starts
-//!   passing clean, the checker lost its teeth.
-//!
-//! Exploration sizes are tuned for CI: small thread counts exhaustive
-//! under a preemption bound, larger ones as seeded random walks.
+//! * fixed shapes must explore **clean** (no failure);
+//! * broken shapes must be **found** — the regression tests for the
+//!   checker itself. If a "found" test starts passing clean, the
+//!   checker lost its teeth.
 
-use msa_race::models::channel::{
-    credit_pool, drop_last_sender_wakes_receiver, rendezvous_handoff,
-};
-use msa_race::models::pool::{nested_join, pool_protocol, PoolConfig};
-use msa_race::models::prefetch::{prefetch_ring, PrefetchKnobs};
 use msa_race::sync::atomic::{AtomicUsize, Ordering};
-use msa_race::sync::RaceCell;
+use msa_race::sync::{Condvar, Mutex, MutexGuard, RaceCell};
 use msa_race::{explore, thread, FailureKind, Options};
-use std::sync::Arc;
+use std::sync::PoisonError;
 
 fn assert_clean(opts: &Options, what: &str, f: impl Fn() + Send + Sync + 'static) {
-    match explore(opts, f) {
-        Ok(stats) => {
-            assert!(stats.schedules > 0, "{what}: explored nothing");
-        }
-        Err(failure) => panic!("{what}: expected clean exploration, found:\n{failure}"),
+    if let Err(failure) = explore(opts, f) {
+        panic!("{what}: expected clean exploration, found:\n{failure}");
     }
 }
 
@@ -42,72 +33,66 @@ fn assert_found(
             stats.schedules
         ),
         Err(failure) => {
-            assert!(
-                matches(&failure.kind),
-                "{what}: found the wrong failure kind:\n{failure}"
-            );
-            assert!(
-                !failure.trace.is_empty(),
-                "{what}: failure must carry a replayable trace"
-            );
+            assert!(matches(&failure.kind), "{what}: found the wrong failure kind:\n{failure}");
+            assert!(!failure.trace.is_empty(), "{what}: failure must carry a replayable trace");
         }
     }
 }
 
-// --- pool: claim / done / finished protocol -------------------------------
-
-#[test]
-fn pool_shipped_protocol_is_clean() {
-    assert_clean(
-        &Options::exhaustive(2),
-        "pool AcqRel, 2 workers x 3 blocks",
-        || pool_protocol(PoolConfig::correct(1, 3)),
-    );
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-#[test]
-fn pool_release_done_counter_is_found() {
-    // The pre-fix bug: `done.fetch_add(1, Release)` — the RMW read side
-    // is relaxed, so the last finisher does not happen-after the other
-    // workers' block writes, and the submitter's read of their output
-    // slots races.
-    let cfg = PoolConfig {
-        done_order: Ordering::Release,
-        ..PoolConfig::correct(1, 3)
-    };
-    assert_found(
-        &Options::exhaustive(2),
-        "pool Release done-counter",
-        move || pool_protocol(cfg),
-        |k| matches!(k, FailureKind::DataRace { object, .. } if object.contains("task.slot")),
-    );
+fn is_lost_wakeup(k: &FailureKind) -> bool {
+    matches!(k, FailureKind::LostWakeup { .. })
 }
 
-#[test]
-fn pool_panic_block_is_stashed_for_caller() {
-    let cfg = PoolConfig {
-        panic_block: Some(1),
-        ..PoolConfig::correct(1, 3)
-    };
-    assert_clean(
-        &Options::exhaustive(2),
-        "pool with a panicking block",
-        move || pool_protocol(cfg),
-    );
-}
+// --- fork/join edges ------------------------------------------------------
 
-#[test]
-fn pool_three_workers_random_walk_is_clean() {
-    assert_clean(
-        &Options::random(0x5eed_0001, 400),
-        "pool AcqRel, 3 workers x 4 blocks (random)",
-        || pool_protocol(PoolConfig::correct(2, 4)),
-    );
+/// A spawned thread spawns and joins its own child, and the root
+/// observes the grandchild's write purely through the join edges.
+fn nested_join() {
+    let cell = RaceCell::named(0u64, "nested.out");
+    let seen = thread::scope(|s| {
+        let outer = s.spawn(|| {
+            thread::scope(|s| s.spawn(|| cell.set(42)).join()).ok();
+            cell.get()
+        });
+        outer.join()
+    });
+    assert_eq!(seen.ok(), Some(42));
+    assert_eq!(cell.get(), 42, "root sees the grandchild write via joins");
 }
 
 #[test]
 fn nested_join_propagates_writes() {
     assert_clean(&Options::exhaustive(2), "nested fork/join", nested_join);
+}
+
+#[test]
+fn scoped_threads_are_joined_at_scope_end() {
+    // The scope's implicit join of an unjoined child is a model join.
+    assert_clean(&Options::exhaustive(2), "scope end joins its children", || {
+        let cell = RaceCell::named(0u64, "scoped.cell");
+        thread::scope(|s| {
+            s.spawn(|| cell.set(1));
+        });
+        assert_eq!(cell.get(), 1);
+    });
+    // A model assertion inside the scope is reported, not hung on while
+    // std waits for the parked child.
+    assert_found(
+        &Options::exhaustive(2),
+        "assertion inside a scope",
+        || thread::scope(|s| {
+            s.spawn(|| ());
+            panic!("scope body fails");
+        }),
+        |k| matches!(k, FailureKind::Panic { message, .. } if message == "scope body fails"),
+    );
+    // Outside a model it is a plain scoped spawn.
+    let v = thread::scope(|s| s.spawn(|| 5).join());
+    assert_eq!(v.ok(), Some(5));
 }
 
 // --- publication litmus: store/load ordering edges ------------------------
@@ -124,22 +109,22 @@ enum Publish {
 /// is ordered after the write exactly when the publish releases and the
 /// load acquires.
 fn publication(publish: Publish, load: Ordering) {
-    let cell = Arc::new(RaceCell::named(0u64, "litmus.cell"));
-    let flag = Arc::new(AtomicUsize::named(0, "litmus.flag"));
-    let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
-    let writer = thread::spawn(move || {
-        c.set(1);
-        match publish {
-            Publish::Store(ord) => f.store(1, ord),
-            Publish::FetchAdd(ord) => {
-                f.fetch_add(1, ord);
+    let cell = RaceCell::named(0u64, "litmus.cell");
+    let flag = AtomicUsize::named(0, "litmus.flag");
+    thread::scope(|s| {
+        s.spawn(|| {
+            cell.set(1);
+            match publish {
+                Publish::Store(ord) => flag.store(1, ord),
+                Publish::FetchAdd(ord) => {
+                    flag.fetch_add(1, ord);
+                }
             }
+        });
+        if flag.load(load) == 1 {
+            assert_eq!(cell.get(), 1, "a set flag publishes the write");
         }
     });
-    if flag.load(load) == 1 {
-        assert_eq!(cell.get(), 1, "a set flag publishes the write");
-    }
-    writer.join();
 }
 
 fn is_cell_race(k: &FailureKind) -> bool {
@@ -194,148 +179,138 @@ fn publication_relaxed_fetch_add_is_found() {
     );
 }
 
-// --- channel + slab credit pool -------------------------------------------
+// --- done counter: a Release RMW chain ------------------------------------
 
-#[test]
-fn channel_locked_disconnect_notify_is_clean() {
-    assert_clean(
-        &Options::exhaustive(2),
-        "channel disconnect with locked notify",
-        || drop_last_sender_wakes_receiver(true),
-    );
+/// The pool task's completion shape, two blocks: each thread writes its
+/// block, then counts it done; the last finisher flips `finished` under
+/// a mutex and notifies, and the root reads both blocks once it sees the
+/// flag. The root's read of the child's block is ordered only if the
+/// last finisher's RMW acquires the other's release.
+fn done_counter(order: Ordering) {
+    let blocks = [const { RaceCell::named(0u64, "litmus.block") }; 2];
+    let done = AtomicUsize::named(0, "litmus.done");
+    let finished = Mutex::named(false, "litmus.finished");
+    let finished_cv = Condvar::named("litmus.finished_cv");
+    let finish = |b: usize| {
+        blocks[b].set(1);
+        if done.fetch_add(1, order) + 1 == 2 {
+            *lock(&finished) = true;
+            finished_cv.notify_all();
+        }
+    };
+    thread::scope(|s| {
+        s.spawn(|| finish(1));
+        finish(0);
+        let mut f = lock(&finished);
+        while !*f {
+            f = finished_cv.wait(f).unwrap_or_else(PoisonError::into_inner);
+        }
+        assert_eq!(blocks[0].get() + blocks[1].get(), 2);
+    });
 }
 
 #[test]
-fn channel_unlocked_disconnect_notify_is_found() {
-    // The PR 5 bug as shipped pre-fix in `Drop<Sender>`: notify_all
-    // without the queue lock can fire between the receiver's
-    // senders-alive check and its wait — the receiver sleeps forever.
+fn done_counter_acqrel_is_clean() {
+    assert_clean(&Options::exhaustive(2), "AcqRel done counter", || {
+        done_counter(Ordering::AcqRel)
+    });
+}
+
+#[test]
+fn pool_release_done_counter_is_found() {
+    // The pool's pre-fix bug: with `Release` the RMW's read side is
+    // relaxed, the chain hands the last finisher nothing, and the
+    // root's read of the other thread's block races.
     assert_found(
         &Options::exhaustive(2),
-        "channel disconnect with unlocked notify",
-        || drop_last_sender_wakes_receiver(false),
-        |k| matches!(k, FailureKind::LostWakeup { .. }),
+        "Release done counter",
+        || done_counter(Ordering::Release),
+        |k| matches!(k, FailureKind::DataRace { object, .. } if object == "litmus.block"),
     );
+}
+
+// --- rendezvous: a flag outside the lock a waiter checks under ------------
+
+/// A waiter checks an atomic flag under `gate` and sleeps on the condvar
+/// while it is unset; a signaller stores the flag and notifies. Holding
+/// `gate` across the notify closes the window between the waiter's check
+/// and its wait; without it the notify can land in that window and the
+/// waiter sleeps forever. `child_waits` picks the stranded side: the
+/// root as a consumer waiting for data (the channel's disconnect and
+/// the prefetch ring's `done`), or a child the root signals and then
+/// joins (the ring's producer parked on `stop`).
+fn rendezvous(child_waits: bool, locked_notify: bool) {
+    let flag = AtomicUsize::named(0, "rendezvous.flag");
+    let gate = Mutex::named((), "rendezvous.gate");
+    let cv = Condvar::named("rendezvous.cv");
+    let wait = || {
+        let mut held = lock(&gate);
+        while flag.load(Ordering::Acquire) == 0 {
+            held = cv.wait(held).unwrap_or_else(PoisonError::into_inner);
+        }
+    };
+    let signal = || {
+        flag.store(1, Ordering::Release);
+        let _held = locked_notify.then(|| lock(&gate));
+        cv.notify_one();
+    };
+    thread::scope(|s| {
+        if child_waits {
+            s.spawn(wait);
+            signal();
+        } else {
+            s.spawn(signal);
+            wait();
+        }
+    });
 }
 
 #[test]
 fn rendezvous_locked_notify_is_clean() {
-    assert_clean(
-        &Options::exhaustive(2),
-        "rendezvous handoff, notify under lock",
-        || rendezvous_handoff(true),
-    );
+    for child_waits in [false, true] {
+        assert_clean(
+            &Options::exhaustive(2),
+            &format!("rendezvous, notify under lock, child waits: {child_waits}"),
+            move || rendezvous(child_waits, true),
+        );
+    }
 }
 
 #[test]
 fn rendezvous_unlocked_notify_is_found() {
+    // Both stranded sides: the root waiting for the child's store +
+    // notify, and a child the root signals and then joins, whose wait
+    // takes the root's join down with it.
+    for child_waits in [false, true] {
+        assert_found(
+            &Options::exhaustive(2),
+            &format!("rendezvous, notify without lock, child waits: {child_waits}"),
+            move || rendezvous(child_waits, false),
+            is_lost_wakeup,
+        );
+    }
+}
+
+#[test]
+fn a_torn_down_thread_unwinds_through_instrumented_drops() {
+    // A drop that touches instrumented state on the way out of a
+    // torn-down run (a channel end, here a counter) must not re-enter
+    // the scheduler, which would panic mid-unwind and abort the process.
+    struct Release<'a>(&'a AtomicUsize);
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
     assert_found(
         &Options::exhaustive(2),
-        "rendezvous handoff, notify without lock",
-        || rendezvous_handoff(false),
-        |k| matches!(k, FailureKind::LostWakeup { .. }),
-    );
-}
-
-#[test]
-fn credit_pool_reuse_is_ordered_by_channels() {
-    assert_clean(
-        &Options::exhaustive(1),
-        "slab credit pool, 2 producers, 1 credit",
-        || credit_pool(2, 1, 1),
-    );
-}
-
-#[test]
-fn credit_pool_contended_random_walk_is_clean() {
-    assert_clean(
-        &Options::random(0x5eed_0003, 250),
-        "slab credit pool, 2 producers x 2 msgs, 2 credits (random)",
-        || credit_pool(2, 2, 2),
-    );
-}
-
-// --- batch-prefetch ring --------------------------------------------------
-
-#[test]
-fn prefetch_shipped_ring_is_clean() {
-    // Full consumption exercises claim/fill/push, slab recycling, and
-    // the locked done path; a slab reused without the mutex edge would
-    // be a data race on `prefetch.slab`.
-    assert_clean(
-        &Options::exhaustive(2),
-        "prefetch ring, 3 batches through depth 1, drained",
-        || prefetch_ring(3, 1, 3, PrefetchKnobs::correct()),
-    );
-}
-
-#[test]
-fn prefetch_shipped_early_exit_is_clean() {
-    // The consumer walks away mid-epoch; the locked stop path must wake
-    // the producer off `not_full` so the join always completes.
-    assert_clean(
-        &Options::exhaustive(2),
-        "prefetch ring, early exit after 0 of 2",
-        || prefetch_ring(2, 1, 0, PrefetchKnobs::correct()),
-    );
-}
-
-#[test]
-fn prefetch_shipped_overrun_random_walk_is_clean() {
-    // Deeper ring, consumer pulls past exhaustion: the done path must
-    // convert every extra pull into `None`.
-    assert_clean(
-        &Options::random(0x5eed_0004, 300),
-        "prefetch ring, depth 2, pull past exhaustion (random)",
-        || prefetch_ring(2, 2, 3, PrefetchKnobs::correct()),
-    );
-}
-
-#[test]
-fn prefetch_unlocked_done_notify_is_found() {
-    // Pre-fix exhaustion path: done as an atomic stored outside the
-    // ring mutex + unlocked notify_all. The store + notify can land
-    // between the consumer's done-check and its wait — the consumer
-    // sleeps on `not_empty` forever.
-    assert_found(
-        &Options::exhaustive(2),
-        "prefetch ring with unlocked done notify",
+        "lost wakeup with an instrumented drop in scope",
         || {
-            prefetch_ring(
-                1,
-                1,
-                2,
-                PrefetchKnobs {
-                    locked_done: false,
-                    ..PrefetchKnobs::correct()
-                },
-            )
+            let count = AtomicUsize::named(1, "teardown.count");
+            let _release = Release(&count);
+            rendezvous(false, false);
         },
-        |k| matches!(k, FailureKind::LostWakeup { .. }),
-    );
-}
-
-#[test]
-fn prefetch_unlocked_stop_notify_is_found() {
-    // Pre-fix early-exit path: same window on the other condvar. The
-    // producer checks stop under the mutex, the consumer's store +
-    // notify land before the wait, and the producer is stranded on
-    // `not_full` with the ring full — taking the join down with it.
-    assert_found(
-        &Options::exhaustive(2),
-        "prefetch ring with unlocked stop notify",
-        || {
-            prefetch_ring(
-                2,
-                1,
-                0,
-                PrefetchKnobs {
-                    locked_stop: false,
-                    ..PrefetchKnobs::correct()
-                },
-            )
-        },
-        |k| matches!(k, FailureKind::LostWakeup { .. }),
+        is_lost_wakeup,
     );
 }
 
@@ -343,20 +318,24 @@ fn prefetch_unlocked_stop_notify_is_found() {
 
 #[test]
 fn found_failure_renders_schedule_and_trace() {
-    let failure = explore(&Options::exhaustive(2), || {
-        drop_last_sender_wakes_receiver(false)
-    })
-    .expect_err("pre-fix drop must be found");
+    let run = || {
+        explore(&Options::exhaustive(2), || rendezvous(false, false))
+            .expect_err("unlocked notify must be found")
+    };
+    let failure = run();
     let text = failure.to_string();
     assert!(text.contains("lost wakeup"), "report names the class: {text}");
     assert!(text.contains("schedule"), "report carries the schedule: {text}");
-    assert!(
-        text.contains("chan.ready"),
-        "report names the condvar involved: {text}"
-    );
+    assert!(text.contains("rendezvous.cv"), "report names the condvar involved: {text}");
     assert_eq!(
         msa_race::render_trace(&failure.trace).lines().count(),
         failure.trace.len(),
         "one rendered line per trace event"
     );
+    // Same options, same model → the same failing schedule, which is
+    // what makes a report replayable.
+    let again = run();
+    assert_eq!(failure.schedule, again.schedule, "failing schedule must be reproducible");
+    assert_eq!(failure.schedules_explored, again.schedules_explored);
+    assert_eq!(failure.trace, again.trace);
 }

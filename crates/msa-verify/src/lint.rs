@@ -11,9 +11,9 @@
 //! | `print`           | every crate               | no `println!`/`eprintln!` in non-test library code; observability goes through `msa-obs` recorders. CLI binaries justify each print with an allow |
 //! | `alloc-in-kernel` | `tensor/src/{matmul,conv,codec,rng}.rs`, `nn/src/{conv,activation,norm,dense,optim,pool}.rs`, `msa-net/src/collectives.rs`, `distrib/src/compress.rs`, `data/src/stream.rs` | no heap allocation (`Vec::new`, `Vec::with_capacity`, `vec![`, `.to_vec()`) inside a loop body; hot kernels go through reusable buffers (`tensor::scratch` frames, compressor/stream slabs, transport buffers lent by `send_with`/`recv_with`) |
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
-//! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports; concurrency primitives go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
+//! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports and no `std::thread::scope`; concurrency primitives and scoped threads go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
 //! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`), the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) and the retired time converters (`ps_to_simtime`, `advance_ps`, `from_hours`, `as_hours`, `predicted_wait_ps`, `slo_ps`) must not reappear; each finding names its replacement |
-//! | `unreached`       | module files of `crates/*/src`, `shims/*/src` (not `lib.rs`, `main.rs`, `mod.rs`, `bin/`, nor a module its parent declares in a test region) | a workspace pass: some non-test line of another file in library code, `src/`, `examples/`, a binary or `benchmark/src` names the module — by `<module>::`, a `pub` type/trait/const/static name, or a call or `use` of a top-level `pub fn`. `mod` and `pub use` lines do not count. The allow goes on the module's first line |
+//! | `unreached`       | module files of `crates/*/src`, `shims/*/src` (not `lib.rs`, `main.rs`, `mod.rs`, `bin/`, nor a module its parent declares in a test region) | a workspace pass: some non-test line of another file in library code, `src/`, `examples/`, a binary or `benchmark/src` names the module — by `<module>::` in a path that resolves to the module's crate (`crate::`, `super::`, `<crate>::`, or the crate's own module), a `pub` type/trait/const/static name, or a call or `use` of a top-level `pub fn`, or the type a top-level `impl` extends. `mod` lines and a crate's `pub use` of its own modules do not count. The allow goes on the module's first line |
 //!
 //! Findings print as `file:line: rule — message` and the binary exits
 //! nonzero when any survive. A finding is suppressed by a same-line (or
@@ -158,10 +158,10 @@ impl Profile {
             "data" => file.file_name().is_some_and(|n| n == "stream.rs"),
             _ => false,
         };
-        // The sync cores whose weak orderings the msa-race checker audits
-        // (models in `msa_race::models`, real code under `--cfg
-        // msa_check`). Relaxed/AcqRel are load-bearing there and reviewed
-        // as a protocol; anywhere else each use justifies itself.
+        // The sync cores whose weak orderings the msa-race checker
+        // explores under `--cfg msa_check`. Relaxed/AcqRel are
+        // load-bearing there and reviewed as a protocol; anywhere else
+        // each use justifies itself.
         let is_sync_core = crate_name == "msa-net"
             && file
                 .file_name()
@@ -180,7 +180,7 @@ impl Profile {
             print: true,
             alloc_in_kernel: is_kernel_file,
             // msa-race names orderings as *data* (match arms in the
-            // happens-before rules, knobs in the protocol models), so the
+            // happens-before rules, knobs in the litmus models), so the
             // token scan cannot apply there.
             ordering_audit: !is_sync_core && crate_name != "msa-race",
             // msa-sync IS the facade; msa-race implements the instrumented
@@ -197,7 +197,7 @@ impl Profile {
     /// only the concurrency rules do.
     pub fn for_shim(shim_name: &str, file: &Path) -> Self {
         // The pool's task protocol is the audited sync core on the shim
-        // side (`msa_race::models::pool` + DESIGN.md §12).
+        // side (explored by its `race` tests under `--cfg msa_check`).
         let is_sync_core =
             shim_name == "rayon" && file.file_name().is_some_and(|n| n == "pool.rs");
         Profile {
@@ -804,8 +804,14 @@ pub fn lint_source(file: &str, source: &str, profile: &Profile) -> Vec<Finding> 
 
         if profile.raw_sync && !in_test {
             // Direct path references: `std::sync::atomic::…`,
-            // `std::sync::Mutex`, `std::sync::Condvar`.
-            for needle in ["std::sync::atomic", "std::sync::Mutex", "std::sync::Condvar"] {
+            // `std::sync::Mutex`, `std::sync::Condvar`, and scoped
+            // threads, which the checker must see spawn.
+            for needle in [
+                "std::sync::atomic",
+                "std::sync::Mutex",
+                "std::sync::Condvar",
+                "std::thread::scope",
+            ] {
                 for _ in line.match_indices(needle) {
                     push(
                         &mut findings,
@@ -997,8 +1003,9 @@ struct Scanned {
 /// The names one file's reaching lines use.
 #[derive(Default)]
 struct Names {
-    /// Identifiers directly followed by `::`.
-    paths: HashSet<String>,
+    /// `(crate, identifier)` for every identifier directly followed by
+    /// `::`, the crate resolved from its path's head by [`Resolver`].
+    paths: HashSet<(String, String)>,
     /// Every identifier.
     words: HashSet<String>,
     /// Identifiers called as free functions (`f(`, `f::<`; not `.f(` or
@@ -1046,10 +1053,65 @@ fn pub_item(line: &str) -> Option<(&str, &str)> {
     matches!(kw, "fn" | "struct" | "enum" | "trait" | "type" | "static").then_some((kw, name))
 }
 
-/// Adds the identifiers of one reaching line to `names`.
-fn collect_names(line: &str, in_use: bool, names: &mut Names) {
+/// The type a top-level `impl` on `line` extends: `impl<T> Tr for
+/// a::Ty<T> {` → `Ty`. A module of inherent or trait impls is reached
+/// through the type it extends.
+fn impl_target(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("impl")?;
+    if rest.starts_with(is_ident_char) {
+        return None;
+    }
+    let mut depth = 0i32;
+    let generics_end = match rest.trim_start().starts_with('<') {
+        true => rest.find(|c| {
+            depth += i32::from(c == '<') - i32::from(c == '>');
+            c == '>' && depth == 0
+        })? + 1,
+        false => 0,
+    };
+    let rest = &rest[generics_end..];
+    let target = rest.rsplit_once(" for ").map_or(rest, |(_, t)| t).trim_start();
+    let path = target.split(['<', '{', ' ']).next()?;
+    path.rsplit("::").next().filter(|t| !t.is_empty())
+}
+
+/// Resolves the head of a path to the crate it names: `crate`,
+/// `self`, `super` and the file's own modules to the file's crate; any
+/// other head (a workspace crate, `std`, an extern crate) to itself.
+/// So `crossbeam::channel::` names crossbeam's `channel`, never
+/// another crate's.
+struct Resolver<'a> {
+    own: String,
+    /// `crate::module` for every module segment of the library files.
+    modules: &'a HashSet<String>,
+}
+
+impl Resolver<'_> {
+    fn resolve(&self, head: &str) -> String {
+        let own = matches!(head, "crate" | "self" | "super")
+            || self.modules.contains(&format!("{}::{head}", self.own));
+        if own { &self.own } else { head }.to_string()
+    }
+}
+
+/// The crate a walked file belongs to (`crates/msa-net/…` →
+/// `msa_net`), or `""` outside `crates/*` and `shims/*`.
+fn crate_of(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    let mut parts = rel.components().map(|c| c.as_os_str().to_string_lossy());
+    match (parts.next().as_deref(), parts.next()) {
+        (Some("crates" | "shims"), Some(member)) => member.replace('-', "_"),
+        _ => String::new(),
+    }
+}
+
+/// Adds the identifiers of one reaching line to `names`. `use_head` is
+/// the first path segment of the `use` the line is part of, if any: a
+/// segment in a `use` group resolves against it.
+fn collect_names(line: &str, use_head: Option<&str>, resolver: &Resolver, names: &mut Names) {
     let b = line.as_bytes();
     let mut prev_word = "";
+    let mut head = use_head.unwrap_or("");
     let mut i = 0;
     while i < b.len() {
         if !is_ident_char(b[i] as char) {
@@ -1065,12 +1127,15 @@ fn collect_names(line: &str, in_use: bool, names: &mut Names) {
             continue;
         }
         let after = line[i..].trim_start();
-        let method = line[..start].trim_end().ends_with('.');
+        let before = line[..start].trim_end();
+        if !before.ends_with("::") {
+            head = use_head.unwrap_or(word);
+        }
         if after.starts_with("::") {
-            names.paths.insert(word.to_string());
+            names.paths.insert((resolver.resolve(head), word.to_string()));
         }
         let called = after.starts_with('(') || after.starts_with("::<");
-        if in_use || (called && !method && prev_word != "fn") {
+        if use_head.is_some() || (called && !before.ends_with('.') && prev_word != "fn") {
             names.calls.insert(word.to_string());
         }
         names.words.insert(word.to_string());
@@ -1079,25 +1144,31 @@ fn collect_names(line: &str, in_use: bool, names: &mut Names) {
 }
 
 /// The names `file` uses on lines that can reach a module: not in a test
-/// region, not a `mod` line, not part of a `pub use`.
-fn reaching_names(file: &Scanned) -> Names {
+/// region, not a `mod` line, not part of a `pub use` of its own crate.
+fn reaching_names(file: &Scanned, resolver: &Resolver) -> Names {
     let mut names = Names::default();
-    // `Some(is_pub)` while inside a (possibly multi-line) `use`.
-    let mut in_use: Option<bool> = None;
+    // `(is_pub, head)` while inside a (possibly multi-line) `use`.
+    let mut in_use: Option<(bool, &str)> = None;
     for (idx, line) in file.scrubbed.lines().enumerate() {
         let (rest, is_pub) = strip_vis(line.trim_start());
-        if in_use.is_none() && rest.starts_with("use ") {
-            in_use = Some(is_pub);
+        if let (None, Some(path)) = (in_use, rest.strip_prefix("use ")) {
+            let path = path.trim_start();
+            let end = path.find(|c| !is_ident_char(c)).unwrap_or(path.len());
+            in_use = Some((is_pub, &path[..end]));
         }
         let stmt = in_use;
         if in_use.is_some() && line.contains(';') {
             in_use = None;
         }
         let is_mod = stmt.is_none() && rest.starts_with("mod ");
-        if file.mask.get(idx).copied().unwrap_or(false) || stmt == Some(true) || is_mod {
+        // A crate re-exporting its own modules reaches nothing; a
+        // re-export from another crate (a facade) is that crate's surface.
+        let own_pub_use =
+            stmt.is_some_and(|(is_pub, head)| is_pub && resolver.resolve(head) == resolver.own);
+        if file.mask.get(idx).copied().unwrap_or(false) || own_pub_use || is_mod {
             continue;
         }
-        collect_names(line, stmt.is_some(), &mut names);
+        collect_names(line, stmt.map(|(_, head)| head), resolver, &mut names);
     }
     names
 }
@@ -1129,7 +1200,7 @@ fn test_declared_children(file: &Scanned, out: &mut HashSet<PathBuf>) {
     }
 }
 
-/// `crates/msa-race/src/models/prefetch.rs` → `msa_race::models::prefetch`;
+/// `crates/msa-race/src/sync/atomic.rs` → `msa_race::sync::atomic`;
 /// `None` for a file that is not a module file (a crate root, a `mod.rs`
 /// or a binary).
 fn module_path(root: &Path, path: &Path) -> Option<String> {
@@ -1154,10 +1225,12 @@ fn module_path(root: &Path, path: &Path) -> Option<String> {
 
 /// `unreached`: every module file under `crates/*/src` and `shims/*/src`
 /// (`library`) must be named by a reaching line of another file — one
-/// that is neither test code nor a `mod` or `pub use` line, in library
-/// code, `src/`, `examples/`, a binary or `benchmark/src`. A line names
-/// a module by `<module>::`, by one of its `pub` type, trait, const or
-/// static names, or by a call or `use` of one of its top-level `pub fn`s.
+/// that is neither test code, a `mod` line nor a `pub use` of its own
+/// crate's modules, in library code, `src/`, `examples/`, a binary or
+/// `benchmark/src`. A line names a module by `<module>::` in a path
+/// whose head resolves to the module's crate, by one of its `pub` type,
+/// trait, const or static names or a type one of its top-level `impl`s
+/// extends, or by a call or `use` of one of its top-level `pub fn`s.
 /// A hit is justified by `// lint: allow(unreached) -- why` on the
 /// module's first line.
 fn unreached_findings(root: &Path, mut files: Vec<PathBuf>) -> io::Result<Vec<Finding>> {
@@ -1182,9 +1255,18 @@ fn unreached_findings(root: &Path, mut files: Vec<PathBuf>) -> io::Result<Vec<Fi
     for file in &scanned {
         test_declared_children(file, &mut test_only);
     }
+    let mut modules = HashSet::new();
+    for module in scanned.iter().filter_map(|f| module_path(root, &f.path)) {
+        let mut segs = module.split("::");
+        let krate = segs.next().unwrap_or_default();
+        modules.extend(segs.map(|seg| format!("{krate}::{seg}")));
+    }
     let reaching: Vec<Option<Names>> = scanned
         .iter()
-        .map(|f| (!test_only.contains(&f.path)).then(|| reaching_names(f)))
+        .map(|f| {
+            let resolver = Resolver { own: crate_of(root, &f.path), modules: &modules };
+            (!test_only.contains(&f.path)).then(|| reaching_names(f, &resolver))
+        })
         .collect();
 
     let mut findings = Vec::new();
@@ -1203,6 +1285,7 @@ fn unreached_findings(root: &Path, mut files: Vec<PathBuf>) -> io::Result<Vec<Fi
         let mut used = None;
         if let Some(module) = module {
             let name = module.rsplit("::").next().unwrap_or(&module);
+            let path = (module.split("::").next().unwrap_or_default().to_string(), name.to_string());
             let (mut types, mut fns) = (Vec::new(), Vec::new());
             let mut depth = 0usize;
             for (idx, line) in file.scrubbed.lines().enumerate() {
@@ -1210,7 +1293,7 @@ fn unreached_findings(root: &Path, mut files: Vec<PathBuf>) -> io::Result<Vec<Fi
                     match pub_item(line) {
                         Some(("fn", f)) => fns.push(f),
                         Some((_, t)) => types.push(t),
-                        None => {}
+                        None => types.extend(impl_target(line)),
                     }
                 }
                 for c in line.chars() {
@@ -1224,7 +1307,7 @@ fn unreached_findings(root: &Path, mut files: Vec<PathBuf>) -> io::Result<Vec<Fi
             let reached = reaching.iter().enumerate().any(|(j, names)| {
                 names.as_ref().is_some_and(|n| {
                     j != i
-                        && (n.paths.contains(name)
+                        && (n.paths.contains(&path)
                             || types.iter().any(|t| n.words.contains(*t))
                             || fns.iter().any(|f| n.calls.contains(*f)))
                 })
@@ -1456,8 +1539,10 @@ mod tests {
         assert_eq!(rules(src), vec!["thread-spawn"]);
         let src = "use std::thread;\nfn f() { thread::spawn(|| {}); }\n";
         assert_eq!(rules(src), vec!["thread-spawn"]);
-        // Scoped spawns are fine: they cannot leak past their region.
-        assert!(strict("fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n").is_empty());
+        // Scoped spawns are fine: they cannot leak past their region
+        // (`raw-sync` routes them through the facade).
+        let src = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
+        assert!(!rules(src).contains(&"thread-spawn"));
     }
 
     #[test]
@@ -1601,8 +1686,10 @@ mod tests {
         // facade instruments are gated.
         assert!(strict("use std::sync::{Arc, OnceLock};\n").is_empty());
         assert!(strict("use std::sync::mpsc;\n").is_empty());
+        assert_eq!(rules("fn f() { std::thread::scope(|_| {}); }\n"), vec!["raw-sync"]);
         // The facade itself is what code should write.
         assert!(strict("use msa_sync::{Condvar, Mutex};\n").is_empty());
+        assert!(strict("fn f() { msa_sync::thread::scope(|_| {}); }\n").is_empty());
         // Test code may reach for std::sync directly.
         let src = "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n";
         assert!(strict(src).is_empty());

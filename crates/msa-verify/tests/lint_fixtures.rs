@@ -219,6 +219,16 @@ fn raw_sync_import_is_flagged() {
 }
 
 #[test]
+fn raw_scoped_threads_are_flagged() {
+    let stdout = findings_for(
+        "rawscope",
+        "pub fn f() {\n    std::thread::scope(|s| {\n        s.spawn(|| ());\n    });\n}\n",
+    );
+    assert!(stdout.contains("fixture.rs:2: raw-sync"), "{stdout}");
+    assert!(!stdout.contains("thread-spawn"), "{stdout}");
+}
+
+#[test]
 fn facade_imports_are_clean() {
     let dir = fixture_dir("facade");
     let file = dir.join("fixture.rs");
@@ -535,6 +545,65 @@ fn justified_unreached_allow_suppresses_and_a_stale_one_is_reported() {
         "{stdout}"
     );
     assert!(!stdout.contains(": unreached"), "{stdout}");
+}
+
+/// A module with no `pub` item: only a `<module>::` path can reach it,
+/// and only one whose head resolves to its crate.
+#[test]
+fn module_paths_resolve_against_the_modules_crate() {
+    let lib = "pub mod channel;\n";
+    let channel = "fn hidden() -> u32 {\n    1\n}\n";
+    let flagged = "crates/geo/src/channel.rs:1: unreached — module `geo::channel`";
+    // Another crate's module of the same name reaches nothing.
+    let (code, stdout) = lint_tree(
+        "unreached_same_name_elsewhere",
+        &[
+            ("crates/geo/src/lib.rs", lib),
+            ("crates/geo/src/channel.rs", channel),
+            (
+                "crates/app/src/lib.rs",
+                "use crossbeam::channel::{unbounded, Receiver};\npub fn run() {\n    let _ = crossbeam::channel::bounded(1);\n}\n",
+            ),
+        ],
+    );
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains(flagged), "{stdout}");
+    // The crate's own name, `crate::`, `super::` and a bare path inside
+    // the crate all resolve to it.
+    let reachers = [
+        ("crates/app/src/lib.rs", "pub fn run() {\n    geo::channel::go();\n}\n"),
+        ("crates/app/src/lib.rs", "use geo::{channel::go, Other};\npub fn run() {}\n"),
+        ("crates/geo/src/lib.rs", "pub mod channel;\npub fn run() {\n    crate::channel::go();\n}\n"),
+        ("crates/geo/src/lib.rs", "pub mod channel;\npub fn run() {\n    channel::go();\n}\n"),
+    ];
+    for (i, reacher) in reachers.into_iter().enumerate() {
+        let mut files = vec![("crates/geo/src/lib.rs", lib), ("crates/geo/src/channel.rs", channel)];
+        files.retain(|(path, _)| *path != reacher.0);
+        files.push(reacher);
+        assert_tree_clean(&format!("resolved_{i}"), &files);
+    }
+}
+
+/// A module of impls is reached through the type it extends; another
+/// crate's `pub use` of a module (a facade) reaches it.
+#[test]
+fn impl_modules_and_facade_re_exports_are_reached() {
+    assert_tree_clean(
+        "reached_impl",
+        &[
+            ("crates/geo/src/lib.rs", "pub mod ops;\npub struct Grid;\n"),
+            ("crates/geo/src/ops.rs", "impl<T: Into<u8>> From<T> for crate::Grid {\n    fn from(_: T) -> Self {\n        crate::Grid\n    }\n}\n"),
+            ("crates/app/src/lib.rs", "pub fn make() -> geo::Grid {\n    geo::Grid::from(1u8)\n}\n"),
+        ],
+    );
+    assert_tree_clean(
+        "reached_facade",
+        &[
+            ("crates/geo/src/lib.rs", "pub mod atomic;\n"),
+            ("crates/geo/src/atomic.rs", "fn hidden() {}\n"),
+            ("crates/facade/src/lib.rs", "pub use geo::atomic::*;\n"),
+        ],
+    );
 }
 
 /// The shape this rule was written for: a flow simulator that the crate

@@ -30,6 +30,12 @@ fn p90(mut errs: Vec<f32>) -> f32 {
     errs[(errs.len() * 9 / 10).min(errs.len() - 1)]
 }
 
+/// `Σ a ⊙ b` over the flat data, summed in order.
+fn dot(a: &Tensor, b: &Tensor) -> f32 {
+    assert_eq!(a.numel(), b.numel(), "dot requires equal sizes");
+    a.data().iter().zip(b.data()).map(|(x, y)| x * y).sum()
+}
+
 fn rel_err(a: f32, b: f32) -> f32 {
     (a - b).abs() / (a.abs() + b.abs()).max(1e-4)
 }
@@ -64,9 +70,9 @@ pub fn check_layer(layer: &mut dyn Layer, x: &Tensor, eps: f32, seed: u64) -> Gr
         for idx in (0..numel).step_by(stride) {
             let orig = layer.params()[pi].value.data()[idx];
             layer.params_mut()[pi].value.data_mut()[idx] = orig + eps;
-            let lp = layer.forward(x, true).dot(&g);
+            let lp = dot(&layer.forward(x, true), &g);
             layer.params_mut()[pi].value.data_mut()[idx] = orig - eps;
-            let lm = layer.forward(x, true).dot(&g);
+            let lm = dot(&layer.forward(x, true), &g);
             layer.params_mut()[pi].value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             param_errs.push(rel_err(num, analytic[idx]));
@@ -79,10 +85,10 @@ pub fn check_layer(layer: &mut dyn Layer, x: &Tensor, eps: f32, seed: u64) -> Gr
     for idx in (0..x.numel()).step_by(stride) {
         let mut xp = x.clone();
         xp.data_mut()[idx] += eps;
-        let lp = layer.forward(&xp, true).dot(&g);
+        let lp = dot(&layer.forward(&xp, true), &g);
         let mut xm = x.clone();
         xm.data_mut()[idx] -= eps;
-        let lm = layer.forward(&xm, true).dot(&g);
+        let lm = dot(&layer.forward(&xm, true), &g);
         let num = (lp - lm) / (2.0 * eps);
         input_errs.push(rel_err(num, dx.data()[idx]));
     }

@@ -77,11 +77,6 @@ impl Tensor {
         }
     }
 
-    /// `self += alpha * other` (axpy) — the hot update in every optimiser.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        self.zip_inplace(other, |a, b| a + alpha * b);
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&mut self, s: f32) {
         self.map_inplace(|x| x * s);
@@ -117,25 +112,6 @@ impl Tensor {
                 .reduce(|| f32::NEG_INFINITY, f32::max)
         } else {
             data.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
-        }
-    }
-
-    /// Dot product of two equal-shaped tensors viewed flat.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.numel(), other.numel(), "dot requires equal sizes");
-        let (a, b) = (self.data(), other.data());
-        if a.len() >= PAR_THRESHOLD {
-            let partials: Vec<f32> = a
-                .par_chunks(SUM_BLOCK)
-                .enumerate()
-                .map(|(ci, c)| {
-                    let d = &b[ci * SUM_BLOCK..ci * SUM_BLOCK + c.len()];
-                    c.iter().zip(d).map(|(x, y)| x * y).sum()
-                })
-                .collect();
-            partials.into_iter().sum()
-        } else {
-            a.iter().zip(b).map(|(x, y)| x * y).sum()
         }
     }
 
@@ -241,20 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_definition() {
-        let mut a = Tensor::ones(&[4]);
-        let g = Tensor::full(&[4], 2.0);
-        a.axpy(-0.5, &g);
-        assert_eq!(a.data(), &[0.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn reductions() {
         let a = t2(&[1.0, -2.0, 3.0, -4.0], 2, 2);
         assert_eq!(a.sum(), -2.0);
         assert_eq!(a.mean(), -0.5);
         assert_eq!(a.max(), 3.0);
-        assert_eq!(a.dot(&a), 1.0 + 4.0 + 9.0 + 16.0);
     }
 
     #[test]

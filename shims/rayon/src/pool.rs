@@ -71,6 +71,18 @@ struct Task {
 }
 
 impl Task {
+    fn new(body: &'static (dyn Fn(usize) + Sync), blocks: usize) -> Task {
+        Task {
+            body,
+            blocks,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            finished: Mutex::new(false),
+            finished_cv: Condvar::new(),
+        }
+    }
+
     fn exhausted(&self) -> bool {
         self.next.load(Ordering::Relaxed) >= self.blocks
     }
@@ -95,8 +107,8 @@ impl Task {
             // finisher's clock, which the `finished` mutex then hands to
             // the caller. With plain Release the read side is relaxed,
             // the chain accumulates nothing, and those reads race (the
-            // `pool_release_done_counter_is_found` msa-race harness
-            // demonstrates exactly this).
+            // `race` tests below find exactly this under `--cfg
+            // msa_check`).
             let d = self.done.fetch_add(1, Ordering::AcqRel) + 1;
             if d == self.blocks {
                 *lock(&self.finished) = true;
@@ -265,15 +277,7 @@ pub(crate) fn run_blocks(blocks: usize, body: &(dyn Fn(usize) + Sync)) {
     // inside this borrow's lifetime.
     let body_static: &'static (dyn Fn(usize) + Sync) =
         unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(body) };
-    let task = Arc::new(Task {
-        body: body_static,
-        blocks,
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        finished: Mutex::new(false),
-        finished_cv: Condvar::new(),
-    });
+    let task = Arc::new(Task::new(body_static, blocks));
     {
         let mut q = lock(&pool.queue);
         q.push_back(Arc::clone(&task));
@@ -316,5 +320,83 @@ where
         // Unreachable: run_blocks runs each block exactly once or
         // propagates the panic that prevented it.
         _ => panic!("join: a branch did not complete"),
+    }
+}
+
+/// The shipped task protocol under the msa-race checker: model workers
+/// and the submitter drain one [`Task`], then the submitter waits and
+/// reads every block's output, as [`run_blocks`]' caller does. The
+/// outputs are statics because a task body is `&'static`.
+#[cfg(test)]
+#[cfg(msa_check)]
+mod race {
+    use super::*;
+    use msa_race::sync::RaceCell;
+    use msa_race::{explore, thread, Options};
+
+    static CLEAN: [RaceCell<u64>; 3] = [const { RaceCell::named(0, "pool.out") }; 3];
+    static PANICKY: [RaceCell<u64>; 3] = [const { RaceCell::named(0, "pool.out") }; 3];
+    static WIDE: [RaceCell<u64>; 4] = [const { RaceCell::named(0, "pool.out") }; 4];
+
+    /// One submit of one block per `out` cell with `workers` model
+    /// workers beside the submitter; block `panicking`, if any, panics
+    /// instead of writing its output.
+    fn submit(
+        body: &'static (dyn Fn(usize) + Sync),
+        out: &'static [RaceCell<u64>],
+        workers: usize,
+        panicking: Option<usize>,
+    ) {
+        for cell in out {
+            cell.set(0);
+        }
+        let task = Task::new(body, out.len());
+        thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| task.run_to_exhaustion());
+            }
+            task.run_to_exhaustion();
+            task.wait_finished();
+            // Read before the workers are joined, as `run_blocks`' caller
+            // returns while workers may still hold the task.
+            for (b, cell) in out.iter().enumerate() {
+                let want = if panicking == Some(b) { 0 } else { b as u64 + 1 };
+                assert_eq!(cell.get(), want, "block {b} ran exactly once, before the wait returned");
+            }
+        });
+        let stashed = lock(&task.panic).take().is_some();
+        assert_eq!(stashed, panicking.is_some(), "a block's panic is stashed for the caller");
+    }
+
+    fn assert_clean(opts: &Options, f: impl Fn() + Send + Sync + 'static) {
+        match explore(opts, f) {
+            Ok(stats) => assert!(stats.schedules > 1, "explored {} schedule(s)", stats.schedules),
+            Err(failure) => panic!("the shipped pool task failed under the checker:\n{failure}"),
+        }
+    }
+
+    #[test]
+    fn one_worker_three_blocks_explore_clean() {
+        assert_clean(&Options::exhaustive(2), || {
+            submit(&|b| CLEAN[b].set(b as u64 + 1), &CLEAN, 1, None)
+        });
+    }
+
+    #[test]
+    fn a_panicking_block_is_stashed_for_the_caller() {
+        assert_clean(&Options::exhaustive(2), || {
+            let body = &|b: usize| match b {
+                1 => panic!("block 1 fails"),
+                _ => PANICKY[b].set(b as u64 + 1),
+            };
+            submit(body, &PANICKY, 1, Some(1))
+        });
+    }
+
+    #[test]
+    fn two_workers_four_blocks_random_walk_is_clean() {
+        assert_clean(&Options::random(0x5eed_0001, 400), || {
+            submit(&|b| WIDE[b].set(b as u64 + 1), &WIDE, 2, None)
+        });
     }
 }
