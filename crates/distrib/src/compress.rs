@@ -18,6 +18,23 @@
 //! * a cost comparison hook: the communicated volume per step drops from
 //!   `4·n` bytes to `8·k`.
 //!
+//! # The exchange
+//!
+//! Under `GradCodec::SparseTopK` each rank contributes an equal block of
+//! `2k` wire words to an allgather, and every rank then folds all `p`
+//! blocks and divides. Equal blocks keep the exchange a fixed-size
+//! collective the stats layer can price; a dense ring over a 1 %-sparse
+//! vector would ship the zeros back. The compressor's error-feedback
+//! residual carries what the wire drops this step into the next step's
+//! selection, which is why 1 % top-k still converges. [`TopKCompressor::k`]
+//! floors at 1, so a tiny bucket under a small ratio still ships one
+//! pair. The trainer's only codec-aware code is the reduce lane of its
+//! exchange: the default dense exchange reduce-scatters each bucket to
+//! its owners, and the other codecs go through
+//! [`crate::ExchangeDispatch::reduce_bucket_codec`], so all three codecs
+//! share the serialized and overlapped schedules and the dense path is
+//! unchanged.
+//!
 //! # Selection
 //!
 //! [`top_k`] and the compressor share one routine, `select_top_k`, which

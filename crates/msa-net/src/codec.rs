@@ -13,14 +13,44 @@
 //! * [`GradCodec::SparseTopK`] — error-feedback top-k (`distrib`'s
 //!   compressor) shipping `2k` words of [`WirePair`]s, `k ≈ ratio·n`.
 //!
-//! Because the transport counts whatever slice length it ships, sending
-//! encoded payloads automatically makes the [`crate::CommStats`] wire
-//! counters and the priced Lamport clock see the *encoded* byte count —
-//! the codec's effect on comm time is measured, not asserted.
+//! The codec chooses the *exchange* format only: every codec accumulates
+//! in f32, and a trainer that sets no codec runs `Dense32` bit for bit
+//! (`tests/codec_exchange.rs`,
+//! `default_codec_is_bit_identical_to_explicit_dense`).
+//!
+//! # bf16
+//!
+//! The rounding is RTNE on raw bits ([`tensor::codec`]): a pure function
+//! of the input bits, identical on every host, that keeps NaNs NaN. Two
+//! halves pack per 32-bit wire word (element `2i` low, `2i + 1` high), so
+//! [`GradCodec::wire_words`] is `⌈n/2⌉`. [`bf16_allreduce`] runs the chain
+//! under [`CollectiveOp::Pipeline`]: each hop decodes the incoming slice,
+//! folds in f32 and re-encodes. The fold is element-wise, so the result
+//! is the same on every rank and for every bucket partition, and the
+//! fused, serialized and overlapped schedules land on the same bits.
+//!
+//! # Pricing sees the encoded bytes
+//!
+//! The transport counts whatever slice length it ships, so the
+//! [`crate::CommStats`] wire counters and the priced Lamport clock see
+//! the *encoded* byte count with no codec-aware bookkeeping: a bf16
+//! payload of half the words costs half the β term. `experiments codec`
+//! checks this as the `bf16_halves_wire_bytes` contract in every grid
+//! cell of `BENCH_pr9.json`. The top-k allgather's *total* bytes grow
+//! about as p²: they pass dense at 128 ranks, where its critical path is
+//! still 20× shorter; the report records both numbers. The measured
+//! codec cells are the [`crate::DecisionTable`]'s `ccell` rows, which
+//! serialize after the `cell` rows and only when present, so a codec-free
+//! table is byte-identical to one written before codecs existed.
+//! `distrib`'s `ScalingModel` scales its comm prediction by
+//! [`crate::DecisionTable::codec_ratio`], or by the analytic wire-byte
+//! ratio when no cell matches.
 //!
 //! Encoded words are bit containers: they cross the memcpy transport and
 //! are decoded, never operated on. [`WirePair`] makes that contract a
-//! type instead of a convention (see DESIGN.md §15).
+//! type instead of a convention: a value travels as its f32 bit pattern,
+//! never *as* an f32, so NaN-adjacent payloads survive the transport
+//! byte for byte.
 
 use crate::collectives::add_into;
 use crate::comm::PointToPoint;

@@ -83,11 +83,6 @@ pub trait Communicator: PointToPoint {
         collectives::binomial_broadcast(self, buf, root);
     }
 
-    /// Reduce (sum) to `root`; other ranks' `buf` is left unspecified.
-    fn reduce_sum(&self, buf: &mut [f32], root: usize) {
-        collectives::tree_reduce(self, buf, root);
-    }
-
     /// Gathers each rank's `mine` (lengths may differ) into rank order
     /// on every rank.
     fn allgather(&self, mine: &[f32]) -> Vec<Vec<f32>> {
@@ -101,59 +96,7 @@ pub trait Communicator: PointToPoint {
     fn allgather_into(&self, mine: &[f32], out: &mut [f32]) {
         collectives::ring_allgather_into(self, mine, out);
     }
-
-    /// Synchronisation barrier (dissemination algorithm).
-    fn barrier(&self) {
-        collectives::dissemination_barrier(self);
-    }
 }
 
 /// Every point-to-point transport gets the collectives for free.
 impl<T: PointToPoint + ?Sized> Communicator for T {}
-
-/// A single-rank communicator: all collectives are no-ops. Useful for
-/// running distributed code paths serially.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SelfComm;
-
-impl PointToPoint for SelfComm {
-    fn rank(&self) -> usize {
-        0
-    }
-    fn size(&self) -> usize {
-        1
-    }
-    fn send_with(&self, _to: usize, _len: usize, _fill: impl FnOnce(&mut [f32])) {
-        panic!("SelfComm has no peers to send to");
-    }
-    fn recv_with<R>(&self, _from: usize, _read: impl FnOnce(&[f32]) -> R) -> R {
-        panic!("SelfComm has no peers to receive from");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn selfcomm_collectives_are_identity() {
-        let c = SelfComm;
-        let mut buf = vec![1.0, 2.0, 3.0];
-        c.allreduce_sum(&mut buf);
-        assert_eq!(buf, vec![1.0, 2.0, 3.0]);
-        c.allreduce_mean(&mut buf);
-        assert_eq!(buf, vec![1.0, 2.0, 3.0]);
-        let mut b = vec![4.0];
-        c.broadcast(&mut b, 0);
-        assert_eq!(b, vec![4.0]);
-        let g = c.allgather(&[7.0]);
-        assert_eq!(g, vec![vec![7.0]]);
-        c.barrier();
-    }
-
-    #[test]
-    #[should_panic(expected = "no peers")]
-    fn selfcomm_send_panics() {
-        SelfComm.send_from(1, &[]);
-    }
-}

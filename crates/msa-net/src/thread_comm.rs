@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn ring_allreduce_sums_across_ranks() {
-        for p in [2usize, 3, 4, 7, 8] {
+        for p in [1usize, 2, 3, 4, 7, 8] {
             let out = ThreadComm::run(p, |c| {
                 // buf[i] = rank * 100 + i, so the sum is predictable.
                 let mut buf: Vec<f32> =
@@ -458,19 +458,19 @@ mod tests {
 
     #[test]
     fn allreduce_mean_averages() {
-        let out = ThreadComm::run(4, |c| {
-            let mut buf = vec![(c.rank() + 1) as f32];
-            c.allreduce_mean(&mut buf);
-            buf[0]
-        });
-        for v in out {
-            assert_eq!(v, 2.5);
+        for (p, mean) in [(1, 1.0), (4, 2.5)] {
+            let out = ThreadComm::run(p, |c| {
+                let mut buf = vec![(c.rank() + 1) as f32];
+                c.allreduce_mean(&mut buf);
+                buf[0]
+            });
+            assert_eq!(out, vec![mean; p]);
         }
     }
 
     #[test]
     fn broadcast_from_every_root() {
-        for p in [2usize, 3, 5, 8] {
+        for p in [1usize, 2, 3, 5, 8] {
             for root in 0..p {
                 let out = ThreadComm::run(p, |c| {
                     let mut buf = if c.rank() == root {
@@ -490,11 +490,11 @@ mod tests {
 
     #[test]
     fn tree_reduce_collects_at_root() {
-        for p in [2usize, 3, 6, 8] {
+        for p in [1usize, 2, 3, 6, 8] {
             for root in [0, p - 1] {
                 let out = ThreadComm::run(p, |c| {
                     let mut buf = vec![2.0f32; 5];
-                    c.reduce_sum(&mut buf, root);
+                    collectives::tree_reduce(c, &mut buf, root);
                     (c.rank(), buf)
                 });
                 let at_root = out.iter().find(|(r, _)| *r == root).unwrap();
@@ -521,10 +521,10 @@ mod tests {
 
     #[test]
     fn barrier_completes_for_odd_sizes() {
-        for p in [2usize, 3, 5, 9] {
+        for p in [1usize, 2, 3, 5, 9] {
             let out = ThreadComm::run(p, |c| {
                 for _ in 0..3 {
-                    c.barrier();
+                    collectives::dissemination_barrier(c);
                 }
                 true
             });
@@ -587,7 +587,7 @@ mod tests {
         let per_rank = ThreadComm::run(4, |c| {
             let mut buf = vec![c.rank() as f32; 8];
             c.allreduce_sum(&mut buf);
-            c.barrier();
+            collectives::dissemination_barrier(c);
             c.stats().map(|s| s.export())
         });
         for (rank, snap) in per_rank.iter().enumerate() {
@@ -698,12 +698,12 @@ mod tests {
                 // one round only grows the first credit.
                 for _ in 0..2 {
                     round(c, &mut buf);
-                    c.barrier();
+                    collectives::dissemination_barrier(c);
                 }
                 let warm = c.pool_allocs();
                 for _ in 0..10 {
                     round(c, &mut buf);
-                    c.barrier();
+                    collectives::dissemination_barrier(c);
                 }
                 c.pool_allocs() - warm
             });

@@ -610,61 +610,6 @@ impl VirtualClock {
     }
 }
 
-/// Span-style phase scope: advances a [`VirtualClock`] by a model-priced
-/// duration and records it (plus a call counter) on drop.
-///
-/// ```
-/// use msa_obs::{MetricsRegistry, Recorder, Span, VirtualClock, SimTime};
-/// let reg = MetricsRegistry::new();
-/// let clock = VirtualClock::new();
-/// {
-///     let span = Span::enter(&reg, &clock, "phase.compute");
-///     span.advance(SimTime::from_micros(250.0));
-/// } // drop records phase.compute.time += 250us, phase.compute.calls += 1
-/// assert_eq!(clock.now(), SimTime::from_micros(250.0));
-/// ```
-pub struct Span<'a> {
-    rec: &'a dyn Recorder,
-    clock: &'a VirtualClock,
-    name: &'a str,
-    start_ps: u64,
-}
-
-impl std::fmt::Debug for Span<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Span")
-            .field("name", &self.name)
-            .field("start_ps", &self.start_ps)
-            .finish()
-    }
-}
-
-impl<'a> Span<'a> {
-    /// Opens a phase scope named `name` (keys become `<name>.time` and
-    /// `<name>.calls`).
-    pub fn enter(rec: &'a dyn Recorder, clock: &'a VirtualClock, name: &'a str) -> Self {
-        Span {
-            rec,
-            clock,
-            name,
-            start_ps: clock.now_ps(),
-        }
-    }
-
-    /// Advances the underlying clock by a model-priced duration.
-    pub fn advance(&self, dt: SimTime) {
-        self.clock.advance(dt);
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let elapsed = self.clock.now_ps() - self.start_ps;
-        self.rec.time_ps(&format!("{}.time", self.name), elapsed);
-        self.rec.add(&format!("{}.calls", self.name), 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,9 +635,24 @@ mod tests {
         reg.add("c", 3);
         reg.time_ps("t", 1_500_000);
         reg.time_ps("t", 2_500_000);
+        // A virtual clock sums model-priced spans in exact picoseconds.
+        let clock = VirtualClock::new();
+        for (phase, us) in [("compute", 250.0), ("compute", 250.0), ("allreduce", 100.0)] {
+            let ps = clock.advance(SimTime::from_micros(us));
+            reg.time_ps(&format!("phase.{phase}.time"), ps);
+            reg.add(&format!("phase.{phase}.calls"), 1);
+        }
         let snap = reg.snapshot();
         assert_eq!(snap.get("c"), Some(&MetricValue::Counter(5)));
         assert_eq!(snap.get("t").and_then(MetricValue::as_time_ps), Some(4_000_000));
+        let compute = snap
+            .get("phase.compute.time")
+            .and_then(MetricValue::as_time_ps);
+        assert_eq!(compute, Some(500_000_000));
+        assert_eq!(clock.now(), SimTime::from_micros(600.0));
+        // Phase times partition the clock exactly; the `.calls` counters
+        // under the same prefix are not times and add nothing.
+        assert_eq!(snap.time_ps_with_prefix("phase."), clock.now_ps());
     }
 
     #[test]
@@ -868,36 +828,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add("x", 1);
         reg.gauge("x", 1.0);
-    }
-
-    #[test]
-    fn clock_and_span_record_exactly() {
-        let reg = MetricsRegistry::new();
-        let clock = VirtualClock::new();
-        {
-            let span = Span::enter(&reg, &clock, "phase.compute");
-            span.advance(SimTime::from_micros(250.0));
-            span.advance(SimTime::from_micros(250.0));
-        }
-        {
-            let span = Span::enter(&reg, &clock, "phase.allreduce");
-            span.advance(SimTime::from_micros(100.0));
-        }
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.get("phase.compute.time").and_then(MetricValue::as_time_ps),
-            Some(500_000_000)
-        );
-        assert_eq!(
-            snap.get("phase.compute.calls"),
-            Some(&MetricValue::Counter(1))
-        );
-        // Phase times partition the wall clock exactly — integer ps.
-        assert_eq!(snap.time_ps_with_prefix("phase."), {
-            // drop the .calls counters: only .time keys are TimePs
-            clock.now_ps()
-        });
-        assert_eq!(clock.now(), SimTime::from_micros(600.0));
     }
 
     #[test]

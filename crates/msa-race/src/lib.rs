@@ -42,7 +42,9 @@
 //! `data::stream::with_prefetch` run inside [`explore`]; their
 //! producer and rank threads spawn through [`thread::scope`]. Those
 //! checks live beside the pool and in `tests/real_primitives.rs`, and
-//! CI runs them in one instrumented step. The failure classes the
+//! CI runs them in one instrumented step. Pure counters stay on `std`'s
+//! atomics (`msa_net::CommStats`): nothing branches on them, so their
+//! operations would only multiply schedules that order nothing. The failure classes the
 //! checker must keep finding (the pool's old `Release` done-counter,
 //! notifies fired outside the lock a waiter checks under, relaxed
 //! publication) are pinned as minimal litmus models in

@@ -1,5 +1,4 @@
-//! Stateless / mask-based layers: ReLU, Tanh, Sigmoid and (inverted)
-//! dropout.
+//! Mask-based layers: ReLU and (inverted) dropout.
 //!
 //! ReLU and dropout are one streaming pass each way: the output is
 //! collected straight from the input (no zero-fill and no pool stage,
@@ -23,7 +22,6 @@
 
 use crate::layer::Layer;
 use crate::optim::{u64_to_words, words_to_u64};
-use crate::recurrent::sigmoid;
 use crate::STREAM_BLOCK;
 use rayon::prelude::*;
 use tensor::{Rng, Tensor};
@@ -76,84 +74,6 @@ impl Layer for Relu {
 
     fn name(&self) -> &'static str {
         "ReLU"
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Clone)]
-pub struct Tanh {
-    out: Option<Tensor>,
-}
-
-impl Tanh {
-    pub fn new() -> Self {
-        Tanh { out: None }
-    }
-}
-
-impl Default for Tanh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.out = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // lint: allow(unwrap) -- layer API contract: backward requires a prior forward
-        let out = self.out.as_ref().expect("backward before forward");
-        let mut g = grad_out.clone();
-        // d tanh = 1 − tanh²
-        g.zip_inplace(out, |gg, y| gg * (1.0 - y * y));
-        g
-    }
-
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
-}
-
-/// Logistic sigmoid activation.
-#[derive(Clone)]
-pub struct Sigmoid {
-    out: Option<Tensor>,
-}
-
-impl Sigmoid {
-    pub fn new() -> Self {
-        Sigmoid { out: None }
-    }
-}
-
-impl Default for Sigmoid {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = input.map(sigmoid);
-        self.out = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // lint: allow(unwrap) -- layer API contract: backward requires a prior forward
-        let out = self.out.as_ref().expect("backward before forward");
-        let mut g = grad_out.clone();
-        // d σ = σ(1 − σ)
-        g.zip_inplace(out, |gg, y| gg * y * (1.0 - y));
-        g
-    }
-
-    fn name(&self) -> &'static str {
-        "Sigmoid"
     }
 }
 
@@ -427,41 +347,5 @@ mod tests {
     #[should_panic(expected = "must be in [0,1)")]
     fn full_drop_rejected() {
         let _ = Dropout::new(1.0, 0);
-    }
-
-    #[test]
-    fn tanh_forward_backward() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        let y = t.forward(&x, true);
-        assert!((y.data()[1]).abs() < 1e-9);
-        assert!((y.data()[2] - 2.0f32.tanh()).abs() < 1e-6);
-        let g = t.backward(&Tensor::ones(&[3]));
-        // At 0 the slope is 1, tails flatten.
-        assert!((g.data()[1] - 1.0).abs() < 1e-6);
-        assert!(g.data()[2] < 0.2);
-    }
-
-    #[test]
-    fn sigmoid_forward_backward() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_vec(vec![0.0, 10.0, -10.0], &[3]);
-        let y = s.forward(&x, true);
-        assert!((y.data()[0] - 0.5).abs() < 1e-6);
-        assert!(y.data()[1] > 0.999 && y.data()[2] < 0.001);
-        let g = s.backward(&Tensor::ones(&[3]));
-        assert!((g.data()[0] - 0.25).abs() < 1e-6, "σ'(0) = 1/4");
-        assert!(g.data()[1] < 1e-3 && g.data()[2] < 1e-3);
-    }
-
-    #[test]
-    fn tanh_sigmoid_gradcheck() {
-        use crate::gradcheck::check_layer;
-        let mut rng = Rng::seed(8);
-        let x = rng.normal_tensor(&[3, 5], 1.0);
-        let rep = check_layer(&mut Tanh::new(), &x, 1e-3, 70);
-        assert!(rep.max_input_err < 2e-2, "tanh err {}", rep.max_input_err);
-        let rep = check_layer(&mut Sigmoid::new(), &x, 1e-3, 71);
-        assert!(rep.max_input_err < 2e-2, "sigmoid err {}", rep.max_input_err);
     }
 }

@@ -34,7 +34,7 @@ pub mod pool;
 mod recurrent;
 pub mod serialize;
 
-pub use activation::{Dropout, Relu, Sigmoid, Tanh};
+pub use activation::{Dropout, Relu};
 pub use conv::{Conv1d, Conv2d};
 pub use dense::Dense;
 pub use gru::Gru;
@@ -44,7 +44,7 @@ pub use lstm::Lstm;
 pub use norm::BatchNorm;
 pub use optim::{u64_to_words, words_to_u64, Adam, Optimizer, Sgd};
 pub use param::Param;
-pub use pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+pub use pool::{GlobalAvgPool2d, MaxPool2d};
 
 /// Elements per pool block of a pass worth a pool stage (dropout's mask,
 /// Adam, batch norm's sums). A pass of at most one block runs inline.

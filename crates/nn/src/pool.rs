@@ -70,95 +70,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average pooling over `(N, C, H, W)` with a square window.
-#[derive(Clone)]
-pub struct AvgPool2d {
-    k: usize,
-    stride: usize,
-    in_shape: Vec<usize>,
-}
-
-impl AvgPool2d {
-    pub fn new(k: usize, stride: usize) -> Self {
-        assert!(k > 0 && stride > 0);
-        AvgPool2d {
-            k,
-            stride,
-            in_shape: Vec::new(),
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.ndim(), 4, "AvgPool2d expects (N, C, H, W)");
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        self.in_shape = input.shape().to_vec();
-        let oh = out_dim(h, self.k, self.stride, 0);
-        let ow = out_dim(w, self.k, self.stride, 0);
-        let inv = 1.0 / (self.k * self.k) as f32;
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        for i in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut s = 0.0;
-                        for ky in 0..self.k {
-                            for kx in 0..self.k {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                s += input.data()[((i * c + ch) * h + iy) * w + ix];
-                            }
-                        }
-                        out[((i * c + ch) * oh + oy) * ow + ox] = s * inv;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, c, oh, ow])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (n, c, h, w) = (
-            self.in_shape[0],
-            self.in_shape[1],
-            self.in_shape[2],
-            self.in_shape[3],
-        );
-        let oh = out_dim(h, self.k, self.stride, 0);
-        let ow = out_dim(w, self.k, self.stride, 0);
-        assert_eq!(grad_out.shape(), &[n, c, oh, ow]);
-        let inv = 1.0 / (self.k * self.k) as f32;
-        let mut dx = vec![0.0f32; n * c * h * w];
-        for i in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = grad_out.data()[((i * c + ch) * oh + oy) * ow + ox] * inv;
-                        for ky in 0..self.k {
-                            for kx in 0..self.k {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                dx[((i * c + ch) * h + iy) * w + ix] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(dx, &self.in_shape.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
-    }
-}
-
 /// Global average pool: `(N, C, H, W) → (N, C)`.
 #[derive(Clone)]
 pub struct GlobalAvgPool2d {
@@ -286,18 +197,6 @@ mod tests {
         assert_eq!(y.data(), &[2.5, 25.0]);
         let g = p.backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]));
         assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn avgpool_forward_backward() {
-        let mut p = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let y = p.forward(&x, true);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[2.5, 4.5, 10.5, 12.5]);
-        let g = p.backward(&Tensor::full(&[1, 1, 2, 2], 4.0));
-        // Each input cell receives g/4 = 1.0.
-        assert!(g.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
     }
 
     #[test]

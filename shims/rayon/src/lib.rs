@@ -1,10 +1,11 @@
 //! Offline stand-in for the subset of `rayon` this workspace uses.
 //!
 //! The build container cannot reach a crates.io registry, so this crate
-//! re-implements the parallel-iterator surface the workspace consumes
-//! (`par_iter`, `into_par_iter`, `par_chunks[_mut]`, `map`, `filter`,
-//! `zip`, `fold`/`reduce`, `for_each`, `sum`, `collect`, `join`, …) on
-//! top of a persistent thread pool (see `pool`).
+//! re-implements exactly the parallel-iterator surface the workspace
+//! consumes on top of a persistent thread pool (see `pool`): the sources
+//! `par_iter`, `into_par_iter`, `par_chunks[_mut]` and `par_sort_by`;
+//! the adapters `map`, `filter`, `zip`, `enumerate` and `fold`; the
+//! terminals `for_each`, `reduce`, `count` and `collect`; and [`join`].
 //!
 //! Unlike the seed shim there is no per-stage thread spawn and no
 //! per-batch item cloning: workers are spawned once and parked on a
@@ -12,9 +13,8 @@
 //! (work stealing by index splitting), and terminal operations move
 //! elements straight out of the input buffer into per-slot results (see
 //! `batch`). The semantics rayon guarantees are preserved —
-//! order-preserving results, `Sync` closures, per-batch `fold`
-//! accumulators with the batch partition `⌈n/threads⌉`, and the
-//! fixed-256-block machine-independent `sum` tree.
+//! order-preserving results, `Sync` closures, and per-batch `fold`
+//! accumulators with the batch partition `⌈n/threads⌉`.
 //!
 //! Pool controls (this shim's extension surface, used by tests/benches):
 //! [`init_with_threads`] pins the pool size before first use,
@@ -34,10 +34,7 @@ mod pool;
 pub use pool::{current_num_threads, init_with_threads, join, serial_scope};
 
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, ParallelIterator, ParallelRefIterator, ParallelRefMutIterator,
-        ParallelSlice, ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, ParallelRefIterator, ParallelSlice, ParallelSliceMut};
 }
 
 /// Seed-compatible batch partition: `⌈n/threads⌉` elements per batch,
@@ -69,23 +66,6 @@ impl<T: Send> Par<T> {
         }
     }
 
-    pub fn flat_map<R, I, F>(self, f: F) -> Par<R>
-    where
-        R: Send,
-        I: IntoIterator<Item = R>,
-        F: Fn(T) -> I + Sync,
-        I::IntoIter: Send,
-        I: Send,
-    {
-        let chunk = fold_batch(self.items.len());
-        let nested: Vec<Vec<R>> = batch::consume_chunks(self.items, chunk, |it| {
-            it.flat_map(&f).collect()
-        });
-        Par {
-            items: nested.into_iter().flatten().collect(),
-        }
-    }
-
     pub fn filter<P>(self, pred: P) -> Par<T>
     where
         P: Fn(&T) -> bool + Sync,
@@ -93,19 +73,6 @@ impl<T: Send> Par<T> {
         let chunk = fold_batch(self.items.len());
         let kept: Vec<Vec<T>> =
             batch::consume_chunks(self.items, chunk, |it| it.filter(|x| pred(x)).collect());
-        Par {
-            items: kept.into_iter().flatten().collect(),
-        }
-    }
-
-    pub fn filter_map<R, F>(self, f: F) -> Par<R>
-    where
-        R: Send,
-        F: Fn(T) -> Option<R> + Sync,
-    {
-        let chunk = fold_batch(self.items.len());
-        let kept: Vec<Vec<R>> =
-            batch::consume_chunks(self.items, chunk, |it| it.filter_map(&f).collect());
         Par {
             items: kept.into_iter().flatten().collect(),
         }
@@ -170,55 +137,13 @@ impl<T: Send> Par<T> {
         self.items.len()
     }
 
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<T> + std::iter::Sum<S> + Send,
-    {
-        // Rayon sums by splitting and reducing partial sums, which keeps
-        // f32 error small; a single sequential fold loses low bits once
-        // the running total dwarfs the addends. Match the tree numerics
-        // with fixed-size blocks so the result is also machine-independent
-        // (and identical to the seed shim bit for bit): per-256-block
-        // partials in block order, then an in-order sum of the partials.
-        const BLOCK: usize = 256;
-        let partials: Vec<S> = batch::consume_chunks(self.items, BLOCK, |it| it.sum());
-        partials.into_iter().sum()
-    }
-
     pub fn collect<C>(self) -> C
     where
         C: FromIterator<T>,
     {
         self.items.into_iter().collect()
     }
-
-    pub fn max_by<F>(self, cmp: F) -> Option<T>
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering,
-    {
-        self.items.into_iter().max_by(cmp)
-    }
-
-    pub fn min_by<F>(self, cmp: F) -> Option<T>
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering,
-    {
-        self.items.into_iter().min_by(cmp)
-    }
 }
-
-impl<'a, T: Sync + Clone + Send + 'a> Par<&'a T> {
-    pub fn cloned(self) -> Par<T> {
-        Par {
-            items: self.items.into_iter().cloned().collect(),
-        }
-    }
-}
-
-/// Marker alias so `where`-clauses written against rayon still read
-/// naturally; every `Par` is already a "parallel iterator".
-pub trait ParallelIterator {}
-impl<T> ParallelIterator for Par<T> {}
 
 /// `collection.into_par_iter()` for anything iterable.
 pub trait IntoParallelIterator {
@@ -244,19 +169,6 @@ impl<T: Sync> ParallelRefIterator<T> for [T] {
     fn par_iter(&self) -> Par<&T> {
         Par {
             items: self.iter().collect(),
-        }
-    }
-}
-
-/// `slice.par_iter_mut()`.
-pub trait ParallelRefMutIterator<T> {
-    fn par_iter_mut(&mut self) -> Par<&mut T>;
-}
-
-impl<T: Send> ParallelRefMutIterator<T> for [T] {
-    fn par_iter_mut(&mut self) -> Par<&mut T> {
-        Par {
-            items: self.iter_mut().collect(),
         }
     }
 }
@@ -324,8 +236,8 @@ mod tests {
         let a: Vec<usize> = (0usize..100).into_par_iter().map(|i| i + 1).collect();
         assert_eq!(a[0], 1);
         assert_eq!(a[99], 100);
-        let s: usize = vec![1usize, 2, 3].into_par_iter().sum();
-        assert_eq!(s, 6);
+        let b: Vec<usize> = vec![1usize, 2, 3].into_par_iter().map(|x| x * 2).collect();
+        assert_eq!(b, [2, 4, 6]);
     }
 
     #[test]
@@ -343,7 +255,10 @@ mod tests {
     fn reduce_with_identity() {
         pool4();
         let v = [3.0f32, -1.0, 7.5, 2.0];
-        let m = v.par_iter().cloned().reduce(|| f32::NEG_INFINITY, f32::max);
+        let m = v
+            .par_iter()
+            .map(|&x| x)
+            .reduce(|| f32::NEG_INFINITY, f32::max);
         assert_eq!(m, 7.5);
     }
 
@@ -400,7 +315,7 @@ mod tests {
                 });
             });
             assert!(caught.is_err());
-            let s: usize = (0..100usize).into_par_iter().sum();
+            let s = (0..100usize).into_par_iter().reduce(|| 0, |a, b| a + b);
             assert_eq!(s, 4950);
         }
     }
@@ -431,8 +346,13 @@ mod tests {
     fn serial_scope_matches_pool_results() {
         pool4();
         let v: Vec<f32> = (0..100_000).map(|i| (i % 97) as f32 * 0.25).collect();
-        let on: f32 = v.par_iter().sum();
-        let off: f32 = crate::serial_scope(|| v.par_iter().sum());
+        let total = || {
+            v.par_iter()
+                .fold(|| 0.0f32, |a, &x| a + x)
+                .reduce(|| 0.0, |a, b| a + b)
+        };
+        let on = total();
+        let off = crate::serial_scope(total);
         assert_eq!(on.to_bits(), off.to_bits());
         let mapped_on: Vec<f32> = v.par_iter().map(|&x| x * 3.0 + 1.0).collect();
         let mapped_off: Vec<f32> =
@@ -446,8 +366,10 @@ mod tests {
         let outer: Vec<usize> = (0..16usize)
             .into_par_iter()
             .map(|i| {
-                let inner: usize = (0..100usize).into_par_iter().map(|j| i + j).sum();
-                inner
+                (0..100usize)
+                    .into_par_iter()
+                    .map(|j| i + j)
+                    .reduce(|| 0, |a, b| a + b)
             })
             .collect();
         for (i, s) in outer.iter().enumerate() {
@@ -456,20 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn sum_tree_is_block_structured() {
-        pool4();
-        // 1e7 as f32 swallows +0.25 increments under sequential
-        // accumulation; the 256-block tree must not.
-        let v = vec![0.25f32; 100_000];
-        let s: f32 = v.par_iter().cloned().sum();
-        assert_eq!(s, 25_000.0);
-    }
-
-    #[test]
     fn empty_and_single_item_edge_cases() {
         pool4();
         let empty: Vec<u32> = Vec::new();
-        let s: u32 = empty.par_iter().cloned().sum();
+        let s = empty.par_iter().map(|&x| x).reduce(|| 0, |a, b| a + b);
         assert_eq!(s, 0);
         let one = [41u32];
         let out: Vec<u32> = one.par_iter().map(|&x| x + 1).collect();

@@ -1,7 +1,7 @@
 //! Regression test for the per-batch-clone bug: the seed shim cloned
-//! items into one `Vec` per batch (and `sum` into one `Vec` per
-//! 256-block), so a parallel stage over N items cost O(N) allocator
-//! traffic. The pool-based executors must stay O(blocks).
+//! items into one `Vec` per batch, so a parallel stage over N items
+//! cost O(N) allocator traffic. The pool-based executors must stay
+//! O(blocks).
 
 // A counting `GlobalAlloc` is the only way to observe allocator traffic;
 // it delegates every call to `System` unchanged.
@@ -67,19 +67,25 @@ fn par_stages_allocate_per_block_not_per_element() {
         assert_eq!(*x, (i / CHUNK) as f32);
     }
 
-    // sum over 1M f32 must not clone 256-element blocks into Vecs:
-    // one handle per element is unavoidable for the eager `par_iter`
-    // adapter (a single buffer), but the per-block Vec churn —
-    // ~3906 extra allocations in the seed shim — must be gone.
-    let (s, allocs) = counted(|| v.par_iter().sum::<f32>());
-    let expected: f32 = {
-        let partials: Vec<f32> = v.chunks(256).map(|c| c.iter().sum()).collect();
-        partials.into_iter().sum()
-    };
+    // fold over 1M f32 must not clone its batches into Vecs: one handle
+    // per element is unavoidable for the eager `par_iter` adapter (a
+    // single buffer), but the per-batch Vec churn of the seed shim must
+    // be gone.
+    let add = |a: f32, b: f32| a + b;
+    let (s, allocs) = counted(|| {
+        v.par_iter()
+            .fold(|| 0.0f32, |a, &x| a + x)
+            .reduce(|| 0.0, add)
+    });
+    let batch = N.div_ceil(rayon::current_num_threads());
+    let expected = v
+        .chunks(batch)
+        .map(|c| c.iter().fold(0.0f32, |a, &x| a + x))
+        .fold(0.0, add);
     assert_eq!(s.to_bits(), expected.to_bits());
     assert!(
         allocs <= 64,
-        "sum allocated {allocs} times (per-block Vec cloning?)"
+        "fold allocated {allocs} times (per-batch Vec cloning?)"
     );
 
     // fold/reduce over an already-materialised slice view: O(batches).
