@@ -36,7 +36,7 @@ fn gaussian_blob(img: &mut [f32], s: usize, cx: f32, cy: f32, sigma: f32, amp: f
     for y in 0..s {
         for x in 0..s {
             let d2 = (x as f32 - cx).powi(2) + (y as f32 - cy).powi(2);
-            img[y * s + x] += amp * (-d2 / (2.0 * sigma * sigma)).exp();
+            img[y * s + x] += amp * tensor::math::exp(-d2 / (2.0 * sigma * sigma));
         }
     }
 }

@@ -83,7 +83,7 @@ pub fn generate(n: usize, cfg: &IcuConfig, seed: u64) -> IcuCohort {
         if is_ards {
             for (tt, s) in severity.iter_mut().enumerate() {
                 if tt >= onset {
-                    *s = (1.0 - (-((tt - onset) as f32) / 6.0).exp()).min(1.0);
+                    *s = (1.0 - tensor::math::exp(-((tt - onset) as f32) / 6.0)).min(1.0);
                 }
             }
         }

@@ -56,8 +56,8 @@ fn real_channel_send_then_disconnect_delivers_in_order() {
 fn real_credit_ring_recycles_credits() {
     // Three sends through a channel seeded with two credits: the third
     // waits for a buffer the receiver hands back, then reuses it. The
-    // traffic counters are `std` atomics the checker does not see, which
-    // keeps two preemptions under 3,000 schedules.
+    // traffic counters and the credit-growth counter are `std` atomics the
+    // checker does not see: two preemptions explore 2,658 schedules.
     assert_clean(&Options::exhaustive(2), "ThreadComm credit ring", || {
         let got = ThreadComm::run(2, |c| match c.rank() {
             0 => {

@@ -1,6 +1,6 @@
 //! `msa-lint`: a dependency-free source scanner enforcing workspace
 //! invariants that rustc/clippy cannot express (or that we do not want to
-//! gate on a nightly toolchain). Ten rules:
+//! gate on a nightly toolchain). Eleven rules:
 //!
 //! | rule              | scope                     | invariant |
 //! |-------------------|---------------------------|-----------|
@@ -13,6 +13,7 @@
 //! | `ordering-audit`  | everywhere but the audited sync cores (`shims/rayon/src/pool.rs`, `msa-net/src/{thread_comm,stats}.rs`) and `msa-race` itself | no `Ordering::Relaxed` / `Ordering::AcqRel` in non-test code; weak orderings belong in the msa-race-audited sync cores, anywhere else each use justifies itself with an allow |
 //! | `raw-sync`        | `shims/rayon`, `shims/crossbeam`, `msa-net`, `data` | no direct `std::sync::{Mutex, Condvar}` / `std::sync::atomic` imports and no `std::thread::scope`; concurrency primitives and scoped threads go through the `msa_sync` facade so `--cfg msa_check` builds can instrument them |
 //! | `removed-api`     | every crate (tests included) | the retired entry points (`train_data_parallel`, `train_data_parallel_faulted`, `resume_from_snapshot`, `create_with_fault`, `run_with_fault`, `fault_opt`), the retired `_with` collective doubles (`ring_allreduce_with`, `recursive_doubling_allreduce_with`, `pipeline_allreduce_with`, `tree_reduce_with`, `bf16_allreduce_with`, `tuned_allreduce_with`) and the retired time converters (`ps_to_simtime`, `advance_ps`, `from_hours`, `as_hours`, `predicted_wait_ps`, `slo_ps`) must not reappear; each finding names its replacement |
+//! | `host-math`       | `tensor`, `nn`, `data`, but not `tensor/src/math.rs` | no `.tanh()` / `.exp()` / `f32::tanh` / `f32::exp` in non-test code: the host libm's bits depend on its version and on the CPU it dispatches for, so these crates call `tensor::math`, which equals glibc on every input everywhere |
 //! | `unreached`       | module files of `crates/*/src`, `shims/*/src` (not `lib.rs`, `main.rs`, `mod.rs`, `bin/`, nor a module its parent declares in a test region) | a workspace pass: some non-test line of another file in library code, `src/`, `examples/`, a binary or `benchmark/src` names the module — by `<module>::` in a path that resolves to the module's crate (`crate::`, `super::`, `<crate>::`, or the crate's own module), a `pub` type/trait/const/static name, or a call or `use` of a top-level `pub fn`, or the type a top-level `impl` extends. `mod` lines and a crate's `pub use` of its own modules do not count. The allow goes on the module's first line. It judges whole modules: the public items inside a reached module are not checked (see `unreached_findings`) |
 //!
 //! Findings print as `file:line: rule — message` and the binary exits
@@ -74,6 +75,7 @@ pub struct Profile {
     pub ordering_audit: bool,
     pub raw_sync: bool,
     pub removed_api: bool,
+    pub host_math: bool,
 }
 
 /// Entry points deleted when their replacements landed, each with what
@@ -115,6 +117,7 @@ impl Profile {
             ordering_audit: true,
             raw_sync: true,
             removed_api: true,
+            host_math: true,
         }
     }
 
@@ -189,6 +192,10 @@ impl Profile {
             // under `--cfg msa_check`.
             raw_sync: matches!(crate_name, "msa-net" | "data"),
             removed_api: true,
+            // The crates whose `f32` bits reach a digest; `tensor::math`
+            // is the in-tree libm they call instead.
+            host_math: matches!(crate_name, "tensor" | "nn" | "data")
+                && !(crate_name == "tensor" && file.file_name().is_some_and(|n| n == "math.rs")),
         }
     }
 
@@ -210,6 +217,7 @@ impl Profile {
             ordering_audit: !is_sync_core,
             raw_sync: matches!(shim_name, "rayon" | "crossbeam"),
             removed_api: false,
+            host_math: false,
         }
     }
 }
@@ -871,6 +879,29 @@ pub fn lint_source(file: &str, source: &str, profile: &Profile) -> Vec<Finding> 
                             format!("`{needle}` was removed; use {replacement} instead"),
                         );
                     }
+                }
+            }
+        }
+
+        if profile.host_math && !in_test {
+            for needle in [".tanh()", ".exp()", "f32::tanh", "f32::exp"] {
+                for (pos, _) in line.match_indices(needle) {
+                    // `f32::exp2` and `f32::exp_m1` are other functions.
+                    let next = line.as_bytes().get(pos + needle.len());
+                    if next.is_some_and(|&c| is_ident_char(c as char)) {
+                        continue;
+                    }
+                    push(
+                        &mut findings,
+                        &mut used_allows,
+                        idx,
+                        "host-math",
+                        format!(
+                            "`{needle}` calls the host libm, whose bits depend on its version \
+                             and on the CPU it dispatches for; call `tensor::math::{{exp, tanh, \
+                             sigmoid}}`"
+                        ),
+                    );
                 }
             }
         }
@@ -1782,6 +1813,19 @@ mod tests {
         assert!(p.removed_api);
         let p = Profile::for_shim("rayon", Path::new("shims/rayon/src/lib.rs"));
         assert!(!p.removed_api);
+        // Host transcendentals: banned where `f32` bits reach a digest,
+        // except in the in-tree libm itself.
+        for (krate, file) in [("tensor", "ops.rs"), ("nn", "gru.rs"), ("data", "icu.rs")] {
+            let path = Path::new("crates").join(krate).join("src").join(file);
+            let p = Profile::for_crate(krate, &path);
+            assert!(p.host_math, "{krate}/{file}");
+        }
+        let p = Profile::for_crate("tensor", Path::new("crates/tensor/src/math.rs"));
+        assert!(!p.host_math);
+        let p = Profile::for_crate("ml", Path::new("crates/ml/src/svm.rs"));
+        assert!(!p.host_math);
+        let p = Profile::for_shim("rayon", Path::new("shims/rayon/src/lib.rs"));
+        assert!(!p.host_math);
     }
 
     /// The layers that are not GEMMs are under the allocation rule; their

@@ -291,6 +291,74 @@ fn removed_api_is_flagged_even_in_tests() {
 }
 
 #[test]
+fn host_math_calls_are_flagged() {
+    let stdout = findings_for(
+        "hostmath",
+        concat!(
+            "pub fn f(x: f32) -> f32 {\n",
+            "    x.tanh() + (-x).exp()\n",
+            "}\n",
+            "pub fn g(v: &mut [f32]) {\n",
+            "    v.iter_mut().for_each(|x| *x = f32::exp(*x));\n",
+            "    let _ = v.iter().map(|&x| f32::tanh(x));\n",
+            "    let _ = v.iter().map(|&x| f32::exp2(x) + x.exp_m1());\n",
+            "}\n",
+        ),
+    );
+    let lines: Vec<&str> = stdout.lines().filter(|l| l.contains("host-math")).collect();
+    assert_eq!(lines.len(), 4, "{stdout}");
+    for (line, needle) in [
+        (2, ".tanh()"),
+        (2, ".exp()"),
+        (5, "f32::exp"),
+        (6, "f32::tanh"),
+    ] {
+        let at = format!("fixture.rs:{line}:");
+        assert!(
+            lines.iter().any(|l| l.contains(&at) && l.contains(needle)),
+            "missing {needle} on line {line}:\n{stdout}"
+        );
+    }
+}
+
+/// In the workspace walk the rule covers `tensor`, `nn` and `data` outside
+/// test code, and `tensor/src/math.rs` is the libm it points to.
+const HOST_EXP: &str = "pub fn exp(x: f32) -> f32 {\n    x.exp()\n}\n";
+
+#[test]
+fn host_math_scope_exempts_the_in_tree_libm_tests_and_other_crates() {
+    let (code, stdout) = lint_tree(
+        "hostmath_scope",
+        &[
+            ("crates/tensor/src/lib.rs", "pub mod math;\n"),
+            ("crates/tensor/src/math.rs", HOST_EXP),
+            (
+                "crates/nn/src/lib.rs",
+                concat!(
+                    "pub fn act(x: f32) -> f32 {\n",
+                    "    tensor::math::exp(x) + x.tanh()\n",
+                    "}\n",
+                    "#[cfg(test)]\n",
+                    "mod tests {\n",
+                    "    #[test]\n",
+                    "    fn oracle() {\n",
+                    "        assert!(super::act(0.5) > 0.5f32.tanh());\n",
+                    "    }\n",
+                    "}\n",
+                ),
+            ),
+            ("crates/ml/src/lib.rs", HOST_EXP),
+        ],
+    );
+    assert_eq!(code, Some(1), "{stdout}");
+    let found: Vec<&str> = stdout
+        .lines()
+        .map(|l| l.split(" — ").next().unwrap_or(l))
+        .collect();
+    assert_eq!(found, ["crates/nn/src/lib.rs:2: host-math"], "{stdout}");
+}
+
+#[test]
 fn unjustified_allow_does_not_suppress() {
     let stdout = findings_for(
         "badallow",
@@ -327,6 +395,7 @@ fn one_fixture_per_banned_pattern_all_reported_together() {
             "pub fn f(c: &mut Comm) { c.resume_from_snapshot(); }\n",
             "removed-api",
         ),
+        ("hostmath.rs", "pub fn f(x: f32) -> f32 { x.tanh() }\n", "host-math"),
     ];
     for (name, source, _) in &cases {
         std::fs::write(dir.join(name), source).expect("write fixture");

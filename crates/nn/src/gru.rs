@@ -16,7 +16,8 @@
 
 use crate::layer::Layer;
 use crate::param::Param;
-use crate::recurrent::{self, add_nt, gate, nt, sigmoid, Cell, Step, Sweep};
+use crate::recurrent::{self, add_nt, gate, nt, Cell, Step, Sweep};
+use tensor::math::{sigmoid, tanh};
 use tensor::{Rng, Tensor};
 
 /// A single GRU layer returning full sequences.
@@ -90,7 +91,7 @@ impl Cell for Gru {
         for ((rh, &r), &hp) in rh.iter_mut().zip(r.iter()).zip(h_prev.iter()) {
             *rh = r * hp;
         }
-        gate(rh, &self.uh, &self.bh, hu, hhat, f32::tanh);
+        gate(rh, &self.uh, &self.bh, hu, hhat, tanh);
         for ((h, &z), &hhat) in h.iter_mut().zip(z.iter()).zip(hhat.iter()) {
             *h = *h * (1.0 - z) + z * hhat;
         }
@@ -202,9 +203,9 @@ mod tests {
                 }
 
                 let mut z = gate_per_step(&x_t, &h, &self.wz, &self.uz, &self.bz);
-                z.map_inplace(sigmoid);
+                z.map_inplace(testing::host_sigmoid);
                 let mut r = gate_per_step(&x_t, &h, &self.wr, &self.ur, &self.br);
-                r.map_inplace(sigmoid);
+                r.map_inplace(testing::host_sigmoid);
 
                 let mut rh = r.clone();
                 rh.mul_assign(&h);

@@ -13,7 +13,8 @@
 
 use crate::layer::Layer;
 use crate::param::Param;
-use crate::recurrent::{self, add_nt, gate, nt, sigmoid, Cell, Step, Sweep};
+use crate::recurrent::{self, add_nt, gate, nt, Cell, Step, Sweep};
+use tensor::math::{sigmoid, tanh};
 use tensor::{Rng, Tensor};
 
 /// A single LSTM layer returning full sequences.
@@ -91,11 +92,11 @@ impl Cell for Lstm {
         gate(h_prev, &self.ui, &self.bi, hu, i, sigmoid);
         gate(h_prev, &self.uf, &self.bf, hu, f, sigmoid);
         gate(h_prev, &self.uo, &self.bo, hu, o, sigmoid);
-        gate(h_prev, &self.ug, &self.bg, hu, g, f32::tanh);
+        gate(h_prev, &self.ug, &self.bg, hu, g, tanh);
         // c_t = f ⊙ c_{t−1} + i ⊙ g ; h_t = tanh(c_t) ⊙ o
         for k in 0..h.len() {
             c[k] = f[k] * c[k] + i[k] * g[k];
-            tanh_c[k] = c[k].tanh();
+            tanh_c[k] = tanh(c[k]);
             h[k] = tanh_c[k] * o[k];
         }
     }
@@ -212,11 +213,11 @@ mod tests {
                 }
 
                 let mut i = gate_per_step(&x_t, &h, &self.wi, &self.ui, &self.bi);
-                i.map_inplace(sigmoid);
+                i.map_inplace(testing::host_sigmoid);
                 let mut f = gate_per_step(&x_t, &h, &self.wf, &self.uf, &self.bf);
-                f.map_inplace(sigmoid);
+                f.map_inplace(testing::host_sigmoid);
                 let mut o = gate_per_step(&x_t, &h, &self.wo, &self.uo, &self.bo);
-                o.map_inplace(sigmoid);
+                o.map_inplace(testing::host_sigmoid);
                 let mut g = gate_per_step(&x_t, &h, &self.wg, &self.ug, &self.bg);
                 g.map_inplace(f32::tanh);
 

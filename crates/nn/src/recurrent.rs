@@ -61,11 +61,6 @@ use tensor::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into};
 use tensor::scratch::Arena;
 use tensor::Tensor;
 
-/// Logistic function — the one spelling every layer uses.
-pub(crate) fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 /// The cell math a layer plugs into the sweep; block partition, slab
 /// tiling, input-side GEMMs, `dx` and the ordered weight-gradient
 /// reduction are shared.
@@ -375,6 +370,13 @@ pub(crate) mod testing {
 
     use super::*;
     use tensor::Rng;
+
+    /// The host libm's logistic function: the per-step oracles stay on
+    /// the host (`f32::exp`, `f32::tanh`), so comparing the sweep with
+    /// them also checks `tensor::math` against libm.
+    pub(crate) fn host_sigmoid(x: f32) -> f32 {
+        1.0 / (1.0 + (-x).exp())
+    }
 
     /// `(n, t, f, h)`: the benchmark's two GRU layers, then shapes on
     /// every side of the 8-row strip, the block split and `T = 1`, and

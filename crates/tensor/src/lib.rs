@@ -4,7 +4,10 @@
 //! the from-scratch stand-in for the BLAS/cuDNN layer underneath the
 //! paper's TensorFlow/Keras stack: everything `nn` (layers, backprop) and
 //! `ml` (SVM, forests) compute ultimately bottoms out in the matmul,
-//! im2col convolution and reduction kernels here.
+//! im2col convolution and reduction kernels here. [`math`] holds the
+//! `f32` transcendentals (`exp`, `tanh`, `sigmoid`) the layers and data
+//! generators call, bit-equal to glibc's on every input and independent
+//! of the host's libm.
 //!
 //! Tensors are always contiguous row-major; shapes are `Vec<usize>`.
 //! Elementwise and matrix kernels switch to rayon parallel iterators
@@ -13,6 +16,7 @@
 
 pub mod codec;
 pub mod conv;
+pub mod math;
 pub mod matmul;
 pub mod ops;
 pub mod rng;

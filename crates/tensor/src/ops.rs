@@ -177,7 +177,7 @@ impl Tensor {
             let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
             for x in row.iter_mut() {
-                *x = (*x - m).exp();
+                *x = crate::math::exp(*x - m);
                 sum += *x;
             }
             for x in row.iter_mut() {

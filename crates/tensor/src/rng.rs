@@ -199,7 +199,7 @@ impl Rng {
     /// Fills `dest` with the next keystream words: the same words, and
     /// the same generator state afterwards, as `dest.len()` calls of
     /// `next_u32`.
-    fn fill_u32(&mut self, mut dest: &mut [u32]) {
+    pub(crate) fn fill_u32(&mut self, mut dest: &mut [u32]) {
         while !dest.is_empty() {
             if self.idx >= BUF {
                 self.refill();
